@@ -68,9 +68,10 @@ cover-check: cover cover-gate
 # (truncated, bit-flipped or garbage bytes must yield typed
 # checkpoint.ErrCorrupt — never a panic, never a silent mis-decode), the
 # lease-token codec (arbitrary LEASE file bytes must yield an error wrapping
-# checkpoint.ErrCorrupt), the adoption-handshake frames and the quantized
-# gradient sub-frame (arbitrary codec bytes, corrupt scale headers and
-# truncated payloads must yield transport.ErrMalformed — never a panic). A
+# checkpoint.ErrCorrupt), the adoption-handshake frames and the vector frame
+# (arbitrary headers, codec bytes, span sections and truncated or quantized
+# payloads, as a binary wire frame or inside a gob batch, must yield
+# transport.ErrMalformed — never a panic, never a dim-sized allocation). A
 # failing input is written to the package's testdata/fuzz; rerun it with
 # `go test -run 'Fuzz<Target>/<name>' ./internal/<pkg>`.
 FUZZTIME ?= 10s
@@ -80,7 +81,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzJournal$$' -fuzztime $(FUZZTIME) ./internal/checkpoint
 	$(GO) test -run '^$$' -fuzz '^FuzzLease$$' -fuzztime $(FUZZTIME) ./internal/ha
 	$(GO) test -run '^$$' -fuzz '^FuzzAdoption$$' -fuzztime $(FUZZTIME) ./internal/transport
-	$(GO) test -run '^$$' -fuzz '^FuzzQuantizedFrame$$' -fuzztime $(FUZZTIME) ./internal/transport
+	$(GO) test -run '^$$' -fuzz '^FuzzVectorFrame$$' -fuzztime $(FUZZTIME) ./internal/transport
 	$(GO) test -run '^$$' -fuzz '^FuzzRoster$$' -fuzztime $(FUZZTIME) ./internal/node
 
 # Smoke-run the quickstart example: a panic in example main paths must fail
@@ -121,20 +122,25 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
 # Emit the machine-readable benchmark baseline tracked in BENCH_baseline.json.
-# Future perf PRs regenerate it and diff the trajectory.
+# Future perf PRs regenerate it and diff the trajectory. -p 1 (here and in
+# the gate below) runs one package's benchmarks at a time: the socket benches
+# need both ends scheduled, and a neighbouring package's sweep on the same
+# cores moved them by 25 % run to run.
 bench-baseline:
-	$(GO) test -run '^$$' -bench . -benchmem ./... | $(GO) run ./cmd/gcbench > BENCH_baseline.json
+	$(GO) test -p 1 -run '^$$' -bench . -benchmem ./... | $(GO) run ./cmd/gcbench > BENCH_baseline.json
 	@echo wrote BENCH_baseline.json
 
 # Regression gate: rerun the gated benchmarks — decode/encode hot paths, the
-# quantized batched-uplink wire benches (gating their wire-B/iter extras) and
-# the fleet-scale IterRate end-to-end throughput benches (gating iter/s) —
-# and fail when any regressed beyond BENCH_TOLERANCE versus the committed
+# quantized batched-uplink wire benches (gating their wire-B/iter extras),
+# the wire layer's own benches (the float codec kernels, one vector frame end
+# to end, the roster's parameter broadcast) and the fleet-scale IterRate
+# throughput benches (gating iter/s) — and fail when any regressed beyond
+# BENCH_TOLERANCE versus the committed
 # baseline. Override the tolerance when the hardware differs from the
 # baseline machine (CI does).
 BENCH_TOLERANCE ?= 0.25
 bench-compare:
-	$(GO) test -run '^$$' -bench 'Decode|Encode|Uplink|IterRate' -benchmem ./... > /tmp/hetgc-bench-current.txt
+	$(GO) test -p 1 -run '^$$' -bench 'Decode|Encode|Uplink|IterRate|Broadcast|Frame|Float64Codec' -benchmem ./... > /tmp/hetgc-bench-current.txt
 	$(GO) run ./cmd/gcbench -compare BENCH_baseline.json -tolerance $(BENCH_TOLERANCE) < /tmp/hetgc-bench-current.txt
 
 # Emit the current benchmark sweep as JSON (BENCH_current.json) without
@@ -142,6 +148,6 @@ bench-compare:
 # Two commands, not a pipe: a bench build failure or panic must fail the
 # target instead of being masked by gcbench's exit status.
 bench-json:
-	$(GO) test -run '^$$' -bench . -benchmem ./... > /tmp/hetgc-bench-json.txt
+	$(GO) test -p 1 -run '^$$' -bench . -benchmem ./... > /tmp/hetgc-bench-json.txt
 	$(GO) run ./cmd/gcbench < /tmp/hetgc-bench-json.txt > BENCH_current.json
 	@echo wrote BENCH_current.json

@@ -257,26 +257,9 @@ func benchPartials(dim, n int) []Gradient {
 	return partials
 }
 
-// BenchmarkEncodeGradient measures steady-state worker-side encoding of a
-// 100k-parameter gradient over 4 partitions — the per-iteration hot path,
-// using the pooled in-place kernel exactly as the runtime worker does.
-func BenchmarkEncodeGradient(b *testing.B) {
-	const dim = 100_000
-	partials := benchPartials(dim, 4)
-	coeffs := []float64{0.3, -1.2, 2.4, 0.9}
-	b.ResetTimer()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		out := GetGradientBuffer(dim)
-		if err := EncodeGradientInto(out, coeffs, partials); err != nil {
-			b.Fatal(err)
-		}
-		PutGradientBuffer(out)
-	}
-}
-
 // BenchmarkEncodeGradientAlloc measures the allocating Encode wrapper (one
-// fresh gradient per call) for comparison with the pooled path above.
+// fresh gradient per call) for comparison with the pooled in-place kernel
+// (grad.BenchmarkEncodeInto, the path the runtime worker takes).
 func BenchmarkEncodeGradientAlloc(b *testing.B) {
 	const dim = 100_000
 	partials := benchPartials(dim, 4)
@@ -287,27 +270,6 @@ func BenchmarkEncodeGradientAlloc(b *testing.B) {
 		if _, err := EncodeGradient(coeffs, partials); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkCombineGradients measures master-side recombination of 8 coded
-// 100k-parameter gradients through the pooled in-place kernel.
-func BenchmarkCombineGradients(b *testing.B) {
-	const dim = 100_000
-	coded := benchPartials(dim, 8)
-	coeffs := make([]float64, 8)
-	for i := range coeffs {
-		coeffs[i] = 0.25 * float64(i+1)
-	}
-	coeffs[3] = 0 // one straggler whose gradient is ignored
-	b.ResetTimer()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		out := GetGradientBuffer(dim)
-		if err := CombineGradientsInto(out, coeffs, coded); err != nil {
-			b.Fatal(err)
-		}
-		PutGradientBuffer(out)
 	}
 }
 

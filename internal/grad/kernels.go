@@ -298,11 +298,14 @@ const maxPooledBuffers = 64
 
 // GetBuffer returns a gradient of length dim from the pool. Its contents are
 // unspecified — callers are expected to overwrite it (the *Into kernels do).
-// Return it with PutBuffer when done.
+// Return it with PutBuffer when done. The pool is also the transport's
+// receive allocator, so it holds a mix of sizes (full vectors, uplink
+// chunks): a pooled buffer is reused only for requests of at least half its
+// capacity, so a small chunk never pins a full-size vector.
 func GetBuffer(dim int) Gradient {
 	bufPool.mu.Lock()
 	for i := len(bufPool.bufs) - 1; i >= 0; i-- {
-		if b := bufPool.bufs[i]; cap(b) >= dim {
+		if b := bufPool.bufs[i]; cap(b) >= dim && cap(b)/2 <= dim {
 			last := len(bufPool.bufs) - 1
 			bufPool.bufs[i] = bufPool.bufs[last]
 			bufPool.bufs[last] = nil

@@ -136,19 +136,35 @@ func Dequantize(c Codec, payload []byte, n int) ([]float64, error) {
 	if n < 0 {
 		return nil, fmt.Errorf("%w: negative length %d", ErrQuant, n)
 	}
+	// Every codec spends at least one byte per element, so a short payload
+	// is rejected before the vector it claims to hold is allocated.
+	if n > len(payload) {
+		return nil, fmt.Errorf("%w: %d B payload for %d elements", ErrQuant, len(payload), n)
+	}
+	out := make([]float64, n)
+	if err := DequantizeInto(out, c, payload); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// DequantizeInto decodes a codec-c payload of len(dst) elements into dst —
+// the pooled receive path (pair with GetBuffer). Same contract as Dequantize;
+// on error dst's contents are unspecified.
+func DequantizeInto(dst []float64, c Codec, payload []byte) error {
 	switch c {
 	case CodecRaw:
-		return decodeRaw(payload, n)
+		return decodeRaw(dst, payload)
 	case CodecFP16:
-		return decodeFP16(payload, n)
+		return decodeFP16(dst, payload)
 	case CodecInt8:
-		return decodeInt8(payload, n)
+		return decodeInt8(dst, payload)
 	case CodecTopK:
-		return decodeTopK(payload, n)
+		return decodeTopK(dst, payload)
 	case CodecDelta:
-		return decodeDelta(payload, n)
+		return decodeDelta(dst, payload)
 	}
-	return nil, fmt.Errorf("%w: unknown codec %d", ErrQuant, byte(c))
+	return fmt.Errorf("%w: unknown codec %d", ErrQuant, byte(c))
 }
 
 // --- raw ---
@@ -160,15 +176,14 @@ func appendRaw(dst []byte, vec []float64) []byte {
 	return dst
 }
 
-func decodeRaw(p []byte, n int) ([]float64, error) {
-	if len(p) != 8*n {
-		return nil, fmt.Errorf("%w: raw payload %d B for %d elements", ErrQuant, len(p), n)
+func decodeRaw(out []float64, p []byte) error {
+	if len(p) != 8*len(out) {
+		return fmt.Errorf("%w: raw payload %d B for %d elements", ErrQuant, len(p), len(out))
 	}
-	out := make([]float64, n)
 	for i := range out {
 		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(p[8*i:]))
 	}
-	return out, nil
+	return nil
 }
 
 // --- fp16 ---
@@ -186,19 +201,18 @@ func appendFP16(dst []byte, vec []float64) []byte {
 	return dst
 }
 
-func decodeFP16(p []byte, n int) ([]float64, error) {
-	if len(p) != 8+2*n {
-		return nil, fmt.Errorf("%w: fp16 payload %d B for %d elements", ErrQuant, len(p), n)
+func decodeFP16(out []float64, p []byte) error {
+	if len(p) != 8+2*len(out) {
+		return fmt.Errorf("%w: fp16 payload %d B for %d elements", ErrQuant, len(p), len(out))
 	}
 	scale := math.Float64frombits(binary.LittleEndian.Uint64(p))
 	if math.IsInf(scale, 0) || math.IsNaN(scale) || scale == 0 {
-		return nil, fmt.Errorf("%w: fp16 scale %v", ErrQuant, scale)
+		return fmt.Errorf("%w: fp16 scale %v", ErrQuant, scale)
 	}
-	out := make([]float64, n)
 	for i := range out {
 		out[i] = halfValue(binary.LittleEndian.Uint16(p[8+2*i:])) * scale
 	}
-	return out, nil
+	return nil
 }
 
 // --- int8 ---
@@ -243,11 +257,11 @@ func int8PayloadLen(n int) int {
 	return 4*chunks + n
 }
 
-func decodeInt8(p []byte, n int) ([]float64, error) {
+func decodeInt8(out []float64, p []byte) error {
+	n := len(out)
 	if len(p) != int8PayloadLen(n) {
-		return nil, fmt.Errorf("%w: int8 payload %d B for %d elements", ErrQuant, len(p), n)
+		return fmt.Errorf("%w: int8 payload %d B for %d elements", ErrQuant, len(p), n)
 	}
-	out := make([]float64, n)
 	pos := 0
 	for off := 0; off < n; off += int8ChunkLen {
 		end := off + int8ChunkLen
@@ -257,14 +271,14 @@ func decodeInt8(p []byte, n int) ([]float64, error) {
 		scale := float64(math.Float32frombits(binary.LittleEndian.Uint32(p[pos:])))
 		pos += 4
 		if math.IsInf(scale, 0) || math.IsNaN(scale) || scale < 0 {
-			return nil, fmt.Errorf("%w: int8 scale %v", ErrQuant, scale)
+			return fmt.Errorf("%w: int8 scale %v", ErrQuant, scale)
 		}
 		for i := off; i < end; i++ {
 			out[i] = float64(int8(p[pos])) * scale
 			pos++
 		}
 	}
-	return out, nil
+	return nil
 }
 
 // --- topk ---
@@ -305,13 +319,14 @@ func appendTopK(dst []byte, vec []float64) []byte {
 	return dst
 }
 
-func decodeTopK(p []byte, n int) ([]float64, error) {
+func decodeTopK(out []float64, p []byte) error {
+	n := len(out)
 	if len(p) < 4 {
-		return nil, fmt.Errorf("%w: topk payload too short", ErrQuant)
+		return fmt.Errorf("%w: topk payload too short", ErrQuant)
 	}
 	k := int(binary.LittleEndian.Uint32(p))
 	if k < 1 || k > n {
-		return nil, fmt.Errorf("%w: topk keeps %d of %d", ErrQuant, k, n)
+		return fmt.Errorf("%w: topk keeps %d of %d", ErrQuant, k, n)
 	}
 	p = p[4:]
 	idx := make([]int, k)
@@ -319,24 +334,24 @@ func decodeTopK(p []byte, n int) ([]float64, error) {
 	for j := range idx {
 		gap, m := binary.Uvarint(p)
 		if m <= 0 {
-			return nil, fmt.Errorf("%w: topk index varint", ErrQuant)
+			return fmt.Errorf("%w: topk index varint", ErrQuant)
 		}
 		p = p[m:]
 		i := prev + 1 + int(gap)
 		if gap > uint64(n) || i >= n {
-			return nil, fmt.Errorf("%w: topk index %d out of range", ErrQuant, i)
+			return fmt.Errorf("%w: topk index %d out of range", ErrQuant, i)
 		}
 		idx[j] = i
 		prev = i
 	}
 	if len(p) != 8*k {
-		return nil, fmt.Errorf("%w: topk values %d B for %d kept", ErrQuant, len(p), k)
+		return fmt.Errorf("%w: topk values %d B for %d kept", ErrQuant, len(p), k)
 	}
-	out := make([]float64, n)
+	clear(out) // dropped coordinates decode as zero; a pooled dst holds stale values
 	for j, i := range idx {
 		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(p[8*j:]))
 	}
-	return out, nil
+	return nil
 }
 
 // --- delta ---
@@ -351,22 +366,21 @@ func appendDelta(dst []byte, vec []float64) []byte {
 	return dst
 }
 
-func decodeDelta(p []byte, n int) ([]float64, error) {
-	out := make([]float64, n)
+func decodeDelta(out []float64, p []byte) error {
 	var prev uint64
 	for i := range out {
 		x, m := binary.Uvarint(p)
 		if m <= 0 {
-			return nil, fmt.Errorf("%w: delta varint at element %d", ErrQuant, i)
+			return fmt.Errorf("%w: delta varint at element %d", ErrQuant, i)
 		}
 		p = p[m:]
 		prev ^= x
 		out[i] = math.Float64frombits(prev)
 	}
 	if len(p) != 0 {
-		return nil, fmt.Errorf("%w: %d trailing delta bytes", ErrQuant, len(p))
+		return fmt.Errorf("%w: %d trailing delta bytes", ErrQuant, len(p))
 	}
-	return out, nil
+	return nil
 }
 
 func maxAbs(vec []float64) float64 {
@@ -460,11 +474,13 @@ var bytePool = struct {
 const maxPooledByteBufs = 64
 
 // GetBytes returns a zero-length byte slice with capacity ≥ n from the pool,
-// for use as an AppendQuantized destination. Return it with PutBytes.
+// for use as an AppendQuantized or wire-frame destination. Return it with
+// PutBytes. Like GetBuffer, a pooled buffer serves only requests of at least
+// half its capacity.
 func GetBytes(n int) []byte {
 	bytePool.mu.Lock()
 	for i := len(bytePool.bufs) - 1; i >= 0; i-- {
-		if b := bytePool.bufs[i]; cap(b) >= n {
+		if b := bytePool.bufs[i]; cap(b) >= n && cap(b)/2 <= n {
 			last := len(bytePool.bufs) - 1
 			bytePool.bufs[i] = bytePool.bufs[last]
 			bytePool.bufs[last] = nil

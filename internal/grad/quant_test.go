@@ -322,11 +322,16 @@ func TestBytePoolReuse(t *testing.T) {
 	}
 	b = append(b, 1, 2, 3)
 	PutBytes(b)
-	b2 := GetBytes(512)
-	if cap(b2) < 1024 {
+	b2 := GetBytes(1024)
+	if &b2[:1][0] != &b[0] {
 		t.Fatalf("pool did not recycle: cap=%d", cap(b2))
 	}
 	PutBytes(b2)
+	// A request below half a pooled buffer's capacity leaves it for a caller
+	// that can use it.
+	if tiny := GetBytes(cap(b2)/2 - 1); cap(tiny) > 0 && &tiny[:1][0] == &b[0] {
+		t.Fatalf("a %d B request took the %d B buffer", cap(b2)/2-1, cap(b2))
+	}
 	PutBytes(nil) // must not panic
 }
 

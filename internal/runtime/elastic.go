@@ -516,6 +516,8 @@ func (ma *ElasticMaster) Run() (_ *ElasticResult, err error) {
 	var stats roster.Stats
 	var plan *elastic.Plan
 	var cache obs.CacheTracker
+	g := grad.GetBuffer(dim) // the decoded gradient, reused every iteration
+	defer grad.PutBuffer(g)
 	for iter := ma.startIter; iter < ma.cfg.Iterations; iter++ {
 		// Control decision at the iteration boundary.
 		if replan, reason := ma.eng.ShouldReplan(iter); replan {
@@ -558,10 +560,10 @@ func (ma *ElasticMaster) Run() (_ *ElasticResult, err error) {
 			// into the trace before deriving the critical path at End.
 			sc.AddMembers(ma.eng.TakeContribs(iter))
 			sc.Phase(obs.PhaseDecode)
-			g, err := grad.Combine(coeffs, coded, dim)
-			if err != nil {
+			if err := grad.CombineInto(g, coeffs, coded); err != nil {
 				return nil, fmt.Errorf("iteration %d combine: %w", iter, err)
 			}
+			ma.eng.Release(coded)
 			g.Scale(1 / float64(ma.cfg.SampleCount))
 			sc.Phase(obs.PhaseStep)
 			if err := ma.cfg.Optimizer.Step(params, g); err != nil {

@@ -284,8 +284,12 @@ func TestElasticStaleEpochFenced(t *testing.T) {
 		t.Fatal(err)
 	}
 	var wg sync.WaitGroup
+	// The honest workers — any two of the three uploads decode, so they pace
+	// the run — take a few milliseconds per partition: the fourth worker
+	// below joins by polling, and an undelayed 14-iteration run can be over
+	// before it dials in (no migration, nothing stale to fence).
 	for i := 0; i < 2; i++ {
-		f.spawnElasticWorker(t, master.Addr(), &wg, nil)
+		f.spawnElasticWorker(t, master.Addr(), &wg, func(int) time.Duration { return 3 * time.Millisecond })
 	}
 	// The stale worker behaves honestly during epoch 0, then — after any
 	// migration — tags every upload with epoch 0 and a poisoned payload.

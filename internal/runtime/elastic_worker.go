@@ -163,7 +163,7 @@ func dialElasticOnce(addr string, cfg ElasticWorkerConfig) (*ElasticWorker, erro
 	if advertised == nil {
 		advertised = grad.AdvertiseCodecs()
 	}
-	if err := conn.Send(&transport.Envelope{Type: transport.MsgHello, WorkerID: helloID, Codecs: advertised}); err != nil {
+	if err := conn.Send(&transport.Envelope{Type: transport.MsgHello, WorkerID: helloID, Codecs: advertised, Caps: transport.CapVectorFrame}); err != nil {
 		_ = conn.Close()
 		return nil, err
 	}
@@ -175,6 +175,11 @@ func dialElasticOnce(addr string, cfg ElasticWorkerConfig) (*ElasticWorker, erro
 	if ack.Type != transport.MsgHello || ack.WorkerID <= 0 {
 		_ = conn.Close()
 		return nil, fmt.Errorf("%w: expected hello ack, got %v", ErrBadConfig, ack.Type)
+	}
+	// The vector frame is on once both sides named it; an old master's ack
+	// carries no capability and the connection stays on gob.
+	if ack.Caps&transport.CapVectorFrame != 0 {
+		conn.UseVectorFrames()
 	}
 	// Honor the master's chosen codec only if this worker advertised it —
 	// anything else (including an old master's zero value) means raw.
@@ -250,13 +255,16 @@ func (w *ElasticWorker) Run() error {
 				return fmt.Errorf("worker %d migrate to epoch %d: %w", w.id, env.Epoch, err)
 			}
 		case transport.MsgParams:
-			if w.assign == nil || env.Epoch != w.epoch {
-				// Parameters for an epoch this worker has not (or no longer)
-				// joined — a raced migration; skip, the master fences by
-				// epoch anyway.
-				continue
+			// Parameters for an epoch this worker has not (or no longer)
+			// joined are a raced migration: skip, the master fences by epoch
+			// anyway. Either way the received vector goes back to the pool
+			// the transport took it from — iterate keeps no reference to it.
+			var err error
+			if w.assign != nil && env.Epoch == w.epoch {
+				err = w.iterate(env)
 			}
-			if err := w.iterate(env); err != nil {
+			grad.PutBuffer(env.Vector)
+			if err != nil {
 				return err
 			}
 		default:

@@ -230,6 +230,8 @@ func (ma *Master) Run() (*MasterResult, error) {
 	latSum := make([]float64, m)
 	uploads := make([]int, m)
 	used := make([]int, m)
+	g := grad.GetBuffer(ma.cfg.Model.Dim()) // the decoded gradient, reused every iteration
+	defer grad.PutBuffer(g)
 
 	for iter := 0; iter < ma.cfg.Iterations; iter++ {
 		start := time.Now()
@@ -306,8 +308,7 @@ func (ma *Master) Run() (*MasterResult, error) {
 				used[w]++
 			}
 		}
-		g, err := grad.Combine(coeffs, coded, ma.cfg.Model.Dim())
-		if err != nil {
+		if err := grad.CombineInto(g, coeffs, coded); err != nil {
 			return nil, fmt.Errorf("iteration %d combine: %w", iter, err)
 		}
 		g.Scale(1 / float64(ma.cfg.SampleCount))

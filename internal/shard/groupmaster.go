@@ -114,6 +114,7 @@ func (gc *groupCore) iteration(iter int, params []float64, planRef **elastic.Pla
 				grad.PutBuffer(sum)
 				return nil, 0, fmt.Errorf("group %d iter %d combine: %w", gc.g, iter, err)
 			}
+			gc.eng.Release(coded)
 			// Group-level spans for the uplink echo: the gather (the group's
 			// workers computing and uploading) reads as compute, the combine
 			// as encode — the same span family workers report, so one trace
@@ -176,6 +177,7 @@ func (gc *groupCore) adopt(conn *transport.Conn, timeout time.Duration) (gen, ne
 	err = conn.Send(&transport.Envelope{
 		Type:   transport.MsgAdopt,
 		Codecs: advertised,
+		Caps:   transport.CapVectorFrame,
 		Adopt:  &transport.Adoption{Group: gc.g, Epoch: epoch, Members: members},
 	})
 	if err != nil {
@@ -187,6 +189,11 @@ func (gc *groupCore) adopt(conn *transport.Conn, timeout time.Duration) (gen, ne
 	}
 	if ack.Type != transport.MsgAdopt || ack.Adopt == nil || ack.Adopt.Group != gc.g {
 		return 0, 0, fmt.Errorf("%w: group %d: bad adoption ack %v", ErrBadConfig, gc.g, ack.Type)
+	}
+	// The uplink carries vector frames once the root's ack names the
+	// capability too; an old root's ack has none and the uplink stays on gob.
+	if ack.Caps&transport.CapVectorFrame != 0 {
+		conn.UseVectorFrames()
 	}
 	// Honor the root's chosen uplink codec only if we advertised it — an old
 	// root's zero value (or a bogus byte) means raw.
@@ -465,6 +472,7 @@ func (gm *groupMaster) run() {
 			default:
 			}
 			sum, epoch, err := gm.iteration(env.Iter, env.Vector, &plan)
+			grad.PutBuffer(env.Vector) // broadcast and joined: back to the receive pool
 			if err != nil {
 				gm.fatal(err)
 				return

@@ -463,6 +463,7 @@ func (r *GroupRunner) serve(conn *transport.Conn, gen int) (fatal bool) {
 				_ = r.core.eng.WaitForMembers(need, r.cfg.IterTimeout)
 			}
 			sum, epoch, err := r.core.iteration(env.Iter, env.Vector, &plan)
+			grad.PutBuffer(env.Vector) // broadcast and joined: back to the receive pool
 			if err != nil {
 				// Unlike the in-process master, an iteration failure is not
 				// fatal to training: drop the uplink, re-adopt, let the root

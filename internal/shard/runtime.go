@@ -304,6 +304,7 @@ type Root struct {
 	external     []bool
 	groupEpoch   []int   // reconciled per-group epoch floor
 	groupMembers [][]int // reconciled per-group member IDs (sorted)
+	sentSeq      []int   // uplink incarnation the current iteration's params went to
 	serveIter    int     // iteration the run loop is currently collecting
 	readoptions  int
 	failovers    []string
@@ -365,6 +366,7 @@ func NewRoot(cfg Config, addr string) (*Root, error) {
 		groups:       make([]*groupMaster, n),
 		uplink:       make([]*transport.Conn, n),
 		upSeq:        make([]int, n),
+		sentSeq:      make([]int, n),
 		adoptedOnce:  make([]bool, n),
 		external:     make([]bool, n),
 		groupEpoch:   make([]int, n),
@@ -563,6 +565,7 @@ func (r *Root) adoptConn(conn *transport.Conn) {
 		Iter:    r.serveIter,
 		RootGen: r.gen,
 		Codec:   roster.NegotiateCodec(byte(r.codec), env.Codecs),
+		Caps:    env.Caps & transport.CapVectorFrame,
 		Adopt: &transport.Adoption{
 			Group:   g,
 			Epoch:   r.groupEpoch[g],
@@ -575,6 +578,9 @@ func (r *Root) adoptConn(conn *transport.Conn) {
 		return
 	}
 	_ = conn.SetDeadline(time.Time{})
+	if ack.Caps != 0 {
+		conn.UseVectorFrames()
+	}
 	if old := r.uplink[g]; old != nil {
 		_ = old.Close()
 	}
@@ -665,7 +671,16 @@ func (r *Root) readUplink(g, seq int, conn *transport.Conn) {
 		if env.Chunks != 0 && env.Chunk != env.Chunks-1 {
 			continue
 		}
-		vec, err := transport.JoinChunks(nil, chunks)
+		// Reassemble into a pooled buffer (the run loop returns it after the
+		// reduce) and hand the received chunks straight back.
+		total := 0
+		for _, c := range chunks {
+			total += len(c.Vector)
+		}
+		vec, err := transport.JoinChunks(grad.GetBuffer(total), chunks)
+		for _, c := range chunks {
+			grad.PutBuffer(c.Vector)
+		}
 		batched := len(chunks) > 1
 		chunks = chunks[:0]
 		if err != nil {
@@ -693,27 +708,34 @@ func (r *Root) markDown(g, seq int, cause error) {
 	r.cfg.Obs.Event(obs.Event{Kind: obs.EvUplink, Iter: r.serveIter, Group: g, Detail: fmt.Sprintf("uplink lost: %v", cause)})
 }
 
-// sendParams broadcasts one iteration's parameters to one group, stamped
-// with the root's generation. A down external group is skipped (adoption
-// will trigger a resend); a failed or missing in-process uplink is fatal.
-func (r *Root) sendParams(g, iter int, params []float64) error {
+// sendParams delivers one iteration's parameters, stamped with the root's
+// generation and trace context, to the given groups: encoded once, written
+// to their uplinks concurrently — a group whose socket is full delays no
+// other — and joined, so params may change again once it returns. A down
+// external group is skipped (adoption will trigger a resend); a failed or
+// missing in-process uplink is fatal.
+func (r *Root) sendParams(iter int, params []float64, groups ...int) error {
+	conns := make([]*transport.Conn, len(groups))
+	seqs := make([]int, len(groups))
 	r.upMu.Lock()
-	conn, seq := r.uplink[g], r.upSeq[g]
-	r.upMu.Unlock()
-	if conn == nil {
-		if r.external[g] {
-			return nil
-		}
-		return fmt.Errorf("%w: group %d uplink gone", ErrGroupFailed, g)
+	for i, g := range groups {
+		conns[i], seqs[i] = r.uplink[g], r.upSeq[g]
+		r.sentSeq[g] = seqs[i]
 	}
+	r.upMu.Unlock()
 	env := &transport.Envelope{Type: transport.MsgParams, Iter: iter, Vector: params, RootGen: r.gen, Trace: obs.TraceID(uint64(r.gen), -1, iter)}
-	_ = conn.SetWriteDeadline(time.Now().Add(r.cfg.IterTimeout))
-	err := conn.Send(env)
-	_ = conn.SetWriteDeadline(time.Time{})
-	if err != nil {
-		r.markDown(g, seq, err)
-		if !r.external[g] {
-			return fmt.Errorf("%w: group %d uplink: %v", ErrGroupFailed, g, err)
+	errs := transport.Broadcast(conns, env, r.cfg.IterTimeout)
+	for i, g := range groups {
+		switch {
+		case conns[i] == nil:
+			if !r.external[g] {
+				return fmt.Errorf("%w: group %d uplink gone", ErrGroupFailed, g)
+			}
+		case errs[i] != nil:
+			r.markDown(g, seqs[i], errs[i])
+			if !r.external[g] {
+				return fmt.Errorf("%w: group %d uplink: %v", ErrGroupFailed, g, errs[i])
+			}
 		}
 	}
 	return nil
@@ -866,18 +888,11 @@ func (r *Root) Run() (*Result, error) {
 		}
 	}
 
-	// Adoptions completed during construction already have their uplinks
-	// installed, so the first broadcast reaches them — drain their stale
-	// notifications rather than double-sending the first iteration.
-	for drained := false; !drained; {
-		select {
-		case <-r.adoptedc:
-		default:
-			drained = true
-		}
-	}
-
 	sums := make([][]float64, r.plan.NumGroups())
+	all := make([]int, len(sums)) // every group, for the per-iteration broadcast
+	for g := range all {
+		all[g] = g
+	}
 	for iter := r.startIter; iter < r.cfg.Iterations; iter++ {
 		start := time.Now()
 		r.upMu.Lock()
@@ -888,11 +903,8 @@ func (r *Root) Run() (*Result, error) {
 		sc := r.cfg.Obs.StartIter(iter, -1)
 		sc.SetTraceID(obs.TraceID(uint64(r.gen), -1, iter))
 		sc.Phase(obs.PhaseBroadcast)
-		for g := range sums {
-			sums[g] = nil
-			if err := r.sendParams(g, iter, params); err != nil {
-				return nil, r.fenced(r.drainErr(err))
-			}
+		if err := r.sendParams(iter, params, all...); err != nil {
+			return nil, r.fenced(r.drainErr(err))
 		}
 		sc.Phase(obs.PhaseCollect)
 		pending := len(sums)
@@ -924,9 +936,11 @@ func (r *Root) Run() (*Result, error) {
 					res.FencedSums++
 					r.cfg.Obs.OnReject(obs.RFenced)
 					sc.AddMember(obs.MemberSpan{Member: gs.group, Group: -1, Arrival: time.Since(start).Seconds(), Spans: toObsSpans(gs.spans), Partial: true, Reason: obs.RFenced})
+					grad.PutBuffer(gs.vec)
 					continue // an upload for a root generation this is not
 				}
 				if gs.iter != iter {
+					grad.PutBuffer(gs.vec)
 					continue // frame from a superseded iteration
 				}
 				if len(gs.vec) != dim || grad.InfOrNaN(gs.vec) {
@@ -945,6 +959,7 @@ func (r *Root) Run() (*Result, error) {
 					// re-adopted group may double-send after a resend).
 					sc.AddMember(obs.MemberSpan{Member: gs.group, Group: -1, Arrival: time.Since(start).Seconds(), Spans: toObsSpans(gs.spans)})
 				}
+				grad.PutBuffer(sums[gs.group]) // a double-sent sum replaces the first
 				sums[gs.group] = gs.vec
 				r.upMu.Lock()
 				if gs.epoch > r.groupEpoch[gs.group] {
@@ -956,8 +971,15 @@ func (r *Root) Run() (*Result, error) {
 					res.BatchedFrames++
 				}
 			case g := <-r.adoptedc:
-				if sums[g] == nil {
-					if err := r.sendParams(g, iter, params); err != nil {
+				// Resend only to an incarnation the broadcast did not reach:
+				// the notification of an adoption that was already installed
+				// when this iteration's params went out (the ones completed
+				// during construction, typically) is stale.
+				r.upMu.Lock()
+				reached := r.upSeq[g] == r.sentSeq[g]
+				r.upMu.Unlock()
+				if sums[g] == nil && !reached {
+					if err := r.sendParams(iter, params, g); err != nil {
 						deadline.Stop()
 						return nil, r.fenced(r.drainErr(err))
 					}
@@ -976,6 +998,12 @@ func (r *Root) Run() (*Result, error) {
 		total, err := r.plan.Tree.Aggregate(sums)
 		if err != nil {
 			return nil, fmt.Errorf("iteration %d aggregate: %w", iter, err)
+		}
+		// The reduce copied out of the group sums: back to the pool their
+		// uplink readers assembled them in.
+		for g := range sums {
+			grad.PutBuffer(sums[g])
+			sums[g] = nil
 		}
 		g := grad.Gradient(total)
 		g.Scale(1 / float64(r.cfg.SampleCount))

@@ -1,72 +1,34 @@
 // Frame batching: coalesce several envelopes into one wire frame so that
 // high-fan-in senders (a group master streaming its aggregated gradient
 // chunks up the reduction tree every iteration) pay one write per iteration
-// instead of one per message. The batch payload is a flat byte sequence of
-// length-prefixed sub-frames — a uint32 big-endian byte length, a codec
-// byte, then the frame body: a compact fixed binary layout for plain
-// gradient uploads (the hot path), a self-contained gob encoding for
-// everything else — assembled in pooled buffers so steady-state batching
-// does not allocate.
+// instead of one per message. A batch is a flat byte sequence of
+// length-prefixed sub-frames (see frame.go): vector sub-frames in one binary
+// wire frame on a connection that negotiated the vector frame; towards any
+// other peer, inside a gob MsgBatch envelope, the gradient layouts that peer
+// knows and a self-contained gob encoding for everything else. Batches are
+// assembled in pooled buffers, so steady-state batching does not allocate.
 package transport
 
 import (
 	"bytes"
-	"encoding/binary"
 	"encoding/gob"
 	"fmt"
-	"math"
-	"sync"
 
 	"github.com/hetgc/hetgc/internal/grad"
 )
 
-// maxBatchFrames bounds the number of sub-frames Recv will unpack from one
-// batch; an application-layer sanity cap like MaxVectorLen.
-const maxBatchFrames = 1 << 20
-
-// Sub-frame codecs. Plain gradient uploads — the hot path, dominated by
-// their float payload — use a compact fixed binary layout instead of gob, so
-// a batched upload costs one memcpy-speed pass per chunk rather than
-// per-value gob processing and per-frame type descriptors. Everything else
-// rides the general gob codec.
-const (
-	subFrameGob      = 0x00
-	subFrameGradient = 0x01
-	// subFrameQuant is the quantized-gradient layout: like subFrameGradient
-	// but the payload is a grad.Codec-encoded byte string instead of raw
-	// float64s, with the codec byte after the sub-frame marker.
-	subFrameQuant = 0x02
-)
-
-// gradientHeaderLen is the binary gradient sub-frame header: codec byte,
-// Iter/Epoch/WorkerID as uint32, Chunk/Chunks as uint32, RootGen, vector
-// length.
-const gradientHeaderLen = 1 + 4*7
-
-// quantHeaderLen is the quantized gradient sub-frame header: sub-frame
-// marker, gradient codec byte, then the same seven uint32 fields with the
-// element count (QuantLen) in place of the vector length. The payload byte
-// length is implied by the sub-frame length prefix.
-const quantHeaderLen = 2 + 4*7
-
-// batchBufPool recycles the scratch buffers used to assemble and encode
-// batch payloads.
-var batchBufPool = sync.Pool{
-	New: func() any { return new(bytes.Buffer) },
-}
-
-// SendBatch coalesces the given envelopes into a single MsgBatch frame and
-// writes it with one Send. Receivers observe the identical sub-frame
-// sequence from consecutive Recv calls — batching is invisible above the
-// transport. A single envelope is sent directly (no batch overhead); an
-// empty slice is a no-op. Envelopes must be valid per the protocol
-// invariants and must not themselves be batches.
+// SendBatch coalesces the given envelopes into a single frame and writes it
+// with one write. Receivers observe the identical sub-frame sequence from
+// consecutive Recv calls — batching is invisible above the transport. A
+// single envelope is sent directly (no batch overhead); an empty slice is a
+// no-op. Envelopes must be valid per the protocol invariants and must not
+// themselves be batches.
 func (c *Conn) SendBatch(envs []*Envelope) error {
 	switch len(envs) {
 	case 0:
 		return nil
 	case 1:
-		// Enforce the same nested-batch rejection encodeBatch applies to
+		// Enforce the same nested-batch rejection appendBatch applies to
 		// longer batches: a hand-built MsgBatch envelope must not ship
 		// unvalidated through the single-frame shortcut.
 		if envs[0].Type == MsgBatch {
@@ -74,251 +36,61 @@ func (c *Conn) SendBatch(envs []*Envelope) error {
 		}
 		return c.Send(envs[0])
 	}
-	payload := batchBufPool.Get().(*bytes.Buffer)
-	defer func() {
-		payload.Reset()
-		batchBufPool.Put(payload)
-	}()
-	payload.Reset()
-	if err := encodeBatch(payload, envs); err != nil {
+	if framed, err := c.sendFramed(envs...); framed {
 		return err
 	}
-	return c.Send(&Envelope{Type: MsgBatch, Batch: payload.Bytes()})
+	// Not negotiated, or a sub-frame that is not a vector: the batch rides a
+	// gob MsgBatch envelope.
+	size := 0
+	for _, e := range envs {
+		n, _ := vectorFrameLen(e)
+		size += 4 + n
+	}
+	payload, err := appendBatch(grad.GetBytes(size), envs)
+	defer func() { grad.PutBytes(payload) }()
+	if err != nil {
+		return err
+	}
+	return c.Send(&Envelope{Type: MsgBatch, Batch: payload})
 }
 
-// encodeBatch assembles the length-prefixed sub-frame payload into buf —
-// the inverse of decodeBatch. Each sub-frame is encoded directly into buf
-// after a 4-byte placeholder that is backfilled with the frame length, so
-// assembly makes no intermediate copies.
-func encodeBatch(buf *bytes.Buffer, envs []*Envelope) error {
-	var prefix [4]byte
+// appendBatch appends the length-prefixed sub-frame payload of a gob-carried
+// batch to dst — the inverse of decodeFrames with gobCarried. Its reader did
+// not negotiate the vector frame, so every sub-frame goes in legacyKind.
+func appendBatch(dst []byte, envs []*Envelope) ([]byte, error) {
 	for i, e := range envs {
 		if e.Type == MsgBatch {
-			return fmt.Errorf("%w: nested batch (sub-frame %d)", ErrMalformed, i)
+			return dst, fmt.Errorf("%w: nested batch (sub-frame %d)", ErrMalformed, i)
 		}
-		at := buf.Len()
-		buf.Write(prefix[:])
 		if e.Type == MsgGradient {
 			countCodecOut(e)
 		}
-		if gradientFastPath(e) {
-			encodeGradientFrame(buf, e)
-		} else if quantFastPath(e) {
-			encodeQuantFrame(buf, e)
-		} else {
-			buf.WriteByte(subFrameGob)
-			if err := gob.NewEncoder(buf).Encode(e); err != nil {
-				return fmt.Errorf("transport batch sub-frame %d (%v): %w", i, e.Type, err)
-			}
+		if kind := legacyKind(e); kind != subFrameGob {
+			dst = appendSubFrame(dst, e, kind)
+			continue
 		}
-		binary.BigEndian.PutUint32(buf.Bytes()[at:at+4], uint32(buf.Len()-at-4))
-	}
-	return nil
-}
-
-// gradientFastPath reports whether a sub-frame fits the compact binary
-// gradient layout (uint32 header fields, no auxiliary payloads). Chunk gets
-// the same upper bound as every other header field — a larger value would be
-// silently truncated by the uint32 conversion in encodeGradientFrame and
-// decode as the wrong chunk index.
-func gradientFastPath(e *Envelope) bool {
-	return e.Type == MsgGradient && e.Assign == nil && e.Telemetry == nil && e.Batch == nil &&
-		e.Adopt == nil && e.Blob == nil && e.Part == 0 &&
-		e.Trace == 0 && e.Spans == nil &&
-		e.Codec == 0 && e.Quant == nil && e.QuantLen == 0 && e.Codecs == nil &&
-		e.Iter >= 0 && e.Iter <= math.MaxUint32>>1 &&
-		e.Epoch >= 0 && e.Epoch <= math.MaxUint32>>1 &&
-		e.WorkerID >= 0 && e.WorkerID <= math.MaxUint32>>1 &&
-		e.RootGen >= 0 && e.RootGen <= math.MaxUint32>>1 &&
-		e.Chunk >= 0 && e.Chunk <= math.MaxUint32>>1 &&
-		e.Chunks >= 0 && e.Chunks <= math.MaxUint32>>1 &&
-		len(e.Vector) <= MaxVectorLen
-}
-
-// quantFastPath reports whether a sub-frame fits the compact quantized
-// gradient layout: a tagged quantized payload with no auxiliary fields and
-// every header value in uint32 range.
-func quantFastPath(e *Envelope) bool {
-	return e.Type == MsgGradient && e.Assign == nil && e.Telemetry == nil && e.Batch == nil &&
-		e.Adopt == nil && e.Blob == nil && e.Part == 0 &&
-		e.Trace == 0 && e.Spans == nil &&
-		e.Codec != 0 && grad.Codec(e.Codec).Valid() &&
-		len(e.Quant) > 0 && len(e.Vector) == 0 && e.Codecs == nil &&
-		e.QuantLen >= 1 && e.QuantLen <= math.MaxUint32>>1 &&
-		e.Iter >= 0 && e.Iter <= math.MaxUint32>>1 &&
-		e.Epoch >= 0 && e.Epoch <= math.MaxUint32>>1 &&
-		e.WorkerID >= 0 && e.WorkerID <= math.MaxUint32>>1 &&
-		e.RootGen >= 0 && e.RootGen <= math.MaxUint32>>1 &&
-		e.Chunk >= 0 && e.Chunk <= math.MaxUint32>>1 &&
-		e.Chunks >= 0 && e.Chunks <= math.MaxUint32>>1
-}
-
-// encodeGradientFrame writes the binary gradient layout: header fields then
-// the raw little-endian float payload in one buffer-tail append pass.
-func encodeGradientFrame(buf *bytes.Buffer, e *Envelope) {
-	var hdr [gradientHeaderLen]byte
-	hdr[0] = subFrameGradient
-	binary.LittleEndian.PutUint32(hdr[1:], uint32(e.Iter))
-	binary.LittleEndian.PutUint32(hdr[5:], uint32(e.Epoch))
-	binary.LittleEndian.PutUint32(hdr[9:], uint32(e.WorkerID))
-	binary.LittleEndian.PutUint32(hdr[13:], uint32(e.Chunk))
-	binary.LittleEndian.PutUint32(hdr[17:], uint32(e.Chunks))
-	binary.LittleEndian.PutUint32(hdr[21:], uint32(e.RootGen))
-	binary.LittleEndian.PutUint32(hdr[25:], uint32(len(e.Vector)))
-	buf.Write(hdr[:])
-	b := buf.AvailableBuffer()
-	if cap(b) < 8*len(e.Vector) {
-		b = make([]byte, 0, 8*len(e.Vector))
-	}
-	buf.Write(AppendFloat64s(b, e.Vector))
-}
-
-// encodeQuantFrame writes the quantized gradient layout: marker and codec
-// bytes, the uint32 header fields, then the opaque codec payload.
-func encodeQuantFrame(buf *bytes.Buffer, e *Envelope) {
-	var hdr [quantHeaderLen]byte
-	hdr[0] = subFrameQuant
-	hdr[1] = e.Codec
-	binary.LittleEndian.PutUint32(hdr[2:], uint32(e.Iter))
-	binary.LittleEndian.PutUint32(hdr[6:], uint32(e.Epoch))
-	binary.LittleEndian.PutUint32(hdr[10:], uint32(e.WorkerID))
-	binary.LittleEndian.PutUint32(hdr[14:], uint32(e.Chunk))
-	binary.LittleEndian.PutUint32(hdr[18:], uint32(e.Chunks))
-	binary.LittleEndian.PutUint32(hdr[22:], uint32(e.RootGen))
-	binary.LittleEndian.PutUint32(hdr[26:], uint32(e.QuantLen))
-	buf.Write(hdr[:])
-	buf.Write(e.Quant)
-}
-
-// decodeQuantFrame parses the quantized gradient layout. The payload is not
-// copied — decodeBatch dequantizes it into a fresh Vector before the frame
-// escapes the transport, so aliasing the batch buffer is transient.
-func decodeQuantFrame(frame []byte) (*Envelope, error) {
-	if len(frame) < quantHeaderLen {
-		return nil, fmt.Errorf("%w: quantized sub-frame header truncated (%d bytes)", ErrMalformed, len(frame))
-	}
-	codec := grad.Codec(frame[1])
-	if !codec.Valid() || codec == grad.CodecRaw {
-		return nil, fmt.Errorf("%w: quantized sub-frame has unknown gradient codec %#x", ErrMalformed, frame[1])
-	}
-	e := &Envelope{
-		Type:     MsgGradient,
-		Iter:     int(binary.LittleEndian.Uint32(frame[2:])),
-		Epoch:    int(binary.LittleEndian.Uint32(frame[6:])),
-		WorkerID: int(binary.LittleEndian.Uint32(frame[10:])),
-		Chunk:    int(binary.LittleEndian.Uint32(frame[14:])),
-		Chunks:   int(binary.LittleEndian.Uint32(frame[18:])),
-		RootGen:  int(binary.LittleEndian.Uint32(frame[22:])),
-		Codec:    byte(codec),
-		QuantLen: int(binary.LittleEndian.Uint32(frame[26:])),
-		Quant:    frame[quantHeaderLen:],
-	}
-	if len(e.Quant) == 0 {
-		return nil, fmt.Errorf("%w: quantized sub-frame with empty payload", ErrMalformed)
-	}
-	return e, nil
-}
-
-// decodeGradientFrame parses the binary gradient layout.
-func decodeGradientFrame(frame []byte) (*Envelope, error) {
-	if len(frame) < gradientHeaderLen {
-		return nil, fmt.Errorf("%w: gradient sub-frame header truncated (%d bytes)", ErrMalformed, len(frame))
-	}
-	n := int(binary.LittleEndian.Uint32(frame[25:]))
-	if len(frame) != gradientHeaderLen+8*n {
-		return nil, fmt.Errorf("%w: gradient sub-frame holds %d bytes for %d elements", ErrMalformed, len(frame)-gradientHeaderLen, n)
-	}
-	e := &Envelope{
-		Type:     MsgGradient,
-		Iter:     int(binary.LittleEndian.Uint32(frame[1:])),
-		Epoch:    int(binary.LittleEndian.Uint32(frame[5:])),
-		WorkerID: int(binary.LittleEndian.Uint32(frame[9:])),
-		Chunk:    int(binary.LittleEndian.Uint32(frame[13:])),
-		Chunks:   int(binary.LittleEndian.Uint32(frame[17:])),
-		RootGen:  int(binary.LittleEndian.Uint32(frame[21:])),
-	}
-	if n > 0 {
-		vec, _, err := ReadFloat64s(frame[gradientHeaderLen:], n)
-		if err != nil {
-			return nil, err
+		at := len(dst)
+		buf := bytes.NewBuffer(append(dst, 0, 0, 0, 0, subFrameGob))
+		if err := gob.NewEncoder(buf).Encode(e); err != nil {
+			return dst, fmt.Errorf("transport batch sub-frame %d (%v): %w", i, e.Type, err)
 		}
-		e.Vector = vec
+		dst = buf.Bytes()
+		wireOrder.PutUint32(dst[at:], uint32(len(dst)-at-4))
 	}
-	return e, nil
-}
-
-// decodeBatch splits a batch payload into its sub-frames and validates each.
-// Truncated length prefixes or payloads, nested batches, trailing garbage and
-// sub-frames violating protocol invariants all reject the whole batch with
-// ErrMalformed.
-func decodeBatch(batch []byte) ([]*Envelope, error) {
-	var subs []*Envelope
-	for off := 0; off < len(batch); {
-		if len(batch)-off < 4 {
-			return nil, fmt.Errorf("%w: batch truncated in length prefix at offset %d", ErrMalformed, off)
-		}
-		n := int(binary.BigEndian.Uint32(batch[off : off+4]))
-		off += 4
-		if n <= 0 || n > len(batch)-off {
-			return nil, fmt.Errorf("%w: batch sub-frame length %d with %d bytes left", ErrMalformed, n, len(batch)-off)
-		}
-		if len(subs) == maxBatchFrames {
-			return nil, fmt.Errorf("%w: batch exceeds %d sub-frames", ErrMalformed, maxBatchFrames)
-		}
-		frame := batch[off : off+n]
-		var e *Envelope
-		switch frame[0] {
-		case subFrameGradient:
-			var err error
-			e, err = decodeGradientFrame(frame)
-			if err != nil {
-				return nil, err
-			}
-		case subFrameQuant:
-			var err error
-			e, err = decodeQuantFrame(frame)
-			if err != nil {
-				return nil, err
-			}
-		case subFrameGob:
-			e = new(Envelope)
-			if err := gob.NewDecoder(bytes.NewReader(frame[1:])).Decode(e); err != nil {
-				return nil, fmt.Errorf("%w: batch sub-frame %d: %v", ErrMalformed, len(subs), err)
-			}
-		default:
-			return nil, fmt.Errorf("%w: batch sub-frame %d has unknown codec %#x", ErrMalformed, len(subs), frame[0])
-		}
-		if e.Type == MsgBatch {
-			return nil, fmt.Errorf("%w: nested batch (sub-frame %d)", ErrMalformed, len(subs))
-		}
-		if err := e.validate(); err != nil {
-			return nil, fmt.Errorf("batch sub-frame %d: %w", len(subs), err)
-		}
-		if e.Type == MsgGradient {
-			countCodecIn(e)
-			if err := e.dequantize(); err != nil {
-				return nil, fmt.Errorf("batch sub-frame %d: %w", len(subs), err)
-			}
-		}
-		off += n
-		subs = append(subs, e)
-	}
-	if len(subs) == 0 {
-		return nil, fmt.Errorf("%w: empty batch", ErrMalformed)
-	}
-	return subs, nil
+	return dst, nil
 }
 
 // ChunkGradient splits one gradient upload into chunked MsgGradient
 // sub-frames of at most chunkLen elements each, ready for SendBatch: the
 // receiver reassembles them with JoinChunks. Every chunk shares the
 // template's Iter/Epoch/WorkerID. A template's trace context and phase
-// spans ride only the FINAL chunk: spans there is the protocol rule, and
-// carrying both on one chunk keeps every earlier chunk on the compact
-// binary fast path (the traced chunk falls back to the general gob
-// sub-frame codec, whose field omission also keeps older peers compatible).
-// chunkLen <= 0, or a vector that fits in a single chunk, yields one
-// unchunked frame.
+// spans ride only the FINAL chunk: spans there is the protocol rule, and the
+// receiver stitches one echo per upload, not one per chunk. On a connection
+// that negotiated the vector frame the traced chunk is a vector frame like
+// the rest — the trace context and the spans have their own optional sections
+// in its header; only towards a peer that did not negotiate does it fall back
+// to a gob sub-frame, the one encoding of it such a peer decodes. chunkLen
+// <= 0, or a vector that fits in a single chunk, yields one unchunked frame.
 func ChunkGradient(tmpl Envelope, vec []float64, chunkLen int) []*Envelope {
 	tmpl.Type = MsgGradient
 	tmpl.Assign, tmpl.Telemetry, tmpl.Batch = nil, nil, nil

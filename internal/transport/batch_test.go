@@ -14,6 +14,18 @@ import (
 	"github.com/hetgc/hetgc/internal/grad"
 )
 
+// encodeBatch and decodeBatch drive the gob-carried batch payload codec the
+// way SendBatch and Recv do towards a peer without the vector frame.
+func encodeBatch(buf *bytes.Buffer, envs []*Envelope) error {
+	b, err := appendBatch(nil, envs)
+	buf.Write(b)
+	return err
+}
+
+func decodeBatch(batch []byte) ([]*Envelope, error) {
+	return decodeFrames(&sliceSource{b: batch}, len(batch), true)
+}
+
 // randomEnvelope draws one valid non-batch envelope of a random flavour.
 func randomEnvelope(rng *rand.Rand) *Envelope {
 	vec := func(n int) []float64 {

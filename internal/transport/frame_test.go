@@ -1,0 +1,514 @@
+package transport
+
+import (
+	"bytes"
+	"encoding/binary"
+	"encoding/gob"
+	"encoding/hex"
+	"errors"
+	"io"
+	"math"
+	"math/rand"
+	"os"
+	"reflect"
+	"runtime"
+	"strings"
+	"testing"
+	"time"
+
+	"github.com/hetgc/hetgc/internal/grad"
+)
+
+// framedPair is pipePair after a handshake that negotiated the vector frame.
+func framedPair(t testing.TB) (*Conn, *Conn) {
+	t.Helper()
+	client, server := pipePair(t)
+	client.UseVectorFrames()
+	server.UseVectorFrames()
+	return client, server
+}
+
+// vectorFlavours is one envelope per shape the vector frame carries.
+func vectorFlavours(t testing.TB) []*Envelope {
+	t.Helper()
+	vec := make([]float64, 3000) // spans several peekChunk reads
+	for i := range vec {
+		vec[i] = math.Sin(float64(i)) * float64(i%17)
+	}
+	spans := []PhaseSpan{{Phase: "compute", Seconds: 0.042}, {Phase: "encode", Seconds: 0.002}}
+	q, err := grad.AppendQuantized(nil, grad.CodecDelta, vec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return []*Envelope{
+		{Type: MsgParams, Iter: 7, Epoch: 2, RootGen: 3, Trace: 0x8003_0002_0000_0007, Vector: vec},
+		{Type: MsgParams, Iter: 8},
+		{Type: MsgGradient, Iter: 7, Epoch: 2, WorkerID: 5, RootGen: 3, Vector: vec},
+		{Type: MsgGradient, Iter: 7, WorkerID: 5, Trace: 0x8000_0000_0000_0007, Spans: spans, Vector: vec[:9]},
+		{Type: MsgGradient, Iter: 7, WorkerID: 5, Chunk: 2, Chunks: 3, Spans: spans, Vector: vec[:1]},
+		{Type: MsgGradient, Iter: 9, WorkerID: 1, Codec: byte(grad.CodecDelta), Quant: q, QuantLen: len(vec)},
+	}
+}
+
+// TestVectorFrameRoundTrip is the frame's contract: over a negotiated
+// connection every vector-carrying envelope — single or batched, traced or
+// not, raw or quantized — arrives exactly as it does over gob, and control
+// frames interleave with vector frames on the one stream.
+func TestVectorFrameRoundTrip(t *testing.T) {
+	envs := vectorFlavours(t)
+	control := &Envelope{Type: MsgTelemetry, Iter: 7, WorkerID: 5, Telemetry: &Telemetry{ComputeSeconds: 0.5, Partitions: 2}}
+	framed, framedPeer := framedPair(t)
+	plain, plainPeer := pipePair(t)
+	send := func(c *Conn) error {
+		for _, e := range envs {
+			if err := c.Send(e); err != nil {
+				return err
+			}
+			if err := c.Send(control); err != nil {
+				return err
+			}
+		}
+		return c.SendBatch(envs)
+	}
+	errc := make(chan error, 2)
+	go func() { errc <- send(framed) }()
+	go func() { errc <- send(plain) }()
+	for i := 0; i < 3*len(envs); i++ {
+		got, err := framedPeer.Recv()
+		if err != nil {
+			t.Fatalf("framed recv %d: %v", i, err)
+		}
+		want, err := plainPeer.Recv()
+		if err != nil {
+			t.Fatalf("plain recv %d: %v", i, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("frame %d:\nvector frame %+v\ngob          %+v", i, got, want)
+		}
+	}
+	for i := 0; i < 2; i++ {
+		if err := <-errc; err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestVectorFramePayloadGrows sends payloads longer than allocStep, whose
+// receive buffers grow as the bytes arrive instead of being taken whole on
+// the header's word: raw and quantized, they arrive exactly as sent.
+func TestVectorFramePayloadGrows(t *testing.T) {
+	vec := make([]float64, allocStep/8+allocStep/80)
+	for i := range vec {
+		vec[i] = rand.NormFloat64()
+	}
+	q, err := grad.AppendQuantized(nil, grad.CodecDelta, vec) // lossless, ≈ 9 B per random element
+	if err != nil || len(q) <= allocStep {
+		t.Fatalf("delta payload of %d B (err %v) does not exceed allocStep", len(q), err)
+	}
+	sender, receiver := framedPair(t)
+	go func() {
+		_ = sender.Send(&Envelope{Type: MsgParams, Iter: 1, Vector: vec})
+		_ = sender.Send(&Envelope{Type: MsgGradient, Iter: 1, Codec: byte(grad.CodecDelta), Quant: q, QuantLen: len(vec)})
+	}()
+	for _, typ := range []MsgType{MsgParams, MsgGradient} {
+		got, err := receiver.Recv()
+		if err != nil || got.Type != typ {
+			t.Fatalf("%v: %+v, %v", typ, got, err)
+		}
+		if !reflect.DeepEqual(got.Vector, vec) {
+			t.Fatalf("%v: a %d-element payload arrived changed (%d elements)", typ, len(vec), len(got.Vector))
+		}
+		grad.PutBuffer(got.Vector)
+	}
+}
+
+// TestBroadcastWireCost pins the point of the frame: a negotiated send is
+// one counted frame costing 8 bytes per element plus a small header, however
+// many connections a broadcast is written to, and a connection that did not
+// negotiate it is served the same envelope through gob by the same call.
+func TestBroadcastWireCost(t *testing.T) {
+	const dim = 10000
+	vec := make([]float64, dim)
+	for i := range vec {
+		vec[i] = rand.NormFloat64()
+	}
+	a, aPeer := framedPair(t)
+	b, bPeer := framedPair(t)
+	legacy, legacyPeer := pipePair(t)
+	env := &Envelope{Type: MsgParams, Iter: 1, Vector: vec}
+	received := make(chan error, 3)
+	for _, peer := range []*Conn{aPeer, bPeer, legacyPeer} {
+		go func(peer *Conn) {
+			got, err := peer.Recv()
+			if err == nil && !reflect.DeepEqual(got, env) {
+				err = errors.New("broadcast arrived changed")
+			}
+			received <- err
+		}(peer)
+	}
+	_, fo0, _, bo0, _, _ := Wire()
+	for i, err := range Broadcast([]*Conn{a, nil, b}, env, time.Second) {
+		if err != nil {
+			t.Fatalf("conn %d: %v", i, err)
+		}
+	}
+	_, fo1, _, bo1, _, _ := Wire()
+	if fo1-fo0 != 2 {
+		t.Fatalf("two sends counted %d frames", fo1-fo0)
+	}
+	if per := (bo1 - bo0) / 2; per < 8*dim || per > 8*dim+64 {
+		t.Fatalf("a %d-element params frame cost %d wire bytes", dim, per)
+	}
+	if err := Broadcast([]*Conn{legacy}, env, time.Second)[0]; err != nil {
+		t.Fatal(err)
+	}
+	if _, _, _, bo2, _, _ := Wire(); bo2-bo1 <= 8*dim+64 {
+		t.Fatalf("the gob-served connection cost %d wire bytes: not gob", bo2-bo1)
+	}
+	for i := 0; i < 3; i++ {
+		if err := <-received; err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// splitSubFrames cuts a batch payload at its length prefixes.
+func splitSubFrames(t *testing.T, b []byte) [][]byte {
+	t.Helper()
+	var subs [][]byte
+	for len(b) > 0 {
+		if len(b) < 4 || int(wireOrder.Uint32(b)) > len(b)-4 {
+			t.Fatalf("batch payload cut short: %d bytes left", len(b))
+		}
+		n := 4 + int(wireOrder.Uint32(b))
+		subs = append(subs, b[4:n])
+		b = b[n:]
+	}
+	return subs
+}
+
+// TestPreFrameBuildInterop pins compatibility with a build from before the
+// vector frame — the real one, not this build with the capability withheld.
+// testdata/pre_frame_build.golden holds bytes that build (PR 11) wrote: the
+// stream of a hello, a five-chunk SendBatch (two plain raw chunks, the traced
+// final raw chunk, two fp16 chunks) and an unbatched gradient, and the batch
+// payload on its own. Recv must decode the old stream, and towards a peer that
+// did not negotiate SendBatch must write the old payload: byte for byte where
+// the old layouts apply, a gob sub-frame for the traced chunk.
+func TestPreFrameBuildInterop(t *testing.T) {
+	golden := map[string][]byte{}
+	raw, err := os.ReadFile("testdata/pre_frame_build.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(strings.TrimSpace(string(raw)), "\n") {
+		name, hexBytes, _ := strings.Cut(line, " ")
+		if golden[name], err = hex.DecodeString(hexBytes); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	vec := []float64{1.5, -2.25, 0, 3.75, 1e-9, -7}
+	tmpl := Envelope{Iter: 7, Epoch: 2, WorkerID: 5, RootGen: 3, Trace: 0x8003_0002_0000_0007,
+		Spans: []PhaseSpan{{Phase: "compute", Seconds: 0.042}, {Phase: "encode", Seconds: 0.002}}}
+	envs := ChunkGradient(tmpl, vec, 2)
+	quant, err := ChunkGradientQuant(Envelope{Iter: 8, Epoch: 2, WorkerID: 5, RootGen: 3}, vec, 3, grad.CodecFP16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	envs = append(envs, quant...)
+
+	// Old build to this one.
+	c := NewConn(&memConn{r: bytes.NewReader(golden["stream"])})
+	if hello, err := c.Recv(); err != nil || hello.Type != MsgHello || hello.Caps != 0 || len(hello.Codecs) == 0 {
+		t.Fatalf("old hello: %+v, %v", hello, err)
+	}
+	for i, sent := range envs {
+		want := *sent
+		if len(want.Quant) > 0 {
+			if want.Vector, err = grad.Dequantize(grad.Codec(want.Codec), want.Quant, want.QuantLen); err != nil {
+				t.Fatal(err)
+			}
+			want.Quant, want.QuantLen = nil, 0
+		}
+		got, err := c.Recv()
+		if err != nil {
+			t.Fatalf("old batch sub-frame %d: %v", i, err)
+		}
+		if !reflect.DeepEqual(got, &want) {
+			t.Fatalf("old batch sub-frame %d:\ngot  %+v\nwant %+v", i, got, &want)
+		}
+	}
+	if got, err := c.Recv(); err != nil || !reflect.DeepEqual(got, &Envelope{Type: MsgGradient, Iter: 9, WorkerID: 5, Vector: vec[:2]}) {
+		t.Fatalf("old unbatched gradient: %+v, %v", got, err)
+	}
+
+	// This build to the old one.
+	var out bytes.Buffer
+	if err := NewConn(&memConn{r: bytes.NewReader(nil), w: &out}).SendBatch(envs); err != nil {
+		t.Fatal(err)
+	}
+	var outer Envelope
+	if err := gob.NewDecoder(&out).Decode(&outer); err != nil || outer.Type != MsgBatch {
+		t.Fatalf("un-negotiated SendBatch did not write a gob batch envelope: %+v, %v", outer.Type, err)
+	}
+	ours, theirs := splitSubFrames(t, outer.Batch), splitSubFrames(t, golden["batch"])
+	if len(ours) != len(theirs) {
+		t.Fatalf("%d sub-frames, the old build wrote %d", len(ours), len(theirs))
+	}
+	for i := range theirs {
+		switch kind := theirs[i][0]; {
+		case ours[i][0] != kind:
+			t.Fatalf("sub-frame %d is kind %#x, the old build wrote %#x", i, ours[i][0], kind)
+		case kind != subFrameGob && !bytes.Equal(ours[i], theirs[i]):
+			t.Fatalf("sub-frame %d differs from the old build's:\nours   %x\ntheirs %x", i, ours[i], theirs[i])
+		}
+	}
+}
+
+// hostileFrame is a wire frame whose single sub-frame is hdr-mutated: the
+// test table edits a well-formed header and keeps the declared lengths
+// honest, so the stream must stay in sync after the rejection.
+func hostileFrame(mutate func(sub []byte) []byte) []byte {
+	sub := appendSubFrame(nil, &Envelope{Type: MsgGradient, Iter: 1, WorkerID: 2, Vector: []float64{1, 2}}, subFrameVector)[4:]
+	sub = mutate(sub)
+	frame := []byte{frameMarker}
+	frame = wireOrder.AppendUint32(frame, uint32(4+len(sub)))
+	frame = wireOrder.AppendUint32(frame, uint32(len(sub)))
+	return append(frame, sub...)
+}
+
+// TestVectorFrameBoundBeforeAllocate is the robustness contract: every
+// short, oversized, unknown-codec or span-section violation is a typed
+// ErrMalformed, it is judged before a payload buffer is taken, and the
+// stream stays in sync — the frame after the hostile one is delivered.
+func TestVectorFrameBoundBeforeAllocate(t *testing.T) {
+	setCount := func(n uint32) func([]byte) []byte {
+		return func(sub []byte) []byte {
+			binary.LittleEndian.PutUint32(sub[vectorHeaderLen-4:], n)
+			return sub
+		}
+	}
+	cases := map[string]func([]byte) []byte{
+		"2^30 elements over a 16-byte body": setCount(1 << 30),
+		"element count above the cap":       setCount(1<<30 + 1),
+		"one element short":                 setCount(3),
+		"header truncated":                  func(sub []byte) []byte { return sub[:vectorHeaderLen-1] },
+		"payload truncated":                 func(sub []byte) []byte { return sub[:len(sub)-1] },
+		"unknown codec":                     func(sub []byte) []byte { sub[2] = 0x63; return sub },
+		"quantized 2^30 elements over 16 B": func(sub []byte) []byte { sub[2] = byte(grad.CodecDelta); return setCount(1 << 30)(sub) },
+		"undecodable quantized payload":     func(sub []byte) []byte { sub[2] = byte(grad.CodecInt8); return sub },
+		"quantized params":                  func(sub []byte) []byte { sub[1], sub[2] = byte(MsgParams), byte(grad.CodecFP16); return sub },
+		"not a vector message":              func(sub []byte) []byte { sub[1] = byte(MsgTelemetry); return sub },
+		"unknown flag":                      func(sub []byte) []byte { sub[3] = 0x80; return sub },
+		"trace flagged, section missing":    func(sub []byte) []byte { sub[3] = flagTrace; return sub[:vectorHeaderLen+4] },
+		"span count above the cap":          func(sub []byte) []byte { sub[4] = MaxSpans + 1; return sub },
+		"span section truncated":            func(sub []byte) []byte { sub[4] = 1; return sub[:vectorHeaderLen+3] },
+		"span name runs past the frame":     func(sub []byte) []byte { sub[4] = 1; sub[vectorHeaderLen] = 200; return sub },
+		"empty span name":                   func(sub []byte) []byte { sub[4] = 1; sub[vectorHeaderLen] = 0; return sub },
+		"chunk index out of range":          func(sub []byte) []byte { binary.LittleEndian.PutUint32(sub[5+4*3:], 9); return sub },
+		"gob sub-frame in a binary frame":   func(sub []byte) []byte { sub[0] = subFrameGob; return sub },
+		"pre-frame gradient layout":         func(sub []byte) []byte { return append([]byte{subFrameGradient}, sub[5:]...) },
+	}
+	next := encodeWireFrame(&Envelope{Type: MsgParams, Iter: 9, Vector: []float64{4}})
+	for name, mutate := range cases {
+		stream := append(hostileFrame(mutate), next...)
+		c := NewConn(&memConn{r: bytes.NewReader(stream)})
+		if _, err := c.Recv(); !errors.Is(err, ErrMalformed) {
+			t.Fatalf("%s: Recv = %v, want ErrMalformed", name, err)
+		}
+		got, err := c.Recv()
+		if err != nil || got.Type != MsgParams || got.Iter != 9 {
+			t.Fatalf("%s: stream out of sync after the rejection: %+v, %v", name, got, err)
+		}
+	}
+
+	// The headline case allocates nothing dim-sized: a few hundred bytes of
+	// error text, not the 8 GiB the header asks for.
+	hostile := hostileFrame(cases["2^30 elements over a 16-byte body"])
+	r := bytes.NewReader(hostile)
+	c := NewConn(&memConn{r: r})
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	allocs := testing.AllocsPerRun(50, func() {
+		r.Reset(hostile)
+		if _, err := c.Recv(); !errors.Is(err, ErrMalformed) {
+			t.Fatalf("Recv = %v, want ErrMalformed", err)
+		}
+	})
+	runtime.ReadMemStats(&after)
+	if perRun := (after.TotalAlloc - before.TotalAlloc) / 51; allocs > 16 || perRun > 4096 {
+		t.Fatalf("rejecting a 2^30-element header cost %.0f allocs, %d B per run", allocs, perRun)
+	}
+
+	// A lying outer length is the one thing the decoder cannot resync from;
+	// it still must not take it at its word. A length no sender frames
+	// fails the connection outright — not with ErrMalformed, which readers
+	// take as "rejected, carry on" — before anything is sized from it or
+	// skipped for it; under a smaller lie the short stream ends in EOF, not
+	// in a buffer sized by the lie.
+	tooLong := []byte{frameMarker, 0x80, 0, 0, 0, 0, 0, 0, 40, subFrameVector}
+	if _, err := NewConn(&memConn{r: bytes.NewReader(tooLong)}).Recv(); err == nil || errors.Is(err, ErrMalformed) {
+		t.Fatalf("frame body above the cap: %v, want a connection-fatal error", err)
+	}
+	lie := []byte{frameMarker, 0x7f, 0xff, 0xff, 0xff, 0, 0, 0, 40, subFrameVector}
+	if _, err := NewConn(&memConn{r: bytes.NewReader(lie)}).Recv(); !errors.Is(err, io.EOF) && !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("truncated stream under a lying length: %v", err)
+	}
+	// The same lie told consistently — frame, sub-frame and element count all
+	// declare a 1 GiB payload, and then 16 bytes of it arrive: the buffer
+	// follows the bytes received (allocStep), not the header.
+	const declared = 1 << 27
+	consistent := hostileFrame(setCount(declared))
+	wireOrder.PutUint32(consistent[1:], 4+vectorHeaderLen+8*declared)
+	wireOrder.PutUint32(consistent[5:], vectorHeaderLen+8*declared)
+	runtime.ReadMemStats(&before)
+	_, err := NewConn(&memConn{r: bytes.NewReader(consistent)}).Recv()
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, io.EOF) && !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("truncated stream under a consistent 1 GiB header: %v", err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 2*allocStep {
+		t.Fatalf("a header declaring 1 GiB made the decoder allocate %d MiB", grew>>20)
+	}
+}
+
+// FuzzVectorFrame feeds arbitrary bytes into Recv as a mix of gob envelopes
+// (batches in the pre-frame gradient layouts included) and binary wire
+// frames: every
+// outcome must be a fully decoded, structurally valid envelope or an error —
+// never a panic, never a quantized payload or an oversized vector escaping
+// the transport.
+func FuzzVectorFrame(f *testing.F) {
+	for _, e := range vectorFlavours(f) {
+		f.Add(encodeWireFrame(e))
+	}
+	vec := []float64{1.5, -0.25, 3, 0, -7.125, 2, 2, 2}
+	for _, codec := range []grad.Codec{grad.CodecRaw, grad.CodecFP16, grad.CodecInt8, grad.CodecTopK, grad.CodecDelta} {
+		frames, err := ChunkGradientQuant(Envelope{WorkerID: 2, Iter: 5, Trace: 9, Spans: []PhaseSpan{{Phase: "compute", Seconds: 1}}}, vec, 3, codec)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(encodeWireFrame(frames...))
+		batch, err := appendBatch(nil, append(frames, &Envelope{Type: MsgTelemetry, Telemetry: &Telemetry{Partitions: 1}}))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(encodeFrames(f, &Envelope{Type: MsgBatch, Batch: batch}))
+	}
+	f.Add(hostileFrame(func(sub []byte) []byte {
+		binary.LittleEndian.PutUint32(sub[vectorHeaderLen-4:], 1<<30)
+		return sub
+	}))
+	f.Add(encodeFrames(f, &Envelope{Type: MsgGradient, Codec: byte(grad.CodecDelta), Quant: []byte{0, 0}, QuantLen: 2}))
+	f.Add(encodeFrames(f, &Envelope{Type: MsgGradient, Codec: 99, Quant: []byte{1}, QuantLen: 1}))
+	f.Add(encodeFrames(f, &Envelope{Type: MsgHello, WorkerID: 1, Codecs: grad.AdvertiseCodecs(), Caps: CapVectorFrame}))
+	f.Add([]byte{frameMarker, 0, 0, 0, 3, 0x02, 0xff, 0x00})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		c := NewConn(&memConn{r: bytes.NewReader(data)})
+		for {
+			env, err := c.Recv()
+			if err != nil {
+				if errors.Is(err, ErrMalformed) {
+					continue // rejected whole; the stream is still in sync
+				}
+				return // EOF, or a broken gob stream: the connection is over
+			}
+			if err := env.validate(); err != nil {
+				t.Fatalf("Recv returned an invalid envelope: %v", err)
+			}
+			if len(env.Quant) != 0 || env.QuantLen != 0 {
+				t.Fatalf("Recv leaked a quantized payload: %+v", env)
+			}
+			if len(env.Vector) > len(data) {
+				t.Fatalf("Recv returned %d elements from %d bytes", len(env.Vector), len(data))
+			}
+		}
+	})
+}
+
+// BenchmarkFloat64Codec is the float codec kernel pair at dim 1e5: one
+// encode into a sized buffer plus one decode into a caller's vector. The
+// ns/elem extra is the unit of the wire layer's budget line.
+func BenchmarkFloat64Codec(b *testing.B) {
+	const dim = 100_000
+	vec := make([]float64, dim)
+	for i := range vec {
+		vec[i] = float64(i) * 0.5
+	}
+	buf := make([]byte, 0, 8*dim)
+	out := make([]float64, dim)
+	b.ReportAllocs()
+	b.SetBytes(8 * dim)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf = AppendFloat64s(buf[:0], vec)
+		if _, err := ReadFloat64sInto(out, buf); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/dim, "ns/elem")
+}
+
+// benchVectorFrame measures one dim-1e5 vector frame end to end over a
+// negotiated loopback connection: encode, write, read, decode into a pooled
+// vector, release.
+func benchVectorFrame(b *testing.B, env *Envelope) {
+	sender, receiver := framedPair(b)
+	recvErr := make(chan error, 1)
+	go func() {
+		for i := 0; i < b.N; i++ {
+			e, err := receiver.Recv()
+			if err != nil {
+				recvErr <- err
+				return
+			}
+			grad.PutBuffer(e.Vector)
+		}
+		recvErr <- nil
+	}()
+	b.ReportAllocs()
+	b.ResetTimer()
+	_, _, _, before, _, _ := Wire()
+	for i := 0; i < b.N; i++ {
+		if err := sender.Send(env); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := <-recvErr; err != nil {
+		b.Fatal(err)
+	}
+	b.StopTimer()
+	_, _, _, after, _, _ := Wire()
+	b.ReportMetric(float64(after-before)/float64(b.N), "wire-B/op")
+}
+
+func benchVector() []float64 {
+	vec := make([]float64, 100_000)
+	for i := range vec {
+		vec[i] = math.Sin(float64(i))
+	}
+	return vec
+}
+
+func BenchmarkVectorFrameParams(b *testing.B) {
+	benchVectorFrame(b, &Envelope{Type: MsgParams, Iter: 1, Trace: 0x8000_0000_0000_0001, Vector: benchVector()})
+}
+
+func BenchmarkVectorFrameGradient(b *testing.B) {
+	benchVectorFrame(b, &Envelope{Type: MsgGradient, Iter: 1, WorkerID: 1, Vector: benchVector()})
+}
+
+func BenchmarkVectorFrameInt8(b *testing.B) {
+	vec := benchVector()
+	q, err := grad.AppendQuantized(nil, grad.CodecInt8, vec)
+	if err != nil {
+		b.Fatal(err)
+	}
+	benchVectorFrame(b, &Envelope{Type: MsgGradient, Iter: 1, WorkerID: 1, Codec: byte(grad.CodecInt8), Quant: q, QuantLen: len(vec)})
+}
+
+func BenchmarkVectorFrameTraced(b *testing.B) {
+	benchVectorFrame(b, &Envelope{Type: MsgGradient, Iter: 1, WorkerID: 1, Trace: 0x8000_0000_0000_0001, Vector: benchVector(),
+		Spans: []PhaseSpan{{Phase: "fetch", Seconds: 0.001}, {Phase: "compute", Seconds: 0.042}, {Phase: "encode", Seconds: 0.002}, {Phase: "upload", Seconds: 0.003}}})
+}

@@ -11,11 +11,19 @@ import (
 )
 
 // memConn adapts a byte buffer to net.Conn so Recv can be driven from fuzz
-// data without sockets; writes vanish.
-type memConn struct{ r *bytes.Reader }
+// data without sockets; writes are captured in w, or vanish without one.
+type memConn struct {
+	r *bytes.Reader
+	w *bytes.Buffer
+}
 
-func (c *memConn) Read(p []byte) (int, error)       { return c.r.Read(p) }
-func (c *memConn) Write(p []byte) (int, error)      { return len(p), nil }
+func (c *memConn) Read(p []byte) (int, error) { return c.r.Read(p) }
+func (c *memConn) Write(p []byte) (int, error) {
+	if c.w != nil {
+		return c.w.Write(p)
+	}
+	return len(p), nil
+}
 func (c *memConn) Close() error                     { return nil }
 func (c *memConn) LocalAddr() net.Addr              { return &net.TCPAddr{} }
 func (c *memConn) RemoteAddr() net.Addr             { return &net.TCPAddr{} }

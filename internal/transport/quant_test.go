@@ -4,26 +4,26 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
-	"io"
 	"math"
+	"reflect"
 	"testing"
 
 	"github.com/hetgc/hetgc/internal/grad"
 )
 
-// TestGradientFastPathChunkBound pins the regression where a Chunk above the
+// TestVectorFrameChunkBound pins the regression where a Chunk above the
 // uint32 header range passed the fast-path check and was silently truncated
-// by encodeGradientFrame, decoding as the wrong chunk index. Such a frame
-// must now take the gob path, where the receiver rejects the out-of-range
-// chunk sequence instead of mis-joining it.
-func TestGradientFastPathChunkBound(t *testing.T) {
+// by the frame encoder, decoding as the wrong chunk index. Such a frame must
+// take the gob path, where the receiver rejects the out-of-range chunk
+// sequence instead of mis-joining it.
+func TestVectorFrameChunkBound(t *testing.T) {
 	huge := &Envelope{Type: MsgGradient, Chunk: math.MaxUint32>>1 + 1, Chunks: 10, Vector: []float64{1}}
-	if gradientFastPath(huge) {
-		t.Fatal("gradientFastPath accepted Chunk above the uint32 header range")
+	if _, fits := vectorFrameLen(huge); fits {
+		t.Fatal("vectorFrameLen accepted Chunk above the uint32 header range")
 	}
 	ok := &Envelope{Type: MsgGradient, Chunk: 3, Chunks: 10, Vector: []float64{1}}
-	if !gradientFastPath(ok) {
-		t.Fatal("gradientFastPath rejected a plain in-range gradient")
+	if _, fits := vectorFrameLen(ok); !fits {
+		t.Fatal("vectorFrameLen rejected a plain in-range gradient")
 	}
 
 	// End to end: the oversized chunk index must reach the receiver intact
@@ -172,6 +172,42 @@ func TestMixedVersionRawFallback(t *testing.T) {
 	if err := adv.validate(); err != nil {
 		t.Fatalf("advertised hello rejected: %v", err)
 	}
+
+	// The other mixed-version axis: a peer that advertises codecs but not the
+	// vector frame. The encoding follows the negotiation, never the payload:
+	// until both sides named CapVectorFrame the same gradient leaves as a gob
+	// envelope (a gob message never opens with the frame marker), and an
+	// upgraded receiver decodes either stream to the same envelope.
+	sent := &Envelope{Type: MsgGradient, Iter: 1, WorkerID: 4, Vector: vec}
+	var decoded [2]*Envelope
+	for i, negotiated := range []bool{false, true} {
+		var out bytes.Buffer
+		c := NewConn(&memConn{r: bytes.NewReader(nil), w: &out})
+		if negotiated {
+			c.UseVectorFrames()
+		}
+		if err := c.Send(sent); err != nil {
+			t.Fatal(err)
+		}
+		if framed := out.Bytes()[0] == frameMarker; framed != negotiated {
+			t.Fatalf("negotiated=%v but the gradient left framed=%v", negotiated, framed)
+		}
+		got, err := NewConn(&memConn{r: bytes.NewReader(out.Bytes())}).Recv()
+		if err != nil {
+			t.Fatal(err)
+		}
+		decoded[i] = got
+	}
+	if !reflect.DeepEqual(decoded[0], decoded[1]) || !reflect.DeepEqual(decoded[0], sent) {
+		t.Fatalf("gob and vector-frame decodes differ:\ngob    %+v\nframed %+v", decoded[0], decoded[1])
+	}
+	caps := &Envelope{Type: MsgHello, WorkerID: HelloNewWorker, Codecs: grad.AdvertiseCodecs(), Caps: CapVectorFrame | 0x80}
+	if err := caps.validate(); err != nil {
+		t.Fatalf("hello naming capabilities (one of them unknown) rejected: %v", err)
+	}
+	if err := (&Envelope{Type: MsgGradient, Vector: vec, Caps: CapVectorFrame}).validate(); !errors.Is(err, ErrMalformed) {
+		t.Fatalf("capability advertisement on a gradient: %v, want ErrMalformed", err)
+	}
 }
 
 // TestQuantCorruptionRejected sends hostile quantized frames — unknown codec
@@ -215,7 +251,7 @@ func TestQuantCorruptionRejected(t *testing.T) {
 		b.Close()
 	}
 
-	// Batch-framed corruption: a 0x02 sub-frame with an unknown gradient
+	// Batch-framed corruption: a quantized sub-frame with an unknown gradient
 	// codec byte, and one whose payload fails to dequantize.
 	valid, _ := ChunkGradientQuant(Envelope{WorkerID: 1}, []float64{1, 2, 3, 4}, 2, grad.CodecFP16)
 	var payload bytes.Buffer
@@ -229,13 +265,13 @@ func TestQuantCorruptionRejected(t *testing.T) {
 		_, err := decodeBatch(cp)
 		return err
 	}
-	if err := flip(func(b []byte) { b[5] = 0x07 }); !errors.Is(err, ErrMalformed) {
+	if err := flip(func(b []byte) { b[4+1] = 0x07 }); !errors.Is(err, ErrMalformed) {
 		t.Fatalf("unknown sub-frame gradient codec: %v, want ErrMalformed", err)
 	}
 	if err := flip(func(b []byte) {
-		// Shrink the first sub-frame's declared QuantLen so the fp16 payload
-		// no longer matches its element count.
-		binary.LittleEndian.PutUint32(b[4+26:], 9)
+		// Change the first sub-frame's declared element count so the fp16
+		// payload no longer matches it.
+		binary.LittleEndian.PutUint32(b[4+prefixLen(subFrameQuant)+4*6:], 9)
 	}); !errors.Is(err, ErrMalformed) {
 		t.Fatalf("mismatched quant length: %v, want ErrMalformed", err)
 	}
@@ -283,52 +319,4 @@ func TestWireCodecCounters(t *testing.T) {
 	if fi, fo, bi, bo := WireCodec(200); fi|fo|bi|bo != 0 {
 		t.Fatal("out-of-range codec reads nonzero")
 	}
-}
-
-// FuzzQuantizedFrame feeds arbitrary bytes into Recv as a batch payload
-// where quantized gradient sub-frames are expected: every outcome must be a
-// fully dequantized, structurally valid envelope or a typed rejection —
-// never a panic, never a quantized payload escaping the transport.
-func FuzzQuantizedFrame(f *testing.F) {
-	vec := []float64{1.5, -0.25, 3, 0, -7.125, 2, 2, 2}
-	for _, codec := range []grad.Codec{grad.CodecFP16, grad.CodecInt8, grad.CodecTopK, grad.CodecDelta} {
-		frames, err := ChunkGradientQuant(Envelope{WorkerID: 2, Iter: 5}, vec, 3, codec)
-		if err != nil {
-			f.Fatal(err)
-		}
-		var payload bytes.Buffer
-		if err := encodeBatch(&payload, frames); err != nil {
-			f.Fatal(err)
-		}
-		batch := append([]byte(nil), payload.Bytes()...)
-		f.Add(encodeFrames(f, &Envelope{Type: MsgBatch, Batch: batch}))
-	}
-	f.Add(encodeFrames(f, &Envelope{Type: MsgGradient, Codec: byte(grad.CodecDelta), Quant: []byte{0, 0}, QuantLen: 2}))
-	f.Add(encodeFrames(f, &Envelope{Type: MsgGradient, Codec: 99, Quant: []byte{1}, QuantLen: 1}))
-	f.Add(encodeFrames(f, &Envelope{Type: MsgHello, WorkerID: 1, Codecs: grad.AdvertiseCodecs()}))
-	f.Add([]byte{0x02, 0xff, 0x00})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		c := NewConn(&memConn{r: bytes.NewReader(data)})
-		for {
-			env, err := c.Recv()
-			if err != nil {
-				if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-					return
-				}
-				if errors.Is(err, ErrMalformed) {
-					continue
-				}
-				return
-			}
-			if err := env.validate(); err != nil {
-				t.Fatalf("Recv returned an invalid envelope: %v", err)
-			}
-			if len(env.Quant) != 0 || env.QuantLen != 0 {
-				t.Fatalf("Recv leaked a quantized payload: %+v", env)
-			}
-			if len(env.Vector) > MaxVectorLen {
-				t.Fatalf("Recv returned an oversized vector (%d elements)", len(env.Vector))
-			}
-		}
-	})
 }

@@ -1,17 +1,32 @@
 // Package transport implements the wire protocol between the master and the
-// workers: gob-encoded envelopes over TCP (or any net.Conn). The protocol is
-// deliberately small — assignment, parameter broadcast, coded-gradient
-// upload, shutdown — mirroring the BSP gradient-coding loop of the paper,
-// plus the elastic control-plane extensions: per-iteration telemetry uploads
-// and epoch-versioned reassignment for mid-training strategy migration.
+// workers over TCP (or any net.Conn). The protocol is deliberately small —
+// assignment, parameter broadcast, coded-gradient upload, shutdown —
+// mirroring the BSP gradient-coding loop of the paper, plus the elastic
+// control-plane extensions: per-iteration telemetry uploads and
+// epoch-versioned reassignment for mid-training strategy migration.
+//
+// Two encodings share one stream. The iteration path — every dim-sized
+// payload: MsgParams broadcasts and MsgGradient uploads, raw or quantized,
+// chunked or not, traced or not — rides the binary vector frame (frame.go),
+// written straight to the socket and decoded straight into pooled buffers.
+// The cold control frames (hello, assign, reassign, telemetry, adopt,
+// partition, shutdown) are gob-encoded envelopes: they are small, rare and
+// carry nested optional structures gob handles for free. Recv tells the two
+// apart by the first byte: a gob message opens with its non-zero length, so
+// 0x00 marks a vector frame. Vector frames are sent only on connections
+// whose handshake negotiated CapVectorFrame (as codecs are negotiated: the
+// dialer advertises, the ack confirms); any other peer is served gob in both
+// directions, vectors included.
 package transport
 
 import (
+	"bufio"
 	"encoding/gob"
 	"errors"
 	"fmt"
 	"math"
 	"net"
+	"sync/atomic"
 	"time"
 
 	"github.com/hetgc/hetgc/internal/grad"
@@ -40,9 +55,11 @@ const (
 	// MsgReassign migrates a worker to a new coding strategy: it carries
 	// (Epoch, Assignment) and atomically supersedes every earlier epoch.
 	MsgReassign
-	// MsgBatch coalesces several sub-frames into one write: its Batch payload
-	// is a sequence of length-prefixed, individually gob-encoded envelopes.
-	// Recv unpacks batches transparently, so receivers never see this type.
+	// MsgBatch coalesces several sub-frames into one write towards a peer
+	// that did not negotiate the vector frame: its Batch payload is a
+	// sequence of length-prefixed sub-frames, gob-encoded or in one of the
+	// two gradient layouts such a peer knows (see frame.go). Recv unpacks
+	// batches transparently, so receivers never see this type.
 	MsgBatch
 	// MsgAdopt is the group-master adoption handshake. A restartable group
 	// master opens its uplink with MsgAdopt carrying its Adoption (group
@@ -172,7 +189,7 @@ type Envelope struct {
 	Telemetry     *Telemetry
 	// Adopt is the MsgAdopt payload.
 	Adopt *Adoption
-	// Batch is the MsgBatch payload: length-prefixed gob-encoded sub-frames.
+	// Batch is the MsgBatch payload: length-prefixed sub-frames.
 	Batch []byte
 	// Part is the global partition index of a data-plane frame
 	// (MsgPartitionReq / MsgPartition); 0 otherwise.
@@ -205,7 +222,17 @@ type Envelope struct {
 	// piggybacked on an upload frame (the final chunk of a chunked upload).
 	// Bounded by MaxSpans; legal only on MsgGradient and MsgTelemetry.
 	Spans []PhaseSpan
+	// Caps advertises wire capabilities in a handshake frame (MsgHello /
+	// MsgAdopt), beside Codecs: the dialer sets the bits it supports, the
+	// ack echoes the ones the listener accepts, and each side enables a
+	// capability only once both have named it. Unknown bits are ignored, and
+	// a peer that predates capabilities sends none (gob omits the field).
+	Caps byte
 }
+
+// CapVectorFrame is the capability bit for the binary vector frame: a peer
+// that advertises it decodes vector frames and wants to be sent them.
+const CapVectorFrame byte = 1 << 0
 
 // Errors returned by the transport layer.
 var (
@@ -218,10 +245,12 @@ var (
 )
 
 // MaxVectorLen bounds the length of any Vector accepted by Recv, far above
-// any real model dimension. Note this is an application-layer sanity check:
-// gob has already decoded (and allocated) the frame by the time it runs, so
-// it rejects absurd frames before they reach the runtime but does not bound
-// the decoder's own allocation.
+// any real model dimension. The vector-frame decoder checks a frame's
+// declared element count against it — and against the bytes the frame
+// declares — before taking a buffer, and lets a buffer above allocStep grow
+// only as the payload arrives. On the gob path it is only an
+// application-layer sanity check: gob has already decoded (and allocated) the
+// frame by the time it runs.
 const MaxVectorLen = 1 << 30
 
 // MaxAdoptMembers bounds the member list of an adoption handshake.
@@ -285,6 +314,9 @@ func (e *Envelope) validate() error {
 		if !grad.Codec(c).Valid() {
 			return fmt.Errorf("%w: %v advertises unknown codec %d", ErrMalformed, e.Type, c)
 		}
+	}
+	if e.Caps != 0 && e.Type != MsgHello && e.Type != MsgAdopt {
+		return fmt.Errorf("%w: %v carries a capability advertisement", ErrMalformed, e.Type)
 	}
 	if len(e.Quant) > 0 || e.QuantLen != 0 {
 		if e.Type != MsgGradient {
@@ -415,22 +447,40 @@ func (e *Envelope) validate() error {
 	return nil
 }
 
-// Conn is a gob-framed bidirectional message stream. Send and Recv are each
-// safe for one concurrent user (one reader, one writer).
+// Conn is a bidirectional message stream carrying gob envelopes and binary
+// vector frames. Send and Recv are each safe for one concurrent user (one
+// reader, one writer).
 type Conn struct {
-	raw net.Conn
+	// w is the underlying connection behind the byte-counting shim; frames
+	// are written to it directly and deadlines, Close and addresses forward.
+	w countingConn
+	// br buffers the read side. gob reads through it without private
+	// read-ahead (it is an io.ByteReader), so Recv can peek the next frame's
+	// first byte and hand the stream to whichever decoder owns it.
+	br  *bufio.Reader
 	enc *gob.Encoder
 	dec *gob.Decoder
+	// frames is set once the handshake negotiated CapVectorFrame: vector
+	// payloads are then sent as binary frames. Receiving needs no switch —
+	// Recv decodes whichever encoding arrives.
+	frames atomic.Bool
 	// pending holds sub-frames of the last received batch still owed to Recv
 	// callers (only the reader touches it).
 	pending []*Envelope
 }
 
+// readBufSize is the connection read buffer: large enough that the vector
+// decoder's peekChunk-sized reads rarely straddle a refill, small enough to
+// stay a size-class allocation (a larger one goes to the page heap, which
+// showed up in cluster bring-up time at one buffer per connection).
+const readBufSize = 32 << 10
+
 // NewConn wraps a net.Conn. All traffic is routed through a byte-counting
 // shim feeding the process-wide Wire counters.
 func NewConn(raw net.Conn) *Conn {
 	counted := countingConn{Conn: raw}
-	return &Conn{raw: raw, enc: gob.NewEncoder(counted), dec: gob.NewDecoder(counted)}
+	br := bufio.NewReaderSize(counted, readBufSize)
+	return &Conn{w: counted, br: br, enc: gob.NewEncoder(counted), dec: gob.NewDecoder(br)}
 }
 
 // Dial connects to a master at addr.
@@ -442,8 +492,18 @@ func Dial(addr string, timeout time.Duration) (*Conn, error) {
 	return NewConn(raw), nil
 }
 
-// Send writes one envelope.
+// UseVectorFrames switches the connection's sends of vector payloads to the
+// binary vector frame. Handshake code calls it once both peers have named
+// CapVectorFrame — the listener after its ack is written, the dialer after
+// reading it — and before the connection is handed to its writer.
+func (c *Conn) UseVectorFrames() { c.frames.Store(true) }
+
+// Send writes one envelope: as a vector frame when the connection negotiated
+// it and the envelope fits one, gob-encoded otherwise.
 func (c *Conn) Send(e *Envelope) error {
+	if framed, err := c.sendFramed(e); framed {
+		return err
+	}
 	if err := c.enc.Encode(e); err != nil {
 		return fmt.Errorf("transport send %v: %w", e.Type, err)
 	}
@@ -453,6 +513,41 @@ func (c *Conn) Send(e *Envelope) error {
 	}
 	if e.Type == MsgGradient {
 		countCodecOut(e)
+	}
+	return nil
+}
+
+// sendFramed sends envs as one binary wire frame when the connection
+// negotiated the vector frame and every envelope fits it; framed reports
+// whether it did (otherwise nothing was written and the caller takes the gob
+// path).
+func (c *Conn) sendFramed(envs ...*Envelope) (framed bool, err error) {
+	if !c.frames.Load() {
+		return false, nil
+	}
+	buf := encodeWireFrame(envs...)
+	if buf == nil {
+		return false, nil
+	}
+	err = c.writeFrame(buf, envs...)
+	grad.PutBytes(buf)
+	return true, err
+}
+
+// writeFrame writes one encoded wire frame holding envs' vector sub-frames
+// and counts it like the Send (or SendBatch) it stands for.
+func (c *Conn) writeFrame(buf []byte, envs ...*Envelope) error {
+	if _, err := c.w.Write(buf); err != nil {
+		return fmt.Errorf("transport send %v: %w", envs[0].Type, err)
+	}
+	wire.framesOut.Add(1)
+	if len(envs) > 1 {
+		wire.batches.Add(1)
+	}
+	for _, e := range envs {
+		if e.Type == MsgGradient {
+			countCodecOut(e)
+		}
 	}
 	return nil
 }
@@ -479,11 +574,23 @@ func (e *Envelope) dequantize() error {
 // transparently: their sub-frames are returned one per Recv call, in send
 // order, and a batch with any malformed or truncated sub-frame is rejected
 // whole — the outer frame was fully consumed, so the stream stays in sync.
+//
+// The Vector of a received envelope comes from the gradient pool
+// (grad.GetBuffer). A receiver on the iteration path hands it back with
+// grad.PutBuffer once done, which makes the steady state allocation-free; a
+// receiver that never does stays correct — the buffer is garbage-collected.
 func (c *Conn) Recv() (*Envelope, error) {
 	if len(c.pending) > 0 {
 		e := c.pending[0]
 		c.pending = c.pending[1:]
 		return e, nil
+	}
+	first, err := c.br.Peek(1)
+	if err != nil {
+		return nil, fmt.Errorf("transport recv: %w", err)
+	}
+	if first[0] == frameMarker {
+		return c.recvFrame()
 	}
 	var e Envelope
 	if err := c.dec.Decode(&e); err != nil {
@@ -495,7 +602,7 @@ func (c *Conn) Recv() (*Envelope, error) {
 		return nil, err
 	}
 	if e.Type == MsgBatch {
-		subs, err := decodeBatch(e.Batch)
+		subs, err := decodeFrames(&sliceSource{b: e.Batch}, len(e.Batch), true)
 		if err != nil {
 			wire.malformed.Add(1)
 			return nil, err
@@ -504,7 +611,7 @@ func (c *Conn) Recv() (*Envelope, error) {
 		return subs[0], nil
 	}
 	if e.Type == MsgGradient {
-		countCodecIn(&e)
+		countCodecIn(codecPayload(&e))
 		if err := e.dequantize(); err != nil {
 			wire.malformed.Add(1)
 			return nil, err
@@ -513,19 +620,52 @@ func (c *Conn) Recv() (*Envelope, error) {
 	return &e, nil
 }
 
+// recvFrame reads one binary wire frame: the marker, the body length, then
+// the body's vector sub-frames, decoded straight off the read buffer. A
+// protocol violation anywhere in the body rejects the whole frame with
+// ErrMalformed after skipping to its declared end, so the stream stays in
+// sync wherever the length prefix was honest. A declared length above
+// maxFrameBody fails the connection before anything is sized from it.
+func (c *Conn) recvFrame() (*Envelope, error) {
+	hdr, err := c.br.Peek(wireHeaderLen)
+	if err != nil {
+		return nil, fmt.Errorf("transport recv: %w", err)
+	}
+	n := wireOrder.Uint32(hdr[1:])
+	_, _ = c.br.Discard(wireHeaderLen) // cannot fail: just peeked
+	wire.framesIn.Add(1)
+	if n > maxFrameBody {
+		// No sender frames a body this long, and nothing is skipped on its
+		// word. Not ErrMalformed, which promises a stream still in sync: this
+		// one is lost, and the reader drops the connection.
+		wire.malformed.Add(1)
+		return nil, fmt.Errorf("transport recv: frame body of %d bytes exceeds cap %d", n, maxFrameBody)
+	}
+	subs, err := decodeFrames(c.br, int(n), false)
+	if err != nil {
+		if errors.Is(err, ErrMalformed) {
+			wire.malformed.Add(1)
+			return nil, err
+		}
+		return nil, fmt.Errorf("transport recv: %w", err)
+	}
+	c.pending = subs[1:]
+	return subs[0], nil
+}
+
 // SetDeadline bounds both reads and writes.
-func (c *Conn) SetDeadline(t time.Time) error { return c.raw.SetDeadline(t) }
+func (c *Conn) SetDeadline(t time.Time) error { return c.w.SetDeadline(t) }
 
 // SetWriteDeadline bounds writes only — senders with a concurrent reader on
 // the same connection use this so a stalled peer fails the Send without
 // poisoning the reader's blocking Recv.
-func (c *Conn) SetWriteDeadline(t time.Time) error { return c.raw.SetWriteDeadline(t) }
+func (c *Conn) SetWriteDeadline(t time.Time) error { return c.w.SetWriteDeadline(t) }
 
 // Close closes the underlying connection.
-func (c *Conn) Close() error { return c.raw.Close() }
+func (c *Conn) Close() error { return c.w.Close() }
 
 // RemoteAddr exposes the peer address (for logs).
-func (c *Conn) RemoteAddr() net.Addr { return c.raw.RemoteAddr() }
+func (c *Conn) RemoteAddr() net.Addr { return c.w.RemoteAddr() }
 
 // Listener accepts worker connections for a master.
 type Listener struct {

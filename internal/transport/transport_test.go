@@ -30,7 +30,7 @@ func TestMsgTypeString(t *testing.T) {
 }
 
 // pipePair returns two connected transport conns over loopback TCP.
-func pipePair(t *testing.T) (*Conn, *Conn) {
+func pipePair(t testing.TB) (*Conn, *Conn) {
 	t.Helper()
 	l, err := Listen("127.0.0.1:0")
 	if err != nil {

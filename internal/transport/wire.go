@@ -24,7 +24,7 @@ var wire struct {
 
 // Wire snapshots the process-wide transport counters: frames received and
 // sent, raw bytes read and written (counted at the net.Conn boundary, so
-// gob framing overhead is included), batch frames sent, and frames
+// frame headers and gob overhead are included), batch frames sent, and frames
 // rejected as malformed. Counters are cumulative for the process lifetime.
 func Wire() (framesIn, framesOut, bytesIn, bytesOut, batches, malformed uint64) {
 	return wire.framesIn.Load(), wire.framesOut.Load(),
@@ -49,8 +49,7 @@ func codecPayload(e *Envelope) (codec byte, bytes uint64) {
 	return byte(grad.CodecRaw), uint64(8 * len(e.Vector))
 }
 
-func countCodecIn(e *Envelope) {
-	c, n := codecPayload(e)
+func countCodecIn(c byte, n uint64) {
 	if int(c) >= len(wireCodec) {
 		return
 	}
