@@ -2,7 +2,7 @@ GO ?= go
 
 .PHONY: all build test vet lint race cover cover-gate cover-check \
 	fuzz-smoke smoke-examples metrics-smoke e2e-procs bench bench-smoke \
-	bench-baseline bench-compare bench-json
+	bench-baseline bench-compare bench-json bench-check
 
 all: build test
 
@@ -112,6 +112,14 @@ metrics-smoke:
 # keep the per-process logs and /debug/events journal tails.
 e2e-procs:
 	HETGC_E2E_PROCS=1 $(GO) test -v -run '^TestProcClusterFailover$$' -timeout 300s ./e2e
+
+# The end-to-end benchmark (bench/) is a nested module: `go build ./...` and
+# `go test ./...` at the root neither compile nor run it, so an API change it
+# compiles against goes unnoticed here. Vet and test it in place, with the
+# environment bench/run.sh builds it under.
+bench-check:
+	GOFLAGS=-mod=mod GOWORK=off $(GO) vet -C bench ./...
+	GOFLAGS=-mod=mod GOWORK=off $(GO) test -C bench ./...
 
 # Full benchmark sweep with allocation reporting.
 bench:

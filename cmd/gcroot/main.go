@@ -181,6 +181,6 @@ func runStandby(cfg node.ClusterConfig, iters int) error {
 // params digest is what two runs compare for bit-identity.
 func report(res *runtime.ElasticResult, iters int) {
 	fmt.Printf("done: iterations %d..%d  root generation %d  fenced uploads %d\n",
-		res.StartIter, iters, res.RootGen, res.FencedUploads)
+		res.StartIter, iters, res.RootGen, res.FencedRejected)
 	fmt.Printf("params digest: %s\n", node.ParamsDigest(res.Params))
 }

@@ -304,7 +304,7 @@ func runDurable(scheme string, iters, s, stragglerMs int, seed int64, shared cli
 		res.StartIter, iters, res.Summary.Mean*1e3, res.Epochs[len(res.Epochs)-1], res.StaleEpochRejected)
 	if res.RootGen > 0 {
 		fmt.Printf("high availability: root generation %d  stale-generation uploads fenced: %d\n",
-			res.RootGen, res.FencedUploads)
+			res.RootGen, res.FencedRejected)
 		if res.RootGen > 1 {
 			fmt.Printf("  this run took over from a deposed root (generation %d) and kept its progress\n", res.RootGen-1)
 		}
@@ -352,7 +352,7 @@ func runDurable(scheme string, iters, s, stragglerMs int, seed int64, shared cli
 // returns so the caller can take over at the next generation.
 func standBy(dir string, tel *hetgc.Telemetry) error {
 	fmt.Printf("standby: tailing %s, waiting for the root lease to lapse\n", dir)
-	prom, err := hetgc.NewStandby(hetgc.StandbyConfig{Dir: dir}).Run(nil)
+	prom, err := hetgc.NewStandby(hetgc.StandbyConfig{DurabilityConfig: hetgc.DurabilityConfig{CheckpointDir: dir}}).Run(nil)
 	if err != nil {
 		return fmt.Errorf("standby: %w", err)
 	}

@@ -70,11 +70,8 @@ func run() error {
 			LossFn: func(p []float64) (float64, error) {
 				return hetgc.MeanLoss(model, p, data)
 			},
-			CheckpointDir: dir,
-			SnapshotEvery: 4,
-			Resume:        resume,
-			LeaseTTL:      leaseTTL,
-			Holder:        holder,
+			DurabilityConfig: hetgc.DurabilityConfig{CheckpointDir: dir, SnapshotEvery: 4, Resume: resume},
+			HAConfig:         hetgc.HAConfig{LeaseTTL: leaseTTL, Holder: holder},
 		}
 	}
 
@@ -92,7 +89,7 @@ func run() error {
 	promc := make(chan *hetgc.Promotion, 1)
 	standbyErr := make(chan error, 1)
 	go func() {
-		prom, err := hetgc.NewStandby(hetgc.StandbyConfig{Dir: dir}).Run(nil)
+		prom, err := hetgc.NewStandby(hetgc.StandbyConfig{DurabilityConfig: hetgc.DurabilityConfig{CheckpointDir: dir}}).Run(nil)
 		promc <- prom
 		standbyErr <- err
 	}()
@@ -188,7 +185,7 @@ func run() error {
 	wg.Wait()
 
 	fmt.Printf("root-b finished iterations %d..%d under generation %d; rejoins: %d, stale-generation uploads fenced: %d\n",
-		res.StartIter, iters, res.RootGen, res.Joins, res.FencedUploads)
+		res.StartIter, iters, res.RootGen, res.Joins, res.FencedRejected)
 	fmt.Println("loss curve across the failover (time s, mean loss):")
 	for _, p := range res.Curve.Points {
 		fmt.Printf("  %8.3f  %.4f\n", p.X, p.Y)

@@ -67,9 +67,7 @@ func run() error {
 			LossFn: func(p []float64) (float64, error) {
 				return hetgc.MeanLoss(model, p, data)
 			},
-			CheckpointDir: dir,
-			SnapshotEvery: 3,
-			Resume:        resume,
+			DurabilityConfig: hetgc.DurabilityConfig{CheckpointDir: dir, SnapshotEvery: 3, Resume: resume},
 		}
 	}
 

@@ -57,15 +57,15 @@ func run() error {
 
 	master, err := hetgc.NewElasticMaster(hetgc.ElasticConfig{
 		K: k, S: s,
-		Model:         model,
-		Optimizer:     &hetgc.SGD{LR: 0.5},
-		InitialParams: model.InitParams(nil),
-		Iterations:    iters,
-		SampleCount:   data.N(),
-		IterTimeout:   10 * time.Second,
-		MinWorkers:    4,
-		Seed:          1,
-		Obs:           tel,
+		Model:           model,
+		Optimizer:       &hetgc.SGD{LR: 0.5},
+		InitialParams:   model.InitParams(nil),
+		Iterations:      iters,
+		SampleCount:     data.N(),
+		IterTimeout:     10 * time.Second,
+		MinWorkers:      4,
+		Seed:            1,
+		TelemetryConfig: hetgc.TelemetryConfig{Obs: tel},
 	}, "127.0.0.1:0")
 	if err != nil {
 		return err

@@ -380,7 +380,7 @@ func TestHAFacade(t *testing.T) {
 		t.Fatalf("steal of a live lease = %v, want ErrLeaseHeld", err)
 	}
 	// Never renewed: the standby sees the lapse and promotes.
-	prom, err := NewStandby(StandbyConfig{Dir: dir, Poll: 5 * time.Millisecond}).Run(nil)
+	prom, err := NewStandby(StandbyConfig{DurabilityConfig: DurabilityConfig{CheckpointDir: dir}, Poll: 5 * time.Millisecond}).Run(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,9 +3,7 @@
 // availability (lease fencing) and telemetry (the obs registry). Before this
 // package the same six fields were duplicated — with slowly drifting doc
 // comments — across ElasticConfig, the sharded Config, StandbyConfig and both
-// simulator configs. Each run config now embeds these structs; the old flat
-// fields remain as deprecated aliases for one release (see each config's
-// Normalize) so existing composite literals keep compiling unchanged.
+// simulator configs. Each run config now embeds these structs.
 //
 // The package is a leaf: it may import internal/obs and the standard library
 // only, so every runtime, simulator and binary can depend on it without
@@ -33,25 +31,6 @@ type DurabilityConfig struct {
 	Resume bool
 }
 
-// Enabled reports whether durable state is configured.
-func (d DurabilityConfig) Enabled() bool { return d.CheckpointDir != "" }
-
-// Merge fills zero-valued fields from deprecated flat aliases: each alias is
-// copied only when the embedded field is unset, so a config that sets both
-// keeps the embedded (new) value. Returns the merged struct.
-func (d DurabilityConfig) Merge(checkpointDir string, snapshotEvery int, resume bool) DurabilityConfig {
-	if d.CheckpointDir == "" {
-		d.CheckpointDir = checkpointDir
-	}
-	if d.SnapshotEvery == 0 {
-		d.SnapshotEvery = snapshotEvery
-	}
-	if !d.Resume {
-		d.Resume = resume
-	}
-	return d
-}
-
 // HAConfig selects lease-fenced high availability (see internal/ha). The
 // zero value disables the lease.
 type HAConfig struct {
@@ -62,21 +41,6 @@ type HAConfig struct {
 	// Holder names this node in the lease token (default is runtime-specific,
 	// e.g. "master" or "shard-root").
 	Holder string
-}
-
-// Enabled reports whether the HA lease is configured.
-func (h HAConfig) Enabled() bool { return h.LeaseTTL > 0 }
-
-// Merge fills zero-valued fields from deprecated flat aliases (see
-// DurabilityConfig.Merge).
-func (h HAConfig) Merge(leaseTTL time.Duration, holder string) HAConfig {
-	if h.LeaseTTL == 0 {
-		h.LeaseTTL = leaseTTL
-	}
-	if h.Holder == "" {
-		h.Holder = holder
-	}
-	return h
 }
 
 // WireConfig selects the gradient wire codec a master prefers when workers
@@ -91,34 +55,10 @@ type WireConfig struct {
 	Codec string
 }
 
-// Enabled reports whether a non-raw codec preference is configured.
-func (w WireConfig) Enabled() bool { return w.Codec != "" && w.Codec != "raw" }
-
-// Merge fills the codec from a deprecated flat alias (see
-// DurabilityConfig.Merge).
-func (w WireConfig) Merge(codec string) WireConfig {
-	if w.Codec == "" {
-		w.Codec = codec
-	}
-	return w
-}
-
 // TelemetryConfig plugs a live metrics registry into a runtime (see
 // internal/obs). The zero value disables telemetry.
 type TelemetryConfig struct {
 	// Obs receives roster, controller, checkpoint, HA and wire metrics plus
 	// control-plane events when non-nil.
 	Obs *obs.Metrics
-}
-
-// Enabled reports whether telemetry is configured.
-func (t TelemetryConfig) Enabled() bool { return t.Obs != nil }
-
-// Merge fills the registry from a deprecated flat alias (see
-// DurabilityConfig.Merge).
-func (t TelemetryConfig) Merge(o *obs.Metrics) TelemetryConfig {
-	if t.Obs == nil {
-		t.Obs = o
-	}
-	return t
 }

@@ -19,6 +19,7 @@ package elastic
 
 import (
 	"fmt"
+	"sort"
 
 	"github.com/hetgc/hetgc/internal/estimate"
 	"github.com/hetgc/hetgc/internal/planner"
@@ -114,6 +115,39 @@ func (ct *Controller) State() *ControllerState {
 		st.Plan = &p
 	}
 	return st
+}
+
+// RestoreDead revives a freshly constructed controller as a resumed live
+// master needs it: the snapshot's members (snap may be nil) in join order
+// with their warm meters, then the journal-only joiners — IDs of journal the
+// snapshot never saw — with cold priors. Everyone starts dead: their
+// connections died with the crashed master, and rejoining via ResumeID
+// revives them. It returns the restored member IDs, ascending — the IDs the
+// roster must reserve.
+func (ct *Controller) RestoreDead(snap *ControllerState, journal []int) ([]int, error) {
+	st := ControllerState{LastReplan: -1}
+	seen := make(map[int]bool)
+	var ids []int
+	if snap != nil {
+		st.Events = snap.Events
+		for _, ms := range snap.Members {
+			ms.Alive = false
+			st.Members = append(st.Members, ms)
+			seen[ms.ID] = true
+			ids = append(ids, ms.ID)
+		}
+	}
+	for _, id := range journal {
+		if !seen[id] {
+			st.Members = append(st.Members, MemberState{ID: id})
+			ids = append(ids, id)
+		}
+	}
+	if err := ct.Restore(&st); err != nil {
+		return nil, err
+	}
+	sort.Ints(ids)
+	return ids, nil
 }
 
 // Restore revives a freshly constructed controller from a captured state.

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"github.com/hetgc/hetgc/internal/checkpoint"
+	"github.com/hetgc/hetgc/internal/clustercfg"
 )
 
 func TestTokenRoundtrip(t *testing.T) {
@@ -157,7 +158,7 @@ func TestStandbyPromotesOnExpiry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sb := NewStandby(StandbyConfig{Dir: dir, Poll: 5 * time.Millisecond})
+	sb := NewStandby(StandbyConfig{DurabilityConfig: clustercfg.DurabilityConfig{CheckpointDir: dir}, Poll: 5 * time.Millisecond})
 	done := make(chan struct{})
 	var prom *Promotion
 	var promErr error
@@ -209,7 +210,7 @@ func TestStandbyStops(t *testing.T) {
 	if _, err := Acquire(dir, "root-a", "addr", time.Hour); err != nil {
 		t.Fatal(err)
 	}
-	sb := NewStandby(StandbyConfig{Dir: dir, Poll: 2 * time.Millisecond})
+	sb := NewStandby(StandbyConfig{DurabilityConfig: clustercfg.DurabilityConfig{CheckpointDir: dir}, Poll: 2 * time.Millisecond})
 	stop := make(chan struct{})
 	done := make(chan struct{})
 	go func() {

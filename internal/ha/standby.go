@@ -16,9 +16,6 @@ type StandbyConfig struct {
 	// lease) the standby tails — typically shared storage with the active
 	// root. SnapshotEvery and Resume are ignored: the standby only reads.
 	clustercfg.DurabilityConfig
-	// Deprecated: set DurabilityConfig.CheckpointDir. Kept as a flat alias
-	// for one release; when both are set the embedded field wins.
-	Dir string
 	// Poll is the tail/lease polling interval (default 50ms).
 	Poll time.Duration
 	// Grace is extra slack past the token's expiry before the root is
@@ -56,13 +53,8 @@ type Standby struct {
 	lastIter int
 }
 
-// NewStandby builds a standby over the configured checkpoint directory
-// (DurabilityConfig.CheckpointDir, or the deprecated Dir alias).
+// NewStandby builds a standby over the configured checkpoint directory.
 func NewStandby(cfg StandbyConfig) *Standby {
-	if cfg.CheckpointDir == "" {
-		cfg.CheckpointDir = cfg.Dir
-	}
-	cfg.Dir = cfg.CheckpointDir
 	if cfg.Poll <= 0 {
 		cfg.Poll = 50 * time.Millisecond
 	}
@@ -83,7 +75,7 @@ func (s *Standby) LastIter() int {
 // refresh re-recovers the durable state. A directory with no checkpoint yet
 // is not an error — the standby simply has nothing to be warm about.
 func (s *Standby) refresh() error {
-	st, err := checkpoint.Recover(s.cfg.Dir)
+	st, err := checkpoint.Recover(s.cfg.CheckpointDir)
 	if err != nil {
 		if errors.Is(err, checkpoint.ErrNoCheckpoint) {
 			return nil
@@ -108,7 +100,7 @@ func (s *Standby) Run(stop <-chan struct{}) (*Promotion, error) {
 	tick := time.NewTicker(s.cfg.Poll)
 	defer tick.Stop()
 	for {
-		tok, err := ReadToken(s.cfg.Dir)
+		tok, err := ReadToken(s.cfg.CheckpointDir)
 		switch {
 		case errors.Is(err, ErrNoLease):
 			// No root has ever claimed this directory (or a legacy run

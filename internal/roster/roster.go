@@ -768,7 +768,7 @@ func (e *Engine) BroadcastParams(plan *elastic.Plan, iter int, params []float64)
 	e.mu.Unlock()
 	errs := transport.Broadcast(conns, &transport.Envelope{
 		Type: transport.MsgParams, Iter: iter, Epoch: plan.Epoch, RootGen: e.cfg.RootGen,
-		Trace: obs.TraceID(uint64(e.cfg.RootGen), plan.Epoch, iter), Vector: params,
+		Trace: e.traceID(plan, iter), Vector: params,
 	}, e.cfg.WriteTimeout)
 	// Deaths are noted here, in plan order, not from the send goroutines:
 	// the journal and the controller see them in a reproducible sequence.
@@ -779,8 +779,8 @@ func (e *Engine) BroadcastParams(plan *elastic.Plan, iter int, params []float64)
 	}
 }
 
-// convertSpans copies wire phase spans into trace spans.
-func convertSpans(ws []transport.PhaseSpan) []obs.Span {
+// ObsSpans copies wire phase spans into trace spans.
+func ObsSpans(ws []transport.PhaseSpan) []obs.Span {
 	if len(ws) == 0 {
 		return nil
 	}
@@ -809,7 +809,7 @@ func (e *Engine) noteContribution(id int, spans []transport.PhaseSpan) {
 		Member:  id,
 		Group:   e.cfg.ObsGroup,
 		Arrival: e.arrival(),
-		Spans:   convertSpans(spans),
+		Spans:   ObsSpans(spans),
 	})
 }
 
@@ -822,7 +822,7 @@ func (e *Engine) noteErased(id int, reason string, spans []transport.PhaseSpan) 
 		Member:  id,
 		Group:   e.cfg.ObsGroup,
 		Arrival: e.arrival(),
-		Spans:   convertSpans(spans),
+		Spans:   ObsSpans(spans),
 		Partial: true,
 		Reason:  reason,
 	})
@@ -842,10 +842,11 @@ func (e *Engine) TakeContribs(iter int) []obs.MemberSpan {
 	return out
 }
 
-// RootGen returns the lease generation currently stamped on broadcasts —
-// the generation half of the iteration's wire trace context. Call it only
-// from the run-loop goroutine (see SetRootGen).
-func (e *Engine) RootGen() int { return e.cfg.RootGen }
+// traceID is the wire trace context of one iteration under plan: stamped on
+// the broadcast, echoed on every upload, recorded on the iteration's trace.
+func (e *Engine) traceID(plan *elastic.Plan, iter int) uint64 {
+	return obs.TraceID(uint64(e.cfg.RootGen), plan.Epoch, iter)
+}
 
 // EpochViable reports whether the plan can still decode if every live plan
 // member eventually uploads (arrived marks slots already collected).

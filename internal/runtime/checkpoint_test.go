@@ -1,14 +1,15 @@
 package runtime
 
 import (
-	"errors"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"github.com/hetgc/hetgc/internal/checkpoint"
 	"github.com/hetgc/hetgc/internal/ml"
+	"github.com/hetgc/hetgc/internal/obs"
 )
 
 // TestElasticCheckpointResume runs a checkpointed training to completion,
@@ -97,42 +98,6 @@ func TestElasticCheckpointResume(t *testing.T) {
 	}
 }
 
-// TestElasticCheckpointConfigErrors pins the typed construction failures.
-func TestElasticCheckpointConfigErrors(t *testing.T) {
-	fx := newElasticFixture(t, 8)
-
-	cfg := fx.masterConfig(8, 1, 4)
-	cfg.Resume = true // no CheckpointDir
-	if _, err := NewElasticMaster(cfg, "127.0.0.1:0"); !errors.Is(err, ErrBadConfig) {
-		t.Fatalf("resume without dir: %v, want ErrBadConfig", err)
-	}
-
-	cfg = fx.masterConfig(8, 1, 4)
-	cfg.CheckpointDir = filepath.Join(t.TempDir(), "missing")
-	cfg.Resume = true
-	if _, err := NewElasticMaster(cfg, "127.0.0.1:0"); !errors.Is(err, checkpoint.ErrNoCheckpoint) {
-		t.Fatalf("resume from missing dir: %v, want ErrNoCheckpoint", err)
-	}
-
-	// A fresh run must refuse a directory already holding state.
-	dir := filepath.Join(t.TempDir(), "ckpt")
-	st, err := checkpoint.Create(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := st.AppendIter(0, 0, 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
-	cfg = fx.masterConfig(8, 1, 4)
-	cfg.CheckpointDir = dir
-	if _, err := NewElasticMaster(cfg, "127.0.0.1:0"); !errors.Is(err, checkpoint.ErrExists) {
-		t.Fatalf("fresh run over existing state: %v, want ErrExists", err)
-	}
-}
-
 // TestResumeAnchorPreservesEpochFence pins the double-crash case: a master
 // that resumes and crashes again BEFORE creating any new plan must leave a
 // checkpoint whose epoch fence still covers the first incarnation's epochs
@@ -169,11 +134,22 @@ func TestResumeAnchorPreservesEpochFence(t *testing.T) {
 	// before any training (its only durable write is the anchor snapshot).
 	cfg2 := cfg
 	cfg2.Resume = true
+	tel := obs.New()
+	cfg2.Obs = tel
 	ma2, err := NewElasticMaster(cfg2, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	ma2.Close()
+	// The anchor is counted by the snapshot histogram, as in the sharded
+	// runtime.
+	var sb strings.Builder
+	if err := tel.Registry().WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(sb.String(), obs.MSnapshotSeconds+"_count 1") {
+		t.Fatalf("resumed bring-up: %s does not count the anchor snapshot", obs.MSnapshotSeconds)
+	}
 
 	if got := recoverMaxEpoch(t, dir); got != preMax {
 		t.Fatalf("after anchor-only crash the fence is %d, want %d — a third incarnation would reuse live epochs", got, preMax)

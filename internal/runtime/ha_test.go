@@ -49,8 +49,8 @@ func TestElasticLeaseLifecycle(t *testing.T) {
 	if res.RootGen != 1 {
 		t.Fatalf("result reports generation %d, want 1", res.RootGen)
 	}
-	if res.FencedUploads != 0 {
-		t.Fatalf("crash-free run fenced %d uploads", res.FencedUploads)
+	if res.FencedRejected != 0 {
+		t.Fatalf("crash-free run fenced %d uploads", res.FencedRejected)
 	}
 	tok, err := ha.ReadToken(cfg.CheckpointDir)
 	if err != nil {

@@ -19,6 +19,7 @@
 package shard
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -32,131 +33,95 @@ import (
 	"github.com/hetgc/hetgc/internal/estimate"
 	"github.com/hetgc/hetgc/internal/grad"
 	"github.com/hetgc/hetgc/internal/obs"
+	"github.com/hetgc/hetgc/internal/rootcore"
 	"github.com/hetgc/hetgc/internal/roster"
 	"github.com/hetgc/hetgc/internal/transport"
 )
 
+// errUplinkEncode marks an upload that failed before it reached the wire (the
+// codec refused the sum): unlike a dead uplink, re-adopting cannot help.
+var errUplinkEncode = errors.New("shard: uplink encode failed")
+
 // groupCore is the group BSP machinery shared by the in-process groupMaster
-// and the restartable GroupRunner: one roster engine plus the epoch-fenced
-// iterate/migrate/retry policy.
+// and the restartable GroupRunner: one roster engine driven by the shared
+// roster.Loop, plus the uplink that carries each decoded sum to the root.
 type groupCore struct {
-	eng         *roster.Engine
-	g           int
-	iterTimeout time.Duration
-	maxRetries  int
-	obs         *obs.Metrics
-	codec       grad.Codec // uplink codec negotiated at the last adoption
+	roster.Loop
+	g        int
+	chunkLen int
+	codec    grad.Codec // uplink codec negotiated at the last adoption
 
-	// Run statistics (owned by the serving goroutine; read after it exits).
-	epochs   []int
-	runStats roster.Stats
-	cache    obs.CacheTracker
-
-	// Group-level phase spans of the last completed iteration, echoed on the
-	// uplink's final chunk so the root stitches group children into its
-	// trace (owned by the serving goroutine). lastUpSec (Float64bits) is the
-	// previous uplink send's duration — the in-process master sends from a
-	// dedicated uploader goroutine, hence atomic.
-	lastSpans []transport.PhaseSpan
+	// epochs is the plan epoch each served iteration decoded under (owned by
+	// the serving goroutine; read after it exits).
+	epochs []int
+	// lastUpSec (Float64bits) is the previous uplink send's duration — the
+	// in-process master sends from a dedicated uploader goroutine, hence
+	// atomic.
 	lastUpSec atomic.Uint64
 }
 
-// migrate builds the group's next epoch and delivers (epoch, assignment) to
-// every member of it via the roster engine.
-func (gc *groupCore) migrate(iter int, reason string) (*elastic.Plan, error) {
-	plan, err := gc.eng.Migrate(iter, reason)
-	if err != nil {
-		return nil, fmt.Errorf("%w: group %d: %v", ErrGroupFailed, gc.g, err)
+// newGroupCore wires group g's engine to the shared iteration loop.
+func newGroupCore(cfg *Config, g int, eng *roster.Engine) groupCore {
+	return groupCore{
+		Loop: roster.Loop{
+			Eng: eng, IterTimeout: cfg.IterTimeout, MaxRetries: cfg.MaxRetries,
+			Fail: fmt.Errorf("%w: group %d", ErrGroupFailed, g),
+		},
+		g: g, chunkLen: cfg.ChunkLen,
 	}
-	return plan, nil
 }
 
-// iteration runs one group BSP iteration and returns the group's gradient
-// sum (a pooled buffer the caller must PutBuffer) and the epoch it decoded
-// under. Timeouts and fatal deaths force a group-local migration and a
-// retry, bounded by maxRetries.
-func (gc *groupCore) iteration(iter int, params []float64, planRef **elastic.Plan) (grad.Gradient, int, error) {
-	dim := len(params)
-	if replan, reason := gc.eng.ShouldReplan(iter); replan {
-		p, err := gc.migrate(iter, reason)
-		if err != nil {
-			return nil, 0, err
-		}
-		*planRef = p
+// serve answers one root broadcast: it runs the group iteration on the
+// broadcast parameters and returns the upload of the decoded sum — chunk and
+// quantize, one batched write stamped with the adopted root generation,
+// release — for the caller to run on the goroutine that owns the uplink's
+// writes (the in-process master's uploader, so iteration k+1's collect
+// overlaps the encode and send of sum k; the runner's serve loop itself).
+func (gc *groupCore) serve(up *transport.Conn, env *transport.Envelope, gen int) (upload func() error, err error) {
+	sum := grad.GetBuffer(len(env.Vector))
+	err = gc.Iteration(nil, env.Iter, env.Vector, sum)
+	grad.PutBuffer(env.Vector) // broadcast and joined: back to the receive pool
+	if err != nil {
+		grad.PutBuffer(sum)
+		return nil, err
 	}
-	if *planRef == nil {
-		// A session that starts without a plan — a runner re-adopting after
-		// an uplink loss — must migrate before it can broadcast: the fresh
-		// plan also lands above any epoch floor raised by the adoption ack.
-		p, err := gc.migrate(iter, "adopt")
+	gc.epochs = append(gc.epochs, gc.Plan.Epoch)
+	// Echo the root's trace context and the group-level phase spans on the
+	// uplink; ChunkGradient hoists both onto the final chunk.
+	tmpl := transport.Envelope{Iter: env.Iter, Epoch: gc.Plan.Epoch, WorkerID: gc.g, RootGen: gen, Trace: env.Trace, Spans: gc.uplinkSpans()}
+	codec := gc.codec
+	return func() error {
+		frames, err := transport.ChunkGradientQuant(tmpl, sum, gc.chunkLen, codec)
 		if err != nil {
-			return nil, 0, err
+			grad.PutBuffer(sum)
+			return fmt.Errorf("%w: %v", errUplinkEncode, err)
 		}
-		*planRef = p
-	}
-	retries := 0
-	iterStart := time.Now()
-	for {
-		plan := *planRef
-		gc.eng.BroadcastParams(plan, iter, params)
-		coeffs, coded, ok := gc.eng.Collect(plan, iter, dim, gc.iterTimeout, &gc.runStats)
-		if ok {
-			// The group's worker child spans feed the attribution families
-			// directly (the root's trace children are the groups themselves;
-			// worker-level detail lives in the group-labeled metrics).
-			for _, ms := range gc.eng.TakeContribs(iter) {
-				gc.obs.OnMemberSpan(ms)
-			}
-			collectSec := time.Since(iterStart).Seconds()
-			combineStart := time.Now()
-			sum := grad.GetBuffer(dim)
-			if err := grad.CombineInto(sum, coeffs, coded); err != nil {
-				grad.PutBuffer(sum)
-				return nil, 0, fmt.Errorf("group %d iter %d combine: %w", gc.g, iter, err)
-			}
-			gc.eng.Release(coded)
-			// Group-level spans for the uplink echo: the gather (the group's
-			// workers computing and uploading) reads as compute, the combine
-			// as encode — the same span family workers report, so one trace
-			// view renders both tiers.
-			gc.lastSpans = []transport.PhaseSpan{
-				{Phase: obs.PhaseCompute, Seconds: collectSec},
-				{Phase: obs.PhaseEncode, Seconds: time.Since(combineStart).Seconds()},
-			}
-			if gc.obs != nil {
-				cs := plan.Strategy.DecodeCacheStats()
-				gc.cache.Fold(gc.obs, plan.Strategy, cs.Hits, cs.Misses)
-			}
-			return sum, plan.Epoch, nil
+		sendStart := time.Now()
+		err = up.SendBatch(frames)
+		transport.ReleaseQuant(frames)
+		grad.PutBuffer(sum)
+		if err == nil {
+			// A sender cannot time its own in-flight upload: the duration
+			// rides the next iteration's upload span.
+			gc.lastUpSec.Store(math.Float64bits(time.Since(sendStart).Seconds()))
 		}
-		// The epoch cannot complete: group-local migrate + retry.
-		retries++
-		if retries > gc.maxRetries {
-			return nil, 0, fmt.Errorf("%w: group %d iteration %d undecodable after %d migrations", ErrGroupFailed, gc.g, iter, retries-1)
-		}
-		p, err := gc.migrate(iter, "churn")
-		if err != nil {
-			return nil, 0, err
-		}
-		*planRef = p
-	}
+		return err
+	}, nil
 }
 
 // uplinkSpans assembles the phase spans echoed on the group's uplink: the
-// last iteration's group-level spans plus the PREVIOUS upload's send
-// duration (a sender cannot time its own in-flight upload).
+// gather (the group's workers computing and uploading) reads as compute, the
+// combine as encode — the same span family workers report, so one trace view
+// renders both tiers — plus the PREVIOUS upload's send duration.
 func (gc *groupCore) uplinkSpans() []transport.PhaseSpan {
-	spans := append([]transport.PhaseSpan(nil), gc.lastSpans...)
+	spans := []transport.PhaseSpan{
+		{Phase: obs.PhaseCompute, Seconds: gc.Gather},
+		{Phase: obs.PhaseEncode, Seconds: gc.Combine},
+	}
 	if prev := math.Float64frombits(gc.lastUpSec.Load()); prev > 0 {
 		spans = append(spans, transport.PhaseSpan{Phase: obs.PhaseUpload, Seconds: prev})
 	}
 	return spans
-}
-
-// noteUplink records one uplink send's duration for the next iteration's
-// upload span.
-func (gc *groupCore) noteUplink(seconds float64) {
-	gc.lastUpSec.Store(math.Float64bits(seconds))
 }
 
 // adopt performs the group side of the adoption handshake on a freshly
@@ -166,8 +131,8 @@ func (gc *groupCore) noteUplink(seconds float64) {
 // pre-adoption upload) and the root's lease generation. It returns the
 // adopted generation and the iteration the root will serve next.
 func (gc *groupCore) adopt(conn *transport.Conn, timeout time.Duration) (gen, nextIter int, err error) {
-	members := gc.eng.MemberIDs()
-	epoch := gc.eng.Epoch()
+	members := gc.Eng.MemberIDs()
+	epoch := gc.Eng.Epoch()
 	if epoch < -1 {
 		epoch = -1
 	}
@@ -206,8 +171,8 @@ func (gc *groupCore) adopt(conn *transport.Conn, timeout time.Duration) (gen, ne
 			}
 		}
 	}
-	gc.eng.RaiseEpochBase(ack.Adopt.Epoch + 1)
-	gc.eng.SetRootGen(ack.RootGen)
+	gc.Eng.RaiseEpochBase(ack.Adopt.Epoch + 1)
+	gc.Eng.SetRootGen(ack.RootGen)
 	return ack.RootGen, ack.Iter, nil
 }
 
@@ -215,7 +180,7 @@ func (gc *groupCore) adopt(conn *transport.Conn, timeout time.Duration) (gen, ne
 // every member ID it admitted, and the live control-plane state (throughput
 // estimates), so a resumed or promoted root re-plans from real history.
 func (gc *groupCore) coreState() checkpoint.GroupState {
-	gs := checkpoint.GroupState{Group: gc.g, Epoch: gc.eng.Epoch(), Ctrl: gc.eng.ControllerState()}
+	gs := checkpoint.GroupState{Group: gc.g, Epoch: gc.Eng.Epoch(), Ctrl: gc.Eng.ControllerState()}
 	for _, ms := range gs.Ctrl.Members {
 		gs.Members = append(gs.Members, ms.ID)
 	}
@@ -226,28 +191,24 @@ func (gc *groupCore) coreState() checkpoint.GroupState {
 // coreStats snapshots the group's counters after the serving loop exited.
 func (gc *groupCore) coreStats(workers int) GroupStats {
 	return GroupStats{
-		Group:              gc.g,
-		Workers:            workers,
-		Epochs:             append([]int(nil), gc.epochs...),
-		Replans:            gc.eng.Events(),
-		StaleEpochRejected: gc.runStats.StaleEpochRejected,
-		StaleConnRejected:  gc.runStats.StaleConnRejected,
-		StragglersSkipped:  gc.runStats.StragglersSkipped,
-		MalformedSkipped:   gc.runStats.MalformedSkipped,
-		FencedRejected:     gc.runStats.FencedRejected,
-		TelemetrySamples:   gc.runStats.TelemetrySamples,
-		Joins:              gc.eng.Joins(),
-		Deaths:             gc.eng.Deaths(),
+		Group:   gc.g,
+		Workers: workers,
+		Epochs:  append([]int(nil), gc.epochs...),
+		Replans: gc.Eng.Events(),
+		Stats:   gc.Stats,
+		Joins:   gc.Eng.Joins(),
+		Deaths:  gc.Eng.Deaths(),
 	}
 }
 
-// buildGroupController constructs (and, on resume, restores) one group's
-// control plane. Recovery precedence: a snapshot-carried controller state —
-// real throughput history — wins over the planned-throughput priors derived
-// from member IDs alone. Every restored member starts dead (its connection
-// died with the previous incarnation) and the epoch base is raised above
-// everything the journal recorded.
-func buildGroupController(cfg *Config, grp *Group, g int, ctrlState *elastic.ControllerState, memberIDs []int, epochFloor int, has bool) (*elastic.Controller, []int, error) {
+// buildGroupController constructs one group's control plane and, when st is
+// a recovered checkpoint (the root's, or a runner's own journal), restores
+// it. Recovery precedence: a snapshot-carried controller state — real
+// throughput history — wins over the planned-throughput priors derived from
+// member IDs alone. Every restored member starts dead (its connection died
+// with the previous incarnation) and the epoch base is raised above
+// everything the journal recorded. It returns the member IDs to reserve.
+func buildGroupController(cfg *Config, grp *Group, g int, st *checkpoint.State) (*elastic.Controller, []int, error) {
 	ctrl, err := elastic.NewController(elastic.Config{
 		K: len(grp.Parts), S: cfg.S, Scheme: cfg.Scheme,
 		Alpha: cfg.Alpha, DriftThreshold: cfg.DriftThreshold,
@@ -257,26 +218,22 @@ func buildGroupController(cfg *Config, grp *Group, g int, ctrlState *elastic.Con
 	if err != nil {
 		return nil, nil, fmt.Errorf("%w: group %d: %v", ErrBadConfig, g, err)
 	}
+	if st == nil {
+		return ctrl, nil, nil
+	}
+	memberIDs := st.GroupMembers[g]
+	var ctrlState *elastic.ControllerState
+	if st.Snap != nil {
+		for i := range st.Snap.Groups {
+			if st.Snap.Groups[i].Group == g {
+				ctrlState = st.Snap.Groups[i].Ctrl
+			}
+		}
+	}
 	var recovered []int
 	switch {
 	case ctrlState != nil && len(ctrlState.Members) > 0:
-		cs := &elastic.ControllerState{LastReplan: -1, Events: ctrlState.Events}
-		seen := make(map[int]bool)
-		for _, ms := range ctrlState.Members {
-			ms.Alive = false
-			cs.Members = append(cs.Members, ms)
-			seen[ms.ID] = true
-			recovered = append(recovered, ms.ID)
-		}
-		// Journal-only joiners (admitted after the snapshot) follow with cold
-		// priors.
-		for _, id := range memberIDs {
-			if !seen[id] {
-				cs.Members = append(cs.Members, elastic.MemberState{ID: id})
-				recovered = append(recovered, id)
-			}
-		}
-		if err := ctrl.Restore(cs); err != nil {
+		if recovered, err = ctrl.RestoreDead(ctrlState, memberIDs); err != nil {
 			return nil, nil, fmt.Errorf("%w: group %d: %v", ErrBadConfig, g, err)
 		}
 	case len(memberIDs) > 0:
@@ -295,10 +252,9 @@ func buildGroupController(cfg *Config, grp *Group, g int, ctrlState *elastic.Con
 		}
 		recovered = memberIDs
 	}
-	if has {
-		ctrl.SetEpochBase(epochFloor + 1)
+	if e, ok := st.GroupEpochs[g]; ok {
+		ctrl.SetEpochBase(e + 1)
 	}
-	sort.Ints(recovered)
 	return ctrl, recovered, nil
 }
 
@@ -307,7 +263,7 @@ func buildGroupController(cfg *Config, grp *Group, g int, ctrlState *elastic.Con
 // partition ID), so the engine translates through the group's partition
 // slice and advertises the global K.
 func newGroupEngine(cfg *Config, grp *Group, g int, ctrl *elastic.Controller, recovered []int, rec roster.Recorder, lis *transport.Listener) (*roster.Engine, error) {
-	codec, _ := cfg.wireCodec() // validated with the rest of the config
+	codec, _ := rootcore.ParseCodec(cfg.Wire, ErrBadConfig) // validated with the rest of the config
 	rcfg := roster.Config{
 		Controller:   ctrl,
 		WriteTimeout: cfg.IterTimeout,
@@ -357,35 +313,15 @@ type groupMaster struct {
 // the recovered membership, adopting the root's lease generation).
 func newGroupMaster(r *Root, g int) (*groupMaster, error) {
 	grp := r.plan.Groups[g]
-	var ctrlState *elastic.ControllerState
-	var memberIDs []int
-	epochFloor, has := 0, false
-	if st := r.resume; st != nil {
-		memberIDs = st.GroupMembers[g]
-		if st.Snap != nil {
-			for i := range st.Snap.Groups {
-				if st.Snap.Groups[i].Group == g {
-					ctrlState = st.Snap.Groups[i].Ctrl
-				}
-			}
-		}
-		if e, ok := st.GroupEpochs[g]; ok {
-			epochFloor, has = e, true
-		}
-	}
-	ctrl, recovered, err := buildGroupController(&r.cfg, grp, g, ctrlState, memberIDs, epochFloor, has)
+	ctrl, recovered, err := buildGroupController(&r.cfg, grp, g, r.resume)
 	if err != nil {
 		return nil, err
-	}
-	var rec roster.Recorder
-	if r.store != nil {
-		rec = r.store.GroupRecorder(g)
 	}
 	lis, err := transport.Listen("127.0.0.1:0")
 	if err != nil {
 		return nil, err
 	}
-	eng, err := newGroupEngine(&r.cfg, grp, g, ctrl, recovered, rec, lis)
+	eng, err := newGroupEngine(&r.cfg, grp, g, ctrl, recovered, r.core.Recorder(g), lis)
 	if err != nil {
 		return nil, err
 	}
@@ -395,7 +331,7 @@ func newGroupMaster(r *Root, g int) (*groupMaster, error) {
 		return nil, err
 	}
 	gm := &groupMaster{
-		groupCore: groupCore{eng: eng, g: g, iterTimeout: r.cfg.IterTimeout, maxRetries: r.cfg.MaxRetries, obs: r.cfg.Obs},
+		groupCore: newGroupCore(&r.cfg, g, eng),
 		root:      r,
 		up:        up,
 		done:      make(chan struct{}),
@@ -411,25 +347,19 @@ func newGroupMaster(r *Root, g int) (*groupMaster, error) {
 	return gm, nil
 }
 
-// addr returns the group's worker listen address.
-func (gm *groupMaster) addr() string { return gm.eng.Addr() }
-
 // waitForWorkers blocks until the group's planned worker count has joined.
 func (gm *groupMaster) waitForWorkers(timeout time.Duration) error {
 	want := len(gm.root.plan.Groups[gm.g].Workers)
-	if err := gm.eng.WaitForMembers(want, timeout); err != nil {
+	if err := gm.Eng.WaitForMembers(want, timeout); err != nil {
 		return fmt.Errorf("%w: group %d: %v", ErrGroupFailed, gm.g, err)
 	}
 	return nil
 }
 
 // run is the group master's main loop: it serves root broadcasts until
-// shutdown, running one epoch-fenced group iteration per MsgParams and
-// answering with the group's decoded sum as a single coalesced batch of
-// chunks, stamped with the adopted root generation. Chunking, quantization
-// and the batched write happen on a dedicated uploader goroutine (the
-// uplink's sole writer once the loop starts), so iteration k+1's collect
-// overlaps the encode and send of sum k.
+// shutdown, one epoch-fenced group iteration per MsgParams, each answered
+// with the group's decoded sum. The uploads run on a dedicated uploader
+// goroutine (the uplink's sole writer once the loop starts).
 func (gm *groupMaster) run() {
 	defer close(gm.done)
 	upJobs := make(chan func() error, 1)
@@ -447,7 +377,6 @@ func (gm *groupMaster) run() {
 		}
 	}()
 	defer func() { close(upJobs); <-upDone }()
-	var plan *elastic.Plan
 	for {
 		env, err := gm.up.Recv()
 		if err != nil {
@@ -471,32 +400,12 @@ func (gm *groupMaster) run() {
 				return
 			default:
 			}
-			sum, epoch, err := gm.iteration(env.Iter, env.Vector, &plan)
-			grad.PutBuffer(env.Vector) // broadcast and joined: back to the receive pool
+			upload, err := gm.serve(gm.up, env, gm.rootGen)
 			if err != nil {
 				gm.fatal(err)
 				return
 			}
-			gm.epochs = append(gm.epochs, epoch)
-			// Echo the root's trace context and the group-level phase spans on
-			// the uplink; ChunkGradient hoists both onto the final chunk.
-			tmpl := transport.Envelope{Iter: env.Iter, Epoch: epoch, WorkerID: gm.g, RootGen: gm.rootGen, Trace: env.Trace, Spans: gm.uplinkSpans()}
-			chunkLen, codec := gm.root.cfg.ChunkLen, gm.codec
-			upJobs <- func() error {
-				frames, err := transport.ChunkGradientQuant(tmpl, sum, chunkLen, codec)
-				if err != nil {
-					grad.PutBuffer(sum)
-					return err
-				}
-				sendStart := time.Now()
-				err = gm.up.SendBatch(frames)
-				transport.ReleaseQuant(frames)
-				grad.PutBuffer(sum)
-				if err == nil {
-					gm.noteUplink(time.Since(sendStart).Seconds())
-				}
-				return err
-			}
+			upJobs <- upload
 		}
 	}
 }
@@ -515,26 +424,10 @@ func (gm *groupMaster) fatal(err error) {
 // shutdown stops the group's workers and the uplink. graceful sends each
 // worker a MsgShutdown frame first — only the run-loop goroutine may do
 // that, because it is the connections' single writer; Root.Close runs
-// concurrently with the loop and must close the connections cold instead.
+// concurrently with the loop and must close the connections cold instead
+// (closing a connection concurrently with its writer is safe, writing to it
+// is not).
 func (gm *groupMaster) shutdown(graceful bool) {
-	gm.eng.Shutdown(graceful)
+	gm.Eng.Shutdown(graceful)
 	_ = gm.up.Close()
-}
-
-// close tears the group down from outside the run loop (Root.Close): no
-// shutdown frames — closing a connection concurrently with its writer is
-// safe, writing to it is not.
-func (gm *groupMaster) close() {
-	gm.shutdown(false)
-}
-
-// waitDone blocks until the run loop exited.
-func (gm *groupMaster) waitDone() { <-gm.done }
-
-// groupState summarises the group's durable state for a root snapshot.
-func (gm *groupMaster) groupState() checkpoint.GroupState { return gm.coreState() }
-
-// stats snapshots the group's counters after the run completed.
-func (gm *groupMaster) stats() GroupStats {
-	return gm.coreStats(len(gm.root.plan.Groups[gm.g].Workers))
 }

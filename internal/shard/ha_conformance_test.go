@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/hetgc/hetgc/internal/clustercfg"
 	"github.com/hetgc/hetgc/internal/ml"
 	"github.com/hetgc/hetgc/internal/shard"
 	"github.com/hetgc/hetgc/internal/testkit"
@@ -95,16 +96,13 @@ func TestHAConformanceSharded(t *testing.T) {
 			IterTimeout:   sc.IterTimeout,
 			ChunkLen:      4,
 			// Churn-only control plane, as in the recovery conformance run.
-			DriftThreshold: 2.0,
-			CooldownIters:  1 << 20,
-			InitialRate:    sc.InitialRate,
-			Seed:           1,
-			CheckpointDir:  dir,
-			SnapshotEvery:  sc.SnapshotEvery,
-			Resume:         resume,
-			LeaseTTL:       sc.LeaseTTL,
-			Holder:         holder,
-			ExternalGroups: []int{0},
+			DriftThreshold:   2.0,
+			CooldownIters:    1 << 20,
+			InitialRate:      sc.InitialRate,
+			Seed:             1,
+			DurabilityConfig: clustercfg.DurabilityConfig{CheckpointDir: dir, SnapshotEvery: sc.SnapshotEvery, Resume: resume},
+			HAConfig:         clustercfg.HAConfig{LeaseTTL: sc.LeaseTTL, Holder: holder},
+			ExternalGroups:   []int{0},
 		}
 		root, err := shard.NewRoot(cfg, "127.0.0.1:0")
 		if err != nil {

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/hetgc/hetgc/internal/clustercfg"
 	"github.com/hetgc/hetgc/internal/ml"
 	"github.com/hetgc/hetgc/internal/shard"
 	"github.com/hetgc/hetgc/internal/testkit"
@@ -37,13 +38,11 @@ func TestRecoveryConformanceSharded(t *testing.T) {
 			IterTimeout:   sc.IterTimeout,
 			ChunkLen:      4,
 			// Churn-only control plane, as in the flat recovery run.
-			DriftThreshold: 2.0,
-			CooldownIters:  1 << 20,
-			InitialRate:    sc.InitialRate,
-			Seed:           1,
-			CheckpointDir:  dir,
-			SnapshotEvery:  sc.SnapshotEvery,
-			Resume:         resume,
+			DriftThreshold:   2.0,
+			CooldownIters:    1 << 20,
+			InitialRate:      sc.InitialRate,
+			Seed:             1,
+			DurabilityConfig: clustercfg.DurabilityConfig{CheckpointDir: dir, SnapshotEvery: sc.SnapshotEvery, Resume: resume},
 		}
 		root, err := shard.NewRoot(cfg, "127.0.0.1:0")
 		if err != nil {

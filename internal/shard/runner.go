@@ -33,9 +33,8 @@ import (
 	"time"
 
 	"github.com/hetgc/hetgc/internal/checkpoint"
-	"github.com/hetgc/hetgc/internal/elastic"
-	"github.com/hetgc/hetgc/internal/grad"
 	"github.com/hetgc/hetgc/internal/ha"
+	"github.com/hetgc/hetgc/internal/rootcore"
 	"github.com/hetgc/hetgc/internal/roster"
 	"github.com/hetgc/hetgc/internal/transport"
 )
@@ -93,10 +92,8 @@ func (c *GroupRunnerConfig) validate() error {
 	if c.ResumeJournal && c.JournalDir == "" {
 		return fmt.Errorf("%w: resume requires a journal directory", ErrBadConfig)
 	}
-	if _, err := c.wireCodec(); err != nil {
-		return err
-	}
-	return nil
+	_, err := rootcore.ParseCodec(c.Wire, ErrBadConfig)
+	return err
 }
 
 // GroupRunner is a running out-of-process group master.
@@ -123,8 +120,7 @@ type GroupRunner struct {
 // launches the adoption/serve loop. Workers dial Addr() with the elastic
 // worker protocol; the runner keeps serving across root restarts until
 // Stop, a MsgShutdown from the root, or an unrecoverable failure.
-func StartGroup(cfg GroupRunnerConfig) (*GroupRunner, error) {
-	cfg.Config.normalize()
+func StartGroup(cfg GroupRunnerConfig) (_ *GroupRunner, err error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
@@ -135,8 +131,7 @@ func StartGroup(cfg GroupRunnerConfig) (*GroupRunner, error) {
 		cfg.MaxRetries = 2
 	}
 	if cfg.SnapshotEvery <= 0 {
-		cfg.SnapshotEvery = 10
-		cfg.DurabilityConfig.SnapshotEvery = 10
+		cfg.SnapshotEvery = rootcore.DefaultSnapshotEvery
 	}
 	plan, err := BuildPlanLayout(cfg.Throughputs, PlanConfig{
 		K: cfg.K, S: cfg.S, GroupSize: cfg.GroupSize, FanIn: cfg.FanIn, Scheme: cfg.Scheme,
@@ -151,39 +146,28 @@ func StartGroup(cfg GroupRunnerConfig) (*GroupRunner, error) {
 	grp := plan.Groups[g]
 
 	// Journal recovery: the runner's own history, not the root's.
-	var ctrlState *elastic.ControllerState
-	var memberIDs []int
-	epochFloor, hasFloor := 0, false
+	var state *checkpoint.State
 	var store *checkpoint.Store
+	defer func() {
+		if err != nil && store != nil {
+			_ = store.Close()
+		}
+	}()
 	if cfg.JournalDir != "" {
 		if cfg.ResumeJournal {
-			state, err := checkpoint.Recover(cfg.JournalDir)
-			if err != nil {
+			if state, err = checkpoint.Recover(cfg.JournalDir); err != nil {
 				return nil, err
 			}
-			memberIDs = state.GroupMembers[g]
-			if state.Snap != nil {
-				for i := range state.Snap.Groups {
-					if state.Snap.Groups[i].Group == g {
-						ctrlState = state.Snap.Groups[i].Ctrl
-					}
-				}
-			}
-			if e, ok := state.GroupEpochs[g]; ok {
-				epochFloor, hasFloor = e, true
-			}
-			if store, err = checkpoint.Reopen(cfg.JournalDir); err != nil {
-				return nil, err
-			}
-		} else if store, err = checkpoint.Create(cfg.JournalDir); err != nil {
+			store, err = checkpoint.Reopen(cfg.JournalDir)
+		} else {
+			store, err = checkpoint.Create(cfg.JournalDir)
+		}
+		if err != nil {
 			return nil, err
 		}
 	}
-	ctrl, recovered, err := buildGroupController(&cfg.Config, grp, g, ctrlState, memberIDs, epochFloor, hasFloor)
+	ctrl, recovered, err := buildGroupController(&cfg.Config, grp, g, state)
 	if err != nil {
-		if store != nil {
-			_ = store.Close()
-		}
 		return nil, err
 	}
 	var rec roster.Recorder
@@ -192,16 +176,10 @@ func StartGroup(cfg GroupRunnerConfig) (*GroupRunner, error) {
 	}
 	lis, err := transport.Listen(cfg.WorkerAddr)
 	if err != nil {
-		if store != nil {
-			_ = store.Close()
-		}
 		return nil, err
 	}
 	eng, err := newGroupEngine(&cfg.Config, grp, g, ctrl, recovered, rec, lis)
 	if err != nil {
-		if store != nil {
-			_ = store.Close()
-		}
 		return nil, err
 	}
 	if store != nil {
@@ -210,7 +188,7 @@ func StartGroup(cfg GroupRunnerConfig) (*GroupRunner, error) {
 	cfg.Obs.BindWire(transport.Wire)
 	r := &GroupRunner{
 		cfg:   cfg,
-		core:  groupCore{eng: eng, g: g, iterTimeout: cfg.IterTimeout, maxRetries: cfg.MaxRetries, obs: cfg.Obs},
+		core:  newGroupCore(&cfg.Config, g, eng),
 		store: store,
 		stop:  make(chan struct{}),
 		done:  make(chan struct{}),
@@ -228,7 +206,7 @@ func StartGroup(cfg GroupRunnerConfig) (*GroupRunner, error) {
 }
 
 // Addr returns the runner's worker listen address.
-func (r *GroupRunner) Addr() string { return r.core.eng.Addr() }
+func (r *GroupRunner) Addr() string { return r.core.Eng.Addr() }
 
 // Group returns the coding group this runner serves.
 func (r *GroupRunner) Group() int { return r.cfg.Group }
@@ -242,7 +220,7 @@ func (r *GroupRunner) Gen() int {
 
 // WaitForWorkers blocks until at least min members joined the group.
 func (r *GroupRunner) WaitForWorkers(min int, timeout time.Duration) error {
-	return r.core.eng.WaitForMembers(min, timeout)
+	return r.core.Eng.WaitForMembers(min, timeout)
 }
 
 // Done is closed when the runner's serve loop exits.
@@ -261,7 +239,7 @@ func (r *GroupRunner) Err() error {
 // Stats snapshots the group's counters. Valid once Done is closed.
 func (r *GroupRunner) Stats() GroupStats {
 	<-r.done
-	return r.core.coreStats(r.core.eng.AliveCount())
+	return r.core.coreStats(r.core.Eng.AliveCount())
 }
 
 // Stop tears the runner down cold: no shutdown frames to workers (they see
@@ -280,7 +258,7 @@ func (r *GroupRunner) Stop() {
 	if up != nil {
 		_ = up.Close()
 	}
-	r.core.eng.Shutdown(false)
+	r.core.Eng.Shutdown(false)
 	<-r.done
 }
 
@@ -297,7 +275,7 @@ func (r *GroupRunner) snapshot() *checkpoint.Snapshot {
 
 // teardown releases everything the constructor built.
 func (r *GroupRunner) teardown() {
-	r.core.eng.Shutdown(false)
+	r.core.Eng.Shutdown(false)
 	if r.store != nil {
 		_ = r.store.Close()
 	}
@@ -437,7 +415,7 @@ func (r *GroupRunner) watchToken(conn *transport.Conn, gen int, stop <-chan stru
 // (shutdown, stop, unrecoverable failure); false re-enters the adoption
 // loop.
 func (r *GroupRunner) serve(conn *transport.Conn, gen int) (fatal bool) {
-	var plan *elastic.Plan
+	r.core.Plan = nil // a session starts by migrating above the adopted epoch floor
 	for {
 		env, err := conn.Recv()
 		if err != nil {
@@ -449,7 +427,7 @@ func (r *GroupRunner) serve(conn *transport.Conn, gen int) (fatal bool) {
 		}
 		switch env.Type {
 		case transport.MsgShutdown:
-			r.core.eng.Shutdown(true)
+			r.core.Eng.Shutdown(true)
 			return true
 		case transport.MsgParams:
 			if env.RootGen != gen {
@@ -459,11 +437,10 @@ func (r *GroupRunner) serve(conn *transport.Conn, gen int) (fatal bool) {
 			// have rejoined; give a plannable quorum (s+1 — the controller's
 			// floor) one timeout to show up. Serving with a partial roster
 			// beyond that is fine — the controller plans around it.
-			if need := r.cfg.S + 1; r.core.eng.AliveCount() < need {
-				_ = r.core.eng.WaitForMembers(need, r.cfg.IterTimeout)
+			if need := r.cfg.S + 1; r.core.Eng.AliveCount() < need {
+				_ = r.core.Eng.WaitForMembers(need, r.cfg.IterTimeout)
 			}
-			sum, epoch, err := r.core.iteration(env.Iter, env.Vector, &plan)
-			grad.PutBuffer(env.Vector) // broadcast and joined: back to the receive pool
+			upload, err := r.core.serve(conn, env, gen)
 			if err != nil {
 				// Unlike the in-process master, an iteration failure is not
 				// fatal to training: drop the uplink, re-adopt, let the root
@@ -476,22 +453,13 @@ func (r *GroupRunner) serve(conn *transport.Conn, gen int) (fatal bool) {
 				return false
 			}
 			r.iterFailures = 0
-			r.core.epochs = append(r.core.epochs, epoch)
-			tmpl := transport.Envelope{Iter: env.Iter, Epoch: epoch, WorkerID: r.cfg.Group, RootGen: gen, Trace: env.Trace, Spans: r.core.uplinkSpans()}
-			frames, err := transport.ChunkGradientQuant(tmpl, sum, r.cfg.ChunkLen, r.core.codec)
-			if err != nil {
-				grad.PutBuffer(sum)
-				r.err = err
-				return true
-			}
-			sendStart := time.Now()
-			err = conn.SendBatch(frames)
-			transport.ReleaseQuant(frames)
-			grad.PutBuffer(sum)
-			if err != nil {
+			if err := upload(); err != nil {
+				if errors.Is(err, errUplinkEncode) {
+					r.err = err
+					return true
+				}
 				return false // uplink died mid-upload; re-adopt
 			}
-			r.core.noteUplink(time.Since(sendStart).Seconds())
 			r.served++
 			if r.store != nil && r.served%r.cfg.SnapshotEvery == 0 {
 				_ = r.store.WriteSnapshot(r.snapshot())

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -12,6 +13,7 @@ import (
 	"github.com/hetgc/hetgc/internal/grad"
 	"github.com/hetgc/hetgc/internal/ha"
 	"github.com/hetgc/hetgc/internal/ml"
+	"github.com/hetgc/hetgc/internal/obs"
 	"github.com/hetgc/hetgc/internal/runtime"
 )
 
@@ -210,11 +212,22 @@ func TestGroupRunnerSurvivesRootRestart(t *testing.T) {
 	// re-adopts the still-running groups.
 	cfg2 := cfg
 	cfg2.Resume = true
+	tel := obs.New()
+	cfg2.Obs = tel
 	root2, err := NewRoot(cfg2, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer root2.Close()
+	// The resume anchor is written with the metrics bound: the snapshot
+	// histogram counts it before the run starts, as in the flat runtime.
+	var sb strings.Builder
+	if err := tel.Registry().WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(sb.String(), obs.MSnapshotSeconds+"_count 1") {
+		t.Fatalf("resumed bring-up: %s does not count the anchor snapshot", obs.MSnapshotSeconds)
+	}
 	if root2.RootGen() != 2 {
 		t.Fatalf("restarted root got generation %d, want 2", root2.RootGen())
 	}

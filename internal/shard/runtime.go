@@ -34,7 +34,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/hetgc/hetgc/internal/checkpoint"
@@ -42,10 +41,9 @@ import (
 	"github.com/hetgc/hetgc/internal/core"
 	"github.com/hetgc/hetgc/internal/elastic"
 	"github.com/hetgc/hetgc/internal/grad"
-	"github.com/hetgc/hetgc/internal/ha"
-	"github.com/hetgc/hetgc/internal/metrics"
 	"github.com/hetgc/hetgc/internal/ml"
 	"github.com/hetgc/hetgc/internal/obs"
+	"github.com/hetgc/hetgc/internal/rootcore"
 	"github.com/hetgc/hetgc/internal/roster"
 	"github.com/hetgc/hetgc/internal/transport"
 )
@@ -140,79 +138,17 @@ type Config struct {
 	// everyone else stays on raw float64 (mixed-version interop). Group
 	// masters pass the same preference down to their workers' hellos.
 	Wire clustercfg.WireConfig
-
-	// Deprecated: flat aliases for the embedded cluster blocks above, kept
-	// for one release. Set DurabilityConfig.CheckpointDir (etc.) instead;
-	// when both views are set the embedded field wins.
-	CheckpointDir string
-	// Deprecated: set DurabilityConfig.SnapshotEvery.
-	SnapshotEvery int
-	// Deprecated: set DurabilityConfig.Resume.
-	Resume bool
-	// Deprecated: set HAConfig.LeaseTTL.
-	LeaseTTL time.Duration
-	// Deprecated: set HAConfig.Holder.
-	Holder string
-	// Deprecated: set TelemetryConfig.Obs.
-	Obs *obs.Metrics
 }
 
-// normalize merges the deprecated flat aliases into the embedded cluster
-// blocks (the embedded field wins when both are set) and mirrors the merged
-// values back onto the aliases, so internal reads through either view agree.
-func (c *Config) normalize() {
-	c.DurabilityConfig = c.DurabilityConfig.Merge(c.CheckpointDir, c.SnapshotEvery, c.Resume)
-	c.HAConfig = c.HAConfig.Merge(c.LeaseTTL, c.Holder)
-	c.TelemetryConfig = c.TelemetryConfig.Merge(c.Obs)
-	c.CheckpointDir = c.DurabilityConfig.CheckpointDir
-	c.SnapshotEvery = c.DurabilityConfig.SnapshotEvery
-	c.Resume = c.DurabilityConfig.Resume
-	c.LeaseTTL = c.HAConfig.LeaseTTL
-	c.Holder = c.HAConfig.Holder
-	c.Obs = c.TelemetryConfig.Obs
-}
-
-func (c *Config) validate() error {
-	if c.Model == nil || c.Optimizer == nil {
-		return fmt.Errorf("%w: model/optimizer required", ErrBadConfig)
+// core maps the config onto the root core's shared view of it.
+func (c *Config) core() rootcore.Config {
+	return rootcore.Config{
+		K: c.K, S: c.S, Model: c.Model, Optimizer: c.Optimizer, InitialParams: c.InitialParams,
+		Iterations: c.Iterations, SampleCount: c.SampleCount, IterTimeout: c.IterTimeout,
+		LossEvery: c.LossEvery, LossFn: c.LossFn,
+		DurabilityConfig: c.DurabilityConfig, HAConfig: c.HAConfig, TelemetryConfig: c.TelemetryConfig, Wire: c.Wire,
+		Name: "sharded", DefaultHolder: "shard-root", BadConfig: ErrBadConfig,
 	}
-	if len(c.InitialParams) != c.Model.Dim() {
-		return fmt.Errorf("%w: %d initial params, model wants %d", ErrBadConfig, len(c.InitialParams), c.Model.Dim())
-	}
-	if c.K <= 0 || c.S < 0 {
-		return fmt.Errorf("%w: k=%d s=%d", ErrBadConfig, c.K, c.S)
-	}
-	if len(c.Throughputs) == 0 {
-		return fmt.Errorf("%w: no workers", ErrBadConfig)
-	}
-	if c.Iterations <= 0 || c.SampleCount <= 0 {
-		return fmt.Errorf("%w: iterations=%d samples=%d", ErrBadConfig, c.Iterations, c.SampleCount)
-	}
-	if c.IterTimeout <= 0 {
-		return fmt.Errorf("%w: iteration timeout required", ErrBadConfig)
-	}
-	if c.Resume && c.CheckpointDir == "" {
-		return fmt.Errorf("%w: resume requires a checkpoint directory", ErrBadConfig)
-	}
-	if c.LeaseTTL > 0 && c.CheckpointDir == "" {
-		return fmt.Errorf("%w: lease requires a checkpoint directory", ErrBadConfig)
-	}
-	if _, err := c.wireCodec(); err != nil {
-		return err
-	}
-	return nil
-}
-
-// wireCodec parses the configured codec preference (empty means raw).
-func (c *Config) wireCodec() (grad.Codec, error) {
-	if c.Wire.Codec == "" {
-		return grad.CodecRaw, nil
-	}
-	codec, err := grad.ParseCodec(c.Wire.Codec)
-	if err != nil {
-		return grad.CodecRaw, fmt.Errorf("%w: %v", ErrBadConfig, err)
-	}
-	return codec, nil
 }
 
 // GroupStats summarises one group's run.
@@ -223,11 +159,9 @@ type GroupStats struct {
 	Epochs []int
 	// Replans is the group's migration history (initial plan included).
 	Replans []elastic.ReplanEvent
-	// StaleEpochRejected, StaleConnRejected, StragglersSkipped and
-	// MalformedSkipped mirror the elastic master's fencing counters;
-	// FencedRejected counts uploads fenced by root generation;
-	// TelemetrySamples counts control-plane observations.
-	StaleEpochRejected, StaleConnRejected, StragglersSkipped, MalformedSkipped, FencedRejected, TelemetrySamples int
+	// Stats are the group's fencing counters, as in the flat runtime's
+	// result.
+	roster.Stats
 	// Joins and Deaths count the group's membership events (rejoins count
 	// as joins), mirroring the flat runtime's bookkeeping.
 	Joins, Deaths int
@@ -235,17 +169,9 @@ type GroupStats struct {
 
 // Result summarises a sharded training run.
 type Result struct {
-	// Params are the final parameters.
-	Params []float64
-	// StartIter is the first iteration this run executed (non-zero when the
-	// root was resumed from a checkpoint).
-	StartIter int
-	// IterTimes are per-iteration wall times in seconds.
-	IterTimes []float64
-	// Summary summarises IterTimes.
-	Summary metrics.Summary
-	// Curve is (cumulative seconds, loss) when loss recording was enabled.
-	Curve metrics.Series
+	// Progress is the root core's bookkeeping: final Params, StartIter,
+	// IterTimes (with Summary), the loss Curve and the lease RootGen.
+	rootcore.Progress
 	// Groups holds per-group statistics, indexed by group (external groups
 	// keep their own statistics; their entries carry only the layout).
 	Groups []GroupStats
@@ -253,10 +179,9 @@ type Result struct {
 	// per iteration); BatchedFrames counts how many of them arrived as a
 	// coalesced multi-chunk batch (0 when every model fits one chunk).
 	GroupUploads, BatchedFrames int
-	// RootGen is the lease generation the run held (0 without a lease);
-	// FencedSums counts group uploads rejected for carrying a different
-	// generation.
-	RootGen, FencedSums int
+	// FencedSums counts group uploads rejected for carrying a lease
+	// generation other than the root's.
+	FencedSums int
 	// Readoptions counts adoption handshakes beyond each group's first —
 	// group masters that reconnected after a restart on either side.
 	Readoptions int
@@ -285,7 +210,7 @@ type groupSum struct {
 type Root struct {
 	cfg    Config
 	plan   *Plan
-	codec  grad.Codec // uplink codec preference offered at each adoption
+	core   *rootcore.Core // lease, store and training state
 	lis    *transport.Listener
 	groups []*groupMaster // indexed by group; nil for external groups
 	wg     sync.WaitGroup
@@ -312,19 +237,9 @@ type Root struct {
 
 	adoptedc chan int // adoption notifications for the collect loop
 
-	// Durable-state wiring (nil/zero without CheckpointDir).
-	store     *checkpoint.Store
-	resume    *checkpoint.State
-	params    []float64
-	startIter int
-	step      int
-	clock     float64
-
-	// HA wiring (nil/zero without LeaseTTL).
-	lease          *ha.Lease
-	gen            int
-	stopRenew      func()
-	renewSuspended atomic.Bool
+	// resume is the recovered checkpoint of a resumed bring-up: it seeds
+	// newGroupMaster's controller restore.
+	resume *checkpoint.State
 }
 
 // NewRoot validates the config, builds the shard plan, starts the root
@@ -334,9 +249,12 @@ type Root struct {
 // External groups attach themselves afterwards; WaitForWorkers covers their
 // adoption.
 func NewRoot(cfg Config, addr string) (*Root, error) {
-	cfg.normalize()
-	if err := cfg.validate(); err != nil {
+	cc := cfg.core()
+	if err := cc.Validate(); err != nil {
 		return nil, err
+	}
+	if len(cfg.Throughputs) == 0 {
+		return nil, fmt.Errorf("%w: no workers", ErrBadConfig)
 	}
 	if cfg.ChunkLen <= 0 {
 		cfg.ChunkLen = DefaultChunkLen
@@ -344,15 +262,11 @@ func NewRoot(cfg Config, addr string) (*Root, error) {
 	if cfg.MaxRetries <= 0 {
 		cfg.MaxRetries = 2
 	}
-	// Layout only: every group's strategy is owned by its controller (the
-	// initial group-local replan builds it from the same estimates).
-	if cfg.CheckpointDir != "" && cfg.SnapshotEvery <= 0 {
-		cfg.SnapshotEvery = 10
-		cfg.DurabilityConfig.SnapshotEvery = 10
-	}
 	if cfg.AdoptTimeout <= 0 {
 		cfg.AdoptTimeout = 30 * time.Second
 	}
+	// Layout only: every group's strategy is owned by its controller (the
+	// initial group-local replan builds it from the same estimates).
 	plan, err := BuildPlanLayout(cfg.Throughputs, PlanConfig{
 		K: cfg.K, S: cfg.S, GroupSize: cfg.GroupSize, FanIn: cfg.FanIn, Scheme: cfg.Scheme,
 	})
@@ -375,8 +289,6 @@ func NewRoot(cfg Config, addr string) (*Root, error) {
 		err:          make(chan error, n+1),
 		inbox:        make(chan groupSum, 2*n+4),
 		adoptedc:     make(chan int, 2*n+4),
-		params:       append([]float64(nil), cfg.InitialParams...),
-		stopRenew:    func() {},
 	}
 	for g := range r.groupEpoch {
 		r.groupEpoch[g] = -1
@@ -387,71 +299,12 @@ func NewRoot(cfg Config, addr string) (*Root, error) {
 		}
 		r.external[g] = true
 	}
-	lis, err := transport.Listen(addr)
+	r.core, err = rootcore.Open(cc, addr, rootcore.Hooks{Restore: r.restoreFrom, Groups: r.groupStates})
 	if err != nil {
 		return nil, err
 	}
-	r.lis = lis
-	if cfg.LeaseTTL > 0 {
-		holder := cfg.Holder
-		if holder == "" {
-			holder = "shard-root"
-		}
-		lease, err := ha.Acquire(cfg.CheckpointDir, holder, lis.Addr(), cfg.LeaseTTL)
-		if err != nil {
-			_ = lis.Close()
-			return nil, err
-		}
-		r.lease, r.gen = lease, lease.Gen()
-		cfg.Obs.OnLease(uint64(lease.Gen()))
-		stop := make(chan struct{})
-		var rwg sync.WaitGroup
-		rwg.Add(1)
-		go r.renewLoop(stop, &rwg)
-		var once sync.Once
-		r.stopRenew = func() { once.Do(func() { close(stop); rwg.Wait() }) }
-	}
-	if cfg.CheckpointDir != "" {
-		if cfg.Resume {
-			state, err := checkpoint.Recover(cfg.CheckpointDir)
-			if err != nil {
-				r.Close()
-				return nil, err
-			}
-			if err := r.restoreFrom(state); err != nil {
-				r.Close()
-				return nil, err
-			}
-			if r.store, err = checkpoint.Reopen(cfg.CheckpointDir); err != nil {
-				r.Close()
-				return nil, err
-			}
-			if r.lease != nil {
-				r.store.SetGuard(r.lease.Check)
-			}
-			// Anchor a fresh generation with the resumed state before any
-			// journal append (see runtime.NewElasticMaster).
-			if err := r.store.WriteSnapshot(r.snapshot(r.startIter)); err != nil {
-				r.Close()
-				return nil, err
-			}
-		} else {
-			if r.store, err = checkpoint.Create(cfg.CheckpointDir); err != nil {
-				r.Close()
-				return nil, err
-			}
-			if r.lease != nil {
-				r.store.SetGuard(r.lease.Check)
-			}
-		}
-	}
-	if r.store != nil {
-		r.store.SetMetrics(cfg.Obs)
-	}
-	cfg.Obs.BindWire(transport.Wire)
-	cfg.Obs.BindWireCodecs(grad.CodecNames(), transport.WireCodec)
-	r.codec, _ = cfg.wireCodec() // validated above
-	r.serveIter = r.startIter
+	r.lis = r.core.Listener()
+	r.serveIter = r.core.StartIter()
 	// The adoption service runs for the root's lifetime: in-process masters
 	// adopt during their construction below; external runners (and every
 	// restart of either) adopt whenever they dial in.
@@ -471,52 +324,13 @@ func NewRoot(cfg Config, addr string) (*Root, error) {
 	return r, nil
 }
 
-// renewLoop keeps the root's lease alive until stopped, suspended (fault
-// injection) or irrecoverably refused.
-func (r *Root) renewLoop(stop <-chan struct{}, wg *sync.WaitGroup) {
-	defer wg.Done()
-	interval := r.lease.TTL() / 3
-	if interval <= 0 {
-		interval = time.Millisecond
-	}
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-stop:
-			return
-		case <-t.C:
-			if r.renewSuspended.Load() {
-				return
-			}
-			if err := r.lease.Renew(); err != nil {
-				return
-			}
-			r.cfg.Obs.OnRenewal()
-		}
-	}
-}
-
 // SuspendLeaseRenewal stops the root from renewing its lease — the fault
 // hook simulating a wedged (but not dead) root so a standby can take over.
-func (r *Root) SuspendLeaseRenewal() { r.renewSuspended.Store(true) }
+func (r *Root) SuspendLeaseRenewal() { r.core.SuspendLeaseRenewal() }
 
 // RootGen returns the lease generation this root runs under (0 without a
 // lease).
-func (r *Root) RootGen() int { return r.gen }
-
-// fenced maps a run failure to the fencing verdict: if the root's lease has
-// been taken over, the real error is ha.ErrFenced (the reported failure is
-// just how the deposition surfaced).
-func (r *Root) fenced(err error) error {
-	if r.lease == nil || err == nil || errors.Is(err, ha.ErrFenced) {
-		return err
-	}
-	if verr := r.lease.Verify(); verr != nil && errors.Is(verr, ha.ErrFenced) {
-		return fmt.Errorf("%w (run failed: %v)", verr, err)
-	}
-	return err
-}
+func (r *Root) RootGen() int { return r.core.Gen() }
 
 // acceptLoop serves adoption handshakes for the root's lifetime.
 func (r *Root) acceptLoop() {
@@ -563,8 +377,8 @@ func (r *Root) adoptConn(conn *transport.Conn) {
 	ack := &transport.Envelope{
 		Type:    transport.MsgAdopt,
 		Iter:    r.serveIter,
-		RootGen: r.gen,
-		Codec:   roster.NegotiateCodec(byte(r.codec), env.Codecs),
+		RootGen: r.core.Gen(),
+		Codec:   roster.NegotiateCodec(byte(r.core.Codec()), env.Codecs),
 		Caps:    env.Caps & transport.CapVectorFrame,
 		Adopt: &transport.Adoption{
 			Group:   g,
@@ -594,7 +408,7 @@ func (r *Root) adoptConn(conn *transport.Conn) {
 	detail := "adopted"
 	if r.adoptedOnce[g] || env.Adopt.Epoch >= 0 {
 		r.readoptions++
-		r.failovers = append(r.failovers, fmt.Sprintf("group %d re-adopted at iteration %d (gen %d)", g, r.serveIter, r.gen))
+		r.failovers = append(r.failovers, fmt.Sprintf("group %d re-adopted at iteration %d (gen %d)", g, r.serveIter, r.core.Gen()))
 		detail = "re-adopted"
 	}
 	r.adoptedOnce[g] = true
@@ -610,18 +424,6 @@ func (r *Root) adoptConn(conn *transport.Conn) {
 	case r.adoptedc <- g:
 	case <-r.stopc:
 	}
-}
-
-// toObsSpans copies wire phase spans into trace spans.
-func toObsSpans(ws []transport.PhaseSpan) []obs.Span {
-	if len(ws) == 0 {
-		return nil
-	}
-	out := make([]obs.Span, len(ws))
-	for i, sp := range ws {
-		out[i] = obs.Span{Phase: sp.Phase, Seconds: sp.Seconds}
-	}
-	return out
 }
 
 // mergeMembers unions two sorted-or-not ID slices into a sorted slice.
@@ -723,7 +525,7 @@ func (r *Root) sendParams(iter int, params []float64, groups ...int) error {
 		r.sentSeq[g] = seqs[i]
 	}
 	r.upMu.Unlock()
-	env := &transport.Envelope{Type: transport.MsgParams, Iter: iter, Vector: params, RootGen: r.gen, Trace: obs.TraceID(uint64(r.gen), -1, iter)}
+	env := &transport.Envelope{Type: transport.MsgParams, Iter: iter, Vector: params, RootGen: r.core.Gen(), Trace: obs.TraceID(uint64(r.core.Gen()), -1, iter)}
 	errs := transport.Broadcast(conns, env, r.cfg.IterTimeout)
 	for i, g := range groups {
 		switch {
@@ -741,44 +543,27 @@ func (r *Root) sendParams(iter int, params []float64, groups ...int) error {
 	return nil
 }
 
-// restoreFrom rebuilds the root's durable starting state from a recovered
-// checkpoint: parameters, optimizer state and iteration counter, plus the
-// per-group epoch floors and member sets that seed adoption reconciliation
-// (and, for in-process groups, newGroupMaster's controller restore).
+// restoreFrom seeds adoption reconciliation from a recovered checkpoint: the
+// per-group epoch floors and member sets (and, for in-process groups,
+// newGroupMaster's controller restore). The root core restores the training
+// state.
 func (r *Root) restoreFrom(state *checkpoint.State) error {
 	r.resume = state
-	ts, err := state.RestoreTraining(r.cfg.Model.Dim(), r.cfg.Optimizer)
-	if err != nil {
-		return fmt.Errorf("%w: %v", ErrBadConfig, err)
-	}
-	if ts.Params != nil {
-		r.params = ts.Params
-	}
-	r.startIter, r.step, r.clock = ts.Iter, ts.Step, ts.Clock
-	r.upMu.Lock()
 	for g := range r.groupEpoch {
 		if e, ok := state.GroupEpochs[g]; ok && e > r.groupEpoch[g] {
 			r.groupEpoch[g] = e
 		}
 		r.groupMembers[g] = mergeMembers(r.groupMembers[g], state.GroupMembers[g])
 	}
-	r.upMu.Unlock()
 	return nil
 }
 
-// snapshot assembles the durable state at an iteration boundary. Group
-// summaries come from the live in-process masters (epoch, members and the
-// controller's throughput estimates); for external or not-yet-spawned
-// groups, from the reconciled adoption state — so the fencing base is never
-// narrowed and a promoted root re-plans from real history.
-func (r *Root) snapshot(nextIter int) *checkpoint.Snapshot {
-	snap := &checkpoint.Snapshot{
-		Iter: nextIter, Epoch: -1, Step: r.step, Clock: r.clock,
-		Params: append([]float64(nil), r.params...),
-	}
-	if so, ok := r.cfg.Optimizer.(ml.StatefulOptimizer); ok {
-		snap.OptVecs, snap.OptStep = so.OptimizerState()
-	}
+// groupStates completes a snapshot with the per-group summaries. They come
+// from the live in-process masters (epoch, members and the controller's
+// throughput estimates); for external or not-yet-spawned groups, from the
+// reconciled adoption state — so the fencing base is never narrowed and a
+// promoted root re-plans from real history.
+func (r *Root) groupStates(snap *checkpoint.Snapshot) {
 	r.upMu.Lock()
 	epochs := append([]int(nil), r.groupEpoch...)
 	members := make([][]int, len(r.groupMembers))
@@ -788,32 +573,11 @@ func (r *Root) snapshot(nextIter int) *checkpoint.Snapshot {
 	r.upMu.Unlock()
 	for g := 0; g < r.plan.NumGroups(); g++ {
 		if gm := r.groups[g]; gm != nil {
-			snap.Groups = append(snap.Groups, gm.groupState())
+			snap.Groups = append(snap.Groups, gm.coreState())
 			continue
 		}
 		snap.Groups = append(snap.Groups, checkpoint.GroupState{Group: g, Epoch: epochs[g], Members: members[g]})
 	}
-	return snap
-}
-
-// persist journals one completed iteration and snapshots on the configured
-// cadence. No-op without a checkpoint store.
-func (r *Root) persist(iter int) error {
-	if r.store == nil {
-		return nil
-	}
-	if err := r.store.Err(); err != nil {
-		return fmt.Errorf("iteration %d: journal writes failing: %w", iter, err)
-	}
-	if err := r.store.AppendIter(iter, 0, r.step); err != nil {
-		return fmt.Errorf("iteration %d: %w", iter, err)
-	}
-	if (iter+1)%r.cfg.SnapshotEvery == 0 || iter+1 == r.cfg.Iterations {
-		if err := r.store.WriteSnapshot(r.snapshot(iter + 1)); err != nil {
-			return fmt.Errorf("iteration %d: %w", iter, err)
-		}
-	}
-	return nil
 }
 
 // Plan exposes the shard plan (groups, partition ownership, tree).
@@ -821,7 +585,7 @@ func (r *Root) Plan() *Plan { return r.plan }
 
 // StartIter returns the first iteration this root will run (non-zero after
 // a checkpoint resume).
-func (r *Root) StartIter() int { return r.startIter }
+func (r *Root) StartIter() int { return r.core.StartIter() }
 
 // Addr returns the root listener address.
 func (r *Root) Addr() string { return r.lis.Addr() }
@@ -832,7 +596,7 @@ func (r *Root) GroupAddrs() []string {
 	out := make([]string, len(r.groups))
 	for g, gm := range r.groups {
 		if gm != nil {
-			out[g] = gm.addr()
+			out[g] = gm.Eng.Addr()
 		}
 	}
 	return out
@@ -878,126 +642,20 @@ func (r *Root) WaitForWorkers(timeout time.Duration) error {
 // down.
 func (r *Root) Run() (*Result, error) {
 	defer r.Close()
-	dim := r.cfg.Model.Dim()
-	params := append([]float64(nil), r.params...)
-	res := &Result{Curve: metrics.Series{Name: "sharded"}, StartIter: r.startIter, RootGen: r.gen}
-	clock := r.clock
-	if r.cfg.LossFn != nil {
-		if l, err := r.cfg.LossFn(params); err == nil {
-			res.Curve.Append(clock, l)
-		}
-	}
-
+	res := &Result{}
 	sums := make([][]float64, r.plan.NumGroups())
 	all := make([]int, len(sums)) // every group, for the per-iteration broadcast
 	for g := range all {
 		all[g] = g
 	}
-	for iter := r.startIter; iter < r.cfg.Iterations; iter++ {
-		start := time.Now()
-		r.upMu.Lock()
-		r.serveIter = iter
-		r.upMu.Unlock()
-		// Epoch -1: plan epochs are group-local here; the epoch gauge is
-		// owned by the group replan events.
-		sc := r.cfg.Obs.StartIter(iter, -1)
-		sc.SetTraceID(obs.TraceID(uint64(r.gen), -1, iter))
-		sc.Phase(obs.PhaseBroadcast)
-		if err := r.sendParams(iter, params, all...); err != nil {
-			return nil, r.fenced(r.drainErr(err))
+	prog, err := r.core.Train(func(iter int, params []float64, sc *obs.IterScope) (grad.Gradient, int, error) {
+		if err := r.collect(iter, params, sc, all, sums, res); err != nil {
+			return nil, 0, err
 		}
-		sc.Phase(obs.PhaseCollect)
-		pending := len(sums)
-		// The root's patience must cover a group's full recovery budget: a
-		// group master waits IterTimeout per attempt and retries up to
-		// MaxRetries times after timeout-driven group-local migrations, so
-		// aborting at one IterTimeout would make those retries unreachable.
-		// The same budget bounds an external group's restart-and-readopt.
-		rootBudget := time.Duration(r.cfg.MaxRetries+1)*r.cfg.IterTimeout + r.cfg.IterTimeout/2
-		deadline := time.NewTimer(rootBudget)
-		for pending > 0 {
-			select {
-			case gs := <-r.inbox:
-				if gs.err != nil {
-					if r.external[gs.group] {
-						// A runner died or defected: retire the uplink and
-						// keep collecting — its restart re-adopts and the
-						// params are resent below. The trace keeps a partial
-						// child span for the lost incarnation (Group -1: the
-						// root's children are the groups themselves).
-						r.markDown(gs.group, gs.seq, gs.err)
-						sc.AddMember(obs.MemberSpan{Member: gs.group, Group: -1, Arrival: time.Since(start).Seconds(), Partial: true, Reason: obs.RDead})
-						continue
-					}
-					deadline.Stop()
-					return nil, r.fenced(r.drainErr(fmt.Errorf("%w: group %d: %v", ErrGroupFailed, gs.group, gs.err)))
-				}
-				if gs.rootGen != r.gen {
-					res.FencedSums++
-					r.cfg.Obs.OnReject(obs.RFenced)
-					sc.AddMember(obs.MemberSpan{Member: gs.group, Group: -1, Arrival: time.Since(start).Seconds(), Spans: toObsSpans(gs.spans), Partial: true, Reason: obs.RFenced})
-					grad.PutBuffer(gs.vec)
-					continue // an upload for a root generation this is not
-				}
-				if gs.iter != iter {
-					grad.PutBuffer(gs.vec)
-					continue // frame from a superseded iteration
-				}
-				if len(gs.vec) != dim || grad.InfOrNaN(gs.vec) {
-					// A group master is in-process infrastructure: a mis-sized
-					// or non-finite *sum* means training itself blew up, and
-					// the group will not resend — fail now rather than burn
-					// the whole recovery budget waiting for a frame that
-					// cannot come.
-					deadline.Stop()
-					return nil, fmt.Errorf("%w: group %d sent a non-finite or mis-sized sum at iteration %d", ErrGroupFailed, gs.group, iter)
-				}
-				if sums[gs.group] == nil {
-					pending--
-					// Stitch the group's echoed phase spans as this
-					// iteration's child span (first accepted sum only — a
-					// re-adopted group may double-send after a resend).
-					sc.AddMember(obs.MemberSpan{Member: gs.group, Group: -1, Arrival: time.Since(start).Seconds(), Spans: toObsSpans(gs.spans)})
-				}
-				grad.PutBuffer(sums[gs.group]) // a double-sent sum replaces the first
-				sums[gs.group] = gs.vec
-				r.upMu.Lock()
-				if gs.epoch > r.groupEpoch[gs.group] {
-					r.groupEpoch[gs.group] = gs.epoch
-				}
-				r.upMu.Unlock()
-				res.GroupUploads++
-				if gs.batched {
-					res.BatchedFrames++
-				}
-			case g := <-r.adoptedc:
-				// Resend only to an incarnation the broadcast did not reach:
-				// the notification of an adoption that was already installed
-				// when this iteration's params went out (the ones completed
-				// during construction, typically) is stale.
-				r.upMu.Lock()
-				reached := r.upSeq[g] == r.sentSeq[g]
-				r.upMu.Unlock()
-				if sums[g] == nil && !reached {
-					if err := r.sendParams(iter, params, g); err != nil {
-						deadline.Stop()
-						return nil, r.fenced(r.drainErr(err))
-					}
-				}
-			case <-r.stopc:
-				deadline.Stop()
-				return nil, fmt.Errorf("%w: root closed at iteration %d", ErrGroupFailed, iter)
-			case <-deadline.C:
-				deadline.Stop()
-				return nil, r.fenced(fmt.Errorf("%w: iteration %d: %d group sums missing at timeout", ErrGroupFailed, iter, pending))
-			}
-		}
-		deadline.Stop()
-
 		sc.Phase(obs.PhaseReduce)
 		total, err := r.plan.Tree.Aggregate(sums)
 		if err != nil {
-			return nil, fmt.Errorf("iteration %d aggregate: %w", iter, err)
+			return nil, 0, fmt.Errorf("iteration %d aggregate: %w", iter, err)
 		}
 		// The reduce copied out of the group sums: back to the pool their
 		// uplink readers assembled them in.
@@ -1005,27 +663,12 @@ func (r *Root) Run() (*Result, error) {
 			grad.PutBuffer(sums[g])
 			sums[g] = nil
 		}
-		g := grad.Gradient(total)
-		g.Scale(1 / float64(r.cfg.SampleCount))
-		sc.Phase(obs.PhaseStep)
-		if err := r.cfg.Optimizer.Step(params, g); err != nil {
-			return nil, fmt.Errorf("iteration %d step: %w", iter, err)
-		}
-		r.step++
-		elapsed := time.Since(start).Seconds()
-		clock += elapsed
-		res.IterTimes = append(res.IterTimes, elapsed)
-		if r.cfg.LossFn != nil && r.cfg.LossEvery > 0 && (iter+1)%r.cfg.LossEvery == 0 {
-			if l, err := r.cfg.LossFn(params); err == nil {
-				res.Curve.Append(clock, l)
-			}
-		}
-		r.params, r.clock = params, clock
-		sc.Phase(obs.PhasePersist)
-		if err := r.persist(iter); err != nil {
-			return nil, r.fenced(err)
-		}
-		sc.End()
+		// Epoch -1: plan epochs are group-local here; the epoch gauge is
+		// owned by the group replan events.
+		return total, -1, nil
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	// Graceful shutdown: stop the group masters, then collect their stats.
@@ -1042,28 +685,122 @@ func (r *Root) Run() (*Result, error) {
 	}
 	for _, gm := range r.groups {
 		if gm != nil {
-			gm.waitDone()
+			<-gm.done // the run loop exited
 		}
 	}
-	res.Params = params
-	res.Summary = metrics.Summarize(res.IterTimes)
+	res.Progress = *prog
 	res.Groups = make([]GroupStats, len(r.groups))
 	for g, gm := range r.groups {
+		workers := len(r.plan.Groups[g].Workers)
 		if gm != nil {
-			res.Groups[g] = gm.stats()
+			res.Groups[g] = gm.coreStats(workers)
 		} else {
-			res.Groups[g] = GroupStats{Group: g, Workers: len(r.plan.Groups[g].Workers)}
+			res.Groups[g] = GroupStats{Group: g, Workers: workers}
 		}
 	}
 	r.upMu.Lock()
 	res.Readoptions = r.readoptions
 	res.Failovers = append([]string(nil), r.failovers...)
 	r.upMu.Unlock()
-	if r.lease != nil {
-		r.stopRenew()
-		_ = r.lease.Release()
-	}
+	r.core.Release()
 	return res, nil
+}
+
+// collect broadcasts one iteration's parameters to every group (all) and
+// gathers each group's decoded sum into sums, resending to groups that
+// re-adopt mid-iteration.
+func (r *Root) collect(iter int, params []float64, sc *obs.IterScope, all []int, sums [][]float64, res *Result) error {
+	start := time.Now()
+	dim := len(params)
+	r.upMu.Lock()
+	r.serveIter = iter
+	r.upMu.Unlock()
+	sc.Phase(obs.PhaseBroadcast)
+	if err := r.sendParams(iter, params, all...); err != nil {
+		return r.drainErr(err)
+	}
+	sc.Phase(obs.PhaseCollect)
+	// The root's patience must cover a group's full recovery budget: a
+	// group master waits IterTimeout per attempt and retries up to
+	// MaxRetries times after timeout-driven group-local migrations, so
+	// aborting at one IterTimeout would make those retries unreachable.
+	// The same budget bounds an external group's restart-and-readopt.
+	rootBudget := time.Duration(r.cfg.MaxRetries+1)*r.cfg.IterTimeout + r.cfg.IterTimeout/2
+	deadline := time.NewTimer(rootBudget)
+	defer deadline.Stop()
+	for pending := len(sums); pending > 0; {
+		select {
+		case gs := <-r.inbox:
+			if gs.err != nil {
+				if r.external[gs.group] {
+					// A runner died or defected: retire the uplink and
+					// keep collecting — its restart re-adopts and the
+					// params are resent below. The trace keeps a partial
+					// child span for the lost incarnation (Group -1: the
+					// root's children are the groups themselves).
+					r.markDown(gs.group, gs.seq, gs.err)
+					sc.AddMember(obs.MemberSpan{Member: gs.group, Group: -1, Arrival: time.Since(start).Seconds(), Partial: true, Reason: obs.RDead})
+					continue
+				}
+				return r.drainErr(fmt.Errorf("%w: group %d: %v", ErrGroupFailed, gs.group, gs.err))
+			}
+			if gs.rootGen != r.core.Gen() {
+				res.FencedSums++
+				r.cfg.Obs.OnReject(obs.RFenced)
+				sc.AddMember(obs.MemberSpan{Member: gs.group, Group: -1, Arrival: time.Since(start).Seconds(), Spans: roster.ObsSpans(gs.spans), Partial: true, Reason: obs.RFenced})
+				grad.PutBuffer(gs.vec)
+				continue // an upload for a root generation this is not
+			}
+			if gs.iter != iter {
+				grad.PutBuffer(gs.vec)
+				continue // frame from a superseded iteration
+			}
+			if len(gs.vec) != dim || grad.InfOrNaN(gs.vec) {
+				// A group master is in-process infrastructure: a mis-sized
+				// or non-finite *sum* means training itself blew up, and
+				// the group will not resend — fail now rather than burn
+				// the whole recovery budget waiting for a frame that
+				// cannot come.
+				return fmt.Errorf("%w: group %d sent a non-finite or mis-sized sum at iteration %d", ErrGroupFailed, gs.group, iter)
+			}
+			if sums[gs.group] == nil {
+				pending--
+				// Stitch the group's echoed phase spans as this
+				// iteration's child span (first accepted sum only — a
+				// re-adopted group may double-send after a resend).
+				sc.AddMember(obs.MemberSpan{Member: gs.group, Group: -1, Arrival: time.Since(start).Seconds(), Spans: roster.ObsSpans(gs.spans)})
+			}
+			grad.PutBuffer(sums[gs.group]) // a double-sent sum replaces the first
+			sums[gs.group] = gs.vec
+			r.upMu.Lock()
+			if gs.epoch > r.groupEpoch[gs.group] {
+				r.groupEpoch[gs.group] = gs.epoch
+			}
+			r.upMu.Unlock()
+			res.GroupUploads++
+			if gs.batched {
+				res.BatchedFrames++
+			}
+		case g := <-r.adoptedc:
+			// Resend only to an incarnation the broadcast did not reach:
+			// the notification of an adoption that was already installed
+			// when this iteration's params went out (the ones completed
+			// during construction, typically) is stale.
+			r.upMu.Lock()
+			reached := r.upSeq[g] == r.sentSeq[g]
+			r.upMu.Unlock()
+			if sums[g] == nil && !reached {
+				if err := r.sendParams(iter, params, g); err != nil {
+					return r.drainErr(err)
+				}
+			}
+		case <-r.stopc:
+			return fmt.Errorf("%w: root closed at iteration %d", ErrGroupFailed, iter)
+		case <-deadline.C:
+			return fmt.Errorf("%w: iteration %d: %d group sums missing at timeout", ErrGroupFailed, iter, pending)
+		}
+	}
+	return nil
 }
 
 // drainErr prefers a group's own fatal report (queued on r.err) over the
@@ -1083,7 +820,6 @@ func (r *Root) drainErr(err error) error {
 // tests and failover drills need; Run's success path does release it.
 func (r *Root) Close() {
 	r.closed.Do(func() {
-		r.stopRenew()
 		close(r.stopc)
 		r.upMu.Lock()
 		r.down = true
@@ -1091,7 +827,7 @@ func (r *Root) Close() {
 		r.upMu.Unlock()
 		for _, gm := range r.groups {
 			if gm != nil {
-				gm.close()
+				gm.shutdown(false)
 			}
 		}
 		for _, conn := range conns {
@@ -1101,9 +837,7 @@ func (r *Root) Close() {
 		}
 		_ = r.lis.Close()
 		r.wg.Wait()
-		if r.store != nil {
-			_ = r.store.Close()
-		}
+		r.core.Close()
 	})
 }
 

@@ -140,36 +140,6 @@ type ElasticSimConfig struct {
 	// deterministically, and lossless codecs (delta) are provably
 	// bit-identical to a raw run.
 	Wire clustercfg.WireConfig
-
-	// Deprecated: flat aliases for the embedded cluster blocks above, kept
-	// for one release. Set DurabilityConfig.CheckpointDir (etc.) instead;
-	// when both views are set the embedded field wins.
-	CheckpointDir string
-	// Deprecated: set DurabilityConfig.SnapshotEvery.
-	SnapshotEvery int
-	// Deprecated: set DurabilityConfig.Resume.
-	Resume bool
-	// Deprecated: set HAConfig.LeaseTTL.
-	LeaseTTL time.Duration
-	// Deprecated: set HAConfig.Holder.
-	Holder string
-	// Deprecated: set TelemetryConfig.Obs.
-	Obs *obs.Metrics
-}
-
-// normalize merges the deprecated flat aliases into the embedded cluster
-// blocks (the embedded field wins when both are set) and mirrors the merged
-// values back onto the aliases, so internal reads through either view agree.
-func (c *ElasticSimConfig) normalize() {
-	c.DurabilityConfig = c.DurabilityConfig.Merge(c.CheckpointDir, c.SnapshotEvery, c.Resume)
-	c.HAConfig = c.HAConfig.Merge(c.LeaseTTL, c.Holder)
-	c.TelemetryConfig = c.TelemetryConfig.Merge(c.Obs)
-	c.CheckpointDir = c.DurabilityConfig.CheckpointDir
-	c.SnapshotEvery = c.DurabilityConfig.SnapshotEvery
-	c.Resume = c.DurabilityConfig.Resume
-	c.LeaseTTL = c.HAConfig.LeaseTTL
-	c.Holder = c.HAConfig.Holder
-	c.Obs = c.TelemetryConfig.Obs
 }
 
 // ElasticSimResult aggregates an elastic simulation run.
@@ -200,7 +170,6 @@ type ElasticSimResult struct {
 // fully deterministic for a given config (bit-identical across runs):
 // strategy construction is the only randomness and is driven by Seed.
 func RunElastic(cfg ElasticSimConfig) (*ElasticSimResult, error) {
-	cfg.normalize()
 	if len(cfg.InitialRates) == 0 {
 		return nil, fmt.Errorf("%w: no initial members", ErrBadChurn)
 	}
@@ -215,7 +184,6 @@ func RunElastic(cfg ElasticSimConfig) (*ElasticSimResult, error) {
 	}
 	if cfg.CheckpointDir != "" && cfg.SnapshotEvery <= 0 {
 		cfg.SnapshotEvery = 5
-		cfg.DurabilityConfig.SnapshotEvery = 5
 	}
 	training := cfg.Model != nil || cfg.Data != nil || cfg.Optimizer != nil
 	if training && (cfg.Model == nil || cfg.Data == nil || cfg.Optimizer == nil) {

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"github.com/hetgc/hetgc/internal/checkpoint"
+	"github.com/hetgc/hetgc/internal/clustercfg"
 	"github.com/hetgc/hetgc/internal/ha"
 	"github.com/hetgc/hetgc/internal/ml"
 )
@@ -94,7 +95,7 @@ func TestStandbyTakeoverBitIdenticalParams(t *testing.T) {
 
 		// The standby tails the directory until the dead root's lease
 		// expires; the promotion hands over the freshest durable state.
-		sb := ha.NewStandby(ha.StandbyConfig{Dir: dir, Poll: 20 * time.Millisecond})
+		sb := ha.NewStandby(ha.StandbyConfig{DurabilityConfig: clustercfg.DurabilityConfig{CheckpointDir: dir}, Poll: 20 * time.Millisecond})
 		prom, err := sb.Run(nil)
 		if err != nil {
 			t.Fatalf("crash at %d: standby: %v", crashAt, err)

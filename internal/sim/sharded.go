@@ -77,9 +77,6 @@ type ShardedSimConfig struct {
 	// same metric families and group labels) the live sharded runtime uses,
 	// so sim and live scrapes are diffable.
 	clustercfg.TelemetryConfig
-	// Deprecated: set TelemetryConfig.Obs. Kept as a flat alias for one
-	// release; when both are set the embedded field wins.
-	Obs *obs.Metrics
 }
 
 // GroupReplanEvent is one group-local migration.
@@ -122,8 +119,6 @@ type shardedGroup struct {
 // optional churn schedule and straggler injector. Fully deterministic for a
 // fixed config: two runs produce bit-identical results.
 func RunSharded(cfg ShardedSimConfig) (*ShardedSimResult, error) {
-	cfg.TelemetryConfig = cfg.TelemetryConfig.Merge(cfg.Obs)
-	cfg.Obs = cfg.TelemetryConfig.Obs
 	if len(cfg.Rates) == 0 {
 		return nil, fmt.Errorf("%w: no initial members", ErrBadChurn)
 	}

@@ -31,6 +31,7 @@ import (
 	"time"
 
 	"github.com/hetgc/hetgc/internal/checkpoint"
+	"github.com/hetgc/hetgc/internal/clustercfg"
 	"github.com/hetgc/hetgc/internal/ha"
 )
 
@@ -139,7 +140,7 @@ func runStandbyTakeover(t *testing.T, groupMasters bool, start StartHA) {
 
 	// The standby tails the directory from before the crash: its promotion
 	// must hand over the freshest durable state, not a stale copy.
-	sb := ha.NewStandby(ha.StandbyConfig{Dir: dir, Poll: 25 * time.Millisecond})
+	sb := ha.NewStandby(ha.StandbyConfig{DurabilityConfig: clustercfg.DurabilityConfig{CheckpointDir: dir}, Poll: 25 * time.Millisecond})
 	promc := make(chan *ha.Promotion, 1)
 	sbErrc := make(chan error, 1)
 	go func() {

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/hetgc/hetgc/internal/clustercfg"
 	"github.com/hetgc/hetgc/internal/ml"
 	"github.com/hetgc/hetgc/internal/runtime"
 	"github.com/hetgc/hetgc/internal/testkit"
@@ -32,15 +33,12 @@ func TestHAConformanceFlat(t *testing.T) {
 			MinWorkers:    sc.Workers,
 			// Churn-only control plane: failover scenarios script their own
 			// disruptions and must not race the drift trigger.
-			DriftThreshold: 2.0,
-			CooldownIters:  1 << 20,
-			InitialRate:    sc.InitialRate,
-			Seed:           1,
-			CheckpointDir:  dir,
-			SnapshotEvery:  sc.SnapshotEvery,
-			Resume:         resume,
-			LeaseTTL:       sc.LeaseTTL,
-			Holder:         holder,
+			DriftThreshold:   2.0,
+			CooldownIters:    1 << 20,
+			InitialRate:      sc.InitialRate,
+			Seed:             1,
+			DurabilityConfig: clustercfg.DurabilityConfig{CheckpointDir: dir, SnapshotEvery: sc.SnapshotEvery, Resume: resume},
+			HAConfig:         clustercfg.HAConfig{LeaseTTL: sc.LeaseTTL, Holder: holder},
 		}
 		ma, err := runtime.NewElasticMaster(cfg, "127.0.0.1:0")
 		if err != nil {
@@ -69,7 +67,7 @@ func (c *haFlat) Run() (*testkit.Outcome, error) {
 	return &testkit.Outcome{
 		Iters:         len(res.IterTimes),
 		Params:        res.Params,
-		FencedUploads: res.FencedUploads,
+		FencedUploads: res.FencedRejected,
 	}, nil
 }
 

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/hetgc/hetgc/internal/clustercfg"
 	"github.com/hetgc/hetgc/internal/ml"
 	"github.com/hetgc/hetgc/internal/runtime"
 	"github.com/hetgc/hetgc/internal/testkit"
@@ -31,13 +32,11 @@ func TestRecoveryConformanceFlat(t *testing.T) {
 			MinWorkers:    sc.Workers,
 			// Churn-only control plane: every post-resume epoch bump is
 			// attributable to the crash recovery, not drift.
-			DriftThreshold: 2.0,
-			CooldownIters:  1 << 20,
-			InitialRate:    sc.InitialRate,
-			Seed:           1,
-			CheckpointDir:  dir,
-			SnapshotEvery:  sc.SnapshotEvery,
-			Resume:         resume,
+			DriftThreshold:   2.0,
+			CooldownIters:    1 << 20,
+			InitialRate:      sc.InitialRate,
+			Seed:             1,
+			DurabilityConfig: clustercfg.DurabilityConfig{CheckpointDir: dir, SnapshotEvery: sc.SnapshotEvery, Resume: resume},
 		}
 		ma, err := runtime.NewElasticMaster(cfg, "127.0.0.1:0")
 		if err != nil {

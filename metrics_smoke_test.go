@@ -146,18 +146,17 @@ func TestMetricsSmokeElastic(t *testing.T) {
 
 	master, err := hetgc.NewElasticMaster(hetgc.ElasticConfig{
 		K: k, S: 1,
-		Model:         model,
-		Optimizer:     &hetgc.SGD{LR: 0.5},
-		InitialParams: model.InitParams(nil),
-		Iterations:    iters,
-		SampleCount:   data.N(),
-		IterTimeout:   10 * time.Second,
-		MinWorkers:    workers,
-		Seed:          1,
-		CheckpointDir: t.TempDir(),
-		SnapshotEvery: 2,
-		LeaseTTL:      2 * time.Second,
-		Obs:           tel,
+		Model:            model,
+		Optimizer:        &hetgc.SGD{LR: 0.5},
+		InitialParams:    model.InitParams(nil),
+		Iterations:       iters,
+		SampleCount:      data.N(),
+		IterTimeout:      10 * time.Second,
+		MinWorkers:       workers,
+		Seed:             1,
+		DurabilityConfig: hetgc.DurabilityConfig{CheckpointDir: t.TempDir(), SnapshotEvery: 2},
+		HAConfig:         hetgc.HAConfig{LeaseTTL: 2 * time.Second},
+		TelemetryConfig:  hetgc.TelemetryConfig{Obs: tel},
 	}, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -227,22 +226,21 @@ func TestMetricsSmokeSharded(t *testing.T) {
 
 	cfg := hetgc.ShardedConfig{
 		K: k, S: 1, GroupSize: 2, FanIn: 2,
-		Throughputs:     throughputs,
-		Model:           model,
-		Optimizer:       &hetgc.SGD{LR: 0.5},
-		InitialParams:   model.InitParams(nil),
-		Iterations:      iters,
-		SampleCount:     data.N(),
-		IterTimeout:     10 * time.Second,
-		Alpha:           0.7,
-		DriftThreshold:  0.5,
-		MinObservations: 2,
-		CooldownIters:   2,
-		Seed:            1,
-		CheckpointDir:   t.TempDir(),
-		SnapshotEvery:   2,
-		LeaseTTL:        2 * time.Second,
-		Obs:             tel,
+		Throughputs:      throughputs,
+		Model:            model,
+		Optimizer:        &hetgc.SGD{LR: 0.5},
+		InitialParams:    model.InitParams(nil),
+		Iterations:       iters,
+		SampleCount:      data.N(),
+		IterTimeout:      10 * time.Second,
+		Alpha:            0.7,
+		DriftThreshold:   0.5,
+		MinObservations:  2,
+		CooldownIters:    2,
+		Seed:             1,
+		DurabilityConfig: hetgc.DurabilityConfig{CheckpointDir: t.TempDir(), SnapshotEvery: 2},
+		HAConfig:         hetgc.HAConfig{LeaseTTL: 2 * time.Second},
+		TelemetryConfig:  hetgc.TelemetryConfig{Obs: tel},
 	}
 
 	done := make(chan struct{})
