@@ -2,7 +2,7 @@ GO ?= go
 
 .PHONY: all build test vet lint race cover cover-gate cover-check \
 	fuzz-smoke smoke-examples metrics-smoke e2e-procs bench bench-smoke \
-	bench-baseline bench-compare bench-json bench-check
+	bench-baseline bench-compare bench-json bench-check profile-kernels
 
 all: build test
 
@@ -141,14 +141,15 @@ bench-baseline:
 # Regression gate: rerun the gated benchmarks — decode/encode hot paths, the
 # quantized batched-uplink wire benches (gating their wire-B/iter extras),
 # the wire layer's own benches (the float codec kernels, one vector frame end
-# to end, the roster's parameter broadcast) and the fleet-scale IterRate
+# to end, the roster's parameter broadcast), the worker's compute step (one
+# softmax gradient; four of them encoded) and the fleet-scale IterRate
 # throughput benches (gating iter/s) — and fail when any regressed beyond
 # BENCH_TOLERANCE versus the committed
 # baseline. Override the tolerance when the hardware differs from the
 # baseline machine (CI does).
 BENCH_TOLERANCE ?= 0.25
 bench-compare:
-	$(GO) test -p 1 -run '^$$' -bench 'Decode|Encode|Uplink|IterRate|Broadcast|Frame|Float64Codec' -benchmem ./... > /tmp/hetgc-bench-current.txt
+	$(GO) test -p 1 -run '^$$' -bench 'Decode|Encode|Uplink|IterRate|Broadcast|Frame|Float64Codec|SoftmaxGradient' -benchmem ./... > /tmp/hetgc-bench-current.txt
 	$(GO) run ./cmd/gcbench -compare BENCH_baseline.json -tolerance $(BENCH_TOLERANCE) < /tmp/hetgc-bench-current.txt
 
 # Emit the current benchmark sweep as JSON (BENCH_current.json) without
@@ -159,3 +160,11 @@ bench-json:
 	$(GO) test -p 1 -run '^$$' -bench . -benchmem ./... > /tmp/hetgc-bench-json.txt
 	$(GO) run ./cmd/gcbench < /tmp/hetgc-bench-json.txt > BENCH_current.json
 	@echo wrote BENCH_current.json
+
+# CPU profile of the worker-side kernels (internal/ml's gradient, internal/grad's
+# encode) at the end-to-end benchmark's shape: where a kernel change starts.
+# Read it with `$(GO) tool pprof -top ml.test kernels.prof`.
+profile-kernels:
+	$(GO) test -run '^$$' -bench 'SoftmaxGradient|WorkerComputeEncode' -benchtime 3s \
+		-cpuprofile kernels.prof -o ml.test ./internal/ml
+	@echo "wrote kernels.prof (binary: ml.test)"

@@ -12,7 +12,7 @@
 // fails when any benchmark selected by -filter regressed by more than
 // -tolerance (relative ns/op):
 //
-//	go test -run '^$' -bench 'Decode|Encode|Uplink|IterRate|Broadcast|Frame|Float64Codec' ./... | \
+//	go test -run '^$' -bench 'Decode|Encode|Uplink|IterRate|Broadcast|Frame|Float64Codec|SoftmaxGradient' ./... | \
 //	    gcbench -compare BENCH_baseline.json
 //
 // (or `make bench-compare`).
@@ -83,7 +83,7 @@ func run(args []string, in io.Reader, out io.Writer) error {
 	var (
 		compare   = fs.String("compare", "", "baseline BENCH_*.json to gate against (default: emit JSON)")
 		tolerance = fs.Float64("tolerance", 0.25, "maximum allowed relative ns/op regression")
-		filter    = fs.String("filter", "Decode|Encode|Uplink|IterRate|Broadcast|Frame|Float64Codec", "regexp selecting benchmarks to gate")
+		filter    = fs.String("filter", "Decode|Encode|Uplink|IterRate|Broadcast|Frame|Float64Codec|SoftmaxGradient", "regexp selecting benchmarks to gate")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err

@@ -75,6 +75,18 @@ func BenchmarkEncodeNaiveReference(b *testing.B) {
 	}
 }
 
+// BenchmarkInfOrNaN is the ingest fence over one clean dim-1e5 upload (the
+// case that scans the whole vector).
+func BenchmarkInfOrNaN(b *testing.B) {
+	_, gs := benchInputs(b, 100_000, 1)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if InfOrNaN(gs[0]) {
+			b.Fatal("clean vector reported poisoned")
+		}
+	}
+}
+
 func BenchmarkGetPutBuffer(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

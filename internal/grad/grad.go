@@ -47,10 +47,25 @@ func (g Gradient) Norm2() float64 {
 }
 
 // InfOrNaN reports whether the vector contains any NaN or infinity — the
-// shared guard every wire-ingest path runs against poisoned uploads.
+// shared guard every wire-ingest path runs against poisoned uploads. x − x is
+// zero for every finite x and NaN for NaN and ±Inf, so four running sums of it
+// stay zero exactly on a clean vector: no branch per element, one check per
+// 1024-element block so a poisoned frame is still rejected early.
 func InfOrNaN(v []float64) bool {
-	for _, x := range v {
-		if math.IsNaN(x) || math.IsInf(x, 0) {
+	for len(v) > 0 {
+		blk := v[:min(len(v), 1024)]
+		v = v[len(blk):]
+		var a0, a1, a2, a3 float64
+		for ; len(blk) >= 4; blk = blk[4:] {
+			a0 += blk[0] - blk[0]
+			a1 += blk[1] - blk[1]
+			a2 += blk[2] - blk[2]
+			a3 += blk[3] - blk[3]
+		}
+		for _, x := range blk {
+			a0 += x - x
+		}
+		if a0+a1+a2+a3 != 0 {
 			return true
 		}
 	}

@@ -152,3 +152,55 @@ func TestEncodeLinearityProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// infOrNaNRef is the per-element predicate the branch-free InfOrNaN must
+// agree with.
+func infOrNaNRef(v []float64) bool {
+	for _, x := range v {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			return true
+		}
+	}
+	return false
+}
+
+func TestInfOrNaNMatchesReference(t *testing.T) {
+	// Finite values that stress x − x: the extremes, denormals, both zeros.
+	finite := []float64{math.MaxFloat64, -math.MaxFloat64, math.SmallestNonzeroFloat64,
+		-math.SmallestNonzeroFloat64, 0, math.Copysign(0, -1), 1, -1e300}
+	fill := func(n int) []float64 {
+		v := make([]float64, n)
+		for i := range v {
+			v[i] = finite[i%len(finite)]
+		}
+		return v
+	}
+	// Lengths around the 4-way unroll and the 1024-element block.
+	for _, n := range []int{0, 1, 2, 3, 4, 5, 6, 7, 1023, 1024, 1025, 2051} {
+		v := fill(n)
+		if InfOrNaN(v) || infOrNaNRef(v) {
+			t.Fatalf("finite vector of length %d reported poisoned", n)
+		}
+		for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			// Every index of a short vector; every lane, the tail and both
+			// sides of a block boundary of a long one.
+			idx := []int{0, 1, 2, 3, n - 4, n - 3, n - 2, n - 1, 1020, 1023, 1024, 1027}
+			for _, i := range idx {
+				if i < 0 || i >= n {
+					continue
+				}
+				v[i] = bad
+				if got, want := InfOrNaN(v), infOrNaNRef(v); got != want || !got {
+					t.Fatalf("len %d, %v at %d: InfOrNaN = %v, reference %v", n, bad, i, got, want)
+				}
+				v[i] = finite[i%len(finite)]
+			}
+		}
+	}
+	// +Inf and −Inf in one lane must not cancel.
+	v := fill(8)
+	v[0], v[4] = math.Inf(1), math.Inf(-1)
+	if !InfOrNaN(v) {
+		t.Fatal("+Inf and -Inf in the same lane cancelled")
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	goruntime "runtime"
 	"testing"
 	"testing/quick"
 
@@ -481,5 +482,253 @@ func TestAdamStateRoundTrip(t *testing.T) {
 	}
 	if err := o2.RestoreOptimizerState(nil, -1); err == nil {
 		t.Fatal("Adam restore accepted negative step")
+	}
+}
+
+// refSoftmaxLogits, refSoftmaxLoss and refSoftmaxGradient are the
+// one-class-at-a-time, one-sample-at-a-time loops the blocked kernel in
+// softmax.go replaced, kept as its arithmetic reference.
+func refSoftmaxLogits(m *Softmax, params, x, out []float64) {
+	biasOff := m.NumClasses * m.InputDim
+	for c := 0; c < m.NumClasses; c++ {
+		s := params[biasOff+c]
+		row := params[c*m.InputDim : (c+1)*m.InputDim]
+		for j, xj := range x {
+			s += row[j] * xj
+		}
+		out[c] = s
+	}
+}
+
+func refSoftmaxLoss(m *Softmax, params []float64, d *Dataset) float64 {
+	var sum float64
+	logits := make([]float64, m.NumClasses)
+	for i, x := range d.Features {
+		refSoftmaxLogits(m, params, x, logits)
+		sum += logSumExp(logits) - logits[int(d.Labels[i])]
+	}
+	return sum
+}
+
+func refSoftmaxGradient(m *Softmax, params []float64, d *Dataset) grad.Gradient {
+	g := make(grad.Gradient, m.Dim())
+	logits := make([]float64, m.NumClasses)
+	probs := make([]float64, m.NumClasses)
+	biasOff := m.NumClasses * m.InputDim
+	for i, x := range d.Features {
+		refSoftmaxLogits(m, params, x, logits)
+		softmaxInto(logits, probs)
+		y := int(d.Labels[i])
+		for c := 0; c < m.NumClasses; c++ {
+			r := probs[c]
+			if c == y {
+				r -= 1
+			}
+			row := g[c*m.InputDim : (c+1)*m.InputDim]
+			for j, xj := range x {
+				row[j] += r * xj
+			}
+			g[biasOff+c] += r
+		}
+	}
+	return g
+}
+
+// sameFloat is the kernel's contract against the reference loops: the same
+// bits on amd64, where the compiler emits the multiplies and adds as written;
+// within 1e-12 relative elsewhere, where it may fuse them differently.
+func sameFloat(got, want float64) bool {
+	if goruntime.GOARCH == "amd64" {
+		return math.Float64bits(got) == math.Float64bits(want)
+	}
+	return math.Abs(got-want) <= 1e-12*math.Max(1, math.Abs(want))
+}
+
+// softmaxCase builds a model, off-origin parameters and an n-sample dataset
+// (n may be 0) for a kernel test.
+func softmaxCase(classes, dim, n int, seed int64) (*Softmax, []float64, *Dataset) {
+	r := rng(seed)
+	m := &Softmax{InputDim: dim, NumClasses: classes}
+	params := m.InitParams(nil)
+	for i := range params {
+		params[i] = r.NormFloat64()
+	}
+	d := &Dataset{Classes: classes}
+	if n > 0 {
+		d, _ = GaussianMixture(n, dim, classes, 2, r)
+	}
+	return m, params, d
+}
+
+// Every block tail of the class loop (C mod 4), every pair tail of the sample
+// loop and dims below, at and above the unroll widths.
+func TestSoftmaxKernelMatchesReference(t *testing.T) {
+	for _, classes := range []int{2, 3, 4, 5, 10} {
+		for _, n := range []int{0, 1, 2, 3, 5} {
+			for _, dim := range []int{1, 7, 64} {
+				m, params, d := softmaxCase(classes, dim, n, int64(100*classes+10*n+dim))
+				got, err := m.Gradient(params, d)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := refSoftmaxGradient(m, params, d)
+				if len(got) != len(want) {
+					t.Fatalf("C=%d n=%d D=%d: len %d, want %d", classes, n, dim, len(got), len(want))
+				}
+				for i := range want {
+					if !sameFloat(got[i], want[i]) {
+						t.Fatalf("C=%d n=%d D=%d: gradient[%d] = %x, reference %x", classes, n, dim, i, got[i], want[i])
+					}
+				}
+				loss, err := m.Loss(params, d)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if ref := refSoftmaxLoss(m, params, d); !sameFloat(loss, ref) {
+					t.Fatalf("C=%d n=%d D=%d: loss = %x, reference %x", classes, n, dim, loss, ref)
+				}
+			}
+		}
+	}
+}
+
+// A feature column of exact zeros is the one place the fused first pass can
+// differ from the reference in bits: r·0 summed from nothing keeps a −0 the
+// reference's leading 0 + … turned into +0. The values are still equal.
+func TestSoftmaxKernelZeroFeatures(t *testing.T) {
+	for _, n := range []int{1, 2, 3} {
+		m, params, d := softmaxCase(3, 5, n, int64(n))
+		for _, x := range d.Features {
+			x[1], x[4] = 0, 0
+		}
+		got, err := m.Gradient(params, d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, want := range refSoftmaxGradient(m, params, d) {
+			if got[i] != want {
+				t.Fatalf("n=%d: gradient[%d] = %v, reference %v", n, i, got[i], want)
+			}
+		}
+	}
+}
+
+// The gradient buffer comes from grad's pool with unspecified contents: the
+// kernel must overwrite all of it, the empty dataset's all-zero result too.
+func TestSoftmaxGradientOverwritesDirtyPool(t *testing.T) {
+	for _, n := range []int{0, 1, 2, 5} {
+		m, params, d := softmaxCase(5, 7, n, int64(40+n))
+		want := refSoftmaxGradient(m, params, d)
+		dirty := make([]grad.Gradient, 4)
+		for i := range dirty {
+			dirty[i] = make(grad.Gradient, m.Dim())
+			for j := range dirty[i] {
+				dirty[i][j] = math.NaN()
+			}
+			grad.PutBuffer(dirty[i])
+		}
+		got, err := m.Gradient(params, d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pooled := false
+		for _, b := range dirty {
+			pooled = pooled || &b[0] == &got[0]
+		}
+		if !pooled {
+			t.Fatalf("n=%d: result did not come from the seeded pool", n)
+		}
+		for i := range want {
+			if !sameFloat(got[i], want[i]) {
+				t.Fatalf("n=%d: gradient[%d] = %v over a dirty buffer, reference %v", n, i, got[i], want[i])
+			}
+		}
+		for range dirty[1:] { // leave no NaN buffers behind for other tests
+			grad.GetBuffer(m.Dim())
+		}
+	}
+}
+
+// Two results a caller still holds never share memory, pooled or not.
+func TestSoftmaxGradientResultsDoNotAlias(t *testing.T) {
+	m, params, d := softmaxCase(3, 7, 2, 50)
+	grad.PutBuffer(make(grad.Gradient, m.Dim()))
+	a, _ := m.Gradient(params, d)
+	b, _ := m.Gradient(params, d)
+	if &a[0] == &b[0] {
+		t.Fatal("two live gradients share a buffer")
+	}
+	want := a.Clone()
+	for i := range b {
+		b[i] = math.NaN()
+	}
+	if diff := a.MaxAbsDiff(want); diff != 0 {
+		t.Fatalf("writing one result changed the other by %v", diff)
+	}
+}
+
+// A worker's steady-state round — gradient into a pooled buffer, encode,
+// buffers returned — allocates only the per-call residual scratch.
+func TestSoftmaxGradientSteadyStateAllocs(t *testing.T) {
+	m, params, d := softmaxCase(10, 10_000, 2, 60)
+	coded := make(grad.Gradient, m.Dim())
+	round := func() {
+		g, err := m.Gradient(params, d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := grad.EncodeInto(coded, []float64{0.5}, []grad.Gradient{g}); err != nil {
+			t.Fatal(err)
+		}
+		grad.PutBuffer(g)
+	}
+	round() // fill the pool
+	var before, after goruntime.MemStats
+	goruntime.ReadMemStats(&before)
+	const runs = 20
+	allocs := testing.AllocsPerRun(runs, round)
+	goruntime.ReadMemStats(&after)
+	// AllocsPerRun calls round runs+1 times.
+	bytes := float64(after.TotalAlloc-before.TotalAlloc) / (runs + 1)
+	if allocs > 4 || bytes >= 1024 {
+		t.Fatalf("steady-state round: %.0f allocs, %.0f B; want <= 4 allocs and < 1 KB (dim %d)", allocs, bytes, m.Dim())
+	}
+}
+
+// A shard whose feature dimension is not the model's must be refused, not
+// truncated (short rows) or indexed out of range (long ones); an empty
+// dataset has no rows to be wrong.
+func TestFeatureDimMismatch(t *testing.T) {
+	const dim = 4
+	models := map[string]struct {
+		m       Model
+		classes int
+	}{
+		"softmax":  {&Softmax{InputDim: dim, NumClasses: 3}, 3},
+		"linear":   {&LinearRegression{InputDim: dim}, 0},
+		"logistic": {&LogisticRegression{InputDim: dim}, 2},
+		"mlp":      {&MLP{InputDim: dim, Hidden: 5, NumClasses: 3}, 3},
+	}
+	for name, tc := range models {
+		params := tc.m.InitParams(rng(70))
+		for _, width := range []int{dim - 1, dim + 1, dim, 0} {
+			d := &Dataset{Classes: tc.classes}
+			if width > 0 {
+				d.Features = [][]float64{make([]float64, width), make([]float64, width)}
+				d.Labels = []float64{0, 1}
+			}
+			_, gErr := tc.m.Gradient(params, d)
+			_, lErr := tc.m.Loss(params, d)
+			wantErr := width > 0 && width != dim
+			if errors.Is(gErr, ErrBadData) != wantErr || errors.Is(lErr, ErrBadData) != wantErr {
+				t.Fatalf("%s, data dim %d (model %d): Gradient err %v, Loss err %v, want ErrBadData: %v",
+					name, width, dim, gErr, lErr, wantErr)
+			}
+		}
+	}
+	sm := &Softmax{InputDim: dim, NumClasses: 3}
+	short := &Dataset{Features: [][]float64{make([]float64, dim-1)}, Labels: []float64{0}, Classes: 3}
+	if _, err := sm.Accuracy(sm.InitParams(nil), short); !errors.Is(err, ErrBadData) {
+		t.Fatalf("Accuracy on a short row: err = %v", err)
 	}
 }

@@ -54,7 +54,7 @@ func (m *MLP) InitParams(rng *rand.Rand) []float64 {
 
 // Loss implements Model.
 func (m *MLP) Loss(params []float64, d *Dataset) (float64, error) {
-	if err := checkDims(m, params, d, m.NumClasses); err != nil {
+	if err := checkDims(m, params, d, m.InputDim, m.NumClasses); err != nil {
 		return 0, err
 	}
 	hidden := make([]float64, m.Hidden)
@@ -69,7 +69,7 @@ func (m *MLP) Loss(params []float64, d *Dataset) (float64, error) {
 
 // Gradient implements Model via standard backpropagation.
 func (m *MLP) Gradient(params []float64, d *Dataset) (grad.Gradient, error) {
-	if err := checkDims(m, params, d, m.NumClasses); err != nil {
+	if err := checkDims(m, params, d, m.InputDim, m.NumClasses); err != nil {
 		return nil, err
 	}
 	w1Off, b1Off, w2Off, b2Off := m.offsets()

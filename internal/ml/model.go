@@ -19,7 +19,9 @@ type Model interface {
 	InitParams(rng *rand.Rand) []float64
 	// Loss returns the summed loss over d at params.
 	Loss(params []float64, d *Dataset) (float64, error)
-	// Gradient returns the summed gradient over d at params.
+	// Gradient returns the summed gradient over d at params. The result is
+	// the caller's: fresh or pooled, never memory the model keeps; return it
+	// with grad.PutBuffer or drop it.
 	Gradient(params []float64, d *Dataset) (grad.Gradient, error)
 }
 
@@ -36,13 +38,18 @@ func MeanLoss(m Model, params []float64, d *Dataset) (float64, error) {
 	return l / float64(d.N()), nil
 }
 
-// checkDims validates a (params, dataset) pair against a model.
-func checkDims(m Model, params []float64, d *Dataset, wantClasses int) error {
+// checkDims validates a (params, dataset) pair against a model. The feature
+// dimension must be the model's: the kernels index rows by it, so a shard of
+// the wrong width would otherwise be truncated silently or panic.
+func checkDims(m Model, params []float64, d *Dataset, inputDim, wantClasses int) error {
 	if len(params) != m.Dim() {
 		return fmt.Errorf("%w: %d params, model wants %d", ErrBadData, len(params), m.Dim())
 	}
 	if wantClasses > 0 && d.Classes != wantClasses {
 		return fmt.Errorf("%w: dataset has %d classes, model wants %d", ErrBadData, d.Classes, wantClasses)
+	}
+	if d.N() > 0 && d.Dim() != inputDim {
+		return fmt.Errorf("%w: dataset has dim %d, model wants %d", ErrBadData, d.Dim(), inputDim)
 	}
 	return nil
 }
@@ -62,7 +69,7 @@ func (m *LinearRegression) InitParams(*rand.Rand) []float64 { return make([]floa
 
 // Loss implements Model.
 func (m *LinearRegression) Loss(params []float64, d *Dataset) (float64, error) {
-	if err := checkDims(m, params, d, 0); err != nil {
+	if err := checkDims(m, params, d, m.InputDim, 0); err != nil {
 		return 0, err
 	}
 	var sum float64
@@ -75,7 +82,7 @@ func (m *LinearRegression) Loss(params []float64, d *Dataset) (float64, error) {
 
 // Gradient implements Model.
 func (m *LinearRegression) Gradient(params []float64, d *Dataset) (grad.Gradient, error) {
-	if err := checkDims(m, params, d, 0); err != nil {
+	if err := checkDims(m, params, d, m.InputDim, 0); err != nil {
 		return nil, err
 	}
 	g := make(grad.Gradient, m.Dim())
@@ -112,7 +119,7 @@ func (m *LogisticRegression) InitParams(*rand.Rand) []float64 { return make([]fl
 
 // Loss implements Model.
 func (m *LogisticRegression) Loss(params []float64, d *Dataset) (float64, error) {
-	if err := checkDims(m, params, d, 2); err != nil {
+	if err := checkDims(m, params, d, m.InputDim, 2); err != nil {
 		return 0, err
 	}
 	var sum float64
@@ -127,7 +134,7 @@ func (m *LogisticRegression) Loss(params []float64, d *Dataset) (float64, error)
 
 // Gradient implements Model.
 func (m *LogisticRegression) Gradient(params []float64, d *Dataset) (grad.Gradient, error) {
-	if err := checkDims(m, params, d, 2); err != nil {
+	if err := checkDims(m, params, d, m.InputDim, 2); err != nil {
 		return nil, err
 	}
 	g := make(grad.Gradient, m.Dim())

@@ -353,9 +353,17 @@ func (w *ElasticWorker) iterate(env *transport.Envelope) error {
 		for i := range coded {
 			coded[i] = 0
 		}
-	} else if err := grad.EncodeInto(coded, w.assign.RowCoeffs, partials); err != nil {
-		grad.PutBuffer(coded)
-		return fmt.Errorf("worker %d iter %d: %w", w.id, env.Iter, err)
+	} else {
+		err := grad.EncodeInto(coded, w.assign.RowCoeffs, partials)
+		// The partials are this worker's (ml.Model.Gradient's contract) and
+		// are folded into coded: back to the pool they came from.
+		for _, p := range partials {
+			grad.PutBuffer(p)
+		}
+		if err != nil {
+			grad.PutBuffer(coded)
+			return fmt.Errorf("worker %d iter %d: %w", w.id, env.Iter, err)
+		}
 	}
 	encodeSec := time.Since(encodeStart).Seconds()
 	// Artificial slowness counts as compute so telemetry sees the machine

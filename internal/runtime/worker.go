@@ -129,7 +129,13 @@ func (w *Worker) computeCoded(params []float64) ([]float64, error) {
 		partials[i] = g
 	}
 	coded := grad.GetBuffer(len(params))
-	if err := grad.EncodeInto(coded, w.assign.RowCoeffs, partials); err != nil {
+	err := grad.EncodeInto(coded, w.assign.RowCoeffs, partials)
+	// The partials are this worker's (ml.Model.Gradient's contract) and are
+	// folded into coded: back to the pool they came from.
+	for _, p := range partials {
+		grad.PutBuffer(p)
+	}
+	if err != nil {
 		grad.PutBuffer(coded)
 		return nil, err
 	}
