@@ -2,7 +2,7 @@ GO ?= go
 
 .PHONY: all build test vet lint race cover cover-gate cover-check \
 	fuzz-smoke smoke-examples metrics-smoke e2e-procs bench bench-smoke \
-	bench-baseline bench-compare bench-json bench-check profile-kernels
+	bench-baseline bench-compare bench-json bench-check bench-pairs profile-kernels
 
 all: build test
 
@@ -120,6 +120,19 @@ e2e-procs:
 bench-check:
 	GOFLAGS=-mod=mod GOWORK=off $(GO) vet -C bench ./...
 	GOFLAGS=-mod=mod GOWORK=off $(GO) test -C bench ./...
+
+# Paired runs of the end-to-end benchmark, the protocol every performance
+# change is measured by: PARENT's tree (extracted under .bench_build/pairs/)
+# against this checkout, each built by its own bench/run.sh, PAIRS untraced
+# runs per workload at BENCHMARK.json's run length, pair i on seed i,
+# alternating which side runs first. Prints every run, then per workload and
+# end-to-end metric both medians, both inter-quartile spreads and the pairs
+# this checkout won. Not for CI: timing on a shared runner means nothing.
+#   make bench-pairs PARENT=HEAD~1 WORKLOADS=hetero-straggler,flat-raw PAIRS=10
+PAIRS ?= 10
+bench-pairs:
+	@test -n "$(PARENT)" || { echo "usage: make bench-pairs PARENT=<rev> [WORKLOADS=a,b] [PAIRS=10]"; exit 2; }
+	$(GO) run ./cmd/gcbench -pairs -parent $(PARENT) -n $(PAIRS) $(if $(WORKLOADS),-workloads $(WORKLOADS))
 
 # Full benchmark sweep with allocation reporting.
 bench:

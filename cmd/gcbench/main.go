@@ -16,6 +16,14 @@
 //	    gcbench -compare BENCH_baseline.json
 //
 // (or `make bench-compare`).
+//
+// With -pairs it runs the live-cluster end-to-end benchmark (bench/) as
+// alternating pairs of a parent revision and this checkout and prints medians,
+// spreads and pair wins — the protocol a performance change is judged by:
+//
+//	gcbench -pairs -parent HEAD~1 -workloads hetero-straggler -n 10
+//
+// (or `make bench-pairs PARENT=HEAD~1`).
 package main
 
 import (
@@ -84,9 +92,23 @@ func run(args []string, in io.Reader, out io.Writer) error {
 		compare   = fs.String("compare", "", "baseline BENCH_*.json to gate against (default: emit JSON)")
 		tolerance = fs.Float64("tolerance", 0.25, "maximum allowed relative ns/op regression")
 		filter    = fs.String("filter", "Decode|Encode|Uplink|IterRate|Broadcast|Frame|Float64Codec|SoftmaxGradient", "regexp selecting benchmarks to gate")
+		pairs     = fs.Bool("pairs", false, "run paired end-to-end benchmark runs of -parent against this checkout (see Pairs)")
+		parent    = fs.String("parent", "", "with -pairs: the git revision to measure against")
+		workloads = fs.String("workloads", "", "with -pairs: comma-separated BENCHMARK.json workloads (default: all)")
+		n         = fs.Int("n", 10, "with -pairs: pairs per workload")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if *pairs {
+		if *parent == "" || *n < 1 {
+			return errors.New("-pairs needs -parent <rev> and -n ≥ 1")
+		}
+		var names []string
+		if *workloads != "" {
+			names = strings.Split(*workloads, ",")
+		}
+		return Pairs(out, ".", *parent, names, *n)
 	}
 	report, err := Parse(in)
 	if err != nil {

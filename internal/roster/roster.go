@@ -828,6 +828,25 @@ func (e *Engine) noteErased(id int, reason string, spans []transport.PhaseSpan) 
 	})
 }
 
+// noteStragglers records, at the moment an iteration decodes, a partial
+// straggler span for every live plan member with work whose upload the
+// decode did not wait for — the erasures the code absorbed. The simulators
+// record the same span for a member that finishes after the decode point, so
+// a live trace and a simulated one count stragglers alike; and the trace no
+// longer depends on the late upload turning up, which a worker that abandons
+// a closed iteration never sends. (Stats.StragglersSkipped and the rejected
+// counter still count late uploads received, nothing else.)
+func (e *Engine) noteStragglers(plan *elastic.Plan, arrived []bool) {
+	loads := plan.Strategy.Allocation().Loads
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	for slot, id := range plan.Members {
+		if m := e.members[id]; !arrived[slot] && loads[slot] > 0 && m != nil && m.alive {
+			e.noteErased(id, obs.RStraggler, nil)
+		}
+	}
+}
+
 // TakeContribs drains the stitched member child spans accumulated for iter
 // (nil when the engine never saw that iteration). The master calls it once
 // after its collect-and-retry loop and attaches the result to the iteration
@@ -949,6 +968,7 @@ func (e *Engine) Collect(plan *elastic.Plan, iter, dim int, timeout time.Duratio
 				coded[slot] = env.Vector
 				arrived[slot] = true
 				if cs, err := plan.Strategy.Decode(arrived); err == nil {
+					e.noteStragglers(plan, arrived)
 					return cs, coded, true
 				}
 			}

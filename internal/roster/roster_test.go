@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"github.com/hetgc/hetgc/internal/elastic"
+	"github.com/hetgc/hetgc/internal/obs"
 	"github.com/hetgc/hetgc/internal/transport"
 )
 
@@ -428,5 +429,83 @@ func TestHandshakeRejectsMalformedHello(t *testing.T) {
 	}
 	if n := eng.AliveCount(); n != 0 {
 		t.Fatalf("alive = %d after malformed hellos, want 0", n)
+	}
+}
+
+// TestCollectStitchesAbsorbedStragglers pins the erasure a decode absorbs: a
+// live plan member whose upload the decode did not wait for is stitched as a
+// partial straggler span at that moment — once, for that iteration — and its
+// late upload, if it ever comes, is counted (StragglersSkipped) but stitches
+// nothing more. A one-off stall so shows as exactly one erasure on the
+// stalled member, as it does in the simulators' traces.
+func TestCollectStitchesAbsorbedStragglers(t *testing.T) {
+	eng, _ := newTestEngine(t, 3, 1, nil)
+	conns, ids := make([]*transport.Conn, 3), make([]int, 3)
+	for i := range conns {
+		conns[i], ids[i] = dialJoin(t, eng.Addr(), 0)
+	}
+	plan, err := eng.Migrate(0, "initial")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, conn := range conns {
+		if env, err := conn.Recv(); err != nil || env.Type != transport.MsgReassign {
+			t.Fatalf("expected reassign, got %v (err %v)", env, err)
+		}
+	}
+	const dim = 4
+	upload := func(i, iter int) {
+		t.Helper()
+		if err := conns[i].Send(&transport.Envelope{Type: transport.MsgGradient, Iter: iter, Epoch: plan.Epoch, Vector: []float64{1, 2, 3, 4}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// stragglers collects one iteration and returns the members stitched as
+	// absorbed stragglers, checking that everyone else contributed in full.
+	var st Stats
+	stragglers := func(iter int) []int {
+		t.Helper()
+		if _, _, ok := eng.Collect(plan, iter, dim, 5*time.Second, &st); !ok {
+			t.Fatalf("iteration %d did not decode; stats %+v", iter, st)
+		}
+		var out []int
+		for _, ms := range eng.TakeContribs(iter) {
+			switch {
+			case !ms.Partial, ms.Reason == obs.RDead:
+			case ms.Reason == obs.RStraggler:
+				out = append(out, ms.Member)
+			default:
+				t.Errorf("iteration %d: member %d erased as %q", iter, ms.Member, ms.Reason)
+			}
+		}
+		return out
+	}
+
+	// Iteration 0: member 2 stalls; the other two decode without it.
+	upload(0, 0)
+	upload(1, 0)
+	if got := stragglers(0); len(got) != 1 || got[0] != ids[2] {
+		t.Fatalf("iteration 0 absorbed %v, want member %d alone", got, ids[2])
+	}
+	// Iteration 1: member 2 is back — its late upload lands first, then its
+	// real one — and this time member 1 is the one left behind.
+	upload(2, 0)
+	upload(2, 1)
+	upload(0, 1)
+	if got := stragglers(1); len(got) != 1 || got[0] != ids[1] {
+		t.Fatalf("iteration 1 absorbed %v, want member %d alone: the stall was one iteration long", got, ids[1])
+	}
+	if st.StragglersSkipped != 1 {
+		t.Errorf("late uploads received = %d, want member %d's one", st.StragglersSkipped, ids[2])
+	}
+	// Iteration 2: member 1 dies. A dead member's missing upload is no
+	// straggler erasure: the code absorbed a death, and that span (RDead) is
+	// stitched where the death is noted.
+	_ = conns[1].Close()
+	eng.noteDeath(ids[1], 0)
+	upload(0, 2)
+	upload(2, 2)
+	if got := stragglers(2); len(got) != 0 {
+		t.Fatalf("iteration 2 absorbed %v as stragglers, want none: member %d is dead", got, ids[1])
 	}
 }

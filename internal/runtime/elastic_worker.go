@@ -67,13 +67,20 @@ type ElasticWorkerConfig struct {
 	// dataset.
 	PartitionData func(partition int) (*ml.Dataset, error)
 	// Delay, when non-nil, injects an artificial extra delay per iteration —
-	// the fault-simulation hook.
+	// the fault-simulation hook. Both hooks are called once at the start of
+	// every iteration the worker begins, and their sum is slept in one piece
+	// after the encode. The sleep is interruptible: it ends the moment a
+	// newer parameter broadcast arrives, because the master has then closed
+	// the iteration and the worker abandons it (see ElasticWorker.iterate).
 	Delay func(iter int) time.Duration
 	// DelayPerPartition, when non-nil, injects an artificial delay per
 	// assigned partition per iteration — it emulates a slow machine whose
 	// compute time scales with its load, so migrations that shed load
 	// visibly speed the worker up. Both delays count as compute time in the
-	// telemetry the worker reports.
+	// telemetry the worker reports, and they count in full — the declared
+	// time, what the hooks returned — even when the sleep was cut short:
+	// the emulated machine is as slow as it was declared to be, however
+	// soon the master stopped waiting for it.
 	DelayPerPartition func(iter int) time.Duration
 	// DialTimeout bounds the initial connection (default 10s).
 	DialTimeout time.Duration
@@ -103,6 +110,7 @@ type ElasticWorker struct {
 	assign *transport.Assignment
 	parts  []*ml.Dataset
 	cache  map[int]*ml.Dataset
+	box    *mailbox // Run's receive queue
 
 	// Single-slot upload pipeline: iterate hands each iteration's sends to
 	// the uploader goroutine (the connection's sole writer while Run is
@@ -227,23 +235,35 @@ func (w *ElasticWorker) Close() error {
 }
 
 // Run processes reassignments and parameter broadcasts until shutdown or
-// connection loss. For every iteration it computes and encodes the coded
-// gradient of its current assignment, then hands the upload (gradient plus a
-// telemetry report: compute seconds, partitions processed) to the uploader
-// goroutine — so the next iteration's compute and encode overlap the
-// previous upload, one iteration deep.
+// connection loss. A receive goroutine feeds the mailbox; the loop here takes
+// frames out of it: reassignments in arrival order, and of the parameter
+// broadcasts only the newest — one the master has already moved past is
+// dropped uncomputed, and the iteration under way is abandoned when a newer
+// one arrives (see iterate). For every iteration it completes, the worker
+// computes and encodes the coded gradient of its current assignment, then
+// hands the upload (gradient plus a telemetry report: compute seconds,
+// partitions processed) to the uploader goroutine — so the next iteration's
+// compute and encode overlap the previous upload, one iteration deep.
 func (w *ElasticWorker) Run() error {
 	w.up = make(chan func() error, 1)
 	w.upFail = make(chan error, 1)
 	w.upDrain = make(chan struct{})
 	go w.uploader()
+	w.box = newMailbox()
+	received := make(chan struct{})
+	go func() {
+		defer close(received)
+		w.box.receive(w.conn)
+	}()
 	defer func() {
 		close(w.up)
 		<-w.upDrain
-		w.Close()
+		w.Close() // fails the receive goroutine's Recv
+		<-received
+		w.box.drain()
 	}()
 	for {
-		env, err := w.conn.Recv()
+		env, err := w.box.next()
 		if err != nil {
 			return err
 		}
@@ -267,8 +287,6 @@ func (w *ElasticWorker) Run() error {
 			if err != nil {
 				return err
 			}
-		default:
-			// Ignore unexpected frames; the master drives the protocol.
 		}
 	}
 }
@@ -331,52 +349,110 @@ func (w *ElasticWorker) submitUpload(job func() error) error {
 	return nil
 }
 
+// iterBufs are the pooled buffers one iteration holds. release hands back
+// whichever it still holds, so every way out of an iteration — uploaded,
+// abandoned, failed — returns them through the one path.
+type iterBufs struct {
+	partials []grad.Gradient
+	coded    grad.Gradient
+	quant    []byte
+}
+
+func (b *iterBufs) release() {
+	b.releasePartials()
+	grad.PutBuffer(b.coded)
+	b.coded = nil
+	grad.PutBytes(b.quant)
+	b.quant = nil
+}
+
+// releasePartials returns the partition gradients as soon as they are folded
+// into coded: they are this worker's (ml.Model.Gradient's contract), and the
+// next iteration's compute overlaps this one's upload.
+func (b *iterBufs) releasePartials() {
+	for i, p := range b.partials {
+		grad.PutBuffer(p)
+		b.partials[i] = nil
+	}
+	b.partials = b.partials[:0]
+}
+
 // iterate computes, encodes and uploads one iteration's coded gradient and
-// telemetry.
+// telemetry — unless a newer broadcast arrives first. The master has then
+// closed this iteration, and the gradient would be rejected at its iteration
+// or epoch fence: the iteration is abandoned, its buffers go back to the
+// pools and only the telemetry is uploaded. The mailbox is consulted between
+// partitions (never before the first one finishes, so an abandoned iteration
+// still measures something) and throughout the injected delay. What the
+// abandoned iteration reports is a rate sample the controller can use as it
+// uses any other: compute cut short reports the partitions finished and the
+// time they took (plus their share of DelayPerPartition); an injected delay
+// cut short reports every partition and the declared time — the time up to
+// the sleep plus the whole of what the hooks returned — not the time until
+// the master moved on, which would make every superseded worker look exactly
+// as fast as the cluster.
 func (w *ElasticWorker) iterate(env *transport.Envelope) error {
+	bufs := &iterBufs{partials: make([]grad.Gradient, 0, len(w.parts))}
+	uploading := false
+	defer func() {
+		if !uploading {
+			bufs.release()
+		}
+	}()
+	tel := &transport.Envelope{
+		Type:      transport.MsgTelemetry,
+		Iter:      env.Iter,
+		Epoch:     w.epoch,
+		WorkerID:  w.id,
+		RootGen:   env.RootGen,
+		Telemetry: &transport.Telemetry{},
+	}
+	abandon := func(partitions int, seconds float64) error {
+		tel.Telemetry.Partitions, tel.Telemetry.ComputeSeconds = partitions, seconds
+		return w.submitUpload(func() error { return w.conn.Send(tel) })
+	}
+	// Artificial slowness counts as compute, and as declared, so telemetry
+	// sees the machine the master sees.
+	var delay, perPart time.Duration
+	if w.cfg.Delay != nil {
+		delay = w.cfg.Delay(env.Iter)
+	}
+	if w.cfg.DelayPerPartition != nil {
+		perPart = w.cfg.DelayPerPartition(env.Iter)
+	}
+
 	computeStart := time.Now()
-	partials := make([]grad.Gradient, len(w.parts))
 	for i, d := range w.parts {
+		if i > 0 && w.box.superseded() {
+			return abandon(i, (time.Since(computeStart) + time.Duration(i)*perPart).Seconds())
+		}
 		g, err := w.cfg.Model.Gradient(env.Vector, d)
 		if err != nil {
 			return fmt.Errorf("worker %d iter %d: %w", w.id, env.Iter, err)
 		}
-		partials[i] = g
+		bufs.partials = append(bufs.partials, g)
 	}
 	gradSec := time.Since(computeStart).Seconds()
 	encodeStart := time.Now()
-	coded := grad.GetBuffer(len(env.Vector))
-	if len(partials) == 0 {
+	bufs.coded = grad.GetBuffer(len(env.Vector))
+	if len(bufs.partials) == 0 {
 		// Zero-load assignment (the planner starved this slot): the coding
 		// row is empty, so the honest upload is the zero vector — decode may
 		// still hand the slot a free coefficient.
-		for i := range coded {
-			coded[i] = 0
+		for i := range bufs.coded {
+			bufs.coded[i] = 0
 		}
-	} else {
-		err := grad.EncodeInto(coded, w.assign.RowCoeffs, partials)
-		// The partials are this worker's (ml.Model.Gradient's contract) and
-		// are folded into coded: back to the pool they came from.
-		for _, p := range partials {
-			grad.PutBuffer(p)
-		}
-		if err != nil {
-			grad.PutBuffer(coded)
-			return fmt.Errorf("worker %d iter %d: %w", w.id, env.Iter, err)
-		}
+	} else if err := grad.EncodeInto(bufs.coded, w.assign.RowCoeffs, bufs.partials); err != nil {
+		return fmt.Errorf("worker %d iter %d: %w", w.id, env.Iter, err)
 	}
+	bufs.releasePartials()
 	encodeSec := time.Since(encodeStart).Seconds()
-	// Artificial slowness counts as compute so telemetry sees the machine
-	// the master sees.
-	var extra time.Duration
-	if w.cfg.Delay != nil {
-		extra += w.cfg.Delay(env.Iter)
-	}
-	if w.cfg.DelayPerPartition != nil {
-		extra += time.Duration(len(w.parts)) * w.cfg.DelayPerPartition(env.Iter)
-	}
+	extra := delay + time.Duration(len(w.parts))*perPart
 	if extra > 0 {
-		time.Sleep(extra)
+		declared := (time.Since(computeStart) + extra).Seconds()
+		if !w.box.sleep(extra) {
+			return abandon(len(w.parts), declared)
+		}
 	}
 	compute := time.Since(computeStart).Seconds()
 
@@ -390,20 +466,20 @@ func (w *ElasticWorker) iterate(env *transport.Envelope) error {
 		// can fence uploads computed under its deposed predecessor.
 		RootGen: env.RootGen,
 	}
-	release := func() { grad.PutBuffer(coded) }
 	if w.codec != grad.CodecRaw {
 		quantStart := time.Now()
-		q, err := grad.AppendQuantized(grad.GetBytes(8*len(coded)), w.codec, coded)
+		bufs.quant = grad.GetBytes(8 * len(bufs.coded))
+		q, err := grad.AppendQuantized(bufs.quant, w.codec, bufs.coded)
 		if err != nil {
-			grad.PutBuffer(coded)
 			return fmt.Errorf("worker %d iter %d: %w", w.id, env.Iter, err)
 		}
+		bufs.quant = q
 		encodeSec += time.Since(quantStart).Seconds()
-		out.Codec, out.Quant, out.QuantLen = byte(w.codec), q, len(coded)
-		grad.PutBuffer(coded)
-		release = func() { grad.PutBytes(q) }
+		out.Codec, out.Quant, out.QuantLen = byte(w.codec), q, len(bufs.coded)
+		grad.PutBuffer(bufs.coded) // the payload is the quantized bytes now
+		bufs.coded = nil
 	} else {
-		out.Vector = coded
+		out.Vector = bufs.coded
 	}
 	// Echo the broadcast's trace context and this worker's phase spans on the
 	// upload, so the master can stitch them into its iteration trace. The
@@ -424,21 +500,11 @@ func (w *ElasticWorker) iterate(env *transport.Envelope) error {
 		spans = append(spans, transport.PhaseSpan{Phase: obs.PhaseUpload, Seconds: prevUp})
 	}
 	out.Spans = spans
-	tel := &transport.Envelope{
-		Type:     transport.MsgTelemetry,
-		Iter:     env.Iter,
-		Epoch:    w.epoch,
-		WorkerID: w.id,
-		RootGen:  env.RootGen,
-		Telemetry: &transport.Telemetry{
-			ComputeSeconds: compute,
-			Partitions:     len(w.parts),
-		},
-	}
-	return w.submitUpload(func() error {
+	tel.Telemetry.Partitions, tel.Telemetry.ComputeSeconds = len(w.parts), compute
+	err := w.submitUpload(func() error {
 		uploadStart := time.Now()
 		err := w.conn.Send(out)
-		release()
+		bufs.release()
 		if err != nil {
 			return err
 		}
@@ -447,4 +513,6 @@ func (w *ElasticWorker) iterate(env *transport.Envelope) error {
 		tel.Telemetry.UploadSeconds = up
 		return w.conn.Send(tel)
 	})
+	uploading = err == nil
+	return err
 }
