@@ -20,13 +20,19 @@ vet:
 # every "hetgc_ metric name literal in production code to
 # internal/obs/names.go, so the sim and live runtimes cannot drift apart on
 # naming. Tests and examples are exempt: they assert on the text exposition
-# deliberately, as black-box scrape consumers.
+# deliberately, as black-box scrape consumers. The s390x cross-build (pure Go,
+# nothing to download) is for internal/transport/hostorder.go, the one place
+# that branches on the host's byte order and the one import of unsafe: no
+# runner is big-endian to take that branch, so the tree is at least built, and
+# the package vetted (unsafeptr), for a target that would.
 lint:
 	@unformatted=$$(gofmt -l .); \
 	if [ -n "$$unformatted" ]; then \
 		echo "gofmt needed on:"; echo "$$unformatted"; exit 1; \
 	fi
 	$(GO) vet ./...
+	GOOS=linux GOARCH=s390x $(GO) build ./...
+	GOOS=linux GOARCH=s390x $(GO) vet ./internal/transport
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		staticcheck ./...; \
 	else \

@@ -743,14 +743,14 @@ func (e *Engine) Migrate(iter int, reason string) (*elastic.Plan, error) {
 // BroadcastParams sends one iteration's parameters, tagged with the plan
 // epoch, the root generation and the iteration's wire trace context, to
 // every live plan member; members whose send fails are marked dead. The
-// frame is encoded once and written to all members concurrently
-// (transport.Broadcast), so a member whose socket is full delays nobody
-// behind it in plan order; the writes are joined before returning — params
-// may change again once BroadcastParams is back, and a stalled member has
-// been given its full WriteTimeout. The first broadcast of an iteration also
-// resets the stitched-span accumulator and anchors the contribution-latency
-// clock (a retry re-broadcast of the same iteration keeps both: the member's
-// real wait spans the failed attempt too).
+// frame's header is encoded once and all members are written it and the
+// vector concurrently (transport.Broadcast), so a member whose socket is
+// full delays nobody behind it in plan order; the writes are joined before
+// returning — params may change again once BroadcastParams is back, and a
+// stalled member has been given its full WriteTimeout. The first broadcast
+// of an iteration also resets the stitched-span accumulator and anchors the
+// contribution-latency clock (a retry re-broadcast of the same iteration
+// keeps both: the member's real wait spans the failed attempt too).
 func (e *Engine) BroadcastParams(plan *elastic.Plan, iter int, params []float64) {
 	if iter != e.contribIter {
 		e.contribIter = iter

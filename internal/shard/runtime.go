@@ -511,11 +511,11 @@ func (r *Root) markDown(g, seq int, cause error) {
 }
 
 // sendParams delivers one iteration's parameters, stamped with the root's
-// generation and trace context, to the given groups: encoded once, written
-// to their uplinks concurrently — a group whose socket is full delays no
-// other — and joined, so params may change again once it returns. A down
-// external group is skipped (adoption will trigger a resend); a failed or
-// missing in-process uplink is fatal.
+// generation and trace context, to the given groups: header encoded once,
+// written to their uplinks concurrently — a group whose socket is full
+// delays no other — and joined, so params may change again once it returns.
+// A down external group is skipped (adoption will trigger a resend); a
+// failed or missing in-process uplink is fatal.
 func (r *Root) sendParams(iter int, params []float64, groups ...int) error {
 	conns := make([]*transport.Conn, len(groups))
 	seqs := make([]int, len(groups))

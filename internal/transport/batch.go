@@ -66,7 +66,7 @@ func appendBatch(dst []byte, envs []*Envelope) ([]byte, error) {
 			countCodecOut(e)
 		}
 		if kind := legacyKind(e); kind != subFrameGob {
-			dst = appendSubFrame(dst, e, kind)
+			dst = appendSubFrame(dst, e, kind, false)
 			continue
 		}
 		at := len(dst)

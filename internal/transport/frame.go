@@ -21,10 +21,14 @@
 // Sub-frames travel length-prefixed (uint32 big-endian). On a connection that
 // negotiated CapVectorFrame a wire frame is the marker byte 0x00, the body
 // length (uint32 big-endian) and a body of one or more sub-frames — one for a
-// Send, several for a SendBatch — written with a single write and decoded
-// straight off the connection's read buffer into pooled vectors. An envelope
-// the header cannot carry (a field outside uint32 range, an auxiliary
-// payload) takes the gob path, where the receiver's validation judges it.
+// Send, several for a SendBatch. Only the headers are encoded: a raw payload
+// is the vector's own memory (hostorder.go), so the frame goes out as one
+// gathered write of header, vector, header, vector…, and comes in with the
+// payload read off the socket straight into a pooled vector — the
+// connection's read buffer holds only what a header-sized read happened to
+// bring with it. An envelope the header cannot carry (a field outside uint32
+// range, an auxiliary payload) takes the gob path, where the receiver's
+// validation judges it.
 //
 // A peer that did not negotiate — a build from before the vector frame — is
 // sent, and sends, exactly that build's bytes: gob envelopes, and for a
@@ -71,10 +75,6 @@ const (
 	// maxVectorHeadLen bounds the header plus its optional sections: the
 	// trace context and MaxSpans records with the longest encodable name.
 	maxVectorHeadLen = vectorHeaderLen + 8 + MaxSpans*(1+math.MaxUint8+8)
-
-	// peekChunk is the vector decoder's read granule: small against the
-	// connection's read buffer, so a refill moves little leftover data.
-	peekChunk = 8 << 10
 
 	// allocStep is the largest payload buffer, in bytes, the decoder takes on
 	// a header's word alone. A longer payload's buffer doubles as the bytes
@@ -162,10 +162,12 @@ func legacyKind(e *Envelope) byte {
 
 // appendSubFrame appends e as one length-prefixed sub-frame of the given
 // binary kind. The caller checked vectorFrameLen (and, for the two layouts
-// of legacyKind, that e needs no optional section).
-func appendSubFrame(dst []byte, e *Envelope, kind byte) []byte {
+// of legacyKind, that e needs no optional section). With scatter a payload
+// that scattered returns is left out — the length prefix counts it all the
+// same — for the writer to send right behind these bytes.
+func appendSubFrame(dst []byte, e *Envelope, kind byte, scatter bool) []byte {
 	at := len(dst)
-	count := len(e.Vector)
+	count, owed := len(e.Vector), 0
 	if len(e.Quant) > 0 {
 		count = e.QuantLen
 	}
@@ -191,45 +193,60 @@ func appendSubFrame(dst []byte, e *Envelope, kind byte) []byte {
 		dst = append(dst, sp.Phase...)
 		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(sp.Seconds))
 	}
-	if len(e.Quant) > 0 {
+	switch {
+	case len(e.Quant) > 0:
 		dst = append(dst, e.Quant...)
-	} else {
+	case scatter && scattered(e) != nil:
+		owed = len(scattered(e))
+	default:
 		dst = AppendFloat64s(dst, e.Vector)
 	}
-	wireOrder.PutUint32(dst[at:], uint32(len(dst)-at-4))
+	wireOrder.PutUint32(dst[at:], uint32(len(dst)-at-4+owed))
 	return dst
 }
 
-// encodeWireFrame encodes envs as one binary wire frame in a pooled buffer
-// (return it with grad.PutBytes), or returns nil when any of them does not
-// fit the vector frame.
+// scattered returns the part of e's sub-frame that is not encoded: the raw
+// payload, as e.Vector's own memory, which Conn.writeFrame gathers into the
+// write behind the sub-frame's header. Nil where the memory is not the wire
+// encoding (hostorder.go) and the payload is encoded like the rest.
+func scattered(e *Envelope) []byte {
+	if !hostLittleEndian {
+		return nil
+	}
+	return floatBytes(e.Vector)
+}
+
+// encodeWireFrame encodes envs as one binary wire frame, less what scattered
+// returns of each, in a pooled buffer (return it with grad.PutBytes), or
+// returns nil when any of them does not fit the vector frame.
 func encodeWireFrame(envs ...*Envelope) []byte {
-	body := 0
+	body, owed := 0, 0
 	for _, e := range envs {
 		n, ok := vectorFrameLen(e)
 		if !ok {
 			return nil
 		}
 		body += 4 + n
+		owed += len(scattered(e))
 	}
 	if body > maxFrameBody {
 		return nil
 	}
-	buf := append(grad.GetBytes(wireHeaderLen+body), frameMarker)
+	buf := append(grad.GetBytes(wireHeaderLen+body-owed), frameMarker)
 	buf = wireOrder.AppendUint32(buf, uint32(body))
 	for _, e := range envs {
-		buf = appendSubFrame(buf, e, subFrameVector)
+		buf = appendSubFrame(buf, e, subFrameVector, true)
 	}
 	return buf
 }
 
 // Broadcast sends e to every connection in conns (nil entries are skipped) —
-// a parameter broadcast. The vector frame is encoded at most once and the
-// same bytes are written to every connection that negotiated it; the rest
-// are served e through gob. The writes fan out concurrently, each under a
-// write deadline of timeout, so a peer whose socket is full delays no other,
-// and are joined before Broadcast returns: errs[i] is conns[i]'s send error,
-// and e may change again.
+// a parameter broadcast. The vector frame's header is encoded at most once,
+// and every connection that negotiated it is written that header and e's
+// vector, from the one copy of each; the rest are served e through gob. The
+// writes fan out concurrently, each under a write deadline of timeout, so a
+// peer whose socket is full delays no other, and are joined before Broadcast
+// returns: errs[i] is conns[i]'s send error, and e may change again.
 func Broadcast(conns []*Conn, e *Envelope, timeout time.Duration) (errs []error) {
 	errs = make([]error, len(conns))
 	var (
@@ -274,9 +291,11 @@ func Broadcast(conns []*Conn, e *Envelope, timeout time.Duration) (errs []error)
 	return errs
 }
 
-// byteSource is what the sub-frame decoder reads: a connection's read
-// buffer, or a sliceSource over a batch payload that arrived inside a gob
-// envelope. A Peek view is valid until the next call.
+// byteSource is what the sub-frame decoder reads: a connection's buffered
+// reader — whose Read, once drained, reads from the socket straight into a
+// destination at least as large as its buffer — or a sliceSource over a
+// batch payload that arrived inside a gob envelope. A Peek view is valid
+// until the next call.
 type byteSource interface {
 	io.Reader
 	Peek(n int) ([]byte, error)
@@ -486,26 +505,27 @@ func (fr *frameReader) vector(n int, kind byte) (*Envelope, error) {
 	return e, nil
 }
 
-// floats reads count raw elements off the source, a read-buffer granule at a
-// time, into a pooled vector (see allocStep).
+// floats reads count raw elements — the caller checked that the sub-frame
+// holds them — off the source into the memory of a pooled vector (see
+// allocStep).
 func (fr *frameReader) floats(count int) ([]float64, error) {
 	vec := grad.GetBuffer(min(count, allocStep/8))
-	for at := 0; at < count; {
-		if at == len(vec) {
+	for at := 0; at < count; at = len(vec) {
+		if at > 0 { // vec is full and the payload goes on
 			grown := grad.GetBuffer(min(count, 2*len(vec)))
 			copy(grown, vec)
 			grad.PutBuffer(vec)
 			vec = grown
 		}
-		k := min(len(vec)-at, peekChunk/8)
-		b, err := fr.peek(8 * k)
+		m, err := io.ReadFull(fr.src, floatBytes(vec[at:]))
+		fr.left -= m
 		if err != nil {
 			grad.PutBuffer(vec)
 			return nil, err
 		}
-		_, _ = ReadFloat64sInto(vec[at:at+k], b) // cannot run short: b holds 8·k bytes
-		fr.discard(8 * k)
-		at += k
+	}
+	if !hostLittleEndian {
+		swapFloatBytes(floatBytes(vec))
 	}
 	return vec, nil
 }

@@ -31,7 +31,7 @@ func framedPair(t testing.TB) (*Conn, *Conn) {
 // vectorFlavours is one envelope per shape the vector frame carries.
 func vectorFlavours(t testing.TB) []*Envelope {
 	t.Helper()
-	vec := make([]float64, 3000) // spans several peekChunk reads
+	vec := make([]float64, 3000)
 	for i := range vec {
 		vec[i] = math.Sin(float64(i)) * float64(i%17)
 	}
@@ -266,11 +266,43 @@ func TestPreFrameBuildInterop(t *testing.T) {
 	}
 }
 
+// referenceFrame writes envs out as one whole wire frame from the layout in
+// frame.go's header, sharing nothing with the encoder but AppendFloat64s: the
+// bytes Send, SendBatch and Broadcast must put on the wire, however they
+// gather them, and the frame builder for tests that need one as a byte string.
+func referenceFrame(envs ...*Envelope) []byte {
+	var body []byte
+	for _, e := range envs {
+		count, flags := len(e.Vector), byte(0)
+		if len(e.Quant) > 0 {
+			count = e.QuantLen
+		}
+		if e.Trace != 0 {
+			flags = flagTrace
+		}
+		sub := []byte{subFrameVector, byte(e.Type), e.Codec, flags, byte(len(e.Spans))}
+		for _, v := range []int{e.Iter, e.Epoch, e.WorkerID, e.Chunk, e.Chunks, e.RootGen, count} {
+			sub = binary.LittleEndian.AppendUint32(sub, uint32(v))
+		}
+		if e.Trace != 0 {
+			sub = binary.LittleEndian.AppendUint64(sub, e.Trace)
+		}
+		for _, sp := range e.Spans {
+			sub = append(append(sub, byte(len(sp.Phase))), sp.Phase...)
+			sub = binary.LittleEndian.AppendUint64(sub, math.Float64bits(sp.Seconds))
+		}
+		sub = AppendFloat64s(append(sub, e.Quant...), e.Vector)
+		body = append(binary.BigEndian.AppendUint32(body, uint32(len(sub))), sub...)
+	}
+	frame := binary.BigEndian.AppendUint32([]byte{frameMarker}, uint32(len(body)))
+	return append(frame, body...)
+}
+
 // hostileFrame is a wire frame whose single sub-frame is hdr-mutated: the
 // test table edits a well-formed header and keeps the declared lengths
 // honest, so the stream must stay in sync after the rejection.
 func hostileFrame(mutate func(sub []byte) []byte) []byte {
-	sub := appendSubFrame(nil, &Envelope{Type: MsgGradient, Iter: 1, WorkerID: 2, Vector: []float64{1, 2}}, subFrameVector)[4:]
+	sub := referenceFrame(&Envelope{Type: MsgGradient, Iter: 1, WorkerID: 2, Vector: []float64{1, 2}})[wireHeaderLen+4:]
 	sub = mutate(sub)
 	frame := []byte{frameMarker}
 	frame = wireOrder.AppendUint32(frame, uint32(4+len(sub)))
@@ -310,7 +342,7 @@ func TestVectorFrameBoundBeforeAllocate(t *testing.T) {
 		"gob sub-frame in a binary frame":   func(sub []byte) []byte { sub[0] = subFrameGob; return sub },
 		"pre-frame gradient layout":         func(sub []byte) []byte { return append([]byte{subFrameGradient}, sub[5:]...) },
 	}
-	next := encodeWireFrame(&Envelope{Type: MsgParams, Iter: 9, Vector: []float64{4}})
+	next := referenceFrame(&Envelope{Type: MsgParams, Iter: 9, Vector: []float64{4}})
 	for name, mutate := range cases {
 		stream := append(hostileFrame(mutate), next...)
 		c := NewConn(&memConn{r: bytes.NewReader(stream)})
@@ -356,20 +388,24 @@ func TestVectorFrameBoundBeforeAllocate(t *testing.T) {
 		t.Fatalf("truncated stream under a lying length: %v", err)
 	}
 	// The same lie told consistently — frame, sub-frame and element count all
-	// declare a 1 GiB payload, and then 16 bytes of it arrive: the buffer
-	// follows the bytes received (allocStep), not the header.
-	const declared = 1 << 27
-	consistent := hostileFrame(setCount(declared))
-	wireOrder.PutUint32(consistent[1:], 4+vectorHeaderLen+8*declared)
-	wireOrder.PutUint32(consistent[5:], vectorHeaderLen+8*declared)
-	runtime.ReadMemStats(&before)
-	_, err := NewConn(&memConn{r: bytes.NewReader(consistent)}).Recv()
-	runtime.ReadMemStats(&after)
-	if !errors.Is(err, io.EOF) && !errors.Is(err, io.ErrUnexpectedEOF) {
-		t.Fatalf("truncated stream under a consistent 1 GiB header: %v", err)
-	}
-	if grew := after.TotalAlloc - before.TotalAlloc; grew > 2*allocStep {
-		t.Fatalf("a header declaring 1 GiB made the decoder allocate %d MiB", grew>>20)
+	// declare a 1 GiB payload (then 128 MiB), and 16 bytes of it arrive (then
+	// 1 KiB, which still ends inside the header peek, then 64 KiB, which ends
+	// inside the payload read): the vector the payload is read into follows
+	// the bytes received (one allocStep), not the header.
+	for _, tc := range []struct{ declared, sent int }{{1 << 27, 16}, {16 << 20, 1 << 10}, {16 << 20, 64 << 10}} {
+		consistent := hostileFrame(setCount(uint32(tc.declared)))
+		consistent = append(consistent, make([]byte, tc.sent-16)...)
+		wireOrder.PutUint32(consistent[1:], uint32(4+vectorHeaderLen+8*tc.declared))
+		wireOrder.PutUint32(consistent[5:], uint32(vectorHeaderLen+8*tc.declared))
+		runtime.ReadMemStats(&before)
+		_, err := NewConn(&memConn{r: bytes.NewReader(consistent)}).Recv()
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, io.EOF) && !errors.Is(err, io.ErrUnexpectedEOF) {
+			t.Fatalf("truncated stream under a consistent %d-element header: %v", tc.declared, err)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > allocStep+1<<20 {
+			t.Fatalf("a header declaring %d elements over %d bytes made the decoder allocate %d MiB", tc.declared, tc.sent, grew>>20)
+		}
 	}
 }
 
@@ -381,7 +417,7 @@ func TestVectorFrameBoundBeforeAllocate(t *testing.T) {
 // the transport.
 func FuzzVectorFrame(f *testing.F) {
 	for _, e := range vectorFlavours(f) {
-		f.Add(encodeWireFrame(e))
+		f.Add(referenceFrame(e))
 	}
 	vec := []float64{1.5, -0.25, 3, 0, -7.125, 2, 2, 2}
 	for _, codec := range []grad.Codec{grad.CodecRaw, grad.CodecFP16, grad.CodecInt8, grad.CodecTopK, grad.CodecDelta} {
@@ -389,7 +425,7 @@ func FuzzVectorFrame(f *testing.F) {
 		if err != nil {
 			f.Fatal(err)
 		}
-		f.Add(encodeWireFrame(frames...))
+		f.Add(referenceFrame(frames...))
 		batch, err := appendBatch(nil, append(frames, &Envelope{Type: MsgTelemetry, Telemetry: &Telemetry{Partitions: 1}}))
 		if err != nil {
 			f.Fatal(err)

@@ -10,10 +10,10 @@ import (
 	"time"
 )
 
-// memConn adapts a byte buffer to net.Conn so Recv can be driven from fuzz
-// data without sockets; writes are captured in w, or vanish without one.
+// memConn adapts a reader to net.Conn so Recv can be driven from fuzz data
+// without sockets; writes are captured in w, or vanish without one.
 type memConn struct {
-	r *bytes.Reader
+	r io.Reader
 	w *bytes.Buffer
 }
 

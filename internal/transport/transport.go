@@ -7,8 +7,9 @@
 //
 // Two encodings share one stream. The iteration path — every dim-sized
 // payload: MsgParams broadcasts and MsgGradient uploads, raw or quantized,
-// chunked or not, traced or not — rides the binary vector frame (frame.go),
-// written straight to the socket and decoded straight into pooled buffers.
+// chunked or not, traced or not — rides the binary vector frame (frame.go):
+// headers are encoded, a raw payload is not — it is written to the socket
+// from the vector's memory and read from the socket into a pooled vector's.
 // The cold control frames (hello, assign, reassign, telemetry, adopt,
 // partition, shutdown) are gob-encoded envelopes: they are small, rare and
 // carry nested optional structures gob handles for free. Recv tells the two
@@ -467,12 +468,20 @@ type Conn struct {
 	// pending holds sub-frames of the last received batch still owed to Recv
 	// callers (only the reader touches it).
 	pending []*Envelope
+	// iov is writeFrame's gather list, kept between frames so a send
+	// allocates none (only the writer touches it). A Broadcast shares one
+	// header and one vector among its connections; the list over them is each
+	// connection's own, because the write consumes it.
+	iov     [][]byte
+	writing net.Buffers
 }
 
-// readBufSize is the connection read buffer: large enough that the vector
-// decoder's peekChunk-sized reads rarely straddle a refill, small enough to
-// stay a size-class allocation (a larger one goes to the page heap, which
-// showed up in cluster bring-up time at one buffer per connection).
+// readBufSize is the connection read buffer. Payloads bypass it (a read at
+// least this long goes to the socket directly), so it serves gob frames,
+// vector-frame headers and payload tails: large enough to hold the vector
+// frames of a small model whole, small enough to stay a size-class allocation
+// (a larger one goes to the page heap, which showed up in cluster bring-up
+// time at one buffer per connection).
 const readBufSize = 32 << 10
 
 // NewConn wraps a net.Conn. All traffic is routed through a byte-counting
@@ -534,10 +543,27 @@ func (c *Conn) sendFramed(envs ...*Envelope) (framed bool, err error) {
 	return true, err
 }
 
-// writeFrame writes one encoded wire frame holding envs' vector sub-frames
-// and counts it like the Send (or SendBatch) it stands for.
-func (c *Conn) writeFrame(buf []byte, envs ...*Envelope) error {
-	if _, err := c.w.Write(buf); err != nil {
+// writeFrame writes one wire frame holding envs' vector sub-frames — head is
+// encodeWireFrame's, which may be shared and is only read — as a single
+// gathered write, and counts it like the Send (or SendBatch) it stands for.
+func (c *Conn) writeFrame(head []byte, envs ...*Envelope) error {
+	// Cut head where it left a payload out: the sub-frame's declared length
+	// less the payload is what head holds of it.
+	c.iov = c.iov[:0]
+	at := wireHeaderLen
+	for _, e := range envs {
+		payload := scattered(e)
+		at += 4 + int(wireOrder.Uint32(head[at:])) - len(payload)
+		if len(payload) > 0 {
+			c.iov = append(c.iov, head[:at], payload)
+			head, at = head[at:], 0
+		}
+	}
+	if len(head) > 0 {
+		c.iov = append(c.iov, head)
+	}
+	c.writing = c.iov
+	if err := c.w.writeBuffers(&c.writing); err != nil {
 		return fmt.Errorf("transport send %v: %w", envs[0].Type, err)
 	}
 	wire.framesOut.Add(1)
@@ -621,11 +647,12 @@ func (c *Conn) Recv() (*Envelope, error) {
 }
 
 // recvFrame reads one binary wire frame: the marker, the body length, then
-// the body's vector sub-frames, decoded straight off the read buffer. A
-// protocol violation anywhere in the body rejects the whole frame with
-// ErrMalformed after skipping to its declared end, so the stream stays in
-// sync wherever the length prefix was honest. A declared length above
-// maxFrameBody fails the connection before anything is sized from it.
+// the body's vector sub-frames, headers off the read buffer and raw payloads
+// into their vectors. A protocol violation anywhere in the body rejects the
+// whole frame with ErrMalformed after skipping to its declared end, so the
+// stream stays in sync wherever the length prefix was honest. A declared
+// length above maxFrameBody fails the connection before anything is sized
+// from it.
 func (c *Conn) recvFrame() (*Envelope, error) {
 	hdr, err := c.br.Peek(wireHeaderLen)
 	if err != nil {

@@ -94,3 +94,12 @@ func (c countingConn) Write(p []byte) (int, error) {
 	wire.bytesOut.Add(uint64(n))
 	return n, err
 }
+
+// writeBuffers writes bufs, consuming it, to the connection itself — which
+// gathers them into one writev where it can, and takes them one Write after
+// another where it cannot — and counts the bytes Write would have.
+func (c countingConn) writeBuffers(bufs *net.Buffers) error {
+	n, err := bufs.WriteTo(c.Conn)
+	wire.bytesOut.Add(uint64(n))
+	return err
+}
