@@ -49,11 +49,13 @@ type Config struct {
 	// core.GroupBased.
 	Scheme core.Kind
 	// Alpha is the EWMA smoothing factor for throughput estimates
-	// (default 0.3).
+	// (default 0.3); estimate.Meter's clip lets one sample lower an
+	// estimate by at most Alpha/2.
 	Alpha float64
 	// DriftThreshold triggers a replan when the current plan's predicted
 	// imbalance exceeds 1+DriftThreshold (default 0.25 — replan when
 	// iterations are predicted ≥ 25% slower than the achievable optimum).
+	// Above 1/(1−Alpha/2) − 1 (0.18 by default) one stalled sample cannot.
 	DriftThreshold float64
 	// MinObservations gates each member's EWMA: until a member has reported
 	// that many iterations of telemetry its prior guess is used (default 3).
@@ -156,6 +158,9 @@ type Controller struct {
 	// bit-identical restore.
 	draws     func() uint64
 	planState *PlanState
+	// gain memoises DriftGain between observations and replans while the
+	// membership stands (churned unset); 0 marks it stale, a gain is positive.
+	gain float64
 }
 
 // NewController validates the config and builds an empty controller; add
@@ -251,6 +256,7 @@ func (ct *Controller) Observe(id, partitions int, seconds float64) error {
 	if !ok {
 		return fmt.Errorf("%w: %d", ErrUnknownMember, id)
 	}
+	ct.gain = 0
 	return ms.meter.Observe(partitions, seconds)
 }
 
@@ -304,6 +310,13 @@ func (ct *Controller) Imbalance() float64 {
 // compares achievable-to-achievable, so it converges to ~1 once the plan
 // matches the estimates and cannot oscillate on the rounding floor.
 func (ct *Controller) DriftGain() float64 {
+	if ct.gain == 0 || ct.churned {
+		ct.gain = ct.driftGain()
+	}
+	return ct.gain
+}
+
+func (ct *Controller) driftGain() float64 {
 	if ct.plan == nil {
 		return 1
 	}
@@ -426,6 +439,7 @@ func (ct *Controller) Replan(iter int, reason string) (*Plan, error) {
 		DrawsBefore: drawsBefore,
 	}
 	ct.churned = false
+	ct.gain = 0
 	ct.lastReplan = iter
 	ct.events = append(ct.events, ReplanEvent{
 		Iter: iter, Epoch: epoch, Reason: reason, Members: len(alive), Imbalance: imbalance,

@@ -265,3 +265,89 @@ func TestJoinerPriorIsFleetMean(t *testing.T) {
 		t.Fatalf("joiner starved of load: %v", plan.Strategy.Allocation().Loads)
 	}
 }
+
+// TestDriftGainIsOneAfterReplan: prediction and plan are one function, so a
+// plan just built from the estimates cannot be improved on by replanning
+// from them, whatever they are — exactly, not within a rounding. The gain is
+// memoised; every change it depends on must be seen through the memo.
+func TestDriftGainIsOneAfterReplan(t *testing.T) {
+	r := rng(22)
+	for trial := 0; trial < 100; trial++ {
+		m := 3 + r.Intn(8)
+		ct := newTestController(t, Config{K: m + r.Intn(20), S: r.Intn(3), MinObservations: 1}, int64(trial))
+		fresh := func(after string) {
+			t.Helper()
+			if got, want := ct.DriftGain(), ct.driftGain(); got != want {
+				t.Fatalf("trial %d: memoised gain %v after %s, recomputed %v", trial, got, after, want)
+			}
+		}
+		for id := 0; id < m; id++ {
+			ct.AddMember(id, 1)
+		}
+		if _, err := ct.Replan(0, "initial"); err != nil {
+			t.Fatal(err)
+		}
+		for id := 0; id < m; id++ {
+			if err := ct.Observe(id, 1+r.Intn(9), 0.001+r.Float64()); err != nil {
+				t.Fatal(err)
+			}
+			fresh("an observation")
+		}
+		if _, err := ct.Replan(1, "drift"); err != nil {
+			t.Fatal(err)
+		}
+		if got := ct.DriftGain(); got != 1 {
+			t.Fatalf("trial %d: gain %v right after a replan, want exactly 1", trial, got)
+		}
+		ct.RemoveMember(0)
+		fresh("a death")
+		ct.AddMember(0, 0)
+		fresh("a rejoin")
+		ct.AddMember(m, 0)
+		fresh("a join")
+	}
+}
+
+// TestStallIsNotASlowdown drives the benchmark's hetero-straggler fleet
+// (1,1,2,2,4,4,8,8 ms per partition, k=16, s=1, every default): one 200 ms
+// stall on any one member — the transient the straggler budget is for — must
+// not migrate the fleet off its plan; the same member slow three times must.
+func TestStallIsNotASlowdown(t *testing.T) {
+	rates := []float64{1000, 1000, 500, 500, 250, 250, 125, 125}
+	const stall = 0.2
+	for victim := range rates {
+		ct := newTestController(t, Config{K: 16, S: 1}, 1)
+		for id, c := range rates {
+			ct.AddMember(id, c)
+		}
+		plan, err := ct.Replan(0, "initial")
+		if err != nil {
+			t.Fatal(err)
+		}
+		loads := plan.Strategy.Allocation().Loads
+		round := func(slowed bool) {
+			t.Helper()
+			for id, c := range rates {
+				sec := float64(loads[id]) / c
+				if slowed && id == victim {
+					sec += stall
+				}
+				if err := ct.Observe(id, loads[id], sec); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		for i := 0; i < 5; i++ {
+			round(false)
+		}
+		round(true)
+		if replan, reason := ct.ShouldReplan(6); replan {
+			t.Fatalf("member %d stalled once: ShouldReplan = %q at gain %v, want the plan %v kept", victim, reason, ct.DriftGain(), loads)
+		}
+		round(true)
+		round(true)
+		if replan, reason := ct.ShouldReplan(8); !replan || reason != "drift" {
+			t.Fatalf("member %d slow three times running: ShouldReplan = %v %q at gain %v, want drift", victim, replan, reason, ct.DriftGain())
+		}
+	}
+}

@@ -184,6 +184,7 @@ func (ct *Controller) Restore(st *ControllerState) error {
 	}
 	ct.lastReplan = st.LastReplan
 	ct.events = append([]ReplanEvent(nil), st.Events...)
+	ct.gain = 0
 	if st.Plan == nil {
 		return nil
 	}

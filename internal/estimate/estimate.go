@@ -83,12 +83,21 @@ func (e *EWMA) Estimate() (float64, error) {
 // Meter is the online estimator used by the elastic control plane: an EWMA
 // gated on a minimum observation count, so that cold or freshly-(re)joined
 // workers fall back to a prior guess until they have reported enough
-// iterations of telemetry.
+// iterations of telemetry, and of bounded influence, so that one sample — a
+// stall the straggler budget absorbed — is not mistaken for a new speed.
 type Meter struct {
 	ewma  EWMA
 	prior float64
 	count int
 }
+
+// maxStep bounds what one sample can say: a warm Meter reads a rate outside
+// [v/maxStep, maxStep·v] of its estimate v as that bound. At the control
+// plane's default α = 0.3 one slow sample, however slow, leaves the estimate
+// at 0.7 + 0.3/2 = 0.85 of itself, a gain from replanning of at most 1.18:
+// under the default 25 % drift threshold, so no single stall migrates the
+// fleet. A real slowdown still does, one sample later (0.85² = 0.72 → 1.38).
+const maxStep = 2
 
 // NewMeter builds a meter with the given smoothing factor and prior rate
 // guess (used until the meter is Ready).
@@ -97,8 +106,12 @@ func NewMeter(alpha, prior float64) *Meter {
 }
 
 // Observe records one rate measurement (partitions processed in elapsed
-// seconds).
+// seconds), clipped to within maxStep of the estimate once there is one.
 func (m *Meter) Observe(partitions int, elapsed float64) error {
+	if v := m.ewma.value; m.ewma.init && v > 0 && elapsed > 0 {
+		expected := float64(partitions) / v
+		elapsed = max(expected/maxStep, min(elapsed, expected*maxStep))
+	}
 	if err := m.ewma.Observe(partitions, elapsed); err != nil {
 		return err
 	}

@@ -174,6 +174,9 @@ func TestMeterStateRoundTrip(t *testing.T) {
 	}
 	st := m.State()
 	revived := NewMeterFromState(0.5, st)
+	if revived.State() != st {
+		t.Fatalf("revived state %+v, want %+v", revived.State(), st)
+	}
 	if got, want := revived.Rate(3), m.Rate(3); got != want {
 		t.Fatalf("revived rate %v, want %v", got, want)
 	}
@@ -189,6 +192,72 @@ func TestMeterStateRoundTrip(t *testing.T) {
 	}
 	if m.Rate(3) != revived.Rate(3) {
 		t.Fatalf("post-restore smoothing diverged: %v vs %v", revived.Rate(3), m.Rate(3))
+	}
+}
+
+// TestMeterBoundedInfluence pins the clip at the control plane's default
+// α = 0.3: a sample 20× off moves the estimate by at most α·(1 − 1/maxStep)
+// down or α·(maxStep − 1) up, and clean samples then forget it.
+func TestMeterBoundedInfluence(t *testing.T) {
+	const alpha, rate = 0.3, 1000.0
+	for _, tc := range []struct {
+		name    string
+		outlier float64 // the outlier's rate, as a multiple of the true one
+		move    float64 // the most the estimate may move, relative
+		clean   int     // clean samples until it is back within 2 %
+	}{
+		{"a 20x stall", 1.0 / 20, 0.15, 7},
+		{"a 20x short sample", 20, 0.30, 8},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := NewMeter(alpha, 1)
+			observe := func(x float64) {
+				t.Helper()
+				if err := m.Observe(8, 8/(rate*x)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := 0; i < 3; i++ {
+				observe(1)
+			}
+			observe(tc.outlier)
+			if got := math.Abs(m.Rate(1)-rate) / rate; got > tc.move+1e-12 || got < tc.move-1e-3 {
+				t.Fatalf("the outlier moved the estimate by %.4f, want the clip's %.2f", got, tc.move)
+			}
+			for i := 0; i < tc.clean; i++ {
+				observe(1)
+			}
+			if got := math.Abs(m.Rate(1)-rate) / rate; got > 0.02 {
+				t.Fatalf("%d clean samples later the estimate is still %.4f off", tc.clean, got)
+			}
+		})
+	}
+}
+
+// TestMeterFollowsARealChange: what the clip must not cost. Three samples at
+// half speed take the estimate past the default drift threshold's 1/1.25, and
+// a cold meter takes its first sample whole, however far from the prior.
+func TestMeterFollowsARealChange(t *testing.T) {
+	m := NewMeter(0.3, 1)
+	if err := m.Observe(100, 1); err != nil {
+		t.Fatal(err)
+	}
+	if got := m.Rate(1); got != 100 {
+		t.Fatalf("first observation gave %v against a prior of 1, want 100 unclipped", got)
+	}
+	for i := 0; i < 3; i++ {
+		if err := m.Observe(50, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := m.Rate(1); got >= 100/1.25 {
+		t.Fatalf("three half-speed samples left the estimate at %v, want under %v", got, 100/1.25)
+	}
+	// A state no Meter writes (a checkpoint's Value is whatever the file
+	// held): a zero estimate has no band to clip to and must still recover.
+	z := NewMeterFromState(0.3, MeterState{Prior: 1, Init: true, Count: 5})
+	if err := z.Observe(10, 1); err != nil || z.Rate(1) != 3 {
+		t.Fatalf("zero estimate after one 10/s sample: rate %v err %v, want 3", z.Rate(1), err)
 	}
 }
 

@@ -4,7 +4,8 @@ import "testing"
 
 // FuzzProportionalLoads checks the allocator's invariants on arbitrary
 // inputs: whenever it succeeds, the loads sum to k(s+1), respect 0 ≤ n ≤ k,
-// and the cyclic placement validates.
+// no single-copy move lowers the makespan, and the cyclic placement
+// validates.
 func FuzzProportionalLoads(f *testing.F) {
 	f.Add(uint8(5), uint8(7), uint8(1), uint16(12345))
 	f.Add(uint8(3), uint8(3), uint8(2), uint16(1))
@@ -32,6 +33,21 @@ func FuzzProportionalLoads(f *testing.F) {
 		}
 		if total != k*(s+1) {
 			t.Fatalf("Σloads=%d != k(s+1)=%d", total, k*(s+1))
+		}
+		best := makespan(loads, c)
+		for from := range loads {
+			for to := range loads {
+				if from == to || loads[from] == 0 || loads[to] == k {
+					continue
+				}
+				loads[from]--
+				loads[to]++
+				if moved := makespan(loads, c); moved < best {
+					t.Fatalf("moving a copy from worker %d to %d takes the makespan from %v to %v (c=%v k=%d s=%d)", from, to, best, moved, c, k, s)
+				}
+				loads[from]++
+				loads[to]--
+			}
 		}
 		alloc, err := CyclicFromLoads(loads, k, s)
 		if err != nil {

@@ -1,14 +1,15 @@
 // Package partition implements the heterogeneity-aware data-partition
 // allocation of the paper (§IV.A): given per-worker throughputs c_i and a
 // straggler budget s, each of the k partitions is replicated s+1 times and
-// the k(s+1) copies are distributed so that worker i receives
-// n_i ≈ k(s+1)·c_i/Σc_j copies, placed cyclically (Eq. 6) so that every
-// partition lands on exactly s+1 distinct workers.
+// the k(s+1) copies are distributed so that the makespan max n_i/c_i is least
+// (n_i ≈ k(s+1)·c_i/Σc_j), placed cyclically (Eq. 6) so that every partition
+// lands on exactly s+1 distinct workers.
 package partition
 
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 )
 
@@ -95,11 +96,13 @@ func (a *Allocation) Validate() error {
 	return nil
 }
 
-// ProportionalLoads computes the per-worker copy counts n_i from throughputs,
-// targeting n_i ∝ c_i with Σ n_i = k(s+1) and 0 ≤ n_i ≤ k (Eq. 5 with
-// largest-remainder rounding; the paper assumes the ideal values are
-// integral, we handle the general case). Workers with c_i = 0 receive no
-// load.
+// ProportionalLoads computes the per-worker copy counts n_i from throughputs:
+// Σ n_i = k(s+1), 0 ≤ n_i ≤ k, and the makespan max n_i/c_i — Theorem 5's
+// objective — is the least any such integer loads reach. Eq. 5's ideal
+// n_i = k(s+1)·c_i/Σc_j attains it when integral, which the paper assumes;
+// rounding it by largest remainder does not (c = (1, 0.3), three copies:
+// (2, 1) takes 3.33 where (3, 0) takes 3). Equal throughputs get loads within
+// one of each other, lowest index first. Workers with c_i = 0 receive no load.
 func ProportionalLoads(throughputs []float64, k, s int) ([]int, error) {
 	m := len(throughputs)
 	if m == 0 || k <= 0 || s < 0 {
@@ -108,68 +111,72 @@ func ProportionalLoads(throughputs []float64, k, s int) ([]int, error) {
 	if s+1 > m {
 		return nil, fmt.Errorf("%w: need s+1=%d ≤ m=%d workers per partition", ErrInfeasible, s+1, m)
 	}
-	var sum float64
+	positive := 0
 	for i, c := range throughputs {
 		if c < 0 {
 			return nil, fmt.Errorf("%w: negative throughput c[%d]=%v", ErrBadInput, i, c)
 		}
-		sum += c
-	}
-	if sum == 0 {
-		return nil, fmt.Errorf("%w: all throughputs zero", ErrBadInput)
-	}
-	positive := 0
-	for _, c := range throughputs {
 		if c > 0 {
 			positive++
 		}
+	}
+	if positive == 0 {
+		return nil, fmt.Errorf("%w: all throughputs zero", ErrBadInput)
 	}
 	if s+1 > positive {
 		return nil, fmt.Errorf("%w: only %d workers with positive throughput, need ≥ s+1=%d", ErrInfeasible, positive, s+1)
 	}
 
-	total := k * (s + 1)
+	// Each copy goes to the worker whose next copy finishes earliest. The
+	// finish times handed out never decrease, so the last is the makespan,
+	// and every slot finishing before it is taken: nothing fits k(s+1) copies
+	// under a lower one. positive·k ≥ k(s+1): a worker with room remains.
 	loads := make([]int, m)
-	type rem struct {
-		idx  int
-		frac float64
-	}
-	rems := make([]rem, 0, m)
-	assigned := 0
+	h := make([]nextCopy, 0, positive)
 	for i, c := range throughputs {
-		ideal := float64(total) * c / sum
-		fl := int(ideal)
-		if fl > k {
-			fl = k
-		}
-		loads[i] = fl
-		assigned += fl
-		frac := ideal - float64(fl)
 		if c > 0 {
-			rems = append(rems, rem{i, frac})
+			h = append(h, nextCopy{1 / c, i})
 		}
 	}
-	// Distribute the remaining copies by largest fractional part, respecting
-	// the n_i ≤ k cap. Ties break by index for determinism.
-	sort.SliceStable(rems, func(a, b int) bool { return rems[a].frac > rems[b].frac })
-	deficit := total - assigned
-	for deficit > 0 {
-		progressed := false
-		for _, r := range rems {
-			if deficit == 0 {
-				break
-			}
-			if loads[r.idx] < k {
-				loads[r.idx]++
-				deficit--
-				progressed = true
-			}
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		siftDown(h, i)
+	}
+	for total := k * (s + 1); total > 0; total-- {
+		i := h[0].worker
+		loads[i]++
+		h[0].finish = float64(loads[i]+1) / throughputs[i]
+		if loads[i] == k {
+			h[0].finish = math.Inf(1) // full: never the minimum again
 		}
-		if !progressed {
-			return nil, fmt.Errorf("%w: cannot place %d copies with n_i ≤ k", ErrInfeasible, deficit)
-		}
+		siftDown(h, 0)
 	}
 	return loads, nil
+}
+
+// nextCopy is a min-heap entry of ProportionalLoads: the time at which the
+// worker would finish one more copy, (n_i+1)/c_i. Ties go to the lowest index.
+type nextCopy struct {
+	finish float64
+	worker int
+}
+
+func (a nextCopy) before(b nextCopy) bool {
+	return a.finish < b.finish || a.finish == b.finish && a.worker < b.worker
+}
+
+// siftDown moves entry i down the heap until neither child is before it.
+func siftDown(h []nextCopy, i int) {
+	for {
+		c := 2*i + 1
+		if c+1 < len(h) && h[c+1].before(h[c]) {
+			c++
+		}
+		if c >= len(h) || !h[c].before(h[i]) {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
 }
 
 // CyclicFromLoads places the copies cyclically (Eq. 6): worker i receives

@@ -2,7 +2,9 @@ package partition
 
 import (
 	"errors"
+	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -60,6 +62,115 @@ func TestProportionalLoadsRounding(t *testing.T) {
 	}
 	if sum != 8 {
 		t.Fatalf("Σloads = %d, want 8", sum)
+	}
+}
+
+// makespan is Theorem 5's objective for given loads: max n_i/c_i over the
+// workers that hold anything.
+func makespan(loads []int, c []float64) float64 {
+	t := 0.0
+	for i, n := range loads {
+		if n > 0 {
+			t = math.Max(t, float64(n)/c[i])
+		}
+	}
+	return t
+}
+
+// TestProportionalLoadsMinMax pins loads where rounding the proportional
+// ideal to the nearest integers and minimising the makespan part ways, and
+// the equal-rate shapes of the pinned benchmark workloads, which must not.
+func TestProportionalLoadsMinMax(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		c    []float64
+		k, s int
+		want []int
+	}{
+		// Largest remainder gave (2, 1): 1/0.3 = 3.33 against 3/1.
+		{"slow tail rounded up", []float64{1, 0.3}, 3, 0, []int{3, 0}},
+		// hetero-straggler's fleet (1,1,2,2,4,4,8,8 ms per partition) as the
+		// meters read it five iterations in. Largest remainder gave
+		// 9 8 4 4 3 2 1 1: three copies on a 4 ms worker, 12.3 ms.
+		{"live estimates", []float64{926, 876, 453, 435, 243, 240, 122, 122}, 16, 1, []int{9, 9, 4, 4, 2, 2, 1, 1}},
+		{"that fleet, exact", []float64{1000, 1000, 500, 500, 250, 250, 125, 125}, 16, 1, []int{9, 9, 4, 4, 2, 2, 1, 1}},
+		{"flat-raw", []float64{500, 500, 500, 500}, 8, 1, []int{4, 4, 4, 4}},
+		{"a sharded-raw group", []float64{500, 500, 500}, 6, 1, []int{4, 4, 4}},
+		{"equal rates, indivisible: lowest index first", []float64{1, 1, 1}, 4, 1, []int{3, 3, 2}},
+		{"a dominant worker stops at k", []float64{100, 1, 1}, 3, 1, []int{3, 2, 1}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			loads, err := ProportionalLoads(tc.c, tc.k, tc.s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(loads, tc.want) {
+				t.Fatalf("loads = %v (makespan %.4g), want %v (%.4g)", loads, makespan(loads, tc.c), tc.want, makespan(tc.want, tc.c))
+			}
+		})
+	}
+}
+
+// bruteMinMakespan tries every load vector with 0 ≤ n_i ≤ k, nothing on a
+// zero-rate worker and Σn_i = left.
+func bruteMinMakespan(c []float64, k, left int, loads []int) float64 {
+	i := len(loads)
+	if i == len(c) {
+		if left != 0 {
+			return math.Inf(1)
+		}
+		return makespan(loads, c)
+	}
+	best := math.Inf(1)
+	for n := 0; n <= k && n <= left && (n == 0 || c[i] > 0); n++ {
+		best = math.Min(best, bruteMinMakespan(c, k, left-n, append(loads, n)))
+	}
+	return best
+}
+
+// TestProportionalLoadsOptimal holds the allocator against brute force on
+// small fleets whose rates include zeros and exact ties.
+func TestProportionalLoadsOptimal(t *testing.T) {
+	r := rand.New(rand.NewSource(22))
+	pool := []float64{0, 0.3, 0.5, 1, 1, 2, 2, 3.7, 10}
+	feasible := 0
+	for trial := 0; trial < 400; trial++ {
+		m, k, s := 1+r.Intn(6), 1+r.Intn(6), r.Intn(3)
+		c := make([]float64, m)
+		for i := range c {
+			c[i] = pool[r.Intn(len(pool))]
+			if r.Intn(4) == 0 {
+				c[i] *= 0.5 + r.Float64()
+			}
+		}
+		loads, err := ProportionalLoads(c, k, s)
+		want := bruteMinMakespan(c, k, k*(s+1), make([]int, 0, m))
+		if err != nil {
+			if !math.IsInf(want, 1) {
+				t.Fatalf("c=%v k=%d s=%d: %v, but loads of makespan %v exist", c, k, s, err, want)
+			}
+			continue
+		}
+		feasible++
+		total := 0
+		for i, n := range loads {
+			if n < 0 || n > k || (c[i] == 0 && n != 0) {
+				t.Fatalf("c=%v k=%d s=%d: loads %v: worker %d outside [0,k] or loaded at rate 0", c, k, s, loads, i)
+			}
+			total += n
+		}
+		if total != k*(s+1) {
+			t.Fatalf("c=%v k=%d s=%d: loads %v sum to %d, want %d", c, k, s, loads, total, k*(s+1))
+		}
+		if got := makespan(loads, c); got != want {
+			t.Fatalf("c=%v k=%d s=%d: loads %v take %v, the optimum is %v", c, k, s, loads, got, want)
+		}
+		if again, _ := ProportionalLoads(c, k, s); !reflect.DeepEqual(again, loads) {
+			t.Fatalf("c=%v k=%d s=%d: %v then %v", c, k, s, loads, again)
+		}
+	}
+	if feasible < 200 {
+		t.Fatalf("only %d of 400 trials were feasible: the generator no longer tests the allocator", feasible)
 	}
 }
 

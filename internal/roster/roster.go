@@ -661,7 +661,7 @@ func (e *Engine) WaitForMembers(min int, timeout time.Duration) error {
 }
 
 // ShouldReplan asks the controller whether to migrate at this iteration
-// boundary (see elastic.Controller.ShouldReplan).
+// boundary; the gauge and the decision share one memoised DriftGain.
 func (e *Engine) ShouldReplan(iter int) (bool, string) {
 	e.mu.Lock()
 	defer e.mu.Unlock()

@@ -383,14 +383,15 @@ func (b *iterBufs) releasePartials() {
 // or epoch fence: the iteration is abandoned, its buffers go back to the
 // pools and only the telemetry is uploaded. The mailbox is consulted between
 // partitions (never before the first one finishes, so an abandoned iteration
-// still measures something) and throughout the injected delay. What the
-// abandoned iteration reports is a rate sample the controller can use as it
-// uses any other: compute cut short reports the partitions finished and the
-// time they took (plus their share of DelayPerPartition); an injected delay
-// cut short reports every partition and the declared time — the time up to
-// the sleep plus the whole of what the hooks returned — not the time until
-// the master moved on, which would make every superseded worker look exactly
-// as fast as the cluster.
+// still measures something), throughout the injected delay and once before
+// the upload is built. What the abandoned iteration reports is a rate sample
+// the controller can use as it uses any other: compute cut short reports the
+// partitions finished and the time they took (plus their share of
+// DelayPerPartition); an injected delay cut short reports every partition and
+// the declared time — the time up to the sleep plus the whole of what the
+// hooks returned — not the time until the master moved on, which would make
+// every superseded worker look exactly as fast as the cluster; a finished
+// iteration reports what it would have.
 func (w *ElasticWorker) iterate(env *transport.Envelope) error {
 	bufs := &iterBufs{partials: make([]grad.Gradient, 0, len(w.parts))}
 	uploading := false
@@ -455,6 +456,9 @@ func (w *ElasticWorker) iterate(env *transport.Envelope) error {
 		}
 	}
 	compute := time.Since(computeStart).Seconds()
+	if len(w.parts) > 0 && w.box.superseded() {
+		return abandon(len(w.parts), compute)
+	}
 
 	out := &transport.Envelope{
 		Type:     transport.MsgGradient,

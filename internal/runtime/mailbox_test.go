@@ -501,6 +501,35 @@ func TestElasticWorkerReceiveRule(t *testing.T) {
 			calls: 2 + parts,
 		},
 		{
+			name: "a gradient finished for a closed iteration is not uploaded",
+			script: func(t *testing.T, sm *scriptedMaster, m *scriptModel) {
+				last, release := make(chan struct{}), make(chan struct{})
+				m.hook = func(call int) error {
+					if call == parts {
+						close(last)
+						<-release
+					}
+					return nil
+				}
+				sm.reassign(0, parts)
+				start := time.Now()
+				sm.params(0, 0)
+				<-last // past the last look at the mailbox between partitions
+				sm.params(1, 0)
+				sm.awaitSuperseded()
+				close(release)
+				// Telemetry only, and it reads as the completed iteration it is.
+				u := sm.expect(transport.MsgTelemetry, 0)
+				if wall := time.Since(start).Seconds(); u.tel.Partitions != parts || u.tel.ComputeSeconds <= 0 || u.tel.ComputeSeconds > wall {
+					t.Errorf("closed iteration reported %d partitions in %v s, want %d in at most the %v s it could have taken", u.tel.Partitions, u.tel.ComputeSeconds, parts, wall)
+				}
+				sm.expect(transport.MsgGradient, 1)
+				sm.expect(transport.MsgTelemetry, 1)
+				sm.send(&transport.Envelope{Type: transport.MsgShutdown})
+			},
+			calls: 2 * parts,
+		},
+		{
 			name: "a gradient error returns the partials already computed",
 			script: func(t *testing.T, sm *scriptedMaster, m *scriptModel) {
 				m.hook = func(call int) error {

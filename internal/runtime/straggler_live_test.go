@@ -11,6 +11,7 @@ import (
 	"github.com/hetgc/hetgc/internal/grad"
 	"github.com/hetgc/hetgc/internal/ml"
 	"github.com/hetgc/hetgc/internal/obs"
+	"github.com/hetgc/hetgc/internal/partition"
 )
 
 // closedCountingModel counts the Gradient calls one worker makes for an
@@ -232,4 +233,92 @@ func TestElasticPersistentSlowdownReplansLive(t *testing.T) {
 		return
 	}
 	t.Fatalf("member %d is not in the controller state", slowID)
+}
+
+// TestElasticStallsKeepThePlanLive is the benchmark's hetero-straggler case
+// as a count: eight workers of four declared speeds, s = 1, every
+// control-plane default, and from iteration 7 on every seventh iteration one
+// of them, each in turn, stalls for a second — fifty iterations' worth, and
+// free: the straggler budget absorbs a stall, and the worker abandons it at
+// the next broadcast. The plan must not move for one either. The fleet is to
+// reach the loads that are makespan-optimal for the declared speeds and be on
+// them at the end, in at most three plans: the uniform initial one, the warm
+// one, and one spare. k = 15 makes the proportional ideal integral,
+// 8 8 4 4 2 2 1 1, with 12 % to the next-best loads either way; at the
+// benchmark's k = 16 the optimum 9 9 4 4 2 2 1 1 is 5 % from 9 8 4 5 …, less
+// than timer overshoot moves the estimates the warm plan is built from.
+func TestElasticStallsKeepThePlanLive(t *testing.T) {
+	const (
+		k, s, workers = 15, 1, 8
+		every         = 7
+		iters         = every * (workers + 1) // the last stall is superseded like the rest
+		unit          = 2 * time.Millisecond
+		stall         = time.Second
+	)
+	perPart := [workers]time.Duration{unit, unit, 2 * unit, 2 * unit, 4 * unit, 4 * unit, 8 * unit, 8 * unit}
+	f := newElasticFixture(t, k)
+	cfg := f.masterConfig(k, s, iters)
+	cfg.MinWorkers = workers
+	cfg.Alpha, cfg.MinObservations, cfg.CooldownIters = 0, 0, 0 // elastic.Config's defaults
+	master, err := NewElasticMaster(cfg, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer master.Close()
+	var wg sync.WaitGroup
+	declared := map[int]float64{} // member ID → partitions/second
+	for i := 0; i < workers; i++ {
+		i := i
+		w, err := DialElasticWorker(master.Addr(), ElasticWorkerConfig{
+			Model:             f.model,
+			PartitionData:     func(p int) (*ml.Dataset, error) { return f.parts[p], nil },
+			DelayPerPartition: func(int) time.Duration { return perPart[i] },
+			Delay: func(iter int) time.Duration {
+				if iter > 0 && iter%every == 0 && (iter/every-1)%workers == i {
+					return stall
+				}
+				return 0
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		declared[w.ID()] = 1 / perPart[i].Seconds()
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_ = w.Run()
+		}()
+	}
+	if err := master.WaitForWorkers(5 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	res, err := master.Run()
+	wg.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Replans) > 3 {
+		t.Errorf("%d plans for a fleet whose speeds never changed, want at most 3: %+v", len(res.Replans), res.Replans)
+	}
+	plan := master.ctrl.Plan()
+	loads := plan.Strategy.Allocation().Loads
+	rates := make([]float64, len(plan.Members))
+	for slot, id := range plan.Members {
+		rates[slot] = declared[id]
+	}
+	best, err := partition.ProportionalLoads(rates, k, s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	span := func(loads []int) (t float64) {
+		for i, n := range loads {
+			t = math.Max(t, float64(n)/rates[i])
+		}
+		return t
+	}
+	if got, want := span(loads), span(best); got != want {
+		t.Errorf("final loads %v take %.0f ms at the declared speeds %v, the optimum %v takes %.0f ms (plans: %+v)",
+			loads, 1e3*got, rates, best, 1e3*want, res.Replans)
+	}
 }

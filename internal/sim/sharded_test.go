@@ -88,17 +88,29 @@ func TestShardedSimGroupLocalReplanning(t *testing.T) {
 		t.Fatalf("every group migrated (final epochs %v) — replanning is not group-local", last)
 	}
 
-	// The kill at iteration 16 must replan exactly one group at that
-	// boundary (the owner); every other group's epoch is unchanged across
-	// the boundary.
-	bumped := 0
-	for g := range last {
-		if res.Epochs[16][g] > res.Epochs[15][g] {
-			bumped++
+	// The kill at iteration 16 is exactly one churn replan, of the owner.
+	// Another group may migrate at the same boundary only on a trigger of
+	// its own — member 3's group is still following its 10x slowdown, which
+	// the meter's clip has it learn a halving per sample, a drift replan per
+	// cooldown — so an epoch moves across the boundary if and only if that
+	// group has a replan event there.
+	at16 := map[int]string{}
+	churn := 0
+	for _, ev := range res.Replans {
+		if ev.Iter == 16 {
+			at16[ev.Group] = ev.Reason
+			if ev.Reason == "churn" {
+				churn++
+			}
 		}
 	}
-	if bumped != 1 {
-		t.Fatalf("kill at iter 16 bumped %d groups' epochs, want exactly 1", bumped)
+	if churn != 1 {
+		t.Fatalf("kill at iter 16 caused %d churn replans (%v), want exactly 1", churn, at16)
+	}
+	for g := range last {
+		if bumped := res.Epochs[16][g] > res.Epochs[15][g]; bumped != (at16[g] != "") {
+			t.Fatalf("group %d: epoch bumped across iter 16 = %v, its replan there = %q", g, bumped, at16[g])
+		}
 	}
 
 	// Replan events carry group indices; non-initial events must touch a

@@ -116,8 +116,13 @@ func Scenarios() []Scenario {
 	return []Scenario{
 		{
 			// One worker slows 15x mid-run: the control plane must detect
-			// the drift from telemetry and migrate load off it.
-			Name: "slowdown", K: 8, S: 1, Workers: 6, GroupSize: 3, Iters: 24,
+			// the drift from telemetry and migrate load off it. The meter
+			// reads one slow sample as a stall (estimate.Meter halves a
+			// rate at most), so detection takes two, and the scripted
+			// worker, serving broadcasts in order at 15x the others' time,
+			// reports once per ~15 master iterations: 64 leave room for
+			// three reports after iteration 6.
+			Name: "slowdown", K: 8, S: 1, Workers: 6, GroupSize: 3, Iters: 64,
 			IterTimeout: iterTimeout, InitialRate: rate,
 			Alpha: 0.7, DriftThreshold: 0.5, MinObservations: 2, CooldownIters: 2,
 			Behaviors: map[int]Behavior{
