@@ -2,7 +2,7 @@ GO ?= go
 
 .PHONY: all build test vet lint race cover cover-gate cover-check \
 	fuzz-smoke smoke-examples metrics-smoke e2e-procs bench bench-smoke \
-	bench-baseline bench-compare bench-json bench-check bench-pairs profile-kernels
+	bench-baseline bench-compare bench-json bench-check bench-pairs profile-kernels loc
 
 all: build test
 
@@ -93,16 +93,24 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzRoster$$' -fuzztime $(FUZZTIME) ./internal/node
 	$(GO) test -run '^$$' -fuzz '^FuzzProportionalLoads$$' -fuzztime $(FUZZTIME) ./internal/partition
 
-# Smoke-run the quickstart example: a panic in example main paths must fail
-# the build pipeline, not linger unnoticed (5s budget where `timeout` exists
-# — stock macOS ships without coreutils).
+# Smoke-run the quickstart and adaptive examples: a panic in example main
+# paths must fail the build pipeline, not linger unnoticed, and adaptive exits
+# non-zero when the elastic controller never replans (5s budget each where
+# `timeout` exists — stock macOS ships without coreutils).
 smoke-examples:
 	$(GO) build ./examples/...
-	@if command -v timeout >/dev/null 2>&1; then \
-		timeout 5 $(GO) run ./examples/quickstart; \
-	else \
-		$(GO) run ./examples/quickstart; \
-	fi
+	@for ex in quickstart adaptive; do \
+		if command -v timeout >/dev/null 2>&1; then \
+			timeout 5 $(GO) run ./examples/$$ex || exit 1; \
+		else \
+			$(GO) run ./examples/$$ex || exit 1; \
+		fi; \
+	done
+
+# Non-test Go lines outside bench/: the size figure simplicity changes are
+# measured by.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' | xargs cat | wc -l
 
 # Live telemetry smoke: each runtime (elastic and sharded) trains a loopback
 # cluster with checkpointing and the HA lease on while serving /metrics; the

@@ -17,7 +17,7 @@ func BenchmarkTable2Clusters(b *testing.B) {
 		for _, cl := range []*Cluster{ClusterA(), ClusterB(), ClusterC(), ClusterD()} {
 			rng := NewRand(int64(i))
 			k := ChooseK(cl, 1)
-			if _, err := BuildStrategy(HeterAware, cl, cl.Throughputs(), k, 1, rng); err != nil {
+			if _, err := BuildStrategy(HeterAware, cl.Throughputs(), k, 1, rng); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -218,7 +218,7 @@ func BenchmarkDecodeGroupBroken(b *testing.B) {
 search:
 	for _, cl := range []*Cluster{ClusterA(), ClusterB(), ClusterC(), ClusterD()} {
 		for _, s := range []int{1, 2, 3} {
-			cand, err := BuildStrategy(GroupBased, cl, cl.Throughputs(), ChooseK(cl, s), s, NewRand(1))
+			cand, err := BuildStrategy(GroupBased, cl.Throughputs(), ChooseK(cl, s), s, NewRand(1))
 			if err != nil {
 				continue
 			}

@@ -51,21 +51,14 @@ func run(args []string) error {
 	}
 	rng := hetgc.NewRand(*seed)
 
-	var st *hetgc.Strategy
-	switch *scheme {
-	case "heter":
-		st, err = hetgc.NewHeterAware(ths, *k, *s, rng)
-	case "group":
-		st, err = hetgc.NewGroupBased(ths, *k, *s, rng)
-	case "cyclic":
-		st, err = hetgc.NewCyclic(m, *s, rng)
-	case "naive":
-		st, err = hetgc.NewNaive(m)
-	case "fracrep":
-		st, err = hetgc.NewFractionalRepetition(m, *s)
-	default:
+	kind, ok := map[string]hetgc.Kind{
+		"heter": hetgc.HeterAware, "group": hetgc.GroupBased, "cyclic": hetgc.Cyclic,
+		"naive": hetgc.Naive, "fracrep": hetgc.FractionalRepetition,
+	}[*scheme]
+	if !ok {
 		return fmt.Errorf("unknown scheme %q", *scheme)
 	}
+	st, err := hetgc.BuildStrategy(kind, ths, *k, *s, rng)
 	if err != nil {
 		return err
 	}

@@ -96,23 +96,16 @@ func run(args []string) error {
 
 	// A small heterogeneous fleet (relative speeds 1..4, as in Example 1).
 	throughputs := []float64{1, 2, 3, 4, 4}
-	m := len(throughputs)
 	k := 7
 	rng := hetgc.NewRand(*seed)
 
-	var st *hetgc.Strategy
-	switch *scheme {
-	case "heter":
-		st, err = hetgc.NewHeterAware(throughputs, k, *s, rng)
-	case "group":
-		st, err = hetgc.NewGroupBased(throughputs, k, *s, rng)
-	case "cyclic":
-		st, err = hetgc.NewCyclic(m, *s, rng)
-	case "naive":
-		st, err = hetgc.NewNaive(m)
-	default:
+	kind, ok := map[string]hetgc.Kind{
+		"heter": hetgc.HeterAware, "group": hetgc.GroupBased, "cyclic": hetgc.Cyclic, "naive": hetgc.Naive,
+	}[*scheme]
+	if !ok {
 		return fmt.Errorf("unknown scheme %q", *scheme)
 	}
+	st, err := hetgc.BuildStrategy(kind, throughputs, k, *s, rng)
 	if err != nil {
 		return err
 	}

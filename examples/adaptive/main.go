@@ -1,5 +1,5 @@
-// Adaptive: the estimate → allocate → re-code loop. The planner starts with
-// wrong (uniform) throughput guesses on a strongly heterogeneous cluster,
+// Adaptive: the estimate → allocate → re-code loop. The elastic controller
+// starts from wrong (uniform) throughput guesses on a heterogeneous cluster,
 // observes one epoch of per-worker timings, detects the load imbalance and
 // rebuilds the coding strategy — cutting the simulated iteration time.
 package main
@@ -22,18 +22,21 @@ func run() error {
 	// know yet.
 	truth := []float64{0.5, 1, 2, 4, 4.5, 9}
 	const k, s = 21, 1
-	rng := hetgc.NewRand(11)
-
-	pl, err := hetgc.NewPlanner(hetgc.PlannerConfig{
-		K: k, S: s,
-		MinObservations: 1,
-		ReplanThreshold: 0.15,
-	}, []float64{1, 1, 1, 1, 1, 1}, rng) // uniform guess
+	ctrl, err := hetgc.NewElasticController(hetgc.ElasticControllerConfig{
+		K: k, S: s, MinObservations: 1, CooldownIters: 1,
+	}, hetgc.NewRand(11))
+	if err != nil {
+		return err
+	}
+	for w := range truth {
+		ctrl.AddMember(w, 1) // uniform guess
+	}
+	plan, err := ctrl.Replan(0, "initial")
 	if err != nil {
 		return err
 	}
 
-	simulate := func(label string, seed int64) (float64, error) {
+	simulate := func(label string) (float64, error) {
 		rates := make([]float64, len(truth))
 		for i, v := range truth {
 			rates[i] = v / float64(k) // datasets/second
@@ -41,50 +44,47 @@ func run() error {
 		// One random transient straggler per iteration: the setting the
 		// s=1 code is built for (without stragglers, a lucky misallocation
 		// can win the average case — Theorem 5 is about the worst case).
-		srng := hetgc.NewRand(seed)
 		res, err := hetgc.Simulate(hetgc.SimConfig{
-			Strategy:    pl.Strategy(),
+			Strategy:    plan.Strategy,
 			Throughputs: rates,
-			Injector:    hetgc.FixedStragglers{Count: 1, Delay: 10, Rng: srng},
+			Injector:    hetgc.FixedStragglers{Count: 1, Delay: 10, Rng: hetgc.NewRand(101)},
 			Iterations:  50,
 		})
 		if err != nil {
 			return 0, err
 		}
 		fmt.Printf("%-22s loads=%v  avg iteration %.3fs\n",
-			label, pl.Strategy().Allocation().Loads, res.AvgIterTime())
+			label, plan.Strategy.Allocation().Loads, res.AvgIterTime())
 		return res.AvgIterTime(), nil
 	}
 
-	before, err := simulate("epoch 0 (uniform plan)", 101)
+	before, err := simulate("epoch 0 (uniform plan)")
 	if err != nil {
 		return err
 	}
-
 	// One epoch of observations: each worker reports how long its assigned
 	// load took at its true speed.
-	loads := pl.Strategy().Allocation().Loads
-	for w, c := range truth {
-		if loads[w] == 0 {
+	for w, n := range plan.Strategy.Allocation().Loads {
+		if n == 0 {
 			continue
 		}
-		if err := pl.Observe(w, loads[w], float64(loads[w])/c); err != nil {
+		if err := ctrl.Observe(w, n, float64(n)/truth[w]); err != nil {
 			return err
 		}
 	}
-	fmt.Printf("predicted imbalance after epoch 0: %.2fx optimal\n", pl.Imbalance())
+	fmt.Printf("predicted imbalance after epoch 0: %.2fx optimal\n", ctrl.Imbalance())
 
-	replanned, err := pl.MaybeReplan(rng)
-	if err != nil {
-		return err
-	}
-	if !replanned {
+	replan, reason := ctrl.ShouldReplan(1)
+	if !replan {
 		return fmt.Errorf("expected a replan")
 	}
-	after, err := simulate("epoch 1 (re-coded plan)", 101)
+	if plan, err = ctrl.Replan(1, reason); err != nil {
+		return err
+	}
+	after, err := simulate("epoch 1 (re-coded plan)")
 	if err != nil {
 		return err
 	}
-	fmt.Printf("\nadaptive re-coding cut iteration time by %.1fx\n", before/after)
+	fmt.Printf("\nadaptive re-coding (%s) cut iteration time by %.1fx\n", reason, before/after)
 	return nil
 }

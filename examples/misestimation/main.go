@@ -36,23 +36,5 @@ func run() error {
 	}
 	fmt.Println("avg iteration time (s) vs relative estimation error eps:")
 	fmt.Print(hetgc.MisestimationTable(rows).String())
-
-	// Show what a sampling estimator would have produced.
-	fmt.Println("\nexample: estimating a worker's speed by sampling 5 noisy iterations")
-	var sampler hetgc.ThroughputSampler
-	rng := hetgc.NewRand(5)
-	const trueRate = 0.08 // datasets/second
-	for i := 0; i < 5; i++ {
-		elapsed := (1.0 / trueRate) * (0.9 + 0.2*rng.Float64())
-		if err := sampler.Observe(1, elapsed); err != nil {
-			return err
-		}
-	}
-	est, err := sampler.Estimate()
-	if err != nil {
-		return err
-	}
-	fmt.Printf("true rate %.4f, sampled estimate %.4f (%.1f%% error)\n",
-		trueRate, est, 100*(est-trueRate)/trueRate)
 	return nil
 }

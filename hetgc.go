@@ -441,8 +441,6 @@ type (
 	// ShardPlan is a sharded deployment plan (groups, partition ownership,
 	// reduction tree).
 	ShardPlan = shard.Plan
-	// ShardPlanConfig parameterises the sharding planner.
-	ShardPlanConfig = shard.PlanConfig
 	// ReductionTree is the cross-group aggregation topology.
 	ReductionTree = shard.Tree
 )
@@ -458,13 +456,6 @@ func NewShardedRoot(cfg ShardedConfig, addr string) (*ShardedRoot, error) {
 // for every group's worker quorum and trains to completion.
 func RunSharded(cfg ShardedConfig, addr string, waitTimeout time.Duration, onListen func(*ShardedRoot)) (*ShardedResult, error) {
 	return shard.RunSharded(cfg, addr, waitTimeout, onListen)
-}
-
-// BuildShardPlan shards workers into coding groups with per-group strategies
-// and a reduction tree — the planning step of the hierarchical runtime,
-// usable standalone.
-func BuildShardPlan(throughputs []float64, cfg ShardPlanConfig, rng *rand.Rand) (*ShardPlan, error) {
-	return shard.BuildPlan(throughputs, cfg, rng)
 }
 
 // NewReductionTree builds a fan-in-ary aggregation tree over the given leaf
@@ -492,10 +483,6 @@ func SimulateSharded(cfg ShardedSimConfig) (*ShardedSimResult, error) {
 
 // Throughput estimation.
 type (
-	// ThroughputSampler estimates worker speed by sampling.
-	ThroughputSampler = estimate.Sampler
-	// ThroughputEWMA estimates worker speed with exponential smoothing.
-	ThroughputEWMA = estimate.EWMA
 	// ThroughputMeter is a count-gated EWMA with a prior — the elastic
 	// control plane's per-worker estimator.
 	ThroughputMeter = estimate.Meter
@@ -505,6 +492,13 @@ type (
 // the given smoothing factor and prior rate guess.
 func NewThroughputMeter(alpha, prior float64) *ThroughputMeter {
 	return estimate.NewMeter(alpha, prior)
+}
+
+// BuildStrategy builds a strategy of any scheme over m = len(estimates)
+// workers from throughput estimates: the one step from estimates to a code,
+// shared by the experiments and the elastic control plane.
+func BuildStrategy(kind Kind, estimates []float64, k, s int, rng *rand.Rand) (*Strategy, error) {
+	return planner.BuildStrategy(kind, estimates, k, s, rng)
 }
 
 // PredictedImbalance predicts a strategy's iteration time relative to the
@@ -562,7 +556,6 @@ var (
 	ReplicationTable    = experiments.ReplicationTable
 	SpeedupVsCyclic     = experiments.SpeedupVsCyclic
 	ChooseK             = experiments.ChooseK
-	BuildStrategy       = experiments.BuildStrategy
 	DefaultSchemes      = experiments.DefaultSchemes
 )
 
@@ -582,20 +575,6 @@ type (
 // worker set, for pre-storing their decoding rows.
 func RegularPatterns(suspects []int, s int) []StragglerPattern {
 	return core.RegularPatterns(suspects, s)
-}
-
-// Adaptive planning (estimate → allocate → re-code loop).
-type (
-	// Planner tracks throughput estimates and rebuilds strategies on drift.
-	Planner = planner.Planner
-	// PlannerConfig configures a Planner.
-	PlannerConfig = planner.Config
-)
-
-// NewPlanner builds a planner with an initial strategy from throughput
-// guesses; feed it Observe() samples and call MaybeReplan between epochs.
-func NewPlanner(cfg PlannerConfig, initialThroughputs []float64, rng *rand.Rand) (*Planner, error) {
-	return planner.New(cfg, initialThroughputs, rng)
 }
 
 // WriteTimelineCSV exports a simulation's per-worker timeline as CSV.

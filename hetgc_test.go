@@ -64,7 +64,7 @@ func TestPublicAPIQuickstart(t *testing.T) {
 func TestPublicAPISimulation(t *testing.T) {
 	cl := ClusterA()
 	rng := NewRand(2)
-	st, err := BuildStrategy(HeterAware, cl, cl.Throughputs(), ChooseK(cl, 1), 1, rng)
+	st, err := BuildStrategy(HeterAware, cl.Throughputs(), ChooseK(cl, 1), 1, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,11 +126,10 @@ func TestSeedFromTimeMoves(t *testing.T) {
 
 func TestPublicAPIPlannerAndDecodingMatrix(t *testing.T) {
 	rng := NewRand(9)
-	pl, err := NewPlanner(PlannerConfig{K: 7, S: 1}, []float64{1, 2, 3, 4, 4}, rng)
+	st, err := BuildStrategy(HeterAware, []float64{1, 2, 3, 4, 4}, 7, 1, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := pl.Strategy()
 	// Pre-store decoding rows for the chronically slow workers 0 and 1.
 	dm, err := st.PrecomputePatterns(RegularPatterns([]int{0, 1}, 1))
 	if err != nil {
@@ -165,7 +164,7 @@ func TestPublicAPICSVExports(t *testing.T) {
 	}
 	cl := ClusterA()
 	rng := NewRand(10)
-	st, err := BuildStrategy(HeterAware, cl, cl.Throughputs(), ChooseK(cl, 1), 1, rng)
+	st, err := BuildStrategy(HeterAware, cl.Throughputs(), ChooseK(cl, 1), 1, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,13 +281,12 @@ func TestPublicAPIMiscWrappers(t *testing.T) {
 	if len(noisy) != 2 {
 		t.Fatalf("noisy = %v", noisy)
 	}
-	var ewma ThroughputEWMA
-	ewma.Alpha = 0.5
-	if err := ewma.Observe(2, 1); err != nil {
+	meter := NewThroughputMeter(0.5, 1)
+	if err := meter.Observe(2, 1); err != nil {
 		t.Fatal(err)
 	}
-	if v, err := ewma.Estimate(); err != nil || v != 2 {
-		t.Fatalf("ewma = %v err = %v", v, err)
+	if v := meter.Rate(1); v != 2 {
+		t.Fatalf("meter = %v", v)
 	}
 	if _, err := NewFractionalRepetition(6, 1); err != nil {
 		t.Fatal(err)

@@ -26,8 +26,12 @@ func TestControllerConfigValidation(t *testing.T) {
 	if _, err := NewController(Config{K: 4, S: -1}, rng(1)); !errors.Is(err, ErrBadConfig) {
 		t.Fatalf("s<0: err = %v", err)
 	}
-	if _, err := NewController(Config{K: 4, S: 1, Scheme: core.Naive}, rng(1)); !errors.Is(err, ErrBadConfig) {
-		t.Fatalf("naive scheme: err = %v", err)
+	// planner.BuildStrategy builds every scheme; this check is what keeps the
+	// fixed-shape ones, whose k is m, out of a replanning controller.
+	for _, kind := range []core.Kind{core.Naive, core.Cyclic, core.FractionalRepetition, core.Kind(99)} {
+		if _, err := NewController(Config{K: 4, S: 1, Scheme: kind}, rng(1)); !errors.Is(err, ErrBadConfig) {
+			t.Fatalf("%v scheme: err = %v", kind, err)
+		}
 	}
 	if _, err := NewController(Config{K: 4, S: 1}, nil); !errors.Is(err, ErrBadConfig) {
 		t.Fatalf("nil rng: err = %v", err)

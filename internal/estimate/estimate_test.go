@@ -1,89 +1,53 @@
 package estimate
 
 import (
-	"errors"
 	"math"
 	"math/rand"
 	"testing"
 )
 
-func TestSamplerMean(t *testing.T) {
-	var s Sampler
-	if err := s.Observe(4, 2); err != nil { // rate 2
-		t.Fatal(err)
-	}
-	if err := s.Observe(8, 2); err != nil { // rate 4
-		t.Fatal(err)
-	}
-	got, err := s.Estimate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != 3 {
-		t.Fatalf("estimate = %v, want 3", got)
-	}
-	if s.Count() != 2 {
-		t.Fatalf("count = %d", s.Count())
-	}
-}
-
-func TestSamplerEmpty(t *testing.T) {
-	var s Sampler
-	if _, err := s.Estimate(); !errors.Is(err, ErrNoSamples) {
-		t.Fatalf("err = %v", err)
-	}
-}
-
-func TestSamplerRejectsBadObservations(t *testing.T) {
-	var s Sampler
-	if err := s.Observe(0, 1); err == nil {
-		t.Fatal("want error for zero partitions")
-	}
-	if err := s.Observe(1, 0); err == nil {
-		t.Fatal("want error for zero elapsed")
-	}
-	if err := s.Observe(-1, -1); err == nil {
-		t.Fatal("want error for negatives")
-	}
-}
+// The three TestEWMA* tests hold Meter's smoothing itself, at min = 1 so the
+// prior never stands in for the estimate.
 
 func TestEWMAConverges(t *testing.T) {
-	e := EWMA{Alpha: 0.5}
+	m := NewMeter(0.5, 1)
 	for i := 0; i < 30; i++ {
-		if err := e.Observe(6, 2); err != nil { // steady rate 3
+		if err := m.Observe(6, 2); err != nil { // steady rate 3
 			t.Fatal(err)
 		}
 	}
-	got, err := e.Estimate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(got-3) > 1e-9 {
+	if got := m.Rate(1); math.Abs(got-3) > 1e-9 {
 		t.Fatalf("estimate = %v, want 3", got)
 	}
 }
 
 func TestEWMATracksChange(t *testing.T) {
-	e := EWMA{Alpha: 0.9}
-	_ = e.Observe(2, 1) // rate 2
-	_ = e.Observe(10, 1)
-	got, _ := e.Estimate()
-	if got < 8 {
+	m := NewMeter(0.9, 1)
+	for _, partitions := range []int{2, 4} { // rate 2, then a doubling the clip lets through whole
+		if err := m.Observe(partitions, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := m.Rate(1); got < 3.75 { // 0.9·4 + 0.1·2 = 3.8
 		t.Fatalf("alpha=0.9 should track the new rate, got %v", got)
 	}
 }
 
 func TestEWMAErrors(t *testing.T) {
-	var e EWMA
-	if _, err := e.Estimate(); !errors.Is(err, ErrNoSamples) {
-		t.Fatalf("err = %v", err)
+	if got := NewMeter(0.5, 7).Rate(1); got != 7 {
+		t.Fatalf("a meter without samples reads %v, want its prior 7", got)
 	}
-	if err := e.Observe(1, 1); err == nil {
-		t.Fatal("alpha=0 should be rejected")
+	for _, alpha := range []float64{0, -0.5, 2} {
+		m := NewMeter(alpha, 7)
+		if err := m.Observe(1, 1); err == nil {
+			t.Fatalf("alpha=%v should be rejected", alpha)
+		}
+		if m.Count() != 0 || m.Rate(0) != 7 {
+			t.Fatalf("alpha=%v: a rejected sample was recorded (count %d, rate %v)", alpha, m.Count(), m.Rate(0))
+		}
 	}
-	e2 := EWMA{Alpha: 2}
-	if err := e2.Observe(1, 1); err == nil {
-		t.Fatal("alpha>1 should be rejected")
+	if err := NewMeter(1, 7).Observe(1, 1); err != nil {
+		t.Fatalf("alpha=1 is in (0,1]: %v", err)
 	}
 }
 
@@ -130,25 +94,6 @@ func TestMeterPriorUntilReady(t *testing.T) {
 	}
 	if got := m.Rate(2); got != 10 {
 		t.Fatalf("warm rate = %v, want 10", got)
-	}
-}
-
-func TestMeterResetRestoresPrior(t *testing.T) {
-	m := NewMeter(0.5, 2.0)
-	for i := 0; i < 5; i++ {
-		if err := m.Observe(8, 1); err != nil {
-			t.Fatal(err)
-		}
-	}
-	m.Reset()
-	if m.Count() != 0 || m.Rate(1) != 2.0 {
-		t.Fatalf("after reset count=%d rate=%v", m.Count(), m.Rate(1))
-	}
-	if err := m.Observe(6, 1); err != nil {
-		t.Fatal(err)
-	}
-	if got := m.Rate(1); got != 6 {
-		t.Fatalf("rate after reset+observe = %v", got)
 	}
 }
 

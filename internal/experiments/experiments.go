@@ -19,7 +19,7 @@ import (
 	"github.com/hetgc/hetgc/internal/core"
 	"github.com/hetgc/hetgc/internal/estimate"
 	"github.com/hetgc/hetgc/internal/metrics"
-	"github.com/hetgc/hetgc/internal/ml"
+	"github.com/hetgc/hetgc/internal/planner"
 	"github.com/hetgc/hetgc/internal/sim"
 	"github.com/hetgc/hetgc/internal/straggler"
 )
@@ -57,25 +57,6 @@ func ChooseK(cl *cluster.Cluster, s int) int {
 		k += total
 	}
 	return k
-}
-
-// BuildStrategy constructs the given scheme for a cluster. Proportional
-// schemes use estimates (possibly noisy); cyclic and naive ignore them.
-func BuildStrategy(kind core.Kind, cl *cluster.Cluster, estimates []float64, k, s int, rng *rand.Rand) (*core.Strategy, error) {
-	switch kind {
-	case core.Naive:
-		return core.NewNaive(cl.M())
-	case core.Cyclic:
-		return core.NewCyclic(cl.M(), s, rng)
-	case core.FractionalRepetition:
-		return core.NewFractionalRepetition(cl.M(), s)
-	case core.HeterAware:
-		return core.NewHeterAware(estimates, k, s, rng)
-	case core.GroupBased:
-		return core.NewGroupBased(estimates, k, s, rng)
-	default:
-		return nil, fmt.Errorf("%w: unknown scheme %v", ErrBadConfig, kind)
-	}
 }
 
 // SchemeOutcome is one scheme's aggregate in a sweep cell.
@@ -141,7 +122,7 @@ func RunDelaySweep(cfg DelaySweepConfig) ([]DelayRow, error) {
 		di, si := cell/len(schemes), cell%len(schemes)
 		kind := schemes[si]
 		rng := rand.New(rand.NewSource(cfg.Seed + int64(1000*di+si)))
-		st, err := BuildStrategy(kind, cfg.Cluster, truth, k, cfg.S, rng)
+		st, err := planner.BuildStrategy(kind, truth, k, cfg.S, rng)
 		if err != nil {
 			return fmt.Errorf("%v: %w", kind, err)
 		}
@@ -243,7 +224,7 @@ func RunClusterSweep(cfg ClusterSweepConfig) ([]ClusterRow, error) {
 		truth := cl.Throughputs()
 		k := ChooseK(cl, cfg.S)
 		rng := rand.New(rand.NewSource(cfg.Seed + int64(1000*ci+si)))
-		st, err := BuildStrategy(kind, cl, truth, k, cfg.S, rng)
+		st, err := planner.BuildStrategy(kind, truth, k, cfg.S, rng)
 		if err != nil {
 			return fmt.Errorf("%s/%v: %w", cl.Name, kind, err)
 		}
@@ -409,7 +390,7 @@ func RunMisestimation(cfg MisestimationConfig) ([]MisestimationRow, error) {
 		rng := rand.New(rand.NewSource(cfg.Seed + int64(100*ei+trial)))
 		est := estimate.Misestimate(truth, eps, rng)
 		for _, kind := range []core.Kind{core.HeterAware, core.GroupBased} {
-			st, err := BuildStrategy(kind, cfg.Cluster, est, k, cfg.S, rng)
+			st, err := planner.BuildStrategy(kind, est, k, cfg.S, rng)
 			if err != nil {
 				return fmt.Errorf("eps=%v %v: %w", eps, kind, err)
 			}
@@ -497,7 +478,7 @@ func RunReplicationSweep(cfg ReplicationSweepConfig) ([]ReplicationRow, error) {
 		kind := schemes[scIdx]
 		k := ChooseK(cfg.Cluster, s)
 		rng := rand.New(rand.NewSource(cfg.Seed + int64(100*si+scIdx)))
-		st, err := BuildStrategy(kind, cfg.Cluster, truth, k, s, rng)
+		st, err := planner.BuildStrategy(kind, truth, k, s, rng)
 		if err != nil {
 			return fmt.Errorf("s=%d %v: %w", s, kind, err)
 		}
@@ -545,6 +526,3 @@ func ReplicationTable(rows []ReplicationRow) *metrics.Table {
 	}
 	return t
 }
-
-// ensure ml import is used by fig4.go even if refactored.
-var _ = ml.MeanLoss

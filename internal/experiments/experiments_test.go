@@ -3,7 +3,6 @@ package experiments
 import (
 	"errors"
 	"math"
-	"math/rand"
 	"strings"
 	"testing"
 
@@ -24,27 +23,6 @@ func TestChooseKIntegralLoads(t *testing.T) {
 	d := cluster.ClusterD()
 	if k := ChooseK(d, 1); k < d.M() {
 		t.Fatalf("ChooseK(D,1) = %d < m=%d", k, d.M())
-	}
-}
-
-func TestBuildStrategyAllKinds(t *testing.T) {
-	cl := cluster.ClusterA()
-	truth := cl.Throughputs()
-	k := ChooseK(cl, 1)
-	for _, kind := range []core.Kind{core.Naive, core.Cyclic, core.HeterAware, core.GroupBased} {
-		st, err := BuildStrategy(kind, cl, truth, k, 1, newTestRng(1))
-		if err != nil {
-			t.Fatalf("%v: %v", kind, err)
-		}
-		if st.Kind() != kind {
-			t.Fatalf("kind = %v, want %v", st.Kind(), kind)
-		}
-	}
-	if _, err := BuildStrategy(core.FractionalRepetition, cl, truth, k, 1, newTestRng(1)); err != nil {
-		t.Fatalf("frac-rep on 8 workers s=1: %v", err)
-	}
-	if _, err := BuildStrategy(core.Kind(99), cl, truth, k, 1, newTestRng(1)); !errors.Is(err, ErrBadConfig) {
-		t.Fatalf("unknown kind err = %v", err)
 	}
 }
 
@@ -341,5 +319,3 @@ func TestSpeedupVsCyclicErrors(t *testing.T) {
 		t.Fatalf("err = %v", err)
 	}
 }
-
-func newTestRng(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }

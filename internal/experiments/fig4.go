@@ -8,6 +8,7 @@ import (
 	"github.com/hetgc/hetgc/internal/core"
 	"github.com/hetgc/hetgc/internal/metrics"
 	"github.com/hetgc/hetgc/internal/ml"
+	"github.com/hetgc/hetgc/internal/planner"
 	"github.com/hetgc/hetgc/internal/sim"
 	"github.com/hetgc/hetgc/internal/straggler"
 )
@@ -95,7 +96,7 @@ func RunLossCurves(cfg LossCurveConfig) (*LossCurves, error) {
 	err = forEachCell(len(schemes), func(si int) error {
 		kind := schemes[si]
 		rng := rand.New(rand.NewSource(cfg.Seed + int64(si+1)))
-		st, err := BuildStrategy(kind, cfg.Cluster, truth, k, cfg.S, rng)
+		st, err := planner.BuildStrategy(kind, truth, k, cfg.S, rng)
 		if err != nil {
 			return fmt.Errorf("%v: %w", kind, err)
 		}

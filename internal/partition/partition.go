@@ -179,6 +179,56 @@ func siftDown(h []nextCopy, i int) {
 	}
 }
 
+// SplitByCapacity sizes the contiguous partition ranges of a sharded plan's
+// coding groups: k partitions shared in proportion to each group's capacity
+// caps[g] by largest remainder (ties to the lowest index), then topped up so
+// that every group owns at least one, each taken from the currently largest
+// range. It needs 1 ≤ len(caps) ≤ k and positive capacities. Unlike
+// ProportionalLoads it does not minimise the slowest group's makespan.
+func SplitByCapacity(k int, caps []float64) []int {
+	g := len(caps)
+	total := 0.0
+	for _, c := range caps {
+		total += c
+	}
+	counts := make([]int, g)
+	rem := make([]float64, g)
+	assigned := 0
+	for i, c := range caps {
+		ideal := float64(k) * c / total
+		counts[i] = int(ideal)
+		rem[i] = ideal - float64(counts[i])
+		assigned += counts[i]
+	}
+	order := make([]int, g)
+	for i := range order {
+		order[i] = i
+	}
+	sort.SliceStable(order, func(a, b int) bool {
+		if rem[order[a]] != rem[order[b]] {
+			return rem[order[a]] > rem[order[b]]
+		}
+		return order[a] < order[b]
+	})
+	for i := 0; assigned < k; i = (i + 1) % g {
+		counts[order[i]]++
+		assigned++
+	}
+	for i := range counts {
+		for counts[i] == 0 {
+			maxAt := 0
+			for j, n := range counts {
+				if n > counts[maxAt] {
+					maxAt = j
+				}
+			}
+			counts[maxAt]--
+			counts[i]++
+		}
+	}
+	return counts
+}
+
 // CyclicFromLoads places the copies cyclically (Eq. 6): worker i receives
 // partitions (n'_i+1 … n'_i+n_i) mod k where n'_i = Σ_{j<i} n_j. Because
 // Σn_i = k(s+1), each partition ends up on exactly s+1 workers provided

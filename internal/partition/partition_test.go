@@ -221,6 +221,29 @@ func TestProportionalLoadsCapInfeasible(t *testing.T) {
 	}
 }
 
+func TestSplitByCapacity(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		caps []float64
+		k    int
+		want []int
+	}{
+		// sharded-raw: two groups of three equal workers, K = 12.
+		{"equal groups", []float64{3, 3}, 12, []int{6, 6}},
+		{"proportional", []float64{3, 1}, 8, []int{6, 2}},
+		{"remainder ties to the lowest index", []float64{1, 1, 1}, 4, []int{2, 1, 1}},
+		// Largest remainder gives (3, 0, 0); each empty group then takes one
+		// from the largest range.
+		{"every group owns one", []float64{100, 1, 1}, 3, []int{1, 1, 1}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if got := SplitByCapacity(tc.k, tc.caps); !reflect.DeepEqual(got, tc.want) {
+				t.Fatalf("SplitByCapacity(%d, %v) = %v, want %v", tc.k, tc.caps, got, tc.want)
+			}
+		})
+	}
+}
+
 func TestCyclicFromLoadsBadSum(t *testing.T) {
 	if _, err := CyclicFromLoads([]int{1, 1}, 3, 1); !errors.Is(err, ErrBadInput) {
 		t.Fatalf("err = %v, want ErrBadInput", err)

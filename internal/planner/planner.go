@@ -1,10 +1,9 @@
-// Package planner closes the loop the paper leaves to the operator:
-// estimate worker throughputs by sampling (§III.C "which can be estimated by
-// sampling"), detect when the running coding strategy's load allocation has
-// drifted away from the workers' true speeds, and rebuild the strategy —
-// adaptive re-coding between training epochs. This operationalises the
-// group-based scheme's motivation (§V): instead of merely tolerating bad
-// estimates, refresh them.
+// Package planner is the one step from throughput estimates to a coding
+// strategy. The paper's c_i "can be estimated by sampling" (§III.C);
+// BuildStrategy turns such estimates into a code of any scheme, and
+// PredictedImbalance says how far a running code has drifted from them. The
+// elastic control plane (internal/elastic) owns the estimates and decides
+// when to rebuild; the experiments build fixed codes from the same function.
 package planner
 
 import (
@@ -13,129 +12,10 @@ import (
 	"math/rand"
 
 	"github.com/hetgc/hetgc/internal/core"
-	"github.com/hetgc/hetgc/internal/estimate"
 )
 
-// ErrBadConfig marks invalid planner configurations.
+// ErrBadConfig marks a scheme BuildStrategy cannot build.
 var ErrBadConfig = errors.New("planner: invalid config")
-
-// Config parameterises a Planner.
-type Config struct {
-	// K is the partition count, S the straggler budget.
-	K, S int
-	// Scheme is the strategy family to (re)build: core.HeterAware (default)
-	// or core.GroupBased.
-	Scheme core.Kind
-	// Alpha is the EWMA smoothing factor for throughput estimates
-	// (default 0.3).
-	Alpha float64
-	// ReplanThreshold is the relative slowdown versus the optimal makespan
-	// that triggers a rebuild (default 0.15 = replan when the predicted
-	// iteration is ≥ 15% worse than (s+1)k/Σĉ).
-	ReplanThreshold float64
-	// MinObservations is the number of samples required per worker before
-	// estimates override the initial throughputs (default 3).
-	MinObservations int
-}
-
-func (c *Config) withDefaults() Config {
-	out := *c
-	if out.Scheme == 0 {
-		out.Scheme = core.HeterAware
-	}
-	if out.Alpha <= 0 || out.Alpha > 1 {
-		out.Alpha = 0.3
-	}
-	if out.ReplanThreshold <= 0 {
-		out.ReplanThreshold = 0.15
-	}
-	if out.MinObservations <= 0 {
-		out.MinObservations = 3
-	}
-	return out
-}
-
-// Planner tracks throughput estimates and owns the current strategy.
-// Not safe for concurrent use; drive it from the master's control loop.
-type Planner struct {
-	cfg      Config
-	initial  []float64
-	ewma     []estimate.EWMA
-	counts   []int
-	current  *core.Strategy
-	rebuilds int
-}
-
-// New builds a planner with an initial strategy from the given throughput
-// guesses (uniform guesses are fine — the planner will correct them).
-func New(cfg Config, initialThroughputs []float64, rng *rand.Rand) (*Planner, error) {
-	c := cfg.withDefaults()
-	m := len(initialThroughputs)
-	if m == 0 || c.K <= 0 || c.S < 0 {
-		return nil, fmt.Errorf("%w: m=%d k=%d s=%d", ErrBadConfig, m, c.K, c.S)
-	}
-	if c.Scheme != core.HeterAware && c.Scheme != core.GroupBased {
-		return nil, fmt.Errorf("%w: planner supports heter-aware/group-based, got %v", ErrBadConfig, c.Scheme)
-	}
-	p := &Planner{
-		cfg:     c,
-		initial: append([]float64(nil), initialThroughputs...),
-		ewma:    make([]estimate.EWMA, m),
-		counts:  make([]int, m),
-	}
-	for i := range p.ewma {
-		p.ewma[i].Alpha = c.Alpha
-	}
-	st, err := p.build(rng)
-	if err != nil {
-		return nil, err
-	}
-	p.current = st
-	return p, nil
-}
-
-// Strategy returns the current coding strategy.
-func (p *Planner) Strategy() *core.Strategy { return p.current }
-
-// Rebuilds returns how many times the plan has been rebuilt.
-func (p *Planner) Rebuilds() int { return p.rebuilds }
-
-// Observe records that a worker processed `partitions` partition gradients
-// in `elapsed` seconds. Rates are stored in partitions/second and converted
-// to the allocator's relative units transparently (only ratios matter).
-func (p *Planner) Observe(worker, partitions int, elapsed float64) error {
-	if worker < 0 || worker >= len(p.ewma) {
-		return fmt.Errorf("%w: worker %d", ErrBadConfig, worker)
-	}
-	if err := p.ewma[worker].Observe(partitions, elapsed); err != nil {
-		return err
-	}
-	p.counts[worker]++
-	return nil
-}
-
-// Estimates returns the current throughput view: EWMA values where enough
-// observations exist, the initial guesses elsewhere (rescaled to a common
-// unit via the ratio of overlapping workers when possible).
-func (p *Planner) Estimates() []float64 {
-	out := append([]float64(nil), p.initial...)
-	for i := range p.ewma {
-		if p.counts[i] < p.cfg.MinObservations {
-			continue
-		}
-		if v, err := p.ewma[i].Estimate(); err == nil {
-			out[i] = v
-		}
-	}
-	return out
-}
-
-// Imbalance predicts the current strategy's iteration time relative to the
-// optimum under the latest estimates: max_i (n_i/ĉ_i) / ((s+1)k/Σĉ).
-// 1.0 means the allocation is still perfectly balanced.
-func (p *Planner) Imbalance() float64 {
-	return PredictedImbalance(p.current, p.Estimates())
-}
 
 // PredictedImbalance predicts a strategy's iteration time relative to the
 // optimal makespan under the given throughput estimates:
@@ -171,47 +51,24 @@ func PredictedImbalance(st *core.Strategy, estimates []float64) float64 {
 	return worst / optimal
 }
 
-// BuildStrategy builds a fresh strategy of the given scheme from throughput
-// estimates — the online (re)planning entry point used by the elastic control
-// plane, where the worker count changes with cluster membership. Scheme 0
-// defaults to heter-aware.
-func BuildStrategy(scheme core.Kind, throughputs []float64, k, s int, rng *rand.Rand) (*core.Strategy, error) {
+// BuildStrategy builds a strategy of the given scheme over m = len(estimates)
+// workers. The proportional schemes (heter-aware, group-based) allocate k
+// partitions by the estimates; cyclic, fractional repetition and naive
+// ignore them and k. Scheme 0 defaults to heter-aware.
+func BuildStrategy(scheme core.Kind, estimates []float64, k, s int, rng *rand.Rand) (*core.Strategy, error) {
+	m := len(estimates)
 	switch scheme {
-	case core.GroupBased:
-		return core.NewGroupBased(throughputs, k, s, rng)
+	case core.Naive:
+		return core.NewNaive(m)
+	case core.Cyclic:
+		return core.NewCyclic(m, s, rng)
+	case core.FractionalRepetition:
+		return core.NewFractionalRepetition(m, s)
 	case core.HeterAware, core.Kind(0):
-		return core.NewHeterAware(throughputs, k, s, rng)
+		return core.NewHeterAware(estimates, k, s, rng)
+	case core.GroupBased:
+		return core.NewGroupBased(estimates, k, s, rng)
 	default:
-		return nil, fmt.Errorf("%w: online planning supports heter-aware/group-based, got %v", ErrBadConfig, scheme)
+		return nil, fmt.Errorf("%w: unknown scheme %v", ErrBadConfig, scheme)
 	}
-}
-
-// MaybeReplan rebuilds the strategy when the predicted imbalance exceeds
-// the threshold. Returns whether a rebuild happened.
-func (p *Planner) MaybeReplan(rng *rand.Rand) (bool, error) {
-	if p.Imbalance() <= 1+p.cfg.ReplanThreshold {
-		return false, nil
-	}
-	st, err := p.build(rng)
-	if err != nil {
-		return false, err
-	}
-	p.current = st
-	p.rebuilds++
-	return true, nil
-}
-
-// Replan unconditionally rebuilds from the current estimates.
-func (p *Planner) Replan(rng *rand.Rand) error {
-	st, err := p.build(rng)
-	if err != nil {
-		return err
-	}
-	p.current = st
-	p.rebuilds++
-	return nil
-}
-
-func (p *Planner) build(rng *rand.Rand) (*core.Strategy, error) {
-	return BuildStrategy(p.cfg.Scheme, p.Estimates(), p.cfg.K, p.cfg.S, rng)
 }

@@ -2,6 +2,7 @@ package planner_test
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -12,172 +13,121 @@ import (
 
 func rng(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
 
-func TestNewValidation(t *testing.T) {
-	if _, err := New(Config{K: 7, S: 1}, nil, rng(1)); !errors.Is(err, ErrBadConfig) {
-		t.Fatalf("err = %v", err)
+// TestBuildStrategyAllKinds holds the builder to the constructor each scheme
+// names: from the same seed it must produce the same loads and the same B
+// matrix bit for bit, and leave the rng at the same draw, so that routing a
+// caller through BuildStrategy never moves a pinned table.
+func TestBuildStrategyAllKinds(t *testing.T) {
+	est := []float64{2, 2, 4, 4, 8, 8, 12, 8} // Cluster-A's vCPUs
+	const k, s = 24, 1
+	m := len(est)
+	for _, tc := range []struct {
+		kind   core.Kind
+		want   core.Kind
+		direct func(*rand.Rand) (*core.Strategy, error)
+	}{
+		{core.Naive, core.Naive, func(*rand.Rand) (*core.Strategy, error) { return core.NewNaive(m) }},
+		{core.Cyclic, core.Cyclic, func(r *rand.Rand) (*core.Strategy, error) { return core.NewCyclic(m, s, r) }},
+		{core.FractionalRepetition, core.FractionalRepetition, func(*rand.Rand) (*core.Strategy, error) {
+			return core.NewFractionalRepetition(m, s)
+		}},
+		{core.HeterAware, core.HeterAware, func(r *rand.Rand) (*core.Strategy, error) { return core.NewHeterAware(est, k, s, r) }},
+		{core.GroupBased, core.GroupBased, func(r *rand.Rand) (*core.Strategy, error) { return core.NewGroupBased(est, k, s, r) }},
+		{core.Kind(0), core.HeterAware, func(r *rand.Rand) (*core.Strategy, error) { return core.NewHeterAware(est, k, s, r) }},
+	} {
+		name := tc.want.String()
+		if tc.kind == 0 {
+			name = "default"
+		}
+		t.Run(name, func(t *testing.T) {
+			gotRng, wantRng := rng(7), rng(7)
+			got, err := BuildStrategy(tc.kind, est, k, s, gotRng)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := tc.direct(wantRng)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Kind() != tc.want || got.M() != m || got.K() != want.K() || got.S() != want.S() {
+				t.Fatalf("kind %v m %d k %d s %d, want %v m %d k %d s %d",
+					got.Kind(), got.M(), got.K(), got.S(), tc.want, m, want.K(), want.S())
+			}
+			gl, wl := got.Allocation().Loads, want.Allocation().Loads
+			for i := range wl {
+				if gl[i] != wl[i] {
+					t.Fatalf("loads %v, want %v", gl, wl)
+				}
+			}
+			for i := 0; i < m; i++ {
+				gr, wr := got.Row(i), want.Row(i)
+				for j := range wr {
+					if math.Float64bits(gr[j]) != math.Float64bits(wr[j]) {
+						t.Fatalf("B[%d][%d] = %v, want %v", i, j, gr[j], wr[j])
+					}
+				}
+			}
+			if g, w := gotRng.Int63(), wantRng.Int63(); g != w {
+				t.Fatal("the builder drew a different number of values from the rng")
+			}
+		})
 	}
-	if _, err := New(Config{K: 0, S: 1}, []float64{1, 1}, rng(1)); !errors.Is(err, ErrBadConfig) {
-		t.Fatalf("err = %v", err)
-	}
-	if _, err := New(Config{K: 7, S: 1, Scheme: core.Cyclic}, []float64{1, 1, 1}, rng(1)); !errors.Is(err, ErrBadConfig) {
-		t.Fatalf("cyclic scheme err = %v", err)
+	if _, err := BuildStrategy(core.Kind(99), est, k, s, rng(1)); !errors.Is(err, ErrBadConfig) {
+		t.Fatalf("unknown kind err = %v", err)
 	}
 }
 
 func TestInitialStrategyUsesGuesses(t *testing.T) {
-	p, err := New(Config{K: 7, S: 1}, []float64{1, 2, 3, 4, 4}, rng(2))
+	st, err := BuildStrategy(core.HeterAware, []float64{1, 2, 3, 4, 4}, 7, 1, rng(2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	loads := p.Strategy().Allocation().Loads
+	loads := st.Allocation().Loads
 	want := []int{1, 2, 3, 4, 4}
 	for i := range want {
 		if loads[i] != want[i] {
 			t.Fatalf("loads = %v, want %v", loads, want)
 		}
 	}
-	if p.Rebuilds() != 0 {
-		t.Fatal("fresh planner must have zero rebuilds")
-	}
 }
 
-func TestEstimatesFallBackUntilMinObservations(t *testing.T) {
-	p, err := New(Config{K: 7, S: 1, MinObservations: 2}, []float64{1, 1, 1, 1, 10}, rng(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Observe(0, 4, 1); err != nil { // one observation: below min
-		t.Fatal(err)
-	}
-	if est := p.Estimates(); est[0] != 1 {
-		t.Fatalf("estimate should still be the guess, got %v", est[0])
-	}
-	if err := p.Observe(0, 4, 1); err != nil {
-		t.Fatal(err)
-	}
-	if est := p.Estimates(); est[0] != 4 {
-		t.Fatalf("estimate should be 4 partitions/s, got %v", est[0])
-	}
-}
-
-func TestObserveValidation(t *testing.T) {
-	p, err := New(Config{K: 7, S: 1}, []float64{1, 1, 1}, rng(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Observe(9, 1, 1); !errors.Is(err, ErrBadConfig) {
-		t.Fatalf("err = %v", err)
-	}
-	if err := p.Observe(0, 0, 1); err == nil {
-		t.Fatal("zero partitions must error")
-	}
-}
-
+// TestImbalanceDetectsDrift: a code built on wrong (uniform) guesses reads as
+// imbalanced under one epoch's true rates, and the code rebuilt from those
+// rates reads as balanced and runs faster against the truth.
 func TestImbalanceDetectsDrift(t *testing.T) {
-	// Built for uniform speeds, but worker 0 turns out 4x faster and worker
-	// 4 4x slower: imbalance must rise well above 1.
-	p, err := New(Config{K: 10, S: 1, MinObservations: 1}, []float64{1, 1, 1, 1, 1}, rng(5))
+	const k, s = 12, 1
+	truth := []float64{0.5, 1, 2, 4, 4.5}
+	uniform, err := BuildStrategy(core.HeterAware, []float64{1, 1, 1, 1, 1}, k, s, rng(6))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if im := p.Imbalance(); im > 1.05 {
+	if im := PredictedImbalance(uniform, []float64{1, 1, 1, 1, 1}); im > 1.05 {
 		t.Fatalf("fresh plan should be balanced, imbalance = %v", im)
 	}
-	truth := []float64{4, 1, 1, 1, 0.25}
-	loads := p.Strategy().Allocation().Loads
-	for w, c := range truth {
-		if loads[w] == 0 {
-			continue
-		}
-		if err := p.Observe(w, loads[w], float64(loads[w])/c); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if im := p.Imbalance(); im < 1.5 {
+	if im := PredictedImbalance(uniform, truth); im < 1.5 {
 		t.Fatalf("drifted plan should be imbalanced, got %v", im)
 	}
-}
-
-func TestMaybeReplanRebalances(t *testing.T) {
-	// Wrong initial guesses on a strongly heterogeneous truth.
-	truth := []float64{0.5, 1, 2, 4, 4.5}
-	p, err := New(Config{K: 12, S: 1, MinObservations: 1}, []float64{1, 1, 1, 1, 1}, rng(6))
+	rebuilt, err := BuildStrategy(core.HeterAware, truth, k, s, rng(7))
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	simulate := func() float64 {
-		res, err := sim.Run(sim.Config{
-			Strategy:    p.Strategy(),
-			Throughputs: scaleToDatasetRate(truth, p.Strategy().K()),
-			Iterations:  5,
-		})
+	if im := PredictedImbalance(rebuilt, truth); im > 1.15 {
+		t.Fatalf("rebuilt plan imbalance = %v, want ≤ 1.15", im)
+	}
+	simulate := func(st *core.Strategy) float64 {
+		rates := make([]float64, len(truth))
+		for i, v := range truth {
+			rates[i] = v / k // partitions/second → datasets/second
+		}
+		res, err := sim.Run(sim.Config{Strategy: st, Throughputs: rates, Iterations: 5})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res.AvgIterTime()
 	}
-	before := simulate()
-
-	// Feed one epoch of observations at the true speeds.
-	loads := p.Strategy().Allocation().Loads
-	for w, c := range truth {
-		if loads[w] == 0 {
-			continue
-		}
-		if err := p.Observe(w, loads[w], float64(loads[w])/c); err != nil {
-			t.Fatal(err)
-		}
+	if before, after := simulate(uniform), simulate(rebuilt); after >= before {
+		t.Fatalf("rebuilding from the estimates should speed iterations up: %v -> %v", before, after)
 	}
-	replanned, err := p.MaybeReplan(rng(7))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !replanned {
-		t.Fatalf("expected replan (imbalance %v)", p.Imbalance())
-	}
-	after := simulate()
-	if after >= before {
-		t.Fatalf("replanning should speed iterations up: %v -> %v", before, after)
-	}
-	if p.Rebuilds() != 1 {
-		t.Fatalf("rebuilds = %d", p.Rebuilds())
-	}
-	// A second call without new drift must be a no-op.
-	replanned, err = p.MaybeReplan(rng(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if replanned {
-		t.Fatal("no drift, no replan")
-	}
-}
-
-func TestReplanGroupBased(t *testing.T) {
-	p, err := New(Config{K: 7, S: 1, Scheme: core.GroupBased, MinObservations: 1},
-		[]float64{1, 2, 3, 4, 4}, rng(9))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Strategy().Kind() != core.GroupBased {
-		t.Fatalf("kind = %v", p.Strategy().Kind())
-	}
-	if err := p.Replan(rng(10)); err != nil {
-		t.Fatal(err)
-	}
-	if p.Rebuilds() != 1 {
-		t.Fatalf("rebuilds = %d", p.Rebuilds())
-	}
-}
-
-// scaleToDatasetRate converts partitions/second estimates into the
-// simulator's datasets/second unit for a given k.
-func scaleToDatasetRate(partitionRates []float64, k int) []float64 {
-	out := make([]float64, len(partitionRates))
-	for i, v := range partitionRates {
-		out[i] = v / float64(k)
-	}
-	return out
 }
 
 func TestPredictedImbalance(t *testing.T) {
@@ -200,23 +150,5 @@ func TestPredictedImbalance(t *testing.T) {
 	// Mismatched estimate length degrades to neutral.
 	if im := PredictedImbalance(st, []float64{1, 2}); im != 1 {
 		t.Fatalf("mismatched length imbalance = %v, want 1", im)
-	}
-}
-
-func TestBuildStrategyOnline(t *testing.T) {
-	st, err := BuildStrategy(core.HeterAware, []float64{1, 2, 3}, 6, 1, rng(22))
-	if err != nil || st.Kind() != core.HeterAware || st.M() != 3 {
-		t.Fatalf("st = %+v err = %v", st, err)
-	}
-	st, err = BuildStrategy(0, []float64{1, 2, 3}, 6, 1, rng(23))
-	if err != nil || st.Kind() != core.HeterAware {
-		t.Fatalf("default scheme: %v err %v", st.Kind(), err)
-	}
-	st, err = BuildStrategy(core.GroupBased, []float64{1, 2, 3, 4}, 6, 1, rng(24))
-	if err != nil || st.Kind() != core.GroupBased {
-		t.Fatalf("group-based: err %v", err)
-	}
-	if _, err := BuildStrategy(core.Naive, []float64{1, 1}, 2, 0, rng(25)); err == nil {
-		t.Fatal("naive must be rejected for online planning")
 	}
 }

@@ -89,9 +89,9 @@ type MasterResult struct {
 	// NaN/Inf payloads, frames failing transport validation); the sender is
 	// treated as a straggler for that iteration.
 	MalformedSkipped int
-	// PerWorker aggregates each worker's participation; feed the mean
-	// latencies and the strategy's loads to a planner.Planner to adapt the
-	// code to observed speeds.
+	// PerWorker aggregates each worker's participation. This master keeps
+	// one code for the whole run; ElasticMaster is the runtime that re-codes
+	// to observed speeds.
 	PerWorker []WorkerStats
 }
 

@@ -17,17 +17,15 @@ package shard
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"sort"
 
-	"github.com/hetgc/hetgc/internal/core"
-	"github.com/hetgc/hetgc/internal/planner"
+	"github.com/hetgc/hetgc/internal/partition"
 )
 
 // ErrBadPlan marks invalid sharding configurations.
 var ErrBadPlan = errors.New("shard: invalid plan config")
 
-// PlanConfig parameterises the group-sharding planner.
+// PlanConfig parameterises the group layout (BuildPlanLayout).
 type PlanConfig struct {
 	// K is the global data-partition count; partitions are split across
 	// groups proportionally to group capacity. S is the per-group straggler
@@ -35,15 +33,12 @@ type PlanConfig struct {
 	// every group simultaneously.
 	K, S int
 	// GroupSize is the target number of workers per coding group
-	// (default 10). The planner clamps the group count so that every group
+	// (default 10). The layout clamps the group count so that every group
 	// keeps at least S+1 workers and at least one partition.
 	GroupSize int
 	// FanIn is the reduction-tree arity (default 4): how many child results
 	// each aggregation node sums per hop.
 	FanIn int
-	// Scheme is the per-group strategy family: core.HeterAware (default) or
-	// core.GroupBased.
-	Scheme core.Kind
 }
 
 // DefaultGroupSize is the target coding-group size when none is configured —
@@ -59,25 +54,17 @@ func (c *PlanConfig) withDefaults() PlanConfig {
 	if out.FanIn <= 1 {
 		out.FanIn = 4
 	}
-	if out.Scheme == 0 {
-		out.Scheme = core.HeterAware
-	}
 	return out
 }
 
 // Group is one coding group of the sharded plan.
 type Group struct {
 	// Workers are the global worker indices of this group, in ascending
-	// order; Strategy slot i belongs to Workers[i].
+	// order.
 	Workers []int
 	// Parts are the global partition IDs this group owns; the group
 	// strategy's local partition j is global partition Parts[j].
 	Parts []int
-	// Strategy is the group's coding strategy: m = len(Workers) workers over
-	// k = len(Parts) local partitions with the plan's per-group S. Nil in
-	// layout-only plans (BuildPlanLayout), where the group's elastic
-	// controller builds the strategy instead.
-	Strategy *core.Strategy
 }
 
 // Plan is a full sharded deployment plan.
@@ -109,21 +96,18 @@ func (p *Plan) GroupOf(worker int) int {
 }
 
 // BuildPlanLayout shards m workers (identified by their index in
-// throughputs) into coding groups without building per-group strategies —
-// the layout half of the planner, fully deterministic:
+// throughputs) into coding groups, fully deterministically:
 //
 //  1. The group count is ceil(m/GroupSize), clamped so every group keeps at
 //     least S+1 workers and at least one partition.
 //  2. Workers are dealt into groups snake-wise in descending-throughput
-//     order, so group capacities stay balanced and workers within a group
-//     have similar speeds (which keeps per-group load allocation feasible).
+//     order, so group capacities stay balanced and each group gets a spread
+//     of speeds, from its share of the fastest to its share of the slowest.
 //  3. The K global partitions are split into contiguous per-group ranges
-//     sized proportionally to group capacity (largest remainder, ≥ 1 each).
+//     sized proportionally to group capacity (partition.SplitByCapacity).
 //
-// Consumers that drive every group through its own elastic controller (the
-// live runtime, the co-simulation) use the layout directly — the
-// controller's initial replan builds each group's strategy; BuildPlan is
-// the standalone variant that fills Group.Strategy in too.
+// It builds no strategies: each group's elastic controller builds its own
+// code from the group's estimates on its initial replan.
 func BuildPlanLayout(throughputs []float64, cfg PlanConfig) (*Plan, error) {
 	c := cfg.withDefaults()
 	m := len(throughputs)
@@ -140,14 +124,12 @@ func BuildPlanLayout(throughputs []float64, cfg PlanConfig) (*Plan, error) {
 	}
 	groups := groupWorkers(throughputs, m, c)
 	caps := make([]float64, len(groups))
-	total := 0.0
 	for g, ws := range groups {
 		for _, w := range ws {
 			caps[g] += throughputs[w]
 		}
-		total += caps[g]
 	}
-	parts := splitPartitions(c.K, caps, total)
+	parts := partition.SplitByCapacity(c.K, caps)
 
 	plan := &Plan{K: c.K, S: c.S, groupOf: make([]int, m)}
 	base := 0
@@ -164,32 +146,6 @@ func BuildPlanLayout(throughputs []float64, cfg PlanConfig) (*Plan, error) {
 		plan.Groups = append(plan.Groups, &Group{Workers: ws, Parts: ids})
 	}
 	plan.Tree = NewTree(len(groups), c.FanIn)
-	return plan, nil
-}
-
-// BuildPlan is BuildPlanLayout plus per-group strategy construction via the
-// shared online planner. The same rng drives every group's code
-// construction in group order, so a fixed seed yields a bit-identical plan.
-func BuildPlan(throughputs []float64, cfg PlanConfig, rng *rand.Rand) (*Plan, error) {
-	if rng == nil {
-		return nil, fmt.Errorf("%w: rng required (determinism)", ErrBadPlan)
-	}
-	c := cfg.withDefaults()
-	plan, err := BuildPlanLayout(throughputs, cfg)
-	if err != nil {
-		return nil, err
-	}
-	for g, grp := range plan.Groups {
-		gt := make([]float64, len(grp.Workers))
-		for i, w := range grp.Workers {
-			gt[i] = throughputs[w]
-		}
-		st, err := planner.BuildStrategy(c.Scheme, gt, len(grp.Parts), c.S, rng)
-		if err != nil {
-			return nil, fmt.Errorf("shard group %d (m=%d k=%d s=%d): %w", g, len(grp.Workers), len(grp.Parts), c.S, err)
-		}
-		grp.Strategy = st
-	}
 	return plan, nil
 }
 
@@ -229,48 +185,4 @@ func groupWorkers(throughputs []float64, m int, c PlanConfig) [][]int {
 		sort.Ints(ws)
 	}
 	return groups
-}
-
-// splitPartitions sizes each group's contiguous partition range
-// proportionally to its capacity share, by largest remainder, with every
-// group receiving at least one partition.
-func splitPartitions(k int, caps []float64, total float64) []int {
-	g := len(caps)
-	counts := make([]int, g)
-	rem := make([]float64, g)
-	assigned := 0
-	for i, c := range caps {
-		ideal := float64(k) * c / total
-		counts[i] = int(ideal)
-		rem[i] = ideal - float64(counts[i])
-		assigned += counts[i]
-	}
-	order := make([]int, g)
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		if rem[order[a]] != rem[order[b]] {
-			return rem[order[a]] > rem[order[b]]
-		}
-		return order[a] < order[b]
-	})
-	for i := 0; assigned < k; i = (i + 1) % g {
-		counts[order[i]]++
-		assigned++
-	}
-	// Every group needs at least one partition: steal from the largest.
-	for i := range counts {
-		for counts[i] == 0 {
-			maxAt := 0
-			for j, n := range counts {
-				if n > counts[maxAt] {
-					maxAt = j
-				}
-			}
-			counts[maxAt]--
-			counts[i]++
-		}
-	}
-	return counts
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"github.com/hetgc/hetgc/internal/core"
+	"github.com/hetgc/hetgc/internal/planner"
 )
 
 func uniformRates(m int, rate float64) []float64 {
@@ -17,29 +18,49 @@ func uniformRates(m int, rate float64) []float64 {
 	return out
 }
 
+// groupStrategies builds each group's code from its members' rates in group
+// order, as the group controllers' initial replans do.
+func groupStrategies(t *testing.T, plan *Plan, thr []float64, scheme core.Kind, rng *rand.Rand) []*core.Strategy {
+	t.Helper()
+	out := make([]*core.Strategy, len(plan.Groups))
+	for g, grp := range plan.Groups {
+		gt := make([]float64, len(grp.Workers))
+		for i, w := range grp.Workers {
+			gt[i] = thr[w]
+		}
+		st, err := planner.BuildStrategy(scheme, gt, len(grp.Parts), plan.S, rng)
+		if err != nil {
+			t.Fatalf("group %d (m=%d k=%d s=%d): %v", g, len(grp.Workers), len(grp.Parts), plan.S, err)
+		}
+		out[g] = st
+	}
+	return out
+}
+
 func TestBuildPlanInvariants(t *testing.T) {
 	cases := []struct {
-		name string
-		m, k int
-		cfg  PlanConfig
+		name   string
+		m, k   int
+		cfg    PlanConfig
+		scheme core.Kind
 	}{
-		{"uniform-200", 200, 400, PlanConfig{K: 400, S: 1, GroupSize: 10}},
-		{"small-flat", 5, 8, PlanConfig{K: 8, S: 1, GroupSize: 10}},
-		{"skewed-60", 60, 120, PlanConfig{K: 120, S: 2, GroupSize: 8}},
-		{"group-based", 40, 64, PlanConfig{K: 64, S: 1, GroupSize: 10, Scheme: core.GroupBased}},
-		{"k-limits-groups", 30, 2, PlanConfig{K: 2, S: 0, GroupSize: 3}},
+		{"uniform-200", 200, 400, PlanConfig{K: 400, S: 1, GroupSize: 10}, core.HeterAware},
+		{"small-flat", 5, 8, PlanConfig{K: 8, S: 1, GroupSize: 10}, core.HeterAware},
+		{"skewed-60", 60, 120, PlanConfig{K: 120, S: 2, GroupSize: 8}, core.HeterAware},
+		{"group-based", 40, 64, PlanConfig{K: 64, S: 1, GroupSize: 10}, core.GroupBased},
+		{"k-limits-groups", 30, 2, PlanConfig{K: 2, S: 0, GroupSize: 3}, core.HeterAware},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			rng := rand.New(rand.NewSource(5))
 			thr := make([]float64, tc.m)
 			for i := range thr {
 				thr[i] = 1 + float64(i%7)
 			}
-			plan, err := BuildPlan(thr, tc.cfg, rng)
+			plan, err := BuildPlanLayout(thr, tc.cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
+			strats := groupStrategies(t, plan, thr, tc.scheme, rand.New(rand.NewSource(5)))
 
 			// Workers: disjoint cover of 0..m-1, each group ≥ s+1 workers,
 			// GroupOf agrees with membership.
@@ -48,8 +69,8 @@ func TestBuildPlanInvariants(t *testing.T) {
 				if len(grp.Workers) < tc.cfg.S+1 {
 					t.Fatalf("group %d has %d workers < s+1=%d", g, len(grp.Workers), tc.cfg.S+1)
 				}
-				if len(grp.Workers) != grp.Strategy.M() {
-					t.Fatalf("group %d: %d workers but strategy m=%d", g, len(grp.Workers), grp.Strategy.M())
+				if len(grp.Workers) != strats[g].M() {
+					t.Fatalf("group %d: %d workers but strategy m=%d", g, len(grp.Workers), strats[g].M())
 				}
 				for _, w := range grp.Workers {
 					if seenW[w] {
@@ -71,11 +92,11 @@ func TestBuildPlanInvariants(t *testing.T) {
 			// strategy's local k.
 			seenP := make([]bool, tc.k)
 			for g, grp := range plan.Groups {
-				if len(grp.Parts) != grp.Strategy.K() {
-					t.Fatalf("group %d: %d parts but strategy k=%d", g, len(grp.Parts), grp.Strategy.K())
+				if len(grp.Parts) != strats[g].K() {
+					t.Fatalf("group %d: %d parts but strategy k=%d", g, len(grp.Parts), strats[g].K())
 				}
-				if grp.Strategy.S() != tc.cfg.S {
-					t.Fatalf("group %d: strategy s=%d, want %d", g, grp.Strategy.S(), tc.cfg.S)
+				if strats[g].S() != tc.cfg.S || strats[g].Kind() != tc.scheme {
+					t.Fatalf("group %d: strategy %v s=%d, want %v s=%d", g, strats[g].Kind(), strats[g].S(), tc.scheme, tc.cfg.S)
 				}
 				for _, p := range grp.Parts {
 					if p < 0 || p >= tc.k || seenP[p] {
@@ -106,25 +127,25 @@ func TestBuildPlanDeterministic(t *testing.T) {
 		thr[i] = 1 + float64((i*13)%5)
 	}
 	cfg := PlanConfig{K: 150, S: 1, GroupSize: 9}
-	a, err := BuildPlan(thr, cfg, rand.New(rand.NewSource(21)))
+	a, err := BuildPlanLayout(thr, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := BuildPlan(thr, cfg, rand.New(rand.NewSource(21)))
+	b, err := BuildPlanLayout(thr, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(a.Groups) != len(b.Groups) {
 		t.Fatalf("group counts differ: %d vs %d", len(a.Groups), len(b.Groups))
 	}
+	sa := groupStrategies(t, a, thr, core.HeterAware, rand.New(rand.NewSource(21)))
+	sb := groupStrategies(t, b, thr, core.HeterAware, rand.New(rand.NewSource(21)))
 	for g := range a.Groups {
 		if !reflect.DeepEqual(a.Groups[g].Workers, b.Groups[g].Workers) ||
 			!reflect.DeepEqual(a.Groups[g].Parts, b.Groups[g].Parts) {
-			t.Fatalf("group %d differs between identically-seeded builds", g)
+			t.Fatalf("group %d differs between identical builds", g)
 		}
-		ra := a.Groups[g].Strategy.Row(0)
-		rb := b.Groups[g].Strategy.Row(0)
-		if !reflect.DeepEqual(ra, rb) {
+		if !reflect.DeepEqual(sa[g].Row(0), sb[g].Row(0)) {
 			t.Fatalf("group %d coding rows differ between identically-seeded builds", g)
 		}
 	}
@@ -138,7 +159,7 @@ func TestBuildPlanBalancesCapacity(t *testing.T) {
 	for i := range thr {
 		thr[i] = math.Exp(rng.NormFloat64())
 	}
-	plan, err := BuildPlan(thr, PlanConfig{K: 160, S: 1, GroupSize: 10}, rng)
+	plan, err := BuildPlanLayout(thr, PlanConfig{K: 160, S: 1, GroupSize: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +178,6 @@ func TestBuildPlanBalancesCapacity(t *testing.T) {
 }
 
 func TestBuildPlanRejectsBadInput(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
 	cases := []struct {
 		thr []float64
 		cfg PlanConfig
@@ -169,12 +189,9 @@ func TestBuildPlanRejectsBadInput(t *testing.T) {
 		{[]float64{1}, PlanConfig{K: 4, S: 1}}, // m < s+1
 	}
 	for i, tc := range cases {
-		if _, err := BuildPlan(tc.thr, tc.cfg, rng); err == nil {
+		if _, err := BuildPlanLayout(tc.thr, tc.cfg); err == nil {
 			t.Fatalf("case %d: expected error", i)
 		}
-	}
-	if _, err := BuildPlan([]float64{1, 2, 3}, PlanConfig{K: 4, S: 1}, nil); err == nil {
-		t.Fatal("nil rng: expected error")
 	}
 }
 

@@ -134,7 +134,7 @@ func StartGroup(cfg GroupRunnerConfig) (_ *GroupRunner, err error) {
 		cfg.SnapshotEvery = rootcore.DefaultSnapshotEvery
 	}
 	plan, err := BuildPlanLayout(cfg.Throughputs, PlanConfig{
-		K: cfg.K, S: cfg.S, GroupSize: cfg.GroupSize, FanIn: cfg.FanIn, Scheme: cfg.Scheme,
+		K: cfg.K, S: cfg.S, GroupSize: cfg.GroupSize, FanIn: cfg.FanIn,
 	})
 	if err != nil {
 		return nil, err

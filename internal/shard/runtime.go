@@ -64,8 +64,8 @@ const DefaultChunkLen = 1 << 16
 // Config configures a sharded training run.
 type Config struct {
 	// K is the global data-partition count, S the per-group straggler
-	// budget. GroupSize, FanIn and Scheme parameterise the sharding planner
-	// (see PlanConfig).
+	// budget. GroupSize and FanIn shape the group layout (see PlanConfig);
+	// Scheme is the strategy family every group's controller builds.
 	K, S      int
 	GroupSize int
 	FanIn     int
@@ -268,7 +268,7 @@ func NewRoot(cfg Config, addr string) (*Root, error) {
 	// Layout only: every group's strategy is owned by its controller (the
 	// initial group-local replan builds it from the same estimates).
 	plan, err := BuildPlanLayout(cfg.Throughputs, PlanConfig{
-		K: cfg.K, S: cfg.S, GroupSize: cfg.GroupSize, FanIn: cfg.FanIn, Scheme: cfg.Scheme,
+		K: cfg.K, S: cfg.S, GroupSize: cfg.GroupSize, FanIn: cfg.FanIn,
 	})
 	if err != nil {
 		return nil, err

@@ -131,7 +131,7 @@ func RunSharded(cfg ShardedSimConfig) (*ShardedSimResult, error) {
 	// Layout only: per-group strategies are built by each group's
 	// controller at its initial replan.
 	plan, err := shard.BuildPlanLayout(cfg.Rates, shard.PlanConfig{
-		K: cfg.K, S: cfg.S, GroupSize: cfg.GroupSize, FanIn: cfg.FanIn, Scheme: cfg.Scheme,
+		K: cfg.K, S: cfg.S, GroupSize: cfg.GroupSize, FanIn: cfg.FanIn,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadChurn, err)
