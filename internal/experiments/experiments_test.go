@@ -8,6 +8,7 @@ import (
 
 	"github.com/hetgc/hetgc/internal/cluster"
 	"github.com/hetgc/hetgc/internal/core"
+	"github.com/hetgc/hetgc/internal/planner"
 )
 
 func TestChooseKIntegralLoads(t *testing.T) {
@@ -23,6 +24,43 @@ func TestChooseKIntegralLoads(t *testing.T) {
 	d := cluster.ClusterD()
 	if k := ChooseK(d, 1); k < d.M() {
 		t.Fatalf("ChooseK(D,1) = %d < m=%d", k, d.M())
+	}
+}
+
+// TestBuildStrategyAllKinds runs a sweep over every scheme on Cluster-A, so
+// each kind is built from the cluster's truth and ChooseK's k, and an unknown
+// kind surfaces the builder's error.
+func TestBuildStrategyAllKinds(t *testing.T) {
+	kinds := []core.Kind{core.Naive, core.Cyclic, core.FractionalRepetition, core.HeterAware, core.GroupBased}
+	rows, err := RunDelaySweep(DelaySweepConfig{
+		Cluster:    cluster.ClusterA(),
+		S:          1,
+		Delays:     []float64{0},
+		Iterations: 2,
+		Schemes:    kinds,
+		Seed:       1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, o := range rows[0].Outcomes {
+		if o.Kind != kinds[i] {
+			t.Fatalf("outcome %d kind = %v, want %v", i, o.Kind, kinds[i])
+		}
+		if math.IsNaN(o.AvgIterTime) || o.AvgIterTime <= 0 || math.IsInf(o.AvgIterTime, 0) {
+			t.Fatalf("%v: avg iteration time %v", o.Kind, o.AvgIterTime)
+		}
+	}
+	_, err = RunDelaySweep(DelaySweepConfig{
+		Cluster:    cluster.ClusterA(),
+		S:          1,
+		Delays:     []float64{0},
+		Iterations: 2,
+		Schemes:    []core.Kind{core.Kind(99)},
+		Seed:       1,
+	})
+	if !errors.Is(err, planner.ErrBadConfig) {
+		t.Fatalf("unknown kind err = %v", err)
 	}
 }
 

@@ -91,21 +91,57 @@ func TestInitialStrategyUsesGuesses(t *testing.T) {
 	}
 }
 
-// TestImbalanceDetectsDrift: a code built on wrong (uniform) guesses reads as
-// imbalanced under one epoch's true rates, and the code rebuilt from those
-// rates reads as balanced and runs faster against the truth.
+// TestBuildStrategyOnline covers the schemes the elastic controller rebuilds
+// with: the proportional ones allocate the requested k over the estimates,
+// while a fixed-shape scheme ignores k, which is why the controller refuses it.
+func TestBuildStrategyOnline(t *testing.T) {
+	st, err := BuildStrategy(core.HeterAware, []float64{1, 2, 3}, 6, 1, rng(22))
+	if err != nil || st.Kind() != core.HeterAware || st.M() != 3 || st.K() != 6 {
+		t.Fatalf("st = %+v err = %v", st, err)
+	}
+	st, err = BuildStrategy(0, []float64{1, 2, 3}, 6, 1, rng(23))
+	if err != nil || st.Kind() != core.HeterAware {
+		t.Fatalf("default scheme: %v err %v", st.Kind(), err)
+	}
+	st, err = BuildStrategy(core.GroupBased, []float64{1, 2, 3, 4}, 6, 1, rng(24))
+	if err != nil || st.Kind() != core.GroupBased || st.K() != 6 {
+		t.Fatalf("group-based: err %v", err)
+	}
+	st, err = BuildStrategy(core.Naive, []float64{1, 1}, 6, 0, rng(25))
+	if err != nil || st.Kind() != core.Naive || st.K() != 2 {
+		t.Fatalf("naive: k = %d, want m = 2 (err %v)", st.K(), err)
+	}
+}
+
+// TestImbalanceDetectsDrift: a code built for uniform speeds reads as
+// balanced under those speeds and as imbalanced once worker 0 turns out 4x
+// faster and worker 4 4x slower.
 func TestImbalanceDetectsDrift(t *testing.T) {
-	const k, s = 12, 1
-	truth := []float64{0.5, 1, 2, 4, 4.5}
-	uniform, err := BuildStrategy(core.HeterAware, []float64{1, 1, 1, 1, 1}, k, s, rng(6))
+	uniform, err := BuildStrategy(core.HeterAware, []float64{1, 1, 1, 1, 1}, 10, 1, rng(5))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if im := PredictedImbalance(uniform, []float64{1, 1, 1, 1, 1}); im > 1.05 {
 		t.Fatalf("fresh plan should be balanced, imbalance = %v", im)
 	}
-	if im := PredictedImbalance(uniform, truth); im < 1.5 {
+	if im := PredictedImbalance(uniform, []float64{4, 1, 1, 1, 0.25}); im < 1.5 {
 		t.Fatalf("drifted plan should be imbalanced, got %v", im)
+	}
+}
+
+// TestMaybeReplanRebalances: a code built on wrong (uniform) guesses reads as
+// imbalanced under one epoch's true rates, and the code rebuilt from those
+// rates reads as balanced — below the controller's default replan trigger,
+// so no second rebuild follows — and runs faster against the truth.
+func TestMaybeReplanRebalances(t *testing.T) {
+	const k, s = 12, 1
+	truth := []float64{0.5, 1, 2, 4, 4.5}
+	uniform, err := BuildStrategy(core.HeterAware, []float64{1, 1, 1, 1, 1}, k, s, rng(6))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if im := PredictedImbalance(uniform, truth); im < 1.5 {
+		t.Fatalf("expected a replan trigger, imbalance = %v", im)
 	}
 	rebuilt, err := BuildStrategy(core.HeterAware, truth, k, s, rng(7))
 	if err != nil {
@@ -127,6 +163,35 @@ func TestImbalanceDetectsDrift(t *testing.T) {
 	}
 	if before, after := simulate(uniform), simulate(rebuilt); after >= before {
 		t.Fatalf("rebuilding from the estimates should speed iterations up: %v -> %v", before, after)
+	}
+}
+
+// TestReplanGroupBased rebuilds a group-based code from measured rates that
+// reverse the guessed speed order: the scheme is kept, the loads follow the
+// new rates, and the rebuilt code is better balanced under them.
+func TestReplanGroupBased(t *testing.T) {
+	const k, s = 7, 1
+	guesses := []float64{1, 2, 3, 4, 4}
+	measured := []float64{4, 4, 3, 2, 1}
+	st, err := BuildStrategy(core.GroupBased, guesses, k, s, rng(9))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Kind() != core.GroupBased {
+		t.Fatalf("kind = %v", st.Kind())
+	}
+	rebuilt, err := BuildStrategy(st.Kind(), measured, k, s, rng(10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rebuilt.Kind() != core.GroupBased || rebuilt.M() != st.M() || rebuilt.K() != k {
+		t.Fatalf("rebuilt kind %v m %d k %d", rebuilt.Kind(), rebuilt.M(), rebuilt.K())
+	}
+	if l := rebuilt.Allocation().Loads; l[0] <= l[4] {
+		t.Fatalf("rebuilt loads %v must favour the now-fast worker 0", l)
+	}
+	if before, after := PredictedImbalance(st, measured), PredictedImbalance(rebuilt, measured); after >= before {
+		t.Fatalf("rebuilding should reduce imbalance: %v -> %v", before, after)
 	}
 }
 
