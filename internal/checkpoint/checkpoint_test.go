@@ -1,7 +1,9 @@
 package checkpoint
 
 import (
+	"crypto/sha256"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"os"
@@ -66,6 +68,39 @@ func TestSnapshotMinimalRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(want, got) {
 		t.Fatalf("round trip mismatch: %+v vs %+v", want, got)
+	}
+}
+
+// bigSnapshot is fullSnapshot at the durable benchmark's size: 100 010
+// params and one momentum vector. The values are 53-bit integers scaled by a
+// power of two, so they are the same on every platform.
+func bigSnapshot() *Snapshot {
+	rng := rand.New(rand.NewSource(29))
+	vec := func() []float64 {
+		v := make([]float64, 100_010)
+		for i := range v {
+			v[i] = float64(int64(rng.Uint64())>>11) * 0x1p-60
+		}
+		return v
+	}
+	snap := fullSnapshot()
+	snap.Params, snap.OptVecs = vec(), [][]float64{vec()}
+	return snap
+}
+
+// TestEncodeSnapshotGolden pins the snapshot file bytes: a file outlives
+// the build that wrote it, so an encoder change must not move a byte.
+func TestEncodeSnapshotGolden(t *testing.T) {
+	for name, c := range map[string]struct {
+		snap *Snapshot
+		sum  string
+	}{
+		"full": {fullSnapshot(), "497ffcc86c02fda38a7fae4b37bb2f8543ac67536ae87474900af531322d842b"},
+		"big":  {bigSnapshot(), "cad7ebcfbc7465728d4bf894f504485f73bb1c21eab5889b91f29aabd84f3447"},
+	} {
+		if got := fmt.Sprintf("%x", sha256.Sum256(EncodeSnapshot(c.snap))); got != c.sum {
+			t.Errorf("%s snapshot: sha256 %s, want %s", name, got, c.sum)
+		}
 	}
 }
 

@@ -87,6 +87,24 @@ func BenchmarkInfOrNaN(b *testing.B) {
 	}
 }
 
+// BenchmarkQuantize is the worker's int8 encode of one dim-100 010 coded
+// gradient into a pooled payload buffer — the codec half of the traced
+// grad.encode span on the int8 uplink. SetBytes counts the float64 input.
+func BenchmarkQuantize(b *testing.B) {
+	_, gs := benchInputs(b, 100_010, 1)
+	vec := gs[0]
+	b.SetBytes(int64(8 * len(vec)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		q, err := AppendQuantized(GetBytes(8*len(vec)), CodecInt8, vec)
+		if err != nil {
+			b.Fatal(err)
+		}
+		PutBytes(q)
+	}
+}
+
 func BenchmarkGetPutBuffer(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

@@ -1,7 +1,10 @@
 package grad
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -112,6 +115,143 @@ func TestInt8PerChunkError(t *testing.T) {
 			}
 		}
 	}
+}
+
+// appendInt8Ref is the int8 encoder as first written — math.Round and one
+// append per byte — kept as the reference the fast encoder must match byte
+// for byte on finite input.
+func appendInt8Ref(dst []byte, vec []float64) []byte {
+	for off := 0; off < len(vec); off += int8ChunkLen {
+		end := off + int8ChunkLen
+		if end > len(vec) {
+			end = len(vec)
+		}
+		chunk := vec[off:end]
+		mx := maxAbs(chunk)
+		var scale float64
+		if mx > 0 && !math.IsInf(mx, 0) && !math.IsNaN(mx) {
+			scale = mx / 127
+		}
+		dst = binary.LittleEndian.AppendUint32(dst, math.Float32bits(float32(scale)))
+		if scale == 0 {
+			for range chunk {
+				dst = append(dst, 0)
+			}
+			continue
+		}
+		s := float64(float32(scale))
+		for _, v := range chunk {
+			q := math.Round(v / s)
+			if q > 127 {
+				q = 127
+			} else if q < -127 {
+				q = -127
+			}
+			dst = append(dst, byte(int8(q)))
+		}
+	}
+	return dst
+}
+
+// checkInt8MatchesRef fails t unless the int8 codec's payload for vec,
+// appended after a non-empty prefix, equals the reference's byte for byte.
+func checkInt8MatchesRef(t *testing.T, name string, vec []float64) {
+	t.Helper()
+	prefix := []byte{0xa5, 0x5a, 0xc3}
+	got, err := AppendQuantized(append([]byte(nil), prefix...), CodecInt8, vec)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	want := appendInt8Ref(append([]byte(nil), prefix...), vec)
+	if !bytes.Equal(got, want) {
+		for i := range want {
+			if i >= len(got) || got[i] != want[i] {
+				t.Fatalf("%s (n=%d): payload differs from the reference first at byte %d of %d (got %d B)",
+					name, len(vec), i-len(prefix), len(want)-len(prefix), len(got)-len(prefix))
+			}
+		}
+		t.Fatalf("%s (n=%d): payload %d B, reference %d B", name, len(vec), len(got)-len(prefix), len(want)-len(prefix))
+	}
+}
+
+// TestInt8MatchesReferenceEdges holds the int8 encoder to the reference on
+// the inputs where a rounding shortcut would differ: exact ties at every
+// half step, the one double below ½ that x+½ rounds up, quotients pushed
+// past 127 by the float32 scale, signed zeros, denormals, magnitudes whose
+// float32 scale underflows to 0 or overflows to +Inf, and every chunk-edge
+// length.
+func TestInt8MatchesReferenceEdges(t *testing.T) {
+	const belowHalf = 0.49999999999999994 // largest double < 0.5
+	ties := []float64{127}                // chunk max 127: the scale is exactly 1
+	for k := 0; k < 127; k++ {
+		ties = append(ties, float64(k)+0.5, -float64(k)-0.5)
+	}
+	ties = append(ties, belowHalf, -belowHalf, 1+belowHalf, -1-belowHalf, 0.5, -0.5)
+	scaled := func(vec []float64, by float64) []float64 {
+		out := make([]float64, len(vec))
+		for i, v := range vec {
+			out[i] = v * by // powers of two: exact
+		}
+		return out
+	}
+	// A chunk max whose scale mx/127 rounds down to float32 1, so mx/s lands
+	// a float32 rounding above 127; and one whose scale is a float32 denormal
+	// rounded down by a third, so the quotient reaches ≈ 189 and clamps.
+	aboveOne := 127 * (1 + 0x1p-25 - 0x1p-40)
+	denormScale := 127 * 1.49 * 0x1p-149
+	cases := map[string][]float64{
+		"ties scale 1":         ties,
+		"ties scale 2^-10":     scaled(ties, 0x1p-10),
+		"ties scale 2^40":      scaled(ties, 0x1p40),
+		"ties negative max":    append([]float64{-127}, ties[1:]...),
+		"float32 above 127":    {aboveOne, -aboveOne, aboveOne / 2, 126.99999999, -127.4},
+		"float32 denormal":     {denormScale, -denormScale, denormScale / 2, denormScale / 3, 1e-44},
+		"signed zeros":         {0, math.Copysign(0, -1), 0, math.Copysign(0, -1)},
+		"zero with max":        {math.Copysign(0, -1), 3, 0, -3, 1.5},
+		"denormals":            {5e-324, -5e-324, 2.2e-310, -1e-315, 0},
+		"denormal max /127=0":  {2.4e-322, -2.4e-322, 5e-324},
+		"denormal among large": {5e-324, -5e-324, 1, 2.2e-310},
+		"1e300":                {1e300, -1e300, 5e299, 1, -1e-300, 0},
+		"1e-300":               {1e-300, -1e-300, 5e-301, 0, math.Copysign(0, -1), 3e-310},
+		"max float":            {math.MaxFloat64, -math.MaxFloat64, 1},
+		"mixed chunks":         append(append(scaled(ties[:64], 1), scaled(ties[:64], 0x1p-1000)...), 1e300, 1e-300, 0.5),
+	}
+	for name, vec := range cases {
+		checkInt8MatchesRef(t, name, vec)
+	}
+	rng := rand.New(rand.NewSource(29))
+	for _, n := range []int{1, 63, 64, 65, 100_010} {
+		checkInt8MatchesRef(t, fmt.Sprintf("random n=%d", n), randVec(rng, n))
+	}
+	checkInt8MatchesRef(t, "empty", nil)
+}
+
+// FuzzInt8MatchesReference: on any finite vector the int8 payload equals
+// the reference encoder's byte for byte. The bytes are read as
+// little-endian float64s; an input holding a non-finite value is skipped
+// (there the encoder deliberately differs: it poisons the chunk's scale).
+func FuzzInt8MatchesReference(f *testing.F) {
+	seed := func(vec ...float64) {
+		b := make([]byte, 0, 8*len(vec))
+		for _, v := range vec {
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+		}
+		f.Add(b)
+	}
+	seed(127, 0.5, -0.5, 1.5, -2.5, 0.49999999999999994, -0.49999999999999994)
+	seed(1e300, -1e-300, 0, math.Copysign(0, -1), 5e-324)
+	seed(randVec(rand.New(rand.NewSource(1)), 130)...)
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		vec := make([]float64, len(data)/8)
+		for i := range vec {
+			vec[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[8*i:]))
+			if math.IsNaN(vec[i]) || math.IsInf(vec[i], 0) {
+				t.Skip("non-finite input")
+			}
+		}
+		checkInt8MatchesRef(t, "fuzz", vec)
+	})
 }
 
 // TestTopKExactSparse: the kept quarter is bit-exact, everything else is

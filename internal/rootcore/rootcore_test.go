@@ -173,6 +173,49 @@ func TestSnapshotCadenceAndResumeAnchor(t *testing.T) {
 	}
 }
 
+// TestSnapshotHoldsTheStateBeforeTheNextStep: a snapshot is assembled from
+// the live parameters and optimizer state, and the next optimizer Step
+// rewrites both in place. Recovering a snapshot written before that Step
+// must still yield the values from before it.
+func TestSnapshotHoldsTheStateBeforeTheNextStep(t *testing.T) {
+	for _, opt := range []ml.StatefulOptimizer{&ml.SGD{LR: 0.1, Momentum: 0.9}, &ml.Adam{LR: 0.1}} {
+		cfg := testConfig(4)
+		cfg.Optimizer, cfg.CheckpointDir = opt, t.TempDir()
+		var snaps snapIters
+		c := mustOpen(t, cfg, snaps.hooks())
+		g := make(grad.Gradient, len(c.params))
+		for i := range g {
+			g[i] = float64(i + 1)
+		}
+		if err := opt.Step(c.params, g); err != nil {
+			t.Fatal(err)
+		}
+		wantParams := append([]float64(nil), c.params...)
+		vecs, wantStep := opt.OptimizerState()
+		var wantVecs [][]float64
+		for _, v := range vecs {
+			wantVecs = append(wantVecs, append([]float64(nil), v...))
+		}
+		if err := c.store.WriteSnapshot(c.snapshot(1)); err != nil {
+			t.Fatal(err)
+		}
+		if err := opt.Step(c.params, g); err != nil {
+			t.Fatal(err)
+		}
+		if reflect.DeepEqual(c.params, wantParams) {
+			t.Fatalf("%T: the second Step left the params unchanged", opt)
+		}
+		st, err := checkpoint.Recover(cfg.CheckpointDir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(st.Snap.Params, wantParams) || !reflect.DeepEqual(st.Snap.OptVecs, wantVecs) || st.Snap.OptStep != wantStep {
+			t.Fatalf("%T: recovered params %v, state %v (step %d); want the pre-Step %v, %v (step %d)",
+				opt, st.Snap.Params, st.Snap.OptVecs, st.Snap.OptStep, wantParams, wantVecs, wantStep)
+		}
+	}
+}
+
 func TestLatchedJournalErrorFailsPersistTyped(t *testing.T) {
 	dir := t.TempDir()
 	cfg := testConfig(2)
