@@ -77,9 +77,10 @@ cover-check: cover cover-gate
 # checkpoint.ErrCorrupt), the adoption-handshake frames and the vector frame
 # (arbitrary headers, codec bytes, span sections and truncated or quantized
 # payloads, as a binary wire frame or inside a gob batch, must yield
-# transport.ErrMalformed — never a panic, never a dim-sized allocation). The
-# one target that is not a decoder is the load allocator, whose output every
-# plan is built on (valid loads that no single-copy move improves). A
+# transport.ErrMalformed — never a panic, never a dim-sized allocation). Two
+# targets are not decoders: the load allocator, whose output every plan is
+# built on (valid loads that no single-copy move improves), and the int8
+# encoder, whose payload must equal the reference encoder's byte for byte. A
 # failing input is written to the package's testdata/fuzz; rerun it with
 # `go test -run 'Fuzz<Target>/<name>' ./internal/<pkg>`.
 FUZZTIME ?= 10s
@@ -92,6 +93,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzVectorFrame$$' -fuzztime $(FUZZTIME) ./internal/transport
 	$(GO) test -run '^$$' -fuzz '^FuzzRoster$$' -fuzztime $(FUZZTIME) ./internal/node
 	$(GO) test -run '^$$' -fuzz '^FuzzProportionalLoads$$' -fuzztime $(FUZZTIME) ./internal/partition
+	$(GO) test -run '^$$' -fuzz '^FuzzInt8MatchesReference$$' -fuzztime $(FUZZTIME) ./internal/grad
 
 # Smoke-run the quickstart and adaptive examples: a panic in example main
 # paths must fail the build pipeline, not linger unnoticed, and adaptive exits

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+	"slices"
 
 	"github.com/hetgc/hetgc/internal/elastic"
 	"github.com/hetgc/hetgc/internal/estimate"
@@ -298,8 +299,24 @@ func ReadJournal(data []byte) ([]Record, error) {
 
 // EncodeSnapshot serialises a snapshot into its full file contents: magic,
 // CRC frame, payload.
-func EncodeSnapshot(snap *Snapshot) []byte {
-	p := make([]byte, 0, 64+8*len(snap.Params))
+func EncodeSnapshot(snap *Snapshot) []byte { return appendSnapshot(nil, snap) }
+
+// snapSlack is the room appendSnapshot reserves beyond the float vectors,
+// for the counters, group summaries and controller state.
+const snapSlack = 1 << 10
+
+// appendSnapshot appends snap's file contents to dst. It grows dst once for
+// every float vector, then reserves the frame header and patches it once
+// the payload is written, so the payload is never copied.
+func appendSnapshot(dst []byte, snap *Snapshot) []byte {
+	floats := len(snap.Params)
+	for _, v := range snap.OptVecs {
+		floats += len(v)
+	}
+	dst = slices.Grow(dst, len(snapMagic)+8+8*floats+snapSlack)
+	dst = append(dst, snapMagic...)
+	hdr := len(dst)
+	p := append(dst, make([]byte, 8)...)
 	p = binary.AppendUvarint(p, uint64(snap.Iter))
 	p = binary.AppendVarint(p, int64(snap.Epoch))
 	p = binary.AppendUvarint(p, uint64(snap.Step))
@@ -337,9 +354,10 @@ func EncodeSnapshot(snap *Snapshot) []byte {
 	if hasCtrl {
 		p = appendControllerState(p, snap.Ctrl)
 	}
-	out := make([]byte, 0, len(snapMagic)+8+len(p))
-	out = append(out, snapMagic...)
-	return frameRecord(out, p)
+	payload := p[hdr+8:]
+	binary.LittleEndian.PutUint32(p[hdr:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(p[hdr+4:], crc32.ChecksumIEEE(payload))
+	return p
 }
 
 func appendControllerState(p []byte, cs *elastic.ControllerState) []byte {

@@ -40,6 +40,9 @@ type Store struct {
 	closed  bool
 	err     error // sticky first write failure
 	scratch []byte
+	// snapBuf holds the last snapshot's file contents; the next snapshot is
+	// encoded over it, so a steady-state commit allocates nothing dim-sized.
+	snapBuf []byte
 	// guard, when set, is consulted before every journal append and
 	// snapshot commit. The HA control plane installs the root lease's fence
 	// check here, so a deposed root's writes fail typed (ha.ErrFenced)
@@ -195,6 +198,10 @@ func (s *Store) AppendIter(iter, epoch, step int) error {
 // is written to a temp file, fsynced and renamed into place, the journal
 // rotates to a fresh file, and generations older than the retention bound
 // are deleted (their history is folded into the surviving snapshots).
+//
+// snap is read only during the call and nothing of it is retained, so it
+// may alias live state — a root's parameters, its optimizer's vectors — as
+// long as nothing writes that state until WriteSnapshot returns.
 func (s *Store) WriteSnapshot(snap *Snapshot) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -209,10 +216,10 @@ func (s *Store) WriteSnapshot(snap *Snapshot) error {
 	}
 	start := time.Now()
 	gen := s.gen + 1
-	data := EncodeSnapshot(snap)
+	s.snapBuf = appendSnapshot(s.snapBuf[:0], snap)
 	final := filepath.Join(s.dir, fmt.Sprintf(snapPattern, gen))
 	tmp := final + ".tmp"
-	if err := writeFileSync(tmp, data); err != nil {
+	if err := writeFileSync(tmp, s.snapBuf); err != nil {
 		return err
 	}
 	if err := os.Rename(tmp, final); err != nil {

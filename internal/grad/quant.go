@@ -13,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 )
@@ -34,10 +35,12 @@ const (
 	// normalizing the max magnitude to 1 (2 B/elem, |err| ≤ 2⁻¹¹·maxabs).
 	CodecFP16
 	// CodecInt8 is linear int8 quantization with one float32 scale per
-	// 64-element chunk (≈1.06 B/elem, per-chunk |err| ≤ maxabs/254).
+	// 64-element chunk (≈1.06 B/elem, per-chunk |err| ≤ maxabs/254). A
+	// chunk holding a NaN or ±Inf gets a NaN scale, which does not decode.
 	CodecInt8
 	// CodecTopK keeps the n/4 largest-magnitude coordinates exactly
-	// (delta-varint indices + full float64 values) and zeroes the rest.
+	// (delta-varint indices + full float64 values) and zeroes the rest. NaN
+	// ranks above every magnitude, so it is always kept.
 	CodecTopK
 	// CodecDelta XORs each element's bits with its predecessor's and
 	// varint-encodes the result (lossless; small on smooth gradients).
@@ -217,36 +220,72 @@ func decodeFP16(out []float64, p []byte) error {
 
 // --- int8 ---
 
+// absBits is |v|'s bit pattern. Non-negative doubles order as their bits do,
+// and every NaN's bits lie above +Inf's, so comparing absBits orders
+// magnitudes with NaN above all of them.
+func absBits(v float64) uint64 { return math.Float64bits(v) &^ (1 << 63) }
+
+// int8NonFinite, a float32 quiet NaN, is the scale of a chunk holding a NaN
+// or ±Inf. decodeInt8 refuses it, so a poisoned upload fails decode instead
+// of arriving finite.
+const int8NonFinite = 0x7fc00000
+
+// belowHalf is the largest double below ½: the one x in (-½, ½) for which
+// x + ½ rounds up to 1.
+const belowHalf = 0.49999999999999994
+
 func appendInt8(dst []byte, vec []float64) []byte {
+	at := len(dst)
+	dst = slices.Grow(dst, int8PayloadLen(len(vec)))[:at+int8PayloadLen(len(vec))]
+	out := dst[at:]
 	for off := 0; off < len(vec); off += int8ChunkLen {
-		end := off + int8ChunkLen
-		if end > len(vec) {
-			end = len(vec)
+		chunk := vec[off:min(off+int8ChunkLen, len(vec))]
+		hdr, q := out[:4], out[4:4+len(chunk)]
+		out = out[4+len(chunk):]
+		var mxBits uint64
+		for _, v := range chunk {
+			mxBits = max(mxBits, absBits(v))
 		}
-		chunk := vec[off:end]
-		mx := maxAbs(chunk)
-		var scale float64
-		if mx > 0 && !math.IsInf(mx, 0) && !math.IsNaN(mx) {
-			scale = mx / 127
+		if mxBits >= absBits(math.Inf(1)) {
+			binary.LittleEndian.PutUint32(hdr, int8NonFinite)
+			clear(q)
+			continue
 		}
-		dst = binary.LittleEndian.AppendUint32(dst, math.Float32bits(float32(scale)))
+		scale := math.Float64frombits(mxBits) / 127
+		binary.LittleEndian.PutUint32(hdr, math.Float32bits(float32(scale)))
 		if scale == 0 {
-			for range chunk {
-				dst = append(dst, 0)
+			clear(q)
+			continue
+		}
+		// The decoder multiplies by the float32 scale, so quantize against
+		// the same rounded value.
+		s := float64(float32(scale))
+		if s == 0 {
+			// The scale underflowed float32, so every value decodes as 0.
+			// The codes are what quantizing against 0 gives: v/0 is ±Inf and
+			// saturates, 0/0 is NaN and converts to 0.
+			for i, v := range chunk {
+				switch {
+				case v > 0:
+					q[i] = 127
+				case v < 0:
+					q[i] = 0x81 // int8(-127)
+				default:
+					q[i] = 0
+				}
 			}
 			continue
 		}
-		// Re-read the rounded float32 scale so encode and decode agree on
-		// the dequantization step exactly.
-		s := float64(float32(scale))
-		for _, v := range chunk {
-			q := math.Round(v / s)
-			if q > 127 {
-				q = 127
-			} else if q < -127 {
-				q = -127
+		for i, v := range chunk {
+			// Truncating x ± ½ rounds half away from zero, as math.Round
+			// does, for every |x| < 2⁵² but belowHalf, where the sum itself
+			// rounds up to 1. Here |x| < 191.
+			x := v / s
+			r := x + math.Copysign(0.5, x)
+			if math.Abs(x) == belowHalf {
+				r = 0
 			}
-			dst = append(dst, byte(int8(q)))
+			q[i] = byte(int8(min(max(int64(r), -127), 127)))
 		}
 	}
 	return dst
@@ -300,10 +339,11 @@ func appendTopK(dst []byte, vec []float64) []byte {
 	for i := range idx {
 		idx[i] = i
 	}
-	// Largest magnitudes first; NaN sorts last (abs(NaN) comparisons are
-	// false, so NaN entries never displace finite ones).
+	// Largest magnitudes first, NaN above every magnitude: a poisoned
+	// coordinate is always carried, so the receiver's non-finite fence sees
+	// it.
 	sort.SliceStable(idx, func(a, b int) bool {
-		return math.Abs(vec[idx[a]]) > math.Abs(vec[idx[b]])
+		return absBits(vec[idx[a]]) > absBits(vec[idx[b]])
 	})
 	kept := append([]int(nil), idx[:k]...)
 	sort.Ints(kept)

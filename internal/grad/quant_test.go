@@ -254,6 +254,52 @@ func FuzzInt8MatchesReference(f *testing.F) {
 	})
 }
 
+// TestQuantizedPoisonIsNotLaundered: no codec turns a NaN or ±Inf into a
+// finite vector the receiver's non-finite fence would admit. Int8 gives the
+// poisoned chunk a NaN scale, so the payload does not decode, and encodes
+// every other chunk exactly as before; topk keeps the poisoned coordinate.
+func TestQuantizedPoisonIsNotLaundered(t *testing.T) {
+	const at = 70 // in the second of four int8 chunks
+	for _, poison := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		vec := randVec(rand.New(rand.NewSource(8)), 200)
+		vec[at] = poison
+		for _, c := range []Codec{CodecRaw, CodecFP16, CodecInt8, CodecTopK, CodecDelta} {
+			q, err := AppendQuantized(nil, c, vec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := Dequantize(c, q, len(vec))
+			if err == nil && !InfOrNaN(got) {
+				t.Errorf("%v of a vector holding %v decoded finite", c, poison)
+			}
+			switch c {
+			case CodecInt8:
+				if !errors.Is(err, ErrQuant) {
+					t.Errorf("int8 with %v: decode error %v, want ErrQuant", poison, err)
+				}
+				ref := appendInt8Ref(nil, vec)
+				const stride = 4 + int8ChunkLen
+				for off := 0; off < len(q); off += stride {
+					end := min(off+stride, len(q))
+					if off/stride != at/int8ChunkLen {
+						if !bytes.Equal(q[off:end], ref[off:end]) {
+							t.Errorf("int8 with %v: clean chunk at byte %d differs from the reference", poison, off)
+						}
+						continue
+					}
+					if s := math.Float32frombits(binary.LittleEndian.Uint32(q[off:])); !math.IsNaN(float64(s)) {
+						t.Errorf("int8 with %v: poisoned chunk's scale %v, want NaN", poison, s)
+					}
+				}
+			case CodecTopK:
+				if err != nil || math.Float64bits(got[at]) != math.Float64bits(poison) {
+					t.Errorf("topk with %v: decoded %v (err %v), want the poison kept", poison, got[at], err)
+				}
+			}
+		}
+	}
+}
+
 // TestTopKExactSparse: the kept quarter is bit-exact, everything else is
 // zero, and the kept set really is the top-k by magnitude.
 func TestTopKExactSparse(t *testing.T) {

@@ -20,8 +20,10 @@ type Optimizer interface {
 // the state cold.
 type StatefulOptimizer interface {
 	Optimizer
-	// OptimizerState returns copies of the state vectors and the internal
-	// step counter. A cold optimizer returns (nil, 0).
+	// OptimizerState returns the state vectors and the internal step
+	// counter. A cold optimizer returns (nil, 0). The vectors are the
+	// optimizer's own, not copies: read-only, and valid until the next Step
+	// or RestoreOptimizerState rewrites them.
 	OptimizerState() (vecs [][]float64, step int)
 	// RestoreOptimizerState installs previously captured state. The vector
 	// count and lengths must match what OptimizerState produced for this
@@ -47,7 +49,7 @@ func (o *SGD) OptimizerState() ([][]float64, int) {
 	if o.velocity == nil {
 		return nil, 0
 	}
-	return [][]float64{append([]float64(nil), o.velocity...)}, 0
+	return [][]float64{o.velocity}, 0
 }
 
 // RestoreOptimizerState implements StatefulOptimizer.
@@ -122,10 +124,7 @@ func (o *Adam) OptimizerState() ([][]float64, int) {
 	if o.m == nil {
 		return nil, o.t
 	}
-	return [][]float64{
-		append([]float64(nil), o.m...),
-		append([]float64(nil), o.v...),
-	}, o.t
+	return [][]float64{o.m, o.v}, o.t
 }
 
 // RestoreOptimizerState implements StatefulOptimizer.

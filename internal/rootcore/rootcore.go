@@ -387,10 +387,16 @@ func (c *Core) Train(collect func(iter int, params []float64, sc *obs.IterScope)
 
 // snapshot assembles the durable state at an iteration boundary: nextIter is
 // the first iteration NOT folded into the parameters.
+//
+// The snapshot aliases the live parameters and optimizer vectors. No copy is
+// needed: only the optimizer Step writes them, on this goroutine, and a
+// snapshot is written at bring-up or in persist, between two Steps and after
+// the iteration's broadcast writes have returned; WriteSnapshot retains
+// nothing.
 func (c *Core) snapshot(nextIter int) *checkpoint.Snapshot {
 	snap := &checkpoint.Snapshot{
 		Iter: nextIter, Epoch: c.epoch, Step: c.step, Clock: c.clock,
-		Params: append([]float64(nil), c.params...),
+		Params: c.params,
 	}
 	if so, ok := c.cfg.Optimizer.(ml.StatefulOptimizer); ok {
 		snap.OptVecs, snap.OptStep = so.OptimizerState()

@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"math"
 	"sync"
 	"testing"
 	"time"
@@ -181,6 +182,73 @@ func TestElasticCodecInt8Negotiated(t *testing.T) {
 	}
 	if loss >= initLoss {
 		t.Fatalf("int8 training did not improve loss: %v -> %v", initLoss, loss)
+	}
+}
+
+// nanModel poisons every gradient its model computes with one NaN.
+type nanModel struct{ ml.Model }
+
+func (m nanModel) Gradient(params []float64, d *ml.Dataset) (grad.Gradient, error) {
+	g, err := m.Model.Gradient(params, d)
+	if err == nil {
+		g[0] = math.NaN()
+	}
+	return g, err
+}
+
+// TestElasticCodecInt8PoisonIsMalformed: an int8 worker whose gradients hold
+// a NaN uploads a chunk with a NaN scale. The master refuses it at decode
+// and counts it as malformed, as it counts a raw NaN, and the other two
+// workers (s = 1) carry the run to the end with finite parameters.
+func TestElasticCodecInt8PoisonIsMalformed(t *testing.T) {
+	f := newElasticFixture(t, 4)
+	const k, s, iters, workers = 4, 1, 6, 3
+	cfg := f.masterConfig(k, s, iters)
+	cfg.MinWorkers = workers
+	cfg.DriftThreshold = 1e9
+	cfg.CooldownIters = 1 << 30
+	cfg.LossEvery, cfg.LossFn = 0, nil
+	cfg.Wire = clustercfg.WireConfig{Codec: "int8"}
+	master, err := NewElasticMaster(cfg, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _, _, before := transport.WireCodec(byte(grad.CodecInt8))
+	var wg sync.WaitGroup
+	for i := 0; i < workers; i++ {
+		model := ml.Model(f.model)
+		if i == 0 {
+			model = nanModel{f.model}
+		}
+		w, err := DialElasticWorker(master.Addr(), ElasticWorkerConfig{
+			Model:         model,
+			PartitionData: func(p int) (*ml.Dataset, error) { return f.parts[p], nil },
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_ = w.Run()
+		}()
+	}
+	if err := master.WaitForWorkers(5 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	res, err := master.Run()
+	wg.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, _, after := transport.WireCodec(byte(grad.CodecInt8)); after <= before {
+		t.Fatalf("no int8 gradient bytes on the wire (out: %d -> %d)", before, after)
+	}
+	if res.MalformedSkipped == 0 {
+		t.Fatal("the poisoned int8 uploads were not counted as malformed")
+	}
+	if len(res.Params) != f.model.Dim() || grad.InfOrNaN(res.Params) {
+		t.Fatalf("final params %v: want %d finite values", res.Params, f.model.Dim())
 	}
 }
 
