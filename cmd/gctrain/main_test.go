@@ -24,6 +24,18 @@ func TestRunGroupScheme(t *testing.T) {
 	}
 }
 
+func TestRunCyclicScheme(t *testing.T) {
+	if err := run([]string{"-scheme", "cyclic", "-iters", "4", "-straggler-ms", "20"}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestRunNaiveScheme(t *testing.T) {
+	if err := run([]string{"-scheme", "naive", "-iters", "4", "-straggler-ms", "20"}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestRunUnknownScheme(t *testing.T) {
 	if err := run([]string{"-scheme", "bogus"}); err == nil {
 		t.Fatal("expected error")
