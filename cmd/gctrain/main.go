@@ -1,15 +1,18 @@
 // Command gctrain runs a real distributed training job over TCP loopback:
-// one master plus m in-process workers, gradient coding end to end —
-// broadcast, compute, encode, upload, decode, step. A configurable artificial
-// delay turns one worker into a straggler, reproducing the paper's fault
-// simulation on a real wire protocol.
+// one elastic master plus m in-process workers, gradient coding end to end —
+// broadcast, compute, encode, upload, decode, step. Every scheme trains on
+// the same elastic runtime: heter and group re-code to the speeds the
+// workers report, cyclic and naive keep one code over k = m partitions. A
+// configurable artificial delay turns one worker into a straggler,
+// reproducing the paper's fault simulation on a real wire protocol.
 //
 //	gctrain -scheme heter -iters 30 -straggler-ms 200
+//	gctrain -scheme cyclic -iters 30 -straggler-ms 200
 //
-// With -checkpoint-dir the job runs on the elastic runtime with durable
-// state: a write-ahead journal plus periodic model snapshots. Kill the
-// process mid-run, rerun with -resume, and training continues from the last
-// snapshot with every pre-crash upload fenced:
+// With -checkpoint-dir the job's state is durable: a write-ahead journal
+// plus periodic model snapshots. Kill the process mid-run, rerun with
+// -resume, and training continues from the last snapshot with every
+// pre-crash upload fenced:
 //
 //	gctrain -checkpoint-dir /tmp/ckpt -iters 50
 //	gctrain -checkpoint-dir /tmp/ckpt -iters 50 -resume
@@ -24,8 +27,7 @@
 // With -metrics-addr the run serves live telemetry over HTTP — Prometheus
 // metrics at /metrics, the structured event journal at /debug/events,
 // iteration phase traces at /debug/trace and pprof at /debug/pprof/ — and
-// -trace streams each iteration's phase breakdown to stderr as JSON lines.
-// Both route the job through the elastic runtime:
+// -trace streams each iteration's phase breakdown to stderr as JSON lines:
 //
 //	gctrain -metrics-addr 127.0.0.1:9090 -iters 50
 //	curl -s http://127.0.0.1:9090/metrics | grep hetgc_
@@ -69,6 +71,12 @@ func run(args []string) error {
 	if err := shared.Validate(); err != nil {
 		return err
 	}
+	kind, ok := map[string]hetgc.Kind{
+		"heter": hetgc.HeterAware, "group": hetgc.GroupBased, "cyclic": hetgc.Cyclic, "naive": hetgc.Naive,
+	}[*scheme]
+	if !ok {
+		return fmt.Errorf("unknown scheme %q", *scheme)
+	}
 	if *resume && shared.CheckpointDir == "" {
 		return errors.New("-resume requires -checkpoint-dir (the directory holding the journal and snapshots of the run to continue)")
 	}
@@ -89,122 +97,26 @@ func run(args []string) error {
 		// Promoted: continue the deposed root's run at the next generation.
 		*resume = true
 	}
-	if shared.CheckpointDir != "" || tel != nil {
-		// Durable state and telemetry both live on the elastic runtime.
-		return runDurable(*scheme, *iters, *s, *stragglerMs, *seed, shared, *resume, tel)
-	}
-
-	// A small heterogeneous fleet (relative speeds 1..4, as in Example 1).
-	throughputs := []float64{1, 2, 3, 4, 4}
-	k := 7
-	rng := hetgc.NewRand(*seed)
-
-	kind, ok := map[string]hetgc.Kind{
-		"heter": hetgc.HeterAware, "group": hetgc.GroupBased, "cyclic": hetgc.Cyclic, "naive": hetgc.Naive,
-	}[*scheme]
-	if !ok {
-		return fmt.Errorf("unknown scheme %q", *scheme)
-	}
-	st, err := hetgc.BuildStrategy(kind, throughputs, k, *s, rng)
-	if err != nil {
-		return err
-	}
-
-	data, err := hetgc.GaussianMixture(st.K()*30, 8, 3, 3, rng)
-	if err != nil {
-		return err
-	}
-	parts, err := data.Split(st.K())
-	if err != nil {
-		return err
-	}
-	model := &hetgc.Softmax{InputDim: 8, NumClasses: 3}
-
-	master, err := hetgc.NewMaster(hetgc.MasterConfig{
-		Strategy:      st,
-		Model:         model,
-		Optimizer:     &hetgc.SGD{LR: 0.5},
-		InitialParams: model.InitParams(nil),
-		Iterations:    *iters,
-		SampleCount:   data.N(),
-		IterTimeout:   10 * time.Second,
-		LossEvery:     5,
-		LossFn: func(p []float64) (float64, error) {
-			return hetgc.MeanLoss(model, p, data)
-		},
-	}, "127.0.0.1:0")
-	if err != nil {
-		return err
-	}
-	fmt.Printf("master listening on %s; scheme=%v m=%d k=%d s=%d\n",
-		master.Addr(), st.Kind(), st.M(), st.K(), st.S())
-
-	var wg sync.WaitGroup
-	for i := 0; i < st.M(); i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			cfg := hetgc.WorkerConfig{
-				Model:         model,
-				PartitionData: func(p int) (*hetgc.Dataset, error) { return parts[p], nil },
-			}
-			if i == 0 && *stragglerMs > 0 {
-				cfg.Delay = func(int) time.Duration {
-					return time.Duration(*stragglerMs) * time.Millisecond
-				}
-			}
-			w, err := hetgc.DialWorker(master.Addr(), cfg)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "worker %d: %v\n", i, err)
-				return
-			}
-			// Run exits with a connection error when the master tears the
-			// session down mid-iteration (e.g. a delayed worker still
-			// uploading at shutdown); that race is benign, so don't report.
-			_ = w.Run()
-		}(i)
-	}
-	if err := master.WaitForWorkers(10 * time.Second); err != nil {
-		return err
-	}
-	res, err := master.Run()
-	wg.Wait()
-	if err != nil {
-		return err
-	}
-
-	fmt.Printf("\niterations: %d  mean %.1fms  p95 %.1fms  stale uploads discarded: %d\n",
-		res.Summary.Count, res.Summary.Mean*1e3, res.Summary.P95*1e3, res.StragglersSkipped)
-	fmt.Println("loss curve (time s, mean loss):")
-	for _, p := range res.Curve.Points {
-		fmt.Printf("  %8.3f  %.4f\n", p.X, p.Y)
-	}
-	return nil
+	return train(kind, *iters, *s, *stragglerMs, *seed, shared, *resume, tel)
 }
 
-// runDurable trains on the elastic runtime with a checkpoint directory:
-// journaled iterations, periodic snapshots, and — with resume — exact
-// continuation from the last snapshot. The flag surface routes through
-// ClusterConfig — the same assembly the standalone gcroot binary uses — so
-// an in-process gctrain run and a multi-machine cluster are configured by
-// the identical code path.
-func runDurable(scheme string, iters, s, stragglerMs int, seed int64, shared cliflags.Cluster, resume bool, tel *hetgc.Telemetry) error {
-	var kind hetgc.Kind
-	switch scheme {
-	case "heter":
-		kind = hetgc.HeterAware
-	case "group":
-		kind = hetgc.GroupBased
-	default:
-		return fmt.Errorf("the elastic runtime (-checkpoint-dir, -metrics-addr, -trace) plans heter or group schemes, not %q", scheme)
-	}
+// train runs the job on the elastic runtime, with a checkpoint directory
+// when one is given: journaled iterations, periodic snapshots, and — with
+// resume — exact continuation from the last snapshot. The flag surface
+// routes through ClusterConfig — the same assembly the standalone gcroot
+// binary uses — so an in-process gctrain run and a multi-machine cluster are
+// configured by the identical code path.
+func train(kind hetgc.Kind, iters, s, stragglerMs int, seed int64, shared cliflags.Cluster, resume bool, tel *hetgc.Telemetry) error {
 	dir := shared.CheckpointDir
 
 	// The workload is derived from the seed, so a resumed process rebuilds
-	// the identical dataset and partitioning.
-	throughputs := []float64{1, 2, 3, 4, 4}
-	m := len(throughputs)
+	// the identical dataset and partitioning. m loopback workers share k
+	// partitions; a fixed-shape scheme gives each worker one partition's slot.
+	const m = 5
 	k := 7
+	if kind.FixedShape() {
+		k = m
+	}
 	rng := hetgc.NewRand(seed)
 	data, err := hetgc.GaussianMixture(k*30, 8, 3, 3, rng)
 	if err != nil {
@@ -252,10 +164,10 @@ func runDurable(scheme string, iters, s, stragglerMs int, seed int64, shared cli
 		fmt.Printf("holding root lease: generation %d, ttl %s\n", gen, shared.LeaseTTL)
 	}
 	if dir != "" {
-		fmt.Printf("elastic master on %s; scheme=%s k=%d s=%d checkpoint-dir=%s snapshot-every=%d\n",
-			master.Addr(), scheme, k, s, dir, shared.SnapshotEvery)
+		fmt.Printf("elastic master on %s; scheme=%v k=%d s=%d checkpoint-dir=%s snapshot-every=%d\n",
+			master.Addr(), kind, k, s, dir, shared.SnapshotEvery)
 	} else {
-		fmt.Printf("elastic master on %s; scheme=%s k=%d s=%d\n", master.Addr(), scheme, k, s)
+		fmt.Printf("elastic master on %s; scheme=%v k=%d s=%d\n", master.Addr(), kind, k, s)
 	}
 
 	var wg sync.WaitGroup

@@ -10,9 +10,10 @@
 //   - A discrete-event cluster simulator (Simulate, TrainSimulated, RunSSP)
 //     reproducing the paper's evaluation, with the Table II clusters
 //     (ClusterA…ClusterD) and straggler injectors.
-//   - A real TCP master/worker runtime (NewMaster, DialWorker), its elastic
-//     variant (RunElastic), and a hierarchical group-sharded runtime that
-//     scales the scheme to hundreds of workers (RunSharded, SimulateSharded).
+//   - A real TCP master/worker runtime that hosts every scheme and re-codes
+//     on drift and churn (RunElastic, NewElasticMaster, DialElasticWorker),
+//     and a hierarchical group-sharded runtime that scales the scheme to
+//     hundreds of workers (RunSharded, SimulateSharded).
 //   - Experiment runners regenerating every figure and table of the paper
 //     (the Fig2/Fig3/Fig4/Fig5/Table2 family).
 //
@@ -243,31 +244,6 @@ func LinearData(n, dim int, noise float64, rng *rand.Rand) (*Dataset, error) {
 // MeanLoss evaluates a model's mean loss on a dataset.
 func MeanLoss(m Model, params []float64, d *Dataset) (float64, error) {
 	return ml.MeanLoss(m, params, d)
-}
-
-// Distributed runtime.
-type (
-	// Master drives the BSP loop over TCP workers.
-	Master = runtime.Master
-	// MasterConfig configures a master.
-	MasterConfig = runtime.MasterConfig
-	// MasterResult summarises a run.
-	MasterResult = runtime.MasterResult
-	// WorkerConfig configures a worker process.
-	WorkerConfig = runtime.WorkerConfig
-	// RuntimeWorker is a connected worker.
-	RuntimeWorker = runtime.Worker
-)
-
-// NewMaster starts a master listening on addr.
-func NewMaster(cfg MasterConfig, addr string) (*Master, error) {
-	return runtime.NewMaster(cfg, addr)
-}
-
-// DialWorker connects a worker to a master and performs the assignment
-// handshake.
-func DialWorker(addr string, cfg WorkerConfig) (*RuntimeWorker, error) {
-	return runtime.DialWorker(addr, cfg)
 }
 
 // Durable training state: the checkpoint + journal subsystem behind

@@ -66,6 +66,13 @@ func (k Kind) String() string {
 	}
 }
 
+// FixedShape reports whether the scheme's shape ignores throughput: naive,
+// cyclic and fractional repetition give each of m workers one partition's
+// slot (k = m), whatever the estimates say.
+func (k Kind) FixedShape() bool {
+	return k == Naive || k == Cyclic || k == FractionalRepetition
+}
+
 var (
 	// ErrUndecodable is returned when the alive worker set cannot recover the
 	// aggregated gradient.

@@ -21,6 +21,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"github.com/hetgc/hetgc/internal/core"
 	"github.com/hetgc/hetgc/internal/estimate"
@@ -35,7 +36,8 @@ var (
 	// ErrUnknownMember is returned for observations about members never added.
 	ErrUnknownMember = errors.New("elastic: unknown member")
 	// ErrNotEnoughMembers is returned by Replan when the live membership
-	// cannot support any strategy (fewer than s+1 alive workers).
+	// cannot support any strategy (fewer than s+1 alive workers, or fewer
+	// than k under a fixed-shape scheme).
 	ErrNotEnoughMembers = errors.New("elastic: not enough alive members to plan")
 )
 
@@ -45,8 +47,11 @@ type Config struct {
 	// across migrations (partitions are global, stable indices — only their
 	// placement moves between epochs).
 	K, S int
-	// Scheme is the strategy family to build: core.HeterAware (default) or
-	// core.GroupBased.
+	// Scheme is the strategy family to build, any of the five (default
+	// core.HeterAware). A fixed-shape scheme (core.Kind.FixedShape) plans
+	// over the first K alive members, one slot per partition, and replans
+	// only when churn changes those K: its code does not depend on the
+	// estimates, so it never drifts.
 	Scheme core.Kind
 	// Alpha is the EWMA smoothing factor for throughput estimates
 	// (default 0.3); estimate.Meter's clip lets one sample lower an
@@ -161,6 +166,10 @@ type Controller struct {
 	// gain memoises DriftGain between observations and replans while the
 	// membership stands (churned unset); 0 marks it stale, a gain is positive.
 	gain float64
+	// rejoined marks a plan member that died and came back since the plan
+	// was built: its new connection holds no assignment, so a fixed-shape
+	// plan must be delivered again.
+	rejoined bool
 }
 
 // NewController validates the config and builds an empty controller; add
@@ -170,7 +179,13 @@ func NewController(cfg Config, rng *rand.Rand) (*Controller, error) {
 	if c.K <= 0 || c.S < 0 {
 		return nil, fmt.Errorf("%w: k=%d s=%d", ErrBadConfig, c.K, c.S)
 	}
-	if c.Scheme != core.HeterAware && c.Scheme != core.GroupBased {
+	switch c.Scheme {
+	case core.Naive, core.Cyclic, core.HeterAware, core.GroupBased:
+	case core.FractionalRepetition:
+		if c.K%(c.S+1) != 0 {
+			return nil, fmt.Errorf("%w: %v needs s+1=%d to divide k=%d", ErrBadConfig, c.Scheme, c.S+1, c.K)
+		}
+	default:
 		return nil, fmt.Errorf("%w: scheme %v", ErrBadConfig, c.Scheme)
 	}
 	if rng == nil {
@@ -197,6 +212,9 @@ func (ct *Controller) AddMember(id int, prior float64) {
 		if !ms.alive {
 			ms.alive = true
 			ct.churned = true
+			if ct.plan != nil && ct.plan.SlotOf(id) >= 0 {
+				ct.rejoined = true
+			}
 		}
 		return
 	}
@@ -305,7 +323,8 @@ func (ct *Controller) Imbalance() float64 {
 
 // DriftGain predicts how much faster iterations would run under a freshly
 // planned allocation versus the current plan, given the latest estimates
-// (1.0 = replanning cannot help). Unlike Imbalance — which compares to the
+// (1.0 = replanning cannot help; exactly 1 under a fixed-shape scheme,
+// whose code ignores the estimates). Unlike Imbalance — which compares to the
 // continuous optimum that integer load rounding can never reach — the gain
 // compares achievable-to-achievable, so it converges to ~1 once the plan
 // matches the estimates and cannot oscillate on the rounding floor.
@@ -317,7 +336,7 @@ func (ct *Controller) DriftGain() float64 {
 }
 
 func (ct *Controller) driftGain() float64 {
-	if ct.plan == nil {
+	if ct.plan == nil || ct.cfg.Scheme.FixedShape() {
 		return 1
 	}
 	loads := ct.plan.Strategy.Allocation().Loads
@@ -365,10 +384,23 @@ func (ct *Controller) driftGain() float64 {
 // and names the trigger: "initial" (no plan yet), "churn" (membership
 // changed since the plan was built) or "drift" (a fresh plan is predicted
 // to beat the current one by more than the threshold, at least one plan
-// member's estimate warmed up, and the cooldown elapsed).
+// member's estimate warmed up, and the cooldown elapsed). A fixed-shape plan
+// never drifts, and churn replans it only when at least K members are alive
+// and the first K of them are not the plan's members, or one of those
+// rejoined; otherwise the plan stands and its dead members are erasures.
 func (ct *Controller) ShouldReplan(iter int) (bool, string) {
 	if ct.plan == nil {
 		return true, "initial"
+	}
+	if ct.cfg.Scheme.FixedShape() {
+		if !ct.churned {
+			return false, ""
+		}
+		alive := ct.AliveMembers()
+		if len(alive) >= ct.cfg.K && (ct.rejoined || !slices.Equal(alive[:ct.cfg.K], ct.plan.Members)) {
+			return true, "churn"
+		}
+		return false, ""
 	}
 	if ct.churned {
 		return true, "churn"
@@ -393,13 +425,19 @@ func (ct *Controller) ShouldReplan(iter int) (bool, string) {
 }
 
 // Replan builds the next epoch's plan over the alive membership from the
-// current estimates. On success the new plan becomes current, the churn flag
-// clears and the migration is recorded. The caller (runtime master or
-// simulator) is responsible for delivering the new assignments and fencing
-// stale uploads by epoch.
+// current estimates; a fixed-shape scheme plans over the first K alive
+// members in join order and leaves the rest idle. On success the new plan
+// becomes current, the churn flag clears and the migration is recorded. The
+// caller (runtime master or simulator) is responsible for delivering the new
+// assignments and fencing stale uploads by epoch.
 func (ct *Controller) Replan(iter int, reason string) (*Plan, error) {
 	alive := ct.AliveMembers()
-	if len(alive) < ct.cfg.S+1 {
+	if ct.cfg.Scheme.FixedShape() {
+		if len(alive) < ct.cfg.K {
+			return nil, fmt.Errorf("%w: %d alive, %v needs k=%d", ErrNotEnoughMembers, len(alive), ct.cfg.Scheme, ct.cfg.K)
+		}
+		alive = alive[:ct.cfg.K]
+	} else if len(alive) < ct.cfg.S+1 {
 		return nil, fmt.Errorf("%w: %d alive, need ≥ s+1=%d", ErrNotEnoughMembers, len(alive), ct.cfg.S+1)
 	}
 	est := make([]float64, len(alive))
@@ -439,6 +477,7 @@ func (ct *Controller) Replan(iter int, reason string) (*Plan, error) {
 		DrawsBefore: drawsBefore,
 	}
 	ct.churned = false
+	ct.rejoined = false
 	ct.gain = 0
 	ct.lastReplan = iter
 	ct.events = append(ct.events, ReplanEvent{

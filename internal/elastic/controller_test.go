@@ -3,6 +3,7 @@ package elastic
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/hetgc/hetgc/internal/core"
@@ -26,11 +27,16 @@ func TestControllerConfigValidation(t *testing.T) {
 	if _, err := NewController(Config{K: 4, S: -1}, rng(1)); !errors.Is(err, ErrBadConfig) {
 		t.Fatalf("s<0: err = %v", err)
 	}
-	// planner.BuildStrategy builds every scheme; this check is what keeps the
-	// fixed-shape ones, whose k is m, out of a replanning controller.
-	for _, kind := range []core.Kind{core.Naive, core.Cyclic, core.FractionalRepetition, core.Kind(99)} {
-		if _, err := NewController(Config{K: 4, S: 1, Scheme: kind}, rng(1)); !errors.Is(err, ErrBadConfig) {
+	// Every scheme planner.BuildStrategy builds is admitted. An unknown kind
+	// is not, nor is a fractional repetition whose s+1 does not divide k.
+	for _, kind := range []core.Kind{core.Naive, core.Cyclic, core.FractionalRepetition, core.HeterAware, core.GroupBased} {
+		if _, err := NewController(Config{K: 4, S: 1, Scheme: kind}, rng(1)); err != nil {
 			t.Fatalf("%v scheme: err = %v", kind, err)
+		}
+	}
+	for _, cfg := range []Config{{K: 4, S: 1, Scheme: core.Kind(99)}, {K: 4, S: 2, Scheme: core.FractionalRepetition}} {
+		if _, err := NewController(cfg, rng(1)); !errors.Is(err, ErrBadConfig) {
+			t.Fatalf("%v scheme, k=%d s=%d: err = %v", cfg.Scheme, cfg.K, cfg.S, err)
 		}
 	}
 	if _, err := NewController(Config{K: 4, S: 1}, nil); !errors.Is(err, ErrBadConfig) {
@@ -353,5 +359,119 @@ func TestStallIsNotASlowdown(t *testing.T) {
 		if replan, reason := ct.ShouldReplan(8); !replan || reason != "drift" {
 			t.Fatalf("member %d slow three times running: ShouldReplan = %v %q at gain %v, want drift", victim, replan, reason, ct.DriftGain())
 		}
+	}
+}
+
+// TestControllerFixedShape: a fixed-shape scheme plans over the first K alive
+// members whatever the estimates say, so it never drifts; it replans only
+// when churn changes those K members, and below K alive the plan stands with
+// its dead members as erasures.
+func TestControllerFixedShape(t *testing.T) {
+	const k, s = 4, 1
+	cfg := func(kind core.Kind) Config {
+		return Config{K: k, S: s, Scheme: kind, MinObservations: 1, CooldownIters: 1}
+	}
+	for _, kind := range []core.Kind{core.Naive, core.Cyclic, core.FractionalRepetition} {
+		t.Run(kind.String(), func(t *testing.T) {
+			src := newCountingSource(11)
+			ct, err := NewController(cfg(kind), rand.New(src))
+			if err != nil {
+				t.Fatal(err)
+			}
+			ct.SetDrawCounter(func() uint64 { return src.draws })
+			for id := 1; id <= k+1; id++ {
+				ct.AddMember(id, 1)
+			}
+			plan, err := ct.Replan(0, "initial")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := []int{1, 2, 3, 4}; !slices.Equal(plan.Members, want) || plan.Strategy.Kind() != kind || plan.Strategy.K() != k {
+				t.Fatalf("plan over %v of %v (k=%d), want the first %d members %v", plan.Members, plan.Strategy.Kind(), plan.Strategy.K(), k, want)
+			}
+
+			// Skewed estimates: member 1 runs 100x slower than the rest.
+			for i := 0; i < 3; i++ {
+				for id := 1; id <= k+1; id++ {
+					sec := 0.01
+					if id == 1 {
+						sec = 1
+					}
+					if err := ct.Observe(id, 1, sec); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			if g := ct.DriftGain(); g != 1 {
+				t.Fatalf("drift gain %v on skewed estimates, want exactly 1", g)
+			}
+			if replan, reason := ct.ShouldReplan(5); replan {
+				t.Fatalf("skewed estimates: ShouldReplan = %q, want the plan kept", reason)
+			}
+
+			// State/Restore rebuilds the same code from the recorded draw position.
+			st := ct.State()
+			src2 := newCountingSource(11)
+			ct2, err := NewController(cfg(kind), rand.New(src2))
+			if err != nil {
+				t.Fatal(err)
+			}
+			src2.fastForward(st.Plan.DrawsBefore)
+			if err := ct2.Restore(st); err != nil {
+				t.Fatal(err)
+			}
+			if got := ct2.Plan(); !slices.Equal(got.Members, plan.Members) {
+				t.Fatalf("restored members %v, want %v", got.Members, plan.Members)
+			}
+			for slot := range plan.Members {
+				if got, want := ct2.Plan().Strategy.Row(slot), plan.Strategy.Row(slot); !slices.Equal(got, want) {
+					t.Fatalf("restored row %d = %v, want %v", slot, got, want)
+				}
+			}
+
+			// A spare joining beside K live plan members changes nothing.
+			ct.AddMember(6, 0)
+			if replan, reason := ct.ShouldReplan(6); replan {
+				t.Fatalf("spare join: ShouldReplan = %q, want the plan kept", reason)
+			}
+			// A plan member's death with spares alive moves its slot to the
+			// next member in join order.
+			ct.RemoveMember(2)
+			if replan, reason := ct.ShouldReplan(7); !replan || reason != "churn" {
+				t.Fatalf("plan member died beside spares: ShouldReplan = %v %q, want churn", replan, reason)
+			}
+			if plan, err = ct.Replan(7, "churn"); err != nil {
+				t.Fatal(err)
+			}
+			if want := []int{1, 3, 4, 5}; !slices.Equal(plan.Members, want) {
+				t.Fatalf("post-death plan over %v, want %v", plan.Members, want)
+			}
+
+			// K-1 alive: nothing to replan to, the plan stands.
+			ct.RemoveMember(5)
+			ct.RemoveMember(6)
+			if replan, reason := ct.ShouldReplan(8); replan {
+				t.Fatalf("k-1 alive: ShouldReplan = %q, want the plan kept", reason)
+			}
+			if _, err := ct.Replan(8, "churn"); !errors.Is(err, ErrNotEnoughMembers) {
+				t.Fatalf("k-1 alive: Replan err = %v, want ErrNotEnoughMembers", err)
+			}
+			// The dead plan member rejoins on a connection without an
+			// assignment: the same members are replanned under a new epoch.
+			ct.AddMember(5, 0)
+			if replan, reason := ct.ShouldReplan(9); !replan || reason != "churn" {
+				t.Fatalf("plan member rejoined: ShouldReplan = %v %q, want churn", replan, reason)
+			}
+			next, err := ct.Replan(9, "churn")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(next.Members, plan.Members) || next.Epoch != plan.Epoch+1 {
+				t.Fatalf("after rejoin: epoch %d over %v, want epoch %d over %v", next.Epoch, next.Members, plan.Epoch+1, plan.Members)
+			}
+			if replan, reason := ct.ShouldReplan(10); replan {
+				t.Fatalf("after the rejoin replan: ShouldReplan = %q", reason)
+			}
+		})
 	}
 }

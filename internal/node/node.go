@@ -68,8 +68,9 @@ type ClusterConfig struct {
 	Listen string
 	// K is the partition count, S the straggler budget.
 	K, S int
-	// Scheme is the strategy family to plan: core.HeterAware (the default)
-	// or core.GroupBased.
+	// Scheme is the strategy family to plan, any of the five (default
+	// core.HeterAware; see elastic.Config.Scheme). A fixed-shape scheme
+	// needs Roster.Workers ≥ K.
 	Scheme core.Kind
 	// Iterations is the training length.
 	Iterations int

@@ -1,12 +1,20 @@
-// Elastic master: the live counterpart of the internal/elastic control
-// plane. Unlike Master — which freezes one strategy and treats every worker
-// failure as permanent — the ElasticMaster accepts workers for the whole
-// training run, ingests their per-iteration telemetry, and when the
-// controller detects drift or churn it migrates the cluster to a fresh
-// strategy with an epoch-versioned atomic handover: MsgReassign carries
-// (epoch, assignment), parameter broadcasts are tagged with the epoch, and
-// gradient uploads from any older epoch are rejected before they can reach
-// decode.
+// Package runtime is the real distributed BSP training runtime: an
+// ElasticMaster that assigns coded partitions, broadcasts parameters,
+// collects coded gradients and decodes the aggregated gradient at the
+// earliest decodable moment, and an ElasticWorker that computes, encodes and
+// uploads partial gradients — the production counterpart of the paper's
+// PyTorch deployment, exercised over TCP loopback in tests and examples.
+//
+// The master is the live counterpart of the internal/elastic control plane
+// and hosts every scheme it plans. It accepts workers for the whole training
+// run, ingests their per-iteration telemetry, and when the controller detects
+// drift or churn it migrates the cluster to a fresh strategy with an
+// epoch-versioned atomic handover: MsgReassign carries (epoch, assignment),
+// parameter broadcasts are tagged with the epoch, and gradient uploads from
+// any older epoch are rejected before they can reach decode. A fixed-shape
+// scheme (naive, cyclic, fractional repetition) keeps one plan over K
+// members: its dead members are erasures until a spare or a rejoin restores
+// the plan.
 //
 // All membership machinery — the accept loop, the join/rejoin handshake,
 // connection-generation fencing, the migration broadcast and the
@@ -35,21 +43,39 @@ import (
 	"github.com/hetgc/hetgc/internal/roster"
 )
 
-// ErrMigrationFailed is returned when a forced replan (after worker deaths
-// made the current epoch undecodable) cannot produce a viable strategy. It
-// is the roster engine's sentinel, shared with the sharded runtime.
-var ErrMigrationFailed = roster.ErrMigrationFailed
+// Errors returned by the runtime.
+var (
+	// ErrBadConfig marks invalid runtime configurations.
+	ErrBadConfig = errors.New("runtime: invalid config")
+	// ErrIterationTimeout wraps every failure of an iteration: no decodable
+	// set within the retry budget, or a forced migration that failed.
+	ErrIterationTimeout = errors.New("runtime: iteration deadline exceeded before decodable")
+	// ErrTooFewWorkers is returned when the worker quorum did not join in
+	// time.
+	ErrTooFewWorkers = errors.New("runtime: too few live workers to ever decode")
+	// ErrMigrationFailed is returned when a forced replan (after worker
+	// deaths made the current epoch undecodable) cannot produce a viable
+	// strategy — under a fixed-shape scheme, as soon as fewer than K members
+	// are alive. It is the roster engine's sentinel, shared with the sharded
+	// runtime.
+	ErrMigrationFailed = roster.ErrMigrationFailed
+)
 
 // ElasticConfig configures an elastic training master.
 type ElasticConfig struct {
 	// K is the data-partition count, S the straggler budget; both are fixed
 	// across migrations (partition indices are global and stable).
 	K, S int
-	// Scheme is the strategy family to plan: core.HeterAware (default) or
-	// core.GroupBased.
+	// Scheme is the strategy family to plan, any of the five (default
+	// core.HeterAware; see elastic.Config.Scheme). A fixed-shape scheme
+	// needs K members: K is its worker count.
 	Scheme core.Kind
-	// Model, Optimizer, InitialParams, Iterations, SampleCount, IterTimeout,
-	// LossEvery and LossFn mirror MasterConfig.
+	// Model is the model being trained; Optimizer applies decoded gradients
+	// to the parameters, seeded by InitialParams (length Model.Dim()).
+	// Iterations is the run length, SampleCount the training-set size that
+	// scales gradients to means, IterTimeout the bound on one collect. With
+	// LossEvery > 0 and LossFn set, the loss is recorded every LossEvery
+	// iterations.
 	Model         ml.Model
 	Optimizer     ml.Optimizer
 	InitialParams []float64
@@ -59,7 +85,7 @@ type ElasticConfig struct {
 	LossEvery     int
 	LossFn        func(params []float64) (float64, error)
 	// MinWorkers is the membership required before training starts
-	// (default s+1, the planning quorum).
+	// (default the planning quorum: s+1, or K under a fixed-shape scheme).
 	MinWorkers int
 	// Alpha, DriftThreshold, MinObservations, CooldownIters and InitialRate
 	// parameterise the control plane (see elastic.Config).
@@ -107,6 +133,15 @@ type ElasticConfig struct {
 	// hello: workers that advertise it upload quantized payloads, everyone
 	// else stays on raw float64 (mixed-version interop).
 	Wire clustercfg.WireConfig
+}
+
+// quorum is the fewest members a plan can be built over: s+1, or every one
+// of the K slots of a fixed-shape scheme.
+func (c *ElasticConfig) quorum() int {
+	if c.Scheme.FixedShape() {
+		return c.K
+	}
+	return c.S + 1
 }
 
 // core maps the config onto the root core's shared view of it.
@@ -174,8 +209,8 @@ func NewElasticMaster(cfg ElasticConfig, addr string) (*ElasticMaster, error) {
 	if err := cc.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.MinWorkers < 0 || (cfg.MinWorkers > 0 && cfg.MinWorkers < cfg.S+1) {
-		return nil, fmt.Errorf("%w: min workers %d below planning quorum s+1=%d", ErrBadConfig, cfg.MinWorkers, cfg.S+1)
+	if q := cfg.quorum(); cfg.MinWorkers < 0 || (cfg.MinWorkers > 0 && cfg.MinWorkers < q) {
+		return nil, fmt.Errorf("%w: min workers %d below planning quorum %d", ErrBadConfig, cfg.MinWorkers, q)
 	}
 	if cfg.MaxRetries <= 0 {
 		cfg.MaxRetries = 2
@@ -259,12 +294,12 @@ func (ma *ElasticMaster) groupState(snap *checkpoint.Snapshot) {
 // Addr returns the address workers should dial.
 func (ma *ElasticMaster) Addr() string { return ma.eng.Addr() }
 
-// WaitForWorkers blocks until the configured MinWorkers (default s+1)
-// members have joined.
+// WaitForWorkers blocks until the configured MinWorkers (default the
+// planning quorum) members have joined.
 func (ma *ElasticMaster) WaitForWorkers(timeout time.Duration) error {
 	min := ma.cfg.MinWorkers
 	if min == 0 {
-		min = ma.cfg.S + 1
+		min = ma.cfg.quorum()
 	}
 	if err := ma.eng.WaitForMembers(min, timeout); err != nil {
 		return fmt.Errorf("%w: %v", ErrTooFewWorkers, err)
@@ -315,8 +350,8 @@ func (ma *ElasticMaster) SuspendLeaseRenewal() { ma.core.SuspendLeaseRenewal() }
 func (ma *ElasticMaster) RootGen() int { return ma.core.Gen() }
 
 // RunElastic is the one-call entry point: it starts an elastic master on
-// addr, waits up to waitTimeout for the configured MinWorkers (default s+1)
-// to join, then trains to completion. Workers dial addr with
+// addr, waits up to waitTimeout for the configured MinWorkers (default the
+// planning quorum) to join, then trains to completion. Workers dial addr with
 // DialElasticWorker at any time — before training starts or mid-run.
 func RunElastic(cfg ElasticConfig, addr string, waitTimeout time.Duration) (*ElasticResult, error) {
 	ma, err := NewElasticMaster(cfg, addr)

@@ -2,15 +2,19 @@ package runtime
 
 import (
 	"errors"
+	"math/rand"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"github.com/hetgc/hetgc/internal/core"
 	"github.com/hetgc/hetgc/internal/grad"
 	"github.com/hetgc/hetgc/internal/ml"
 	"github.com/hetgc/hetgc/internal/transport"
 )
+
+func rng(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
 
 // elasticFixture is shared scaffolding for elastic end-to-end tests: a
 // dataset split into k partitions and a softmax model.
@@ -538,5 +542,280 @@ func TestElasticSurvivesDeathsAndRejoin(t *testing.T) {
 	final := res.Curve.Points[len(res.Curve.Points)-1].Y
 	if final >= first*0.9 {
 		t.Fatalf("loss did not drop through churn: %v -> %v", first, final)
+	}
+}
+
+// trainFleet runs cfg on a loopback cluster of n elastic workers, dialled in
+// order so worker i is the i-th member to join; delay (nil for none) is
+// worker i's injected delay per iteration.
+func (f *elasticFixture) trainFleet(t *testing.T, cfg ElasticConfig, n int, delay func(worker, iter int) time.Duration) (*ElasticResult, error) {
+	t.Helper()
+	master, err := NewElasticMaster(cfg, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer master.Close()
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wc := ElasticWorkerConfig{
+			Model:         f.model,
+			PartitionData: func(p int) (*ml.Dataset, error) { return f.parts[p], nil },
+		}
+		if delay != nil {
+			i := i
+			wc.Delay = func(iter int) time.Duration { return delay(i, iter) }
+		}
+		w, err := DialElasticWorker(master.Addr(), wc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_ = w.Run()
+		}()
+	}
+	if err := master.WaitForWorkers(5 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	res, err := master.Run()
+	wg.Wait()
+	return res, err
+}
+
+// lossDropped reports whether the run's last recorded loss is below frac of
+// its first.
+func lossDropped(res *ElasticResult, frac float64) bool {
+	pts := res.Curve.Points
+	return len(pts) > 1 && pts[len(pts)-1].Y < frac*pts[0].Y
+}
+
+func TestMasterConfigValidation(t *testing.T) {
+	model := &ml.Softmax{InputDim: 2, NumClasses: 2}
+	good := ElasticConfig{
+		K: 4, S: 1, Scheme: core.Cyclic, Model: model, Optimizer: &ml.SGD{LR: 1},
+		InitialParams: model.InitParams(nil), Iterations: 1, SampleCount: 1,
+		IterTimeout: time.Second,
+	}
+	master, err := NewElasticMaster(good, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	master.Close()
+	// A fixed-shape scheme's quorum is K; frac-rep needs s+1 to divide K.
+	bad := []func(c *ElasticConfig){
+		func(c *ElasticConfig) { c.MinWorkers = 3 },
+		func(c *ElasticConfig) { c.Scheme = core.FractionalRepetition; c.S = 2 },
+		func(c *ElasticConfig) { c.Scheme = core.Kind(99) },
+	}
+	for i, mutate := range bad {
+		cfg := good
+		mutate(&cfg)
+		if _, err := NewElasticMaster(cfg, "127.0.0.1:0"); !errors.Is(err, ErrBadConfig) {
+			t.Fatalf("case %d: err = %v, want ErrBadConfig", i, err)
+		}
+	}
+}
+
+func TestDialWorkerValidation(t *testing.T) {
+	if _, err := DialElasticWorker("127.0.0.1:1", ElasticWorkerConfig{}); !errors.Is(err, ErrBadConfig) {
+		t.Fatalf("err = %v", err)
+	}
+}
+
+func TestEndToEndHeterAwareTraining(t *testing.T) {
+	const k, s, iters = 7, 1, 15
+	f := newElasticFixture(t, k)
+	res, err := f.trainFleet(t, f.masterConfig(k, s, iters), 5, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.IterTimes) != iters {
+		t.Fatalf("got %d iterations", len(res.IterTimes))
+	}
+	if !lossDropped(res, 0.8) {
+		t.Fatalf("loss did not drop: %v", res.Curve.Points)
+	}
+}
+
+func TestEndToEndGroupBased(t *testing.T) {
+	const k, s, iters = 7, 1, 10
+	f := newElasticFixture(t, k)
+	cfg := f.masterConfig(k, s, iters)
+	cfg.Scheme = core.GroupBased
+	res, err := f.trainFleet(t, cfg, 5, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !lossDropped(res, 1) {
+		t.Fatalf("group-based loss did not drop: %v", res.Curve.Points)
+	}
+}
+
+// TestEndToEndToleratesStraggler: under cyclic s=1 one member 300 ms late
+// every iteration is the erasure the code absorbs. No iteration waits for it,
+// and its slow telemetry never moves the plan: the code ignores estimates.
+func TestEndToEndToleratesStraggler(t *testing.T) {
+	const k, s, iters = 5, 1, 8
+	const late = 300 * time.Millisecond
+	f := newElasticFixture(t, k)
+	cfg := f.masterConfig(k, s, iters)
+	cfg.Scheme = core.Cyclic
+	res, err := f.trainFleet(t, cfg, k, func(worker, _ int) time.Duration {
+		if worker == 0 {
+			return late
+		}
+		return 0
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.IterTimes) != iters {
+		t.Fatalf("got %d iterations", len(res.IterTimes))
+	}
+	for i, sec := range res.IterTimes {
+		if sec >= late.Seconds() {
+			t.Fatalf("iteration %d took %.3fs: it waited for the straggler", i, sec)
+		}
+	}
+	if len(res.Replans) != 1 {
+		t.Fatalf("replans = %+v, want the initial plan only", res.Replans)
+	}
+}
+
+// TestEndToEndNaiveTimesOutOnDeadWorker: naive needs every member, so one
+// delayed far past IterTimeout times the iteration out. It is still alive, so
+// each forced migration replans the same members, and the retry budget ends
+// the run with ErrIterationTimeout.
+func TestEndToEndNaiveTimesOutOnDeadWorker(t *testing.T) {
+	const k = 3
+	f := newElasticFixture(t, k)
+	cfg := f.masterConfig(k, 0, 3)
+	cfg.Scheme = core.Naive
+	cfg.IterTimeout = 400 * time.Millisecond
+	_, err := f.trainFleet(t, cfg, k, func(worker, _ int) time.Duration {
+		if worker == k-1 {
+			return time.Second
+		}
+		return 0
+	})
+	if !errors.Is(err, ErrIterationTimeout) || errors.Is(err, ErrMigrationFailed) {
+		t.Fatalf("err = %v, want ErrIterationTimeout with every member alive", err)
+	}
+}
+
+// TestFailFastWhenDecodeImpossible: naive needs every member, so one that
+// hangs up before its first upload leaves fewer than K to plan over. The
+// forced migration fails at once instead of burning the 30 s IterTimeout.
+func TestFailFastWhenDecodeImpossible(t *testing.T) {
+	const k = 3
+	f := newElasticFixture(t, k)
+	cfg := f.masterConfig(k, 0, 5)
+	cfg.Scheme = core.Naive
+	cfg.IterTimeout = 30 * time.Second
+	master, err := NewElasticMaster(cfg, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < k-1; i++ {
+		f.spawnElasticWorker(t, master.Addr(), &wg, nil)
+	}
+	dying, err := DialElasticWorker(master.Addr(), ElasticWorkerConfig{
+		Model:         f.model,
+		PartitionData: func(p int) (*ml.Dataset, error) { return f.parts[p], nil },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := master.WaitForWorkers(5 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	_ = dying.Close()
+
+	start := time.Now()
+	_, runErr := master.Run()
+	elapsed := time.Since(start)
+	wg.Wait()
+	if !errors.Is(runErr, ErrMigrationFailed) {
+		t.Fatalf("err = %v, want ErrMigrationFailed", runErr)
+	}
+	if elapsed > 5*time.Second {
+		t.Fatalf("fail-fast took %v — the iteration timeout leaked in", elapsed)
+	}
+}
+
+// TestWorkerDiesMidTrainingConverges: under cyclic s=1 a plan member that
+// dies after three iterations leaves K-1 alive — too few to replan, enough to
+// decode. The plan stands with the dead member as an erasure, every
+// iteration completes and the loss still drops.
+func TestWorkerDiesMidTrainingConverges(t *testing.T) {
+	const k, s, iters = 4, 1, 12
+	f := newElasticFixture(t, k)
+	cfg := f.masterConfig(k, s, iters)
+	cfg.Scheme = core.Cyclic
+	master, err := NewElasticMaster(cfg, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < k-1; i++ {
+		f.spawnElasticWorker(t, master.Addr(), &wg, nil)
+	}
+	// The dying member uploads honestly for three iterations and hangs up on
+	// the fourth broadcast.
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		conn, err := transport.Dial(master.Addr(), 5*time.Second)
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		if err := conn.Send(&transport.Envelope{Type: transport.MsgHello, WorkerID: transport.HelloNewWorker}); err != nil {
+			return
+		}
+		if ack, err := conn.Recv(); err != nil || ack.Type != transport.MsgHello {
+			return
+		}
+		var assign *transport.Assignment
+		for n := 0; ; {
+			env, err := conn.Recv()
+			if err != nil || env.Type == transport.MsgShutdown {
+				return
+			}
+			switch env.Type {
+			case transport.MsgReassign:
+				assign = env.Assign
+			case transport.MsgParams:
+				if n++; n > 3 {
+					return
+				}
+				vec, err := codedGradient(f.model, f.parts, assign, env.Vector)
+				if err != nil {
+					return
+				}
+				if conn.Send(&transport.Envelope{Type: transport.MsgGradient, Iter: env.Iter, Epoch: env.Epoch, Vector: vec}) != nil {
+					return
+				}
+			}
+		}
+	}()
+	if err := master.WaitForWorkers(5 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	res, runErr := master.Run()
+	wg.Wait()
+	if runErr != nil {
+		t.Fatal(runErr)
+	}
+	if len(res.IterTimes) != iters {
+		t.Fatalf("completed %d iterations, want %d", len(res.IterTimes), iters)
+	}
+	if res.Deaths != 1 || len(res.Replans) != 1 || res.Replans[0].Reason != "initial" {
+		t.Fatalf("deaths = %d, replans = %+v: want one death and the initial plan only", res.Deaths, res.Replans)
+	}
+	if !lossDropped(res, 0.8) {
+		t.Fatalf("loss did not drop after mid-training death: %v", res.Curve.Points)
 	}
 }

@@ -74,7 +74,7 @@ type Config struct {
 	// fixes the total worker count and the grouping.
 	Throughputs []float64
 	// Model, Optimizer, InitialParams, Iterations, SampleCount, IterTimeout,
-	// LossEvery and LossFn mirror runtime.MasterConfig.
+	// LossEvery and LossFn mirror runtime.ElasticConfig.
 	Model         ml.Model
 	Optimizer     ml.Optimizer
 	InitialParams []float64

@@ -42,7 +42,9 @@ const (
 	// sets WorkerID to its previous member ID to resume its slot after a
 	// reconnect, or to -1 (HelloNewWorker) to request a fresh one.
 	MsgHello MsgType = iota + 1
-	// MsgAssign carries a worker's data-partition assignment and coding row.
+	// MsgAssign carries a worker's data-partition assignment and coding row
+	// outside any epoch. No runtime sends it any more (assignments ride
+	// MsgReassign); it keeps its number so the types after it keep theirs.
 	MsgAssign
 	// MsgParams broadcasts model parameters for one iteration.
 	MsgParams
