@@ -69,18 +69,17 @@ func ExampleStrategy_Decode() {
 	// aᵀB = 1ᵀ: true
 }
 
-// ExampleSimulate runs a deterministic timing simulation at the Theorem 5
-// optimum: with exact estimates every worker finishes at (s+1)/Σr seconds.
-func ExampleSimulate() {
-	st, err := hetgc.NewHeterAware([]float64{1, 2, 3, 4, 4}, 7, 1, hetgc.NewRand(3))
-	if err != nil {
-		fmt.Println("error:", err)
-		return
-	}
-	res, err := hetgc.Simulate(hetgc.SimConfig{
-		Strategy:    st,
-		Throughputs: []float64{1, 2, 3, 4, 4},
-		Iterations:  3,
+// ExampleSimulateElastic runs a deterministic timing simulation at the
+// Theorem 5 optimum: with exact estimates (c = 1,2,3,4,4 datasets/s, so
+// 7·c partitions/s for k = 7) every worker finishes at (s+1)k/Σ(7c) seconds.
+func ExampleSimulateElastic() {
+	rates := []float64{7, 14, 21, 28, 28}
+	res, err := hetgc.SimulateElastic(hetgc.ElasticSimConfig{
+		K: 7, S: 1,
+		InitialRates: rates,
+		Estimates:    rates,
+		Iterations:   3,
+		Seed:         3,
 	})
 	if err != nil {
 		fmt.Println("error:", err)

@@ -7,9 +7,11 @@
 //     NewCyclic, NewNaive, NewFractionalRepetition.
 //   - Encoding/decoding of gradient vectors (EncodeGradient,
 //     CombineGradients) and the data-partition allocation machinery.
-//   - A discrete-event cluster simulator (Simulate, TrainSimulated, RunSSP)
-//     reproducing the paper's evaluation, with the Table II clusters
-//     (ClusterA…ClusterD) and straggler injectors.
+//   - A discrete-event cluster simulator reproducing the paper's evaluation:
+//     one iteration loop (SimulateElastic) that runs every scheme through the
+//     live runtime's control plane, timing-only or with real gradients, with
+//     the Table II clusters (ClusterA…ClusterD), straggler injectors and the
+//     SSP baseline (RunSSP).
 //   - A real TCP master/worker runtime that hosts every scheme and re-codes
 //     on drift and churn (RunElastic, NewElasticMaster, DialElasticWorker),
 //     and a hierarchical group-sharded runtime that scales the scheme to
@@ -187,27 +189,13 @@ type (
 	TransientStragglers = straggler.Transient
 )
 
-// Simulation API.
+// Stale-synchronous baseline of Fig. 4.
 type (
-	// SimConfig parameterises a timing simulation.
-	SimConfig = sim.Config
-	// SimResult aggregates a simulation run.
-	SimResult = sim.Result
-	// TrainSimConfig couples timing simulation with real training.
-	TrainSimConfig = sim.TrainConfig
-	// TrainSimResult is a coded-training outcome.
-	TrainSimResult = sim.TrainResult
 	// SSPConfig parameterises the stale-synchronous baseline.
 	SSPConfig = sim.SSPConfig
 	// SSPResult is the SSP outcome.
 	SSPResult = sim.SSPResult
 )
-
-// Simulate runs a timing-only simulation (Figs. 2, 3, 5).
-func Simulate(cfg SimConfig) (*SimResult, error) { return sim.Run(cfg) }
-
-// TrainSimulated runs the coded-training co-simulation (Fig. 4).
-func TrainSimulated(cfg TrainSimConfig) (*TrainSimResult, error) { return sim.Train(cfg) }
 
 // RunSSP runs the SSP baseline simulation (Fig. 4).
 func RunSSP(cfg SSPConfig) (*SSPResult, error) { return sim.RunSSP(cfg) }
@@ -394,7 +382,9 @@ const (
 )
 
 // SimulateElastic runs the deterministic elastic co-simulation — the same
-// control plane as the live runtime, bit-identical for a fixed seed.
+// control plane as the live runtime, bit-identical for a fixed seed. With no
+// churn and DriftThreshold +Inf it is the timing simulation of Figs. 2, 3 and
+// 5; with a Model, Data and Optimizer it is Fig. 4's coded training.
 func SimulateElastic(cfg ElasticSimConfig) (*ElasticSimResult, error) {
 	return sim.RunElastic(cfg)
 }
@@ -552,9 +542,6 @@ type (
 func RegularPatterns(suspects []int, s int) []StragglerPattern {
 	return core.RegularPatterns(suspects, s)
 }
-
-// WriteTimelineCSV exports a simulation's per-worker timeline as CSV.
-var WriteTimelineCSV = sim.WriteTimelineCSV
 
 // AsciiPlot renders loss/time series as a terminal chart (Fig. 4 style).
 var AsciiPlot = metrics.AsciiPlot

@@ -61,19 +61,28 @@ func TestPublicAPIQuickstart(t *testing.T) {
 	}
 }
 
+// frozenSim is a facade-only timing simulation of one scheme at fixed true
+// speeds (datasets/second): no churn, and the plan frozen at its initial
+// build from the true speeds, the way the paper's figures run.
+func frozenSim(kind Kind, speeds []float64, k, s int, inj StragglerInjector, iters int, seed int64) ElasticSimConfig {
+	rates := make([]float64, len(speeds))
+	for i, v := range speeds {
+		rates[i] = v * float64(k)
+	}
+	return ElasticSimConfig{
+		K: k, S: s, Scheme: kind,
+		InitialRates: rates, Estimates: rates,
+		Injector:       inj,
+		Iterations:     iters,
+		DriftThreshold: math.Inf(1),
+		Seed:           seed,
+	}
+}
+
 func TestPublicAPISimulation(t *testing.T) {
 	cl := ClusterA()
-	rng := NewRand(2)
-	st, err := BuildStrategy(HeterAware, cl.Throughputs(), ChooseK(cl, 1), 1, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := Simulate(SimConfig{
-		Strategy:    st,
-		Throughputs: cl.Throughputs(),
-		Injector:    FixedStragglers{Count: 1, Delay: 5, Rng: rng},
-		Iterations:  10,
-	})
+	res, err := SimulateElastic(frozenSim(HeterAware, cl.Throughputs(), ChooseK(cl, 1), 1,
+		FixedStragglers{Count: 1, Delay: 5}, 10, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,22 +171,18 @@ func TestPublicAPICSVExports(t *testing.T) {
 	if !strings.HasPrefix(sb.String(), "vCPUs,Cluster-A") {
 		t.Fatalf("csv = %q", sb.String())
 	}
-	cl := ClusterA()
-	rng := NewRand(10)
-	st, err := BuildStrategy(HeterAware, cl.Throughputs(), ChooseK(cl, 1), 1, rng)
+	// A simulated training run's loss curve exports as CSV too.
+	res, err := SimulateElastic(trainingSim(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Simulate(SimConfig{Strategy: st, Throughputs: cl.Throughputs(), Iterations: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res.Loss.Name = "group-based"
 	sb.Reset()
-	if err := WriteTimelineCSV(&sb, res); err != nil {
+	if err := MergeSeriesCSV(&sb, []LossSeries{res.Loss}); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(sb.String(), "iteration,worker") {
-		t.Fatalf("timeline csv = %q", sb.String())
+	if !strings.Contains(sb.String(), "group-based") || strings.Count(sb.String(), "\n") != 1+len(res.Loss.Points) {
+		t.Fatalf("loss csv = %q", sb.String())
 	}
 }
 
@@ -189,63 +194,46 @@ func TestFractionalRepetitionComparableToCyclic(t *testing.T) {
 	for i := range ths {
 		ths[i] = 0.08 // homogeneous
 	}
-	rng := NewRand(11)
-	fr, err := NewFractionalRepetition(m, s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cy, err := NewCyclic(m, s, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	run := func(st *Strategy) float64 {
-		res, err := Simulate(SimConfig{
-			Strategy:    st,
-			Throughputs: ths,
-			Injector:    FixedStragglers{Count: 1, Delay: 10, Rng: NewRand(12)},
-			Iterations:  30,
-		})
+	run := func(kind Kind) float64 {
+		res, err := SimulateElastic(frozenSim(kind, ths, m, s, FixedStragglers{Count: 1, Delay: 10}, 30, 12))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if res.Failed != 0 {
-			t.Fatalf("%v failed %d iterations", st.Kind(), res.Failed)
+			t.Fatalf("%v failed %d iterations", kind, res.Failed)
 		}
 		return res.AvgIterTime()
 	}
-	tFR, tCY := run(fr), run(cy)
+	tFR, tCY := run(FractionalRepetition), run(Cyclic)
 	if tFR > tCY*1.3 || tCY > tFR*1.3 {
 		t.Fatalf("frac-rep (%v) and cyclic (%v) should be comparable on homogeneous clusters", tFR, tCY)
 	}
 }
 
+// trainingSim is a facade-only coded-training simulation: group-based on the
+// paper's Example 1 speeds, recording the loss every iteration.
+func trainingSim(t *testing.T) ElasticSimConfig {
+	t.Helper()
+	data, err := GaussianMixture(70, 4, 2, 3, NewRand(20))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := frozenSim(GroupBased, []float64{1, 2, 3, 4, 4}, 7, 1, nil, 10, 20)
+	cfg.Model, cfg.Data, cfg.Optimizer = &Softmax{InputDim: 4, NumClasses: 2}, data, &SGD{LR: 0.5}
+	cfg.RecordEvery = 1
+	return cfg
+}
+
 func TestPublicAPITrainingSimulations(t *testing.T) {
-	rng := NewRand(20)
-	data, err := GaussianMixture(70, 4, 2, 3, rng)
+	cfg := trainingSim(t)
+	res, err := SimulateElastic(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := NewGroupBased([]float64{1, 2, 3, 4, 4}, 7, 1, rng)
-	if err != nil {
-		t.Fatal(err)
+	if pts := res.Loss.Points; len(pts) != 11 || pts[10].Y >= pts[0].Y {
+		t.Fatalf("loss did not drop over 10 recorded iterations: %v", pts)
 	}
-	res, err := TrainSimulated(TrainSimConfig{
-		Sim: SimConfig{
-			Strategy:    st,
-			Throughputs: []float64{1, 2, 3, 4, 4},
-			Iterations:  10,
-		},
-		Model:     &Softmax{InputDim: 4, NumClasses: 2},
-		Data:      data,
-		Optimizer: &SGD{LR: 0.5},
-		Name:      "demo",
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.FinalLoss >= res.Curve.Points[0].Y {
-		t.Fatalf("loss did not drop: %v -> %v", res.Curve.Points[0].Y, res.FinalLoss)
-	}
+	data := cfg.Data
 	ssp, err := RunSSP(SSPConfig{
 		Throughputs:         []float64{0.1, 0.4},
 		Staleness:           1,

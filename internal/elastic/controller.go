@@ -20,6 +20,7 @@ package elastic
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 
@@ -61,6 +62,7 @@ type Config struct {
 	// imbalance exceeds 1+DriftThreshold (default 0.25 — replan when
 	// iterations are predicted ≥ 25% slower than the achievable optimum).
 	// Above 1/(1−Alpha/2) − 1 (0.18 by default) one stalled sample cannot.
+	// +Inf freezes the plan: it then replans on churn only.
 	DriftThreshold float64
 	// MinObservations gates each member's EWMA: until a member has reported
 	// that many iterations of telemetry its prior guess is used (default 3).
@@ -186,7 +188,7 @@ func NewController(cfg Config, rng *rand.Rand) (*Controller, error) {
 			return nil, fmt.Errorf("%w: %v needs s+1=%d to divide k=%d", ErrBadConfig, c.Scheme, c.S+1, c.K)
 		}
 	default:
-		return nil, fmt.Errorf("%w: scheme %v", ErrBadConfig, c.Scheme)
+		return nil, fmt.Errorf("%w: %w: unknown scheme %v", ErrBadConfig, planner.ErrBadConfig, c.Scheme)
 	}
 	if rng == nil {
 		return nil, fmt.Errorf("%w: rng required (determinism)", ErrBadConfig)
@@ -404,6 +406,9 @@ func (ct *Controller) ShouldReplan(iter int) (bool, string) {
 	}
 	if ct.churned {
 		return true, "churn"
+	}
+	if math.IsInf(ct.cfg.DriftThreshold, 1) {
+		return false, "" // a frozen plan: no gain can clear the threshold
 	}
 	if ct.lastReplan >= 0 && iter-ct.lastReplan < ct.cfg.CooldownIters {
 		return false, ""

@@ -19,7 +19,6 @@ import (
 	"github.com/hetgc/hetgc/internal/core"
 	"github.com/hetgc/hetgc/internal/estimate"
 	"github.com/hetgc/hetgc/internal/metrics"
-	"github.com/hetgc/hetgc/internal/planner"
 	"github.com/hetgc/hetgc/internal/sim"
 	"github.com/hetgc/hetgc/internal/straggler"
 )
@@ -73,6 +72,43 @@ type SchemeOutcome struct {
 	Failed int
 }
 
+// outcome is one scheme's sweep cell from its simulation.
+func outcome(kind core.Kind, res *sim.ElasticSimResult) SchemeOutcome {
+	return SchemeOutcome{
+		Kind:        kind,
+		AvgIterTime: res.AvgIterTime(),
+		P95IterTime: res.Summary.P95,
+		Usage:       res.Usage,
+		Failed:      res.Failed,
+	}
+}
+
+// runScheme runs one scheme on a cluster's true speeds through the
+// simulator, with no churn and the plan frozen at its initial build. The
+// members' priors are est (the truth when nil), so that plan is the one
+// planner.BuildStrategy builds from them on the run's stream. The clusters
+// give speeds in datasets/second and the simulator takes partitions/second,
+// so both scale by the scheme's partition count: m for a fixed-shape scheme,
+// k for a proportional one.
+func runScheme(kind core.Kind, truth, est []float64, k int, cfg sim.ElasticSimConfig) (*sim.ElasticSimResult, error) {
+	if kind.FixedShape() {
+		k = len(truth)
+	}
+	if est == nil {
+		est = truth
+	}
+	perPartition := func(rates []float64) []float64 {
+		out := make([]float64, len(rates))
+		for i, r := range rates {
+			out[i] = r * float64(k)
+		}
+		return out
+	}
+	cfg.K, cfg.Scheme, cfg.DriftThreshold = k, kind, math.Inf(1)
+	cfg.InitialRates, cfg.Estimates = perPartition(truth), perPartition(est)
+	return sim.RunElastic(cfg)
+}
+
 // DelaySweepConfig parameterises Fig. 2 (and the per-cluster runs of Fig. 3,
 // which are delay sweeps with a single point).
 type DelaySweepConfig struct {
@@ -121,30 +157,18 @@ func RunDelaySweep(cfg DelaySweepConfig) ([]DelayRow, error) {
 	err := forEachCell(len(cfg.Delays)*len(schemes), func(cell int) error {
 		di, si := cell/len(schemes), cell%len(schemes)
 		kind := schemes[si]
-		rng := rand.New(rand.NewSource(cfg.Seed + int64(1000*di+si)))
-		st, err := planner.BuildStrategy(kind, truth, k, cfg.S, rng)
-		if err != nil {
-			return fmt.Errorf("%v: %w", kind, err)
-		}
-		res, err := sim.Run(sim.Config{
-			Strategy:       st,
-			Throughputs:    truth,
-			Injector:       straggler.Fixed{Count: cfg.S, Delay: rows[di].Delay, Rng: rng},
+		res, err := runScheme(kind, truth, nil, k, sim.ElasticSimConfig{
+			S:              cfg.S,
+			Injector:       straggler.Fixed{Count: cfg.S, Delay: rows[di].Delay},
 			Iterations:     cfg.Iterations,
 			FluctuationStd: cfg.FluctuationStd,
 			CommOverhead:   cfg.CommOverhead,
-			Rng:            rng,
+			Seed:           cfg.Seed + int64(1000*di+si),
 		})
 		if err != nil {
 			return fmt.Errorf("%v: %w", kind, err)
 		}
-		rows[di].Outcomes[si] = SchemeOutcome{
-			Kind:        kind,
-			AvgIterTime: res.AvgIterTime(),
-			P95IterTime: res.Summary.P95,
-			Usage:       res.Usage,
-			Failed:      res.Failed,
-		}
+		rows[di].Outcomes[si] = outcome(kind, res)
 		return nil
 	})
 	if err != nil {
@@ -221,33 +245,18 @@ func RunClusterSweep(cfg ClusterSweepConfig) ([]ClusterRow, error) {
 		ci, si := cell/len(schemes), cell%len(schemes)
 		cl := cfg.Clusters[ci]
 		kind := schemes[si]
-		truth := cl.Throughputs()
-		k := ChooseK(cl, cfg.S)
-		rng := rand.New(rand.NewSource(cfg.Seed + int64(1000*ci+si)))
-		st, err := planner.BuildStrategy(kind, truth, k, cfg.S, rng)
-		if err != nil {
-			return fmt.Errorf("%s/%v: %w", cl.Name, kind, err)
-		}
-		inj := straggler.Transient{Prob: cfg.TransientProb, Mean: cfg.TransientMean, Rng: rng}
-		res, err := sim.Run(sim.Config{
-			Strategy:       st,
-			Throughputs:    truth,
-			Injector:       inj,
+		res, err := runScheme(kind, cl.Throughputs(), nil, ChooseK(cl, cfg.S), sim.ElasticSimConfig{
+			S:              cfg.S,
+			Injector:       straggler.Transient{Prob: cfg.TransientProb, Mean: cfg.TransientMean},
 			Iterations:     cfg.Iterations,
 			FluctuationStd: cfg.FluctuationStd,
 			CommOverhead:   cfg.CommOverhead,
-			Rng:            rng,
+			Seed:           cfg.Seed + int64(1000*ci+si),
 		})
 		if err != nil {
 			return fmt.Errorf("%s/%v: %w", cl.Name, kind, err)
 		}
-		rows[ci].Outcomes[si] = SchemeOutcome{
-			Kind:        kind,
-			AvgIterTime: res.AvgIterTime(),
-			P95IterTime: res.Summary.P95,
-			Usage:       res.Usage,
-			Failed:      res.Failed,
-		}
+		rows[ci].Outcomes[si] = outcome(kind, res)
 		return nil
 	})
 	if err != nil {
@@ -379,9 +388,9 @@ func RunMisestimation(cfg MisestimationConfig) ([]MisestimationRow, error) {
 	}
 	truth := cfg.Cluster.Throughputs()
 	k := ChooseK(cfg.Cluster, cfg.S)
-	// Each (epsilon, trial) cell runs both schemes on one shared rng stream
-	// (order matters within the cell); cells fan out across cores and reduce
-	// deterministically afterwards.
+	// Each (epsilon, trial) cell draws its estimates and runs both schemes on
+	// one shared rng stream (order matters within the cell); cells fan out
+	// across cores and reduce deterministically afterwards.
 	type trialOutcome struct{ heter, group float64 }
 	outcomes := make([]trialOutcome, len(cfg.Epsilons)*trials)
 	err := forEachCell(len(outcomes), func(cell int) error {
@@ -390,14 +399,9 @@ func RunMisestimation(cfg MisestimationConfig) ([]MisestimationRow, error) {
 		rng := rand.New(rand.NewSource(cfg.Seed + int64(100*ei+trial)))
 		est := estimate.Misestimate(truth, eps, rng)
 		for _, kind := range []core.Kind{core.HeterAware, core.GroupBased} {
-			st, err := planner.BuildStrategy(kind, est, k, cfg.S, rng)
-			if err != nil {
-				return fmt.Errorf("eps=%v %v: %w", eps, kind, err)
-			}
-			res, err := sim.Run(sim.Config{
-				Strategy:       st,
-				Throughputs:    truth,
-				Injector:       straggler.Fixed{Count: cfg.S, Delay: 5, Rng: rng},
+			res, err := runScheme(kind, truth, est, k, sim.ElasticSimConfig{
+				S:              cfg.S,
+				Injector:       straggler.Fixed{Count: cfg.S, Delay: 5},
 				Iterations:     cfg.Iterations,
 				FluctuationStd: 0.05,
 				Rng:            rng,
@@ -476,29 +480,17 @@ func RunReplicationSweep(cfg ReplicationSweepConfig) ([]ReplicationRow, error) {
 		si, scIdx := cell/len(schemes), cell%len(schemes)
 		s := cfg.SValues[si]
 		kind := schemes[scIdx]
-		k := ChooseK(cfg.Cluster, s)
-		rng := rand.New(rand.NewSource(cfg.Seed + int64(100*si+scIdx)))
-		st, err := planner.BuildStrategy(kind, truth, k, s, rng)
-		if err != nil {
-			return fmt.Errorf("s=%d %v: %w", s, kind, err)
-		}
-		res, err := sim.Run(sim.Config{
-			Strategy:       st,
-			Throughputs:    truth,
-			Injector:       straggler.Fixed{Count: s, Delay: cfg.Delay, Rng: rng},
+		res, err := runScheme(kind, truth, nil, ChooseK(cfg.Cluster, s), sim.ElasticSimConfig{
+			S:              s,
+			Injector:       straggler.Fixed{Count: s, Delay: cfg.Delay},
 			Iterations:     cfg.Iterations,
 			FluctuationStd: 0.05,
-			Rng:            rng,
+			Seed:           cfg.Seed + int64(100*si+scIdx),
 		})
 		if err != nil {
 			return fmt.Errorf("s=%d %v: %w", s, kind, err)
 		}
-		rows[si].Outcomes[scIdx] = SchemeOutcome{
-			Kind:        kind,
-			AvgIterTime: res.AvgIterTime(),
-			Usage:       res.Usage,
-			Failed:      res.Failed,
-		}
+		rows[si].Outcomes[scIdx] = outcome(kind, res)
 		return nil
 	})
 	if err != nil {

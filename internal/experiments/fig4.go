@@ -8,7 +8,6 @@ import (
 	"github.com/hetgc/hetgc/internal/core"
 	"github.com/hetgc/hetgc/internal/metrics"
 	"github.com/hetgc/hetgc/internal/ml"
-	"github.com/hetgc/hetgc/internal/planner"
 	"github.com/hetgc/hetgc/internal/sim"
 	"github.com/hetgc/hetgc/internal/straggler"
 )
@@ -91,36 +90,29 @@ func RunLossCurves(cfg LossCurveConfig) (*LossCurves, error) {
 		recordEvery = 1
 	}
 	// Each scheme trains independently on the shared (read-only) dataset and
-	// stateless model, with its own seeded rng: fan the schemes across cores.
+	// stateless model, with its own seeded stream: fan the schemes across
+	// cores.
 	finals := make([]float64, len(schemes))
 	err = forEachCell(len(schemes), func(si int) error {
 		kind := schemes[si]
-		rng := rand.New(rand.NewSource(cfg.Seed + int64(si+1)))
-		st, err := planner.BuildStrategy(kind, truth, k, cfg.S, rng)
-		if err != nil {
-			return fmt.Errorf("%v: %w", kind, err)
-		}
-		res, err := sim.Train(sim.TrainConfig{
-			Sim: sim.Config{
-				Strategy:       st,
-				Throughputs:    truth,
-				Injector:       straggler.Transient{Prob: cfg.TransientProb, Mean: cfg.TransientMean, Rng: rng},
-				Iterations:     cfg.Iterations,
-				FluctuationStd: 0.05,
-				Rng:            rng,
-			},
-			Model:       model,
-			Data:        data,
-			Optimizer:   &ml.SGD{LR: cfg.LearningRate},
-			RecordEvery: recordEvery,
-			Name:        kind.String(),
+		res, err := runScheme(kind, truth, nil, k, sim.ElasticSimConfig{
+			S:              cfg.S,
+			Injector:       straggler.Transient{Prob: cfg.TransientProb, Mean: cfg.TransientMean},
+			Iterations:     cfg.Iterations,
+			FluctuationStd: 0.05,
+			Seed:           cfg.Seed + int64(si+1),
+			Model:          model,
+			Data:           data,
+			Optimizer:      &ml.SGD{LR: cfg.LearningRate},
+			RecordEvery:    recordEvery,
 		})
 		if err != nil {
 			return fmt.Errorf("%v: %w", kind, err)
 		}
-		out.Curves[si] = res.Curve
-		finals[si] = res.FinalLoss
-		return nil
+		res.Loss.Name = kind.String()
+		out.Curves[si] = res.Loss
+		finals[si], err = ml.MeanLoss(model, res.Params, data)
+		return err
 	})
 	if err != nil {
 		return nil, err

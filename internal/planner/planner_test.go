@@ -150,18 +150,19 @@ func TestMaybeReplanRebalances(t *testing.T) {
 	if im := PredictedImbalance(rebuilt, truth); im > 1.15 {
 		t.Fatalf("rebuilt plan imbalance = %v, want ≤ 1.15", im)
 	}
-	simulate := func(st *core.Strategy) float64 {
-		rates := make([]float64, len(truth))
-		for i, v := range truth {
-			rates[i] = v / k // partitions/second → datasets/second
-		}
-		res, err := sim.Run(sim.Config{Strategy: st, Throughputs: rates, Iterations: 5})
+	// The simulator builds the same two codes from the same estimates and
+	// seeds, and runs them against the truth.
+	simulate := func(est []float64, seed int64) float64 {
+		res, err := sim.RunElastic(sim.ElasticSimConfig{
+			K: k, S: s, InitialRates: truth, Estimates: est,
+			Iterations: 5, DriftThreshold: math.Inf(1), Seed: seed,
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res.AvgIterTime()
 	}
-	if before, after := simulate(uniform), simulate(rebuilt); after >= before {
+	if before, after := simulate([]float64{1, 1, 1, 1, 1}, 6), simulate(truth, 7); after >= before {
 		t.Fatalf("rebuilding from the estimates should speed iterations up: %v -> %v", before, after)
 	}
 }

@@ -83,6 +83,9 @@ func (c *GroupRunnerConfig) validate() error {
 	if len(c.Throughputs) == 0 {
 		return fmt.Errorf("%w: no workers", ErrBadConfig)
 	}
+	if err := c.checkScheme(); err != nil {
+		return err
+	}
 	if c.IterTimeout <= 0 {
 		return fmt.Errorf("%w: iteration timeout required", ErrBadConfig)
 	}

@@ -65,7 +65,10 @@ const DefaultChunkLen = 1 << 16
 type Config struct {
 	// K is the global data-partition count, S the per-group straggler
 	// budget. GroupSize and FanIn shape the group layout (see PlanConfig);
-	// Scheme is the strategy family every group's controller builds.
+	// Scheme is the strategy family every group's controller builds:
+	// heter-aware (the default) or group-based. A fixed-shape scheme needs one
+	// member per partition, which a capacity-split group does not have, so it
+	// is refused.
 	K, S      int
 	GroupSize int
 	FanIn     int
@@ -149,6 +152,14 @@ func (c *Config) core() rootcore.Config {
 		DurabilityConfig: c.DurabilityConfig, HAConfig: c.HAConfig, TelemetryConfig: c.TelemetryConfig, Wire: c.Wire,
 		Name: "sharded", DefaultHolder: "shard-root", BadConfig: ErrBadConfig,
 	}
+}
+
+// checkScheme refuses the fixed-shape schemes (see Config.Scheme).
+func (c *Config) checkScheme() error {
+	if c.Scheme.FixedShape() {
+		return fmt.Errorf("%w: %v cannot run in capacity-split groups", ErrBadConfig, c.Scheme)
+	}
+	return nil
 }
 
 // GroupStats summarises one group's run.
@@ -255,6 +266,9 @@ func NewRoot(cfg Config, addr string) (*Root, error) {
 	}
 	if len(cfg.Throughputs) == 0 {
 		return nil, fmt.Errorf("%w: no workers", ErrBadConfig)
+	}
+	if err := cfg.checkScheme(); err != nil {
+		return nil, err
 	}
 	if cfg.ChunkLen <= 0 {
 		cfg.ChunkLen = DefaultChunkLen

@@ -1,12 +1,14 @@
 package shard
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"sync"
 	"testing"
 	"time"
 
+	"github.com/hetgc/hetgc/internal/core"
 	"github.com/hetgc/hetgc/internal/grad"
 	"github.com/hetgc/hetgc/internal/ml"
 	"github.com/hetgc/hetgc/internal/runtime"
@@ -77,6 +79,27 @@ func spawnWorkers(t *testing.T, r *Root, wg *sync.WaitGroup, delay func(g, idx, 
 				defer wg.Done()
 				_ = w.Run()
 			}()
+		}
+	}
+}
+
+// TestShardedRefusesFixedShape: a group holds k_g partitions by capacity (6
+// for 3 equal workers at K = 12 and GroupSize 3), while a fixed-shape code
+// needs one alive member per partition, so the root and a group runner refuse
+// the scheme at construction instead of failing at the first replan.
+func TestShardedRefusesFixedShape(t *testing.T) {
+	cfg := newLiveFixture(t, 12).config(12, 1, 3, 6)
+	for _, kind := range []core.Kind{core.Naive, core.Cyclic, core.FractionalRepetition} {
+		cfg.Scheme = kind
+		if r, err := NewRoot(cfg, "127.0.0.1:0"); !errors.Is(err, ErrBadConfig) {
+			if r != nil {
+				r.Close()
+			}
+			t.Fatalf("%v: NewRoot err = %v, want ErrBadConfig", kind, err)
+		}
+		runner := GroupRunnerConfig{Config: cfg, RootAddr: "127.0.0.1:1"}
+		if err := runner.validate(); !errors.Is(err, ErrBadConfig) {
+			t.Fatalf("%v: group runner err = %v, want ErrBadConfig", kind, err)
 		}
 	}
 }

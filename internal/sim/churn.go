@@ -1,14 +1,34 @@
-// Elastic co-simulation: the deterministic, socket-free counterpart of the
-// runtime's ElasticMaster. A seeded churn schedule (speed steps, kills,
-// joins) drives the same elastic.Controller the live master uses, so the
-// whole telemetry → drift/churn detection → replan → epoch migration loop is
-// testable bit-identically — the fixture the live system's behaviour is
-// validated against.
+// Package sim is the discrete-event cluster simulator standing in for the
+// paper's QingCloud testbed. Its one iteration loop, RunElastic, is the
+// deterministic, socket-free counterpart of the runtime's ElasticMaster: it
+// drives the same elastic.Controller, so every scheme is planned by the same
+// planner.BuildStrategy call the live master makes. It reproduces the
+// quantities the evaluation measures — per-iteration makespan (Figs. 2–3),
+// computing-resource usage (Fig. 5) and, with a real model, training loss
+// against simulated wall-clock (Fig. 4) — and the paper's figures run it with
+// no churn on a plan frozen at its initial build.
+//
+// Per iteration, plan member i needs n_i/c_i seconds of compute (its
+// partitions over its true rate in partitions/second), scaled by mean-one
+// lognormal jitter, plus any injected straggler delay; a dead member never
+// arrives. The master replays arrivals in time order and finishes the
+// iteration at the first prefix that decodes, plus a fixed communication
+// overhead; an iteration no prefix decodes fails. One seeded stream drives
+// all randomness: the plan first, then each iteration's straggler delays,
+// then one jitter draw per plan member in slot order.
+//
+// A seeded churn schedule (speed steps, kills, joins) exercises the whole
+// telemetry → drift/churn detection → replan → epoch migration loop
+// bit-identically, with durable checkpoints and lease failover — the fixture
+// the live system's behaviour is validated against. RunSharded runs the same
+// replay per coding group of the sharded hierarchy, and RunSSP is Fig. 4's
+// stale-synchronous baseline.
 package sim
 
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"time"
 
@@ -21,6 +41,7 @@ import (
 	"github.com/hetgc/hetgc/internal/metrics"
 	"github.com/hetgc/hetgc/internal/ml"
 	"github.com/hetgc/hetgc/internal/obs"
+	"github.com/hetgc/hetgc/internal/straggler"
 )
 
 // ChurnKind enumerates churn-schedule events.
@@ -73,7 +94,7 @@ type ChurnEvent struct {
 	Rate float64
 }
 
-// ErrBadChurn is returned for invalid elastic-simulation configs/schedules.
+// ErrBadChurn is returned for invalid simulation configs and schedules.
 var ErrBadChurn = errors.New("sim: invalid churn scenario")
 
 // ElasticSimConfig parameterises a deterministic elastic-control-loop
@@ -86,13 +107,24 @@ type ElasticSimConfig struct {
 	// InitialRates are the true speeds (partitions/second) of the initial
 	// members, which get IDs 1..len(InitialRates) in order.
 	InitialRates []float64
+	// Estimates, when set, are the initial members' prior speed estimates
+	// (partitions/second, aligned with InitialRates) the initial plan is
+	// built from; nil gives every initial member the InitialRate prior.
+	Estimates []float64
 	// Events is the churn schedule (applied in slice order within an
 	// iteration boundary).
 	Events []ChurnEvent
+	// Injector adds per-iteration straggler delays, indexed by member ID-1;
+	// nil means none. A member with an infinite delay never arrives.
+	Injector straggler.Injector
 	// Iterations is the number of BSP iterations to simulate.
 	Iterations int
+	// FluctuationStd is the sigma of the mean-one lognormal jitter on every
+	// plan member's compute time; 0 disables it.
+	FluctuationStd float64
 	// Alpha, DriftThreshold, MinObservations, CooldownIters and InitialRate
-	// parameterise the control plane (see elastic.Config).
+	// parameterise the control plane (see elastic.Config). DriftThreshold
+	// +Inf freezes a heter-aware or group-based plan between churn replans.
 	Alpha           float64
 	DriftThreshold  float64
 	MinObservations int
@@ -100,9 +132,14 @@ type ElasticSimConfig struct {
 	InitialRate     float64
 	// CommOverhead is a fixed per-iteration communication cost in seconds.
 	CommOverhead float64
-	// Seed drives strategy construction; the simulation has no other
-	// randomness, so a fixed seed makes runs bit-identical.
+	// Seed starts the run's one random stream: plan construction, then each
+	// iteration's straggler delays, then its jitter. A fixed seed makes runs
+	// bit-identical.
 	Seed int64
+	// Rng, when set, is that stream in place of a fresh one from Seed, for a
+	// caller that chains several runs on one stream. Such a run cannot
+	// checkpoint: resume needs the stream's draw count.
+	Rng *rand.Rand
 	// CrashAtIter, when > 0, is the crash injector: the run stops cold
 	// before that iteration (no final snapshot, exactly as a killed process
 	// would), returning the partial result with Crashed set.
@@ -116,6 +153,10 @@ type ElasticSimConfig struct {
 	Model     ml.Model
 	Data      *ml.Dataset
 	Optimizer ml.Optimizer
+	// RecordEvery, when training, records the training loss in the result's
+	// Loss series before the first iteration and after every RecordEvery-th;
+	// 0 records none.
+	RecordEvery int
 
 	// The composable cluster blocks (see internal/clustercfg). Durability:
 	// a non-empty CheckpointDir writes the simulation's control-plane state
@@ -147,7 +188,8 @@ type ElasticSimResult struct {
 	// StartIter is the first simulated iteration (non-zero on a resumed
 	// run); Times, Epochs and MemberCounts cover StartIter onward.
 	StartIter int
-	// Times are per-iteration wall times in seconds.
+	// Times are per-iteration wall times in seconds, +Inf for an iteration
+	// no prefix of arrivals could decode.
 	Times []float64
 	// Epochs is the plan epoch each iteration ran under.
 	Epochs []int
@@ -158,29 +200,52 @@ type ElasticSimResult struct {
 	// Crashed reports that the crash injector stopped the run at
 	// CrashAtIter.
 	Crashed bool
+	// Failed counts the iterations that could not decode.
+	Failed int
+	// Usage is the Fig. 5 computing-resource usage over the decoded
+	// iterations: Σ busy time / Σ wall time across plan members.
+	Usage float64
 	// Params are the final model parameters (training simulations only).
 	Params []float64
+	// Loss is the training loss against simulated seconds since StartIter
+	// (training simulations with RecordEvery only).
+	Loss metrics.Series
 	// RootGen is the lease generation the run held (0 without a lease).
 	RootGen int
-	// Summary summarises Times.
+	// Summary summarises the finite Times.
 	Summary metrics.Summary
 }
 
+// AvgIterTime returns the mean over finite iteration times, or +Inf when
+// every iteration failed.
+func (r *ElasticSimResult) AvgIterTime() float64 {
+	if r.Summary.Count == 0 {
+		return math.Inf(1)
+	}
+	return r.Summary.Mean
+}
+
 // RunElastic simulates the elastic control loop over a churn schedule. It is
-// fully deterministic for a given config (bit-identical across runs):
-// strategy construction is the only randomness and is driven by Seed.
+// fully deterministic for a given config (bit-identical across runs): every
+// random draw comes from the one stream Seed starts.
 func RunElastic(cfg ElasticSimConfig) (*ElasticSimResult, error) {
 	if len(cfg.InitialRates) == 0 {
 		return nil, fmt.Errorf("%w: no initial members", ErrBadChurn)
 	}
+	if cfg.Estimates != nil && len(cfg.Estimates) != len(cfg.InitialRates) {
+		return nil, fmt.Errorf("%w: %d estimates for %d initial members", ErrBadChurn, len(cfg.Estimates), len(cfg.InitialRates))
+	}
 	if cfg.Iterations <= 0 {
 		return nil, fmt.Errorf("%w: iterations=%d", ErrBadChurn, cfg.Iterations)
 	}
-	if cfg.CommOverhead < 0 {
-		return nil, fmt.Errorf("%w: comm=%v", ErrBadChurn, cfg.CommOverhead)
+	if cfg.CommOverhead < 0 || cfg.FluctuationStd < 0 || cfg.RecordEvery < 0 {
+		return nil, fmt.Errorf("%w: comm=%v fluctuation=%v record-every=%d", ErrBadChurn, cfg.CommOverhead, cfg.FluctuationStd, cfg.RecordEvery)
 	}
 	if cfg.Resume && cfg.CheckpointDir == "" {
 		return nil, fmt.Errorf("%w: resume requires a checkpoint dir", ErrBadChurn)
+	}
+	if cfg.Rng != nil && cfg.CheckpointDir != "" {
+		return nil, fmt.Errorf("%w: a run on a caller's rng cannot checkpoint", ErrBadChurn)
 	}
 	if cfg.CheckpointDir != "" && cfg.SnapshotEvery <= 0 {
 		cfg.SnapshotEvery = 5
@@ -211,12 +276,12 @@ func RunElastic(cfg ElasticSimConfig) (*ElasticSimResult, error) {
 		}
 		params = cfg.Model.InitParams(nil)
 	}
-	// With checkpointing, the strategy-construction RNG runs over a counting
-	// source so its position is serialisable. The wrapped source yields the
-	// identical draw sequence, so checkpointing never perturbs the run.
+	// The stream runs over a counting source so its position is
+	// serialisable: a snapshot records it, and resume fast-forwards to it.
+	// The wrapped source yields the identical draw sequence.
 	var src *checkpoint.CountingSource
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	if cfg.CheckpointDir != "" {
+	rng := cfg.Rng
+	if rng == nil {
 		src = checkpoint.NewCountingSource(cfg.Seed)
 		rng = rand.New(src)
 	}
@@ -227,7 +292,7 @@ func RunElastic(cfg ElasticSimConfig) (*ElasticSimResult, error) {
 		InitialRate: cfg.InitialRate,
 	}, rng)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadChurn, err)
+		return nil, fmt.Errorf("%w: %w", ErrBadChurn, err)
 	}
 	if src != nil {
 		ctrl.SetDrawCounter(src.Draws)
@@ -327,14 +392,18 @@ func RunElastic(cfg ElasticSimConfig) (*ElasticSimResult, error) {
 		}
 		return n
 	}
-	for _, r := range cfg.InitialRates {
-		if r <= 0 {
-			return nil, fmt.Errorf("%w: non-positive initial rate %v", ErrBadChurn, r)
+	for i, r := range cfg.InitialRates {
+		prior := 0.0 // the controller's InitialRate
+		if cfg.Estimates != nil {
+			prior = cfg.Estimates[i]
+		}
+		if r <= 0 || (cfg.Estimates != nil && prior <= 0) {
+			return nil, fmt.Errorf("%w: initial member %d: rate %v, estimate %v", ErrBadChurn, nextID, r, prior)
 		}
 		trueRate[nextID] = r
 		alive[nextID] = true
 		if startIter == 0 {
-			ctrl.AddMember(nextID, 0)
+			ctrl.AddMember(nextID, prior)
 		}
 		nextID++
 	}
@@ -392,6 +461,22 @@ func RunElastic(cfg ElasticSimConfig) (*ElasticSimResult, error) {
 	}
 	if lease != nil {
 		res.RootGen = lease.Gen()
+	}
+	finite := make([]float64, 0, cfg.Iterations)
+	var usage metrics.UsageTally
+	clock := 0.0 // simulated seconds since StartIter
+	recordLoss := func(at float64) error {
+		l, err := ml.MeanLoss(cfg.Model, params, cfg.Data)
+		if err != nil {
+			return err
+		}
+		res.Loss.Append(at, l)
+		return nil
+	}
+	if training && cfg.RecordEvery > 0 {
+		if err := recordLoss(0); err != nil {
+			return nil, err
+		}
 	}
 	var plan *elastic.Plan
 	var cache obs.CacheTracker
@@ -481,20 +566,54 @@ func RunElastic(cfg ElasticSimConfig) (*ElasticSimResult, error) {
 			}
 		}
 
-		// One BSP iteration under the current plan: compute times from true
-		// rates, completions replayed in time order, decode at the earliest
-		// decodable prefix (the replay loop is shared with the sharded sim).
+		// One BSP iteration under the current plan. The stream draws the
+		// straggler delays, then one jitter per plan member in slot order. A
+		// member finishes its compute plus its delay, and a dead one (a
+		// fixed-shape plan stands below K alive) never does. Completions
+		// replay in time order and decode at the earliest decodable prefix
+		// (the replay loop is shared with the sharded sim).
+		var delays []float64
+		if cfg.Injector != nil {
+			delays = cfg.Injector.Delays(iter, nextID-1, rng)
+		}
 		st := plan.Strategy
 		loads := st.Allocation().Loads
+		compute := make([]float64, st.M())
 		finish := make([]float64, st.M())
 		for slot, id := range plan.Members {
-			finish[slot] = float64(loads[slot]) / trueRate[id]
+			compute[slot] = float64(loads[slot]) / trueRate[id]
+			if sigma := cfg.FluctuationStd; sigma > 0 {
+				// Mean-one lognormal: exp(sigma·z − sigma²/2).
+				compute[slot] *= math.Exp(sigma*rng.NormFloat64() - sigma*sigma/2)
+			}
+			finish[slot] = compute[slot] + delayOf(delays, id)
+			if !alive[id] {
+				finish[slot] = math.Inf(1)
+			}
 		}
 		decodeAt, coeffs, _, ok := replayEarliestDecodable(st, finish)
-		if !ok {
+		iterTime := math.Inf(1)
+		switch {
+		case ok:
+			iterTime = decodeAt + cfg.CommOverhead
+			finite = append(finite, iterTime)
+			// Fig. 5 accounting: the decode point is the barrier; a member
+			// is busy for the part of its compute that fits between its
+			// delay and the barrier, out of the iteration's wall time.
+			barrier := iterTime - cfg.CommOverhead
+			for slot, id := range plan.Members {
+				d := delayOf(delays, id)
+				window := barrier - d
+				if window < 0 || math.IsInf(d, 1) || !alive[id] {
+					window = 0
+				}
+				usage.Add(math.Min(compute[slot], window), iterTime)
+			}
+		case training:
 			return nil, fmt.Errorf("%w: iter %d undecodable under epoch %d", ErrBadChurn, iter, plan.Epoch)
+		default:
+			res.Failed++
 		}
-		iterTime := decodeAt + cfg.CommOverhead
 		if training {
 			g, err := decodeGradient(st, coeffs, cfg.Model, params, parts, codec)
 			if err != nil {
@@ -504,12 +623,20 @@ func RunElastic(cfg ElasticSimConfig) (*ElasticSimResult, error) {
 			if err := cfg.Optimizer.Step(params, g); err != nil {
 				return nil, fmt.Errorf("iter %d step: %w", iter, err)
 			}
+			clock += iterTime
+			if cfg.RecordEvery > 0 && (iter+1)%cfg.RecordEvery == 0 {
+				if err := recordLoss(clock); err != nil {
+					return nil, err
+				}
+			}
 		}
 
-		// Telemetry: every plan member with load reports its compute time,
-		// like workers uploading MsgTelemetry.
+		// Telemetry: every arriving plan member with load reports its
+		// finish time, like workers uploading MsgTelemetry (injected delay
+		// counts as compute, because that is what the master observes). A
+		// member that never arrives contributes no sample.
 		for slot, id := range plan.Members {
-			if loads[slot] <= 0 {
+			if loads[slot] <= 0 || math.IsInf(finish[slot], 1) {
 				continue
 			}
 			if err := ctrl.Observe(id, loads[slot], finish[slot]); err != nil {
@@ -526,8 +653,9 @@ func RunElastic(cfg ElasticSimConfig) (*ElasticSimResult, error) {
 		// stitches from the wire, built from simulated finish times so -trace
 		// output of a sim run diffs cleanly against a live run. Members the
 		// replay ingested up to the decode point are full child spans; later
-		// arrivals are partial straggler erasures, like live rejects.
-		if cfg.Obs != nil {
+		// arrivals are partial straggler erasures, like live rejects, and a
+		// member that never arrives is a partial dead span.
+		if cfg.Obs != nil && ok {
 			tr := obs.IterTrace{
 				Iter: iter, Epoch: plan.Epoch,
 				TraceID: obs.TraceID(uint64(res.RootGen), plan.Epoch, iter),
@@ -544,24 +672,22 @@ func RunElastic(cfg ElasticSimConfig) (*ElasticSimResult, error) {
 				}
 				ms := obs.MemberSpan{Member: id, Group: 0, Arrival: finish[slot],
 					Spans: []obs.Span{{Phase: obs.PhaseCompute, Seconds: finish[slot]}}}
-				if finish[slot] > decodeAt {
+				switch {
+				case math.IsInf(finish[slot], 1):
+					ms = obs.MemberSpan{Member: id, Group: 0, Partial: true, Reason: obs.RDead}
+				case finish[slot] > decodeAt:
 					ms.Partial, ms.Reason = true, obs.RStraggler
 				}
 				tr.Members = append(tr.Members, ms)
 			}
 			cfg.Obs.OnTrace(tr)
+			cfg.Obs.OnIteration(plan.Epoch, iterTime)
 		}
 
 		res.Times = append(res.Times, iterTime)
 		res.Epochs = append(res.Epochs, plan.Epoch)
-		count := 0
-		for _, a := range alive {
-			if a {
-				count++
-			}
-		}
+		count := aliveCount()
 		res.MemberCounts = append(res.MemberCounts, count)
-		cfg.Obs.OnIteration(plan.Epoch, iterTime)
 		cfg.Obs.OnMembers(0, count)
 		if cfg.Obs != nil {
 			cs := st.DecodeCacheStats()
@@ -595,9 +721,94 @@ func RunElastic(cfg ElasticSimConfig) (*ElasticSimResult, error) {
 		}
 	}
 	res.Replans = ctrl.Events()
-	res.Summary = metrics.Summarize(res.Times)
+	res.Usage = usage.Usage()
+	res.Summary = metrics.Summarize(finite)
 	if training {
 		res.Params = params
 	}
 	return res, nil
+}
+
+// decodeGradient reproduces the full coding path with real gradients: each
+// contributing worker computes its partition gradients, encodes them with
+// its row of B (g̃_w = Σ_j B[w][j]·g_j), and the master combines the coded
+// gradients with the decoding coefficients (g = Σ_w a_w·g̃_w). Partition
+// gradients are computed once and shared across workers. A non-raw codec
+// round-trips every coded upload through quantize→dequantize, exactly as the
+// wire would.
+func decodeGradient(st *core.Strategy, coeffs []float64, model ml.Model, params []float64, parts []*ml.Dataset, codec grad.Codec) (grad.Gradient, error) {
+	partGrad := make(map[int]grad.Gradient)
+	partial := func(p int) (grad.Gradient, error) {
+		if g, ok := partGrad[p]; ok {
+			return g, nil
+		}
+		g, err := model.Gradient(params, parts[p])
+		if err != nil {
+			return nil, err
+		}
+		partGrad[p] = g
+		return g, nil
+	}
+	coded := make([]grad.Gradient, st.M())
+	defer func() {
+		for _, c := range coded {
+			grad.PutBuffer(c)
+		}
+	}()
+	alloc := st.Allocation()
+	var partials []grad.Gradient
+	var rowCoeffs []float64
+	// A worker with an empty allocation (an elastic plan can assign zero
+	// load to a very slow member) uploads the zero vector in the live
+	// runtime; its contribution is exactly zero, so drop its coefficient
+	// instead of encoding an empty combination.
+	use := coeffs
+	for w, a := range coeffs {
+		if a != 0 && len(alloc.Parts[w]) == 0 {
+			use = append([]float64(nil), coeffs...)
+			for v := range use {
+				if len(alloc.Parts[v]) == 0 {
+					use[v] = 0
+				}
+			}
+			break
+		}
+	}
+	coeffs = use
+	for w, a := range coeffs {
+		if a == 0 {
+			continue
+		}
+		row := st.Row(w)
+		partials, rowCoeffs = partials[:0], rowCoeffs[:0]
+		for _, p := range alloc.Parts[w] {
+			g, err := partial(p)
+			if err != nil {
+				return nil, err
+			}
+			partials = append(partials, g)
+			rowCoeffs = append(rowCoeffs, row[p])
+		}
+		enc := grad.GetBuffer(model.Dim())
+		if err := grad.EncodeInto(enc, rowCoeffs, partials); err != nil {
+			grad.PutBuffer(enc)
+			return nil, err
+		}
+		if codec != grad.CodecRaw {
+			q, err := grad.AppendQuantized(grad.GetBytes(8*len(enc)), codec, enc)
+			if err != nil {
+				grad.PutBuffer(enc)
+				return nil, err
+			}
+			dec, err := grad.Dequantize(codec, q, len(enc))
+			grad.PutBytes(q)
+			if err != nil {
+				grad.PutBuffer(enc)
+				return nil, err
+			}
+			copy(enc, dec)
+		}
+		coded[w] = enc
+	}
+	return grad.Combine(coeffs, coded, model.Dim())
 }

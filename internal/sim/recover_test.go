@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"github.com/hetgc/hetgc/internal/checkpoint"
+	"github.com/hetgc/hetgc/internal/straggler"
 )
 
 // crashBase is a churn-heavy schedule: speed drift, a kill, a join and a
@@ -36,13 +37,28 @@ func crashBase() ElasticSimConfig {
 // stitched trajectory — times, epochs, membership — is bit-identical to the
 // uninterrupted run for the same seed.
 func TestCrashResumeBitIdentical(t *testing.T) {
+	// The second row draws straggler delays and jitter from the stream every
+	// iteration: resume must land on the stream's position after them.
+	noisy := func() ElasticSimConfig {
+		cfg := crashBase()
+		cfg.Injector = straggler.Fixed{Count: 1, Delay: 0.01}
+		cfg.FluctuationStd = 0.05
+		return cfg
+	}
+	for _, base := range []func() ElasticSimConfig{crashBase, noisy} {
+		testCrashResume(t, base)
+	}
+}
+
+func testCrashResume(t *testing.T, base func() ElasticSimConfig) {
+	t.Helper()
 	for _, crashAt := range []int{5, 17, 31} {
-		un, err := RunElastic(crashBase())
+		un, err := RunElastic(base())
 		if err != nil {
 			t.Fatal(err)
 		}
 		dir := filepath.Join(t.TempDir(), "ckpt")
-		crashed := crashBase()
+		crashed := base()
 		crashed.CheckpointDir = dir
 		crashed.SnapshotEvery = 4
 		crashed.CrashAtIter = crashAt
@@ -54,7 +70,7 @@ func TestCrashResumeBitIdentical(t *testing.T) {
 			t.Fatalf("crash at %d: Crashed=%v with %d times", crashAt, partial.Crashed, len(partial.Times))
 		}
 
-		resumed := crashBase()
+		resumed := base()
 		resumed.CheckpointDir = dir
 		resumed.SnapshotEvery = 4
 		resumed.Resume = true
@@ -66,7 +82,7 @@ func TestCrashResumeBitIdentical(t *testing.T) {
 		if res.StartIter != wantStart {
 			t.Fatalf("crash at %d: resumed at iter %d, want %d", crashAt, res.StartIter, wantStart)
 		}
-		if got := res.StartIter + len(res.Times); got != crashBase().Iterations {
+		if got := res.StartIter + len(res.Times); got != base().Iterations {
 			t.Fatalf("crash at %d: resumed run covers %d iterations", crashAt, got)
 		}
 

@@ -6,12 +6,15 @@
 // advances independently, and a migration in one group never touches the
 // others. Group results meet at a FanIn-ary reduction tree whose hop latency
 // is charged per iteration. Fixed seeds make runs bit-identical.
+
 package sim
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"time"
 
@@ -31,7 +34,9 @@ type ShardedSimConfig struct {
 	// GroupSize is the target workers per coding group (default
 	// shard.DefaultGroupSize); FanIn the reduction-tree arity (default 4).
 	GroupSize, FanIn int
-	// Scheme is the per-group strategy family (core.HeterAware default).
+	// Scheme is the per-group strategy family: heter-aware (the default) or
+	// group-based. A fixed-shape scheme needs one member per partition, which
+	// a capacity-split group does not have, so it is refused.
 	Scheme core.Kind
 	// Rates are the true speeds (global partitions/second) of the initial
 	// workers, which get member IDs 1..len(Rates) in order. They also seed
@@ -69,8 +74,9 @@ type ShardedSimConfig struct {
 	IngestSeconds float64
 	// CommOverhead is a fixed per-iteration communication cost in seconds.
 	CommOverhead float64
-	// Seed drives plan construction; with the injector's rng it is the only
-	// randomness, so fixed seeds make runs bit-identical.
+	// Seed is the only randomness: group g plans from a stream seeded
+	// Seed+g+1, and the injector draws from one seeded Seed. Fixed seeds make
+	// runs bit-identical.
 	Seed int64
 	// TelemetryConfig (see internal/clustercfg): a non-nil Obs receives the
 	// simulation's telemetry through the same helpers (and therefore the
@@ -128,6 +134,9 @@ func RunSharded(cfg ShardedSimConfig) (*ShardedSimResult, error) {
 	if cfg.CommOverhead < 0 || cfg.HopSeconds < 0 || cfg.IngestSeconds < 0 {
 		return nil, fmt.Errorf("%w: comm=%v hop=%v ingest=%v", ErrBadChurn, cfg.CommOverhead, cfg.HopSeconds, cfg.IngestSeconds)
 	}
+	if cfg.Scheme.FixedShape() {
+		return nil, fmt.Errorf("%w: %v cannot run in capacity-split groups", ErrBadChurn, cfg.Scheme)
+	}
 	// Layout only: per-group strategies are built by each group's
 	// controller at its initial replan.
 	plan, err := shard.BuildPlanLayout(cfg.Rates, shard.PlanConfig{
@@ -161,6 +170,7 @@ func RunSharded(cfg ShardedSimConfig) (*ShardedSimResult, error) {
 		groups[g] = sg
 	}
 	nextID := len(cfg.Rates) + 1
+	injRng := rand.New(rand.NewSource(cfg.Seed))
 
 	res := &ShardedSimResult{
 		Times:        make([]float64, 0, cfg.Iterations),
@@ -202,7 +212,7 @@ func RunSharded(cfg ShardedSimConfig) (*ShardedSimResult, error) {
 		// Straggler delays for this iteration, indexed by member ID-1.
 		var delays []float64
 		if cfg.Injector != nil {
-			delays = cfg.Injector.Delays(iter, nextID-1)
+			delays = cfg.Injector.Delays(iter, nextID-1, injRng)
 		}
 
 		// One BSP iteration per group: completions in time order, decode at
@@ -400,30 +410,37 @@ func simulateGroupIteration(sg *shardedGroup, trueRate map[int]float64, delays [
 }
 
 // replayEarliestDecodable is the simulators' shared BSP replay: completions
-// walk in stable (finish, slot) order, decode is probed after every arrival,
-// and the earliest decodable prefix wins. It returns that prefix's finish
-// time, the decoding coefficients, and how many arrivals the master ingested
-// up to it; ok is false when no prefix decodes (crashed workers — +Inf
-// finish — never arrive).
+// walk in stable (finish, slot) order, decode is probed after every arrival
+// once every partition has an arrived holder (a cheap necessary condition
+// that spares the solves bound to fail), and the earliest decodable prefix
+// wins. It returns that prefix's finish time, the decoding coefficients, and
+// how many arrivals the master ingested up to it; ok is false when no prefix
+// decodes (crashed workers — +Inf finish — never arrive).
 func replayEarliestDecodable(st *core.Strategy, finish []float64) (t float64, coeffs []float64, ingested int, ok bool) {
 	m := st.M()
 	order := make([]int, m)
 	for i := range order {
 		order[i] = i
 	}
-	sort.SliceStable(order, func(a, b int) bool {
-		if finish[order[a]] != finish[order[b]] {
-			return finish[order[a]] < finish[order[b]]
-		}
-		return order[a] < order[b]
-	})
+	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(finish[a], finish[b]) })
 	alive := make([]bool, m)
+	parts := st.Allocation().Parts
+	covered, uncovered := make([]bool, st.K()), st.K()
 	for _, slot := range order {
 		if math.IsInf(finish[slot], 1) {
 			break
 		}
 		alive[slot] = true
 		ingested++
+		for _, p := range parts[slot] {
+			if !covered[p] {
+				covered[p] = true
+				uncovered--
+			}
+		}
+		if uncovered > 0 {
+			continue
+		}
 		if c, err := st.Decode(alive); err == nil {
 			return finish[slot], c, ingested, true
 		}

@@ -1,11 +1,12 @@
 package sim
 
 import (
+	"errors"
 	"math"
-	"math/rand"
 	"reflect"
 	"testing"
 
+	"github.com/hetgc/hetgc/internal/core"
 	"github.com/hetgc/hetgc/internal/straggler"
 )
 
@@ -28,7 +29,7 @@ func shardedChurnConfig(seed int64) ShardedSimConfig {
 		DriftThreshold:  0.4,
 		MinObservations: 2,
 		CooldownIters:   3,
-		Injector:        straggler.Fixed{Count: 1, Delay: 2, Rng: rand.New(rand.NewSource(seed + 1000))},
+		Injector:        straggler.Fixed{Count: 1, Delay: 2},
 		Seed:            seed,
 	}
 }
@@ -239,5 +240,19 @@ func TestShardedSimRejectsBadConfig(t *testing.T) {
 	cfg := ShardedSimConfig{K: 4, S: 1, Rates: rates, Iterations: 3, Events: bad}
 	if _, err := RunSharded(cfg); err == nil {
 		t.Fatal("kill of unknown member: expected error")
+	}
+}
+
+// TestShardedSimRefusesFixedShape: a group holds k_g partitions by capacity
+// (6 for 3 equal workers at K = 12 and GroupSize 3), while a fixed-shape code
+// needs one alive member per partition, so the run is refused before its
+// first iteration instead of failing there.
+func TestShardedSimRefusesFixedShape(t *testing.T) {
+	rates := []float64{100, 100, 100, 100, 100, 100}
+	for _, kind := range []core.Kind{core.Naive, core.Cyclic, core.FractionalRepetition} {
+		cfg := ShardedSimConfig{K: 12, S: 1, GroupSize: 3, Scheme: kind, Rates: rates, Iterations: 3}
+		if _, err := RunSharded(cfg); !errors.Is(err, ErrBadChurn) {
+			t.Fatalf("%v: err = %v, want ErrBadChurn", kind, err)
+		}
 	}
 }

@@ -14,86 +14,80 @@ import (
 
 func rng(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
 
-// paperCluster is the Example 1 setup: c = [1 2 3 4 4], k = 7, s = 1.
-func paperStrategies(t *testing.T) (heter, group, cyclic, naive *core.Strategy, c []float64) {
+// paperSpeeds is the Example 1 cluster: c = [1 2 3 4 4], k = 7, s = 1.
+var paperSpeeds = []float64{1, 2, 3, 4, 4}
+
+// frozen simulates one scheme at fixed true speeds c (datasets/second) the
+// way the paper's figures do: no churn, and the plan frozen at its build
+// from the true speeds. A scheme with K partitions runs its members at c·K
+// partitions/second; a fixed-shape one has K = m.
+func frozen(kind core.Kind, c []float64, k, s, iters int, seed int64) ElasticSimConfig {
+	if kind.FixedShape() {
+		k = len(c)
+	}
+	rates := make([]float64, len(c))
+	for i, v := range c {
+		rates[i] = v * float64(k)
+	}
+	return ElasticSimConfig{
+		K: k, S: s, Scheme: kind,
+		InitialRates: rates, Estimates: rates,
+		Iterations:     iters,
+		DriftThreshold: math.Inf(1),
+		Seed:           seed,
+	}
+}
+
+func run(t *testing.T, cfg ElasticSimConfig) *ElasticSimResult {
 	t.Helper()
-	c = []float64{1, 2, 3, 4, 4}
-	var err error
-	heter, err = core.NewHeterAware(c, 7, 1, rng(1))
+	res, err := RunElastic(cfg)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("%v: %v", cfg.Scheme, err)
 	}
-	group, err = core.NewGroupBased(c, 7, 1, rng(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cyclic, err = core.NewCyclic(5, 1, rng(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	naive, err = core.NewNaive(5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return
+	return res
 }
 
 func TestConfigValidation(t *testing.T) {
-	heter, _, _, _, c := paperStrategies(t)
-	bad := []Config{
-		{},
-		{Strategy: heter, Throughputs: []float64{1}, Iterations: 1},
-		{Strategy: heter, Throughputs: c, Iterations: 0},
-		{Strategy: heter, Throughputs: []float64{1, 2, 3, 4, -4}, Iterations: 1},
-		{Strategy: heter, Throughputs: c, Iterations: 1, FluctuationStd: 0.1}, // no rng
-		{Strategy: heter, Throughputs: c, Iterations: 1, CommOverhead: -1},
+	bad := []func(c *ElasticSimConfig){
+		func(c *ElasticSimConfig) { c.Estimates = []float64{1} },
+		func(c *ElasticSimConfig) { c.Estimates = []float64{1, 2, 3, 4, 0} },
+		func(c *ElasticSimConfig) { c.FluctuationStd = -0.1 },
+		func(c *ElasticSimConfig) { c.RecordEvery = -1 },
+		func(c *ElasticSimConfig) { c.Rng, c.CheckpointDir = rng(1), t.TempDir() },
+		func(c *ElasticSimConfig) { c.Scheme = core.Kind(99) },
 	}
-	for i, cfg := range bad {
-		if _, err := Run(cfg); !errors.Is(err, ErrBadConfig) {
-			t.Fatalf("config %d: err = %v, want ErrBadConfig", i, err)
+	for i, mutate := range bad {
+		cfg := frozen(core.HeterAware, paperSpeeds, 7, 1, 1, 1)
+		mutate(&cfg)
+		if _, err := RunElastic(cfg); !errors.Is(err, ErrBadChurn) {
+			t.Fatalf("config %d: err = %v, want ErrBadChurn", i, err)
 		}
 	}
 }
 
 func TestDeterministicNoDelayTimes(t *testing.T) {
-	heter, _, _, naive, c := paperStrategies(t)
 	// Heter-aware, no noise, no delay: every worker finishes at
-	// (n_i/k)/r_i = (s+1)/Σr = 2/14 seconds exactly (Theorem 5 with
-	// rates r_i = c_i/k).
-	res, err := Run(Config{Strategy: heter, Throughputs: c, Iterations: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
+	// (n_i/k)/c_i = (s+1)/Σc = 2/14 seconds exactly (Theorem 5).
+	res := run(t, frozen(core.HeterAware, paperSpeeds, 7, 1, 5, 1))
 	if res.Failed != 0 {
 		t.Fatalf("failed = %d", res.Failed)
 	}
 	want := 2.0 / 14
 	for _, tm := range res.Times {
 		if math.Abs(tm-want) > 1e-9 {
-			t.Fatalf("iteration time %v, want %v (the optimal (s+1)/Σr)", tm, want)
+			t.Fatalf("iteration time %v, want %v (the optimal (s+1)/Σc)", tm, want)
 		}
 	}
-	// Naive: uniform k=m=5 split; slowest worker (r=1) needs (1/5)/1 = 0.2s.
-	resN, err := Run(Config{Strategy: naive, Throughputs: c, Iterations: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Naive: uniform k=m=5 split; slowest worker (c=1) needs (1/5)/1 = 0.2s.
+	resN := run(t, frozen(core.Naive, paperSpeeds, 7, 1, 3, 1))
 	if math.Abs(resN.AvgIterTime()-0.2) > 1e-9 {
 		t.Fatalf("naive time %v, want 0.2", resN.AvgIterTime())
 	}
 }
 
 func TestHeterAwareOptimalMakespan(t *testing.T) {
-	// Theorem 5: T(B) = (s+1)k/Σc_i, i.e. (s+1)/Σr in dataset-rate units.
-	c := []float64{2, 2, 4, 4, 8, 8}
-	st, err := core.NewHeterAware(c, 14, 1, rng(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := Run(Config{Strategy: st, Throughputs: c, Iterations: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Theorem 5: T(B) = (s+1)k/Σc_i in partition units, (s+1)/Σc in datasets.
+	res := run(t, frozen(core.HeterAware, []float64{2, 2, 4, 4, 8, 8}, 14, 1, 2, 4))
 	want := 2.0 / 28
 	if math.Abs(res.AvgIterTime()-want) > 1e-9 {
 		t.Fatalf("time %v, want %v", res.AvgIterTime(), want)
@@ -101,74 +95,50 @@ func TestHeterAwareOptimalMakespan(t *testing.T) {
 }
 
 func TestStragglerToleranceUnderDelay(t *testing.T) {
-	heter, group, cyclic, _, c := paperStrategies(t)
-	for _, st := range []*core.Strategy{heter, group, cyclic} {
-		inj := straggler.Fixed{Count: 1, Delay: 100, Rng: rng(5)}
-		ths := c
-		if st.Kind() == core.Cyclic {
-			ths = c
-		}
-		res, err := Run(Config{Strategy: st, Throughputs: ths, Injector: inj, Iterations: 10})
-		if err != nil {
-			t.Fatalf("%v: %v", st.Kind(), err)
-		}
+	for _, kind := range []core.Kind{core.HeterAware, core.GroupBased, core.Cyclic} {
+		cfg := frozen(kind, paperSpeeds, 7, 1, 10, 5)
+		cfg.Injector = straggler.Fixed{Count: 1, Delay: 100}
+		res := run(t, cfg)
 		if res.Failed != 0 {
-			t.Fatalf("%v: %d failures", st.Kind(), res.Failed)
+			t.Fatalf("%v: %d failures", kind, res.Failed)
 		}
 		// Coded schemes must not absorb the 100s delay.
 		if res.Summary.Max > 50 {
-			t.Fatalf("%v: max iter time %v — delay not tolerated", st.Kind(), res.Summary.Max)
+			t.Fatalf("%v: max iter time %v — delay not tolerated", kind, res.Summary.Max)
 		}
 	}
 }
 
 func TestNaiveAbsorbsDelayAndFailsOnCrash(t *testing.T) {
-	_, _, _, naive, c := paperStrategies(t)
-	inj := straggler.Fixed{Count: 1, Delay: 100, Rng: rng(6)}
-	res, err := Run(Config{Strategy: naive, Throughputs: c, Injector: inj, Iterations: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Summary.Min < 100 {
+	cfg := frozen(core.Naive, paperSpeeds, 7, 1, 5, 6)
+	cfg.Injector = straggler.Fixed{Count: 1, Delay: 100}
+	if res := run(t, cfg); res.Summary.Min < 100 {
 		t.Fatalf("naive should absorb the full delay, min=%v", res.Summary.Min)
 	}
-	crash := straggler.Fixed{Count: 1, Delay: math.Inf(1), Rng: rng(7)}
-	res2, err := Run(Config{Strategy: naive, Throughputs: c, Injector: crash, Iterations: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res2.Failed != 4 {
-		t.Fatalf("naive under crash: failed = %d, want 4", res2.Failed)
+	cfg = frozen(core.Naive, paperSpeeds, 7, 1, 4, 7)
+	cfg.Injector = straggler.Fixed{Count: 1, Delay: math.Inf(1)}
+	res := run(t, cfg)
+	if res.Failed != 4 || !math.IsInf(res.AvgIterTime(), 1) {
+		t.Fatalf("naive under crash: failed = %d, avg %v, want 4 and +Inf", res.Failed, res.AvgIterTime())
 	}
 }
 
 func TestCodedSurvivesCrash(t *testing.T) {
-	heter, group, _, _, c := paperStrategies(t)
-	for _, st := range []*core.Strategy{heter, group} {
-		crash := straggler.Fixed{Count: 1, Delay: math.Inf(1), Rng: rng(8)}
-		res, err := Run(Config{Strategy: st, Throughputs: c, Injector: crash, Iterations: 10})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Failed != 0 {
-			t.Fatalf("%v: %d failures under crash", st.Kind(), res.Failed)
+	for _, kind := range []core.Kind{core.HeterAware, core.GroupBased} {
+		cfg := frozen(kind, paperSpeeds, 7, 1, 10, 8)
+		cfg.Injector = straggler.Fixed{Count: 1, Delay: math.Inf(1)}
+		if res := run(t, cfg); res.Failed != 0 {
+			t.Fatalf("%v: %d failures under crash", kind, res.Failed)
 		}
 	}
 }
 
 func TestCyclicSlowerThanHeterOnHeterogeneousCluster(t *testing.T) {
-	heter, _, cyclic, _, c := paperStrategies(t)
-	resH, err := Run(Config{Strategy: heter, Throughputs: c, Iterations: 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	resC, err := Run(Config{Strategy: cyclic, Throughputs: c, Iterations: 20})
-	if err != nil {
-		t.Fatal(err)
-	}
+	resH := run(t, frozen(core.HeterAware, paperSpeeds, 7, 1, 20, 1))
+	resC := run(t, frozen(core.Cyclic, paperSpeeds, 7, 1, 20, 3))
 	// Cyclic gives the slowest worker (c=1) a load of s+1=2 partitions of
-	// size k_c = m... its per-iteration time is 2/1 = 2s; decode waits for
-	// m−s = 4 workers, still bounded below by the 4th-slowest completion.
+	// size 1/m; decode waits for m−s = 4 workers, still bounded below by
+	// the 4th-slowest completion.
 	if resC.AvgIterTime() <= resH.AvgIterTime() {
 		t.Fatalf("cyclic (%v) should be slower than heter-aware (%v) on a heterogeneous cluster",
 			resC.AvgIterTime(), resH.AvgIterTime())
@@ -176,21 +146,12 @@ func TestCyclicSlowerThanHeterOnHeterogeneousCluster(t *testing.T) {
 }
 
 func TestUsageOrdering(t *testing.T) {
-	heter, _, cyclic, naive, c := paperStrategies(t)
-	run := func(st *core.Strategy) float64 {
-		res, err := Run(Config{
-			Strategy:       st,
-			Throughputs:    c,
-			Iterations:     30,
-			FluctuationStd: 0.05,
-			Rng:            rng(9),
-		})
-		if err != nil {
-			t.Fatalf("%v: %v", st.Kind(), err)
-		}
-		return res.Usage
+	usage := func(kind core.Kind) float64 {
+		cfg := frozen(kind, paperSpeeds, 7, 1, 30, 9)
+		cfg.FluctuationStd = 0.05
+		return run(t, cfg).Usage
 	}
-	uh, uc, un := run(heter), run(cyclic), run(naive)
+	uh, uc, un := usage(core.HeterAware), usage(core.Cyclic), usage(core.Naive)
 	if !(uh > uc && uc > un) {
 		t.Fatalf("usage ordering heter(%v) > cyclic(%v) > naive(%v) violated", uh, uc, un)
 	}
@@ -200,15 +161,10 @@ func TestUsageOrdering(t *testing.T) {
 }
 
 func TestCommOverheadLowersUsage(t *testing.T) {
-	heter, _, _, _, c := paperStrategies(t)
-	noComm, err := Run(Config{Strategy: heter, Throughputs: c, Iterations: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	withComm, err := Run(Config{Strategy: heter, Throughputs: c, Iterations: 5, CommOverhead: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	noComm := run(t, frozen(core.HeterAware, paperSpeeds, 7, 1, 5, 1))
+	cfg := frozen(core.HeterAware, paperSpeeds, 7, 1, 5, 1)
+	cfg.CommOverhead = 1
+	withComm := run(t, cfg)
 	if withComm.Usage >= noComm.Usage {
 		t.Fatalf("comm overhead should reduce usage: %v vs %v", withComm.Usage, noComm.Usage)
 	}
@@ -218,67 +174,56 @@ func TestCommOverheadLowersUsage(t *testing.T) {
 }
 
 func TestGroupBasedDecodesFromSingleGroup(t *testing.T) {
-	_, group, _, _, c := paperStrategies(t)
-	// Delay everyone except group {W3,W4} (indices 2,3): the group alone
-	// recovers the gradient, so iteration time stays small.
-	inj := straggler.Pinned{Workers: []int{0, 1, 4}, Delay: 50}
-	res, err := Run(Config{Strategy: group, Throughputs: c, Injector: inj, Iterations: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Failed != 0 || res.Summary.Max > 10 {
+	// Delay everyone except group {W3,W4} (indices 2,3, member IDs 3,4): the
+	// group alone recovers the gradient, so iteration time stays small.
+	cfg := frozen(core.GroupBased, paperSpeeds, 7, 1, 3, 2)
+	cfg.Injector = straggler.Pinned{Workers: []int{0, 1, 4}, Delay: 50}
+	if res := run(t, cfg); res.Failed != 0 || res.Summary.Max > 10 {
 		t.Fatalf("group fast path failed: %+v", res.Summary)
 	}
 }
 
 func TestFluctuationChangesTimes(t *testing.T) {
-	heter, _, _, _, c := paperStrategies(t)
-	res, err := Run(Config{
-		Strategy: heter, Throughputs: c, Iterations: 50,
-		FluctuationStd: 0.2, Rng: rng(10),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Summary.Std == 0 {
+	cfg := frozen(core.HeterAware, paperSpeeds, 7, 1, 50, 10)
+	cfg.FluctuationStd = 0.2
+	if res := run(t, cfg); res.Summary.Std == 0 {
 		t.Fatal("fluctuation should produce varying iteration times")
 	}
 }
 
+// training couples a simulation with a softmax model on n mixture samples.
+func training(t *testing.T, cfg ElasticSimConfig, n, dim int, seed int64) ElasticSimConfig {
+	t.Helper()
+	data, err := ml.GaussianMixture(n, dim, 3, 3, rng(seed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Model, cfg.Data, cfg.Optimizer = &ml.Softmax{InputDim: dim, NumClasses: 3}, data, &ml.SGD{LR: 0.5}
+	return cfg
+}
+
 func TestTrainConvergesAndMatchesUncodedGradient(t *testing.T) {
-	c := []float64{1, 2, 3, 4, 4}
-	st, err := core.NewHeterAware(c, 7, 1, rng(11))
+	cfg := training(t, frozen(core.HeterAware, paperSpeeds, 7, 1, 60, 11), 210, 4, 12)
+	cfg.Injector = straggler.Fixed{Count: 1, Delay: 10}
+	cfg.RecordEvery = 1
+	res := run(t, cfg)
+	pts := res.Loss.Points
+	if len(pts) != 61 || pts[0].X != 0 {
+		t.Fatalf("loss curve has %d points from x=%v, want 61 from 0", len(pts), pts[0].X)
+	}
+	final, err := ml.MeanLoss(cfg.Model, res.Params, cfg.Data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	data, err := ml.GaussianMixture(210, 4, 3, 3, rng(12))
-	if err != nil {
-		t.Fatal(err)
+	if final != pts[60].Y || final >= pts[0].Y*0.7 {
+		t.Fatalf("training did not converge: %v -> %v (last point %v)", pts[0].Y, final, pts[60].Y)
 	}
-	model := &ml.Softmax{InputDim: 4, NumClasses: 3}
-	res, err := Train(TrainConfig{
-		Sim: Config{
-			Strategy:    st,
-			Throughputs: c,
-			Injector:    straggler.Fixed{Count: 1, Delay: 10, Rng: rng(13)},
-			Iterations:  60,
-		},
-		Model:     model,
-		Data:      data,
-		Optimizer: &ml.SGD{LR: 0.5},
-		Name:      "heter-aware",
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	first := res.Curve.Points[0].Y
-	if res.FinalLoss >= first*0.7 {
-		t.Fatalf("training did not converge: %v -> %v", first, res.FinalLoss)
-	}
-	// Curve x-axis must be increasing.
-	for i := 1; i < len(res.Curve.Points); i++ {
-		if res.Curve.Points[i].X <= res.Curve.Points[i-1].X {
-			t.Fatal("curve times must increase")
+	// The curve's x-axis is the simulated clock.
+	clock := 0.0
+	for i := 1; i < len(pts); i++ {
+		clock += res.Times[i-1]
+		if pts[i].X <= pts[i-1].X || pts[i].X != clock {
+			t.Fatalf("point %d at %v, want increasing and at the clock %v", i, pts[i].X, clock)
 		}
 	}
 }
@@ -319,27 +264,38 @@ func TestTrainDecodedGradientExactness(t *testing.T) {
 }
 
 func TestTrainFailsWhenUndecodable(t *testing.T) {
-	naive, err := core.NewNaive(4)
-	if err != nil {
-		t.Fatal(err)
+	cfg := training(t, frozen(core.Naive, []float64{1, 1, 1, 1}, 4, 1, 5, 17), 40, 3, 16)
+	cfg.Injector = straggler.Fixed{Count: 1, Delay: math.Inf(1)}
+	if _, err := RunElastic(cfg); !errors.Is(err, ErrBadChurn) {
+		t.Fatalf("naive training under crash: err = %v, want an undecodable iteration", err)
 	}
-	data, err := ml.GaussianMixture(40, 3, 2, 3, rng(16))
-	if err != nil {
-		t.Fatal(err)
+}
+
+// TestDeadPlanMemberNeverArrives: a fixed-shape plan stands below K alive
+// members, and its dead member is an erasure — it never arrives and reports
+// no telemetry — so naive fails every iteration after the kill, and naive
+// training stops with an error.
+func TestDeadPlanMemberNeverArrives(t *testing.T) {
+	cfg := ElasticSimConfig{
+		K: 4, S: 0, Scheme: core.Naive,
+		InitialRates: []float64{100, 1, 1, 1},
+		Events:       []ChurnEvent{{Iter: 3, Kind: Kill, Member: 1}},
+		Iterations:   6,
+		Seed:         1,
 	}
-	_, err = Train(TrainConfig{
-		Sim: Config{
-			Strategy:    naive,
-			Throughputs: []float64{1, 1, 1, 1},
-			Injector:    straggler.Fixed{Count: 1, Delay: math.Inf(1), Rng: rng(17)},
-			Iterations:  5,
-		},
-		Model:     &ml.Softmax{InputDim: 3, NumClasses: 2},
-		Data:      data,
-		Optimizer: &ml.SGD{LR: 0.1},
-	})
-	if err == nil {
-		t.Fatal("naive training under crash must fail")
+	res := run(t, cfg)
+	inf := math.Inf(1)
+	want := []float64{1, 1, 1, inf, inf, inf}
+	for i, w := range want {
+		if res.Times[i] != w {
+			t.Fatalf("times %v, want %v", res.Times, want)
+		}
+	}
+	if res.Failed != 3 || res.Summary.Count != 3 || len(res.Replans) != 1 {
+		t.Fatalf("failed %d, summary over %d, replans %v: want 3, 3 and the initial plan only", res.Failed, res.Summary.Count, res.Replans)
+	}
+	if _, err := RunElastic(training(t, cfg, 40, 3, 18)); !errors.Is(err, ErrBadChurn) {
+		t.Fatalf("training past a dead naive member: err = %v, want ErrBadChurn", err)
 	}
 }
 
@@ -392,28 +348,13 @@ func TestRunSSPValidation(t *testing.T) {
 
 // Theorem 5 worst case: over every straggler pattern of size s (simulated
 // as pinned crashes), heter-aware's iteration time never exceeds the
-// optimum (s+1)k/Σc — in dataset-rate units, (s+1)/Σr.
+// optimum (s+1)k/Σc — in dataset-rate units, (s+1)/Σc.
 func TestTheorem5WorstCase(t *testing.T) {
-	c := []float64{1, 2, 3, 4, 4}
-	st, err := core.NewHeterAware(c, 7, 1, rng(40))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sum float64
-	for _, v := range c {
-		sum += v
-	}
-	optimal := 2.0 / sum
-	for dead := 0; dead < len(c); dead++ {
-		res, err := Run(Config{
-			Strategy:    st,
-			Throughputs: c,
-			Injector:    straggler.Pinned{Workers: []int{dead}, Delay: math.Inf(1)},
-			Iterations:  2,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
+	optimal := 2.0 / 14
+	for dead := range paperSpeeds {
+		cfg := frozen(core.HeterAware, paperSpeeds, 7, 1, 2, 40)
+		cfg.Injector = straggler.Pinned{Workers: []int{dead}, Delay: math.Inf(1)}
+		res := run(t, cfg)
 		if res.Failed != 0 {
 			t.Fatalf("pattern {%d} failed", dead)
 		}
@@ -425,19 +366,12 @@ func TestTheorem5WorstCase(t *testing.T) {
 }
 
 // A worker that disconnects entirely mid-run must not break a coded master:
-// the simulator models this as a permanent crash from some iteration on.
+// the injector models this as a permanent crash from some iteration on, with
+// no churn event to replan around it.
 func TestPermanentCrashMidRun(t *testing.T) {
-	c := []float64{1, 2, 3, 4, 4}
-	st, err := core.NewGroupBased(c, 7, 1, rng(41))
-	if err != nil {
-		t.Fatal(err)
-	}
-	inj := crashAfter{worker: 3, fromIter: 5}
-	res, err := Run(Config{Strategy: st, Throughputs: c, Injector: inj, Iterations: 12})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Failed != 0 {
+	cfg := frozen(core.GroupBased, paperSpeeds, 7, 1, 12, 41)
+	cfg.Injector = crashAfter{worker: 3, fromIter: 5}
+	if res := run(t, cfg); res.Failed != 0 {
 		t.Fatalf("%d failures after permanent crash", res.Failed)
 	}
 }
@@ -447,7 +381,7 @@ type crashAfter struct {
 	worker, fromIter int
 }
 
-func (c crashAfter) Delays(iter, m int) []float64 {
+func (c crashAfter) Delays(iter, m int, _ *rand.Rand) []float64 {
 	out := make([]float64, m)
 	if iter >= c.fromIter && c.worker < m {
 		out[c.worker] = math.Inf(1)

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -9,15 +10,17 @@ import (
 	"github.com/hetgc/hetgc/internal/ml"
 )
 
+// ErrBadConfig is returned for invalid SSP configurations.
+var ErrBadConfig = errors.New("sim: invalid config")
+
 // SSPConfig simulates the Stale-Synchronous-Parallel baseline of Fig. 4: the
 // dataset is split evenly, each worker iterates at its own speed and pushes
 // stale gradients, and a worker may run at most Staleness iterations ahead
 // of the slowest one. On heterogeneous clusters the staleness gate trips
 // almost every step (the behaviour the paper reports).
 type SSPConfig struct {
-	// Throughputs are per-worker speeds as full-dataset fractions per second
-	// (the same unit as sim.Config); each worker's 1/m shard costs
-	// (1/m)/r_i seconds.
+	// Throughputs are per-worker speeds as full-dataset fractions per second;
+	// each worker's 1/m shard costs (1/m)/r_i seconds.
 	Throughputs []float64
 	// Staleness is the SSP bound (0 = BSP).
 	Staleness int

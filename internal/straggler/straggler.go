@@ -1,7 +1,8 @@
 // Package straggler provides the fault-injection models used in the paper's
 // evaluation: per-iteration extra delays added to s random workers (Fig. 2),
 // complete failures (infinite delay), and transient multiplicative
-// fluctuation of compute time. Injectors are deterministic given their rng.
+// fluctuation of compute time. Injectors hold no randomness of their own: they
+// draw from the run's stream, so a simulation has one seeded source.
 package straggler
 
 import (
@@ -12,15 +13,16 @@ import (
 // Injector produces, for every iteration, a per-worker extra delay in
 // seconds. math.Inf(1) marks a failed (fully crashed) worker.
 type Injector interface {
-	// Delays returns the extra delay of each of m workers for one iteration.
-	Delays(iter, m int) []float64
+	// Delays returns the extra delay of each of m workers for one iteration,
+	// drawing any randomness from rng (a nil rng injects no random delay).
+	Delays(iter, m int, rng *rand.Rand) []float64
 }
 
 // None injects no delay.
 type None struct{}
 
 // Delays returns all-zero delays.
-func (None) Delays(_, m int) []float64 { return make([]float64, m) }
+func (None) Delays(_, m int, _ *rand.Rand) []float64 { return make([]float64, m) }
 
 // Fixed adds Delay seconds to Count random workers each iteration, the
 // fault-simulation protocol of Fig. 2 ("add extra delay to any s random
@@ -30,21 +32,19 @@ type Fixed struct {
 	Count int
 	// Delay is the extra delay in seconds (math.Inf(1) = crash).
 	Delay float64
-	// Rng drives the straggler choice. Must be non-nil when Count > 0.
-	Rng *rand.Rand
 }
 
 // Delays implements Injector.
-func (f Fixed) Delays(_, m int) []float64 {
+func (f Fixed) Delays(_, m int, rng *rand.Rand) []float64 {
 	out := make([]float64, m)
-	if f.Count <= 0 || f.Rng == nil {
+	if f.Count <= 0 || rng == nil {
 		return out
 	}
 	n := f.Count
 	if n > m {
 		n = m
 	}
-	for _, w := range f.Rng.Perm(m)[:n] {
+	for _, w := range rng.Perm(m)[:n] {
 		out[w] = f.Delay
 	}
 	return out
@@ -58,7 +58,7 @@ type Pinned struct {
 }
 
 // Delays implements Injector.
-func (p Pinned) Delays(_, m int) []float64 {
+func (p Pinned) Delays(_, m int, _ *rand.Rand) []float64 {
 	out := make([]float64, m)
 	for _, w := range p.Workers {
 		if w >= 0 && w < m {
@@ -76,19 +76,17 @@ type Transient struct {
 	Prob float64
 	// Mean is the mean extra delay in seconds when interference occurs.
 	Mean float64
-	// Rng drives the draws. Must be non-nil for non-zero Prob.
-	Rng *rand.Rand
 }
 
 // Delays implements Injector.
-func (tr Transient) Delays(_, m int) []float64 {
+func (tr Transient) Delays(_, m int, rng *rand.Rand) []float64 {
 	out := make([]float64, m)
-	if tr.Prob <= 0 || tr.Rng == nil {
+	if tr.Prob <= 0 || rng == nil {
 		return out
 	}
 	for i := range out {
-		if tr.Rng.Float64() < tr.Prob {
-			out[i] = tr.Rng.ExpFloat64() * tr.Mean
+		if rng.Float64() < tr.Prob {
+			out[i] = rng.ExpFloat64() * tr.Mean
 		}
 	}
 	return out
@@ -98,10 +96,10 @@ func (tr Transient) Delays(_, m int) []float64 {
 type Compose []Injector
 
 // Delays implements Injector.
-func (cs Compose) Delays(iter, m int) []float64 {
+func (cs Compose) Delays(iter, m int, rng *rand.Rand) []float64 {
 	out := make([]float64, m)
 	for _, inj := range cs {
-		for i, d := range inj.Delays(iter, m) {
+		for i, d := range inj.Delays(iter, m, rng) {
 			out[i] += d
 		}
 	}

@@ -7,7 +7,7 @@ import (
 )
 
 func TestNone(t *testing.T) {
-	d := None{}.Delays(0, 4)
+	d := None{}.Delays(0, 4, nil)
 	for _, v := range d {
 		if v != 0 {
 			t.Fatalf("delays = %v", d)
@@ -16,9 +16,9 @@ func TestNone(t *testing.T) {
 }
 
 func TestFixedCountAndValue(t *testing.T) {
-	inj := Fixed{Count: 2, Delay: 5, Rng: rand.New(rand.NewSource(1))}
+	inj, rng := Fixed{Count: 2, Delay: 5}, rand.New(rand.NewSource(1))
 	for iter := 0; iter < 20; iter++ {
-		d := inj.Delays(iter, 6)
+		d := inj.Delays(iter, 6, rng)
 		n := 0
 		for _, v := range d {
 			if v == 5 {
@@ -34,8 +34,7 @@ func TestFixedCountAndValue(t *testing.T) {
 }
 
 func TestFixedCountExceedsM(t *testing.T) {
-	inj := Fixed{Count: 10, Delay: 1, Rng: rand.New(rand.NewSource(2))}
-	d := inj.Delays(0, 3)
+	d := Fixed{Count: 10, Delay: 1}.Delays(0, 3, rand.New(rand.NewSource(2)))
 	for _, v := range d {
 		if v != 1 {
 			t.Fatalf("delays = %v, want all stragglers", d)
@@ -44,7 +43,7 @@ func TestFixedCountExceedsM(t *testing.T) {
 }
 
 func TestFixedNilRngSafe(t *testing.T) {
-	d := Fixed{Count: 2, Delay: 1}.Delays(0, 4)
+	d := Fixed{Count: 2, Delay: 1}.Delays(0, 4, nil)
 	for _, v := range d {
 		if v != 0 {
 			t.Fatal("nil rng must inject nothing")
@@ -53,10 +52,10 @@ func TestFixedNilRngSafe(t *testing.T) {
 }
 
 func TestFixedRandomises(t *testing.T) {
-	inj := Fixed{Count: 1, Delay: 1, Rng: rand.New(rand.NewSource(3))}
+	inj, rng := Fixed{Count: 1, Delay: 1}, rand.New(rand.NewSource(3))
 	hit := map[int]bool{}
 	for iter := 0; iter < 100; iter++ {
-		d := inj.Delays(iter, 4)
+		d := inj.Delays(iter, 4, rng)
 		for i, v := range d {
 			if v > 0 {
 				hit[i] = true
@@ -70,17 +69,17 @@ func TestFixedRandomises(t *testing.T) {
 
 func TestPinned(t *testing.T) {
 	inj := Pinned{Workers: []int{1, 7}, Delay: 2.5}
-	d := inj.Delays(0, 3)
+	d := inj.Delays(0, 3, nil)
 	if d[1] != 2.5 || d[0] != 0 || d[2] != 0 {
 		t.Fatalf("delays = %v", d)
 	}
 }
 
 func TestTransientStatistics(t *testing.T) {
-	inj := Transient{Prob: 0.5, Mean: 2, Rng: rand.New(rand.NewSource(4))}
+	inj, rng := Transient{Prob: 0.5, Mean: 2}, rand.New(rand.NewSource(4))
 	total, hits, iters, m := 0.0, 0, 2000, 4
 	for iter := 0; iter < iters; iter++ {
-		for _, v := range inj.Delays(iter, m) {
+		for _, v := range inj.Delays(iter, m, rng) {
 			if v > 0 {
 				hits++
 				total += v
@@ -98,7 +97,7 @@ func TestTransientStatistics(t *testing.T) {
 }
 
 func TestTransientZeroProb(t *testing.T) {
-	d := Transient{Prob: 0, Mean: 1, Rng: rand.New(rand.NewSource(5))}.Delays(0, 3)
+	d := Transient{Prob: 0, Mean: 1}.Delays(0, 3, rand.New(rand.NewSource(5)))
 	for _, v := range d {
 		if v != 0 {
 			t.Fatal("zero prob must inject nothing")
@@ -112,7 +111,7 @@ func TestComposeSumsAndInfDominates(t *testing.T) {
 		Pinned{Workers: []int{0, 1}, Delay: 2},
 		Pinned{Workers: []int{2}, Delay: math.Inf(1)},
 	}
-	d := inj.Delays(0, 3)
+	d := inj.Delays(0, 3, nil)
 	if d[0] != 3 || d[1] != 2 || !math.IsInf(d[2], 1) {
 		t.Fatalf("delays = %v", d)
 	}
