@@ -95,15 +95,16 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzProportionalLoads$$' -fuzztime $(FUZZTIME) ./internal/partition
 	$(GO) test -run '^$$' -fuzz '^FuzzInt8MatchesReference$$' -fuzztime $(FUZZTIME) ./internal/grad
 
-# Smoke-run the quickstart, adaptive, clustersim and misestimation examples: a
-# panic in example main paths must fail the build pipeline, not linger
-# unnoticed; adaptive exits non-zero when the elastic controller never
-# replans, and clustersim and misestimation reach the figure runners through
-# the facade (5s budget each where `timeout` exists — stock macOS ships
-# without coreutils).
+# Smoke-run the quickstart, adaptive, clustersim, misestimation, sharded and
+# elastic examples: a panic in example main paths must fail the build
+# pipeline, not linger unnoticed; adaptive exits non-zero when the elastic
+# controller never replans, clustersim and misestimation reach the figure
+# runners through the facade, and sharded and elastic print the simulator's
+# numbers beside a live loopback run (5s budget each where `timeout` exists —
+# stock macOS ships without coreutils).
 smoke-examples:
 	$(GO) build ./examples/...
-	@for ex in quickstart adaptive clustersim misestimation; do \
+	@for ex in quickstart adaptive clustersim misestimation sharded elastic; do \
 		if command -v timeout >/dev/null 2>&1; then \
 			timeout 5 $(GO) run ./examples/$$ex || exit 1; \
 		else \

@@ -296,19 +296,20 @@ func BenchmarkSSP(b *testing.B) {
 	}
 }
 
-// benchShardedSim runs the sharded co-simulation at a given scale; groupSize
-// = m degenerates to the flat single-master runtime, so the pair measures
-// flat-vs-sharded per-iteration wall-clock on identical fleets (including
-// real plan construction and decode work).
+// benchShardedSim runs the co-simulation in coding groups at a given scale;
+// groupSize = m is one group, the flat single-master runtime, so the pair
+// measures flat-vs-sharded per-iteration wall-clock on identical fleets
+// (including real plan construction and decode work).
 func benchShardedSim(b *testing.B, m, groupSize int) {
 	b.Helper()
 	rates := make([]float64, m)
 	for i := range rates {
 		rates[i] = 100
 	}
-	cfg := ShardedSimConfig{
+	cfg := ElasticSimConfig{
 		K: 2 * m, S: 1, GroupSize: groupSize, FanIn: 4,
-		Rates:         rates,
+		InitialRates:  rates,
+		Estimates:     rates,
 		Iterations:    10,
 		IngestSeconds: 0.002,
 		HopSeconds:    0.005,
@@ -316,7 +317,7 @@ func benchShardedSim(b *testing.B, m, groupSize int) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := SimulateSharded(cfg)
+		res, err := SimulateElastic(cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -336,9 +337,10 @@ func benchIterRate(b *testing.B, m int) {
 		rates[i] = 100
 	}
 	const iters = 10
-	cfg := ShardedSimConfig{
+	cfg := ElasticSimConfig{
 		K: 2 * m, S: 1, GroupSize: 10, FanIn: 4,
-		Rates:         rates,
+		InitialRates:  rates,
+		Estimates:     rates,
 		Iterations:    iters,
 		IngestSeconds: 0.002,
 		HopSeconds:    0.005,
@@ -346,7 +348,7 @@ func benchIterRate(b *testing.B, m int) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := SimulateSharded(cfg); err != nil {
+		if _, err := SimulateElastic(cfg); err != nil {
 			b.Fatal(err)
 		}
 	}

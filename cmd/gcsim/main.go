@@ -227,7 +227,7 @@ func churn(iters int, seed int64) error {
 	}
 	identical := len(res.Times) == len(res2.Times)
 	for i := range res.Times {
-		if !identical || res.Times[i] != res2.Times[i] || res.Epochs[i] != res2.Epochs[i] {
+		if !identical || res.Times[i] != res2.Times[i] || res.Epochs[i][0] != res2.Epochs[i][0] {
 			identical = false
 			break
 		}
@@ -239,7 +239,7 @@ func churn(iters int, seed int64) error {
 	}
 	fmt.Printf("mean iteration %.2fms (min %.2f, max %.2f), final epoch %d\n",
 		res.Summary.Mean*1000, res.Summary.Min*1000, res.Summary.Max*1000,
-		res.Epochs[len(res.Epochs)-1])
+		res.Epochs[len(res.Epochs)-1][0])
 	fmt.Printf("replay bit-identical: %v\n", identical)
 	if !identical {
 		return fmt.Errorf("churn simulation is not deterministic")
@@ -259,10 +259,11 @@ func sharded(iters int, seed int64) error {
 	for i := range rates {
 		rates[i] = 100
 	}
-	base := hetgc.ShardedSimConfig{
+	base := hetgc.ElasticSimConfig{
 		K: 2 * m, S: 1, FanIn: 4,
-		Rates:      rates,
-		Iterations: iters,
+		InitialRates: rates,
+		Estimates:    rates,
+		Iterations:   iters,
 		// 2ms to ingest one gradient upload, 5ms per reduction-tree hop:
 		// the flat master serialises behind 200 uploads, each group master
 		// ingests ~10 in parallel and ships one coalesced batch upward.
@@ -285,11 +286,11 @@ func sharded(iters int, seed int64) error {
 	flatCfg := base
 	flatCfg.GroupSize = m // one group = the flat runtime, same code path
 
-	sh, err := hetgc.SimulateSharded(shardedCfg)
+	sh, err := hetgc.SimulateElastic(shardedCfg)
 	if err != nil {
 		return err
 	}
-	fl, err := hetgc.SimulateSharded(flatCfg)
+	fl, err := hetgc.SimulateElastic(flatCfg)
 	if err != nil {
 		return err
 	}
@@ -306,7 +307,7 @@ func sharded(iters int, seed int64) error {
 			ev.Iter, ev.Group, ev.Epoch, ev.Reason, ev.Members)
 	}
 	// Determinism is part of the contract: a second run must be identical.
-	sh2, err := hetgc.SimulateSharded(shardedCfg)
+	sh2, err := hetgc.SimulateElastic(shardedCfg)
 	if err != nil {
 		return err
 	}

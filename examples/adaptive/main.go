@@ -33,7 +33,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	var drift *hetgc.ReplanEvent
+	var drift *hetgc.GroupReplanEvent
 	for i := range res.Replans {
 		if res.Replans[i].Reason == "drift" {
 			drift = &res.Replans[i]
@@ -54,7 +54,7 @@ func run() error {
 	fmt.Printf("epoch 0 (uniform guess), iterations 0-%d:   avg iteration %.3fs\n", drift.Iter-1, before)
 	fmt.Printf("drift replan at iteration %d: predicted imbalance %.2fx optimal\n", drift.Iter, drift.Imbalance)
 	fmt.Printf("epochs %d-%d (re-coded), iterations %d-%d:   avg iteration %.3fs\n",
-		drift.Epoch, res.Epochs[len(res.Epochs)-1], drift.Iter, len(res.Times)-1, after)
+		drift.Epoch, res.Epochs[len(res.Epochs)-1][0], drift.Iter, len(res.Times)-1, after)
 	fmt.Printf("\nadaptive re-coding cut iteration time by %.1fx\n", before/after)
 	return nil
 }

@@ -7,7 +7,8 @@
 // slows down 12x: its group's control plane detects the drift in telemetry
 // and migrates *that group alone* — the other three groups finish the whole
 // run on their initial epoch. A deterministic flat-vs-sharded comparison at
-// 200 simulated workers (hetgc.SimulateSharded) is printed alongside.
+// 200 simulated workers is printed alongside: hetgc.SimulateElastic with
+// GroupSize 10, against the same fleet as one group, the flat runtime.
 package main
 
 import (
@@ -132,18 +133,18 @@ func run() error {
 	for i := range rates {
 		rates[i] = 100
 	}
-	simCfg := hetgc.ShardedSimConfig{
+	simCfg := hetgc.ElasticSimConfig{
 		K: 400, S: 1, GroupSize: 10, FanIn: 4,
-		Rates: rates, Iterations: 25,
+		InitialRates: rates, Estimates: rates, Iterations: 25,
 		IngestSeconds: 0.002, HopSeconds: 0.005, Seed: 7,
 	}
-	sh, err := hetgc.SimulateSharded(simCfg)
+	sh, err := hetgc.SimulateElastic(simCfg)
 	if err != nil {
 		return err
 	}
 	flatCfg := simCfg
 	flatCfg.GroupSize = 200
-	fl, err := hetgc.SimulateSharded(flatCfg)
+	fl, err := hetgc.SimulateElastic(flatCfg)
 	if err != nil {
 		return err
 	}

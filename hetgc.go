@@ -9,13 +9,13 @@
 //     CombineGradients) and the data-partition allocation machinery.
 //   - A discrete-event cluster simulator reproducing the paper's evaluation:
 //     one iteration loop (SimulateElastic) that runs every scheme through the
-//     live runtime's control plane, timing-only or with real gradients, with
-//     the Table II clusters (ClusterA…ClusterD), straggler injectors and the
-//     SSP baseline (RunSSP).
+//     live runtimes' control plane, flat or in coding groups, timing-only or
+//     with real gradients, with the Table II clusters (ClusterA…ClusterD),
+//     straggler injectors and the SSP baseline (RunSSP).
 //   - A real TCP master/worker runtime that hosts every scheme and re-codes
 //     on drift and churn (RunElastic, NewElasticMaster, DialElasticWorker),
 //     and a hierarchical group-sharded runtime that scales the scheme to
-//     hundreds of workers (RunSharded, SimulateSharded).
+//     hundreds of workers (RunSharded).
 //   - Experiment runners regenerating every figure and table of the paper
 //     (the Fig2/Fig3/Fig4/Fig5/Table2 family).
 //
@@ -371,6 +371,8 @@ type (
 	ChurnEvent = sim.ChurnEvent
 	// ChurnKind enumerates churn event kinds.
 	ChurnKind = sim.ChurnKind
+	// GroupReplanEvent is one group-local migration of a simulation.
+	GroupReplanEvent = sim.GroupReplanEvent
 )
 
 // Churn event kinds.
@@ -382,9 +384,13 @@ const (
 )
 
 // SimulateElastic runs the deterministic elastic co-simulation — the same
-// control plane as the live runtime, bit-identical for a fixed seed. With no
+// control plane as the live runtimes, bit-identical for a fixed seed. With no
 // churn and DriftThreshold +Inf it is the timing simulation of Figs. 2, 3 and
-// 5; with a Model, Data and Optimizer it is Fig. 4's coded training.
+// 5; with a Model, Data and Optimizer it is Fig. 4's coded training. A
+// GroupSize below the fleet size splits it into the sharded hierarchy's
+// coding groups, each with its own control plane; a group covering every
+// worker is the flat single-master runtime, which makes flat-vs-sharded
+// comparisons exact.
 func SimulateElastic(cfg ElasticSimConfig) (*ElasticSimResult, error) {
 	return sim.RunElastic(cfg)
 }
@@ -427,25 +433,6 @@ func RunSharded(cfg ShardedConfig, addr string, waitTimeout time.Duration, onLis
 // NewReductionTree builds a fan-in-ary aggregation tree over the given leaf
 // count.
 func NewReductionTree(leaves, fanIn int) *ReductionTree { return shard.NewTree(leaves, fanIn) }
-
-// Deterministic sharded co-simulation.
-type (
-	// ShardedSimConfig parameterises a socket-free sharded simulation over
-	// optional churn schedules and straggler injectors.
-	ShardedSimConfig = sim.ShardedSimConfig
-	// ShardedSimResult aggregates a sharded simulation run.
-	ShardedSimResult = sim.ShardedSimResult
-	// GroupReplanEvent is one group-local migration of a sharded simulation.
-	GroupReplanEvent = sim.GroupReplanEvent
-)
-
-// SimulateSharded runs the deterministic sharded co-simulation — the same
-// group-local control planes as the live hierarchy, bit-identical for a
-// fixed seed. A GroupSize covering every worker degenerates to the flat
-// single-master runtime, which makes flat-vs-sharded comparisons exact.
-func SimulateSharded(cfg ShardedSimConfig) (*ShardedSimResult, error) {
-	return sim.RunSharded(cfg)
-}
 
 // Throughput estimation.
 type (
@@ -553,9 +540,9 @@ var MergeSeriesCSV = metrics.MergeSeries
 // text exposition, an HTTP server (/metrics, /healthz, /debug/events,
 // /debug/trace, /debug/pprof), per-iteration phase tracing and a structured
 // control-plane event journal. Set ElasticConfig.Obs / ShardedConfig.Obs /
-// ElasticSimConfig.Obs / ShardedSimConfig.Obs to the same *Telemetry to
-// instrument a run; nil (the default) disables everything. The sim and live
-// runtimes emit the same metric families, so their scrapes are diffable.
+// ElasticSimConfig.Obs to the same *Telemetry to instrument a run; nil (the
+// default) disables everything. The sim and live runtimes emit the same
+// metric families, so their scrapes are diffable.
 type (
 	// Telemetry is the canonical hetgc metric bundle plus the event journal
 	// and iteration tracer.

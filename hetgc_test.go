@@ -308,11 +308,11 @@ func TestElasticFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(a.Times) != 16 || a.Epochs[15] < 1 || len(a.Replans) < 2 {
+	if len(a.Times) != 16 || a.Epochs[15][0] < 1 || len(a.Replans) < 2 {
 		t.Fatalf("sim result = %+v", a)
 	}
 	for i := range a.Times {
-		if a.Times[i] != b.Times[i] || a.Epochs[i] != b.Epochs[i] {
+		if a.Times[i] != b.Times[i] || a.Epochs[i][0] != b.Epochs[i][0] {
 			t.Fatal("churn simulation not deterministic via facade")
 		}
 	}

@@ -1,35 +1,45 @@
 // Package sim is the discrete-event cluster simulator standing in for the
 // paper's QingCloud testbed. Its one iteration loop, RunElastic, is the
-// deterministic, socket-free counterpart of the runtime's ElasticMaster: it
-// drives the same elastic.Controller, so every scheme is planned by the same
-// planner.BuildStrategy call the live master makes. It reproduces the
+// deterministic, socket-free counterpart of the live runtimes: it drives the
+// same elastic.Controller, so every scheme is planned by the same
+// planner.BuildStrategy call the live masters make. It reproduces the
 // quantities the evaluation measures — per-iteration makespan (Figs. 2–3),
 // computing-resource usage (Fig. 5) and, with a real model, training loss
 // against simulated wall-clock (Fig. 4) — and the paper's figures run it with
 // no churn on a plan frozen at its initial build.
 //
+// The loop runs G ≥ 1 coding groups. A flat run is one group, the
+// ElasticMaster's counterpart; several groups are the sharded hierarchy's
+// (internal/shard): each group decodes its own slice of the partitions under
+// its own controller, so drift and churn replan that group alone, and the
+// group sums meet at a FanIn-ary reduction tree whose hops every iteration
+// pays.
+//
 // Per iteration, plan member i needs n_i/c_i seconds of compute (its
 // partitions over its true rate in partitions/second), scaled by mean-one
 // lognormal jitter, plus any injected straggler delay; a dead member never
-// arrives. The master replays arrivals in time order and finishes the
-// iteration at the first prefix that decodes, plus a fixed communication
-// overhead; an iteration no prefix decodes fails. One seeded stream drives
-// all randomness: the plan first, then each iteration's straggler delays,
-// then one jitter draw per plan member in slot order.
+// arrives. Each group replays its arrivals in time order and decodes at the
+// first prefix that can; the iteration ends when the slowest group's sum
+// reaches the root, plus a fixed communication overhead, and an iteration
+// some group cannot decode fails. The run's counting stream from Seed draws
+// each iteration's straggler delays, then one jitter per plan member, group
+// by group in slot order. With one group it builds the plans too, first;
+// with several, group g plans on its own stream seeded Seed+g+1.
 //
 // A seeded churn schedule (speed steps, kills, joins) exercises the whole
 // telemetry → drift/churn detection → replan → epoch migration loop
-// bit-identically, with durable checkpoints and lease failover — the fixture
-// the live system's behaviour is validated against. RunSharded runs the same
-// replay per coding group of the sharded hierarchy, and RunSSP is Fig. 4's
-// stale-synchronous baseline.
+// bit-identically, with durable checkpoints and lease failover in a flat run
+// — the fixture the live system's behaviour is validated against. RunSSP is
+// Fig. 4's stale-synchronous baseline.
 package sim
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"time"
 
 	"github.com/hetgc/hetgc/internal/checkpoint"
@@ -41,6 +51,7 @@ import (
 	"github.com/hetgc/hetgc/internal/metrics"
 	"github.com/hetgc/hetgc/internal/ml"
 	"github.com/hetgc/hetgc/internal/obs"
+	"github.com/hetgc/hetgc/internal/shard"
 	"github.com/hetgc/hetgc/internal/straggler"
 )
 
@@ -100,19 +111,23 @@ var ErrBadChurn = errors.New("sim: invalid churn scenario")
 // ElasticSimConfig parameterises a deterministic elastic-control-loop
 // simulation.
 type ElasticSimConfig struct {
-	// K is the partition count, S the straggler budget.
+	// K is the partition count, S the straggler budget (per coding group).
 	K, S int
-	// Scheme is the strategy family (core.HeterAware default).
+	// Scheme is the strategy family (core.HeterAware default). A fixed-shape
+	// scheme needs one member per partition, which a capacity-split group
+	// does not have, so it runs in one group only.
 	Scheme core.Kind
 	// InitialRates are the true speeds (partitions/second) of the initial
 	// members, which get IDs 1..len(InitialRates) in order.
 	InitialRates []float64
 	// Estimates, when set, are the initial members' prior speed estimates
-	// (partitions/second, aligned with InitialRates) the initial plan is
-	// built from; nil gives every initial member the InitialRate prior.
+	// (partitions/second, aligned with InitialRates) the initial plans and
+	// the group layout are built from; nil gives every initial member the
+	// InitialRate prior.
 	Estimates []float64
 	// Events is the churn schedule (applied in slice order within an
-	// iteration boundary).
+	// iteration boundary). Member IDs are fleet-wide: an event goes to the
+	// member's group, and a Join to the group with the fewest alive members.
 	Events []ChurnEvent
 	// Injector adds per-iteration straggler delays, indexed by member ID-1;
 	// nil means none. A member with an infinite delay never arrives.
@@ -123,22 +138,42 @@ type ElasticSimConfig struct {
 	// plan member's compute time; 0 disables it.
 	FluctuationStd float64
 	// Alpha, DriftThreshold, MinObservations, CooldownIters and InitialRate
-	// parameterise the control plane (see elastic.Config). DriftThreshold
-	// +Inf freezes a heter-aware or group-based plan between churn replans.
+	// parameterise every group's control plane (see elastic.Config).
+	// DriftThreshold +Inf freezes a heter-aware or group-based plan between
+	// churn replans.
 	Alpha           float64
 	DriftThreshold  float64
 	MinObservations int
 	CooldownIters   int
 	InitialRate     float64
+	// GroupSize is the target members per coding group: the initial fleet is
+	// split by shard.BuildPlanLayout over its priors, and every group decodes
+	// its own slice of the partitions under its own controller, as a group
+	// master of the sharded runtime does. 0, or at least the fleet size, is
+	// one group: the flat runtime. FanIn is the arity of the reduction tree
+	// over the groups (default 4).
+	GroupSize, FanIn int
+	// HopSeconds is the latency of one reduction-tree hop: each iteration
+	// pays Depth·HopSeconds of aggregation time. Frame batching is what keeps
+	// this per-hop, not per-chunk: a group's whole upload is one coalesced
+	// write.
+	HopSeconds float64
+	// IngestSeconds is the master-side cost of receiving and processing one
+	// gradient upload — the fan-in bottleneck that caps flat deployments. A
+	// group's master pays it for every upload it ingested up to its decode
+	// (groups ingest in parallel), and each reduction-tree node for at most
+	// FanIn coalesced frames per hop. 0 disables the model.
+	IngestSeconds float64
 	// CommOverhead is a fixed per-iteration communication cost in seconds.
 	CommOverhead float64
-	// Seed starts the run's one random stream: plan construction, then each
-	// iteration's straggler delays, then its jitter. A fixed seed makes runs
-	// bit-identical.
+	// Seed starts the run's counting stream: each iteration's straggler
+	// delays, then its jitter. With one group the stream builds the plans
+	// too, first; with several, group g plans on its own stream seeded
+	// Seed+g+1. A fixed seed makes runs bit-identical.
 	Seed int64
-	// Rng, when set, is that stream in place of a fresh one from Seed, for a
-	// caller that chains several runs on one stream. Such a run cannot
-	// checkpoint: resume needs the stream's draw count.
+	// Rng, when set, is the one-group stream in place of a fresh one from
+	// Seed, for a caller that chains several runs on one stream. Such a run
+	// cannot checkpoint: resume needs the stream's draw count.
 	Rng *rand.Rand
 	// CrashAtIter, when > 0, is the crash injector: the run stops cold
 	// before that iteration (no final snapshot, exactly as a killed process
@@ -170,8 +205,8 @@ type ElasticSimConfig struct {
 	// every iteration boundary, released on success, and deliberately left
 	// to expire on an injected crash (Holder defaults to "sim-root").
 	// Telemetry: a non-nil Obs receives the simulation's telemetry through
-	// the same helpers (and the same metric families) the live ElasticMaster
-	// uses, so a sim scrape and a live scrape are diffable.
+	// the same helpers (and the same metric families and group labels) the
+	// live runtimes use, so a sim scrape and a live scrape are diffable.
 	clustercfg.DurabilityConfig
 	clustercfg.HAConfig
 	clustercfg.TelemetryConfig
@@ -183,20 +218,35 @@ type ElasticSimConfig struct {
 	Wire clustercfg.WireConfig
 }
 
+// GroupReplanEvent is one group-local migration.
+type GroupReplanEvent struct {
+	// Group is the coding-group index.
+	Group int
+	elastic.ReplanEvent
+}
+
 // ElasticSimResult aggregates an elastic simulation run.
 type ElasticSimResult struct {
 	// StartIter is the first simulated iteration (non-zero on a resumed
-	// run); Times, Epochs and MemberCounts cover StartIter onward.
+	// run); the per-iteration series cover StartIter onward.
 	StartIter int
-	// Times are per-iteration wall times in seconds, +Inf for an iteration
-	// no prefix of arrivals could decode.
+	// Times are per-iteration wall times in seconds: the slowest group plus
+	// the reduction-tree hops and CommOverhead, +Inf for an iteration some
+	// group could not decode.
 	Times []float64
-	// Epochs is the plan epoch each iteration ran under.
-	Epochs []int
+	// GroupTimes[i][g] is group g's decode time at iteration i, its ingest
+	// included, before the tree hops (+Inf when it could not decode).
+	GroupTimes [][]float64
+	// Epochs[i][g] is the plan epoch group g ran under at iteration i —
+	// epochs advance per group, independently.
+	Epochs [][]int
 	// MemberCounts is the alive membership at each iteration.
 	MemberCounts []int
-	// Replans is the migration history.
-	Replans []elastic.ReplanEvent
+	// Replans is the migration history, by iteration, then group.
+	Replans []GroupReplanEvent
+	// Groups is the number of coding groups, Depth the reduction-tree depth
+	// (0 for one group).
+	Groups, Depth int
 	// Crashed reports that the crash injector stopped the run at
 	// CrashAtIter.
 	Crashed bool
@@ -225,9 +275,24 @@ func (r *ElasticSimResult) AvgIterTime() float64 {
 	return r.Summary.Mean
 }
 
+// simGroup is one coding group: its control plane, its plan, and this
+// iteration's replay under that plan.
+type simGroup struct {
+	ctrl  *elastic.Controller
+	plan  *elastic.Plan
+	cache obs.CacheTracker
+	alive int // alive members
+	// compute and finish are per plan slot; decodeAt and coeffs are the
+	// replay's earliest decodable prefix, valid when decoded.
+	compute, finish []float64
+	decodeAt        float64
+	coeffs          []float64
+	decoded         bool
+}
+
 // RunElastic simulates the elastic control loop over a churn schedule. It is
 // fully deterministic for a given config (bit-identical across runs): every
-// random draw comes from the one stream Seed starts.
+// random draw comes from the streams Seed starts.
 func RunElastic(cfg ElasticSimConfig) (*ElasticSimResult, error) {
 	if len(cfg.InitialRates) == 0 {
 		return nil, fmt.Errorf("%w: no initial members", ErrBadChurn)
@@ -235,11 +300,25 @@ func RunElastic(cfg ElasticSimConfig) (*ElasticSimResult, error) {
 	if cfg.Estimates != nil && len(cfg.Estimates) != len(cfg.InitialRates) {
 		return nil, fmt.Errorf("%w: %d estimates for %d initial members", ErrBadChurn, len(cfg.Estimates), len(cfg.InitialRates))
 	}
+	m := len(cfg.InitialRates)
+	priors := cfg.Estimates
+	if priors == nil {
+		priors = make([]float64, m) // every member on the InitialRate prior
+		for i := range priors {
+			priors[i] = 1
+		}
+	}
+	for i, r := range cfg.InitialRates {
+		if r <= 0 || priors[i] <= 0 {
+			return nil, fmt.Errorf("%w: initial member %d: rate %v, estimate %v", ErrBadChurn, i+1, r, priors[i])
+		}
+	}
 	if cfg.Iterations <= 0 {
 		return nil, fmt.Errorf("%w: iterations=%d", ErrBadChurn, cfg.Iterations)
 	}
-	if cfg.CommOverhead < 0 || cfg.FluctuationStd < 0 || cfg.RecordEvery < 0 {
-		return nil, fmt.Errorf("%w: comm=%v fluctuation=%v record-every=%d", ErrBadChurn, cfg.CommOverhead, cfg.FluctuationStd, cfg.RecordEvery)
+	if cfg.CommOverhead < 0 || cfg.FluctuationStd < 0 || cfg.RecordEvery < 0 || cfg.HopSeconds < 0 || cfg.IngestSeconds < 0 {
+		return nil, fmt.Errorf("%w: comm=%v fluctuation=%v record-every=%d hop=%v ingest=%v",
+			ErrBadChurn, cfg.CommOverhead, cfg.FluctuationStd, cfg.RecordEvery, cfg.HopSeconds, cfg.IngestSeconds)
 	}
 	if cfg.Resume && cfg.CheckpointDir == "" {
 		return nil, fmt.Errorf("%w: resume requires a checkpoint dir", ErrBadChurn)
@@ -267,10 +346,29 @@ func RunElastic(cfg ElasticSimConfig) (*ElasticSimResult, error) {
 	if cfg.LeaseTTL > 0 && cfg.CheckpointDir == "" {
 		return nil, fmt.Errorf("%w: a lease needs a checkpoint dir to live in", ErrBadChurn)
 	}
+
+	// The group layout over the initial priors. Strategies are built by each
+	// group's controller at its initial replan.
+	groupSize := cfg.GroupSize
+	if groupSize <= 0 || groupSize > m {
+		groupSize = m
+	}
+	layout, err := shard.BuildPlanLayout(priors, shard.PlanConfig{K: cfg.K, S: cfg.S, GroupSize: groupSize, FanIn: cfg.FanIn})
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrBadChurn, err)
+	}
+	if n := layout.NumGroups(); n > 1 {
+		if cfg.Scheme.FixedShape() {
+			return nil, fmt.Errorf("%w: %v cannot run in capacity-split groups", ErrBadChurn, cfg.Scheme)
+		}
+		if cfg.CheckpointDir != "" || cfg.CrashAtIter > 0 || training || cfg.Rng != nil || cfg.Wire.Codec != "" {
+			return nil, fmt.Errorf("%w: %d coding groups simulate timing only: no durability, crash, training, rng or wire codec", ErrBadChurn, n)
+		}
+	}
+
 	var parts []*ml.Dataset
 	var params []float64
 	if training {
-		var err error
 		if parts, err = cfg.Data.Split(cfg.K); err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrBadChurn, err)
 		}
@@ -285,16 +383,26 @@ func RunElastic(cfg ElasticSimConfig) (*ElasticSimResult, error) {
 		src = checkpoint.NewCountingSource(cfg.Seed)
 		rng = rand.New(src)
 	}
-	ctrl, err := elastic.NewController(elastic.Config{
-		K: cfg.K, S: cfg.S, Scheme: cfg.Scheme,
-		Alpha: cfg.Alpha, DriftThreshold: cfg.DriftThreshold,
-		MinObservations: cfg.MinObservations, CooldownIters: cfg.CooldownIters,
-		InitialRate: cfg.InitialRate,
-	}, rng)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %w", ErrBadChurn, err)
+	groups := make([]*simGroup, layout.NumGroups())
+	for g, grp := range layout.Groups {
+		planRng := rng
+		if len(groups) > 1 {
+			planRng = rand.New(rand.NewSource(cfg.Seed + int64(g) + 1))
+		}
+		ctrl, err := elastic.NewController(elastic.Config{
+			K: len(grp.Parts), S: cfg.S, Scheme: cfg.Scheme,
+			Alpha: cfg.Alpha, DriftThreshold: cfg.DriftThreshold,
+			MinObservations: cfg.MinObservations, CooldownIters: cfg.CooldownIters,
+			InitialRate: cfg.InitialRate,
+		}, planRng)
+		if err != nil {
+			return nil, fmt.Errorf("%w: %w", ErrBadChurn, err)
+		}
+		groups[g] = &simGroup{ctrl: ctrl}
 	}
-	if src != nil {
+	// Durable state is one-group only, so it is group 0's controller.
+	ctrl := groups[0].ctrl
+	if src != nil && len(groups) == 1 {
 		ctrl.SetDrawCounter(src.Draws)
 	}
 
@@ -377,55 +485,94 @@ func RunElastic(cfg ElasticSimConfig) (*ElasticSimResult, error) {
 		store.SetMetrics(cfg.Obs)
 	}
 
-	// True member state, keyed by stable member ID. On resume, the schedule
-	// prefix (events before startIter) re-derives the true speeds — they are
-	// deterministic functions of the config, so they need no snapshot.
+	// True member state, keyed by stable member ID, and each member's group.
 	trueRate := make(map[int]float64)
 	alive := make(map[int]bool)
-	nextID := 1
-	aliveCount := func() int {
-		n := 0
-		for _, a := range alive {
-			if a {
-				n++
-			}
-		}
-		return n
-	}
-	for i, r := range cfg.InitialRates {
-		prior := 0.0 // the controller's InitialRate
-		if cfg.Estimates != nil {
-			prior = cfg.Estimates[i]
-		}
-		if r <= 0 || (cfg.Estimates != nil && prior <= 0) {
-			return nil, fmt.Errorf("%w: initial member %d: rate %v, estimate %v", ErrBadChurn, nextID, r, prior)
-		}
-		trueRate[nextID] = r
-		alive[nextID] = true
-		if startIter == 0 {
-			ctrl.AddMember(nextID, prior)
-		}
-		nextID++
-	}
-	if startIter > 0 {
-		for _, ev := range cfg.Events {
-			if ev.Iter >= startIter {
-				continue
-			}
-			switch ev.Kind {
-			case SpeedStep:
-				trueRate[ev.Member] *= ev.Factor
-			case Kill:
-				alive[ev.Member] = false
-			case Join:
-				trueRate[nextID] = ev.Rate
-				alive[nextID] = true
-				nextID++
-			case Rejoin:
-				alive[ev.Member] = true
-				if ev.Rate > 0 {
-					trueRate[ev.Member] = ev.Rate
+	groupOf := make(map[int]int)
+	for g, grp := range layout.Groups {
+		for _, w := range grp.Workers {
+			id := w + 1
+			trueRate[id], alive[id], groupOf[id] = cfg.InitialRates[w], true, g
+			groups[g].alive++
+			if startIter == 0 {
+				prior := 0.0 // the controller's InitialRate
+				if cfg.Estimates != nil {
+					prior = cfg.Estimates[w]
 				}
+				groups[g].ctrl.AddMember(id, prior)
+			}
+		}
+	}
+	nextID := m + 1
+	// applyChurn routes one event to its member's group. A replayed event —
+	// a resumed run re-deriving the schedule prefix before startIter — moves
+	// the true state only: the restored controller already holds its effect,
+	// and the speeds are deterministic functions of the config, so they need
+	// no snapshot.
+	applyChurn := func(ev ChurnEvent, live bool) error {
+		switch ev.Kind {
+		case SpeedStep:
+			if !alive[ev.Member] {
+				return fmt.Errorf("%w: speed-step for absent member %d at iter %d", ErrBadChurn, ev.Member, ev.Iter)
+			}
+			if ev.Factor <= 0 {
+				return fmt.Errorf("%w: speed-step factor %v", ErrBadChurn, ev.Factor)
+			}
+			trueRate[ev.Member] *= ev.Factor
+		case Kill:
+			if !alive[ev.Member] {
+				return fmt.Errorf("%w: kill for absent member %d at iter %d", ErrBadChurn, ev.Member, ev.Iter)
+			}
+			sg := groups[groupOf[ev.Member]]
+			alive[ev.Member] = false
+			sg.alive--
+			if live {
+				sg.ctrl.RemoveMember(ev.Member)
+				cfg.Obs.OnDeath(groupOf[ev.Member], ev.Member, sg.alive, ev.Iter)
+			}
+		case Join:
+			if ev.Rate <= 0 {
+				return fmt.Errorf("%w: join rate %v", ErrBadChurn, ev.Rate)
+			}
+			// The group with the fewest alive members (lowest index on ties):
+			// deterministic load-levelling placement.
+			g := 0
+			for h, sg := range groups {
+				if sg.alive < groups[g].alive {
+					g = h
+				}
+			}
+			id := nextID
+			nextID++
+			trueRate[id], alive[id], groupOf[id] = ev.Rate, true, g
+			groups[g].alive++
+			if live {
+				groups[g].ctrl.AddMember(id, 0)
+				cfg.Obs.OnJoin(g, id, false, groups[g].alive, ev.Iter)
+			}
+		case Rejoin:
+			g, known := groupOf[ev.Member]
+			if !known || alive[ev.Member] {
+				return fmt.Errorf("%w: rejoin of member %d at iter %d", ErrBadChurn, ev.Member, ev.Iter)
+			}
+			alive[ev.Member] = true
+			groups[g].alive++
+			if ev.Rate > 0 {
+				trueRate[ev.Member] = ev.Rate
+			}
+			if live {
+				groups[g].ctrl.AddMember(ev.Member, 0)
+				cfg.Obs.OnJoin(g, ev.Member, true, groups[g].alive, ev.Iter)
+			}
+		default:
+			return fmt.Errorf("%w: unknown event kind %v", ErrBadChurn, ev.Kind)
+		}
+		return nil
+	}
+	for _, ev := range cfg.Events {
+		if ev.Iter < startIter {
+			if err := applyChurn(ev, false); err != nil {
+				return nil, err
 			}
 		}
 	}
@@ -453,16 +600,27 @@ func RunElastic(cfg ElasticSimConfig) (*ElasticSimResult, error) {
 		}
 	}
 
+	iters := cfg.Iterations - startIter
 	res := &ElasticSimResult{
 		StartIter:    startIter,
-		Times:        make([]float64, 0, cfg.Iterations),
-		Epochs:       make([]int, 0, cfg.Iterations),
-		MemberCounts: make([]int, 0, cfg.Iterations),
+		Times:        make([]float64, 0, iters),
+		GroupTimes:   make([][]float64, 0, iters),
+		Epochs:       make([][]int, 0, iters),
+		MemberCounts: make([]int, 0, iters),
+		Groups:       len(groups),
+		Depth:        layout.Tree.Depth(),
 	}
 	if lease != nil {
 		res.RootGen = lease.Gen()
 	}
-	finite := make([]float64, 0, cfg.Iterations)
+	// The per-group rows of every iteration, carved from one allocation.
+	groupTimes := make([]float64, iters*len(groups))
+	epochs := make([]int, iters*len(groups))
+	// Each reduction-tree hop pays its latency and the ingest of at most
+	// FanIn coalesced frames (a group's whole chunked upload is one batched
+	// frame); one group feeds the root directly.
+	hops := float64(res.Depth) * (cfg.HopSeconds + float64(layout.Tree.FanIn)*cfg.IngestSeconds)
+	finite := make([]float64, 0, iters)
 	var usage metrics.UsageTally
 	clock := 0.0 // simulated seconds since StartIter
 	recordLoss := func(at float64) error {
@@ -478,11 +636,8 @@ func RunElastic(cfg ElasticSimConfig) (*ElasticSimResult, error) {
 			return nil, err
 		}
 	}
-	var plan *elastic.Plan
-	var cache obs.CacheTracker
 	if startIter > 0 {
-		plan = ctrl.Plan()
-		if plan == nil {
+		if groups[0].plan = ctrl.Plan(); groups[0].plan == nil {
 			return nil, fmt.Errorf("%w: resumed at iter %d without a plan", ErrBadChurn, startIter)
 		}
 	}
@@ -502,60 +657,29 @@ func RunElastic(cfg ElasticSimConfig) (*ElasticSimResult, error) {
 		}
 		// Apply the boundary's churn events in schedule order.
 		for _, ev := range cfg.Events {
-			if ev.Iter != iter {
-				continue
-			}
-			switch ev.Kind {
-			case SpeedStep:
-				if !alive[ev.Member] {
-					return nil, fmt.Errorf("%w: speed-step for absent member %d at iter %d", ErrBadChurn, ev.Member, iter)
+			if ev.Iter == iter {
+				if err := applyChurn(ev, true); err != nil {
+					return nil, err
 				}
-				if ev.Factor <= 0 {
-					return nil, fmt.Errorf("%w: speed-step factor %v", ErrBadChurn, ev.Factor)
-				}
-				trueRate[ev.Member] *= ev.Factor
-			case Kill:
-				if !alive[ev.Member] {
-					return nil, fmt.Errorf("%w: kill for absent member %d at iter %d", ErrBadChurn, ev.Member, iter)
-				}
-				alive[ev.Member] = false
-				ctrl.RemoveMember(ev.Member)
-				cfg.Obs.OnDeath(0, ev.Member, aliveCount(), iter)
-			case Join:
-				if ev.Rate <= 0 {
-					return nil, fmt.Errorf("%w: join rate %v", ErrBadChurn, ev.Rate)
-				}
-				trueRate[nextID] = ev.Rate
-				alive[nextID] = true
-				ctrl.AddMember(nextID, 0)
-				cfg.Obs.OnJoin(0, nextID, false, aliveCount(), iter)
-				nextID++
-			case Rejoin:
-				if _, known := trueRate[ev.Member]; !known || alive[ev.Member] {
-					return nil, fmt.Errorf("%w: rejoin of member %d at iter %d", ErrBadChurn, ev.Member, iter)
-				}
-				alive[ev.Member] = true
-				if ev.Rate > 0 {
-					trueRate[ev.Member] = ev.Rate
-				}
-				ctrl.AddMember(ev.Member, 0)
-				cfg.Obs.OnJoin(0, ev.Member, true, aliveCount(), iter)
-			default:
-				return nil, fmt.Errorf("%w: unknown event kind %v", ErrBadChurn, ev.Kind)
 			}
 		}
 
-		// Control decision at the boundary, exactly like the live master.
-		replan, reason := ctrl.ShouldReplan(iter)
-		if cfg.Obs != nil {
-			cfg.Obs.OnDrift(ctrl.DriftGain())
-		}
-		if replan {
-			p, err := ctrl.Replan(iter, reason)
-			if err != nil {
-				return nil, fmt.Errorf("iter %d: %w", iter, err)
+		// Control decisions at the boundary, exactly like the live masters:
+		// group-local, so a replan in one group leaves every other group's
+		// epoch untouched.
+		for g, sg := range groups {
+			replan, reason := sg.ctrl.ShouldReplan(iter)
+			if cfg.Obs != nil {
+				cfg.Obs.OnDrift(sg.ctrl.DriftGain())
 			}
-			plan = p
+			if !replan {
+				continue
+			}
+			p, err := sg.ctrl.Replan(iter, reason)
+			if err != nil {
+				return nil, fmt.Errorf("iter %d group %d: %w", iter, g, err)
+			}
+			sg.plan = p
 			cfg.Obs.OnReplan(reason, iter, p.Epoch, len(p.Members))
 			if store != nil {
 				rec := &checkpoint.Record{Kind: checkpoint.KindPlan, Iter: iter, Epoch: p.Epoch,
@@ -566,56 +690,73 @@ func RunElastic(cfg ElasticSimConfig) (*ElasticSimResult, error) {
 			}
 		}
 
-		// One BSP iteration under the current plan. The stream draws the
-		// straggler delays, then one jitter per plan member in slot order. A
-		// member finishes its compute plus its delay, and a dead one (a
-		// fixed-shape plan stands below K alive) never does. Completions
-		// replay in time order and decode at the earliest decodable prefix
-		// (the replay loop is shared with the sharded sim).
+		// One BSP iteration per group under its current plan. The stream
+		// draws the straggler delays, then one jitter per plan member, group
+		// by group in slot order. A member finishes its compute plus its
+		// delay, and a dead one (a fixed-shape plan stands below K alive)
+		// never does. Completions replay in time order and a group decodes
+		// at its earliest decodable prefix; its master ingests every upload
+		// that arrived up to that point on one path, charged serially.
 		var delays []float64
 		if cfg.Injector != nil {
 			delays = cfg.Injector.Delays(iter, nextID-1, rng)
 		}
-		st := plan.Strategy
-		loads := st.Allocation().Loads
-		compute := make([]float64, st.M())
-		finish := make([]float64, st.M())
-		for slot, id := range plan.Members {
-			compute[slot] = float64(loads[slot]) / trueRate[id]
-			if sigma := cfg.FluctuationStd; sigma > 0 {
-				// Mean-one lognormal: exp(sigma·z − sigma²/2).
-				compute[slot] *= math.Exp(sigma*rng.NormFloat64() - sigma*sigma/2)
+		rowTimes, rowEpochs := groupTimes[:len(groups):len(groups)], epochs[:len(groups):len(groups)]
+		groupTimes, epochs = groupTimes[len(groups):], epochs[len(groups):]
+		slowest, ok := 0.0, true
+		for g, sg := range groups {
+			st := sg.plan.Strategy
+			loads := st.Allocation().Loads
+			sg.compute = slices.Grow(sg.compute[:0], st.M())[:st.M()]
+			sg.finish = slices.Grow(sg.finish[:0], st.M())[:st.M()]
+			for slot, id := range sg.plan.Members {
+				sg.compute[slot] = float64(loads[slot]) / trueRate[id]
+				if sigma := cfg.FluctuationStd; sigma > 0 {
+					// Mean-one lognormal: exp(sigma·z − sigma²/2).
+					sg.compute[slot] *= math.Exp(sigma*rng.NormFloat64() - sigma*sigma/2)
+				}
+				sg.finish[slot] = sg.compute[slot] + delayOf(delays, id)
+				if !alive[id] {
+					sg.finish[slot] = math.Inf(1)
+				}
 			}
-			finish[slot] = compute[slot] + delayOf(delays, id)
-			if !alive[id] {
-				finish[slot] = math.Inf(1)
+			var ingested int
+			sg.decodeAt, sg.coeffs, ingested, sg.decoded = replayEarliestDecodable(st, sg.finish)
+			rowTimes[g] = math.Inf(1)
+			if sg.decoded {
+				rowTimes[g] = sg.decodeAt + float64(ingested)*cfg.IngestSeconds
 			}
+			rowEpochs[g] = sg.plan.Epoch
+			slowest = math.Max(slowest, rowTimes[g])
+			ok = ok && sg.decoded
 		}
-		decodeAt, coeffs, _, ok := replayEarliestDecodable(st, finish)
-		iterTime := math.Inf(1)
+		// The barrier: every group's sum must reach the root, so the
+		// iteration runs at the slowest group, plus the tree hops.
+		iterTime := slowest + hops + cfg.CommOverhead
 		switch {
 		case ok:
-			iterTime = decodeAt + cfg.CommOverhead
 			finite = append(finite, iterTime)
-			// Fig. 5 accounting: the decode point is the barrier; a member
-			// is busy for the part of its compute that fits between its
-			// delay and the barrier, out of the iteration's wall time.
+			// Fig. 5 accounting: the root's decode point is the barrier; a
+			// member is busy for the part of its compute that fits between
+			// its delay and the barrier, out of the iteration's wall time.
 			barrier := iterTime - cfg.CommOverhead
-			for slot, id := range plan.Members {
-				d := delayOf(delays, id)
-				window := barrier - d
-				if window < 0 || math.IsInf(d, 1) || !alive[id] {
-					window = 0
+			for _, sg := range groups {
+				for slot, id := range sg.plan.Members {
+					d := delayOf(delays, id)
+					window := barrier - d
+					if window < 0 || math.IsInf(d, 1) || !alive[id] {
+						window = 0
+					}
+					usage.Add(math.Min(sg.compute[slot], window), iterTime)
 				}
-				usage.Add(math.Min(compute[slot], window), iterTime)
 			}
 		case training:
-			return nil, fmt.Errorf("%w: iter %d undecodable under epoch %d", ErrBadChurn, iter, plan.Epoch)
+			return nil, fmt.Errorf("%w: iter %d undecodable under epoch %d", ErrBadChurn, iter, groups[0].plan.Epoch)
 		default:
 			res.Failed++
 		}
 		if training {
-			g, err := decodeGradient(st, coeffs, cfg.Model, params, parts, codec)
+			g, err := decodeGradient(groups[0].plan.Strategy, groups[0].coeffs, cfg.Model, params, parts, codec)
 			if err != nil {
 				return nil, fmt.Errorf("iter %d decode: %w", iter, err)
 			}
@@ -632,80 +773,77 @@ func RunElastic(cfg ElasticSimConfig) (*ElasticSimResult, error) {
 		}
 
 		// Telemetry: every arriving plan member with load reports its
-		// finish time, like workers uploading MsgTelemetry (injected delay
-		// counts as compute, because that is what the master observes). A
-		// member that never arrives contributes no sample.
-		for slot, id := range plan.Members {
-			if loads[slot] <= 0 || math.IsInf(finish[slot], 1) {
-				continue
-			}
-			if err := ctrl.Observe(id, loads[slot], finish[slot]); err != nil {
-				return nil, fmt.Errorf("iter %d observe member %d: %w", iter, id, err)
-			}
-			if cfg.Obs != nil {
-				if rate, err := ctrl.Rate(id); err == nil {
-					cfg.Obs.OnEstimate(0, id, rate)
-				}
-			}
-		}
-
-		// Synthetic iteration trace: the same span families the live master
-		// stitches from the wire, built from simulated finish times so -trace
-		// output of a sim run diffs cleanly against a live run. Members the
-		// replay ingested up to the decode point are full child spans; later
-		// arrivals are partial straggler erasures, like live rejects, and a
-		// member that never arrives is a partial dead span.
-		if cfg.Obs != nil && ok {
-			tr := obs.IterTrace{
-				Iter: iter, Epoch: plan.Epoch,
-				TraceID: obs.TraceID(uint64(res.RootGen), plan.Epoch, iter),
-				Start:   time.Now(),
-				Seconds: iterTime,
-				Spans: []obs.Span{
-					{Phase: obs.PhaseBroadcast, Seconds: cfg.CommOverhead},
-					{Phase: obs.PhaseCollect, Seconds: decodeAt},
-				},
-			}
-			for slot, id := range plan.Members {
+		// finish time to its group's control plane, like workers uploading
+		// MsgTelemetry (injected delay counts as compute, because that is
+		// what the master observes). A member that never arrives contributes
+		// no sample. With several groups each member also feeds the
+		// group-labeled attribution families, the way a live group master
+		// records its members' spans: a member that never arrives is a
+		// partial dead span.
+		for g, sg := range groups {
+			loads := sg.plan.Strategy.Allocation().Loads
+			for slot, id := range sg.plan.Members {
 				if loads[slot] <= 0 {
 					continue
 				}
-				ms := obs.MemberSpan{Member: id, Group: 0, Arrival: finish[slot],
-					Spans: []obs.Span{{Phase: obs.PhaseCompute, Seconds: finish[slot]}}}
-				switch {
-				case math.IsInf(finish[slot], 1):
-					ms = obs.MemberSpan{Member: id, Group: 0, Partial: true, Reason: obs.RDead}
-				case finish[slot] > decodeAt:
-					ms.Partial, ms.Reason = true, obs.RStraggler
+				finish := sg.finish[slot]
+				if math.IsInf(finish, 1) {
+					if len(groups) > 1 {
+						cfg.Obs.OnMemberSpan(obs.MemberSpan{Member: id, Group: g, Partial: true, Reason: obs.RDead})
+					}
+					continue
 				}
-				tr.Members = append(tr.Members, ms)
+				if err := sg.ctrl.Observe(id, loads[slot], finish); err != nil {
+					return nil, fmt.Errorf("iter %d observe member %d: %w", iter, id, err)
+				}
+				if cfg.Obs == nil {
+					continue
+				}
+				if len(groups) > 1 {
+					cfg.Obs.OnMemberSpan(obs.MemberSpan{Member: id, Group: g, Arrival: finish,
+						Spans: []obs.Span{{Phase: obs.PhaseCompute, Seconds: finish}}})
+				}
+				if rate, err := sg.ctrl.Rate(id); err == nil {
+					cfg.Obs.OnEstimate(g, id, rate)
+				}
 			}
-			cfg.Obs.OnTrace(tr)
-			cfg.Obs.OnIteration(plan.Epoch, iterTime)
+		}
+		if cfg.Obs != nil && ok {
+			cfg.Obs.OnTrace(iterTrace(groups, iter, res.RootGen, iterTime, slowest, hops, cfg.CommOverhead, rowTimes))
+			epoch := -1 // like the live root: plan epochs are group-local
+			if len(groups) == 1 {
+				epoch = groups[0].plan.Epoch
+			}
+			cfg.Obs.OnIteration(epoch, iterTime)
 		}
 
 		res.Times = append(res.Times, iterTime)
-		res.Epochs = append(res.Epochs, plan.Epoch)
-		count := aliveCount()
-		res.MemberCounts = append(res.MemberCounts, count)
-		cfg.Obs.OnMembers(0, count)
-		if cfg.Obs != nil {
-			cs := st.DecodeCacheStats()
-			cache.Fold(cfg.Obs, st, cs.Hits, cs.Misses)
+		res.GroupTimes = append(res.GroupTimes, rowTimes)
+		res.Epochs = append(res.Epochs, rowEpochs)
+		count := 0
+		for g, sg := range groups {
+			count += sg.alive
+			cfg.Obs.OnMembers(g, sg.alive)
+			if cfg.Obs != nil {
+				cs := sg.plan.Strategy.DecodeCacheStats()
+				sg.cache.Fold(cfg.Obs, sg.plan.Strategy, cs.Hits, cs.Misses)
+			}
 		}
+		res.MemberCounts = append(res.MemberCounts, count)
 
 		if store != nil {
-			if err := store.AppendIter(iter, plan.Epoch, iter+1); err != nil {
+			epoch := groups[0].plan.Epoch
+			if err := store.AppendIter(iter, epoch, iter+1); err != nil {
 				return nil, err
 			}
 			if (iter+1)%cfg.SnapshotEvery == 0 {
 				cs := ctrl.State()
-				gs := checkpoint.GroupState{Group: 0, Epoch: plan.Epoch}
+				gs := checkpoint.GroupState{Group: 0, Epoch: epoch}
 				for _, ms := range cs.Members {
 					gs.Members = append(gs.Members, ms.ID)
 				}
 				snap := &checkpoint.Snapshot{
-					Iter: iter + 1, Epoch: plan.Epoch, Step: iter + 1,
+					Iter: iter + 1, Epoch: epoch, Step: iter + 1,
 					Draws: src.Draws(), Groups: []checkpoint.GroupState{gs}, Ctrl: cs,
 				}
 				if training {
@@ -720,13 +858,83 @@ func RunElastic(cfg ElasticSimConfig) (*ElasticSimResult, error) {
 			}
 		}
 	}
-	res.Replans = ctrl.Events()
+	// Appended group by group, so a stable sort by iteration keeps group
+	// order within an iteration.
+	for g, sg := range groups {
+		for _, ev := range sg.ctrl.Events() {
+			res.Replans = append(res.Replans, GroupReplanEvent{Group: g, ReplanEvent: ev})
+		}
+	}
+	slices.SortStableFunc(res.Replans, func(a, b GroupReplanEvent) int { return cmp.Compare(a.Iter, b.Iter) })
 	res.Usage = usage.Usage()
 	res.Summary = metrics.Summarize(finite)
 	if training {
 		res.Params = params
 	}
 	return res, nil
+}
+
+// iterTrace synthesises a decoded iteration's trace from simulated finish
+// times, in the shape of the live runtime it stands for, so -trace output of
+// a sim run diffs cleanly against a live run. One group is the flat master's
+// trace: members the replay ingested up to the decode point are full child
+// spans, later arrivals partial straggler erasures, like live rejects, and a
+// member that never arrives a partial dead span. Several groups are the
+// sharded root's trace: its children are the group masters (Group -1, Member
+// = group index), each with a compute span (its decode and ingest time) and
+// an upload span (the tree hops its sum paid to reach the root).
+func iterTrace(groups []*simGroup, iter, gen int, seconds, slowest, hops, comm float64, groupTimes []float64) obs.IterTrace {
+	if len(groups) > 1 {
+		tr := obs.IterTrace{
+			Iter: iter, Epoch: -1,
+			TraceID: obs.TraceID(0, -1, iter),
+			Start:   time.Now(),
+			Seconds: seconds,
+			Spans: []obs.Span{
+				{Phase: obs.PhaseBroadcast, Seconds: comm},
+				{Phase: obs.PhaseCollect, Seconds: slowest},
+				{Phase: obs.PhaseReduce, Seconds: hops},
+			},
+		}
+		for g, gt := range groupTimes {
+			tr.Members = append(tr.Members, obs.MemberSpan{
+				Member: g, Group: -1, Arrival: gt + hops,
+				Spans: []obs.Span{
+					{Phase: obs.PhaseCompute, Seconds: gt},
+					{Phase: obs.PhaseUpload, Seconds: hops},
+				},
+			})
+		}
+		return tr
+	}
+	sg := groups[0]
+	tr := obs.IterTrace{
+		Iter: iter, Epoch: sg.plan.Epoch,
+		TraceID: obs.TraceID(uint64(gen), sg.plan.Epoch, iter),
+		Start:   time.Now(),
+		Seconds: seconds,
+		Spans: []obs.Span{
+			{Phase: obs.PhaseBroadcast, Seconds: comm},
+			{Phase: obs.PhaseCollect, Seconds: sg.decodeAt},
+		},
+	}
+	loads := sg.plan.Strategy.Allocation().Loads
+	for slot, id := range sg.plan.Members {
+		if loads[slot] <= 0 {
+			continue
+		}
+		finish := sg.finish[slot]
+		ms := obs.MemberSpan{Member: id, Group: 0, Arrival: finish,
+			Spans: []obs.Span{{Phase: obs.PhaseCompute, Seconds: finish}}}
+		switch {
+		case math.IsInf(finish, 1):
+			ms = obs.MemberSpan{Member: id, Group: 0, Partial: true, Reason: obs.RDead}
+		case finish > sg.decodeAt:
+			ms.Partial, ms.Reason = true, obs.RStraggler
+		}
+		tr.Members = append(tr.Members, ms)
+	}
+	return tr
 }
 
 // decodeGradient reproduces the full coding path with real gradients: each
@@ -811,4 +1019,51 @@ func decodeGradient(st *core.Strategy, coeffs []float64, model ml.Model, params 
 		coded[w] = enc
 	}
 	return grad.Combine(coeffs, coded, model.Dim())
+}
+
+// replayEarliestDecodable is one group's BSP replay: completions
+// walk in stable (finish, slot) order, decode is probed after every arrival
+// once every partition has an arrived holder (a cheap necessary condition
+// that spares the solves bound to fail), and the earliest decodable prefix
+// wins. It returns that prefix's finish time, the decoding coefficients, and
+// how many arrivals the master ingested up to it; ok is false when no prefix
+// decodes (crashed workers — +Inf finish — never arrive).
+func replayEarliestDecodable(st *core.Strategy, finish []float64) (t float64, coeffs []float64, ingested int, ok bool) {
+	m := st.M()
+	order := make([]int, m)
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(finish[a], finish[b]) })
+	alive := make([]bool, m)
+	parts := st.Allocation().Parts
+	covered, uncovered := make([]bool, st.K()), st.K()
+	for _, slot := range order {
+		if math.IsInf(finish[slot], 1) {
+			break
+		}
+		alive[slot] = true
+		ingested++
+		for _, p := range parts[slot] {
+			if !covered[p] {
+				covered[p] = true
+				uncovered--
+			}
+		}
+		if uncovered > 0 {
+			continue
+		}
+		if c, err := st.Decode(alive); err == nil {
+			return finish[slot], c, ingested, true
+		}
+	}
+	return 0, nil, 0, false
+}
+
+// delayOf reads a member's injected delay (0 outside the slice).
+func delayOf(delays []float64, id int) float64 {
+	if delays == nil || id-1 < 0 || id-1 >= len(delays) {
+		return 0
+	}
+	return delays[id-1]
 }

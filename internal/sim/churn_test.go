@@ -49,7 +49,7 @@ func TestRunElasticChurnScenario(t *testing.T) {
 		t.Fatalf("replan reasons = %v, want 1 initial, ≥3 churn, ≥1 drift", reasons)
 	}
 	for i := 1; i < len(res.Epochs); i++ {
-		if res.Epochs[i] < res.Epochs[i-1] {
+		if res.Epochs[i][0] < res.Epochs[i-1][0] {
 			t.Fatalf("epochs regressed: %v", res.Epochs)
 		}
 	}

@@ -89,15 +89,15 @@ func testCrashResume(t *testing.T, base func() ElasticSimConfig) {
 		// Stitch crashed[0:start) + resumed[start:) and demand equality with
 		// the uninterrupted trajectory, bit for bit.
 		times := append(append([]float64(nil), partial.Times[:res.StartIter]...), res.Times...)
-		epochs := append(append([]int(nil), partial.Epochs[:res.StartIter]...), res.Epochs...)
+		epochs := append(append([][]int(nil), partial.Epochs[:res.StartIter]...), res.Epochs...)
 		counts := append(append([]int(nil), partial.MemberCounts[:res.StartIter]...), res.MemberCounts...)
 		if len(times) != len(un.Times) {
 			t.Fatalf("crash at %d: stitched %d iterations, uninterrupted %d", crashAt, len(times), len(un.Times))
 		}
 		for i := range un.Times {
-			if times[i] != un.Times[i] || epochs[i] != un.Epochs[i] || counts[i] != un.MemberCounts[i] {
+			if times[i] != un.Times[i] || epochs[i][0] != un.Epochs[i][0] || counts[i] != un.MemberCounts[i] {
 				t.Fatalf("crash at %d: iteration %d diverged: time %v vs %v, epoch %d vs %d, members %d vs %d",
-					crashAt, i, times[i], un.Times[i], epochs[i], un.Epochs[i], counts[i], un.MemberCounts[i])
+					crashAt, i, times[i], un.Times[i], epochs[i][0], un.Epochs[i][0], counts[i], un.MemberCounts[i])
 			}
 		}
 		// The overlap the resumed run re-executed (start..crashAt) must also
@@ -130,7 +130,7 @@ func TestCheckpointingDoesNotPerturb(t *testing.T) {
 		t.Fatalf("length drift: %d vs %d", len(bare.Times), len(with.Times))
 	}
 	for i := range bare.Times {
-		if bare.Times[i] != with.Times[i] || bare.Epochs[i] != with.Epochs[i] {
+		if bare.Times[i] != with.Times[i] || bare.Epochs[i][0] != with.Epochs[i][0] {
 			t.Fatalf("iteration %d drifted under checkpointing", i)
 		}
 	}

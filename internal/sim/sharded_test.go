@@ -10,14 +10,14 @@ import (
 	"github.com/hetgc/hetgc/internal/straggler"
 )
 
-func shardedChurnConfig(seed int64) ShardedSimConfig {
+func shardedChurnConfig(seed int64) ElasticSimConfig {
 	rates := make([]float64, 20)
 	for i := range rates {
 		rates[i] = 100
 	}
-	return ShardedSimConfig{
+	return ElasticSimConfig{
 		K: 40, S: 1, GroupSize: 5,
-		Rates: rates,
+		InitialRates: rates, Estimates: rates,
 		Events: []ChurnEvent{
 			{Iter: 8, Kind: SpeedStep, Member: 3, Factor: 0.1},
 			{Iter: 16, Kind: Kill, Member: 7},
@@ -35,11 +35,11 @@ func shardedChurnConfig(seed int64) ShardedSimConfig {
 }
 
 func TestShardedSimDeterministic(t *testing.T) {
-	a, err := RunSharded(shardedChurnConfig(3))
+	a, err := RunElastic(shardedChurnConfig(3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunSharded(shardedChurnConfig(3))
+	b, err := RunElastic(shardedChurnConfig(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestShardedSimDeterministic(t *testing.T) {
 func TestShardedSimGroupLocalReplanning(t *testing.T) {
 	cfg := shardedChurnConfig(5)
 	cfg.Injector = nil // isolate the scheduled events
-	res, err := RunSharded(cfg)
+	res, err := RunElastic(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,14 +131,15 @@ func TestShardedSimGroupLocalReplanning(t *testing.T) {
 // realistic per-upload master ingest cost. GroupSize 200 degenerates to the
 // flat runtime (one group, one master ingesting all 200 uploads, no tree),
 // so flat and sharded run the exact same simulation code.
-func shardedAt200(groupSize int) ShardedSimConfig {
+func shardedAt200(groupSize int) ElasticSimConfig {
 	rates := make([]float64, 200)
 	for i := range rates {
 		rates[i] = 100 // global partitions/second
 	}
-	return ShardedSimConfig{
+	return ElasticSimConfig{
 		K: 400, S: 1, GroupSize: groupSize, FanIn: 4,
-		Rates:         rates,
+		InitialRates:  rates,
+		Estimates:     rates,
 		Iterations:    25,
 		IngestSeconds: 0.002, // 2ms to receive+decode one gradient upload
 		HopSeconds:    0.005, // one reduction-tree hop
@@ -153,11 +154,11 @@ func shardedAt200(groupSize int) ShardedSimConfig {
 // ingest ~10 each in parallel and the reduction tree pays at most
 // FanIn coalesced (batched) frames per hop.
 func TestShardedBeatsFlatAt200Workers(t *testing.T) {
-	sharded, err := RunSharded(shardedAt200(10))
+	sharded, err := RunElastic(shardedAt200(10))
 	if err != nil {
 		t.Fatal(err)
 	}
-	flat, err := RunSharded(shardedAt200(200))
+	flat, err := RunElastic(shardedAt200(200))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +178,7 @@ func TestShardedBeatsFlatAt200Workers(t *testing.T) {
 	}
 
 	// Determinism at scale: the comparison is reproducible bit-for-bit.
-	again, err := RunSharded(shardedAt200(10))
+	again, err := RunElastic(shardedAt200(10))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,18 +192,18 @@ func TestShardedSimHopLatencyAndOverhead(t *testing.T) {
 	for i := range rates {
 		rates[i] = 100
 	}
-	base := ShardedSimConfig{
+	base := ElasticSimConfig{
 		K: 80, S: 1, GroupSize: 10, FanIn: 2,
-		Rates: rates, Iterations: 4, Seed: 11,
+		InitialRates: rates, Estimates: rates, Iterations: 4, Seed: 11,
 	}
-	noCost, err := RunSharded(base)
+	noCost, err := RunElastic(base)
 	if err != nil {
 		t.Fatal(err)
 	}
 	withCost := base
 	withCost.HopSeconds = 0.1
 	withCost.CommOverhead = 0.3
-	costly, err := RunSharded(withCost)
+	costly, err := RunElastic(withCost)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,25 +221,25 @@ func TestShardedSimHopLatencyAndOverhead(t *testing.T) {
 
 func TestShardedSimRejectsBadConfig(t *testing.T) {
 	rates := []float64{100, 100, 100}
-	cases := []ShardedSimConfig{
-		{K: 4, S: 1, Iterations: 3},                                 // no members
-		{K: 4, S: 1, Rates: rates},                                  // no iterations
-		{K: 4, S: 1, Rates: rates, Iterations: 3, CommOverhead: -1}, // negative comm
-		{K: 4, S: 1, Rates: rates, Iterations: 3, HopSeconds: -0.1}, // negative hop
-		{K: 0, S: 1, Rates: rates, Iterations: 3},                   // bad k
-		{K: 4, S: 1, Rates: []float64{1, -1, 1}, Iterations: 3},     // bad rate
-		{K: 4, S: 3, Rates: rates, Iterations: 3},                   // m < s+1
+	cases := []ElasticSimConfig{
+		{K: 4, S: 1, Iterations: 3},                                        // no members
+		{K: 4, S: 1, InitialRates: rates},                                  // no iterations
+		{K: 4, S: 1, InitialRates: rates, Iterations: 3, CommOverhead: -1}, // negative comm
+		{K: 4, S: 1, InitialRates: rates, Iterations: 3, HopSeconds: -0.1}, // negative hop
+		{K: 0, S: 1, InitialRates: rates, Iterations: 3},                   // bad k
+		{K: 4, S: 1, InitialRates: []float64{1, -1, 1}, Iterations: 3},     // bad rate
+		{K: 4, S: 3, InitialRates: rates, Iterations: 3},                   // m < s+1
 	}
 	for i, cfg := range cases {
-		if _, err := RunSharded(cfg); err == nil {
+		if _, err := RunElastic(cfg); err == nil {
 			t.Fatalf("case %d: expected error", i)
 		}
 	}
 
 	// Churn schedule errors.
 	bad := []ChurnEvent{{Iter: 0, Kind: Kill, Member: 99}}
-	cfg := ShardedSimConfig{K: 4, S: 1, Rates: rates, Iterations: 3, Events: bad}
-	if _, err := RunSharded(cfg); err == nil {
+	cfg := ElasticSimConfig{K: 4, S: 1, InitialRates: rates, Iterations: 3, Events: bad}
+	if _, err := RunElastic(cfg); err == nil {
 		t.Fatal("kill of unknown member: expected error")
 	}
 }
@@ -250,9 +251,33 @@ func TestShardedSimRejectsBadConfig(t *testing.T) {
 func TestShardedSimRefusesFixedShape(t *testing.T) {
 	rates := []float64{100, 100, 100, 100, 100, 100}
 	for _, kind := range []core.Kind{core.Naive, core.Cyclic, core.FractionalRepetition} {
-		cfg := ShardedSimConfig{K: 12, S: 1, GroupSize: 3, Scheme: kind, Rates: rates, Iterations: 3}
-		if _, err := RunSharded(cfg); !errors.Is(err, ErrBadChurn) {
+		cfg := ElasticSimConfig{K: 12, S: 1, GroupSize: 3, Scheme: kind, InitialRates: rates, Iterations: 3}
+		if _, err := RunElastic(cfg); !errors.Is(err, ErrBadChurn) {
 			t.Fatalf("%v: err = %v, want ErrBadChurn", kind, err)
+		}
+	}
+}
+
+// TestShardedSimUndecodableGroupFails: a group that cannot decode is a
+// straggler outcome, not a bad config. Both groups here lose two of their
+// three members for good (GroupSize 3 deals workers 0, 3, 4 and 1, 2, 5), so
+// every iteration fails, exactly as the same fleet's flat run does.
+func TestShardedSimUndecodableGroupFails(t *testing.T) {
+	rates := []float64{100, 100, 100, 100, 100, 100}
+	inf := math.Inf(1)
+	for groupSize, groups := range map[int]int{3: 2, 0: 1} {
+		cfg := ElasticSimConfig{
+			K: 12, S: 1, GroupSize: groupSize,
+			InitialRates: rates, Estimates: rates, Iterations: 3,
+			Injector: straggler.Pinned{Workers: []int{0, 1, 2, 3}, Delay: inf},
+		}
+		res, err := RunElastic(cfg)
+		if err != nil {
+			t.Fatalf("group size %d: %v", groupSize, err)
+		}
+		if res.Groups != groups || !reflect.DeepEqual(res.Times, []float64{inf, inf, inf}) || res.Failed != 3 {
+			t.Fatalf("group size %d: %d groups, times %v, failed %d: want %d, +Inf each and 3",
+				groupSize, res.Groups, res.Times, res.Failed, groups)
 		}
 	}
 }

@@ -30,11 +30,13 @@ func (o oneStraggler) Delays(iter, m int, _ *rand.Rand) []float64 {
 
 // threeGroups is a nine-worker fleet of three speeds in three coding groups
 // under transient interference, with a speed step, a kill and a join.
-func threeGroups() ShardedSimConfig {
-	return ShardedSimConfig{
+func threeGroups() ElasticSimConfig {
+	rates := []float64{300, 100, 200, 300, 100, 200, 300, 100, 200}
+	return ElasticSimConfig{
 		K: 18, S: 1, GroupSize: 3,
-		Rates:    []float64{300, 100, 200, 300, 100, 200, 300, 100, 200},
-		Injector: straggler.Transient{Prob: 0.2, Mean: 0.02},
+		InitialRates: rates,
+		Estimates:    rates,
+		Injector:     straggler.Transient{Prob: 0.2, Mean: 0.02},
 		Events: []ChurnEvent{
 			{Iter: 3, Kind: SpeedStep, Member: 2, Factor: 0.25},
 			{Iter: 5, Kind: Kill, Member: 4},
@@ -145,13 +147,45 @@ func TestSimTelemetry(t *testing.T) {
 			erasures: map[string]int{"straggler": 24, "dead": 9},
 		},
 	}, {
+		// A group covering the fleet is the flat run: no tree, and the times
+		// and the scrape of GroupSize 0.
+		name:  "one group",
+		iters: 36,
+		run: func(tel *obs.Metrics) ([]string, error) {
+			cfg := churnScenario()
+			cfg.Injector = oneStraggler{delay: 0.05}
+			flat, err := RunElastic(cfg)
+			if err != nil {
+				return nil, err
+			}
+			cfg.GroupSize = len(cfg.InitialRates)
+			cfg.TelemetryConfig = clustercfg.TelemetryConfig{Obs: tel}
+			res, err := RunElastic(cfg)
+			if err != nil {
+				return nil, err
+			}
+			if res.Groups != 1 || res.Depth != 0 || !reflect.DeepEqual(res.Times, flat.Times) {
+				return nil, fmt.Errorf("%d groups, depth %d, times %v: want 1, 0 and %v", res.Groups, res.Depth, res.Times, flat.Times)
+			}
+			var reasons []string
+			for _, ev := range res.Replans {
+				reasons = append(reasons, ev.Reason)
+			}
+			return reasons, nil
+		},
+		want: simTelemetry{
+			replans:  map[string]int{"initial": 1, "churn": 3, "drift": 3},
+			roster:   map[string]int{"join/0": 1, "death/0": 1, "rejoin/0": 1},
+			erasures: map[string]int{"straggler": 24, "dead": 9},
+		},
+	}, {
 		name:  "sharded",
 		iters: 10,
 		run: func(tel *obs.Metrics) ([]string, error) {
 			cfg := threeGroups()
 			cfg.Injector = oneStraggler{delay: 0.05}
 			cfg.TelemetryConfig = clustercfg.TelemetryConfig{Obs: tel}
-			res, err := RunSharded(cfg)
+			res, err := RunElastic(cfg)
 			if err != nil {
 				return nil, err
 			}
@@ -191,7 +225,7 @@ func TestSimTelemetry(t *testing.T) {
 // group-local epochs, the slowest group setting the pace, and the join
 // landing in the group the kill left short.
 func TestShardedSimPinned(t *testing.T) {
-	res, err := RunSharded(threeGroups())
+	res, err := RunElastic(threeGroups())
 	if err != nil {
 		t.Fatal(err)
 	}
