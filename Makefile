@@ -24,7 +24,9 @@ vet:
 # nothing to download) is for internal/transport/hostorder.go, the one place
 # that branches on the host's byte order and the one import of unsafe: no
 # runner is big-endian to take that branch, so the tree is at least built, and
-# the package vetted (unsafeptr), for a target that would.
+# the package vetted (unsafeptr), for a target that would. The last grep keeps
+# encoding/gob to the one file that encodes the cold control envelopes:
+# params and gradients ride the binary vector frame only.
 lint:
 	@unformatted=$$(gofmt -l .); \
 	if [ -n "$$unformatted" ]; then \
@@ -45,6 +47,13 @@ lint:
 		echo "$$bad"; exit 1; \
 	fi
 	@echo "metric names: single-sourced in internal/obs/names.go"
+	@bad=$$(grep -rl '"encoding/gob"' --include='*.go' --exclude='*_test.go' \
+		--exclude-dir=.bench_build . | grep -v '^\./internal/transport/transport\.go$$'); \
+	if [ -n "$$bad" ]; then \
+		echo "encoding/gob imported outside internal/transport/transport.go:"; \
+		echo "$$bad"; exit 1; \
+	fi
+	@echo "encoding/gob: imported by internal/transport/transport.go only"
 
 race:
 	$(GO) test -race ./...
@@ -76,8 +85,8 @@ cover-check: cover cover-gate
 # lease-token codec (arbitrary LEASE file bytes must yield an error wrapping
 # checkpoint.ErrCorrupt), the adoption-handshake frames and the vector frame
 # (arbitrary headers, codec bytes, span sections and truncated or quantized
-# payloads, as a binary wire frame or inside a gob batch, must yield
-# transport.ErrMalformed — never a panic, never a dim-sized allocation). Two
+# payloads, as a binary wire frame or as a gob-encoded vector envelope, must
+# yield transport.ErrMalformed — never a panic, never a dim-sized allocation). Two
 # targets are not decoders: the load allocator, whose output every plan is
 # built on (valid loads that no single-copy move improves), and the int8
 # encoder, whose payload must equal the reference encoder's byte for byte. A

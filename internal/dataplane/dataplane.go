@@ -187,7 +187,12 @@ func Answer(conn *transport.Conn, req *transport.Envelope, blob func(p int) ([]b
 	if err != nil {
 		return conn.Send(&transport.Envelope{Type: transport.MsgPartition, Part: req.Part})
 	}
-	return conn.SendBatch(transport.ChunkBlob(transport.Envelope{Part: req.Part}, b, chunkLen))
+	for _, chunk := range transport.ChunkBlob(transport.Envelope{Part: req.Part}, b, chunkLen) {
+		if err := conn.Send(chunk); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Serve answers MsgPartitionReq frames on conn until the peer hangs up. A

@@ -14,8 +14,7 @@ import (
 )
 
 // dialJoinFramed joins like dialJoin but over a socket with a small receive
-// buffer (so a reader that stops reading backs the sender up quickly) and
-// negotiating the vector frame, as the real workers do.
+// buffer, so a reader that stops reading backs the sender up quickly.
 func dialJoinFramed(t testing.TB, addr string) (*transport.Conn, int) {
 	t.Helper()
 	raw, err := net.DialTimeout("tcp", addr, 2*time.Second)
@@ -24,14 +23,13 @@ func dialJoinFramed(t testing.TB, addr string) (*transport.Conn, int) {
 	}
 	_ = raw.(*net.TCPConn).SetReadBuffer(64 << 10)
 	conn := transport.NewConn(raw)
-	if err := conn.Send(&transport.Envelope{Type: transport.MsgHello, WorkerID: transport.HelloNewWorker, Caps: transport.CapVectorFrame}); err != nil {
+	if err := conn.Send(&transport.Envelope{Type: transport.MsgHello, WorkerID: transport.HelloNewWorker}); err != nil {
 		t.Fatal(err)
 	}
 	ack, err := conn.Recv()
-	if err != nil || ack.Type != transport.MsgHello || ack.Caps&transport.CapVectorFrame == 0 {
+	if err != nil || ack.Type != transport.MsgHello {
 		t.Fatalf("handshake ack: env=%+v err=%v", ack, err)
 	}
-	conn.UseVectorFrames()
 	return conn, ack.WorkerID
 }
 
@@ -147,7 +145,7 @@ func TestBroadcastNoHeadOfLine(t *testing.T) {
 }
 
 // benchBroadcast measures one BroadcastParams of a dim-1e5 model to m
-// loopback members that negotiated the vector frame: the engine's whole
+// loopback members: the engine's whole
 // downlink cost per iteration (one encode, m concurrent writes, the join).
 func benchBroadcast(b *testing.B, m int) {
 	const dim = 100_000

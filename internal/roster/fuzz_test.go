@@ -97,7 +97,7 @@ func FuzzReadHello(f *testing.F) {
 			if env.WorkerID < transport.HelloNewWorker || env.WorkerID == 0 {
 				t.Fatalf("ReadHello accepted invalid member id %d", env.WorkerID)
 			}
-			if env.Assign != nil || env.Telemetry != nil || len(env.Vector) != 0 || len(env.Batch) != 0 {
+			if env.Assign != nil || env.Telemetry != nil || len(env.Vector) != 0 {
 				t.Fatalf("ReadHello accepted a hello with payload: %+v", env)
 			}
 		}

@@ -318,7 +318,7 @@ func validateHello(env *transport.Envelope) error {
 	if env.Iter != 0 || env.Epoch != 0 || env.Chunks != 0 {
 		return fmt.Errorf("%w: hello with iter=%d epoch=%d chunks=%d", transport.ErrMalformed, env.Iter, env.Epoch, env.Chunks)
 	}
-	if env.Assign != nil || env.Telemetry != nil || len(env.Vector) != 0 || len(env.Batch) != 0 {
+	if env.Assign != nil || env.Telemetry != nil || len(env.Vector) != 0 {
 		return fmt.Errorf("%w: hello carries payload", transport.ErrMalformed)
 	}
 	return nil
@@ -403,23 +403,17 @@ func (e *Engine) handshake(conn *transport.Conn) {
 	// Ack the hello with the assigned member ID so the worker can resume
 	// this slot after a reconnect, the negotiated upload codec — the
 	// master's preference when the worker advertised it, raw otherwise (an
-	// old peer sends no advertisement and is never asked to quantize) — and
-	// the vector-frame capability when the worker named it: from the ack on,
-	// params and gradients on this connection are binary frames. Join
+	// old peer sends no advertisement and is never asked to quantize). Join
 	// bookkeeping — the controller registration, the join counter, the
 	// Prior slot — happens only after the ack lands: a peer that dies
 	// mid-handshake was never a member, so it must not count as a join, a
 	// death, or burn a planned-throughput prior.
-	caps := hello.Caps & transport.CapVectorFrame
-	ack := &transport.Envelope{Type: transport.MsgHello, WorkerID: id, Codec: NegotiateCodec(e.cfg.Codec, hello.Codecs), Caps: caps}
+	ack := &transport.Envelope{Type: transport.MsgHello, WorkerID: id, Codec: NegotiateCodec(e.cfg.Codec, hello.Codecs)}
 	if err := conn.Send(ack); err != nil {
 		e.members[id].alive = false
 		e.mu.Unlock()
 		_ = conn.Close()
 		return
-	}
-	if caps != 0 {
-		conn.UseVectorFrames()
 	}
 	prior := 0.0
 	if e.cfg.Prior != nil {

@@ -171,7 +171,7 @@ func dialElasticOnce(addr string, cfg ElasticWorkerConfig) (*ElasticWorker, erro
 	if advertised == nil {
 		advertised = grad.AdvertiseCodecs()
 	}
-	if err := conn.Send(&transport.Envelope{Type: transport.MsgHello, WorkerID: helloID, Codecs: advertised, Caps: transport.CapVectorFrame}); err != nil {
+	if err := conn.Send(&transport.Envelope{Type: transport.MsgHello, WorkerID: helloID, Codecs: advertised}); err != nil {
 		_ = conn.Close()
 		return nil, err
 	}
@@ -183,11 +183,6 @@ func dialElasticOnce(addr string, cfg ElasticWorkerConfig) (*ElasticWorker, erro
 	if ack.Type != transport.MsgHello || ack.WorkerID <= 0 {
 		_ = conn.Close()
 		return nil, fmt.Errorf("%w: expected hello ack, got %v", ErrBadConfig, ack.Type)
-	}
-	// The vector frame is on once both sides named it; an old master's ack
-	// carries no capability and the connection stays on gob.
-	if ack.Caps&transport.CapVectorFrame != 0 {
-		conn.UseVectorFrames()
 	}
 	// Honor the master's chosen codec only if this worker advertised it —
 	// anything else (including an old master's zero value) means raw.

@@ -279,15 +279,13 @@ func startScripted(t *testing.T, cfg ElasticWorkerConfig) *scriptedMaster {
 			accepted <- nil
 			return
 		}
-		hello, err := conn.Recv()
+		_, err = conn.Recv()
 		if err == nil {
-			err = conn.Send(&transport.Envelope{Type: transport.MsgHello, WorkerID: 1, Caps: hello.Caps & transport.CapVectorFrame})
+			err = conn.Send(&transport.Envelope{Type: transport.MsgHello, WorkerID: 1})
 		}
 		if err != nil {
 			_ = conn.Close()
 			conn = nil
-		} else {
-			conn.UseVectorFrames()
 		}
 		accepted <- conn
 	}()

@@ -142,7 +142,6 @@ func (gc *groupCore) adopt(conn *transport.Conn, timeout time.Duration) (gen, ne
 	err = conn.Send(&transport.Envelope{
 		Type:   transport.MsgAdopt,
 		Codecs: advertised,
-		Caps:   transport.CapVectorFrame,
 		Adopt:  &transport.Adoption{Group: gc.g, Epoch: epoch, Members: members},
 	})
 	if err != nil {
@@ -154,11 +153,6 @@ func (gc *groupCore) adopt(conn *transport.Conn, timeout time.Duration) (gen, ne
 	}
 	if ack.Type != transport.MsgAdopt || ack.Adopt == nil || ack.Adopt.Group != gc.g {
 		return 0, 0, fmt.Errorf("%w: group %d: bad adoption ack %v", ErrBadConfig, gc.g, ack.Type)
-	}
-	// The uplink carries vector frames once the root's ack names the
-	// capability too; an old root's ack has none and the uplink stays on gob.
-	if ack.Caps&transport.CapVectorFrame != 0 {
-		conn.UseVectorFrames()
 	}
 	// Honor the root's chosen uplink codec only if we advertised it — an old
 	// root's zero value (or a bogus byte) means raw.

@@ -393,7 +393,6 @@ func (r *Root) adoptConn(conn *transport.Conn) {
 		Iter:    r.serveIter,
 		RootGen: r.core.Gen(),
 		Codec:   roster.NegotiateCodec(byte(r.core.Codec()), env.Codecs),
-		Caps:    env.Caps & transport.CapVectorFrame,
 		Adopt: &transport.Adoption{
 			Group:   g,
 			Epoch:   r.groupEpoch[g],
@@ -406,9 +405,6 @@ func (r *Root) adoptConn(conn *transport.Conn) {
 		return
 	}
 	_ = conn.SetDeadline(time.Time{})
-	if ack.Caps != 0 {
-		conn.UseVectorFrames()
-	}
 	if old := r.uplink[g]; old != nil {
 		_ = old.Close()
 	}

@@ -1,83 +1,30 @@
-// Frame batching: coalesce several envelopes into one wire frame so that
-// high-fan-in senders (a group master streaming its aggregated gradient
+// Frame batching: coalesce several vector envelopes into one wire frame so
+// that high-fan-in senders (a group master streaming its aggregated gradient
 // chunks up the reduction tree every iteration) pay one write per iteration
-// instead of one per message. A batch is a flat byte sequence of
-// length-prefixed sub-frames (see frame.go): vector sub-frames in one binary
-// wire frame on a connection that negotiated the vector frame; towards any
-// other peer, inside a gob MsgBatch envelope, the gradient layouts that peer
-// knows and a self-contained gob encoding for everything else. Batches are
-// assembled in pooled buffers, so steady-state batching does not allocate.
+// instead of one per message. A batch is one binary wire frame holding one
+// vector sub-frame per envelope (see frame.go), assembled in a pooled buffer,
+// so steady-state batching does not allocate. Control envelopes are never
+// batched: each is its own gob frame.
 package transport
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 
 	"github.com/hetgc/hetgc/internal/grad"
 )
 
-// SendBatch coalesces the given envelopes into a single frame and writes it
-// with one write. Receivers observe the identical sub-frame sequence from
-// consecutive Recv calls — batching is invisible above the transport. A
-// single envelope is sent directly (no batch overhead); an empty slice is a
-// no-op. Envelopes must be valid per the protocol invariants and must not
-// themselves be batches.
+// SendBatch coalesces the given params or gradient envelopes into a single
+// wire frame and writes it with one write. Receivers observe the identical
+// sub-frame sequence from consecutive Recv calls — batching is invisible above
+// the transport, and a one-envelope batch is exactly a Send. An empty slice is
+// a no-op. An envelope the vector frame cannot carry — a control message
+// included — refuses the whole batch with an error wrapping ErrMalformed, and
+// nothing is written.
 func (c *Conn) SendBatch(envs []*Envelope) error {
-	switch len(envs) {
-	case 0:
+	if len(envs) == 0 {
 		return nil
-	case 1:
-		// Enforce the same nested-batch rejection appendBatch applies to
-		// longer batches: a hand-built MsgBatch envelope must not ship
-		// unvalidated through the single-frame shortcut.
-		if envs[0].Type == MsgBatch {
-			return fmt.Errorf("%w: nested batch (sub-frame 0)", ErrMalformed)
-		}
-		return c.Send(envs[0])
 	}
-	if framed, err := c.sendFramed(envs...); framed {
-		return err
-	}
-	// Not negotiated, or a sub-frame that is not a vector: the batch rides a
-	// gob MsgBatch envelope.
-	size := 0
-	for _, e := range envs {
-		n, _ := vectorFrameLen(e)
-		size += 4 + n
-	}
-	payload, err := appendBatch(grad.GetBytes(size), envs)
-	defer func() { grad.PutBytes(payload) }()
-	if err != nil {
-		return err
-	}
-	return c.Send(&Envelope{Type: MsgBatch, Batch: payload})
-}
-
-// appendBatch appends the length-prefixed sub-frame payload of a gob-carried
-// batch to dst — the inverse of decodeFrames with gobCarried. Its reader did
-// not negotiate the vector frame, so every sub-frame goes in legacyKind.
-func appendBatch(dst []byte, envs []*Envelope) ([]byte, error) {
-	for i, e := range envs {
-		if e.Type == MsgBatch {
-			return dst, fmt.Errorf("%w: nested batch (sub-frame %d)", ErrMalformed, i)
-		}
-		if e.Type == MsgGradient {
-			countCodecOut(e)
-		}
-		if kind := legacyKind(e); kind != subFrameGob {
-			dst = appendSubFrame(dst, e, kind, false)
-			continue
-		}
-		at := len(dst)
-		buf := bytes.NewBuffer(append(dst, 0, 0, 0, 0, subFrameGob))
-		if err := gob.NewEncoder(buf).Encode(e); err != nil {
-			return dst, fmt.Errorf("transport batch sub-frame %d (%v): %w", i, e.Type, err)
-		}
-		dst = buf.Bytes()
-		wireOrder.PutUint32(dst[at:], uint32(len(dst)-at-4))
-	}
-	return dst, nil
+	return c.sendFrame(envs...)
 }
 
 // ChunkGradient splits one gradient upload into chunked MsgGradient
@@ -85,15 +32,13 @@ func appendBatch(dst []byte, envs []*Envelope) ([]byte, error) {
 // receiver reassembles them with JoinChunks. Every chunk shares the
 // template's Iter/Epoch/WorkerID. A template's trace context and phase
 // spans ride only the FINAL chunk: spans there is the protocol rule, and the
-// receiver stitches one echo per upload, not one per chunk. On a connection
-// that negotiated the vector frame the traced chunk is a vector frame like
-// the rest — the trace context and the spans have their own optional sections
-// in its header; only towards a peer that did not negotiate does it fall back
-// to a gob sub-frame, the one encoding of it such a peer decodes. chunkLen
-// <= 0, or a vector that fits in a single chunk, yields one unchunked frame.
+// receiver stitches one echo per upload, not one per chunk. The traced chunk
+// is a vector sub-frame like the rest: the trace context and the spans have
+// their own optional sections in its header. chunkLen <= 0, or a vector that
+// fits in a single chunk, yields one unchunked frame.
 func ChunkGradient(tmpl Envelope, vec []float64, chunkLen int) []*Envelope {
 	tmpl.Type = MsgGradient
-	tmpl.Assign, tmpl.Telemetry, tmpl.Batch = nil, nil, nil
+	tmpl.Assign, tmpl.Telemetry = nil, nil
 	trace, spans := tmpl.Trace, tmpl.Spans
 	tmpl.Trace, tmpl.Spans = 0, nil
 	if chunkLen <= 0 || len(vec) <= chunkLen {
@@ -165,14 +110,14 @@ func ReleaseQuant(envs []*Envelope) {
 }
 
 // ChunkBlob splits one data-plane payload into chunked MsgPartition frames
-// of at most chunkLen bytes each; the receiver reassembles them with
-// JoinBlobChunks. Every chunk shares the template's Part/Iter/RootGen. The
+// of at most chunkLen bytes each, for one Send each; the receiver reassembles
+// them with JoinBlobChunks. Every chunk shares the template's Part/Iter/RootGen. The
 // result always has Chunks >= 1 (protocol rule: a MsgPartition carrying data
 // is always chunk-framed; Chunks == 0 is the not-served marker), so chunkLen
 // <= 0 or a blob that fits yields a single 1-of-1 chunk.
 func ChunkBlob(tmpl Envelope, blob []byte, chunkLen int) []*Envelope {
 	tmpl.Type = MsgPartition
-	tmpl.Assign, tmpl.Telemetry, tmpl.Batch, tmpl.Vector = nil, nil, nil, nil
+	tmpl.Assign, tmpl.Telemetry, tmpl.Vector = nil, nil, nil
 	if chunkLen <= 0 || len(blob) <= chunkLen {
 		e := tmpl
 		e.Blob = blob

@@ -3,7 +3,6 @@ package transport
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -14,19 +13,16 @@ import (
 	"github.com/hetgc/hetgc/internal/grad"
 )
 
-// encodeBatch and decodeBatch drive the gob-carried batch payload codec the
-// way SendBatch and Recv do towards a peer without the vector frame.
-func encodeBatch(buf *bytes.Buffer, envs []*Envelope) error {
-	b, err := appendBatch(nil, envs)
-	buf.Write(b)
-	return err
+// encodeBatch is the frame body SendBatch writes for envs, from the reference
+// encoder (which judges nothing, so it also builds hostile bodies), and
+// decodeBatch decodes a body the way Recv does.
+func encodeBatch(envs ...*Envelope) []byte { return referenceFrame(envs...)[wireHeaderLen:] }
+
+func decodeBatch(body []byte) ([]*Envelope, error) {
+	return decodeFrames(NewConn(&memConn{r: bytes.NewReader(body)}).br, len(body))
 }
 
-func decodeBatch(batch []byte) ([]*Envelope, error) {
-	return decodeFrames(&sliceSource{b: batch}, len(batch), true)
-}
-
-// randomEnvelope draws one valid non-batch envelope of a random flavour.
+// randomEnvelope draws one valid vector envelope of a random flavour.
 func randomEnvelope(rng *rand.Rand) *Envelope {
 	vec := func(n int) []float64 {
 		v := make([]float64, n)
@@ -35,7 +31,7 @@ func randomEnvelope(rng *rand.Rand) *Envelope {
 		}
 		return v
 	}
-	switch rng.Intn(5) {
+	switch rng.Intn(4) {
 	case 0: // unchunked gradient
 		return &Envelope{Type: MsgGradient, Iter: rng.Intn(100), Epoch: rng.Intn(5),
 			WorkerID: rng.Intn(8), Vector: vec(1 + rng.Intn(16))}
@@ -46,17 +42,10 @@ func randomEnvelope(rng *rand.Rand) *Envelope {
 			Vector: vec(1 + rng.Intn(16))}
 	case 2:
 		return &Envelope{Type: MsgParams, Iter: rng.Intn(100), Epoch: rng.Intn(5),
-			Vector: vec(1 + rng.Intn(16))}
-	case 3:
-		return &Envelope{Type: MsgTelemetry, Iter: rng.Intn(100), WorkerID: rng.Intn(8),
-			Telemetry: &Telemetry{ComputeSeconds: rng.Float64(), Partitions: 1 + rng.Intn(9)}}
-	default:
-		return &Envelope{Type: MsgReassign, Epoch: rng.Intn(5), Assign: &Assignment{
-			WorkerID:   rng.Intn(8),
-			Partitions: []int{0, 2},
-			RowCoeffs:  []float64{rng.NormFloat64(), rng.NormFloat64()},
-			K:          4, S: 1,
-		}}
+			RootGen: rng.Intn(3), Trace: rng.Uint64(), Vector: vec(1 + rng.Intn(16))}
+	default: // traced gradient
+		return &Envelope{Type: MsgGradient, Iter: rng.Intn(100), WorkerID: rng.Intn(8), Trace: 1 + rng.Uint64()>>1,
+			Spans: []PhaseSpan{{Phase: "compute", Seconds: rng.Float64()}}, Vector: vec(1 + rng.Intn(16))}
 	}
 }
 
@@ -126,14 +115,17 @@ func TestSendBatchEmptyAndSingle(t *testing.T) {
 	}
 }
 
+// TestSendBatchRejectsNested: a batch holds vector envelopes only, so one
+// carrying the retired batch number is refused whole and nothing is sent.
 func TestSendBatchRejectsNested(t *testing.T) {
-	a, _ := pipePair(t)
+	var out bytes.Buffer
+	a := NewConn(&memConn{r: bytes.NewReader(nil), w: &out})
 	err := a.SendBatch([]*Envelope{
 		{Type: MsgParams, Vector: []float64{1}},
-		{Type: MsgBatch, Batch: []byte{1, 2, 3}},
+		{Type: MsgType(8)},
 	})
-	if !errors.Is(err, ErrMalformed) {
-		t.Fatalf("nested batch error = %v, want ErrMalformed", err)
+	if !errors.Is(err, ErrMalformed) || out.Len() != 0 {
+		t.Fatalf("nested batch error = %v with %d bytes written, want ErrMalformed and none", err, out.Len())
 	}
 }
 
@@ -141,12 +133,7 @@ func TestSendBatchRejectsNested(t *testing.T) {
 // the whole batch fails with ErrMalformed and the connection survives.
 func TestTruncatedSubFrames(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	envs := []*Envelope{randomEnvelope(rng), randomEnvelope(rng), randomEnvelope(rng)}
-	var payload bytes.Buffer
-	if err := encodeBatch(&payload, envs); err != nil {
-		t.Fatal(err)
-	}
-	full := payload.Bytes()
+	full := encodeBatch(randomEnvelope(rng), randomEnvelope(rng), randomEnvelope(rng))
 	// A cut exactly at a sub-frame boundary is a (valid) shorter batch; every
 	// other cut lands inside a prefix or payload and must be rejected.
 	boundary := map[int]bool{}
@@ -168,13 +155,12 @@ func TestTruncatedSubFrames(t *testing.T) {
 		}
 	}
 
-	// Over a live connection: the malformed batch is dropped, the stream
-	// stays in sync and the next frame is delivered.
-	a, b := pipePair(t)
-	go func() {
-		_ = a.Send(&Envelope{Type: MsgBatch, Batch: full[:len(full)-3]})
-		_ = a.Send(&Envelope{Type: MsgParams, Iter: 9, Vector: []float64{4}})
-	}()
+	// On a connection, under an honest frame length: the malformed batch is
+	// dropped, the stream stays in sync and the next frame is delivered.
+	cut := full[:len(full)-3]
+	stream := append(wireOrder.AppendUint32([]byte{frameMarker}, uint32(len(cut))), cut...)
+	stream = append(stream, referenceFrame(&Envelope{Type: MsgParams, Iter: 9, Vector: []float64{4}})...)
+	b := NewConn(&memConn{r: bytes.NewReader(stream)})
 	if _, err := b.Recv(); !errors.Is(err, ErrMalformed) {
 		t.Fatalf("truncated batch recv err = %v, want ErrMalformed", err)
 	}
@@ -188,18 +174,7 @@ func TestBatchRejectsMalformedSubFrameAndEmpty(t *testing.T) {
 	// A structurally intact sub-frame that violates protocol invariants
 	// (chunk index out of range) poisons the whole batch.
 	bad := &Envelope{Type: MsgGradient, Vector: []float64{1}, Chunk: 5, Chunks: 2}
-	var payload bytes.Buffer
-	var scratch bytes.Buffer
-	if err := encodeBatch(&scratch, []*Envelope{{Type: MsgParams, Vector: []float64{1}}}); err != nil {
-		t.Fatal(err)
-	}
-	payload.Write(scratch.Bytes())
-	var raw bytes.Buffer
-	if err := encodeBatchUnvalidated(&raw, bad); err != nil {
-		t.Fatal(err)
-	}
-	payload.Write(raw.Bytes())
-	if _, err := decodeBatch(payload.Bytes()); !errors.Is(err, ErrMalformed) {
+	if _, err := decodeBatch(encodeBatch(&Envelope{Type: MsgParams, Vector: []float64{1}}, bad)); !errors.Is(err, ErrMalformed) {
 		t.Fatalf("invalid sub-frame: err = %v, want ErrMalformed", err)
 	}
 
@@ -207,25 +182,15 @@ func TestBatchRejectsMalformedSubFrameAndEmpty(t *testing.T) {
 		t.Fatalf("empty batch: err = %v, want ErrMalformed", err)
 	}
 
-	a, b := pipePair(t)
-	go func() { _ = a.Send(&Envelope{Type: MsgBatch}) }()
+	// A frame with an empty body is refused, and the stream stays in sync.
+	stream := append([]byte{frameMarker, 0, 0, 0, 0}, referenceFrame(&Envelope{Type: MsgParams, Iter: 9})...)
+	b := NewConn(&memConn{r: bytes.NewReader(stream)})
 	if _, err := b.Recv(); !errors.Is(err, ErrMalformed) {
-		t.Fatalf("empty MsgBatch recv err = %v, want ErrMalformed", err)
+		t.Fatalf("empty frame recv err = %v, want ErrMalformed", err)
 	}
-}
-
-// encodeBatchUnvalidated writes one sub-frame without send-side checks, to
-// craft hostile payloads.
-func encodeBatchUnvalidated(buf *bytes.Buffer, e *Envelope) error {
-	var scratch bytes.Buffer
-	if err := gob.NewEncoder(&scratch).Encode(e); err != nil {
-		return err
+	if got, err := b.Recv(); err != nil || got.Iter != 9 {
+		t.Fatalf("stream out of sync after the empty frame: %+v, %v", got, err)
 	}
-	var prefix [4]byte
-	binary.BigEndian.PutUint32(prefix[:], uint32(scratch.Len()))
-	buf.Write(prefix[:])
-	buf.Write(scratch.Bytes())
-	return nil
 }
 
 func TestChunkJoinRoundTrip(t *testing.T) {
@@ -283,19 +248,16 @@ func TestJoinChunksRejectsBrokenSequences(t *testing.T) {
 	}
 }
 
-// FuzzDecodeBatch feeds arbitrary bytes to the batch splitter: it must never
-// panic, and anything it accepts must be a valid sub-frame sequence that
-// re-encodes to an equivalent batch.
+// FuzzDecodeBatch feeds arbitrary bytes to the frame-body decoder: it must
+// never panic, and anything it accepts must be a valid sub-frame sequence
+// whose re-encoding decodes and re-encodes to the same bytes.
 func FuzzDecodeBatch(f *testing.F) {
 	rng := rand.New(rand.NewSource(19))
-	var seed bytes.Buffer
-	if err := encodeBatch(&seed, []*Envelope{randomEnvelope(rng), randomEnvelope(rng)}); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(seed.Bytes())
+	seed := encodeBatch(randomEnvelope(rng), randomEnvelope(rng))
+	f.Add(seed)
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 200, 1, 2, 3})
-	f.Add(seed.Bytes()[:seed.Len()/2])
+	f.Add(seed[:len(seed)/2])
 	f.Fuzz(func(t *testing.T, data []byte) {
 		subs, err := decodeBatch(data)
 		if err != nil {
@@ -308,22 +270,17 @@ func FuzzDecodeBatch(f *testing.F) {
 			t.Fatal("accepted batch with zero sub-frames")
 		}
 		for i, e := range subs {
-			if e.Type == MsgBatch {
-				t.Fatalf("sub-frame %d is a nested batch", i)
-			}
 			if err := e.validate(); err != nil {
 				t.Fatalf("accepted invalid sub-frame %d: %v", i, err)
 			}
+			e.Codec = 0 // a quantized payload arrives decoded: it re-encodes raw
 		}
-		var re bytes.Buffer
-		if err := encodeBatch(&re, subs); err != nil {
-			t.Fatalf("re-encode of accepted batch failed: %v", err)
-		}
-		again, err := decodeBatch(re.Bytes())
+		re := encodeBatch(subs...)
+		again, err := decodeBatch(re)
 		if err != nil {
 			t.Fatalf("re-decode failed: %v", err)
 		}
-		if !reflect.DeepEqual(subs, again) {
+		if !bytes.Equal(encodeBatch(again...), re) {
 			t.Fatal("decode/encode/decode not a fixed point")
 		}
 	})
@@ -344,11 +301,7 @@ func FuzzBatchRoundTrip(f *testing.F) {
 		for i := range envs {
 			envs[i] = randomEnvelope(rng)
 		}
-		var payload bytes.Buffer
-		if err := encodeBatch(&payload, envs); err != nil {
-			t.Fatalf("encode: %v", err)
-		}
-		got, err := decodeBatch(payload.Bytes())
+		got, err := decodeBatch(encodeBatch(envs...))
 		if err != nil {
 			t.Fatalf("decode: %v", err)
 		}

@@ -18,33 +18,22 @@
 //	              the raw codec; otherwise the codec's byte string, running to
 //	              the end of the sub-frame
 //
-// Sub-frames travel length-prefixed (uint32 big-endian). On a connection that
-// negotiated CapVectorFrame a wire frame is the marker byte 0x00, the body
-// length (uint32 big-endian) and a body of one or more sub-frames — one for a
-// Send, several for a SendBatch. Only the headers are encoded: a raw payload
-// is the vector's own memory (hostorder.go), so the frame goes out as one
-// gathered write of header, vector, header, vector…, and comes in with the
-// payload read off the socket straight into a pooled vector — the
-// connection's read buffer holds only what a header-sized read happened to
-// bring with it. An envelope the header cannot carry (a field outside uint32
-// range, an auxiliary payload) takes the gob path, where the receiver's
-// validation judges it.
-//
-// A peer that did not negotiate — a build from before the vector frame — is
-// sent, and sends, exactly that build's bytes: gob envelopes, and for a
-// SendBatch a gob MsgBatch whose Batch field holds gob-encoded sub-frames
-// next to the two gradient layouts that build knew. Those are the vector
-// sub-frame's seven uint32 fields and payload behind a shorter prefix —
-// subFrameGradient alone for raw float64, subFrameQuant and the codec byte
-// for a quantized payload — with no message type (always MsgGradient) and no
-// optional sections, so a traced or span-carrying chunk goes as gob there.
-// One encoder and one decoder serve all three prefixes.
+// Sub-frames travel length-prefixed (uint32 big-endian). A wire frame is the
+// marker byte 0x00, the body length (uint32 big-endian) and a body of one or
+// more sub-frames — one for a Send, several for a SendBatch. Only the headers
+// are encoded: a raw payload is the vector's own memory (hostorder.go), so the
+// frame goes out as one gathered write of header, vector, header, vector…,
+// and comes in with the payload read off the socket straight into a pooled
+// vector — the connection's read buffer holds only what a header-sized read
+// happened to bring with it. There is no other encoding of a params or
+// gradient envelope: one the header cannot carry (a field outside uint32
+// range, an auxiliary payload, a body over maxFrameBody) is refused at the
+// sender with ErrMalformed, and a gob-encoded one is refused at the receiver.
 package transport
 
 import (
-	"bytes"
+	"bufio"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -62,13 +51,9 @@ const (
 	// wireHeaderLen is the marker plus the body length.
 	wireHeaderLen = 5
 
-	// Sub-frame kinds. A binary wire frame holds subFrameVector only; the
-	// other three are the vocabulary of a gob-carried batch, kept for peers
-	// that did not negotiate the vector frame.
-	subFrameGob      = 0x00
-	subFrameGradient = 0x01
-	subFrameQuant    = 0x02
-	subFrameVector   = 0x03
+	// subFrameVector is the one sub-frame kind; any other kind byte is
+	// malformed.
+	subFrameVector = 0x03
 
 	vectorHeaderLen = 5 + 4*7
 	flagTrace       = 1 << 0
@@ -87,27 +72,32 @@ const (
 var wireOrder = binary.BigEndian
 
 // maxFrameBody bounds the body a sender will frame (the length prefix is a
-// uint32; int32 range keeps the arithmetic portable). A larger payload takes
-// the gob path.
+// uint32; int32 range keeps the arithmetic portable).
 const maxFrameBody = math.MaxInt32
 
 // maxBatchFrames bounds the number of sub-frames Recv will unpack from one
 // frame; an application-layer sanity cap like MaxVectorLen.
 const maxBatchFrames = 1 << 20
 
-// vectorFrameLen reports whether e fits the vector frame — a params or
-// gradient envelope with no auxiliary payloads and every header value in
-// uint32 range (a larger value would be silently truncated by the encoder
-// and decode as a different frame) — and the sub-frame's encoded length.
-func vectorFrameLen(e *Envelope) (int, bool) {
-	if (e.Type != MsgParams && e.Type != MsgGradient) || e.Assign != nil || e.Telemetry != nil ||
-		e.Batch != nil || e.Adopt != nil || e.Blob != nil || e.Part != 0 || e.Codecs != nil || e.Caps != 0 ||
-		len(e.Spans) > MaxSpans {
-		return 0, false
+// vectorFrameLen returns the encoded length of e's sub-frame, or an error
+// wrapping ErrMalformed when the vector frame cannot carry e: not a params or
+// gradient envelope, an auxiliary payload, a header value outside uint32
+// range (the encoder would silently truncate it, and it would decode as a
+// different frame), more spans than the header counts, or an inconsistent
+// quantized payload. The body cap (encodeWireFrame) bounds the payload.
+func vectorFrameLen(e *Envelope) (int, error) {
+	if e.Type != MsgParams && e.Type != MsgGradient {
+		return 0, fmt.Errorf("%w: %v is not a vector message", ErrMalformed, e.Type)
+	}
+	if e.Assign != nil || e.Telemetry != nil || e.Adopt != nil || e.Blob != nil || e.Part != 0 || e.Codecs != nil {
+		return 0, fmt.Errorf("%w: %v carries a payload the vector frame has no field for", ErrMalformed, e.Type)
+	}
+	if len(e.Spans) > MaxSpans {
+		return 0, fmt.Errorf("%w: %v carries %d phase spans (cap %d)", ErrMalformed, e.Type, len(e.Spans), MaxSpans)
 	}
 	for _, v := range [...]int{e.Iter, e.Epoch, e.WorkerID, e.Chunk, e.Chunks, e.RootGen} {
 		if v < 0 || v > math.MaxInt32 {
-			return 0, false
+			return 0, fmt.Errorf("%w: %v header field %d outside the frame's range", ErrMalformed, e.Type, v)
 		}
 	}
 	n := vectorHeaderLen
@@ -116,56 +106,28 @@ func vectorFrameLen(e *Envelope) (int, bool) {
 	}
 	for _, sp := range e.Spans {
 		if len(sp.Phase) > math.MaxUint8 {
-			return 0, false
+			return 0, fmt.Errorf("%w: phase span name of %d bytes", ErrMalformed, len(sp.Phase))
 		}
 		n += 1 + len(sp.Phase) + 8
 	}
 	if e.Codec != 0 || len(e.Quant) > 0 || e.QuantLen != 0 {
 		if !grad.Codec(e.Codec).Valid() || e.Codec == 0 || len(e.Quant) == 0 || len(e.Vector) != 0 ||
-			e.QuantLen < 1 || e.QuantLen > math.MaxInt32 {
-			return 0, false
+			e.QuantLen < 1 || e.QuantLen > MaxVectorLen {
+			return 0, fmt.Errorf("%w: %v codec %d with a %d-byte payload of %d elements and %d raw ones",
+				ErrMalformed, e.Type, e.Codec, len(e.Quant), e.QuantLen, len(e.Vector))
 		}
 		n += len(e.Quant)
 	} else {
-		if len(e.Vector) > MaxVectorLen {
-			return 0, false
-		}
 		n += 8 * len(e.Vector)
 	}
-	return n, n <= maxFrameBody-4
+	return n, nil
 }
 
-// prefixLen is the number of bytes a sub-frame kind puts before the seven
-// uint32 header fields.
-func prefixLen(kind byte) int {
-	switch kind {
-	case subFrameGradient:
-		return 1
-	case subFrameQuant:
-		return 2
-	}
-	return 5
-}
-
-// legacyKind is the sub-frame kind that carries e to a peer that did not
-// negotiate the vector frame: one of the two layouts it knows, or — for
-// anything they cannot express — a gob sub-frame.
-func legacyKind(e *Envelope) byte {
-	if _, ok := vectorFrameLen(e); !ok || e.Type != MsgGradient || e.Trace != 0 || len(e.Spans) != 0 {
-		return subFrameGob
-	}
-	if e.Codec != 0 {
-		return subFrameQuant
-	}
-	return subFrameGradient
-}
-
-// appendSubFrame appends e as one length-prefixed sub-frame of the given
-// binary kind. The caller checked vectorFrameLen (and, for the two layouts
-// of legacyKind, that e needs no optional section). With scatter a payload
-// that scattered returns is left out — the length prefix counts it all the
-// same — for the writer to send right behind these bytes.
-func appendSubFrame(dst []byte, e *Envelope, kind byte, scatter bool) []byte {
+// appendSubFrame appends e, which vectorFrameLen accepted, as one
+// length-prefixed sub-frame. A payload that scattered returns is left out —
+// the length prefix counts it all the same — for the writer to send right
+// behind these bytes.
+func appendSubFrame(dst []byte, e *Envelope) []byte {
 	at := len(dst)
 	count, owed := len(e.Vector), 0
 	if len(e.Quant) > 0 {
@@ -175,13 +137,7 @@ func appendSubFrame(dst []byte, e *Envelope, kind byte, scatter bool) []byte {
 	if e.Trace != 0 {
 		flags |= flagTrace
 	}
-	dst = append(dst, 0, 0, 0, 0, kind)
-	switch kind {
-	case subFrameVector:
-		dst = append(dst, byte(e.Type), e.Codec, flags, byte(len(e.Spans)))
-	case subFrameQuant:
-		dst = append(dst, e.Codec)
-	}
+	dst = append(dst, 0, 0, 0, 0, subFrameVector, byte(e.Type), e.Codec, flags, byte(len(e.Spans)))
 	for _, v := range [...]int{e.Iter, e.Epoch, e.WorkerID, e.Chunk, e.Chunks, e.RootGen, count} {
 		dst = binary.LittleEndian.AppendUint32(dst, uint32(v))
 	}
@@ -196,7 +152,7 @@ func appendSubFrame(dst []byte, e *Envelope, kind byte, scatter bool) []byte {
 	switch {
 	case len(e.Quant) > 0:
 		dst = append(dst, e.Quant...)
-	case scatter && scattered(e) != nil:
+	case scattered(e) != nil:
 		owed = len(scattered(e))
 	default:
 		dst = AppendFloat64s(dst, e.Vector)
@@ -217,56 +173,54 @@ func scattered(e *Envelope) []byte {
 }
 
 // encodeWireFrame encodes envs as one binary wire frame, less what scattered
-// returns of each, in a pooled buffer (return it with grad.PutBytes), or
-// returns nil when any of them does not fit the vector frame.
-func encodeWireFrame(envs ...*Envelope) []byte {
+// returns of each, in a pooled buffer (return it with grad.PutBytes). An
+// envelope the vector frame cannot carry, or a body over maxFrameBody, is an
+// error wrapping ErrMalformed, and nothing is encoded.
+func encodeWireFrame(envs ...*Envelope) ([]byte, error) {
 	body, owed := 0, 0
-	for _, e := range envs {
-		n, ok := vectorFrameLen(e)
-		if !ok {
-			return nil
+	for i, e := range envs {
+		n, err := vectorFrameLen(e)
+		if err != nil {
+			return nil, fmt.Errorf("transport send %v (sub-frame %d): %w", e.Type, i, err)
 		}
 		body += 4 + n
 		owed += len(scattered(e))
 	}
 	if body > maxFrameBody {
-		return nil
+		return nil, fmt.Errorf("%w: frame body of %d bytes exceeds cap %d", ErrMalformed, body, maxFrameBody)
 	}
 	buf := append(grad.GetBytes(wireHeaderLen+body-owed), frameMarker)
 	buf = wireOrder.AppendUint32(buf, uint32(body))
 	for _, e := range envs {
-		buf = appendSubFrame(buf, e, subFrameVector, true)
+		buf = appendSubFrame(buf, e)
 	}
-	return buf
+	return buf, nil
 }
 
-// Broadcast sends e to every connection in conns (nil entries are skipped) —
-// a parameter broadcast. The vector frame's header is encoded at most once,
-// and every connection that negotiated it is written that header and e's
-// vector, from the one copy of each; the rest are served e through gob. The
-// writes fan out concurrently, each under a write deadline of timeout, so a
-// peer whose socket is full delays no other, and are joined before Broadcast
-// returns: errs[i] is conns[i]'s send error, and e may change again.
+// Broadcast sends e, a params envelope, to every connection in conns (nil
+// entries are skipped). The vector frame's header is encoded once, and every
+// connection is written that header and e's vector, from the one copy of
+// each. The writes fan out concurrently, each under a write deadline of
+// timeout, so a peer whose socket is full delays no other, and are joined
+// before Broadcast returns: errs[i] is conns[i]'s send error, and e may
+// change again. An e the frame cannot carry is every connection's error.
 func Broadcast(conns []*Conn, e *Envelope, timeout time.Duration) (errs []error) {
 	errs = make([]error, len(conns))
-	var (
-		once  sync.Once
-		frame []byte
-		wg    sync.WaitGroup
-	)
+	frame, err := encodeWireFrame(e)
+	if err != nil {
+		for i, c := range conns {
+			if c != nil {
+				errs[i] = err
+			}
+		}
+		return errs
+	}
+	defer grad.PutBytes(frame)
+	var wg sync.WaitGroup
 	send := func(i int) {
 		c := conns[i]
 		_ = c.SetWriteDeadline(time.Now().Add(timeout))
-		var shared []byte
-		if c.frames.Load() {
-			once.Do(func() { frame = encodeWireFrame(e) })
-			shared = frame
-		}
-		if shared != nil {
-			errs[i] = c.writeFrame(shared, e)
-		} else {
-			errs[i] = c.Send(e)
-		}
+		errs[i] = c.writeFrame(frame, e)
 		_ = c.SetWriteDeadline(time.Time{})
 	}
 	inline := -1 // the calling goroutine takes one write itself
@@ -287,48 +241,21 @@ func Broadcast(conns []*Conn, e *Envelope, timeout time.Duration) (errs []error)
 		send(inline)
 	}
 	wg.Wait()
-	grad.PutBytes(frame)
 	return errs
 }
 
-// byteSource is what the sub-frame decoder reads: a connection's buffered
-// reader — whose Read, once drained, reads from the socket straight into a
-// destination at least as large as its buffer — or a sliceSource over a
-// batch payload that arrived inside a gob envelope. A Peek view is valid
-// until the next call.
-type byteSource interface {
-	io.Reader
-	Peek(n int) ([]byte, error)
-	Discard(n int) (int, error)
-}
-
-// sliceSource serves a byte slice as a byteSource. The decoder never asks
-// past the length it was given, so the methods cannot run short.
-type sliceSource struct{ b []byte }
-
-func (s *sliceSource) Peek(n int) ([]byte, error) { return s.b[:n], nil }
-
-func (s *sliceSource) Discard(n int) (int, error) {
-	s.b = s.b[n:]
-	return n, nil
-}
-
-func (s *sliceSource) Read(p []byte) (int, error) {
-	n := copy(p, s.b)
-	s.b = s.b[n:]
-	return n, nil
-}
-
-// frameReader decodes the sub-frames of one frame body. left counts the
-// body's unread bytes: nothing is read past it, and skipping it leaves the
-// source at the next frame.
+// frameReader decodes the sub-frames of one frame body from a connection's
+// buffered reader — whose Read, once drained, reads from the socket straight
+// into a destination at least as large as its buffer. left counts the body's
+// unread bytes: nothing is read past it, and skipping it leaves the reader at
+// the next frame.
 type frameReader struct {
-	src  byteSource
+	src  *bufio.Reader
 	left int
 }
 
-// peek returns a view of the next n unread bytes. Asking past the body's end
-// means a length field lied: ErrMalformed.
+// peek returns a view of the next n unread bytes, valid until the next read.
+// Asking past the body's end means a length field lied: ErrMalformed.
 func (fr *frameReader) peek(n int) ([]byte, error) {
 	if n > fr.left {
 		return nil, fmt.Errorf("%w: frame truncated (%d bytes wanted, %d left)", ErrMalformed, n, fr.left)
@@ -343,19 +270,15 @@ func (fr *frameReader) discard(n int) {
 }
 
 // decodeFrames reads a frame body of n bytes from src and returns its
-// sub-frames, each validated. Truncated length prefixes or payloads, nested
-// batches, unknown sub-frame kinds and sub-frames violating protocol
-// invariants all reject the whole body with ErrMalformed — after consuming
-// it, so src is left at the body's end. gobCarried marks the Batch payload of
-// a gob MsgBatch — the sender did not negotiate the vector frame — and admits
-// that build's vocabulary: gob sub-frames and the two gradient layouts. A
-// binary wire frame holds vector sub-frames only, which bounds what a peer
-// can make the decoder allocate. Any other error is src failing mid-body.
-func decodeFrames(src byteSource, n int, gobCarried bool) ([]*Envelope, error) {
+// sub-frames, each validated. Truncated length prefixes or payloads, unknown
+// sub-frame kinds and sub-frames violating protocol invariants all reject the
+// whole body with ErrMalformed — after consuming it, so src is left at the
+// body's end. Any other error is src failing mid-body.
+func decodeFrames(src *bufio.Reader, n int) ([]*Envelope, error) {
 	fr := frameReader{src: src, left: n}
 	var subs []*Envelope
 	for fr.left > 0 {
-		e, err := fr.next(len(subs), gobCarried)
+		e, err := fr.next(len(subs))
 		if err != nil {
 			for _, s := range subs {
 				grad.PutBuffer(s.Vector)
@@ -374,7 +297,7 @@ func decodeFrames(src byteSource, n int, gobCarried bool) ([]*Envelope, error) {
 }
 
 // next decodes sub-frame i.
-func (fr *frameReader) next(i int, gobCarried bool) (*Envelope, error) {
+func (fr *frameReader) next(i int) (*Envelope, error) {
 	if i == maxBatchFrames {
 		return nil, fmt.Errorf("%w: batch exceeds %d sub-frames", ErrMalformed, maxBatchFrames)
 	}
@@ -387,69 +310,35 @@ func (fr *frameReader) next(i int, gobCarried bool) (*Envelope, error) {
 	if n <= 0 || n > fr.left {
 		return nil, fmt.Errorf("%w: batch sub-frame length %d with %d bytes left", ErrMalformed, n, fr.left)
 	}
-	switch {
-	case kind == subFrameVector && !gobCarried, (kind == subFrameGradient || kind == subFrameQuant) && gobCarried:
-		e, err := fr.vector(n, kind)
-		if err != nil && errors.Is(err, ErrMalformed) {
-			err = fmt.Errorf("batch sub-frame %d: %w", i, err)
-		}
-		return e, err
-	case kind == subFrameGob && gobCarried:
-		frame, err := fr.peek(n)
-		if err != nil {
-			return nil, err
-		}
-		e := new(Envelope)
-		if err := gob.NewDecoder(bytes.NewReader(frame[1:])).Decode(e); err != nil {
-			return nil, fmt.Errorf("%w: batch sub-frame %d: %v", ErrMalformed, i, err)
-		}
-		fr.discard(n)
-		if e.Type == MsgBatch {
-			return nil, fmt.Errorf("%w: nested batch (sub-frame %d)", ErrMalformed, i)
-		}
-		if err := e.validate(); err != nil {
-			return nil, fmt.Errorf("batch sub-frame %d: %w", i, err)
-		}
-		if e.Type == MsgGradient {
-			countCodecIn(codecPayload(e))
-			if err := e.dequantize(); err != nil {
-				return nil, fmt.Errorf("batch sub-frame %d: %w", i, err)
-			}
-		}
-		return e, nil
+	if kind != subFrameVector {
+		return nil, fmt.Errorf("%w: batch sub-frame %d has unknown kind %#x", ErrMalformed, i, kind)
 	}
-	return nil, fmt.Errorf("%w: batch sub-frame %d has unknown kind %#x", ErrMalformed, i, kind)
+	e, err := fr.vector(n)
+	if err != nil && errors.Is(err, ErrMalformed) {
+		err = fmt.Errorf("batch sub-frame %d: %w", i, err)
+	}
+	return e, err
 }
 
-// vector decodes one sub-frame of n bytes in the given binary kind. Every
-// declared size — the span count, the element count, the payload length the
-// sub-frame leaves room for — is checked against its cap and against n before
-// a buffer is taken, so a hostile header costs no allocation.
-func (fr *frameReader) vector(n int, kind byte) (*Envelope, error) {
+// vector decodes one sub-frame of n bytes. Every declared size — the span
+// count, the element count, the payload length the sub-frame leaves room for
+// — is checked against its cap and against n before a buffer is taken, so a
+// hostile header costs no allocation.
+func (fr *frameReader) vector(n int) (*Envelope, error) {
 	// The header and its optional sections fit one peek; the payload follows.
 	head, err := fr.peek(min(n, maxVectorHeadLen))
 	if err != nil {
 		return nil, err
 	}
-	at := prefixLen(kind)
-	if len(head) < at+4*7 {
+	if len(head) < vectorHeaderLen {
 		return nil, fmt.Errorf("%w: vector sub-frame header truncated (%d bytes)", ErrMalformed, n)
 	}
-	// The layouts of legacyKind are gradients with no optional section.
-	e := &Envelope{Type: MsgGradient}
-	var flags byte
-	spans := 0
-	switch kind {
-	case subFrameVector:
-		e.Type, e.Codec, flags, spans = MsgType(head[1]), head[2], head[3], int(head[4])
-	case subFrameQuant:
-		e.Codec = head[1]
-	}
-	fields := head[at:]
-	u32 := func(i int) int { return int(binary.LittleEndian.Uint32(fields[4*i:])) }
+	e := &Envelope{Type: MsgType(head[1]), Codec: head[2]}
+	flags, spans := head[3], int(head[4])
+	u32 := func(i int) int { return int(binary.LittleEndian.Uint32(head[5+4*i:])) }
 	e.Iter, e.Epoch, e.WorkerID, e.Chunk, e.Chunks, e.RootGen = u32(0), u32(1), u32(2), u32(3), u32(4), u32(5)
 	count := u32(6)
-	at += 4 * 7
+	at := vectorHeaderLen
 	if (e.Type != MsgParams && e.Type != MsgGradient) || flags&^flagTrace != 0 || spans > MaxSpans || count > MaxVectorLen {
 		return nil, fmt.Errorf("%w: vector sub-frame type %d flags %#x with %d spans, %d elements", ErrMalformed, int(e.Type), flags, spans, count)
 	}

@@ -3,30 +3,17 @@ package transport
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/gob"
-	"encoding/hex"
 	"errors"
 	"io"
 	"math"
 	"math/rand"
-	"os"
 	"reflect"
 	"runtime"
-	"strings"
 	"testing"
 	"time"
 
 	"github.com/hetgc/hetgc/internal/grad"
 )
-
-// framedPair is pipePair after a handshake that negotiated the vector frame.
-func framedPair(t testing.TB) (*Conn, *Conn) {
-	t.Helper()
-	client, server := pipePair(t)
-	client.UseVectorFrames()
-	server.UseVectorFrames()
-	return client, server
-}
 
 // vectorFlavours is one envelope per shape the vector frame carries.
 func vectorFlavours(t testing.TB) []*Envelope {
@@ -50,46 +37,58 @@ func vectorFlavours(t testing.TB) []*Envelope {
 	}
 }
 
-// TestVectorFrameRoundTrip is the frame's contract: over a negotiated
-// connection every vector-carrying envelope — single or batched, traced or
-// not, raw or quantized — arrives exactly as it does over gob, and control
-// frames interleave with vector frames on the one stream.
+// TestVectorFrameRoundTrip is the frame's contract: every vector-carrying
+// envelope — single or batched, traced or not, raw or quantized — arrives
+// exactly as sent (a quantized payload as the vector its codec decodes to),
+// and control frames interleave with vector frames on the one stream.
 func TestVectorFrameRoundTrip(t *testing.T) {
 	envs := vectorFlavours(t)
-	control := &Envelope{Type: MsgTelemetry, Iter: 7, WorkerID: 5, Telemetry: &Telemetry{ComputeSeconds: 0.5, Partitions: 2}}
-	framed, framedPeer := framedPair(t)
-	plain, plainPeer := pipePair(t)
-	send := func(c *Conn) error {
-		for _, e := range envs {
-			if err := c.Send(e); err != nil {
-				return err
+	want := make([]*Envelope, len(envs))
+	for i, e := range envs {
+		w := *e
+		if len(w.Quant) > 0 {
+			vec, err := grad.Dequantize(grad.Codec(w.Codec), w.Quant, w.QuantLen)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if err := c.Send(control); err != nil {
-				return err
-			}
+			w.Vector, w.Quant, w.QuantLen = vec, nil, 0
 		}
-		return c.SendBatch(envs)
+		want[i] = &w
 	}
-	errc := make(chan error, 2)
-	go func() { errc <- send(framed) }()
-	go func() { errc <- send(plain) }()
-	for i := 0; i < 3*len(envs); i++ {
-		got, err := framedPeer.Recv()
-		if err != nil {
-			t.Fatalf("framed recv %d: %v", i, err)
+	control := &Envelope{Type: MsgTelemetry, Iter: 7, WorkerID: 5, Telemetry: &Telemetry{ComputeSeconds: 0.5, Partitions: 2}}
+	sender, receiver := pipePair(t)
+	errc := make(chan error, 1)
+	go func() {
+		for _, e := range envs {
+			if err := sender.Send(e); err != nil {
+				errc <- err
+				return
+			}
+			if err := sender.Send(control); err != nil {
+				errc <- err
+				return
+			}
 		}
-		want, err := plainPeer.Recv()
+		errc <- sender.SendBatch(envs)
+	}()
+	recv := func(i int, want *Envelope) {
+		got, err := receiver.Recv()
 		if err != nil {
-			t.Fatalf("plain recv %d: %v", i, err)
+			t.Fatalf("recv %d: %v", i, err)
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("frame %d:\nvector frame %+v\ngob          %+v", i, got, want)
+			t.Fatalf("frame %d:\ngot  %+v\nwant %+v", i, got, want)
 		}
 	}
-	for i := 0; i < 2; i++ {
-		if err := <-errc; err != nil {
-			t.Fatal(err)
-		}
+	for i, w := range want {
+		recv(2*i, w)
+		recv(2*i+1, control)
+	}
+	for i, w := range want {
+		recv(2*len(want)+i, w)
+	}
+	if err := <-errc; err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -105,7 +104,7 @@ func TestVectorFramePayloadGrows(t *testing.T) {
 	if err != nil || len(q) <= allocStep {
 		t.Fatalf("delta payload of %d B (err %v) does not exceed allocStep", len(q), err)
 	}
-	sender, receiver := framedPair(t)
+	sender, receiver := pipePair(t)
 	go func() {
 		_ = sender.Send(&Envelope{Type: MsgParams, Iter: 1, Vector: vec})
 		_ = sender.Send(&Envelope{Type: MsgGradient, Iter: 1, Codec: byte(grad.CodecDelta), Quant: q, QuantLen: len(vec)})
@@ -122,22 +121,20 @@ func TestVectorFramePayloadGrows(t *testing.T) {
 	}
 }
 
-// TestBroadcastWireCost pins the point of the frame: a negotiated send is
-// one counted frame costing 8 bytes per element plus a small header, however
-// many connections a broadcast is written to, and a connection that did not
-// negotiate it is served the same envelope through gob by the same call.
+// TestBroadcastWireCost pins the point of the frame: a broadcast is one
+// counted frame per connection costing 8 bytes per element plus a small
+// header, however many connections it is written to.
 func TestBroadcastWireCost(t *testing.T) {
 	const dim = 10000
 	vec := make([]float64, dim)
 	for i := range vec {
 		vec[i] = rand.NormFloat64()
 	}
-	a, aPeer := framedPair(t)
-	b, bPeer := framedPair(t)
-	legacy, legacyPeer := pipePair(t)
+	a, aPeer := pipePair(t)
+	b, bPeer := pipePair(t)
 	env := &Envelope{Type: MsgParams, Iter: 1, Vector: vec}
-	received := make(chan error, 3)
-	for _, peer := range []*Conn{aPeer, bPeer, legacyPeer} {
+	received := make(chan error, 2)
+	for _, peer := range []*Conn{aPeer, bPeer} {
 		go func(peer *Conn) {
 			got, err := peer.Recv()
 			if err == nil && !reflect.DeepEqual(got, env) {
@@ -159,109 +156,9 @@ func TestBroadcastWireCost(t *testing.T) {
 	if per := (bo1 - bo0) / 2; per < 8*dim || per > 8*dim+64 {
 		t.Fatalf("a %d-element params frame cost %d wire bytes", dim, per)
 	}
-	if err := Broadcast([]*Conn{legacy}, env, time.Second)[0]; err != nil {
-		t.Fatal(err)
-	}
-	if _, _, _, bo2, _, _ := Wire(); bo2-bo1 <= 8*dim+64 {
-		t.Fatalf("the gob-served connection cost %d wire bytes: not gob", bo2-bo1)
-	}
-	for i := 0; i < 3; i++ {
+	for i := 0; i < 2; i++ {
 		if err := <-received; err != nil {
 			t.Fatal(err)
-		}
-	}
-}
-
-// splitSubFrames cuts a batch payload at its length prefixes.
-func splitSubFrames(t *testing.T, b []byte) [][]byte {
-	t.Helper()
-	var subs [][]byte
-	for len(b) > 0 {
-		if len(b) < 4 || int(wireOrder.Uint32(b)) > len(b)-4 {
-			t.Fatalf("batch payload cut short: %d bytes left", len(b))
-		}
-		n := 4 + int(wireOrder.Uint32(b))
-		subs = append(subs, b[4:n])
-		b = b[n:]
-	}
-	return subs
-}
-
-// TestPreFrameBuildInterop pins compatibility with a build from before the
-// vector frame — the real one, not this build with the capability withheld.
-// testdata/pre_frame_build.golden holds bytes that build (PR 11) wrote: the
-// stream of a hello, a five-chunk SendBatch (two plain raw chunks, the traced
-// final raw chunk, two fp16 chunks) and an unbatched gradient, and the batch
-// payload on its own. Recv must decode the old stream, and towards a peer that
-// did not negotiate SendBatch must write the old payload: byte for byte where
-// the old layouts apply, a gob sub-frame for the traced chunk.
-func TestPreFrameBuildInterop(t *testing.T) {
-	golden := map[string][]byte{}
-	raw, err := os.ReadFile("testdata/pre_frame_build.golden")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, line := range strings.Split(strings.TrimSpace(string(raw)), "\n") {
-		name, hexBytes, _ := strings.Cut(line, " ")
-		if golden[name], err = hex.DecodeString(hexBytes); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	vec := []float64{1.5, -2.25, 0, 3.75, 1e-9, -7}
-	tmpl := Envelope{Iter: 7, Epoch: 2, WorkerID: 5, RootGen: 3, Trace: 0x8003_0002_0000_0007,
-		Spans: []PhaseSpan{{Phase: "compute", Seconds: 0.042}, {Phase: "encode", Seconds: 0.002}}}
-	envs := ChunkGradient(tmpl, vec, 2)
-	quant, err := ChunkGradientQuant(Envelope{Iter: 8, Epoch: 2, WorkerID: 5, RootGen: 3}, vec, 3, grad.CodecFP16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	envs = append(envs, quant...)
-
-	// Old build to this one.
-	c := NewConn(&memConn{r: bytes.NewReader(golden["stream"])})
-	if hello, err := c.Recv(); err != nil || hello.Type != MsgHello || hello.Caps != 0 || len(hello.Codecs) == 0 {
-		t.Fatalf("old hello: %+v, %v", hello, err)
-	}
-	for i, sent := range envs {
-		want := *sent
-		if len(want.Quant) > 0 {
-			if want.Vector, err = grad.Dequantize(grad.Codec(want.Codec), want.Quant, want.QuantLen); err != nil {
-				t.Fatal(err)
-			}
-			want.Quant, want.QuantLen = nil, 0
-		}
-		got, err := c.Recv()
-		if err != nil {
-			t.Fatalf("old batch sub-frame %d: %v", i, err)
-		}
-		if !reflect.DeepEqual(got, &want) {
-			t.Fatalf("old batch sub-frame %d:\ngot  %+v\nwant %+v", i, got, &want)
-		}
-	}
-	if got, err := c.Recv(); err != nil || !reflect.DeepEqual(got, &Envelope{Type: MsgGradient, Iter: 9, WorkerID: 5, Vector: vec[:2]}) {
-		t.Fatalf("old unbatched gradient: %+v, %v", got, err)
-	}
-
-	// This build to the old one.
-	var out bytes.Buffer
-	if err := NewConn(&memConn{r: bytes.NewReader(nil), w: &out}).SendBatch(envs); err != nil {
-		t.Fatal(err)
-	}
-	var outer Envelope
-	if err := gob.NewDecoder(&out).Decode(&outer); err != nil || outer.Type != MsgBatch {
-		t.Fatalf("un-negotiated SendBatch did not write a gob batch envelope: %+v, %v", outer.Type, err)
-	}
-	ours, theirs := splitSubFrames(t, outer.Batch), splitSubFrames(t, golden["batch"])
-	if len(ours) != len(theirs) {
-		t.Fatalf("%d sub-frames, the old build wrote %d", len(ours), len(theirs))
-	}
-	for i := range theirs {
-		switch kind := theirs[i][0]; {
-		case ours[i][0] != kind:
-			t.Fatalf("sub-frame %d is kind %#x, the old build wrote %#x", i, ours[i][0], kind)
-		case kind != subFrameGob && !bytes.Equal(ours[i], theirs[i]):
-			t.Fatalf("sub-frame %d differs from the old build's:\nours   %x\ntheirs %x", i, ours[i], theirs[i])
 		}
 	}
 }
@@ -339,8 +236,8 @@ func TestVectorFrameBoundBeforeAllocate(t *testing.T) {
 		"span name runs past the frame":     func(sub []byte) []byte { sub[4] = 1; sub[vectorHeaderLen] = 200; return sub },
 		"empty span name":                   func(sub []byte) []byte { sub[4] = 1; sub[vectorHeaderLen] = 0; return sub },
 		"chunk index out of range":          func(sub []byte) []byte { binary.LittleEndian.PutUint32(sub[5+4*3:], 9); return sub },
-		"gob sub-frame in a binary frame":   func(sub []byte) []byte { sub[0] = subFrameGob; return sub },
-		"pre-frame gradient layout":         func(sub []byte) []byte { return append([]byte{subFrameGradient}, sub[5:]...) },
+		"sub-frame kind 0x00":               func(sub []byte) []byte { sub[0] = 0x00; return sub },
+		"kind 0x01 with a gradient header":  func(sub []byte) []byte { return append([]byte{0x01}, sub[5:]...) },
 	}
 	next := referenceFrame(&Envelope{Type: MsgParams, Iter: 9, Vector: []float64{4}})
 	for name, mutate := range cases {
@@ -410,11 +307,10 @@ func TestVectorFrameBoundBeforeAllocate(t *testing.T) {
 }
 
 // FuzzVectorFrame feeds arbitrary bytes into Recv as a mix of gob envelopes
-// (batches in the pre-frame gradient layouts included) and binary wire
-// frames: every
-// outcome must be a fully decoded, structurally valid envelope or an error —
-// never a panic, never a quantized payload or an oversized vector escaping
-// the transport.
+// (gob-encoded params and gradients, which Recv refuses, included) and binary
+// wire frames: every outcome must be a fully decoded, structurally valid
+// envelope or an error — never a panic, never a quantized payload or an
+// oversized vector escaping the transport.
 func FuzzVectorFrame(f *testing.F) {
 	for _, e := range vectorFlavours(f) {
 		f.Add(referenceFrame(e))
@@ -426,11 +322,7 @@ func FuzzVectorFrame(f *testing.F) {
 			f.Fatal(err)
 		}
 		f.Add(referenceFrame(frames...))
-		batch, err := appendBatch(nil, append(frames, &Envelope{Type: MsgTelemetry, Telemetry: &Telemetry{Partitions: 1}}))
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(encodeFrames(f, &Envelope{Type: MsgBatch, Batch: batch}))
+		f.Add(encodeFrames(f, append(frames, &Envelope{Type: MsgTelemetry, Telemetry: &Telemetry{Partitions: 1}})...))
 	}
 	f.Add(hostileFrame(func(sub []byte) []byte {
 		binary.LittleEndian.PutUint32(sub[vectorHeaderLen-4:], 1<<30)
@@ -438,7 +330,7 @@ func FuzzVectorFrame(f *testing.F) {
 	}))
 	f.Add(encodeFrames(f, &Envelope{Type: MsgGradient, Codec: byte(grad.CodecDelta), Quant: []byte{0, 0}, QuantLen: 2}))
 	f.Add(encodeFrames(f, &Envelope{Type: MsgGradient, Codec: 99, Quant: []byte{1}, QuantLen: 1}))
-	f.Add(encodeFrames(f, &Envelope{Type: MsgHello, WorkerID: 1, Codecs: grad.AdvertiseCodecs(), Caps: CapVectorFrame}))
+	f.Add(encodeFrames(f, &Envelope{Type: MsgHello, WorkerID: 1, Codecs: grad.AdvertiseCodecs()}))
 	f.Add([]byte{frameMarker, 0, 0, 0, 3, 0x02, 0xff, 0x00})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		c := NewConn(&memConn{r: bytes.NewReader(data)})
@@ -487,10 +379,10 @@ func BenchmarkFloat64Codec(b *testing.B) {
 }
 
 // benchVectorFrame measures one dim-1e5 vector frame end to end over a
-// negotiated loopback connection: encode, write, read, decode into a pooled
-// vector, release.
+// loopback connection: encode, write, read, decode into a pooled vector,
+// release.
 func benchVectorFrame(b *testing.B, env *Envelope) {
-	sender, receiver := framedPair(b)
+	sender, receiver := pipePair(b)
 	recvErr := make(chan error, 1)
 	go func() {
 		for i := 0; i < b.N; i++ {

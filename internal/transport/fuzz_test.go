@@ -31,8 +31,9 @@ func (c *memConn) SetDeadline(time.Time) error      { return nil }
 func (c *memConn) SetReadDeadline(time.Time) error  { return nil }
 func (c *memConn) SetWriteDeadline(time.Time) error { return nil }
 
-// encodeFrames gob-encodes a sequence of envelopes into one byte stream, the
-// exact bytes Send would put on the wire.
+// encodeFrames gob-encodes a sequence of envelopes into one byte stream: the
+// exact bytes Send puts on the wire for control envelopes, and for params and
+// gradients the encoding Recv refuses.
 func encodeFrames(t testing.TB, envs ...*Envelope) []byte {
 	t.Helper()
 	var buf bytes.Buffer
@@ -61,6 +62,8 @@ func FuzzAdoption(f *testing.F) {
 	f.Add(encodeFrames(f, &Envelope{Type: MsgAdopt, Adopt: &Adoption{Group: 0, Epoch: 0, Members: []int{9, 1}}}))
 	f.Add(encodeFrames(f, &Envelope{Type: MsgParams, Adopt: &Adoption{Group: 0, Epoch: 0}}))
 	f.Add([]byte("not gob at all"))
+	f.Add(encodeFrames(f, &Envelope{Type: MsgGradient, WorkerID: 1, Vector: []float64{1, 2}},
+		&Envelope{Type: MsgAdopt, RootGen: 2, Adopt: &Adoption{Group: 1, Epoch: 4, Members: []int{1, 2}}}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		c := NewConn(&memConn{r: bytes.NewReader(data)})
 		for {

@@ -98,11 +98,18 @@ func TestPartitionValidation(t *testing.T) {
 	}
 }
 
+// TestPartitionFramesInBatch: a batch is a vector frame, so SendBatch refuses
+// partition chunks; they travel one Send each and reassemble as before.
 func TestPartitionFramesInBatch(t *testing.T) {
 	client, server := pipePair(t)
 	frames := ChunkBlob(Envelope{Part: 2}, bytes.Repeat([]byte{7}, 50), 16)
-	if err := client.SendBatch(frames); err != nil {
-		t.Fatal(err)
+	if err := client.SendBatch(frames); !errors.Is(err, ErrMalformed) {
+		t.Fatalf("SendBatch(partition chunks) = %v, want ErrMalformed", err)
+	}
+	for _, f := range frames {
+		if err := client.Send(f); err != nil {
+			t.Fatal(err)
+		}
 	}
 	var got []*Envelope
 	for range frames {
@@ -117,6 +124,6 @@ func TestPartitionFramesInBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(joined, bytes.Repeat([]byte{7}, 50)) {
-		t.Fatal("batched partition chunks mangled")
+		t.Fatal("partition chunks mangled")
 	}
 }

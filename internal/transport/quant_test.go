@@ -13,45 +13,41 @@ import (
 
 // TestVectorFrameChunkBound pins the regression where a Chunk above the
 // uint32 header range passed the fast-path check and was silently truncated
-// by the frame encoder, decoding as the wrong chunk index. Such a frame must
-// take the gob path, where the receiver rejects the out-of-range chunk
-// sequence instead of mis-joining it.
+// by the frame encoder, decoding as the wrong chunk index. Such a frame is
+// refused at the sender, whole, instead of mis-joined at the receiver.
 func TestVectorFrameChunkBound(t *testing.T) {
 	huge := &Envelope{Type: MsgGradient, Chunk: math.MaxUint32>>1 + 1, Chunks: 10, Vector: []float64{1}}
-	if _, fits := vectorFrameLen(huge); fits {
-		t.Fatal("vectorFrameLen accepted Chunk above the uint32 header range")
+	if _, err := vectorFrameLen(huge); !errors.Is(err, ErrMalformed) {
+		t.Fatalf("vectorFrameLen accepted Chunk above the uint32 header range: %v", err)
 	}
 	ok := &Envelope{Type: MsgGradient, Chunk: 3, Chunks: 10, Vector: []float64{1}}
-	if _, fits := vectorFrameLen(ok); !fits {
-		t.Fatal("vectorFrameLen rejected a plain in-range gradient")
+	if _, err := vectorFrameLen(ok); err != nil {
+		t.Fatalf("vectorFrameLen rejected a plain in-range gradient: %v", err)
 	}
 
-	// End to end: the oversized chunk index must reach the receiver intact
-	// (and be rejected as malformed), never truncated into a plausible one.
-	var payload bytes.Buffer
-	if err := encodeBatch(&payload, []*Envelope{ok, huge}); err != nil {
-		t.Fatal(err)
-	}
-	_, err := decodeBatch(payload.Bytes())
-	if !errors.Is(err, ErrMalformed) {
-		t.Fatalf("decodeBatch(oversized chunk index) = %v, want ErrMalformed", err)
+	// End to end: the batch holding the oversized chunk index never reaches
+	// the wire, not even its in-range neighbour.
+	var out bytes.Buffer
+	c := NewConn(&memConn{r: bytes.NewReader(nil), w: &out})
+	if err := c.SendBatch([]*Envelope{ok, huge}); !errors.Is(err, ErrMalformed) || out.Len() != 0 {
+		t.Fatalf("SendBatch(oversized chunk index) = %v with %d bytes written, want ErrMalformed and none", err, out.Len())
 	}
 }
 
 // TestSendBatchSingleRejectsBatch pins the regression where SendBatch's
-// single-envelope shortcut skipped the nested-batch rejection, letting a
-// hand-built MsgBatch envelope ship unvalidated.
+// single-envelope shortcut skipped the nested-batch rejection: a lone
+// envelope carrying the retired batch number is refused like a longer batch.
 func TestSendBatchSingleRejectsBatch(t *testing.T) {
 	a, _ := pipePair(t)
-	err := a.SendBatch([]*Envelope{{Type: MsgBatch, Batch: []byte{1, 2, 3}}})
+	err := a.SendBatch([]*Envelope{{Type: MsgType(8)}})
 	if !errors.Is(err, ErrMalformed) {
-		t.Fatalf("SendBatch(single MsgBatch) = %v, want ErrMalformed", err)
+		t.Fatalf("SendBatch(single retired batch number) = %v, want ErrMalformed", err)
 	}
 }
 
 // TestQuantRoundTripOverWire ships a chunked gradient through a real
-// connection under every codec, both batched (compact sub-frames) and as
-// single gob envelopes, and checks the receiver — which only ever sees
+// connection under every codec, both batched (several sub-frames) and as a
+// single frame, and checks the receiver — which only ever sees
 // dequantized Vectors — reassembles it within the codec's error model.
 func TestQuantRoundTripOverWire(t *testing.T) {
 	vec := make([]float64, 1000)
@@ -59,7 +55,7 @@ func TestQuantRoundTripOverWire(t *testing.T) {
 		vec[i] = math.Sin(float64(i)) * float64(i%17)
 	}
 	for _, codec := range []grad.Codec{grad.CodecRaw, grad.CodecFP16, grad.CodecInt8, grad.CodecTopK, grad.CodecDelta} {
-		for _, chunkLen := range []int{0, 64} { // 0: one frame (gob envelope path); 64: batched sub-frames
+		for _, chunkLen := range []int{0, 64} { // 0: one frame; 64: batched sub-frames
 			a, b := pipePair(t)
 			frames, err := ChunkGradientQuant(Envelope{WorkerID: 3, Iter: 7}, vec, chunkLen, codec)
 			if err != nil {
@@ -139,7 +135,9 @@ func checkCodecError(t *testing.T, codec grad.Codec, want, got []float64, chunkL
 // TestMixedVersionRawFallback covers the un-upgraded-peer path at the frame
 // level: envelopes with no codec fields (what an old peer sends) round-trip
 // as raw float64 against an upgraded receiver, and a hello without a codec
-// advertisement still validates.
+// advertisement still validates. The encoding of a vector follows neither
+// the hello nor the codec: a gradient towards a peer that advertised nothing
+// leaves as a vector frame.
 func TestMixedVersionRawFallback(t *testing.T) {
 	a, b := pipePair(t)
 	defer a.Close()
@@ -173,47 +171,24 @@ func TestMixedVersionRawFallback(t *testing.T) {
 		t.Fatalf("advertised hello rejected: %v", err)
 	}
 
-	// The other mixed-version axis: a peer that advertises codecs but not the
-	// vector frame. The encoding follows the negotiation, never the payload:
-	// until both sides named CapVectorFrame the same gradient leaves as a gob
-	// envelope (a gob message never opens with the frame marker), and an
-	// upgraded receiver decodes either stream to the same envelope.
 	sent := &Envelope{Type: MsgGradient, Iter: 1, WorkerID: 4, Vector: vec}
-	var decoded [2]*Envelope
-	for i, negotiated := range []bool{false, true} {
-		var out bytes.Buffer
-		c := NewConn(&memConn{r: bytes.NewReader(nil), w: &out})
-		if negotiated {
-			c.UseVectorFrames()
-		}
-		if err := c.Send(sent); err != nil {
-			t.Fatal(err)
-		}
-		if framed := out.Bytes()[0] == frameMarker; framed != negotiated {
-			t.Fatalf("negotiated=%v but the gradient left framed=%v", negotiated, framed)
-		}
-		got, err := NewConn(&memConn{r: bytes.NewReader(out.Bytes())}).Recv()
-		if err != nil {
-			t.Fatal(err)
-		}
-		decoded[i] = got
+	var out bytes.Buffer
+	if err := NewConn(&memConn{r: bytes.NewReader(nil), w: &out}).Send(sent); err != nil {
+		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(decoded[0], decoded[1]) || !reflect.DeepEqual(decoded[0], sent) {
-		t.Fatalf("gob and vector-frame decodes differ:\ngob    %+v\nframed %+v", decoded[0], decoded[1])
+	if out.Bytes()[0] != frameMarker {
+		t.Fatalf("the gradient left as %#x..., not a vector frame", out.Bytes()[0])
 	}
-	caps := &Envelope{Type: MsgHello, WorkerID: HelloNewWorker, Codecs: grad.AdvertiseCodecs(), Caps: CapVectorFrame | 0x80}
-	if err := caps.validate(); err != nil {
-		t.Fatalf("hello naming capabilities (one of them unknown) rejected: %v", err)
-	}
-	if err := (&Envelope{Type: MsgGradient, Vector: vec, Caps: CapVectorFrame}).validate(); !errors.Is(err, ErrMalformed) {
-		t.Fatalf("capability advertisement on a gradient: %v, want ErrMalformed", err)
+	got, err := NewConn(&memConn{r: bytes.NewReader(out.Bytes())}).Recv()
+	if err != nil || !reflect.DeepEqual(got, sent) {
+		t.Fatalf("vector frame decoded to %+v, %v; sent %+v", got, err, sent)
 	}
 }
 
 // TestQuantCorruptionRejected sends hostile quantized frames — unknown codec
 // bytes, payloads that do not decode, advertisements on the wrong message
-// types — and requires a typed ErrMalformed for each, with the connection
-// still usable afterwards where the stream stays in sync.
+// types — and requires a typed ErrMalformed for each: from the sender where
+// the vector frame cannot carry the envelope, from the receiver otherwise.
 func TestQuantCorruptionRejected(t *testing.T) {
 	goodQuant := func() ([]byte, int) {
 		q, err := grad.AppendQuantized(nil, grad.CodecFP16, []float64{1, 2, 3})
@@ -241,11 +216,12 @@ func TestQuantCorruptionRejected(t *testing.T) {
 	}
 	for _, tc := range hostile {
 		a, b := pipePair(t)
-		if err := a.Send(tc.env); err != nil {
-			t.Fatalf("%s: send failed locally: %v", tc.name, err)
+		err := a.Send(tc.env)
+		if err == nil {
+			_, err = b.Recv()
 		}
-		if _, err := b.Recv(); !errors.Is(err, ErrMalformed) {
-			t.Fatalf("%s: Recv = %v, want ErrMalformed", tc.name, err)
+		if !errors.Is(err, ErrMalformed) {
+			t.Fatalf("%s: %v, want ErrMalformed", tc.name, err)
 		}
 		a.Close()
 		b.Close()
@@ -254,24 +230,20 @@ func TestQuantCorruptionRejected(t *testing.T) {
 	// Batch-framed corruption: a quantized sub-frame with an unknown gradient
 	// codec byte, and one whose payload fails to dequantize.
 	valid, _ := ChunkGradientQuant(Envelope{WorkerID: 1}, []float64{1, 2, 3, 4}, 2, grad.CodecFP16)
-	var payload bytes.Buffer
-	if err := encodeBatch(&payload, valid); err != nil {
-		t.Fatal(err)
-	}
-	raw := payload.Bytes()
+	raw := encodeBatch(valid...)
 	flip := func(mutate func(b []byte)) error {
 		cp := append([]byte(nil), raw...)
 		mutate(cp)
 		_, err := decodeBatch(cp)
 		return err
 	}
-	if err := flip(func(b []byte) { b[4+1] = 0x07 }); !errors.Is(err, ErrMalformed) {
+	if err := flip(func(b []byte) { b[4+2] = 0x07 }); !errors.Is(err, ErrMalformed) {
 		t.Fatalf("unknown sub-frame gradient codec: %v, want ErrMalformed", err)
 	}
 	if err := flip(func(b []byte) {
 		// Change the first sub-frame's declared element count so the fp16
 		// payload no longer matches it.
-		binary.LittleEndian.PutUint32(b[4+prefixLen(subFrameQuant)+4*6:], 9)
+		binary.LittleEndian.PutUint32(b[4+vectorHeaderLen-4:], 9)
 	}); !errors.Is(err, ErrMalformed) {
 		t.Fatalf("mismatched quant length: %v, want ErrMalformed", err)
 	}

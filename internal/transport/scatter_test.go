@@ -42,8 +42,8 @@ func sameBits(a, b []float64) bool {
 	return true
 }
 
-// rawPair is a negotiated sender over loopback TCP — the writev path — and
-// the bare socket it writes to.
+// rawPair is a sender over loopback TCP — the writev path — and the bare
+// socket it writes to.
 func rawPair(t *testing.T) (*Conn, *net.TCPConn) {
 	t.Helper()
 	l, err := net.Listen("tcp", "127.0.0.1:0")
@@ -60,7 +60,6 @@ func rawPair(t *testing.T) (*Conn, *net.TCPConn) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { sender.Close(); peer.Close() })
-	sender.UseVectorFrames()
 	return sender, peer.(*net.TCPConn)
 }
 
@@ -92,7 +91,6 @@ func TestScatterWriteBytes(t *testing.T) {
 	tcp, peer := rawPair(t)
 	var mem bytes.Buffer
 	inMemory := NewConn(&memConn{r: bytes.NewReader(nil), w: &mem})
-	inMemory.UseVectorFrames()
 	for name, envs := range cases {
 		want := referenceFrame(envs...)
 		send := func(c *Conn) error { return c.SendBatch(envs) }
@@ -144,9 +142,9 @@ type sevenByteReader struct{ r io.Reader }
 func (s sevenByteReader) Read(p []byte) (int, error) { return s.r.Read(p[:min(len(p), 7)]) }
 
 // TestVectorFrameSplitReads delivers one frame in awkward pieces — a byte at
-// a time, half of every request, cuts inside every float — and through the
-// gob-carried decoder: the payload lands in the vector bit for bit, whether it
-// came through the read buffer, past it, or from a byte slice.
+// a time, half of every request, cuts inside every float: the payload lands
+// in the vector bit for bit, whether it came through the read buffer or past
+// it.
 func TestVectorFrameSplitReads(t *testing.T) {
 	vec := awkwardFloats(3*readBufSize/8 + 5) // longer than the read buffer: the direct read too
 	envs := ChunkGradient(Envelope{Iter: 7, WorkerID: 5, Trace: 9, Spans: []PhaseSpan{{Phase: "compute", Seconds: 1}}}, vec, len(vec)-3)
@@ -172,21 +170,6 @@ func TestVectorFrameSplitReads(t *testing.T) {
 		}
 		if _, err := c.Recv(); !errors.Is(err, io.EOF) {
 			t.Fatalf("%s: after the last frame: %v", name, err)
-		}
-	}
-
-	// The same chunks to a peer that did not negotiate: the pre-frame layouts
-	// inside a gob batch, decoded from a byte slice.
-	sender, receiver := pipePair(t)
-	untraced := ChunkGradient(Envelope{Iter: 7, WorkerID: 5}, vec, len(vec)-3)
-	go func() { _ = sender.SendBatch(untraced) }()
-	for i, want := range untraced {
-		got, err := receiver.Recv()
-		if err != nil {
-			t.Fatalf("gob-carried sub-frame %d: %v", i, err)
-		}
-		if !sameBits(got.Vector, want.Vector) {
-			t.Fatalf("gob-carried sub-frame %d arrived changed", i)
 		}
 	}
 }
@@ -272,7 +255,6 @@ func TestBroadcastStalledPeer(t *testing.T) {
 			_ = peer.(*net.TCPConn).SetReadBuffer(4 << 10)
 		}
 		conns[i] = NewConn(raw)
-		conns[i].UseVectorFrames()
 		if i == stalled {
 			continue
 		}

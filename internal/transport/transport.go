@@ -5,19 +5,18 @@
 // control-plane extensions: per-iteration telemetry uploads and
 // epoch-versioned reassignment for mid-training strategy migration.
 //
-// Two encodings share one stream. The iteration path — every dim-sized
+// Each message type has one encoding. The iteration path — every dim-sized
 // payload: MsgParams broadcasts and MsgGradient uploads, raw or quantized,
-// chunked or not, traced or not — rides the binary vector frame (frame.go):
-// headers are encoded, a raw payload is not — it is written to the socket
-// from the vector's memory and read from the socket into a pooled vector's.
-// The cold control frames (hello, assign, reassign, telemetry, adopt,
-// partition, shutdown) are gob-encoded envelopes: they are small, rare and
-// carry nested optional structures gob handles for free. Recv tells the two
-// apart by the first byte: a gob message opens with its non-zero length, so
-// 0x00 marks a vector frame. Vector frames are sent only on connections
-// whose handshake negotiated CapVectorFrame (as codecs are negotiated: the
-// dialer advertises, the ack confirms); any other peer is served gob in both
-// directions, vectors included.
+// chunked or not, traced or not — rides the binary vector frame (frame.go)
+// on every connection: headers are encoded, a raw payload is not — it is
+// written to the socket from the vector's memory and read from the socket
+// into a pooled vector's. The cold control frames (hello, reassign,
+// telemetry, adopt, partition-req, partition, shutdown) are gob-encoded
+// envelopes: they are small, rare and carry nested optional structures gob
+// handles for free. Recv tells the two apart by the first byte: a gob
+// message opens with its non-zero length, so 0x00 marks a vector frame. A
+// params or gradient envelope never rides gob: Send refuses one the frame
+// cannot carry, and Recv refuses one that arrives gob-encoded.
 package transport
 
 import (
@@ -27,7 +26,6 @@ import (
 	"fmt"
 	"math"
 	"net"
-	"sync/atomic"
 	"time"
 
 	"github.com/hetgc/hetgc/internal/grad"
@@ -42,10 +40,8 @@ const (
 	// sets WorkerID to its previous member ID to resume its slot after a
 	// reconnect, or to -1 (HelloNewWorker) to request a fresh one.
 	MsgHello MsgType = iota + 1
-	// MsgAssign carries a worker's data-partition assignment and coding row
-	// outside any epoch. No runtime sends it any more (assignments ride
-	// MsgReassign); it keeps its number so the types after it keep theirs.
-	MsgAssign
+	// Number 2 is retired (an epoch-less assignment): refused as unknown.
+	_
 	// MsgParams broadcasts model parameters for one iteration.
 	MsgParams
 	// MsgGradient uploads a worker's coded gradient for one iteration.
@@ -58,12 +54,8 @@ const (
 	// MsgReassign migrates a worker to a new coding strategy: it carries
 	// (Epoch, Assignment) and atomically supersedes every earlier epoch.
 	MsgReassign
-	// MsgBatch coalesces several sub-frames into one write towards a peer
-	// that did not negotiate the vector frame: its Batch payload is a
-	// sequence of length-prefixed sub-frames, gob-encoded or in one of the
-	// two gradient layouts such a peer knows (see frame.go). Recv unpacks
-	// batches transparently, so receivers never see this type.
-	MsgBatch
+	// Number 8 is retired (a gob-carried batch): refused as unknown.
+	_
 	// MsgAdopt is the group-master adoption handshake. A restartable group
 	// master opens its uplink with MsgAdopt carrying its Adoption (group
 	// index, current epoch base, admitted members); the root replies with
@@ -77,7 +69,7 @@ const (
 	// whole life — it never joins the membership.
 	MsgPartitionReq
 	// MsgPartition answers a MsgPartitionReq with the CRC-framed encoded
-	// dataset in Blob, split across Chunks sub-frames (Chunk of Chunks, to be
+	// dataset in Blob, split across Chunks frames (Chunk of Chunks, to be
 	// reassembled in order). A reply with Chunks == 0 and an empty Blob means
 	// the master does not serve that partition.
 	MsgPartition
@@ -86,34 +78,28 @@ const (
 // HelloNewWorker is the MsgHello WorkerID requesting a fresh member slot.
 const HelloNewWorker = -1
 
+// msgNames names the message types; a number without a name is unknown.
+var msgNames = [...]string{
+	MsgHello:        "hello",
+	MsgParams:       "params",
+	MsgGradient:     "gradient",
+	MsgShutdown:     "shutdown",
+	MsgTelemetry:    "telemetry",
+	MsgReassign:     "reassign",
+	MsgAdopt:        "adopt",
+	MsgPartitionReq: "partition-req",
+	MsgPartition:    "partition",
+}
+
+// known reports whether t is a message type of the protocol.
+func (t MsgType) known() bool { return t > 0 && int(t) < len(msgNames) && msgNames[t] != "" }
+
 // String names the message type.
 func (t MsgType) String() string {
-	switch t {
-	case MsgHello:
-		return "hello"
-	case MsgAssign:
-		return "assign"
-	case MsgParams:
-		return "params"
-	case MsgGradient:
-		return "gradient"
-	case MsgShutdown:
-		return "shutdown"
-	case MsgTelemetry:
-		return "telemetry"
-	case MsgReassign:
-		return "reassign"
-	case MsgBatch:
-		return "batch"
-	case MsgAdopt:
-		return "adopt"
-	case MsgPartitionReq:
-		return "partition-req"
-	case MsgPartition:
-		return "partition"
-	default:
+	if !t.known() {
 		return fmt.Sprintf("MsgType(%d)", int(t))
 	}
+	return msgNames[t]
 }
 
 // Assignment is the master → worker task description.
@@ -183,7 +169,7 @@ type Envelope struct {
 	// is not lease-fenced (legacy single-root operation).
 	RootGen int
 	// Chunk/Chunks split one large Vector across several sub-frames of a
-	// batch: a chunked MsgGradient carries piece Chunk of Chunks, to be
+	// frame: a chunked MsgGradient carries piece Chunk of Chunks, to be
 	// concatenated in order by the receiver (JoinChunks). Chunks == 0 means
 	// the frame is unchunked.
 	Chunk, Chunks int
@@ -192,8 +178,6 @@ type Envelope struct {
 	Telemetry     *Telemetry
 	// Adopt is the MsgAdopt payload.
 	Adopt *Adoption
-	// Batch is the MsgBatch payload: length-prefixed sub-frames.
-	Batch []byte
 	// Part is the global partition index of a data-plane frame
 	// (MsgPartitionReq / MsgPartition); 0 otherwise.
 	Part int
@@ -218,24 +202,13 @@ type Envelope struct {
 	// it from (root generation, epoch, iteration), stamps it on every
 	// parameter broadcast, and members echo it on their uploads so span
 	// records stitch to the right iteration even across migrations and
-	// failovers. 0 means no trace context (a peer predating propagation —
-	// gob omits the unknown field).
+	// failovers. 0 means no trace context.
 	Trace uint64
 	// Spans carries the sender's member-local phase timing records,
 	// piggybacked on an upload frame (the final chunk of a chunked upload).
 	// Bounded by MaxSpans; legal only on MsgGradient and MsgTelemetry.
 	Spans []PhaseSpan
-	// Caps advertises wire capabilities in a handshake frame (MsgHello /
-	// MsgAdopt), beside Codecs: the dialer sets the bits it supports, the
-	// ack echoes the ones the listener accepts, and each side enables a
-	// capability only once both have named it. Unknown bits are ignored, and
-	// a peer that predates capabilities sends none (gob omits the field).
-	Caps byte
 }
-
-// CapVectorFrame is the capability bit for the binary vector frame: a peer
-// that advertises it decodes vector frames and wants to be sent them.
-const CapVectorFrame byte = 1 << 0
 
 // Errors returned by the transport layer.
 var (
@@ -251,9 +224,7 @@ var (
 // any real model dimension. The vector-frame decoder checks a frame's
 // declared element count against it — and against the bytes the frame
 // declares — before taking a buffer, and lets a buffer above allocStep grow
-// only as the payload arrives. On the gob path it is only an
-// application-layer sanity check: gob has already decoded (and allocated) the
-// frame by the time it runs.
+// only as the payload arrives.
 const MaxVectorLen = 1 << 30
 
 // MaxAdoptMembers bounds the member list of an adoption handshake.
@@ -286,7 +257,7 @@ const maxSpanPhaseLen = 64
 
 // validate checks the structural invariants of a received envelope.
 func (e *Envelope) validate() error {
-	if e.Type < MsgHello || e.Type > MsgPartition {
+	if !e.Type.known() {
 		return fmt.Errorf("%w: unknown message type %d", ErrMalformed, int(e.Type))
 	}
 	if e.Iter < 0 || e.Epoch < 0 {
@@ -318,28 +289,8 @@ func (e *Envelope) validate() error {
 			return fmt.Errorf("%w: %v advertises unknown codec %d", ErrMalformed, e.Type, c)
 		}
 	}
-	if e.Caps != 0 && e.Type != MsgHello && e.Type != MsgAdopt {
-		return fmt.Errorf("%w: %v carries a capability advertisement", ErrMalformed, e.Type)
-	}
-	if len(e.Quant) > 0 || e.QuantLen != 0 {
-		if e.Type != MsgGradient {
-			return fmt.Errorf("%w: %v carries a quantized payload", ErrMalformed, e.Type)
-		}
-		if e.Codec == 0 {
-			return fmt.Errorf("%w: quantized gradient without a codec byte", ErrMalformed)
-		}
-		if len(e.Quant) == 0 {
-			return fmt.Errorf("%w: quantized gradient of %d elements with no payload", ErrMalformed, e.QuantLen)
-		}
-		if e.QuantLen < 1 || e.QuantLen > MaxVectorLen {
-			return fmt.Errorf("%w: quantized gradient length %d", ErrMalformed, e.QuantLen)
-		}
-		if len(e.Quant) > maxQuantBytesPerElem*e.QuantLen+16 {
-			return fmt.Errorf("%w: quantized payload %d B for %d elements", ErrMalformed, len(e.Quant), e.QuantLen)
-		}
-		if len(e.Vector) != 0 {
-			return fmt.Errorf("%w: gradient with both raw and quantized payloads", ErrMalformed)
-		}
+	if (len(e.Vector) > 0 || len(e.Quant) > 0 || e.QuantLen != 0) && e.Type != MsgParams && e.Type != MsgGradient {
+		return fmt.Errorf("%w: %v carries a vector payload", ErrMalformed, e.Type)
 	}
 	if len(e.Spans) > 0 {
 		if e.Type != MsgGradient && e.Type != MsgTelemetry {
@@ -360,27 +311,12 @@ func (e *Envelope) validate() error {
 			}
 		}
 	}
-	if e.Type == MsgBatch {
-		if len(e.Batch) == 0 {
-			return fmt.Errorf("%w: empty batch", ErrMalformed)
-		}
-		if e.Assign != nil || e.Vector != nil || e.Telemetry != nil || e.Adopt != nil || e.Blob != nil {
-			return fmt.Errorf("%w: batch with non-batch payload", ErrMalformed)
-		}
-		return nil
-	}
-	if len(e.Batch) > 0 {
-		return fmt.Errorf("%w: %v carries a batch payload", ErrMalformed, e.Type)
-	}
 	if e.Chunks < 0 || (e.Chunks == 0 && e.Chunk != 0) ||
 		(e.Chunks > 0 && (e.Chunk < 0 || e.Chunk >= e.Chunks)) {
 		return fmt.Errorf("%w: %v chunk %d of %d", ErrMalformed, e.Type, e.Chunk, e.Chunks)
 	}
 	if e.Chunks > 0 && e.Type != MsgGradient && e.Type != MsgPartition {
 		return fmt.Errorf("%w: %v cannot be chunked", ErrMalformed, e.Type)
-	}
-	if len(e.Vector) > MaxVectorLen {
-		return fmt.Errorf("%w: %v vector length %d exceeds cap %d", ErrMalformed, e.Type, len(e.Vector), MaxVectorLen)
 	}
 	if len(e.Blob) > MaxBlobLen {
 		return fmt.Errorf("%w: %v blob length %d exceeds cap %d", ErrMalformed, e.Type, len(e.Blob), MaxBlobLen)
@@ -415,7 +351,7 @@ func (e *Envelope) validate() error {
 			}
 		}
 	}
-	if (e.Type == MsgAssign || e.Type == MsgReassign) && e.Assign == nil {
+	if e.Type == MsgReassign && e.Assign == nil {
 		return fmt.Errorf("%w: %v without assignment payload", ErrMalformed, e.Type)
 	}
 	if e.Type == MsgAdopt && e.Adopt == nil {
@@ -450,8 +386,8 @@ func (e *Envelope) validate() error {
 	return nil
 }
 
-// Conn is a bidirectional message stream carrying gob envelopes and binary
-// vector frames. Send and Recv are each safe for one concurrent user (one
+// Conn is a bidirectional message stream carrying binary vector frames and
+// gob control envelopes. Send and Recv are each safe for one concurrent user (one
 // reader, one writer).
 type Conn struct {
 	// w is the underlying connection behind the byte-counting shim; frames
@@ -463,11 +399,7 @@ type Conn struct {
 	br  *bufio.Reader
 	enc *gob.Encoder
 	dec *gob.Decoder
-	// frames is set once the handshake negotiated CapVectorFrame: vector
-	// payloads are then sent as binary frames. Receiving needs no switch —
-	// Recv decodes whichever encoding arrives.
-	frames atomic.Bool
-	// pending holds sub-frames of the last received batch still owed to Recv
+	// pending holds sub-frames of the last received frame still owed to Recv
 	// callers (only the reader touches it).
 	pending []*Envelope
 	// iov is writeFrame's gather list, kept between frames so a send
@@ -503,46 +435,30 @@ func Dial(addr string, timeout time.Duration) (*Conn, error) {
 	return NewConn(raw), nil
 }
 
-// UseVectorFrames switches the connection's sends of vector payloads to the
-// binary vector frame. Handshake code calls it once both peers have named
-// CapVectorFrame — the listener after its ack is written, the dialer after
-// reading it — and before the connection is handed to its writer.
-func (c *Conn) UseVectorFrames() { c.frames.Store(true) }
-
-// Send writes one envelope: as a vector frame when the connection negotiated
-// it and the envelope fits one, gob-encoded otherwise.
+// Send writes one envelope: a params or gradient envelope as a vector frame,
+// any other gob-encoded. A vector envelope the frame cannot carry is refused
+// with an error wrapping ErrMalformed, and nothing is written.
 func (c *Conn) Send(e *Envelope) error {
-	if framed, err := c.sendFramed(e); framed {
-		return err
+	if e.Type == MsgParams || e.Type == MsgGradient {
+		return c.sendFrame(e)
 	}
 	if err := c.enc.Encode(e); err != nil {
 		return fmt.Errorf("transport send %v: %w", e.Type, err)
 	}
 	wire.framesOut.Add(1)
-	if e.Type == MsgBatch {
-		wire.batches.Add(1)
-	}
-	if e.Type == MsgGradient {
-		countCodecOut(e)
-	}
 	return nil
 }
 
-// sendFramed sends envs as one binary wire frame when the connection
-// negotiated the vector frame and every envelope fits it; framed reports
-// whether it did (otherwise nothing was written and the caller takes the gob
-// path).
-func (c *Conn) sendFramed(envs ...*Envelope) (framed bool, err error) {
-	if !c.frames.Load() {
-		return false, nil
-	}
-	buf := encodeWireFrame(envs...)
-	if buf == nil {
-		return false, nil
+// sendFrame sends envs as one binary wire frame, or nothing when one of them
+// does not fit it (see encodeWireFrame).
+func (c *Conn) sendFrame(envs ...*Envelope) error {
+	buf, err := encodeWireFrame(envs...)
+	if err != nil {
+		return err
 	}
 	err = c.writeFrame(buf, envs...)
 	grad.PutBytes(buf)
-	return true, err
+	return err
 }
 
 // writeFrame writes one wire frame holding envs' vector sub-frames — head is
@@ -580,28 +496,13 @@ func (c *Conn) writeFrame(head []byte, envs ...*Envelope) error {
 	return nil
 }
 
-// dequantize resolves a quantized gradient payload into its Vector so
-// receivers above the transport always see plain float64 gradients.
-// Undecodable payloads are protocol violations (ErrMalformed).
-func (e *Envelope) dequantize() error {
-	if len(e.Quant) == 0 {
-		return nil
-	}
-	vec, err := grad.Dequantize(grad.Codec(e.Codec), e.Quant, e.QuantLen)
-	if err != nil {
-		return fmt.Errorf("%w: %s gradient payload: %v", ErrMalformed, grad.Codec(e.Codec), err)
-	}
-	e.Vector = vec
-	e.Quant, e.QuantLen = nil, 0
-	return nil
-}
-
 // Recv reads one envelope and validates its protocol invariants; frames that
 // fail validation are rejected with an error wrapping ErrMalformed so they
-// never reach the decode path. Batches (SendBatch) are unpacked
-// transparently: their sub-frames are returned one per Recv call, in send
-// order, and a batch with any malformed or truncated sub-frame is rejected
-// whole — the outer frame was fully consumed, so the stream stays in sync.
+// never reach the decode path, and so is a params or gradient envelope that
+// arrives gob-encoded. Batches (SendBatch) are unpacked transparently: their
+// sub-frames are returned one per Recv call, in send order, and a batch with
+// any malformed or truncated sub-frame is rejected whole — the outer frame was
+// fully consumed, so the stream stays in sync.
 //
 // The Vector of a received envelope comes from the gradient pool
 // (grad.GetBuffer). A receiver on the iteration path hands it back with
@@ -625,25 +526,13 @@ func (c *Conn) Recv() (*Envelope, error) {
 		return nil, fmt.Errorf("transport recv: %w", err)
 	}
 	wire.framesIn.Add(1)
-	if err := e.validate(); err != nil {
+	err = e.validate()
+	if err == nil && (e.Type == MsgParams || e.Type == MsgGradient) {
+		err = fmt.Errorf("%w: %v as a gob envelope (vectors ride the vector frame only)", ErrMalformed, e.Type)
+	}
+	if err != nil {
 		wire.malformed.Add(1)
 		return nil, err
-	}
-	if e.Type == MsgBatch {
-		subs, err := decodeFrames(&sliceSource{b: e.Batch}, len(e.Batch), true)
-		if err != nil {
-			wire.malformed.Add(1)
-			return nil, err
-		}
-		c.pending = subs[1:]
-		return subs[0], nil
-	}
-	if e.Type == MsgGradient {
-		countCodecIn(codecPayload(&e))
-		if err := e.dequantize(); err != nil {
-			wire.malformed.Add(1)
-			return nil, err
-		}
 	}
 	return &e, nil
 }
@@ -670,7 +559,7 @@ func (c *Conn) recvFrame() (*Envelope, error) {
 		wire.malformed.Add(1)
 		return nil, fmt.Errorf("transport recv: frame body of %d bytes exceeds cap %d", n, maxFrameBody)
 	}
-	subs, err := decodeFrames(c.br, int(n), false)
+	subs, err := decodeFrames(c.br, int(n))
 	if err != nil {
 		if errors.Is(err, ErrMalformed) {
 			wire.malformed.Add(1)

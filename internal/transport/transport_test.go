@@ -1,25 +1,31 @@
 package transport
 
 import (
+	"bytes"
 	"errors"
+	"math"
+	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"github.com/hetgc/hetgc/internal/grad"
 )
 
 func TestMsgTypeString(t *testing.T) {
 	cases := map[MsgType]string{
 		MsgHello:        "hello",
-		MsgAssign:       "assign",
+		MsgType(2):      "MsgType(2)",
 		MsgParams:       "params",
 		MsgGradient:     "gradient",
 		MsgShutdown:     "shutdown",
 		MsgTelemetry:    "telemetry",
 		MsgReassign:     "reassign",
-		MsgBatch:        "batch",
+		MsgType(8):      "MsgType(8)",
 		MsgAdopt:        "adopt",
 		MsgPartitionReq: "partition-req",
 		MsgPartition:    "partition",
+		MsgType(0):      "MsgType(0)",
 		MsgType(42):     "MsgType(42)",
 	}
 	for mt, want := range cases {
@@ -64,24 +70,29 @@ func TestRecvRejectsMalformed(t *testing.T) {
 		env  *Envelope
 	}{
 		{"unknown type", &Envelope{Type: MsgType(99)}},
-		{"negative iter", &Envelope{Type: MsgParams, Iter: -1}},
-		{"negative epoch", &Envelope{Type: MsgParams, Epoch: -3}},
-		{"assign array mismatch", &Envelope{Type: MsgAssign, Assign: &Assignment{
+		{"retired assign number", &Envelope{Type: MsgType(2), Assign: &Assignment{
+			Partitions: []int{0}, RowCoeffs: []float64{1}, K: 4, S: 1}}},
+		{"retired batch number", &Envelope{Type: MsgType(8)}},
+		{"negative iter", &Envelope{Type: MsgTelemetry, Iter: -1}},
+		{"negative epoch", &Envelope{Type: MsgTelemetry, Epoch: -3}},
+		{"assign array mismatch", &Envelope{Type: MsgReassign, Assign: &Assignment{
 			Partitions: []int{0, 1}, RowCoeffs: []float64{1}, K: 4, S: 1}}},
-		{"assign bad k", &Envelope{Type: MsgAssign, Assign: &Assignment{
+		{"assign bad k", &Envelope{Type: MsgReassign, Assign: &Assignment{
 			Partitions: []int{0}, RowCoeffs: []float64{1}, K: 0, S: 1}}},
-		{"assign negative s", &Envelope{Type: MsgAssign, Assign: &Assignment{
+		{"assign negative s", &Envelope{Type: MsgReassign, Assign: &Assignment{
 			Partitions: []int{0}, RowCoeffs: []float64{1}, K: 4, S: -1}}},
-		{"assign partition out of range", &Envelope{Type: MsgAssign, Assign: &Assignment{
+		{"assign partition out of range", &Envelope{Type: MsgReassign, Assign: &Assignment{
 			Partitions: []int{7}, RowCoeffs: []float64{1}, K: 4, S: 1}}},
-		{"assign overfull", &Envelope{Type: MsgAssign, Assign: &Assignment{
+		{"assign overfull", &Envelope{Type: MsgReassign, Assign: &Assignment{
 			Partitions: []int{0, 1, 0}, RowCoeffs: []float64{1, 1, 1}, K: 2, S: 0}}},
 		{"reassign without payload", &Envelope{Type: MsgReassign}},
-		{"assign without payload", &Envelope{Type: MsgAssign}},
+		{"assign without payload", &Envelope{Type: MsgReassign, Epoch: 1}},
 		{"negative telemetry", &Envelope{Type: MsgTelemetry, Telemetry: &Telemetry{Partitions: -1}}},
-		{"negative root generation", &Envelope{Type: MsgParams, RootGen: -1}},
+		{"vector on a control frame", &Envelope{Type: MsgTelemetry, Vector: []float64{1}}},
+		{"quantized payload on a control frame", &Envelope{Type: MsgHello, WorkerID: 1, Quant: []byte{1}, QuantLen: 1}},
+		{"negative root generation", &Envelope{Type: MsgShutdown, RootGen: -1}},
 		{"adopt without payload", &Envelope{Type: MsgAdopt}},
-		{"adopt on non-adopt frame", &Envelope{Type: MsgParams, Adopt: &Adoption{Group: 0, Epoch: -1}}},
+		{"adopt on non-adopt frame", &Envelope{Type: MsgTelemetry, Adopt: &Adoption{Group: 0, Epoch: -1}}},
 		{"adopt negative group", &Envelope{Type: MsgAdopt, Adopt: &Adoption{Group: -1, Epoch: -1}}},
 		{"adopt impossible epoch", &Envelope{Type: MsgAdopt, Adopt: &Adoption{Group: 0, Epoch: -2}}},
 		{"adopt unsorted members", &Envelope{Type: MsgAdopt, Adopt: &Adoption{Group: 0, Epoch: 0, Members: []int{3, 2}}}},
@@ -96,8 +107,8 @@ func TestRecvRejectsMalformed(t *testing.T) {
 			if _, err := server.Recv(); !errors.Is(err, ErrMalformed) {
 				t.Fatalf("Recv err = %v, want ErrMalformed", err)
 			}
-			// The gob stream stays in sync: a valid frame after the rejected
-			// one is still received.
+			// The stream stays in sync: a valid frame after the rejected one
+			// is still received.
 			if err := client.Send(&Envelope{Type: MsgParams, Iter: 1, Vector: []float64{1}}); err != nil {
 				t.Fatal(err)
 			}
@@ -106,6 +117,91 @@ func TestRecvRejectsMalformed(t *testing.T) {
 				t.Fatalf("follow-up frame = %+v, err %v", env, err)
 			}
 		})
+	}
+}
+
+// TestSendRefusesUnframable: no silent fallback on the way out. A params or
+// gradient envelope the vector frame cannot carry — a header field outside
+// its uint32 range, more spans than it counts, a payload it has no field for,
+// a body over maxFrameBody — is refused by Send, SendBatch and Broadcast alike
+// with ErrMalformed, and nothing reaches the wire. So is a control message in
+// a batch: batches are vector frames.
+func TestSendRefusesUnframable(t *testing.T) {
+	vec := []float64{1, 2}
+	spans := make([]PhaseSpan, MaxSpans+1)
+	for i := range spans {
+		spans[i] = PhaseSpan{Phase: "compute", Seconds: 1}
+	}
+	// 256 sub-frames sharing one 8 MiB vector declare a body over 2 GiB
+	// without holding one.
+	shared := make([]float64, 1<<20)
+	over := make([]*Envelope, maxFrameBody/(8*len(shared))+1)
+	for i := range over {
+		over[i] = &Envelope{Type: MsgGradient, Chunk: i, Chunks: len(over), Vector: shared}
+	}
+	cases := map[string][]*Envelope{
+		"iter above MaxInt32":            {{Type: MsgParams, Iter: math.MaxInt32 + 1, Vector: vec}},
+		"root generation above MaxInt32": {{Type: MsgParams, RootGen: math.MaxInt32 + 1, Vector: vec}},
+		"chunk above MaxInt32":           {{Type: MsgGradient, Chunk: math.MaxInt32 + 1, Chunks: math.MaxInt32 + 2, Vector: vec}},
+		"negative epoch":                 {{Type: MsgGradient, Epoch: -1, Vector: vec}},
+		"more than MaxSpans spans":       {{Type: MsgGradient, Spans: spans, Vector: vec}},
+		"span name over 255 bytes":       {{Type: MsgGradient, Spans: []PhaseSpan{{Phase: strings.Repeat("x", 256)}}, Vector: vec}},
+		"telemetry payload":              {{Type: MsgGradient, Telemetry: &Telemetry{}, Vector: vec}},
+		"codec advertisement":            {{Type: MsgGradient, Codecs: grad.AdvertiseCodecs(), Vector: vec}},
+		"codec byte over a raw payload":  {{Type: MsgParams, Codec: byte(grad.CodecInt8), Vector: vec}},
+		"unknown codec":                  {{Type: MsgGradient, Codec: 99, Quant: []byte{1}, QuantLen: 1}},
+		"body over maxFrameBody":         over,
+		"telemetry in a batch":           {{Type: MsgParams, Vector: vec}, {Type: MsgTelemetry, Telemetry: &Telemetry{}}},
+	}
+	for name, envs := range cases {
+		var out bytes.Buffer
+		c := NewConn(&memConn{r: bytes.NewReader(nil), w: &out})
+		sends := map[string]func() error{"SendBatch": func() error { return c.SendBatch(envs) }}
+		if len(envs) == 1 {
+			sends["Send"] = func() error { return c.Send(envs[0]) }
+			sends["Broadcast"] = func() error { return Broadcast([]*Conn{nil, c}, envs[0], time.Second)[1] }
+		}
+		for via, send := range sends {
+			if err := send(); !errors.Is(err, ErrMalformed) {
+				t.Fatalf("%s via %s: %v, want ErrMalformed", name, via, err)
+			}
+			if out.Len() != 0 {
+				t.Fatalf("%s via %s: %d bytes reached the wire", name, via, out.Len())
+			}
+		}
+	}
+}
+
+// TestRecvRefusesGobVectors: no silent fallback on the way in. A params or
+// gradient envelope that arrives gob-encoded — raw or quantized, chunked or
+// traced — is refused with ErrMalformed, and the stream stays in sync: the
+// gob control frame and the vector frame behind it still decode.
+func TestRecvRefusesGobVectors(t *testing.T) {
+	q, err := grad.AppendQuantized(nil, grad.CodecFP16, []float64{1, 2, 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := map[string]*Envelope{
+		"params":             {Type: MsgParams, Iter: 1, Vector: []float64{1, 2}},
+		"empty params":       {Type: MsgParams, Iter: 1},
+		"gradient":           {Type: MsgGradient, Iter: 1, WorkerID: 2, Vector: []float64{1}},
+		"chunked gradient":   {Type: MsgGradient, WorkerID: 2, Chunk: 1, Chunks: 2, Vector: []float64{1}},
+		"quantized gradient": {Type: MsgGradient, WorkerID: 2, Codec: byte(grad.CodecFP16), Quant: q, QuantLen: 3},
+		"traced gradient":    {Type: MsgGradient, WorkerID: 2, Trace: 7, Spans: []PhaseSpan{{Phase: "compute", Seconds: 1}}, Vector: []float64{1}},
+	}
+	control := &Envelope{Type: MsgTelemetry, Iter: 4, WorkerID: 2, Telemetry: &Telemetry{Partitions: 1}}
+	next := referenceFrame(&Envelope{Type: MsgParams, Iter: 9, Vector: []float64{4}})
+	for name, e := range cases {
+		c := NewConn(&memConn{r: bytes.NewReader(append(encodeFrames(t, e, control), next...))})
+		if _, err := c.Recv(); !errors.Is(err, ErrMalformed) {
+			t.Fatalf("gob %s: Recv = %v, want ErrMalformed", name, err)
+		}
+		if got, err := c.Recv(); err != nil || got.Type != MsgTelemetry || got.Iter != 4 {
+			t.Fatalf("gob %s: the control frame behind it: %+v, %v", name, got, err)
+		}
+		if got, err := c.Recv(); err != nil || got.Type != MsgParams || got.Iter != 9 {
+			t.Fatalf("gob %s: the vector frame behind it: %+v, %v", name, got, err)
+		}
 	}
 }
 
@@ -174,7 +270,7 @@ func TestEnvelopeRoundTrip(t *testing.T) {
 	}
 	defer client.Close()
 	assign := &Assignment{WorkerID: 3, Partitions: []int{1, 2}, RowCoeffs: []float64{0.5, -1}, K: 7, S: 1}
-	if err := client.Send(&Envelope{Type: MsgAssign, Iter: 9, Assign: assign}); err != nil {
+	if err := client.Send(&Envelope{Type: MsgReassign, Iter: 9, Assign: assign}); err != nil {
 		t.Fatal(err)
 	}
 	got, err := client.Recv()
@@ -220,7 +316,7 @@ func TestAssignmentRoundTrip(t *testing.T) {
 	}
 	defer client.Close()
 	in := &Assignment{WorkerID: 1, Partitions: []int{5, 6, 0}, RowCoeffs: []float64{1, 2, 3}, K: 7, S: 2}
-	if err := client.Send(&Envelope{Type: MsgAssign, Assign: in}); err != nil {
+	if err := client.Send(&Envelope{Type: MsgReassign, Epoch: 2, Assign: in}); err != nil {
 		t.Fatal(err)
 	}
 	env := <-done
