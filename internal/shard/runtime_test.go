@@ -4,10 +4,13 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
+	"sort"
 	"sync"
 	"testing"
 	"time"
 
+	"github.com/hetgc/hetgc/internal/checkpoint"
 	"github.com/hetgc/hetgc/internal/core"
 	"github.com/hetgc/hetgc/internal/grad"
 	"github.com/hetgc/hetgc/internal/ml"
@@ -281,8 +284,69 @@ func TestShardedRunFailsWhenGroupLosesQuorum(t *testing.T) {
 			mu.Unlock()
 		}()
 	})
-	if err == nil {
-		t.Fatal("expected the run to fail after group 0 lost its quorum")
+	if !errors.Is(err, ErrGroupFailed) {
+		t.Fatalf("run after group 0 lost its quorum: err = %v, want ErrGroupFailed", err)
 	}
 	wg.Wait()
+}
+
+// TestShardedDurableGroupStates runs a durable hierarchy whose groups are all
+// hosted by the root and recovers its directory: every group's snapshot
+// entry must carry the group's member IDs and the live controller state over
+// exactly those members (a promoted root re-plans from it), and a crash-free
+// run re-adopts nothing and loses no uplink.
+func TestShardedDurableGroupStates(t *testing.T) {
+	const k, s, iters, m = 8, 1, 9, 6
+	fx := newLiveFixture(t, k)
+	cfg := fx.config(k, s, iters, m)
+	dir := t.TempDir()
+	cfg.CheckpointDir = dir
+	cfg.SnapshotEvery = 3
+
+	var wg sync.WaitGroup
+	var plan *Plan
+	res, err := RunSharded(cfg, "127.0.0.1:0", 5*time.Second, func(r *Root) {
+		plan = r.Plan()
+		spawnWorkers(t, r, &wg, nil, fx)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wg.Wait()
+	if res.Readoptions != 0 || len(res.Failovers) != 0 {
+		t.Fatalf("crash-free run: %d re-adoptions, failovers %v", res.Readoptions, res.Failovers)
+	}
+
+	st, err := checkpoint.Recover(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Snap == nil {
+		t.Fatal("durable run left no snapshot")
+	}
+	if len(st.Snap.Groups) != plan.NumGroups() {
+		t.Fatalf("snapshot holds %d group entries, want %d", len(st.Snap.Groups), plan.NumGroups())
+	}
+	for i, gs := range st.Snap.Groups {
+		if gs.Group != i {
+			t.Fatalf("snapshot entry %d is group %d", i, gs.Group)
+		}
+		if want := len(plan.Groups[i].Workers); len(gs.Members) != want {
+			t.Fatalf("group %d snapshot members %v, want %d IDs", i, gs.Members, want)
+		}
+		if gs.Ctrl == nil {
+			t.Fatalf("group %d snapshot has no controller state", i)
+		}
+		var ids []int
+		for _, ms := range gs.Ctrl.Members {
+			ids = append(ids, ms.ID)
+		}
+		sort.Ints(ids)
+		if !slices.Equal(ids, gs.Members) {
+			t.Fatalf("group %d controller members %v, snapshot members %v", i, ids, gs.Members)
+		}
+		if gs.Epoch < 0 {
+			t.Fatalf("group %d snapshot epoch %d: it planned", i, gs.Epoch)
+		}
+	}
 }
