@@ -417,8 +417,9 @@ type (
 	ReductionTree = shard.Tree
 )
 
-// NewShardedRoot builds the shard plan, starts the root on addr and spawns
-// one group master per coding group, each on its own loopback address.
+// NewShardedRoot builds the shard plan, starts the root on addr and starts
+// one group master (a GroupRunner) per coding group not in ExternalGroups,
+// each on its own loopback address.
 func NewShardedRoot(cfg ShardedConfig, addr string) (*ShardedRoot, error) {
 	return shard.NewRoot(cfg, addr)
 }

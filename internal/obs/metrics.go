@@ -415,7 +415,7 @@ func (m *Metrics) Event(ev Event) {
 // BindWire registers scrape-time counters over the process-wide transport
 // wire statistics. fn returns frames in/out, bytes in/out, batch frames
 // sent, and malformed frames. Idempotent: only the first call binds, so a
-// root and its in-process group masters can share one registry.
+// root and the group runners it hosts can share one registry.
 func (m *Metrics) BindWire(fn func() (framesIn, framesOut, bytesIn, bytesOut, batches, malformed uint64)) {
 	if m == nil || fn == nil {
 		return

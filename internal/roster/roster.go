@@ -1,6 +1,6 @@
 // Package roster is the shared membership engine behind every elastic
 // master in the system. The flat runtime (runtime.ElasticMaster) and the
-// sharded per-group masters (shard.groupMaster) run the same
+// sharded per-group masters (shard.GroupRunner) run the same
 // estimate → allocate → re-code loop over live TCP workers, and before this
 // package existed each carried its own copy of the accept loop, the
 // join/rejoin handshake, connection-generation fencing, the epoch-tagged
@@ -638,7 +638,8 @@ func (e *Engine) ControllerState() *elastic.ControllerState {
 	return e.cfg.Controller.State()
 }
 
-// WaitForMembers blocks until min members are alive or the timeout expires.
+// WaitForMembers blocks until min members are alive, the timeout expires or
+// the engine shuts down.
 func (e *Engine) WaitForMembers(min int, timeout time.Duration) error {
 	deadline := time.After(timeout)
 	for {
@@ -650,6 +651,8 @@ func (e *Engine) WaitForMembers(min int, timeout time.Duration) error {
 		case <-e.joined:
 		case <-deadline:
 			return fmt.Errorf("%w: %d of %d members joined before timeout", ErrQuorum, n, min)
+		case <-e.stop:
+			return fmt.Errorf("%w: engine shut down with %d of %d members", ErrQuorum, n, min)
 		}
 	}
 }
@@ -877,11 +880,11 @@ func (e *Engine) EpochViable(plan *elastic.Plan, arrived []bool) bool {
 // Collect runs one epoch-fenced gather for an iteration: it consumes inbox
 // frames — ingesting telemetry, fencing stale-epoch and malformed uploads,
 // noting deaths — until the strategy decodes (ok=true, with the decode
-// coefficients and the coded uploads by slot), the timeout expires, or
-// deaths make the epoch unviable (ok=false either way: the caller migrates
-// and retries, or gives up). Fencing decisions are accumulated into st. The
-// coded uploads are pooled vectors, valid until the Collect after next; a
-// caller done with them sooner says so with Release.
+// coefficients and the coded uploads by slot), the timeout expires, deaths
+// make the epoch unviable, or the engine shuts down (ok=false either way:
+// the caller migrates and retries, or gives up). Fencing decisions are
+// accumulated into st. The coded uploads are pooled vectors, valid until the
+// Collect after next; a caller done with them sooner says so with Release.
 func (e *Engine) Collect(plan *elastic.Plan, iter, dim int, timeout time.Duration, st *Stats) (coeffs []float64, coded []grad.Gradient, ok bool) {
 	m := plan.Strategy.M()
 	coded = e.collectSlab(m)
@@ -968,6 +971,8 @@ func (e *Engine) Collect(plan *elastic.Plan, iter, dim int, timeout time.Duratio
 			}
 		case <-deadline.C:
 			return nil, nil, false
+		case <-e.stop:
+			return nil, nil, false // shut down: no upload can arrive
 		}
 	}
 }

@@ -112,20 +112,17 @@ type ElasticWorker struct {
 	cache  map[int]*ml.Dataset
 	box    *mailbox // Run's receive queue
 
-	// Single-slot upload pipeline: iterate hands each iteration's sends to
-	// the uploader goroutine (the connection's sole writer while Run is
-	// live), so iteration k+1's compute and encode overlap upload k. The
-	// capacity-1 channel bounds the pipeline at one in-flight iteration.
-	up      chan func() error
-	upFail  chan error    // first upload error, capacity 1
-	upDrain chan struct{} // closed when the uploader exits
+	// up carries each iteration's sends to its writer goroutine (the
+	// connection's sole writer while Run is live), so iteration k+1's
+	// compute and encode overlap upload k.
+	up transport.Pipeline
 
 	// Phase timing echoed as trace spans on each upload. lastFetch is the
 	// wire-fetch time of the most recent migration, attributed to the next
 	// upload (amortized: a fetch serves every following iteration).
 	// lastUpload (Float64bits) is the PREVIOUS iteration's send duration —
 	// a sender cannot know this upload's duration before sending it. It is
-	// written by the uploader goroutine and read by iterate, hence atomic.
+	// written by the upload pipeline's writer and read by iterate, hence atomic.
 	lastFetch  float64
 	lastUpload atomic.Uint64
 }
@@ -237,13 +234,9 @@ func (w *ElasticWorker) Close() error {
 // one arrives (see iterate). For every iteration it completes, the worker
 // computes and encodes the coded gradient of its current assignment, then
 // hands the upload (gradient plus a telemetry report: compute seconds,
-// partitions processed) to the uploader goroutine — so the next iteration's
+// partitions processed) to the upload pipeline — so the next iteration's
 // compute and encode overlap the previous upload, one iteration deep.
 func (w *ElasticWorker) Run() error {
-	w.up = make(chan func() error, 1)
-	w.upFail = make(chan error, 1)
-	w.upDrain = make(chan struct{})
-	go w.uploader()
 	w.box = newMailbox()
 	received := make(chan struct{})
 	go func() {
@@ -251,8 +244,7 @@ func (w *ElasticWorker) Run() error {
 		w.box.receive(w.conn)
 	}()
 	defer func() {
-		close(w.up)
-		<-w.upDrain
+		_ = w.up.Close()
 		w.Close() // fails the receive goroutine's Recv
 		<-received
 		w.box.drain()
@@ -313,34 +305,6 @@ func (w *ElasticWorker) applyAssignment(env *transport.Envelope) error {
 	w.assign = env.Assign
 	w.parts = parts
 	w.epoch = env.Epoch
-	return nil
-}
-
-// uploader drains the upload pipeline. It is the connection's sole writer
-// while Run is live; the first send failure is parked in upFail for iterate
-// to surface, and later jobs still run (they fail fast on the dead
-// connection) so the pipeline never blocks the compute loop.
-func (w *ElasticWorker) uploader() {
-	defer close(w.upDrain)
-	for job := range w.up {
-		if err := job(); err != nil {
-			select {
-			case w.upFail <- err:
-			default:
-			}
-		}
-	}
-}
-
-// submitUpload enqueues one iteration's sends, surfacing any earlier upload
-// failure instead (the iteration's work is moot — the connection is gone).
-func (w *ElasticWorker) submitUpload(job func() error) error {
-	select {
-	case err := <-w.upFail:
-		return err
-	default:
-	}
-	w.up <- job
 	return nil
 }
 
@@ -405,7 +369,7 @@ func (w *ElasticWorker) iterate(env *transport.Envelope) error {
 	}
 	abandon := func(partitions int, seconds float64) error {
 		tel.Telemetry.Partitions, tel.Telemetry.ComputeSeconds = partitions, seconds
-		return w.submitUpload(func() error { return w.conn.Send(tel) })
+		return w.up.Submit(func() error { return w.conn.Send(tel) })
 	}
 	// Artificial slowness counts as compute, and as declared, so telemetry
 	// sees the machine the master sees.
@@ -500,7 +464,7 @@ func (w *ElasticWorker) iterate(env *transport.Envelope) error {
 	}
 	out.Spans = spans
 	tel.Telemetry.Partitions, tel.Telemetry.ComputeSeconds = len(w.parts), compute
-	err := w.submitUpload(func() error {
+	err := w.up.Submit(func() error {
 		uploadStart := time.Now()
 		err := w.conn.Send(out)
 		bufs.release()

@@ -41,7 +41,7 @@ func TestSharedIterationTraceParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gc := newGroupCore(&Config{IterTimeout: 5 * time.Second, MaxRetries: 2}, 0, eng)
+	gc := &GroupRunner{loop: roster.Loop{Eng: eng, IterTimeout: 5 * time.Second, MaxRetries: 2}}
 
 	// Workers join one at a time, so dial order is plan-slot order. Slots 0
 	// and 2 vanish between iteration killAt's broadcast and their uploads;
@@ -67,22 +67,22 @@ func TestSharedIterationTraceParity(t *testing.T) {
 	var epochs []int // the epoch each iteration decoded under
 	for iter := 0; iter < iters; iter++ {
 		scope := tel.StartIter(iter, -1)
-		if err := gc.Iteration(scope, iter, params, sum); err != nil {
+		if err := gc.loop.Iteration(scope, iter, params, sum); err != nil {
 			t.Fatalf("iteration %d: %v", iter, err)
 		}
 		scope.End()
-		if iter == 0 && gc.Plan.Strategy.CanDecode([]bool{false, true, false, true}) {
+		if iter == 0 && gc.loop.Plan.Strategy.CanDecode([]bool{false, true, false, true}) {
 			t.Fatal("slots 1 and 3 decode alone: the layout this scenario relies on changed")
 		}
-		epochs = append(epochs, gc.Plan.Epoch)
+		epochs = append(epochs, gc.loop.Plan.Epoch)
 		// The group caller's view: the uplink echo reads the gather as
 		// compute and the combine as encode.
 		spans := gc.uplinkSpans()
 		if len(spans) != 2 || spans[0].Phase != obs.PhaseCompute || spans[1].Phase != obs.PhaseEncode {
 			t.Fatalf("iteration %d: uplink spans %+v, want compute + encode", iter, spans)
 		}
-		if spans[0].Seconds != gc.Gather || gc.Gather <= 0 || spans[1].Seconds != gc.Combine {
-			t.Fatalf("iteration %d: uplink spans %+v do not carry gather %v / combine %v", iter, spans, gc.Gather, gc.Combine)
+		if spans[0].Seconds != gc.loop.Gather || gc.loop.Gather <= 0 || spans[1].Seconds != gc.loop.Combine {
+			t.Fatalf("iteration %d: uplink spans %+v do not carry gather %v / combine %v", iter, spans, gc.loop.Gather, gc.loop.Combine)
 		}
 	}
 	eng.Shutdown(true)

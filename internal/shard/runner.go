@@ -1,17 +1,19 @@
 // GroupRunner: a coding-group master as an independently restartable unit.
 //
-// The in-process groupMaster lives and dies with its root. A GroupRunner
-// hosts the same group core (roster engine, group-local control plane,
-// epoch-fenced collect) behind an adoption loop: it dials whatever root the
-// lease token in RootDir names (or a fixed RootAddr), announces its live
-// epoch and membership with MsgAdopt, serves params broadcasts from the
+// A GroupRunner hosts one coding group (roster engine, group-local control
+// plane, epoch-fenced collect) behind an adoption loop: it dials whatever
+// root the lease token in RootDir names (or a fixed RootAddr), announces its
+// live epoch and membership with MsgAdopt, serves params broadcasts from the
 // adopted root, and whenever the uplink dies — root crash, root takeover,
 // network fault — it simply re-dials and re-adopts. The group's workers
 // never notice: the runner's own listener address is stable, so they stay
 // connected (or rejoin by ResumeID) across any number of root incarnations.
 //
-// With a JournalDir the runner owns a per-group journal: membership and
-// migrations stream through a checkpoint.GroupRecorder, and the group's
+// It is the only group host. NewRoot starts one per group it does not list
+// in ExternalGroups, pinned to the root's own listener and recording into
+// the root's journal; StartGroup runs one out of process for an external
+// group. With a JournalDir the runner owns a per-group journal: membership
+// and migrations stream through a checkpoint.GroupRecorder, and the group's
 // control-plane state (epoch, members, throughput estimates) is snapshotted
 // on the SnapshotEvery cadence. A restarted runner (ResumeJournal) rebuilds
 // its controller from that history, reserves its member IDs for rejoins,
@@ -30,9 +32,11 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/hetgc/hetgc/internal/checkpoint"
+	"github.com/hetgc/hetgc/internal/grad"
 	"github.com/hetgc/hetgc/internal/ha"
 	"github.com/hetgc/hetgc/internal/rootcore"
 	"github.com/hetgc/hetgc/internal/roster"
@@ -42,10 +46,10 @@ import (
 // ErrRunnerStopped reports a runner torn down by Stop rather than failure.
 var ErrRunnerStopped = errors.New("shard: group runner stopped")
 
-// GroupRunnerConfig configures one out-of-process group master. The
-// embedded Config must match the root's exactly where the plan is concerned
-// (K, S, GroupSize, FanIn, Scheme, Throughputs, Seed) — both sides derive
-// the same layout independently. Model, Optimizer, InitialParams,
+// GroupRunnerConfig configures the group master StartGroup runs for one of
+// the root's ExternalGroups. The embedded Config must match the root's
+// exactly where the plan is concerned (K, S, GroupSize, FanIn, Scheme,
+// Throughputs, Seed) — both sides derive the same layout independently. Model, Optimizer, InitialParams,
 // Iterations, SampleCount, LossEvery, LossFn, CheckpointDir, Resume,
 // LeaseTTL and ExternalGroups are ignored: the runner neither trains nor
 // holds the root lease.
@@ -99,19 +103,25 @@ func (c *GroupRunnerConfig) validate() error {
 	return err
 }
 
-// GroupRunner is a running out-of-process group master.
+// GroupRunner is a running group master.
 type GroupRunner struct {
-	cfg   GroupRunnerConfig
-	core  groupCore
-	store *checkpoint.Store
+	cfg     GroupRunnerConfig
+	workers int               // the group's planned worker count
+	loop    roster.Loop       // the group's engine and iteration policy
+	store   *checkpoint.Store // the runner's own journal (nil when the root records the group)
+	codec   grad.Codec        // uplink codec negotiated at the last adoption
 
 	mu         sync.Mutex
 	up         *transport.Conn // live uplink (nil between adoptions)
 	adoptedGen int
 	stopped    bool
 
-	served       int // iterations served (drives the snapshot cadence)
-	iterFailures int // consecutive failed iterations across adoptions
+	served       int   // iterations served (drives the snapshot cadence)
+	iterFailures int   // consecutive failed iterations across adoptions
+	epochs       []int // the plan epoch each served iteration decoded under
+	// lastUpSec (Float64bits) is the previous upload's send duration,
+	// written by the session's upload pipeline and read by serve.
+	lastUpSec atomic.Uint64
 
 	stop chan struct{}
 	done chan struct{}
@@ -142,11 +152,9 @@ func StartGroup(cfg GroupRunnerConfig) (_ *GroupRunner, err error) {
 	if err != nil {
 		return nil, err
 	}
-	g := cfg.Group
-	if g < 0 || g >= plan.NumGroups() {
+	if g := cfg.Group; g < 0 || g >= plan.NumGroups() {
 		return nil, fmt.Errorf("%w: group %d out of range (plan has %d groups)", ErrBadConfig, g, plan.NumGroups())
 	}
-	grp := plan.Groups[g]
 
 	// Journal recovery: the runner's own history, not the root's.
 	var state *checkpoint.State
@@ -156,26 +164,34 @@ func StartGroup(cfg GroupRunnerConfig) (_ *GroupRunner, err error) {
 			_ = store.Close()
 		}
 	}()
-	if cfg.JournalDir != "" {
-		if cfg.ResumeJournal {
-			if state, err = checkpoint.Recover(cfg.JournalDir); err != nil {
-				return nil, err
-			}
-			store, err = checkpoint.Reopen(cfg.JournalDir)
-		} else {
-			store, err = checkpoint.Create(cfg.JournalDir)
-		}
-		if err != nil {
+	if cfg.JournalDir == "" {
+		return startRunner(cfg, plan.Groups[cfg.Group], nil, nil, nil)
+	}
+	if cfg.ResumeJournal {
+		if state, err = checkpoint.Recover(cfg.JournalDir); err != nil {
 			return nil, err
 		}
+		store, err = checkpoint.Reopen(cfg.JournalDir)
+	} else {
+		store, err = checkpoint.Create(cfg.JournalDir)
 	}
-	ctrl, recovered, err := buildGroupController(&cfg.Config, grp, g, state)
 	if err != nil {
 		return nil, err
 	}
-	var rec roster.Recorder
-	if store != nil {
-		rec = store.GroupRecorder(g)
+	store.SetMetrics(cfg.Obs)
+	return startRunner(cfg, plan.Groups[cfg.Group], state, store.GroupRecorder(cfg.Group), store)
+}
+
+// startRunner builds the runner for group grp from a validated, defaulted
+// config: its controller restored from state (nil for a fresh group), its
+// roster records sent to rec, and — with a non-nil store, the runner's own
+// journal — a resumed state anchored there before the loop starts. On error
+// the caller still owns store.
+func startRunner(cfg GroupRunnerConfig, grp *Group, state *checkpoint.State, rec roster.Recorder, store *checkpoint.Store) (*GroupRunner, error) {
+	g := cfg.Group
+	ctrl, recovered, err := buildGroupController(&cfg.Config, grp, g, state)
+	if err != nil {
+		return nil, err
 	}
 	lis, err := transport.Listen(cfg.WorkerAddr)
 	if err != nil {
@@ -185,13 +201,14 @@ func StartGroup(cfg GroupRunnerConfig) (_ *GroupRunner, err error) {
 	if err != nil {
 		return nil, err
 	}
-	if store != nil {
-		store.SetMetrics(cfg.Obs)
-	}
 	cfg.Obs.BindWire(transport.Wire)
 	r := &GroupRunner{
-		cfg:   cfg,
-		core:  newGroupCore(&cfg.Config, g, eng),
+		cfg:     cfg,
+		workers: len(grp.Workers),
+		loop: roster.Loop{
+			Eng: eng, IterTimeout: cfg.IterTimeout, MaxRetries: cfg.MaxRetries,
+			Fail: fmt.Errorf("%w: group %d", ErrGroupFailed, g),
+		},
 		store: store,
 		stop:  make(chan struct{}),
 		done:  make(chan struct{}),
@@ -200,16 +217,16 @@ func StartGroup(cfg GroupRunnerConfig) (_ *GroupRunner, err error) {
 		// Anchor a fresh journal generation with the restored state before
 		// any append.
 		if err := store.WriteSnapshot(r.snapshot()); err != nil {
-			r.teardown()
+			eng.Shutdown(false)
 			return nil, err
 		}
 	}
-	go r.loop()
+	go r.run()
 	return r, nil
 }
 
 // Addr returns the runner's worker listen address.
-func (r *GroupRunner) Addr() string { return r.core.Eng.Addr() }
+func (r *GroupRunner) Addr() string { return r.loop.Eng.Addr() }
 
 // Group returns the coding group this runner serves.
 func (r *GroupRunner) Group() int { return r.cfg.Group }
@@ -223,7 +240,7 @@ func (r *GroupRunner) Gen() int {
 
 // WaitForWorkers blocks until at least min members joined the group.
 func (r *GroupRunner) WaitForWorkers(min int, timeout time.Duration) error {
-	return r.core.Eng.WaitForMembers(min, timeout)
+	return r.loop.Eng.WaitForMembers(min, timeout)
 }
 
 // Done is closed when the runner's serve loop exits.
@@ -242,7 +259,16 @@ func (r *GroupRunner) Err() error {
 // Stats snapshots the group's counters. Valid once Done is closed.
 func (r *GroupRunner) Stats() GroupStats {
 	<-r.done
-	return r.core.coreStats(r.core.Eng.AliveCount())
+	eng := r.loop.Eng
+	return GroupStats{
+		Group:   r.cfg.Group,
+		Workers: r.workers,
+		Epochs:  r.epochs,
+		Replans: eng.Events(),
+		Stats:   r.loop.Stats,
+		Joins:   eng.Joins(),
+		Deaths:  eng.Deaths(),
+	}
 }
 
 // Stop tears the runner down cold: no shutdown frames to workers (they see
@@ -261,7 +287,7 @@ func (r *GroupRunner) Stop() {
 	if up != nil {
 		_ = up.Close()
 	}
-	r.core.Eng.Shutdown(false)
+	r.loop.Eng.Shutdown(false)
 	<-r.done
 }
 
@@ -272,17 +298,8 @@ func (r *GroupRunner) snapshot() *checkpoint.Snapshot {
 	return &checkpoint.Snapshot{
 		Iter:   r.served,
 		Epoch:  -1,
-		Groups: []checkpoint.GroupState{r.core.coreState()},
+		Groups: []checkpoint.GroupState{r.coreState()},
 	}
-}
-
-// teardown releases everything the constructor built.
-func (r *GroupRunner) teardown() {
-	r.core.Eng.Shutdown(false)
-	if r.store != nil {
-		_ = r.store.Close()
-	}
-	close(r.done)
 }
 
 // stopping reports whether Stop was called.
@@ -308,17 +325,20 @@ func (r *GroupRunner) rootAddr() (addr string, gen int, err error) {
 	return r.cfg.RootAddr, 0, nil
 }
 
-// loop is the adoption/serve loop: dial the current root, adopt, serve its
-// broadcasts until the uplink dies, repeat. Iteration failures are
-// non-fatal (the root resends params after re-adoption) but bounded:
-// consecutive failures without a single served iteration in between give
-// up.
-func (r *GroupRunner) loop() {
-	var tornDown bool
+// run is the adoption/serve loop: dial the current root, adopt, serve its
+// broadcasts until the uplink dies, repeat. Failures to reach or adopt a
+// root share one budget of consecutive attempts; an ack for another group
+// ends the runner at once (no root will ever answer it differently).
+// Iteration failures are non-fatal (the root resends params after
+// re-adoption) but bounded too: consecutive failures without a single
+// served iteration in between give up.
+func (r *GroupRunner) run() {
 	defer func() {
-		if !tornDown {
-			r.teardown()
+		r.loop.Eng.Shutdown(false)
+		if r.store != nil {
+			_ = r.store.Close()
 		}
+		close(r.done)
 	}()
 	failures := 0
 	for {
@@ -326,15 +346,10 @@ func (r *GroupRunner) loop() {
 			r.err = ErrRunnerStopped
 			return
 		}
-		addr, tokGen, err := r.rootAddr()
-		if err == nil && tokGen > 0 && tokGen < r.Gen() {
-			// The token still names a root older than the one we adopted —
-			// a stale read during takeover; wait for the new claim.
-			err = fmt.Errorf("stale lease token (gen %d < adopted %d)", tokGen, r.Gen())
-		}
-		var conn *transport.Conn
-		if err == nil {
-			conn, err = transport.Dial(addr, 2*time.Second)
+		conn, gen, err := r.dialAndAdopt()
+		if errors.Is(err, ErrBadConfig) {
+			r.err = err
+			return
 		}
 		if err != nil {
 			failures++
@@ -342,18 +357,6 @@ func (r *GroupRunner) loop() {
 				r.err = fmt.Errorf("%w: group %d cannot reach a root: %v", ErrGroupFailed, r.cfg.Group, err)
 				return
 			}
-			select {
-			case <-r.stop:
-			case <-time.After(50 * time.Millisecond):
-			}
-			continue
-		}
-		gen, _, err := r.core.adopt(conn, 5*time.Second)
-		if err != nil || gen < r.Gen() {
-			// A handshake failure — or a zombie: a deposed root acking with
-			// a generation below the one we already adopted.
-			_ = conn.Close()
-			failures++
 			select {
 			case <-r.stop:
 			case <-time.After(50 * time.Millisecond):
@@ -382,11 +385,39 @@ func (r *GroupRunner) loop() {
 			r.up = nil
 		}
 		r.mu.Unlock()
-		_ = conn.Close()
 		if fatal {
 			return
 		}
 	}
+}
+
+// dialAndAdopt dials the current root and adopts it, returning the uplink
+// and the adopted generation. A stale lease token, or a zombie — a deposed
+// root acking with a generation below the one already adopted — is an
+// error like a failed dial.
+func (r *GroupRunner) dialAndAdopt() (*transport.Conn, int, error) {
+	addr, tokGen, err := r.rootAddr()
+	if err != nil {
+		return nil, 0, err
+	}
+	if tokGen > 0 && tokGen < r.Gen() {
+		// The token still names a root older than the one we adopted — a
+		// stale read during takeover; wait for the new claim.
+		return nil, 0, fmt.Errorf("stale lease token (gen %d < adopted %d)", tokGen, r.Gen())
+	}
+	conn, err := transport.Dial(addr, 2*time.Second)
+	if err != nil {
+		return nil, 0, err
+	}
+	gen, err := r.adopt(conn, 5*time.Second)
+	if err == nil && gen < r.Gen() {
+		err = fmt.Errorf("root acked generation %d below adopted %d", gen, r.Gen())
+	}
+	if err != nil {
+		_ = conn.Close()
+		return nil, 0, err
+	}
+	return conn, gen, nil
 }
 
 // watchToken polls the lease token while conn is the live uplink and closes
@@ -414,11 +445,20 @@ func (r *GroupRunner) watchToken(conn *transport.Conn, gen int, stop <-chan stru
 
 // serve runs the adopted session: one group iteration per MsgParams (fenced
 // by the adopted generation), uploads stamped with it, group snapshots on
-// the journal cadence. Returns true when the loop must not re-adopt
-// (shutdown, stop, unrecoverable failure); false re-enters the adoption
-// loop.
+// the journal cadence. The uploads run on the session's pipeline, so
+// iteration k+1's collect overlaps the encode and send of sum k. Returns true
+// when the loop must not re-adopt (shutdown, stop, unrecoverable failure);
+// false re-enters the adoption loop. Either way the uplink is closed and the
+// pipeline drained on return.
 func (r *GroupRunner) serve(conn *transport.Conn, gen int) (fatal bool) {
-	r.core.Plan = nil // a session starts by migrating above the adopted epoch floor
+	r.loop.Plan = nil // a session starts by migrating above the adopted epoch floor
+	var up transport.Pipeline
+	defer func() {
+		_ = conn.Close() // fails a send still blocked on the uplink
+		if err := up.Close(); errors.Is(err, errUplinkEncode) && !fatal {
+			r.err, fatal = err, true
+		}
+	}()
 	for {
 		env, err := conn.Recv()
 		if err != nil {
@@ -430,7 +470,7 @@ func (r *GroupRunner) serve(conn *transport.Conn, gen int) (fatal bool) {
 		}
 		switch env.Type {
 		case transport.MsgShutdown:
-			r.core.Eng.Shutdown(true)
+			r.loop.Eng.Shutdown(true)
 			return true
 		case transport.MsgParams:
 			if env.RootGen != gen {
@@ -440,14 +480,17 @@ func (r *GroupRunner) serve(conn *transport.Conn, gen int) (fatal bool) {
 			// have rejoined; give a plannable quorum (s+1 — the controller's
 			// floor) one timeout to show up. Serving with a partial roster
 			// beyond that is fine — the controller plans around it.
-			if need := r.cfg.S + 1; r.core.Eng.AliveCount() < need {
-				_ = r.core.Eng.WaitForMembers(need, r.cfg.IterTimeout)
+			if need := r.cfg.S + 1; r.loop.Eng.AliveCount() < need {
+				_ = r.loop.Eng.WaitForMembers(need, r.cfg.IterTimeout)
 			}
-			upload, err := r.core.serve(conn, env, gen)
+			sum := grad.GetBuffer(len(env.Vector))
+			err := r.loop.Iteration(nil, env.Iter, env.Vector, sum)
+			grad.PutBuffer(env.Vector) // broadcast and joined: back to the receive pool
 			if err != nil {
-				// Unlike the in-process master, an iteration failure is not
-				// fatal to training: drop the uplink, re-adopt, let the root
-				// resend. Bounded so a group that can never decode gives up.
+				// An iteration failure is not fatal to training: drop the
+				// uplink, re-adopt, let the root resend. Bounded so a group
+				// that can never decode gives up.
+				grad.PutBuffer(sum)
 				r.iterFailures++
 				if r.iterFailures > r.cfg.MaxRetries+2 {
 					r.err = err
@@ -456,12 +499,17 @@ func (r *GroupRunner) serve(conn *transport.Conn, gen int) (fatal bool) {
 				return false
 			}
 			r.iterFailures = 0
-			if err := upload(); err != nil {
+			r.epochs = append(r.epochs, r.loop.Plan.Epoch)
+			// Echo the root's trace context and the group-level phase spans
+			// on the uplink; ChunkGradient hoists both onto the final chunk.
+			tmpl := transport.Envelope{Iter: env.Iter, Epoch: r.loop.Plan.Epoch, WorkerID: r.cfg.Group, RootGen: gen, Trace: env.Trace, Spans: r.uplinkSpans()}
+			if err := up.Submit(func() error { return r.upload(conn, tmpl, sum) }); err != nil {
+				grad.PutBuffer(sum)
 				if errors.Is(err, errUplinkEncode) {
 					r.err = err
 					return true
 				}
-				return false // uplink died mid-upload; re-adopt
+				return false // the uplink died mid-upload; re-adopt
 			}
 			r.served++
 			if r.store != nil && r.served%r.cfg.SnapshotEvery == 0 {

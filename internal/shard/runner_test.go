@@ -15,6 +15,7 @@ import (
 	"github.com/hetgc/hetgc/internal/ml"
 	"github.com/hetgc/hetgc/internal/obs"
 	"github.com/hetgc/hetgc/internal/runtime"
+	"github.com/hetgc/hetgc/internal/transport"
 )
 
 // serialSGD trains the fixture serially with the same partition split and
@@ -353,5 +354,47 @@ func TestShardedZombieRootFenced(t *testing.T) {
 		if got := rn.Gen(); got != 2 {
 			t.Fatalf("runner %d never defected to generation 2 (at %d)", g, got)
 		}
+	}
+}
+
+// TestGroupRunnerRefusesBadAck: a listener that acks another group can never
+// adopt this one, so the runner ends at once with ErrBadConfig instead of
+// re-dialing it forever.
+func TestGroupRunnerRefusesBadAck(t *testing.T) {
+	fx := newLiveFixture(t, 8)
+	cfg := fx.config(8, 1, 3, 6)
+	lis, err := transport.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lis.Close()
+	go func() {
+		for {
+			conn, err := lis.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				defer conn.Close()
+				if _, err := conn.Recv(); err != nil {
+					return
+				}
+				_ = conn.Send(&transport.Envelope{Type: transport.MsgAdopt, Adopt: &transport.Adoption{Group: 1}})
+				_, _ = conn.Recv() // hold the connection until the runner hangs up
+			}()
+		}
+	}()
+	rn, err := StartGroup(GroupRunnerConfig{Config: cfg, Group: 0, WorkerAddr: "127.0.0.1:0", RootAddr: lis.Addr()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rn.Stop()
+	select {
+	case <-rn.Done():
+	case <-time.After(time.Second):
+		t.Fatal("runner still retrying a root that acks another group")
+	}
+	if err := rn.Err(); !errors.Is(err, ErrBadConfig) {
+		t.Fatalf("runner exited with %v, want ErrBadConfig", err)
 	}
 }

@@ -1,6 +1,6 @@
-// Live hierarchical runtime: a Root master, per-group GroupMasters and the
-// elastic worker protocol stitched into a two-level deployment. Each group
-// master owns one coding group — it admits that group's workers over TCP,
+// Live hierarchical runtime: a Root master, one GroupRunner per coding group
+// and the elastic worker protocol stitched into a two-level deployment. Each
+// group master owns one coding group — it admits that group's workers over TCP,
 // runs the epoch-fenced BSP collect/decode loop with its own group-local
 // elastic control plane (drift or churn in a group migrates only that
 // group), and streams the group's decoded gradient sum to the root as one
@@ -9,8 +9,8 @@
 // along the configured fan-in tree and steps the optimizer.
 //
 // Groups attach to the root through an adoption handshake rather than a
-// fixed spawn order: every group connection (in-process group master or
-// out-of-process GroupRunner, and every reconnect after either side
+// fixed spawn order: every group connection (a runner the root started
+// itself or an external one, and every reconnect after either side
 // restarts) opens with MsgAdopt carrying the group's live epoch and member
 // IDs. The root reconciles that against what its own journal recorded —
 // epoch floors only ever rise, member sets only ever grow — and answers
@@ -110,12 +110,12 @@ type Config struct {
 	// global, so one source serves all groups.
 	PartitionSource func(p int) (*ml.Dataset, error)
 	// ExternalGroups lists coding groups served by out-of-process
-	// GroupRunners: the root does not spawn masters for them and instead
-	// waits for their adoption handshakes. Their restarts (and the root's
-	// own) are survivable — see GroupRunner.
+	// GroupRunners (StartGroup): the root starts no runner for them and
+	// instead waits for their adoption handshakes. Their restarts (and the
+	// root's own) are survivable — see GroupRunner.
 	ExternalGroups []int
-	// AdoptTimeout bounds how long WaitForWorkers waits for every external
-	// group's adoption handshake (default 30s).
+	// AdoptTimeout bounds how long WaitForWorkers waits for every group's
+	// first adoption handshake (default 30s).
 	AdoptTimeout time.Duration
 
 	// The composable cluster blocks (see internal/clustercfg). Durability: a
@@ -215,20 +215,22 @@ type groupSum struct {
 	err     error
 }
 
-// Root is the top of the hierarchy: it owns the shard plan, spawns one
-// in-process GroupMaster per coding group it serves itself, adopts external
-// GroupRunners, and drives the global BSP loop over their TCP uplinks.
+// Root is the top of the hierarchy: it owns the shard plan, starts a
+// GroupRunner for every coding group it hosts itself, adopts those and the
+// external runners alike, and drives the global BSP loop over their TCP
+// uplinks. Every group gets one failure policy: a dead uplink is retired and
+// the collect goes on, and the params are resent when the group re-adopts,
+// all within the iteration's recovery budget.
 type Root struct {
-	cfg    Config
-	plan   *Plan
-	core   *rootcore.Core // lease, store and training state
-	lis    *transport.Listener
-	groups []*groupMaster // indexed by group; nil for external groups
-	wg     sync.WaitGroup
-	stopc  chan struct{}
-	closed sync.Once
-	err    chan error
-	inbox  chan groupSum
+	cfg     Config
+	plan    *Plan
+	core    *rootcore.Core // lease, store and training state
+	lis     *transport.Listener
+	runners []*GroupRunner // the groups the root hosts, indexed by group; nil for external groups
+	wg      sync.WaitGroup
+	stopc   chan struct{}
+	closed  sync.Once
+	inbox   chan groupSum
 
 	// Uplink state, guarded by upMu. An uplink is nil while its group is
 	// down (crashed runner, lost connection); adoption installs a new conn
@@ -237,11 +239,12 @@ type Root struct {
 	uplink       []*transport.Conn
 	upSeq        []int
 	adoptedOnce  []bool
-	external     []bool
-	groupEpoch   []int   // reconciled per-group epoch floor
-	groupMembers [][]int // reconciled per-group member IDs (sorted)
-	sentSeq      []int   // uplink incarnation the current iteration's params went to
-	serveIter    int     // iteration the run loop is currently collecting
+	unadopted    int           // groups never adopted yet
+	allAdopted   chan struct{} // closed when unadopted reaches zero
+	groupEpoch   []int         // reconciled per-group epoch floor
+	groupMembers [][]int       // reconciled per-group member IDs (sorted)
+	sentSeq      []int         // uplink incarnation the current iteration's params went to
+	serveIter    int           // iteration the run loop is currently collecting
 	readoptions  int
 	failovers    []string
 	down         bool // set by Close: refuse further adoptions
@@ -249,16 +252,16 @@ type Root struct {
 	adoptedc chan int // adoption notifications for the collect loop
 
 	// resume is the recovered checkpoint of a resumed bring-up: it seeds
-	// newGroupMaster's controller restore.
+	// the controller restore of the runners the root starts.
 	resume *checkpoint.State
 }
 
 // NewRoot validates the config, builds the shard plan, starts the root
-// listener on addr ("127.0.0.1:0" for tests) and spawns the in-process
-// group masters, each listening on its own address. Workers dial their
-// group's address (GroupAddrs/GroupOf) with the elastic worker protocol.
-// External groups attach themselves afterwards; WaitForWorkers covers their
-// adoption.
+// listener on addr ("127.0.0.1:0" for tests) and starts a GroupRunner for
+// every group not in ExternalGroups, each listening on its own address and
+// adopting the root through its listener. Workers dial their group's address
+// (GroupAddrs/GroupOf) with the elastic worker protocol. External groups
+// attach themselves; WaitForWorkers covers every group's adoption.
 func NewRoot(cfg Config, addr string) (*Root, error) {
 	cc := cfg.core()
 	if err := cc.Validate(); err != nil {
@@ -291,27 +294,28 @@ func NewRoot(cfg Config, addr string) (*Root, error) {
 	r := &Root{
 		cfg:          cfg,
 		plan:         plan,
-		groups:       make([]*groupMaster, n),
+		runners:      make([]*GroupRunner, n),
 		uplink:       make([]*transport.Conn, n),
 		upSeq:        make([]int, n),
 		sentSeq:      make([]int, n),
 		adoptedOnce:  make([]bool, n),
-		external:     make([]bool, n),
+		unadopted:    n,
+		allAdopted:   make(chan struct{}),
 		groupEpoch:   make([]int, n),
 		groupMembers: make([][]int, n),
 		stopc:        make(chan struct{}),
-		err:          make(chan error, n+1),
 		inbox:        make(chan groupSum, 2*n+4),
 		adoptedc:     make(chan int, 2*n+4),
 	}
 	for g := range r.groupEpoch {
 		r.groupEpoch[g] = -1
 	}
+	external := make([]bool, n)
 	for _, g := range cfg.ExternalGroups {
 		if g < 0 || g >= n {
 			return nil, fmt.Errorf("%w: external group %d out of range (plan has %d groups)", ErrBadConfig, g, n)
 		}
-		r.external[g] = true
+		external[g] = true
 	}
 	r.core, err = rootcore.Open(cc, addr, rootcore.Hooks{Restore: r.restoreFrom, Groups: r.groupStates})
 	if err != nil {
@@ -319,21 +323,24 @@ func NewRoot(cfg Config, addr string) (*Root, error) {
 	}
 	r.lis = r.core.Listener()
 	r.serveIter = r.core.StartIter()
-	// The adoption service runs for the root's lifetime: in-process masters
-	// adopt during their construction below; external runners (and every
-	// restart of either) adopt whenever they dial in.
+	// The adoption service runs for the root's lifetime: every runner, the
+	// root's own and external ones, adopts whenever it dials in, and again
+	// after either side restarts.
 	r.wg.Add(1)
 	go r.acceptLoop()
 	for g := 0; g < n; g++ {
-		if r.external[g] {
+		if external[g] {
 			continue
 		}
-		gm, err := newGroupMaster(r, g)
+		// The root's journal records the group and its recovered state seeds
+		// the controller: the runner keeps no journal of its own.
+		rn, err := startRunner(GroupRunnerConfig{Config: cfg, Group: g, WorkerAddr: "127.0.0.1:0", RootAddr: r.lis.Addr()},
+			plan.Groups[g], r.resume, r.core.Recorder(g), nil)
 		if err != nil {
 			r.Close()
 			return nil, err
 		}
-		r.groups[g] = gm
+		r.runners[g] = rn
 	}
 	return r, nil
 }
@@ -420,6 +427,11 @@ func (r *Root) adoptConn(conn *transport.Conn) {
 		r.readoptions++
 		r.failovers = append(r.failovers, fmt.Sprintf("group %d re-adopted at iteration %d (gen %d)", g, r.serveIter, r.core.Gen()))
 		detail = "re-adopted"
+	}
+	if !r.adoptedOnce[g] {
+		if r.unadopted--; r.unadopted == 0 {
+			close(r.allAdopted)
+		}
 	}
 	r.adoptedOnce[g] = true
 	serveIter := r.serveIter
@@ -524,9 +536,9 @@ func (r *Root) markDown(g, seq int, cause error) {
 // generation and trace context, to the given groups: header encoded once,
 // written to their uplinks concurrently — a group whose socket is full
 // delays no other — and joined, so params may change again once it returns.
-// A down external group is skipped (adoption will trigger a resend); a
-// failed or missing in-process uplink is fatal.
-func (r *Root) sendParams(iter int, params []float64, groups ...int) error {
+// A down group is skipped and a failed uplink retired: the group's next
+// adoption triggers a resend.
+func (r *Root) sendParams(iter int, params []float64, groups ...int) {
 	conns := make([]*transport.Conn, len(groups))
 	seqs := make([]int, len(groups))
 	r.upMu.Lock()
@@ -538,24 +550,15 @@ func (r *Root) sendParams(iter int, params []float64, groups ...int) error {
 	env := &transport.Envelope{Type: transport.MsgParams, Iter: iter, Vector: params, RootGen: r.core.Gen(), Trace: obs.TraceID(uint64(r.core.Gen()), -1, iter)}
 	errs := transport.Broadcast(conns, env, r.cfg.IterTimeout)
 	for i, g := range groups {
-		switch {
-		case conns[i] == nil:
-			if !r.external[g] {
-				return fmt.Errorf("%w: group %d uplink gone", ErrGroupFailed, g)
-			}
-		case errs[i] != nil:
+		if conns[i] != nil && errs[i] != nil {
 			r.markDown(g, seqs[i], errs[i])
-			if !r.external[g] {
-				return fmt.Errorf("%w: group %d uplink: %v", ErrGroupFailed, g, errs[i])
-			}
 		}
 	}
-	return nil
 }
 
 // restoreFrom seeds adoption reconciliation from a recovered checkpoint: the
-// per-group epoch floors and member sets (and, for in-process groups,
-// newGroupMaster's controller restore). The root core restores the training
+// per-group epoch floors and member sets (and the controller restore of the
+// runners the root starts). The root core restores the training
 // state.
 func (r *Root) restoreFrom(state *checkpoint.State) error {
 	r.resume = state
@@ -569,8 +572,8 @@ func (r *Root) restoreFrom(state *checkpoint.State) error {
 }
 
 // groupStates completes a snapshot with the per-group summaries. They come
-// from the live in-process masters (epoch, members and the controller's
-// throughput estimates); for external or not-yet-spawned groups, from the
+// from the live runners the root hosts (epoch, members and the controller's
+// throughput estimates); for external or not-yet-started groups, from the
 // reconciled adoption state — so the fencing base is never narrowed and a
 // promoted root re-plans from real history.
 func (r *Root) groupStates(snap *checkpoint.Snapshot) {
@@ -582,8 +585,8 @@ func (r *Root) groupStates(snap *checkpoint.Snapshot) {
 	}
 	r.upMu.Unlock()
 	for g := 0; g < r.plan.NumGroups(); g++ {
-		if gm := r.groups[g]; gm != nil {
-			snap.Groups = append(snap.Groups, gm.coreState())
+		if rn := r.runners[g]; rn != nil {
+			snap.Groups = append(snap.Groups, rn.coreState())
 			continue
 		}
 		snap.Groups = append(snap.Groups, checkpoint.GroupState{Group: g, Epoch: epochs[g], Members: members[g]})
@@ -600,52 +603,51 @@ func (r *Root) StartIter() int { return r.core.StartIter() }
 // Addr returns the root listener address.
 func (r *Root) Addr() string { return r.lis.Addr() }
 
-// GroupAddrs returns each in-process group master's listen address, indexed
-// by group ("" for external groups — their runners own their addresses).
+// GroupAddrs returns the worker listen address of each group the root
+// hosts, indexed by group ("" for external groups — their runners own their
+// addresses).
 func (r *Root) GroupAddrs() []string {
-	out := make([]string, len(r.groups))
-	for g, gm := range r.groups {
-		if gm != nil {
-			out[g] = gm.Eng.Addr()
+	out := make([]string, len(r.runners))
+	for g, rn := range r.runners {
+		if rn != nil {
+			out[g] = rn.Addr()
 		}
 	}
 	return out
 }
 
-// WaitForWorkers blocks until every in-process group has its planned worker
-// quorum and every external group has completed its adoption handshake.
+// WaitForWorkers blocks until every group the root hosts has its planned
+// worker quorum and every group has completed its adoption handshake.
 func (r *Root) WaitForWorkers(timeout time.Duration) error {
 	deadline := time.Now().Add(timeout)
-	for _, gm := range r.groups {
-		if gm == nil {
+	for g, rn := range r.runners {
+		if rn == nil {
 			continue
 		}
-		if err := gm.waitForWorkers(time.Until(deadline)); err != nil {
-			return err
+		if err := rn.WaitForWorkers(len(r.plan.Groups[g].Workers), time.Until(deadline)); err != nil {
+			return fmt.Errorf("%w: group %d: %v", ErrGroupFailed, g, err)
 		}
 	}
-	adoptBy := time.Now().Add(r.cfg.AdoptTimeout)
-	if deadline.Before(adoptBy) {
-		adoptBy = deadline
+	adoptBy := min(r.cfg.AdoptTimeout, time.Until(deadline))
+	t := time.NewTimer(adoptBy)
+	defer t.Stop()
+	select {
+	case <-r.allAdopted:
+		return nil
+	case <-t.C:
 	}
-	for g := range r.external {
-		if !r.external[g] {
-			continue
-		}
-		for {
-			r.upMu.Lock()
-			adopted := r.adoptedOnce[g]
-			r.upMu.Unlock()
-			if adopted {
-				break
-			}
-			if time.Now().After(adoptBy) {
-				return fmt.Errorf("%w: external group %d never adopted", ErrGroupFailed, g)
-			}
-			time.Sleep(5 * time.Millisecond)
+	r.upMu.Lock()
+	defer r.upMu.Unlock()
+	var missing []int
+	for g, adopted := range r.adoptedOnce {
+		if !adopted {
+			missing = append(missing, g)
 		}
 	}
-	return nil
+	if len(missing) == 0 {
+		return nil
+	}
+	return fmt.Errorf("%w: groups %v never adopted", ErrGroupFailed, missing)
 }
 
 // Run executes the sharded BSP loop to completion and shuts everything
@@ -681,7 +683,8 @@ func (r *Root) Run() (*Result, error) {
 		return nil, err
 	}
 
-	// Graceful shutdown: stop the group masters, then collect their stats.
+	// Graceful shutdown: every adopted group gets MsgShutdown, and the
+	// runners the root hosts exit on it; then collect their stats.
 	r.upMu.Lock()
 	conns := append([]*transport.Conn(nil), r.uplink...)
 	r.upMu.Unlock()
@@ -693,20 +696,20 @@ func (r *Root) Run() (*Result, error) {
 		_ = conn.Send(&transport.Envelope{Type: transport.MsgShutdown})
 		_ = conn.SetWriteDeadline(time.Time{})
 	}
-	for _, gm := range r.groups {
-		if gm != nil {
-			<-gm.done // the run loop exited
-		}
-	}
 	res.Progress = *prog
-	res.Groups = make([]GroupStats, len(r.groups))
-	for g, gm := range r.groups {
-		workers := len(r.plan.Groups[g].Workers)
-		if gm != nil {
-			res.Groups[g] = gm.coreStats(workers)
-		} else {
-			res.Groups[g] = GroupStats{Group: g, Workers: workers}
+	res.Groups = make([]GroupStats, len(r.runners))
+	stopBy := time.Now().Add(r.cfg.IterTimeout)
+	for g, rn := range r.runners {
+		if rn == nil {
+			res.Groups[g] = GroupStats{Group: g, Workers: len(r.plan.Groups[g].Workers)}
+			continue
 		}
+		select {
+		case <-rn.Done():
+		case <-time.After(time.Until(stopBy)):
+			rn.Stop() // re-adopting at the end: no MsgShutdown reached it
+		}
+		res.Groups[g] = rn.Stats()
 	}
 	r.upMu.Lock()
 	res.Readoptions = r.readoptions
@@ -726,15 +729,13 @@ func (r *Root) collect(iter int, params []float64, sc *obs.IterScope, all []int,
 	r.serveIter = iter
 	r.upMu.Unlock()
 	sc.Phase(obs.PhaseBroadcast)
-	if err := r.sendParams(iter, params, all...); err != nil {
-		return r.drainErr(err)
-	}
+	r.sendParams(iter, params, all...)
 	sc.Phase(obs.PhaseCollect)
 	// The root's patience must cover a group's full recovery budget: a
 	// group master waits IterTimeout per attempt and retries up to
 	// MaxRetries times after timeout-driven group-local migrations, so
 	// aborting at one IterTimeout would make those retries unreachable.
-	// The same budget bounds an external group's restart-and-readopt.
+	// The same budget bounds a group's restart-and-readopt.
 	rootBudget := time.Duration(r.cfg.MaxRetries+1)*r.cfg.IterTimeout + r.cfg.IterTimeout/2
 	deadline := time.NewTimer(rootBudget)
 	defer deadline.Stop()
@@ -742,17 +743,14 @@ func (r *Root) collect(iter int, params []float64, sc *obs.IterScope, all []int,
 		select {
 		case gs := <-r.inbox:
 			if gs.err != nil {
-				if r.external[gs.group] {
-					// A runner died or defected: retire the uplink and
-					// keep collecting — its restart re-adopts and the
-					// params are resent below. The trace keeps a partial
-					// child span for the lost incarnation (Group -1: the
-					// root's children are the groups themselves).
-					r.markDown(gs.group, gs.seq, gs.err)
-					sc.AddMember(obs.MemberSpan{Member: gs.group, Group: -1, Arrival: time.Since(start).Seconds(), Partial: true, Reason: obs.RDead})
-					continue
-				}
-				return r.drainErr(fmt.Errorf("%w: group %d: %v", ErrGroupFailed, gs.group, gs.err))
+				// A runner died, defected or dropped its uplink to retry:
+				// retire the uplink and keep collecting — its re-adoption
+				// gets the params resent below. The trace keeps a partial
+				// child span for the lost incarnation (Group -1: the root's
+				// children are the groups themselves).
+				r.markDown(gs.group, gs.seq, gs.err)
+				sc.AddMember(obs.MemberSpan{Member: gs.group, Group: -1, Arrival: time.Since(start).Seconds(), Partial: true, Reason: obs.RDead})
+				continue
 			}
 			if gs.rootGen != r.core.Gen() {
 				res.FencedSums++
@@ -766,11 +764,11 @@ func (r *Root) collect(iter int, params []float64, sc *obs.IterScope, all []int,
 				continue // frame from a superseded iteration
 			}
 			if len(gs.vec) != dim || grad.InfOrNaN(gs.vec) {
-				// A group master is in-process infrastructure: a mis-sized
-				// or non-finite *sum* means training itself blew up, and
-				// the group will not resend — fail now rather than burn
-				// the whole recovery budget waiting for a frame that
-				// cannot come.
+				// A group master decodes only fenced, well-formed uploads:
+				// a mis-sized or non-finite *sum* means training itself
+				// blew up, and the group will not resend — fail now rather
+				// than burn the whole recovery budget waiting for a frame
+				// that cannot come.
 				return fmt.Errorf("%w: group %d sent a non-finite or mis-sized sum at iteration %d", ErrGroupFailed, gs.group, iter)
 			}
 			if sums[gs.group] == nil {
@@ -800,32 +798,25 @@ func (r *Root) collect(iter int, params []float64, sc *obs.IterScope, all []int,
 			reached := r.upSeq[g] == r.sentSeq[g]
 			r.upMu.Unlock()
 			if sums[g] == nil && !reached {
-				if err := r.sendParams(iter, params, g); err != nil {
-					return r.drainErr(err)
-				}
+				r.sendParams(iter, params, g)
 			}
 		case <-r.stopc:
 			return fmt.Errorf("%w: root closed at iteration %d", ErrGroupFailed, iter)
 		case <-deadline.C:
-			return fmt.Errorf("%w: iteration %d: %d group sums missing at timeout", ErrGroupFailed, iter, pending)
+			var missing []int
+			for g, sum := range sums {
+				if sum == nil {
+					missing = append(missing, g)
+				}
+			}
+			return fmt.Errorf("%w: iteration %d: sums of groups %v missing at timeout", ErrGroupFailed, iter, missing)
 		}
 	}
 	return nil
 }
 
-// drainErr prefers a group's own fatal report (queued on r.err) over the
-// secondary symptom err that surfaced at the root.
-func (r *Root) drainErr(err error) error {
-	select {
-	case ferr := <-r.err:
-		return ferr
-	default:
-		return err
-	}
-}
-
-// Close tears down the root and every group master. Safe to call multiple
-// times. Close never releases the lease — a closed-but-unreleased lease is
+// Close tears down the root and stops every runner it hosts. Safe to call
+// multiple times. Close never releases the lease — a closed-but-unreleased lease is
 // a crash as far as a standby is concerned, which is exactly the semantics
 // tests and failover drills need; Run's success path does release it.
 func (r *Root) Close() {
@@ -835,9 +826,9 @@ func (r *Root) Close() {
 		r.down = true
 		conns := append([]*transport.Conn(nil), r.uplink...)
 		r.upMu.Unlock()
-		for _, gm := range r.groups {
-			if gm != nil {
-				gm.shutdown(false)
+		for _, rn := range r.runners {
+			if rn != nil {
+				rn.Stop()
 			}
 		}
 		for _, conn := range conns {
