@@ -21,7 +21,6 @@ package shard
 import (
 	"errors"
 	"fmt"
-	"math"
 	"math/rand"
 	"sort"
 	"time"
@@ -44,8 +43,7 @@ var errUplinkEncode = errors.New("shard: uplink encode failed")
 // upload sends one decoded sum to the root: chunk and quantize it under the
 // codec negotiated at adoption, one batched write stamped with tmpl (the
 // adopted root generation, the echoed trace context and phase spans), then
-// release. It runs on the session's upload pipeline, the uplink's sole
-// writer.
+// release.
 func (r *GroupRunner) upload(up *transport.Conn, tmpl transport.Envelope, sum []float64) error {
 	defer grad.PutBuffer(sum)
 	frames, err := transport.ChunkGradientQuant(tmpl, sum, r.cfg.ChunkLen, r.codec)
@@ -58,7 +56,7 @@ func (r *GroupRunner) upload(up *transport.Conn, tmpl transport.Envelope, sum []
 	if err == nil {
 		// A sender cannot time its own in-flight upload: the duration rides
 		// the next iteration's upload span.
-		r.lastUpSec.Store(math.Float64bits(time.Since(sendStart).Seconds()))
+		r.lastUpSec = time.Since(sendStart).Seconds()
 	}
 	return err
 }
@@ -72,8 +70,8 @@ func (r *GroupRunner) uplinkSpans() []transport.PhaseSpan {
 		{Phase: obs.PhaseCompute, Seconds: r.loop.Gather},
 		{Phase: obs.PhaseEncode, Seconds: r.loop.Combine},
 	}
-	if prev := math.Float64frombits(r.lastUpSec.Load()); prev > 0 {
-		spans = append(spans, transport.PhaseSpan{Phase: obs.PhaseUpload, Seconds: prev})
+	if r.lastUpSec > 0 {
+		spans = append(spans, transport.PhaseSpan{Phase: obs.PhaseUpload, Seconds: r.lastUpSec})
 	}
 	return spans
 }

@@ -32,7 +32,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/hetgc/hetgc/internal/checkpoint"
@@ -115,13 +114,12 @@ type GroupRunner struct {
 	up         *transport.Conn // live uplink (nil between adoptions)
 	adoptedGen int
 	stopped    bool
+	lastFail   error // the last iteration failure since one was served
 
-	served       int   // iterations served (drives the snapshot cadence)
-	iterFailures int   // consecutive failed iterations across adoptions
-	epochs       []int // the plan epoch each served iteration decoded under
-	// lastUpSec (Float64bits) is the previous upload's send duration,
-	// written by the session's upload pipeline and read by serve.
-	lastUpSec atomic.Uint64
+	served       int     // iterations served (drives the snapshot cadence)
+	iterFailures int     // consecutive failed iterations across adoptions
+	epochs       []int   // the plan epoch each served iteration decoded under
+	lastUpSec    float64 // the previous upload's send duration
 
 	stop chan struct{}
 	done chan struct{}
@@ -256,6 +254,19 @@ func (r *GroupRunner) Err() error {
 	return r.err
 }
 
+// failure reports why the group is not serving: the runner's exit error once
+// Done is closed, else its last iteration failure since it last served one.
+func (r *GroupRunner) failure() error {
+	select {
+	case <-r.done:
+		return r.Err()
+	default:
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.lastFail
+}
+
 // Stats snapshots the group's counters. Valid once Done is closed.
 func (r *GroupRunner) Stats() GroupStats {
 	<-r.done
@@ -385,6 +396,7 @@ func (r *GroupRunner) run() {
 			r.up = nil
 		}
 		r.mu.Unlock()
+		_ = conn.Close()
 		if fatal {
 			return
 		}
@@ -445,20 +457,13 @@ func (r *GroupRunner) watchToken(conn *transport.Conn, gen int, stop <-chan stru
 
 // serve runs the adopted session: one group iteration per MsgParams (fenced
 // by the adopted generation), uploads stamped with it, group snapshots on
-// the journal cadence. The uploads run on the session's pipeline, so
-// iteration k+1's collect overlaps the encode and send of sum k. Returns true
-// when the loop must not re-adopt (shutdown, stop, unrecoverable failure);
-// false re-enters the adoption loop. Either way the uplink is closed and the
-// pipeline drained on return.
+// the journal cadence. The upload is inline: the root reduces and steps on
+// every group's sum before it broadcasts the next iteration, so there is no
+// later collect for it to overlap. Returns true when the loop must not
+// re-adopt (shutdown, stop, unrecoverable failure); false re-enters the
+// adoption loop.
 func (r *GroupRunner) serve(conn *transport.Conn, gen int) (fatal bool) {
 	r.loop.Plan = nil // a session starts by migrating above the adopted epoch floor
-	var up transport.Pipeline
-	defer func() {
-		_ = conn.Close() // fails a send still blocked on the uplink
-		if err := up.Close(); errors.Is(err, errUplinkEncode) && !fatal {
-			r.err, fatal = err, true
-		}
-	}()
 	for {
 		env, err := conn.Recv()
 		if err != nil {
@@ -491,6 +496,9 @@ func (r *GroupRunner) serve(conn *transport.Conn, gen int) (fatal bool) {
 				// uplink, re-adopt, let the root resend. Bounded so a group
 				// that can never decode gives up.
 				grad.PutBuffer(sum)
+				r.mu.Lock()
+				r.lastFail = err
+				r.mu.Unlock()
 				r.iterFailures++
 				if r.iterFailures > r.cfg.MaxRetries+2 {
 					r.err = err
@@ -499,12 +507,14 @@ func (r *GroupRunner) serve(conn *transport.Conn, gen int) (fatal bool) {
 				return false
 			}
 			r.iterFailures = 0
+			r.mu.Lock()
+			r.lastFail = nil
+			r.mu.Unlock()
 			r.epochs = append(r.epochs, r.loop.Plan.Epoch)
 			// Echo the root's trace context and the group-level phase spans
 			// on the uplink; ChunkGradient hoists both onto the final chunk.
 			tmpl := transport.Envelope{Iter: env.Iter, Epoch: r.loop.Plan.Epoch, WorkerID: r.cfg.Group, RootGen: gen, Trace: env.Trace, Spans: r.uplinkSpans()}
-			if err := up.Submit(func() error { return r.upload(conn, tmpl, sum) }); err != nil {
-				grad.PutBuffer(sum)
+			if err := r.upload(conn, tmpl, sum); err != nil {
 				if errors.Is(err, errUplinkEncode) {
 					r.err = err
 					return true

@@ -804,12 +804,22 @@ func (r *Root) collect(iter int, params []float64, sc *obs.IterScope, all []int,
 			return fmt.Errorf("%w: root closed at iteration %d", ErrGroupFailed, iter)
 		case <-deadline.C:
 			var missing []int
+			var causes []error
 			for g, sum := range sums {
-				if sum == nil {
-					missing = append(missing, g)
+				if sum != nil {
+					continue
+				}
+				missing = append(missing, g)
+				// A hosted runner says why it has no sum: its exit error,
+				// or the iteration failure it is still retrying.
+				if rn := r.runners[g]; rn != nil {
+					if cause := rn.failure(); cause != nil {
+						causes = append(causes, fmt.Errorf("group %d: %w", g, cause))
+					}
 				}
 			}
-			return fmt.Errorf("%w: iteration %d: sums of groups %v missing at timeout", ErrGroupFailed, iter, missing)
+			err := fmt.Errorf("%w: iteration %d: sums of groups %v missing at timeout", ErrGroupFailed, iter, missing)
+			return errors.Join(append([]error{err}, causes...)...)
 		}
 	}
 	return nil

@@ -6,12 +6,14 @@ import (
 	"math/rand"
 	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"github.com/hetgc/hetgc/internal/checkpoint"
 	"github.com/hetgc/hetgc/internal/core"
+	"github.com/hetgc/hetgc/internal/elastic"
 	"github.com/hetgc/hetgc/internal/grad"
 	"github.com/hetgc/hetgc/internal/ml"
 	"github.com/hetgc/hetgc/internal/runtime"
@@ -286,6 +288,10 @@ func TestShardedRunFailsWhenGroupLosesQuorum(t *testing.T) {
 	})
 	if !errors.Is(err, ErrGroupFailed) {
 		t.Fatalf("run after group 0 lost its quorum: err = %v, want ErrGroupFailed", err)
+	}
+	// The group's own reason reaches the caller, not just the missing sum.
+	if !strings.Contains(err.Error(), elastic.ErrNotEnoughMembers.Error()) {
+		t.Fatalf("run after group 0 lost its quorum: err = %v, want it to name the quorum loss (%v)", err, elastic.ErrNotEnoughMembers)
 	}
 	wg.Wait()
 }

@@ -9,12 +9,14 @@ package transport
 // The first job error is sticky: every later Submit returns it and drops its
 // job, while jobs already queued still run (they fail fast on the dead
 // connection and release the pooled buffers they hold). The zero value is
-// ready to use; Submit and Close belong to one goroutine.
+// ready to use; Submit and Close belong to one goroutine, and no Submit may
+// follow Close.
 type Pipeline struct {
-	jobs chan func() error
-	fail chan error // the writer's first error, capacity 1
-	done chan struct{}
-	err  error // the first error, once the submitting goroutine saw it
+	jobs   chan func() error
+	fail   chan error // the writer's first error, capacity 1
+	done   chan struct{}
+	closed bool
+	err    error // the first error, once the submitting goroutine saw it
 }
 
 // Submit queues job behind the running one, or returns the first error an
@@ -31,12 +33,12 @@ func (p *Pipeline) Submit(job func() error) error {
 }
 
 // Close waits for every queued job to finish and returns the first error a
-// job reported. A later Submit starts a fresh writer.
+// job reported. Closing twice is a no-op.
 func (p *Pipeline) Close() error {
-	if p.jobs != nil {
+	if p.jobs != nil && !p.closed {
+		p.closed = true
 		close(p.jobs)
 		<-p.done
-		p.jobs = nil
 	}
 	return p.failed()
 }

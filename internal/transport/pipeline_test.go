@@ -17,20 +17,23 @@ func TestPipelineStickyError(t *testing.T) {
 	if err := p.Submit(func() error { ran.Add(1); return first }); err != nil {
 		t.Fatal(err)
 	}
-	// Close drains the writer, so the error is reported by now.
-	if err := p.Close(); !errors.Is(err, first) {
-		t.Fatalf("Close = %v, want %v", err, first)
+	// The writer runs jobs in order: once the second one ran, the first
+	// one's error has been reported.
+	secondRan := make(chan struct{})
+	if err := p.Submit(func() error { ran.Add(1); close(secondRan); return second }); err != nil {
+		t.Fatal(err)
 	}
+	<-secondRan
 	for i := 0; i < 2; i++ {
-		if err := p.Submit(func() error { ran.Add(1); return second }); !errors.Is(err, first) {
+		if err := p.Submit(func() error { ran.Add(1); return nil }); !errors.Is(err, first) {
 			t.Fatalf("Submit %d after the failure = %v, want %v", i, err, first)
 		}
 	}
 	if err := p.Close(); !errors.Is(err, first) {
-		t.Fatalf("second Close = %v, want %v", err, first)
+		t.Fatalf("Close = %v, want %v", err, first)
 	}
-	if n := ran.Load(); n != 1 {
-		t.Fatalf("%d jobs ran, want only the one submitted before the failure", n)
+	if n := ran.Load(); n != 2 {
+		t.Fatalf("%d jobs ran, want only the two submitted before the failure was seen", n)
 	}
 }
 
@@ -78,18 +81,8 @@ func TestPipelineCloseWaitsForLastJob(t *testing.T) {
 	if !finished.Load() {
 		t.Fatal("Close returned before the last job finished")
 	}
-	// A closed pipeline starts a fresh writer on the next Submit.
-	ran := make(chan struct{})
-	if err := p.Submit(func() error { close(ran); return nil }); err != nil {
-		t.Fatal(err)
-	}
 	if err := p.Close(); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case <-ran:
-	default:
-		t.Fatal("Submit after Close did not run its job")
+		t.Fatalf("second Close = %v", err)
 	}
 }
 
