@@ -12,11 +12,13 @@ import (
 	"time"
 
 	"github.com/hetgc/hetgc/internal/checkpoint"
+	"github.com/hetgc/hetgc/internal/clustercfg"
 	"github.com/hetgc/hetgc/internal/core"
 	"github.com/hetgc/hetgc/internal/elastic"
 	"github.com/hetgc/hetgc/internal/grad"
 	"github.com/hetgc/hetgc/internal/ml"
 	"github.com/hetgc/hetgc/internal/runtime"
+	"github.com/hetgc/hetgc/internal/transport"
 )
 
 type liveFixture struct {
@@ -173,6 +175,37 @@ func TestShardedEndToEndExactTraining(t *testing.T) {
 		if len(gs.Replans) == 0 || gs.Replans[0].Reason != "initial" {
 			t.Fatalf("group %d missing initial plan: %+v", g, gs.Replans)
 		}
+	}
+}
+
+// TestShardedInt8Uplink runs the root-hosted hierarchy under an int8 root: the
+// groups' sums reach the root quantized, so the run must complete with finite
+// params and int8 gradient frames must arrive.
+func TestShardedInt8Uplink(t *testing.T) {
+	const k, s, iters, m = 8, 1, 6, 6
+	fx := newLiveFixture(t, k)
+	cfg := fx.config(k, s, iters, m)
+	cfg.Wire = clustercfg.WireConfig{Codec: "int8"}
+
+	int8In, _, _, _ := transport.WireCodec(byte(grad.CodecInt8))
+	var wg sync.WaitGroup
+	res, err := RunSharded(cfg, "127.0.0.1:0", 5*time.Second, func(r *Root) {
+		spawnWorkers(t, r, &wg, nil, fx)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wg.Wait()
+	if len(res.IterTimes) != iters {
+		t.Fatalf("got %d iterations, want %d", len(res.IterTimes), iters)
+	}
+	for i, v := range res.Params {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			t.Fatalf("param %d = %v after an int8 run", i, v)
+		}
+	}
+	if after, _, _, _ := transport.WireCodec(byte(grad.CodecInt8)); after <= int8In {
+		t.Fatalf("int8 frames in stayed at %d: the uplinks did not quantize", after)
 	}
 }
 
