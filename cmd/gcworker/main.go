@@ -54,6 +54,9 @@ func run(args []string) error {
 	if err := shared.Validate(); err != nil {
 		return err
 	}
+	if shared.Codec != "" {
+		return errors.New("-codec is the root's choice (gcroot -codec); a worker uploads in the codec the root names when it joins")
+	}
 	if *rosterPath == "" {
 		return errors.New("-roster is required — every cluster member shares one roster file (see gcworker -h for the schema)")
 	}
@@ -77,7 +80,6 @@ func run(args []string) error {
 		Roster:        *roster,
 		K:             *k,
 		Seed:          *seed,
-		Codec:         shared.Codec,
 		CheckpointDir: shared.CheckpointDir,
 		DialTimeout:   *dialTimeout,
 		MaxCycles:     *maxCycles,

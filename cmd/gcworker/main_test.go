@@ -34,6 +34,9 @@ func TestRunFlagValidation(t *testing.T) {
 	if err := run([]string{"-roster", "x", "-lease-ttl", "2s"}); err == nil || !strings.Contains(err.Error(), "-checkpoint-dir") {
 		t.Fatalf("shared block validation must run: %v", err)
 	}
+	if err := run([]string{"-roster", "x", "-codec", "int8"}); err == nil || !strings.Contains(err.Error(), "gcroot -codec") {
+		t.Fatalf("a worker -codec must be refused with a pointer to the root's: %v", err)
+	}
 }
 
 func TestRunRejectsBadRosterFile(t *testing.T) {

@@ -586,8 +586,8 @@ type (
 	HAConfig = clustercfg.HAConfig
 	// TelemetryConfig plugs a Telemetry bundle into a runtime.
 	TelemetryConfig = clustercfg.TelemetryConfig
-	// WireConfig selects the gradient wire codec a master prefers; negotiated
-	// per connection, with raw float64 as the universal fallback.
+	// WireConfig selects the run's gradient wire codec, raw or int8; the
+	// root names it in every handshake ack.
 	WireConfig = clustercfg.WireConfig
 	// Roster is a cluster's static discovery plan: root address, standby
 	// addresses in promotion order, expected worker count.

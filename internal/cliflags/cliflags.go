@@ -37,7 +37,7 @@ func Register(fs *flag.FlagSet, c *Cluster) {
 	fs.DurationVar(&c.LeaseTTL, "lease-ttl", 0, "hold the HA root lease over -checkpoint-dir with this TTL (0 disables)")
 	fs.StringVar(&c.MetricsAddr, "metrics-addr", "", "serve live telemetry on this host:port (/metrics, /healthz, /debug/events, /debug/trace, /debug/stragglers, /debug/pprof/); uses the elastic runtime")
 	fs.BoolVar(&c.Trace, "trace", false, "stream per-iteration phase traces to stderr as JSON lines; uses the elastic runtime")
-	fs.StringVar(&c.Codec, "codec", "", "preferred gradient wire codec (raw, fp16, int8, topk, delta); negotiated per connection, peers that do not advertise it fall back to raw")
+	fs.StringVar(&c.Codec, "codec", "", "gradient wire codec (raw or int8), set on the root: every worker and group master uploads in the codec the root names when it joins")
 }
 
 // Validate enforces the cross-flag rules every binary shares.

@@ -43,15 +43,14 @@ type HAConfig struct {
 	Holder string
 }
 
-// WireConfig selects the gradient wire codec a master prefers when workers
-// dial in (see internal/grad). Codecs are negotiated per connection: a worker
-// that does not advertise the preferred codec keeps uploading raw float64, so
-// mixed-version clusters interoperate. The zero value keeps raw uploads
-// everywhere.
+// WireConfig selects the run's gradient wire codec (see internal/grad). The
+// root decides it once and names it in every handshake ack; each worker and
+// group master uploads in the codec its ack names. The zero value keeps raw
+// uploads everywhere.
 type WireConfig struct {
-	// Codec names the preferred gradient compression codec: "raw" (or empty),
-	// "fp16", "int8", "topk" or "delta". Parsed by grad.ParseCodec at the
-	// runtime layer; an unknown name is a config error there.
+	// Codec names the gradient codec: "raw" (or empty) or "int8". Parsed by
+	// grad.ParseCodec at the runtime layer; an unknown name is a config
+	// error there.
 	Codec string
 }
 

@@ -21,7 +21,7 @@ func twoNodeFleet(t *testing.T) ([]Node, func()) {
 	mRoot.OnIteration(0, 0.070)
 	mRoot.OnPromotion(2, 7)
 	mRoot.Event(obs.Event{Kind: obs.EvFence, Iter: 7, Detail: "deposed root generation 1"})
-	mRoot.BindWireCodecs([]string{"raw", "fp16"}, func(c byte) (uint64, uint64, uint64, uint64) {
+	mRoot.BindWireCodecs([]string{"raw", "int8"}, func(c byte) (uint64, uint64, uint64, uint64) {
 		if c == 1 {
 			return 0, 0, 0, 4096
 		}
@@ -30,7 +30,7 @@ func twoNodeFleet(t *testing.T) ([]Node, func()) {
 
 	mWorker := obs.New()
 	mWorker.Event(obs.Event{Kind: obs.EvAdoption, Iter: 3, Member: 2})
-	mWorker.BindWireCodecs([]string{"raw", "fp16"}, func(c byte) (uint64, uint64, uint64, uint64) {
+	mWorker.BindWireCodecs([]string{"raw", "int8"}, func(c byte) (uint64, uint64, uint64, uint64) {
 		if c == 1 {
 			return 0, 0, 0, 1024
 		}
@@ -91,8 +91,8 @@ func TestCollectMergesFleet(t *testing.T) {
 	if snap.Agg.IterationsPerSec < 16 || snap.Agg.IterationsPerSec > 17 {
 		t.Fatalf("iterations/sec = %v, want ~16.7 (2 iters over 0.12s)", snap.Agg.IterationsPerSec)
 	}
-	if got := snap.Agg.WireBytesOutByCodec["fp16"]; got != 4096+1024 {
-		t.Fatalf("fp16 bytes = %v, want 5120", got)
+	if got := snap.Agg.WireBytesOutByCodec["int8"]; got != 4096+1024 {
+		t.Fatalf("int8 bytes = %v, want 5120", got)
 	}
 	if got := snap.Agg.WireBytesOutByCodec["raw"]; got != 100 {
 		t.Fatalf("raw bytes = %v, want 100", got)
@@ -105,7 +105,7 @@ func TestCollectMergesFleet(t *testing.T) {
 	var sb strings.Builder
 	snap.WriteText(&sb, 10)
 	out := sb.String()
-	for _, want := range []string{"ghost", "UNHEALTHY", "generation 2", "fp16", "failover"} {
+	for _, want := range []string{"ghost", "UNHEALTHY", "generation 2", "int8", "failover"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("dashboard missing %q:\n%s", want, out)
 		}

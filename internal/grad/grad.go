@@ -1,7 +1,9 @@
 // Package grad provides the gradient-vector arithmetic used on both sides of
 // the coding pipeline: workers form linear combinations of partial gradients
 // (encoding, g̃_i = b_i·[g_1 … g_k]ᵀ) and the master recombines coded
-// gradients with decoding coefficients (g = Σ a_i·g̃_i).
+// gradients with decoding coefficients (g = Σ a_i·g̃_i). It also holds the
+// two gradient wire codecs, raw float64 and int8 (quant.go); the root picks
+// one for the whole run.
 package grad
 
 import (

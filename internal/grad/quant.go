@@ -1,11 +1,9 @@
-// Quantized gradient codecs: the wire-level encodings negotiated per
-// connection by the transport layer. Each codec turns a float64 gradient
-// vector into a compact byte payload and back. Raw and Delta are lossless
-// (bit-exact round trips); FP16 and Int8 are bounded-error quantizers; TopK
-// is sparse (exact on the kept coordinates, zero elsewhere). The package
-// stays a leaf: encoders/decoders speak plain byte slices, and the pooled
-// byte buffers mirror the gradient buffer pool so steady-state encode
-// allocates nothing.
+// Gradient wire codecs: raw float64 (lossless) and int8 (a bounded-error
+// quantizer). Each turns a float64 gradient vector into a byte payload and
+// back. The package stays a leaf: encoders/decoders speak plain byte slices,
+// and the pooled byte buffers mirror the gradient buffer pool so steady-state
+// encode allocates nothing.
+
 package grad
 
 import (
@@ -14,41 +12,28 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 	"sync"
 )
 
-// ErrQuant marks a quantized payload that does not decode: wrong length,
-// trailing bytes, out-of-range indices or a non-finite scale. The transport
-// layer wraps it as ErrMalformed.
+// ErrQuant marks a quantized payload that does not decode: wrong length or a
+// non-finite scale. The transport layer wraps it as ErrMalformed.
 var ErrQuant = errors.New("grad: malformed quantized payload")
 
 // Codec identifies a gradient wire codec. The zero value (CodecRaw) is the
-// uncompressed float64 encoding every peer accepts — the fallback when a
-// connection negotiates nothing.
+// uncompressed float64 encoding.
 type Codec byte
 
 const (
 	// CodecRaw is uncompressed little-endian float64 (8 B/elem, lossless).
 	CodecRaw Codec = iota
-	// CodecFP16 is IEEE half precision with one per-frame float64 scale
-	// normalizing the max magnitude to 1 (2 B/elem, |err| ≤ 2⁻¹¹·maxabs).
-	CodecFP16
 	// CodecInt8 is linear int8 quantization with one float32 scale per
 	// 64-element chunk (≈1.06 B/elem, per-chunk |err| ≤ maxabs/254). A
 	// chunk holding a NaN or ±Inf gets a NaN scale, which does not decode.
 	CodecInt8
-	// CodecTopK keeps the n/4 largest-magnitude coordinates exactly
-	// (delta-varint indices + full float64 values) and zeroes the rest. NaN
-	// ranks above every magnitude, so it is always kept.
-	CodecTopK
-	// CodecDelta XORs each element's bits with its predecessor's and
-	// varint-encodes the result (lossless; small on smooth gradients).
-	CodecDelta
 
 	// NumCodecs is the number of defined codec bytes; anything ≥ NumCodecs
 	// is malformed on the wire.
-	NumCodecs = 5
+	NumCodecs = 2
 )
 
 // int8ChunkLen is the Int8 quantization granularity: one float32 scale per
@@ -58,22 +43,13 @@ const int8ChunkLen = 64
 // Valid reports whether c is a defined codec byte.
 func (c Codec) Valid() bool { return c < NumCodecs }
 
-// Lossless reports whether c round-trips bit-exactly.
-func (c Codec) Lossless() bool { return c == CodecRaw || c == CodecDelta }
-
-// String names the codec ("raw", "fp16", "int8", "topk", "delta").
+// String names the codec ("raw", "int8").
 func (c Codec) String() string {
 	switch c {
 	case CodecRaw:
 		return "raw"
-	case CodecFP16:
-		return "fp16"
 	case CodecInt8:
 		return "int8"
-	case CodecTopK:
-		return "topk"
-	case CodecDelta:
-		return "delta"
 	}
 	return fmt.Sprintf("codec(%d)", byte(c))
 }
@@ -84,23 +60,10 @@ func ParseCodec(s string) (Codec, error) {
 	switch s {
 	case "", "raw":
 		return CodecRaw, nil
-	case "fp16":
-		return CodecFP16, nil
 	case "int8":
 		return CodecInt8, nil
-	case "topk":
-		return CodecTopK, nil
-	case "delta":
-		return CodecDelta, nil
 	}
-	return CodecRaw, fmt.Errorf("grad: unknown codec %q (want raw, fp16, int8, topk or delta)", s)
-}
-
-// AdvertiseCodecs is the full non-raw codec set a current-version peer
-// advertises in its hello (raw needs no advertisement — every peer accepts
-// it).
-func AdvertiseCodecs() []byte {
-	return []byte{byte(CodecFP16), byte(CodecInt8), byte(CodecTopK), byte(CodecDelta)}
+	return CodecRaw, fmt.Errorf("grad: unknown codec %q (want raw or int8)", s)
 }
 
 // CodecNames lists every defined codec's name indexed by its byte, for
@@ -120,21 +83,15 @@ func AppendQuantized(dst []byte, c Codec, vec []float64) ([]byte, error) {
 	switch c {
 	case CodecRaw:
 		return appendRaw(dst, vec), nil
-	case CodecFP16:
-		return appendFP16(dst, vec), nil
 	case CodecInt8:
 		return appendInt8(dst, vec), nil
-	case CodecTopK:
-		return appendTopK(dst, vec), nil
-	case CodecDelta:
-		return appendDelta(dst, vec), nil
 	}
 	return dst, fmt.Errorf("%w: unknown codec %d", ErrQuant, byte(c))
 }
 
 // Dequantize decodes a codec-c payload of n elements into a fresh vector.
-// The payload must be consumed exactly — truncated or over-long payloads,
-// out-of-range sparse indices and non-finite scales are all ErrQuant.
+// The payload must be consumed exactly — truncated or over-long payloads and
+// non-finite scales are ErrQuant.
 func Dequantize(c Codec, payload []byte, n int) ([]float64, error) {
 	if n < 0 {
 		return nil, fmt.Errorf("%w: negative length %d", ErrQuant, n)
@@ -158,14 +115,8 @@ func DequantizeInto(dst []float64, c Codec, payload []byte) error {
 	switch c {
 	case CodecRaw:
 		return decodeRaw(dst, payload)
-	case CodecFP16:
-		return decodeFP16(dst, payload)
 	case CodecInt8:
 		return decodeInt8(dst, payload)
-	case CodecTopK:
-		return decodeTopK(dst, payload)
-	case CodecDelta:
-		return decodeDelta(dst, payload)
 	}
 	return fmt.Errorf("%w: unknown codec %d", ErrQuant, byte(c))
 }
@@ -185,35 +136,6 @@ func decodeRaw(out []float64, p []byte) error {
 	}
 	for i := range out {
 		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(p[8*i:]))
-	}
-	return nil
-}
-
-// --- fp16 ---
-
-func appendFP16(dst []byte, vec []float64) []byte {
-	scale := maxAbs(vec)
-	if scale == 0 || math.IsInf(scale, 0) || math.IsNaN(scale) {
-		scale = 1
-	}
-	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(scale))
-	inv := 1 / scale
-	for _, v := range vec {
-		dst = binary.LittleEndian.AppendUint16(dst, halfBits(v*inv))
-	}
-	return dst
-}
-
-func decodeFP16(out []float64, p []byte) error {
-	if len(p) != 8+2*len(out) {
-		return fmt.Errorf("%w: fp16 payload %d B for %d elements", ErrQuant, len(p), len(out))
-	}
-	scale := math.Float64frombits(binary.LittleEndian.Uint64(p))
-	if math.IsInf(scale, 0) || math.IsNaN(scale) || scale == 0 {
-		return fmt.Errorf("%w: fp16 scale %v", ErrQuant, scale)
-	}
-	for i := range out {
-		out[i] = halfValue(binary.LittleEndian.Uint16(p[8+2*i:])) * scale
 	}
 	return nil
 }
@@ -318,188 +240,6 @@ func decodeInt8(out []float64, p []byte) error {
 		}
 	}
 	return nil
-}
-
-// --- topk ---
-
-// topKCount is the sparsity policy: keep a quarter of the coordinates, at
-// least one.
-func topKCount(n int) int {
-	k := n / 4
-	if k < 1 {
-		k = 1
-	}
-	return k
-}
-
-func appendTopK(dst []byte, vec []float64) []byte {
-	n := len(vec)
-	k := topKCount(n)
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	// Largest magnitudes first, NaN above every magnitude: a poisoned
-	// coordinate is always carried, so the receiver's non-finite fence sees
-	// it.
-	sort.SliceStable(idx, func(a, b int) bool {
-		return absBits(vec[idx[a]]) > absBits(vec[idx[b]])
-	})
-	kept := append([]int(nil), idx[:k]...)
-	sort.Ints(kept)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(k))
-	prev := -1
-	for _, i := range kept {
-		dst = binary.AppendUvarint(dst, uint64(i-prev-1))
-		prev = i
-	}
-	for _, i := range kept {
-		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(vec[i]))
-	}
-	return dst
-}
-
-func decodeTopK(out []float64, p []byte) error {
-	n := len(out)
-	if len(p) < 4 {
-		return fmt.Errorf("%w: topk payload too short", ErrQuant)
-	}
-	k := int(binary.LittleEndian.Uint32(p))
-	if k < 1 || k > n {
-		return fmt.Errorf("%w: topk keeps %d of %d", ErrQuant, k, n)
-	}
-	p = p[4:]
-	idx := make([]int, k)
-	prev := -1
-	for j := range idx {
-		gap, m := binary.Uvarint(p)
-		if m <= 0 {
-			return fmt.Errorf("%w: topk index varint", ErrQuant)
-		}
-		p = p[m:]
-		i := prev + 1 + int(gap)
-		if gap > uint64(n) || i >= n {
-			return fmt.Errorf("%w: topk index %d out of range", ErrQuant, i)
-		}
-		idx[j] = i
-		prev = i
-	}
-	if len(p) != 8*k {
-		return fmt.Errorf("%w: topk values %d B for %d kept", ErrQuant, len(p), k)
-	}
-	clear(out) // dropped coordinates decode as zero; a pooled dst holds stale values
-	for j, i := range idx {
-		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(p[8*j:]))
-	}
-	return nil
-}
-
-// --- delta ---
-
-func appendDelta(dst []byte, vec []float64) []byte {
-	var prev uint64
-	for _, v := range vec {
-		b := math.Float64bits(v)
-		dst = binary.AppendUvarint(dst, b^prev)
-		prev = b
-	}
-	return dst
-}
-
-func decodeDelta(out []float64, p []byte) error {
-	var prev uint64
-	for i := range out {
-		x, m := binary.Uvarint(p)
-		if m <= 0 {
-			return fmt.Errorf("%w: delta varint at element %d", ErrQuant, i)
-		}
-		p = p[m:]
-		prev ^= x
-		out[i] = math.Float64frombits(prev)
-	}
-	if len(p) != 0 {
-		return fmt.Errorf("%w: %d trailing delta bytes", ErrQuant, len(p))
-	}
-	return nil
-}
-
-func maxAbs(vec []float64) float64 {
-	var mx float64
-	for _, v := range vec {
-		if a := math.Abs(v); a > mx {
-			mx = a
-		}
-	}
-	return mx
-}
-
-// --- IEEE 754 half precision ---
-
-// halfBits converts a float64 to IEEE half with round-to-nearest-even,
-// saturating overflow to ±Inf and flushing underflow to ±0.
-func halfBits(f float64) uint16 {
-	b := math.Float32bits(float32(f))
-	sign := uint16(b>>16) & 0x8000
-	exp := int32(b>>23&0xff) - 127
-	frac := b & 0x7fffff
-	switch {
-	case exp == 128: // Inf or NaN
-		if frac != 0 {
-			return sign | 0x7e00
-		}
-		return sign | 0x7c00
-	case exp > 15: // overflow
-		return sign | 0x7c00
-	case exp >= -14: // normal half
-		m := uint16(frac >> 13)
-		rem := frac & 0x1fff
-		h := uint16(exp+15)<<10 | m
-		// Round to nearest even; a carry correctly rolls into the exponent
-		// (and saturates to Inf at the top binade).
-		if rem > 0x1000 || (rem == 0x1000 && m&1 == 1) {
-			h++
-		}
-		return sign | h
-	case exp >= -24: // subnormal half
-		s := uint32(-exp - 1) // 14..23
-		m32 := frac | 0x800000
-		m := m32 >> s
-		rem := m32 & (1<<s - 1)
-		half := uint32(1) << (s - 1)
-		h := uint16(m)
-		if rem > half || (rem == half && m&1 == 1) {
-			h++
-		}
-		return sign | h
-	}
-	return sign // underflow to zero
-}
-
-// halfValue converts IEEE half bits to float64 exactly (every half value is
-// representable).
-func halfValue(h uint16) float64 {
-	sign := uint32(h&0x8000) << 16
-	exp := uint32(h >> 10 & 0x1f)
-	frac := uint32(h & 0x3ff)
-	var b uint32
-	switch {
-	case exp == 0x1f: // Inf or NaN
-		b = sign | 0x7f800000 | frac<<13
-	case exp == 0:
-		if frac == 0 {
-			b = sign
-		} else { // subnormal: normalize into a float32
-			e := uint32(113)
-			for frac&0x400 == 0 {
-				frac <<= 1
-				e--
-			}
-			b = sign | e<<23 | (frac&0x3ff)<<13
-		}
-	default:
-		b = sign | (exp+112)<<23 | frac<<13
-	}
-	return float64(math.Float32frombits(b))
 }
 
 // bytePool recycles codec payload buffers between iterations, mirroring the

@@ -10,7 +10,6 @@ import (
 
 	"github.com/hetgc/hetgc/internal/clustercfg"
 	"github.com/hetgc/hetgc/internal/core"
-	"github.com/hetgc/hetgc/internal/grad"
 	"github.com/hetgc/hetgc/internal/ha"
 	"github.com/hetgc/hetgc/internal/ml"
 	"github.com/hetgc/hetgc/internal/obs"
@@ -92,8 +91,8 @@ type ClusterConfig struct {
 	clustercfg.DurabilityConfig
 	clustercfg.HAConfig
 	clustercfg.TelemetryConfig
-	// Wire selects the gradient codec the root offers dialing workers
-	// (negotiated per connection; see clustercfg.WireConfig).
+	// Wire selects the run's gradient codec, named in every worker's hello
+	// ack (see clustercfg.WireConfig).
 	Wire clustercfg.WireConfig
 }
 
@@ -283,11 +282,6 @@ type WorkerConfig struct {
 	Delay func(iter int) time.Duration
 	// MaxCycles bounds full passes over the address list (0 = unbounded).
 	MaxCycles int
-	// Codec restricts what gradient codecs this worker advertises: "" offers
-	// every codec the build knows (the master picks), "raw" forces raw
-	// uploads (mimicking an un-upgraded worker), any other codec name offers
-	// only that one.
-	Codec string
 }
 
 // RunWorker runs the worker loop: resolve the root, dial, train until the
@@ -312,14 +306,6 @@ func RunWorker(cfg WorkerConfig, stop <-chan struct{}) error {
 	if dialTimeout <= 0 {
 		dialTimeout = 2 * time.Second
 	}
-	var advertise []byte
-	if cfg.Codec != "" {
-		c, err := grad.ParseCodec(cfg.Codec)
-		if err != nil {
-			return fmt.Errorf("%w: %v", ErrBadNode, err)
-		}
-		advertise = []byte{byte(c)}
-	}
 	resumeID := 0
 	var lastErr error
 	for cycle := 0; cfg.MaxCycles <= 0 || cycle < cfg.MaxCycles; cycle++ {
@@ -336,7 +322,6 @@ func RunWorker(cfg WorkerConfig, stop <-chan struct{}) error {
 				DialTimeout:   dialTimeout,
 				ResumeID:      resumeID,
 				Reconnect:     cfg.Reconnect,
-				Codecs:        advertise,
 			})
 			if err != nil {
 				lastErr = err

@@ -450,7 +450,7 @@ func (m *Metrics) BindWire(fn func() (framesIn, framesOut, bytesIn, bytesOut, ba
 
 // BindWireCodecs registers the per-codec gradient traffic families over the
 // process-wide transport counters. names holds the label value for each
-// codec byte (index = codec byte, e.g. grad's raw/fp16/int8/topk/delta) and
+// codec byte (index = codec byte, e.g. grad's raw/int8) and
 // fn snapshots one codec's counters. Idempotent like BindWire.
 func (m *Metrics) BindWireCodecs(names []string, fn func(codec byte) (framesIn, framesOut, bytesIn, bytesOut uint64)) {
 	if m == nil || fn == nil || len(names) == 0 {

@@ -61,9 +61,9 @@ const (
 	MWireBatchesTotal   = "hetgc_wire_batches_total"
 	MWireMalformedTotal = "hetgc_wire_malformed_total"
 
-	// Per-codec gradient payload traffic (labeled by codec: raw, fp16,
-	// int8, topk, delta). Payload bytes only, so the ratio of a codec's
-	// bytes to raw's directly reads as its wire saving.
+	// Per-codec gradient payload traffic (labeled by codec: raw, int8).
+	// Payload bytes only, so the ratio of int8's bytes to raw's directly
+	// reads as its wire saving.
 	MWireCodecFramesInTotal  = "hetgc_wire_codec_frames_in_total"
 	MWireCodecFramesOutTotal = "hetgc_wire_codec_frames_out_total"
 	MWireCodecBytesInTotal   = "hetgc_wire_codec_bytes_in_total"

@@ -91,12 +91,9 @@ func (c *Config) Validate() error {
 	return nil
 }
 
-// ParseCodec parses a configured gradient codec preference (empty means
-// raw); an unknown name fails wrapping badConfig.
+// ParseCodec parses the run's gradient codec (empty means raw); an unknown
+// name fails wrapping badConfig.
 func ParseCodec(w clustercfg.WireConfig, badConfig error) (grad.Codec, error) {
-	if w.Codec == "" {
-		return grad.CodecRaw, nil
-	}
 	codec, err := grad.ParseCodec(w.Codec)
 	if err != nil {
 		return grad.CodecRaw, fmt.Errorf("%w: %v", badConfig, err)
@@ -300,7 +297,7 @@ func (c *Core) SuspendLeaseRenewal() { c.renewSuspended.Store(true) }
 // Listener returns the root's listener.
 func (c *Core) Listener() *transport.Listener { return c.lis }
 
-// Codec returns the parsed gradient codec preference.
+// Codec returns the run's gradient codec.
 func (c *Core) Codec() grad.Codec { return c.codec }
 
 // StartIter returns the first iteration Train will run (non-zero after a

@@ -112,11 +112,8 @@ type Config struct {
 	// PartitionChunkLen is the wire chunk size for partition blobs
 	// (0 selects dataplane.DefaultChunkLen).
 	PartitionChunkLen int
-	// Codec is the master's preferred gradient upload codec (a grad.Codec
-	// byte). A worker that advertises it in its hello is told to use it in
-	// the handshake ack; workers that advertise nothing — peers from before
-	// codec negotiation — or don't support it fall back to raw float64, so
-	// mixed-version rosters interoperate. 0 (CodecRaw) disables
+	// Codec is the run's gradient upload codec (a grad.Codec byte), named
+	// in every hello ack: each worker uploads in it. 0 (CodecRaw) disables
 	// quantization.
 	Codec byte
 	// Obs, when non-nil, receives live telemetry: member counts,
@@ -324,21 +321,6 @@ func validateHello(env *transport.Envelope) error {
 	return nil
 }
 
-// NegotiateCodec picks the gradient codec for one connection: the master's
-// preference when the peer's handshake advertised it, CodecRaw otherwise.
-// Raw needs no advertisement — every peer accepts it.
-func NegotiateCodec(preferred byte, advertised []byte) byte {
-	if preferred == 0 || !grad.Codec(preferred).Valid() {
-		return 0
-	}
-	for _, c := range advertised {
-		if c == preferred {
-			return preferred
-		}
-	}
-	return 0
-}
-
 // acceptLoop admits workers for the lifetime of the run.
 func (e *Engine) acceptLoop() {
 	defer e.accept.Done()
@@ -401,14 +383,12 @@ func (e *Engine) handshake(conn *transport.Conn) {
 		e.members[id] = &member{id: id, conn: conn, alive: true}
 	}
 	// Ack the hello with the assigned member ID so the worker can resume
-	// this slot after a reconnect, the negotiated upload codec — the
-	// master's preference when the worker advertised it, raw otherwise (an
-	// old peer sends no advertisement and is never asked to quantize). Join
+	// this slot after a reconnect, and the run's upload codec. Join
 	// bookkeeping — the controller registration, the join counter, the
 	// Prior slot — happens only after the ack lands: a peer that dies
 	// mid-handshake was never a member, so it must not count as a join, a
 	// death, or burn a planned-throughput prior.
-	ack := &transport.Envelope{Type: transport.MsgHello, WorkerID: id, Codec: NegotiateCodec(e.cfg.Codec, hello.Codecs)}
+	ack := &transport.Envelope{Type: transport.MsgHello, WorkerID: id, Codec: e.cfg.Codec}
 	if err := conn.Send(ack); err != nil {
 		e.members[id].alive = false
 		e.mu.Unlock()

@@ -13,19 +13,19 @@ import (
 )
 
 // runElasticWithCodec runs a small churn-free loopback cluster under the
-// given master codec preference and returns the final parameters. Replans are
+// given root codec and returns the final parameters. Replans are
 // disabled, workers dial sequentially, and s=0 means every iteration decodes
 // from ALL workers — Collect returns on the first decodable subset, so any
 // straggler tolerance would let scheduling jitter pick different subsets
 // (and different float summation) across two otherwise identical runs.
-func runElasticWithCodec(t *testing.T, f *elasticFixture, codec string, workerCodecs []byte) []float64 {
+func runElasticWithCodec(t *testing.T, f *elasticFixture, codec string) []float64 {
 	t.Helper()
-	return runElasticCluster(t, f, codec, workerCodecs, 3, 0)
+	return runElasticCluster(t, f, codec, 3, 0)
 }
 
 // runElasticCluster is runElasticWithCodec with the cluster shape exposed:
 // the first scripted of the workers are dialScriptedWorker peers.
-func runElasticCluster(t *testing.T, f *elasticFixture, codec string, workerCodecs []byte, workers, scripted int) []float64 {
+func runElasticCluster(t *testing.T, f *elasticFixture, codec string, workers, scripted int) []float64 {
 	t.Helper()
 	const k, s, iters = 4, 0, 8
 	cfg := f.masterConfig(k, s, iters)
@@ -48,7 +48,6 @@ func runElasticCluster(t *testing.T, f *elasticFixture, codec string, workerCode
 			w, err := DialElasticWorker(master.Addr(), ElasticWorkerConfig{
 				Model:         f.model,
 				PartitionData: func(p int) (*ml.Dataset, error) { return f.parts[p], nil },
-				Codecs:        workerCodecs,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -73,16 +72,16 @@ func runElasticCluster(t *testing.T, f *elasticFixture, codec string, workerCode
 }
 
 // dialScriptedWorker joins addr scripted over a bare connection, with
-// nothing of ElasticWorker but its gradient kernel: the hello advertises every
-// codec and nothing else, and the returned loop uploads honest coded gradients
-// under the codec the master acked, one plain Send each, until shutdown.
+// nothing of ElasticWorker but its gradient kernel: the hello is a bare join
+// request, and the returned loop uploads honest coded gradients under the
+// codec the master acked, one plain Send each, until shutdown.
 func (f *elasticFixture) dialScriptedWorker(t *testing.T, addr string) (run func() error) {
 	t.Helper()
 	conn, err := transport.Dial(addr, 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := conn.Send(&transport.Envelope{Type: transport.MsgHello, WorkerID: transport.HelloNewWorker, Codecs: grad.AdvertiseCodecs()}); err != nil {
+	if err := conn.Send(&transport.Envelope{Type: transport.MsgHello, WorkerID: transport.HelloNewWorker}); err != nil {
 		t.Fatal(err)
 	}
 	ack, err := conn.Recv()
@@ -137,31 +136,14 @@ func (f *elasticFixture) dialScriptedWorker(t *testing.T, addr string) (run func
 	}
 }
 
-// TestElasticCodecDeltaBitIdentical is the lossless acceptance criterion on a
-// live loopback cluster: training under the delta codec must produce final
-// parameters bit-identical to the raw float64 run.
-func TestElasticCodecDeltaBitIdentical(t *testing.T) {
-	f := newElasticFixture(t, 4)
-	raw := runElasticWithCodec(t, f, "", nil)
-	delta := runElasticWithCodec(t, f, "delta", nil)
-	if len(raw) != len(delta) {
-		t.Fatalf("param lengths differ: %d vs %d", len(raw), len(delta))
-	}
-	for i := range raw {
-		if raw[i] != delta[i] {
-			t.Fatalf("param %d differs under delta codec: %v vs %v", i, raw[i], delta[i])
-		}
-	}
-}
-
 // TestElasticCodecInt8Negotiated proves the lossy path end to end: a master
-// preferring int8 negotiates it with advertising workers, the uploads travel
+// set to int8 names it in every hello ack, the uploads travel
 // quantized (visible in the per-codec wire counters), and training still
 // converges to a sane model.
 func TestElasticCodecInt8Negotiated(t *testing.T) {
 	f := newElasticFixture(t, 4)
 	_, _, _, beforeOut := transport.WireCodec(byte(grad.CodecInt8))
-	params := runElasticWithCodec(t, f, "int8", nil)
+	params := runElasticWithCodec(t, f, "int8")
 	_, _, _, afterOut := transport.WireCodec(byte(grad.CodecInt8))
 	if afterOut <= beforeOut {
 		t.Fatalf("no int8 gradient bytes on the wire (out: %d -> %d)", beforeOut, afterOut)
@@ -248,19 +230,18 @@ func TestElasticCodecInt8PoisonIsMalformed(t *testing.T) {
 	}
 }
 
-// TestElasticCodecMixedVersionFallback proves interop: workers that only
-// advertise raw (an un-upgraded build) keep uploading raw float64 even when
-// the master prefers int8, and the run completes.
-func TestElasticCodecMixedVersionFallback(t *testing.T) {
+// TestElasticCodecRootDecides: the root picks the codec and the hello ack
+// names it. Scripted workers whose hello carries no codec advertisement
+// upload int8 under an int8 root, and the run ends on finite parameters.
+func TestElasticCodecRootDecides(t *testing.T) {
 	f := newElasticFixture(t, 4)
-	_, _, _, rawBefore := transport.WireCodec(byte(grad.CodecRaw))
-	params := runElasticWithCodec(t, f, "int8", []byte{byte(grad.CodecRaw)})
-	_, _, _, rawAfter := transport.WireCodec(byte(grad.CodecRaw))
-	if rawAfter <= rawBefore {
-		t.Fatalf("raw-only workers produced no raw gradient traffic (out: %d -> %d)", rawBefore, rawAfter)
+	before, _, _, _ := transport.WireCodec(byte(grad.CodecInt8))
+	params := runElasticCluster(t, f, "int8", 3, 3)
+	if after, _, _, _ := transport.WireCodec(byte(grad.CodecInt8)); after <= before {
+		t.Fatalf("bare-hello workers uploaded no int8 gradient under an int8 root (frames in: %d -> %d)", before, after)
 	}
-	if len(params) != f.model.Dim() {
-		t.Fatalf("got %d params, want %d", len(params), f.model.Dim())
+	if len(params) != f.model.Dim() || grad.InfOrNaN(params) {
+		t.Fatalf("final params %v: want %d finite values", params, f.model.Dim())
 	}
 }
 
@@ -269,7 +250,7 @@ func TestElasticCodecMixedVersionFallback(t *testing.T) {
 // bare payload — 8 B per float, one params frame down and one gradient up per
 // worker. Gob spends about 9 B per float, so the bound proves no dim-sized
 // vector reached encoding/gob. It holds for ElasticWorkers and for scripted
-// workers (dialScriptedWorker) whose hello names nothing but codecs alike —
+// workers (dialScriptedWorker) whose hello is bare alike —
 // the vector frame is not negotiated, it is the encoding — and at s=0 both
 // clusters end on bit-identical parameters.
 func TestVectorsNeverRideGob(t *testing.T) {
@@ -288,7 +269,7 @@ func TestVectorsNeverRideGob(t *testing.T) {
 	limit := payload + payload/50
 	run := func(name string, scripted int) []float64 {
 		_, _, _, before, _, _ := transport.Wire()
-		params := runElasticCluster(t, f, "", nil, workers, scripted)
+		params := runElasticCluster(t, f, "", workers, scripted)
 		_, _, _, after, _, _ := transport.Wire()
 		if after-before > limit {
 			t.Fatalf("%s cluster wrote %d B for a %d B payload (limit %d): a vector rode gob", name, after-before, payload, limit)

@@ -129,9 +129,8 @@ type ElasticConfig struct {
 	clustercfg.DurabilityConfig
 	clustercfg.HAConfig
 	clustercfg.TelemetryConfig
-	// Wire selects the gradient codec the master offers each worker at its
-	// hello: workers that advertise it upload quantized payloads, everyone
-	// else stays on raw float64 (mixed-version interop).
+	// Wire selects the run's gradient codec. The master names it in every
+	// hello ack, and each worker uploads in it.
 	Wire clustercfg.WireConfig
 }
 

@@ -91,11 +91,6 @@ type ElasticWorkerConfig struct {
 	// Reconnect governs dial retries. The zero value preserves the historic
 	// no-redial behavior: one attempt, fail fast.
 	Reconnect ReconnectPolicy
-	// Codecs restricts the gradient codecs this worker advertises in its
-	// hello; nil advertises every non-raw codec. Advertise only CodecRaw to
-	// force raw uploads regardless of the master's preference (and to mimic
-	// an un-upgraded peer).
-	Codecs []byte
 }
 
 // ElasticWorker is a connected elastic worker: it survives strategy
@@ -105,7 +100,7 @@ type ElasticWorker struct {
 	conn   *transport.Conn
 	dp     *dataplane.Client // wire shard fetcher (nil with local PartitionData)
 	id     int               // stable member ID assigned by the master
-	codec  grad.Codec        // negotiated upload codec (raw when unadvertised)
+	codec  grad.Codec        // upload codec, named in the master's hello ack
 	epoch  int
 	assign *transport.Assignment
 	parts  []*ml.Dataset
@@ -164,11 +159,7 @@ func dialElasticOnce(addr string, cfg ElasticWorkerConfig) (*ElasticWorker, erro
 	if cfg.ResumeID > 0 {
 		helloID = cfg.ResumeID
 	}
-	advertised := cfg.Codecs
-	if advertised == nil {
-		advertised = grad.AdvertiseCodecs()
-	}
-	if err := conn.Send(&transport.Envelope{Type: transport.MsgHello, WorkerID: helloID, Codecs: advertised}); err != nil {
+	if err := conn.Send(&transport.Envelope{Type: transport.MsgHello, WorkerID: helloID}); err != nil {
 		_ = conn.Close()
 		return nil, err
 	}
@@ -181,22 +172,11 @@ func dialElasticOnce(addr string, cfg ElasticWorkerConfig) (*ElasticWorker, erro
 		_ = conn.Close()
 		return nil, fmt.Errorf("%w: expected hello ack, got %v", ErrBadConfig, ack.Type)
 	}
-	// Honor the master's chosen codec only if this worker advertised it —
-	// anything else (including an old master's zero value) means raw.
-	codec := grad.CodecRaw
-	if c := grad.Codec(ack.Codec); c != grad.CodecRaw && c.Valid() {
-		for _, adv := range advertised {
-			if adv == ack.Codec {
-				codec = c
-				break
-			}
-		}
-	}
 	w := &ElasticWorker{
 		cfg:   cfg,
 		conn:  conn,
 		id:    ack.WorkerID,
-		codec: codec,
+		codec: grad.Codec(ack.Codec), // Recv refused an undefined codec byte
 		epoch: -1,
 		cache: make(map[int]*ml.Dataset),
 	}

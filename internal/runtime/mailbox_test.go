@@ -290,7 +290,6 @@ func startScripted(t *testing.T, cfg ElasticWorkerConfig) *scriptedMaster {
 		accepted <- conn
 	}()
 	cfg.PartitionData = func(int) (*ml.Dataset, error) { return &ml.Dataset{}, nil }
-	cfg.Codecs = []byte{byte(grad.CodecRaw)}
 	w, err := DialElasticWorker(lis.Addr(), cfg)
 	if err != nil {
 		t.Fatal(err)

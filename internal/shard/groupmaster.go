@@ -41,7 +41,7 @@ import (
 var errUplinkEncode = errors.New("shard: uplink encode failed")
 
 // upload sends one decoded sum to the root: chunk and quantize it under the
-// codec negotiated at adoption, one batched write stamped with tmpl (the
+// codec the root named at adoption, one batched write stamped with tmpl (the
 // adopted root generation, the echoed trace context and phase spans), then
 // release.
 func (r *GroupRunner) upload(up *transport.Conn, tmpl transport.Envelope, sum []float64) error {
@@ -90,11 +90,9 @@ func (r *GroupRunner) adopt(conn *transport.Conn, timeout time.Duration) (gen in
 	}
 	_ = conn.SetDeadline(time.Now().Add(timeout))
 	defer conn.SetDeadline(time.Time{})
-	advertised := grad.AdvertiseCodecs()
 	err = conn.Send(&transport.Envelope{
-		Type:   transport.MsgAdopt,
-		Codecs: advertised,
-		Adopt:  &transport.Adoption{Group: g, Epoch: epoch, Members: eng.MemberIDs()},
+		Type:  transport.MsgAdopt,
+		Adopt: &transport.Adoption{Group: g, Epoch: epoch, Members: eng.MemberIDs()},
 	})
 	if err != nil {
 		return 0, fmt.Errorf("group %d adoption: %w", g, err)
@@ -106,17 +104,7 @@ func (r *GroupRunner) adopt(conn *transport.Conn, timeout time.Duration) (gen in
 	if ack.Type != transport.MsgAdopt || ack.Adopt == nil || ack.Adopt.Group != g {
 		return 0, fmt.Errorf("%w: group %d: bad adoption ack %v", ErrBadConfig, g, ack.Type)
 	}
-	// Honor the root's chosen uplink codec only if we advertised it — an old
-	// root's zero value (or a bogus byte) means raw.
-	r.codec = grad.CodecRaw
-	if c := grad.Codec(ack.Codec); c != grad.CodecRaw && c.Valid() {
-		for _, adv := range advertised {
-			if adv == ack.Codec {
-				r.codec = c
-				break
-			}
-		}
-	}
+	r.codec = grad.Codec(ack.Codec) // the root's codec; Recv refused an undefined byte
 	eng.RaiseEpochBase(ack.Adopt.Epoch + 1)
 	eng.SetRootGen(ack.RootGen)
 	return ack.RootGen, nil

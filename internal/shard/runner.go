@@ -108,7 +108,7 @@ type GroupRunner struct {
 	workers int               // the group's planned worker count
 	loop    roster.Loop       // the group's engine and iteration policy
 	store   *checkpoint.Store // the runner's own journal (nil when the root records the group)
-	codec   grad.Codec        // uplink codec negotiated at the last adoption
+	codec   grad.Codec        // uplink codec, named in the last adoption ack
 
 	mu         sync.Mutex
 	up         *transport.Conn // live uplink (nil between adoptions)

@@ -136,10 +136,9 @@ type Config struct {
 	clustercfg.DurabilityConfig
 	clustercfg.HAConfig
 	clustercfg.TelemetryConfig
-	// Wire selects the gradient codec the root offers each group master at
-	// its adoption: groups that advertise it quantize their uplink sums,
-	// everyone else stays on raw float64 (mixed-version interop). Group
-	// masters pass the same preference down to their workers' hellos.
+	// Wire selects the run's gradient codec. The root names it in every
+	// adoption ack, and each group master uploads its sums in it; a group
+	// master names its own Wire codec in its workers' hello acks.
 	Wire clustercfg.WireConfig
 }
 
@@ -399,7 +398,7 @@ func (r *Root) adoptConn(conn *transport.Conn) {
 		Type:    transport.MsgAdopt,
 		Iter:    r.serveIter,
 		RootGen: r.core.Gen(),
-		Codec:   roster.NegotiateCodec(byte(r.core.Codec()), env.Codecs),
+		Codec:   byte(r.core.Codec()),
 		Adopt: &transport.Adoption{
 			Group:   g,
 			Epoch:   r.groupEpoch[g],

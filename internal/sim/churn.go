@@ -210,11 +210,10 @@ type ElasticSimConfig struct {
 	clustercfg.DurabilityConfig
 	clustercfg.HAConfig
 	clustercfg.TelemetryConfig
-	// Wire, when naming a non-raw codec, routes every simulated coded upload
-	// through the same quantize→dequantize round trip the live transport
-	// performs — so a codec's accuracy effect on training is measurable
-	// deterministically, and lossless codecs (delta) are provably
-	// bit-identical to a raw run.
+	// Wire, when naming int8, routes every simulated coded upload through
+	// the same quantize→dequantize round trip the live transport performs —
+	// so the codec's accuracy effect on training is measurable
+	// deterministically.
 	Wire clustercfg.WireConfig
 }
 

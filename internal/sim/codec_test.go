@@ -7,41 +7,16 @@ import (
 	"github.com/hetgc/hetgc/internal/ml"
 )
 
-// TestChurnSimCodecDeltaBitIdentical is the lossless acceptance criterion in
-// the deterministic co-simulation: a full churn schedule (slowdowns, kills,
-// joins, rejoins, drift replans) trained under the delta codec must produce
-// final parameters bit-identical to the raw run.
-func TestChurnSimCodecDeltaBitIdentical(t *testing.T) {
-	raw, err := RunElastic(trainingBase(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	withDelta := trainingBase(t)
-	withDelta.Wire.Codec = "delta"
-	delta, err := RunElastic(withDelta)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(raw.Params) == 0 || len(raw.Params) != len(delta.Params) {
-		t.Fatalf("param dims %d vs %d", len(raw.Params), len(delta.Params))
-	}
-	for i := range raw.Params {
-		if raw.Params[i] != delta.Params[i] {
-			t.Fatalf("param %d drifted under delta codec: %v vs %v", i, delta.Params[i], raw.Params[i])
-		}
-	}
-}
-
-// TestChurnSimLossyCodecsTrain proves the lossy codecs' quantization error is
-// benign for optimisation: int8 and fp16 runs over the same churn schedule
-// must still converge (loss drops), while actually perturbing the arithmetic
+// TestChurnSimLossyCodecsTrain proves int8's quantization error is benign
+// for optimisation: an int8 run over the same churn schedule must still
+// converge (loss drops), while actually perturbing the arithmetic
 // (bit-identity with raw would mean the round trip never ran).
 func TestChurnSimLossyCodecsTrain(t *testing.T) {
 	raw, err := RunElastic(trainingBase(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, codec := range []string{"int8", "fp16"} {
+	for _, codec := range []string{"int8"} {
 		cfg := trainingBase(t)
 		cfg.Wire.Codec = codec
 		res, err := RunElastic(cfg)

@@ -69,7 +69,7 @@ func ChunkGradient(tmpl Envelope, vec []float64, chunkLen int) []*Envelope {
 
 // ChunkGradientQuant splits one gradient upload into chunked MsgGradient
 // sub-frames like ChunkGradient and encodes each chunk's payload with the
-// negotiated codec into pooled buffers (ready for SendBatch; the receiver's
+// run's codec into pooled buffers (ready for SendBatch; the receiver's
 // transport dequantizes transparently, so it reassembles with JoinChunks as
 // usual). Call ReleaseQuant on the frames once sent to recycle the payload
 // buffers. CodecRaw yields plain ChunkGradient frames; an invalid codec is

@@ -402,7 +402,6 @@ func benchUplink(b *testing.B, batched bool, codec grad.Codec) {
 func BenchmarkBatchedUplink(b *testing.B)     { benchUplink(b, true, grad.CodecRaw) }
 func BenchmarkUnbatchedUplink(b *testing.B)   { benchUplink(b, false, grad.CodecRaw) }
 func BenchmarkBatchedUplinkInt8(b *testing.B) { benchUplink(b, true, grad.CodecInt8) }
-func BenchmarkBatchedUplinkFP16(b *testing.B) { benchUplink(b, true, grad.CodecFP16) }
 
 // BenchmarkBatchedUplinkTraced is BenchmarkBatchedUplink with the trace
 // context stamped on the upload: the trace ID plus a full set of echoed

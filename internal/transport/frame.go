@@ -79,6 +79,11 @@ const maxFrameBody = math.MaxInt32
 // frame; an application-layer sanity cap like MaxVectorLen.
 const maxBatchFrames = 1 << 20
 
+// maxQuantBytesPerElem bounds a quantized sub-frame's payload relative to its
+// element count: int8 spends 1 B per element and 4 B of scale per started
+// 64-element chunk, at most 5 B per element.
+const maxQuantBytesPerElem = 5
+
 // vectorFrameLen returns the encoded length of e's sub-frame, or an error
 // wrapping ErrMalformed when the vector frame cannot carry e: not a params or
 // gradient envelope, an auxiliary payload, a header value outside uint32
@@ -89,7 +94,7 @@ func vectorFrameLen(e *Envelope) (int, error) {
 	if e.Type != MsgParams && e.Type != MsgGradient {
 		return 0, fmt.Errorf("%w: %v is not a vector message", ErrMalformed, e.Type)
 	}
-	if e.Assign != nil || e.Telemetry != nil || e.Adopt != nil || e.Blob != nil || e.Part != 0 || e.Codecs != nil {
+	if e.Assign != nil || e.Telemetry != nil || e.Adopt != nil || e.Blob != nil || e.Part != 0 {
 		return 0, fmt.Errorf("%w: %v carries a payload the vector frame has no field for", ErrMalformed, e.Type)
 	}
 	if len(e.Spans) > MaxSpans {
@@ -378,9 +383,9 @@ func (fr *frameReader) vector(n int) (*Envelope, error) {
 			e.Vector, err = fr.floats(count)
 		}
 	} else {
-		// Every codec spends at least one byte per element and at most
-		// maxQuantBytesPerElem.
-		if e.Type != MsgGradient || count < 1 || rest < count || rest > maxQuantBytesPerElem*count+16 {
+		// int8, the one quantized codec, spends at least count bytes and at
+		// most maxQuantBytesPerElem·count.
+		if e.Type != MsgGradient || count < 1 || rest < count || rest > maxQuantBytesPerElem*count {
 			return nil, fmt.Errorf("%w: %v sub-frame holds %d %s bytes for %d elements", ErrMalformed, e.Type, rest, grad.Codec(e.Codec), count)
 		}
 		e.Vector, err = fr.quantized(count, grad.Codec(e.Codec), rest)
@@ -421,7 +426,7 @@ func (fr *frameReader) floats(count int) ([]float64, error) {
 
 // quantized reads a codec payload of n bytes (see allocStep) and dequantizes
 // its count elements into a pooled vector, taken once the payload is in —
-// every codec spends a byte per element, so that too is bounded by the bytes
+// int8 spends a byte per element, so that too is bounded by the bytes
 // received. A payload the codec rejects is a protocol violation.
 func (fr *frameReader) quantized(count int, c grad.Codec, n int) ([]float64, error) {
 	q := grad.GetBytes(min(n, allocStep))

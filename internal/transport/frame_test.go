@@ -23,7 +23,13 @@ func vectorFlavours(t testing.TB) []*Envelope {
 		vec[i] = math.Sin(float64(i)) * float64(i%17)
 	}
 	spans := []PhaseSpan{{Phase: "compute", Seconds: 0.042}, {Phase: "encode", Seconds: 0.002}}
-	q, err := grad.AppendQuantized(nil, grad.CodecDelta, vec)
+	q, err := grad.AppendQuantized(nil, grad.CodecInt8, vec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// One element costs int8 its most per element: a 4-byte scale and the
+	// code, the reader's 5 B-per-element bound exactly.
+	one, err := grad.AppendQuantized(nil, grad.CodecInt8, vec[1:2])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +39,8 @@ func vectorFlavours(t testing.TB) []*Envelope {
 		{Type: MsgGradient, Iter: 7, Epoch: 2, WorkerID: 5, RootGen: 3, Vector: vec},
 		{Type: MsgGradient, Iter: 7, WorkerID: 5, Trace: 0x8000_0000_0000_0007, Spans: spans, Vector: vec[:9]},
 		{Type: MsgGradient, Iter: 7, WorkerID: 5, Chunk: 2, Chunks: 3, Spans: spans, Vector: vec[:1]},
-		{Type: MsgGradient, Iter: 9, WorkerID: 1, Codec: byte(grad.CodecDelta), Quant: q, QuantLen: len(vec)},
+		{Type: MsgGradient, Iter: 9, WorkerID: 1, Codec: byte(grad.CodecInt8), Quant: q, QuantLen: len(vec)},
+		{Type: MsgGradient, Iter: 9, WorkerID: 2, Codec: byte(grad.CodecInt8), Quant: one, QuantLen: 1},
 	}
 }
 
@@ -94,30 +101,35 @@ func TestVectorFrameRoundTrip(t *testing.T) {
 
 // TestVectorFramePayloadGrows sends payloads longer than allocStep, whose
 // receive buffers grow as the bytes arrive instead of being taken whole on
-// the header's word: raw and quantized, they arrive exactly as sent.
+// the header's word. A raw one arrives exactly as sent. An int8 payload that
+// long would hold ~8M elements, so the quantized case is a 9 MiB payload
+// declared for 2M elements: inside the 5 B-per-element bound, it is read to
+// its end as its buffer grows, then refused by the codec, and the stream
+// stays in sync.
 func TestVectorFramePayloadGrows(t *testing.T) {
 	vec := make([]float64, allocStep/8+allocStep/80)
 	for i := range vec {
 		vec[i] = rand.NormFloat64()
 	}
-	q, err := grad.AppendQuantized(nil, grad.CodecDelta, vec) // lossless, ≈ 9 B per random element
-	if err != nil || len(q) <= allocStep {
-		t.Fatalf("delta payload of %d B (err %v) does not exceed allocStep", len(q), err)
-	}
 	sender, receiver := pipePair(t)
-	go func() {
-		_ = sender.Send(&Envelope{Type: MsgParams, Iter: 1, Vector: vec})
-		_ = sender.Send(&Envelope{Type: MsgGradient, Iter: 1, Codec: byte(grad.CodecDelta), Quant: q, QuantLen: len(vec)})
-	}()
-	for _, typ := range []MsgType{MsgParams, MsgGradient} {
-		got, err := receiver.Recv()
-		if err != nil || got.Type != typ {
-			t.Fatalf("%v: %+v, %v", typ, got, err)
-		}
-		if !reflect.DeepEqual(got.Vector, vec) {
-			t.Fatalf("%v: a %d-element payload arrived changed (%d elements)", typ, len(vec), len(got.Vector))
-		}
-		grad.PutBuffer(got.Vector)
+	go func() { _ = sender.Send(&Envelope{Type: MsgParams, Iter: 1, Vector: vec}) }()
+	got, err := receiver.Recv()
+	if err != nil || got.Type != MsgParams {
+		t.Fatalf("params: %+v, %v", got, err)
+	}
+	if !reflect.DeepEqual(got.Vector, vec) {
+		t.Fatalf("a %d-element payload arrived changed (%d elements)", len(vec), len(got.Vector))
+	}
+	grad.PutBuffer(got.Vector)
+
+	quant := referenceFrame(&Envelope{Type: MsgGradient, Iter: 1, Codec: byte(grad.CodecInt8), Quant: make([]byte, allocStep+allocStep/8), QuantLen: allocStep / 4})
+	next := referenceFrame(&Envelope{Type: MsgParams, Iter: 9, Vector: []float64{4}})
+	c := NewConn(&memConn{r: bytes.NewReader(append(quant, next...))})
+	if _, err := c.Recv(); !errors.Is(err, ErrMalformed) {
+		t.Fatalf("undecodable int8 payload over allocStep: Recv = %v, want ErrMalformed", err)
+	}
+	if got, err := c.Recv(); err != nil || got.Type != MsgParams || got.Iter != 9 {
+		t.Fatalf("stream out of sync after the long payload: %+v, %v", got, err)
 	}
 }
 
@@ -225,9 +237,10 @@ func TestVectorFrameBoundBeforeAllocate(t *testing.T) {
 		"header truncated":                  func(sub []byte) []byte { return sub[:vectorHeaderLen-1] },
 		"payload truncated":                 func(sub []byte) []byte { return sub[:len(sub)-1] },
 		"unknown codec":                     func(sub []byte) []byte { sub[2] = 0x63; return sub },
-		"quantized 2^30 elements over 16 B": func(sub []byte) []byte { sub[2] = byte(grad.CodecDelta); return setCount(1 << 30)(sub) },
-		"undecodable quantized payload":     func(sub []byte) []byte { sub[2] = byte(grad.CodecInt8); return sub },
-		"quantized params":                  func(sub []byte) []byte { sub[1], sub[2] = byte(MsgParams), byte(grad.CodecFP16); return sub },
+		"quantized 2^30 elements over 16 B": func(sub []byte) []byte { sub[2] = byte(grad.CodecInt8); return setCount(1 << 30)(sub) },
+		"undecodable quantized payload":     func(sub []byte) []byte { sub[2] = byte(grad.CodecInt8); return setCount(4)(sub) },
+		"quantized over 5 B per element":    func(sub []byte) []byte { sub[2] = byte(grad.CodecInt8); return sub },
+		"quantized params":                  func(sub []byte) []byte { sub[1], sub[2] = byte(MsgParams), byte(grad.CodecInt8); return sub },
 		"not a vector message":              func(sub []byte) []byte { sub[1] = byte(MsgTelemetry); return sub },
 		"unknown flag":                      func(sub []byte) []byte { sub[3] = 0x80; return sub },
 		"trace flagged, section missing":    func(sub []byte) []byte { sub[3] = flagTrace; return sub[:vectorHeaderLen+4] },
@@ -316,21 +329,29 @@ func FuzzVectorFrame(f *testing.F) {
 		f.Add(referenceFrame(e))
 	}
 	vec := []float64{1.5, -0.25, 3, 0, -7.125, 2, 2, 2}
-	for _, codec := range []grad.Codec{grad.CodecRaw, grad.CodecFP16, grad.CodecInt8, grad.CodecTopK, grad.CodecDelta} {
-		frames, err := ChunkGradientQuant(Envelope{WorkerID: 2, Iter: 5, Trace: 9, Spans: []PhaseSpan{{Phase: "compute", Seconds: 1}}}, vec, 3, codec)
-		if err != nil {
-			f.Fatal(err)
+	for _, codec := range []grad.Codec{grad.CodecRaw, grad.CodecInt8} {
+		for _, chunkLen := range []int{3, len(vec)} { // batched sub-frames, then one frame
+			frames, err := ChunkGradientQuant(Envelope{WorkerID: 2, Iter: 5, Trace: 9, Spans: []PhaseSpan{{Phase: "compute", Seconds: 1}}}, vec, chunkLen, codec)
+			if err != nil {
+				f.Fatal(err)
+			}
+			f.Add(referenceFrame(frames...))
+			f.Add(encodeFrames(f, append(frames, &Envelope{Type: MsgTelemetry, Telemetry: &Telemetry{Partitions: 1}})...))
 		}
-		f.Add(referenceFrame(frames...))
-		f.Add(encodeFrames(f, append(frames, &Envelope{Type: MsgTelemetry, Telemetry: &Telemetry{Partitions: 1}})...))
 	}
 	f.Add(hostileFrame(func(sub []byte) []byte {
 		binary.LittleEndian.PutUint32(sub[vectorHeaderLen-4:], 1<<30)
 		return sub
 	}))
-	f.Add(encodeFrames(f, &Envelope{Type: MsgGradient, Codec: byte(grad.CodecDelta), Quant: []byte{0, 0}, QuantLen: 2}))
+	// An int8 sub-frame one byte over the reader's 5 B-per-element bound.
+	f.Add(hostileFrame(func(sub []byte) []byte {
+		sub[2] = byte(grad.CodecInt8)
+		binary.LittleEndian.PutUint32(sub[vectorHeaderLen-4:], 3)
+		return sub
+	}))
+	f.Add(encodeFrames(f, &Envelope{Type: MsgGradient, Codec: byte(grad.CodecInt8), Quant: []byte{0, 0}, QuantLen: 2}))
 	f.Add(encodeFrames(f, &Envelope{Type: MsgGradient, Codec: 99, Quant: []byte{1}, QuantLen: 1}))
-	f.Add(encodeFrames(f, &Envelope{Type: MsgHello, WorkerID: 1, Codecs: grad.AdvertiseCodecs()}))
+	f.Add(encodeFrames(f, &Envelope{Type: MsgHello, WorkerID: 1, Codec: byte(grad.CodecInt8)}))
 	f.Add([]byte{frameMarker, 0, 0, 0, 3, 0x02, 0xff, 0x00})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		c := NewConn(&memConn{r: bytes.NewReader(data)})

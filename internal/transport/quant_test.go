@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"math"
-	"reflect"
 	"testing"
 
 	"github.com/hetgc/hetgc/internal/grad"
@@ -46,7 +45,7 @@ func TestSendBatchSingleRejectsBatch(t *testing.T) {
 }
 
 // TestQuantRoundTripOverWire ships a chunked gradient through a real
-// connection under every codec, both batched (several sub-frames) and as a
+// connection under both codecs, both batched (several sub-frames) and as a
 // single frame, and checks the receiver — which only ever sees
 // dequantized Vectors — reassembles it within the codec's error model.
 func TestQuantRoundTripOverWire(t *testing.T) {
@@ -54,7 +53,7 @@ func TestQuantRoundTripOverWire(t *testing.T) {
 	for i := range vec {
 		vec[i] = math.Sin(float64(i)) * float64(i%17)
 	}
-	for _, codec := range []grad.Codec{grad.CodecRaw, grad.CodecFP16, grad.CodecInt8, grad.CodecTopK, grad.CodecDelta} {
+	for _, codec := range []grad.Codec{grad.CodecRaw, grad.CodecInt8} {
 		for _, chunkLen := range []int{0, 64} { // 0: one frame; 64: batched sub-frames
 			a, b := pipePair(t)
 			frames, err := ChunkGradientQuant(Envelope{WorkerID: 3, Iter: 7}, vec, chunkLen, codec)
@@ -98,8 +97,7 @@ func TestQuantRoundTripOverWire(t *testing.T) {
 }
 
 // checkCodecError asserts the decoded vector against the codec's error
-// model: bit-exact for lossless codecs, bounded relative error for the
-// quantizers, exact-or-zero for the sparsifier.
+// model: bit-exact for raw, bounded relative error for int8.
 func checkCodecError(t *testing.T, codec grad.Codec, want, got []float64, chunkLen int) {
 	t.Helper()
 	mx := 0.0
@@ -110,13 +108,9 @@ func checkCodecError(t *testing.T, codec grad.Codec, want, got []float64, chunkL
 	}
 	for i := range want {
 		switch codec {
-		case grad.CodecRaw, grad.CodecDelta:
+		case grad.CodecRaw:
 			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
 				t.Fatalf("%s: element %d not bit-exact: %v != %v", codec, i, got[i], want[i])
-			}
-		case grad.CodecFP16:
-			if math.Abs(got[i]-want[i]) > 1e-3*mx {
-				t.Fatalf("fp16: element %d error %v above 1e-3·maxabs", i, math.Abs(got[i]-want[i]))
 			}
 		case grad.CodecInt8:
 			// Per-chunk bound is maxabs/254 of the int8 scale chunk; the
@@ -124,80 +118,24 @@ func checkCodecError(t *testing.T, codec grad.Codec, want, got []float64, chunkL
 			if math.Abs(got[i]-want[i]) > mx/254+mx*1e-6 {
 				t.Fatalf("int8: element %d error %v above maxabs/254", i, math.Abs(got[i]-want[i]))
 			}
-		case grad.CodecTopK:
-			if got[i] != 0 && math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-				t.Fatalf("topk: element %d neither dropped nor exact: %v != %v", i, got[i], want[i])
-			}
 		}
-	}
-}
-
-// TestMixedVersionRawFallback covers the un-upgraded-peer path at the frame
-// level: envelopes with no codec fields (what an old peer sends) round-trip
-// as raw float64 against an upgraded receiver, and a hello without a codec
-// advertisement still validates. The encoding of a vector follows neither
-// the hello nor the codec: a gradient towards a peer that advertised nothing
-// leaves as a vector frame.
-func TestMixedVersionRawFallback(t *testing.T) {
-	a, b := pipePair(t)
-	defer a.Close()
-	defer b.Close()
-	if err := a.Send(&Envelope{Type: MsgHello, WorkerID: HelloNewWorker}); err != nil {
-		t.Fatal(err)
-	}
-	hello, err := b.Recv()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(hello.Codecs) != 0 || hello.Codec != 0 {
-		t.Fatalf("legacy hello grew codec fields: %+v", hello)
-	}
-	vec := []float64{1.5, -2.25, 0, 3.75}
-	if err := a.Send(&Envelope{Type: MsgGradient, Iter: 1, WorkerID: 4, Vector: vec}); err != nil {
-		t.Fatal(err)
-	}
-	e, err := b.Recv()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range vec {
-		if math.Float64bits(e.Vector[i]) != math.Float64bits(vec[i]) {
-			t.Fatalf("raw gradient element %d not bit-exact", i)
-		}
-	}
-	// An upgraded peer's hello with an advertisement also validates.
-	adv := &Envelope{Type: MsgHello, WorkerID: HelloNewWorker, Codecs: grad.AdvertiseCodecs()}
-	if err := adv.validate(); err != nil {
-		t.Fatalf("advertised hello rejected: %v", err)
-	}
-
-	sent := &Envelope{Type: MsgGradient, Iter: 1, WorkerID: 4, Vector: vec}
-	var out bytes.Buffer
-	if err := NewConn(&memConn{r: bytes.NewReader(nil), w: &out}).Send(sent); err != nil {
-		t.Fatal(err)
-	}
-	if out.Bytes()[0] != frameMarker {
-		t.Fatalf("the gradient left as %#x..., not a vector frame", out.Bytes()[0])
-	}
-	got, err := NewConn(&memConn{r: bytes.NewReader(out.Bytes())}).Recv()
-	if err != nil || !reflect.DeepEqual(got, sent) {
-		t.Fatalf("vector frame decoded to %+v, %v; sent %+v", got, err, sent)
 	}
 }
 
 // TestQuantCorruptionRejected sends hostile quantized frames — unknown codec
-// bytes, payloads that do not decode, advertisements on the wrong message
-// types — and requires a typed ErrMalformed for each: from the sender where
+// bytes, payloads that do not decode or outgrow int8's 5 B per element, codec
+// bytes on the wrong message types — and requires a typed ErrMalformed for each: from the sender where
 // the vector frame cannot carry the envelope, from the receiver otherwise.
 func TestQuantCorruptionRejected(t *testing.T) {
 	goodQuant := func() ([]byte, int) {
-		q, err := grad.AppendQuantized(nil, grad.CodecFP16, []float64{1, 2, 3})
+		q, err := grad.AppendQuantized(nil, grad.CodecInt8, []float64{1, 2, 3})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return q, 3
 	}
 	q, n := goodQuant()
+	nanScale := append([]byte{0, 0, 0xc0, 0x7f}, q[4:]...) // float32 NaN
 
 	hostile := []struct {
 		name string
@@ -205,13 +143,13 @@ func TestQuantCorruptionRejected(t *testing.T) {
 	}{
 		{"unknown codec byte", &Envelope{Type: MsgGradient, Codec: 99, Quant: q, QuantLen: n}},
 		{"raw codec with quant payload", &Envelope{Type: MsgGradient, Codec: 0, Quant: q, QuantLen: n}},
-		{"undecodable payload", &Envelope{Type: MsgGradient, Codec: byte(grad.CodecInt8), Quant: q, QuantLen: n}},
-		{"truncated payload", &Envelope{Type: MsgGradient, Codec: byte(grad.CodecFP16), Quant: q[:5], QuantLen: n}},
-		{"both payloads", &Envelope{Type: MsgGradient, Codec: byte(grad.CodecFP16), Quant: q, QuantLen: n, Vector: []float64{1}}},
-		{"zero quant length", &Envelope{Type: MsgGradient, Codec: byte(grad.CodecFP16), Quant: q}},
-		{"oversized quant payload", &Envelope{Type: MsgGradient, Codec: byte(grad.CodecDelta), Quant: make([]byte, 200), QuantLen: 2}},
-		{"advertisement on gradient", &Envelope{Type: MsgGradient, Vector: []float64{1}, Codecs: []byte{1}}},
-		{"unknown advertised codec", &Envelope{Type: MsgHello, WorkerID: 1, Codecs: []byte{7}}},
+		{"undecodable payload", &Envelope{Type: MsgGradient, Codec: byte(grad.CodecInt8), Quant: nanScale, QuantLen: n}},
+		{"truncated payload", &Envelope{Type: MsgGradient, Codec: byte(grad.CodecInt8), Quant: q[:5], QuantLen: n}},
+		{"both payloads", &Envelope{Type: MsgGradient, Codec: byte(grad.CodecInt8), Quant: q, QuantLen: n, Vector: []float64{1}}},
+		{"zero quant length", &Envelope{Type: MsgGradient, Codec: byte(grad.CodecInt8), Quant: q}},
+		{"oversized quant payload", &Envelope{Type: MsgGradient, Codec: byte(grad.CodecInt8), Quant: make([]byte, 200), QuantLen: 2}},
+		{"quant payload over 5 B per element", &Envelope{Type: MsgGradient, Codec: byte(grad.CodecInt8), Quant: make([]byte, 11), QuantLen: 2}},
+		{"unknown codec on a hello", &Envelope{Type: MsgHello, WorkerID: 1, Codec: 7}},
 		{"codec byte on params", &Envelope{Type: MsgParams, Vector: []float64{1}, Codec: byte(grad.CodecInt8)}},
 	}
 	for _, tc := range hostile {
@@ -229,7 +167,7 @@ func TestQuantCorruptionRejected(t *testing.T) {
 
 	// Batch-framed corruption: a quantized sub-frame with an unknown gradient
 	// codec byte, and one whose payload fails to dequantize.
-	valid, _ := ChunkGradientQuant(Envelope{WorkerID: 1}, []float64{1, 2, 3, 4}, 2, grad.CodecFP16)
+	valid, _ := ChunkGradientQuant(Envelope{WorkerID: 1}, []float64{1, 2, 3, 4}, 2, grad.CodecInt8)
 	raw := encodeBatch(valid...)
 	flip := func(mutate func(b []byte)) error {
 		cp := append([]byte(nil), raw...)
@@ -241,7 +179,7 @@ func TestQuantCorruptionRejected(t *testing.T) {
 		t.Fatalf("unknown sub-frame gradient codec: %v, want ErrMalformed", err)
 	}
 	if err := flip(func(b []byte) {
-		// Change the first sub-frame's declared element count so the fp16
+		// Change the first sub-frame's declared element count so the int8
 		// payload no longer matches it.
 		binary.LittleEndian.PutUint32(b[4+vectorHeaderLen-4:], 9)
 	}); !errors.Is(err, ErrMalformed) {

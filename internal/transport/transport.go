@@ -184,14 +184,10 @@ type Envelope struct {
 	// Blob is the MsgPartition payload: one piece of the CRC-framed encoded
 	// dataset (see internal/dataplane).
 	Blob []byte
-	// Codecs advertises the sender's supported non-raw gradient codecs in a
-	// handshake frame (MsgHello / MsgAdopt). A peer that predates codec
-	// negotiation sends no advertisement — gob simply omits the unknown
-	// field — and is served raw float64.
-	Codecs []byte
-	// Codec is the gradient codec byte (grad.Codec): on a handshake ack it
-	// is the master's chosen codec for the connection; on a MsgGradient it
-	// tags the Quant payload's encoding. 0 (CodecRaw) everywhere else.
+	// Codec is the gradient codec byte (grad.Codec): on a handshake ack
+	// (MsgHello / MsgAdopt) it is the root's codec, which the peer uploads
+	// in; on a MsgGradient it tags the Quant payload's encoding. 0
+	// (CodecRaw) everywhere else.
 	Codec byte
 	// Quant is a quantized gradient payload of QuantLen elements, encoded
 	// with Codec; mutually exclusive with Vector. Recv dequantizes it
@@ -238,15 +234,6 @@ const MaxBlobLen = 1 << 30
 // any real partition count.
 const MaxPartIndex = 1 << 30
 
-// MaxCodecList bounds a handshake's codec advertisement, above any codec set
-// a real peer version could support.
-const MaxCodecList = 16
-
-// maxQuantBytesPerElem bounds a quantized payload's size relative to its
-// element count: delta's worst case is a 10-byte uvarint per element, plus a
-// small per-payload header allowance.
-const maxQuantBytesPerElem = 10
-
 // MaxSpans bounds the phase-span records piggybacked on one upload frame —
 // far above the handful of member-local phases a real sender times.
 const MaxSpans = 16
@@ -277,17 +264,6 @@ func (e *Envelope) validate() error {
 	}
 	if e.Codec != 0 && e.Type != MsgHello && e.Type != MsgAdopt && e.Type != MsgGradient {
 		return fmt.Errorf("%w: %v carries gradient codec %s", ErrMalformed, e.Type, grad.Codec(e.Codec))
-	}
-	if len(e.Codecs) > MaxCodecList {
-		return fmt.Errorf("%w: %v advertises %d codecs (cap %d)", ErrMalformed, e.Type, len(e.Codecs), MaxCodecList)
-	}
-	if len(e.Codecs) > 0 && e.Type != MsgHello && e.Type != MsgAdopt {
-		return fmt.Errorf("%w: %v carries a codec advertisement", ErrMalformed, e.Type)
-	}
-	for _, c := range e.Codecs {
-		if !grad.Codec(c).Valid() {
-			return fmt.Errorf("%w: %v advertises unknown codec %d", ErrMalformed, e.Type, c)
-		}
 	}
 	if (len(e.Vector) > 0 || len(e.Quant) > 0 || e.QuantLen != 0) && e.Type != MsgParams && e.Type != MsgGradient {
 		return fmt.Errorf("%w: %v carries a vector payload", ErrMalformed, e.Type)

@@ -147,7 +147,6 @@ func TestSendRefusesUnframable(t *testing.T) {
 		"more than MaxSpans spans":       {{Type: MsgGradient, Spans: spans, Vector: vec}},
 		"span name over 255 bytes":       {{Type: MsgGradient, Spans: []PhaseSpan{{Phase: strings.Repeat("x", 256)}}, Vector: vec}},
 		"telemetry payload":              {{Type: MsgGradient, Telemetry: &Telemetry{}, Vector: vec}},
-		"codec advertisement":            {{Type: MsgGradient, Codecs: grad.AdvertiseCodecs(), Vector: vec}},
 		"codec byte over a raw payload":  {{Type: MsgParams, Codec: byte(grad.CodecInt8), Vector: vec}},
 		"unknown codec":                  {{Type: MsgGradient, Codec: 99, Quant: []byte{1}, QuantLen: 1}},
 		"body over maxFrameBody":         over,
@@ -177,7 +176,7 @@ func TestSendRefusesUnframable(t *testing.T) {
 // traced — is refused with ErrMalformed, and the stream stays in sync: the
 // gob control frame and the vector frame behind it still decode.
 func TestRecvRefusesGobVectors(t *testing.T) {
-	q, err := grad.AppendQuantized(nil, grad.CodecFP16, []float64{1, 2, 3})
+	q, err := grad.AppendQuantized(nil, grad.CodecInt8, []float64{1, 2, 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +185,7 @@ func TestRecvRefusesGobVectors(t *testing.T) {
 		"empty params":       {Type: MsgParams, Iter: 1},
 		"gradient":           {Type: MsgGradient, Iter: 1, WorkerID: 2, Vector: []float64{1}},
 		"chunked gradient":   {Type: MsgGradient, WorkerID: 2, Chunk: 1, Chunks: 2, Vector: []float64{1}},
-		"quantized gradient": {Type: MsgGradient, WorkerID: 2, Codec: byte(grad.CodecFP16), Quant: q, QuantLen: 3},
+		"quantized gradient": {Type: MsgGradient, WorkerID: 2, Codec: byte(grad.CodecInt8), Quant: q, QuantLen: 3},
 		"traced gradient":    {Type: MsgGradient, WorkerID: 2, Trace: 7, Spans: []PhaseSpan{{Phase: "compute", Seconds: 1}}, Vector: []float64{1}},
 	}
 	control := &Envelope{Type: MsgTelemetry, Iter: 4, WorkerID: 2, Telemetry: &Telemetry{Partitions: 1}}
