@@ -101,24 +101,62 @@ func TestVectorFrameRoundTrip(t *testing.T) {
 
 // TestVectorFramePayloadGrows sends payloads longer than allocStep, whose
 // receive buffers grow as the bytes arrive instead of being taken whole on
-// the header's word. A raw one arrives exactly as sent. An int8 payload that
-// long would hold ~8M elements, so the quantized case is a 9 MiB payload
-// declared for 2M elements: inside the 5 B-per-element bound, it is read to
-// its end as its buffer grows, then refused by the codec, and the stream
-// stays in sync.
+// the header's word. A raw one and a valid int8 one arrive exactly as sent.
+// An int8 payload that long but declared for too few elements is read to its
+// end as its buffer grows, then refused by the codec, and the stream stays in
+// sync.
 func TestVectorFramePayloadGrows(t *testing.T) {
 	vec := make([]float64, allocStep/8+allocStep/80)
 	for i := range vec {
 		vec[i] = rand.NormFloat64()
 	}
+	// An int8 payload of count elements, built byte by byte: per 64-element
+	// chunk a finite float32 scale, then one quantized byte per element. The
+	// last chunk is partial.
+	const chunk = 64
+	count := allocStep/chunk*63 + 17
+	var q []byte
+	for off := 0; off < count; off += chunk {
+		c := off / chunk
+		q = binary.LittleEndian.AppendUint32(q, math.Float32bits(float32(c%7+1)/256))
+		for i := off; i < min(off+chunk, count); i++ {
+			q = append(q, byte(i*31+c))
+		}
+	}
+	if len(q) <= allocStep {
+		t.Fatalf("int8 payload of %d B does not exceed allocStep", len(q))
+	}
 	sender, receiver := pipePair(t)
-	go func() { _ = sender.Send(&Envelope{Type: MsgParams, Iter: 1, Vector: vec}) }()
+	go func() {
+		_ = sender.Send(&Envelope{Type: MsgParams, Iter: 1, Vector: vec})
+		_ = sender.Send(&Envelope{Type: MsgGradient, Iter: 1, Codec: byte(grad.CodecInt8), Quant: q, QuantLen: count})
+	}()
 	got, err := receiver.Recv()
 	if err != nil || got.Type != MsgParams {
 		t.Fatalf("params: %+v, %v", got, err)
 	}
 	if !reflect.DeepEqual(got.Vector, vec) {
 		t.Fatalf("a %d-element payload arrived changed (%d elements)", len(vec), len(got.Vector))
+	}
+	grad.PutBuffer(got.Vector)
+	if got, err = receiver.Recv(); err != nil {
+		t.Fatalf("int8 gradient: %v", err)
+	}
+	if got.Type != MsgGradient || len(got.Vector) != count {
+		t.Fatalf("int8 gradient: %v of %d elements, want %v of %d", got.Type, len(got.Vector), MsgGradient, count)
+	}
+	// The decoded vector against grad's decode of the same bytes, one chunk
+	// at a time.
+	want := make([]float64, chunk)
+	for at, off := 0, 0; off < count; off += chunk {
+		n := min(chunk, count-off)
+		if err := grad.DequantizeInto(want[:n], grad.CodecInt8, q[at:at+4+n]); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got.Vector[off:off+n], want[:n]) {
+			t.Fatalf("int8 chunk at element %d arrived changed", off)
+		}
+		at += 4 + n
 	}
 	grad.PutBuffer(got.Vector)
 
