@@ -83,10 +83,12 @@ cover-check: cover cover-gate
 # (truncated, bit-flipped or garbage bytes must yield typed
 # checkpoint.ErrCorrupt — never a panic, never a silent mis-decode), the
 # lease-token codec (arbitrary LEASE file bytes must yield an error wrapping
-# checkpoint.ErrCorrupt), the adoption-handshake frames and the vector frame
-# (arbitrary headers, codec bytes, span sections and truncated or quantized
-# payloads, as a binary wire frame or as a gob-encoded vector envelope, must
-# yield transport.ErrMalformed — never a panic, never a dim-sized allocation). Two
+# checkpoint.ErrCorrupt), the gob control envelopes (hello and its ack,
+# reassign, telemetry, partition-req, shutdown, and the retired adoption
+# number) and the vector frame (arbitrary headers, codec bytes, span
+# sections and truncated or quantized payloads, as a binary wire frame or as
+# a gob-encoded vector envelope, must yield transport.ErrMalformed — never a
+# panic, never a dim-sized allocation). Two
 # targets are not decoders: the load allocator, whose output every plan is
 # built on (valid loads that no single-copy move improves), and the int8
 # encoder, whose payload must equal the reference encoder's byte for byte. A
@@ -98,7 +100,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzSnapshot$$' -fuzztime $(FUZZTIME) ./internal/checkpoint
 	$(GO) test -run '^$$' -fuzz '^FuzzJournal$$' -fuzztime $(FUZZTIME) ./internal/checkpoint
 	$(GO) test -run '^$$' -fuzz '^FuzzLease$$' -fuzztime $(FUZZTIME) ./internal/ha
-	$(GO) test -run '^$$' -fuzz '^FuzzAdoption$$' -fuzztime $(FUZZTIME) ./internal/transport
+	$(GO) test -run '^$$' -fuzz '^FuzzControlEnvelope$$' -fuzztime $(FUZZTIME) ./internal/transport
 	$(GO) test -run '^$$' -fuzz '^FuzzVectorFrame$$' -fuzztime $(FUZZTIME) ./internal/transport
 	$(GO) test -run '^$$' -fuzz '^FuzzRoster$$' -fuzztime $(FUZZTIME) ./internal/node
 	$(GO) test -run '^$$' -fuzz '^FuzzProportionalLoads$$' -fuzztime $(FUZZTIME) ./internal/partition

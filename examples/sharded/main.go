@@ -1,9 +1,8 @@
 // Sharded: the hierarchical group-sharded runtime live on loopback TCP.
 // Twelve workers are partitioned into four coding groups of three; each
-// group master admits its own workers, decodes its group's gradient sum
-// locally and streams it to the root as one coalesced batch of
-// length-prefixed chunks; the root reduces the four group sums along a
-// fan-in-2 tree and steps the optimizer. Mid-run one worker of group 0
+// group master, hosted in the root's process, admits its own workers on its
+// own address and decodes its group's gradient sum locally; the root reduces
+// the four group sums along a fan-in-2 tree and steps the optimizer. Mid-run one worker of group 0
 // slows down 12x: its group's control plane detects the drift in telemetry
 // and migrates *that group alone* — the other three groups finish the whole
 // run on their initial epoch. A deterministic flat-vs-sharded comparison at
@@ -66,7 +65,6 @@ func run() error {
 		DriftThreshold:  0.5,
 		MinObservations: 2,
 		CooldownIters:   2,
-		ChunkLen:        8, // small model: force multi-chunk batched uplinks anyway
 		Seed:            1,
 	}
 
@@ -109,8 +107,8 @@ func run() error {
 	}
 	wg.Wait()
 
-	fmt.Printf("\ntrained %d iterations, mean %.1fms/iter; %d group uploads, %d of them coalesced batches\n",
-		len(res.IterTimes), res.Summary.Mean*1000, res.GroupUploads, res.BatchedFrames)
+	fmt.Printf("\ntrained %d iterations, mean %.1fms/iter; %d group sums reduced per iteration\n",
+		len(res.IterTimes), res.Summary.Mean*1000, len(res.Groups))
 	for _, gs := range res.Groups {
 		final := gs.Epochs[len(gs.Epochs)-1]
 		fmt.Printf("group %d: final epoch %d, %d replans, %d stale-epoch uploads fenced\n",

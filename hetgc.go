@@ -398,8 +398,8 @@ func SimulateElastic(cfg ElasticSimConfig) (*ElasticSimResult, error) {
 // Hierarchical group-sharded runtime: the worker fleet is partitioned into
 // independently-coded groups, each with its own group master (local decode,
 // group-local elastic control plane, per-group epochs) and its own slice of
-// the global partitions; group sums are streamed upward as coalesced chunked
-// batches and reduced along a configurable fan-in tree into a root master.
+// the global partitions; the root master hosts every group master in its own
+// process and reduces their decoded sums along a configurable fan-in tree.
 type (
 	// ShardedConfig configures a sharded training run.
 	ShardedConfig = shard.Config
@@ -417,9 +417,9 @@ type (
 	ReductionTree = shard.Tree
 )
 
-// NewShardedRoot builds the shard plan, starts the root on addr and starts
-// one group master (a GroupRunner) per coding group not in ExternalGroups,
-// each on its own loopback address.
+// NewShardedRoot builds the shard plan, brings the root up (its lease token
+// publishes addr) and starts one in-process group master per coding group,
+// each listening for its workers on addr's host at its own port.
 func NewShardedRoot(cfg ShardedConfig, addr string) (*ShardedRoot, error) {
 	return shard.NewRoot(cfg, addr)
 }

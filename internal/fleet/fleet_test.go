@@ -29,7 +29,7 @@ func twoNodeFleet(t *testing.T) ([]Node, func()) {
 	})
 
 	mWorker := obs.New()
-	mWorker.Event(obs.Event{Kind: obs.EvAdoption, Iter: 3, Member: 2})
+	mWorker.Event(obs.Event{Kind: obs.EvRejoin, Iter: 3, Member: 2})
 	mWorker.BindWireCodecs([]string{"raw", "int8"}, func(c byte) (uint64, uint64, uint64, uint64) {
 		if c == 1 {
 			return 0, 0, 0, 1024
@@ -80,7 +80,7 @@ func TestCollectMergesFleet(t *testing.T) {
 	for _, ev := range snap.Timeline {
 		kinds[ev.Kind] = ev.Node
 	}
-	if kinds[obs.EvFailover] != "root" || kinds[obs.EvFence] != "root" || kinds[obs.EvAdoption] != "worker" {
+	if kinds[obs.EvFailover] != "root" || kinds[obs.EvFence] != "root" || kinds[obs.EvRejoin] != "worker" {
 		t.Fatalf("timeline attribution wrong: %v", kinds)
 	}
 

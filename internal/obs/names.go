@@ -113,8 +113,6 @@ const (
 	EvDeath     = "death"
 	EvFailover  = "failover"
 	EvFence     = "fence"
-	EvAdoption  = "adoption"
-	EvUplink    = "uplink_lost"
 	EvSnapshot  = "snapshot"
 )
 

@@ -1,16 +1,17 @@
 // Package rootcore is what every training root does around its collect,
 // once: the flat runtime.ElasticMaster and the sharded shard.Root both sit on
 // it the way both sit on internal/roster. It owns validation of the shared
-// config, the bring-up sequence (listen, acquire the lease, recover, reopen
-// or create the store, guard and metrics, resume anchor), the lease renewal
+// config, the bring-up sequence (acquire the lease, recover, reopen or
+// create the store, guard and metrics, resume anchor), the lease renewal
 // loop and its fault hook, the fencing verdict on run errors, the post-decode
 // tail of an iteration (scale, optimizer step, step/clock/loss bookkeeping,
 // journal append and snapshot cadence) and the two ways a root ends: Release
 // on success, Close — which never releases the lease — on everything else.
 //
-// A runtime keeps only what is truly its own: how it collects one
-// iteration's gradient sum (one roster engine, or uplinks + adoption + tree
-// reduce) and how it fills the per-group part of a snapshot.
+// A runtime keeps only what is truly its own: where its workers connect,
+// how it collects one iteration's gradient sum (one roster engine, or one
+// per coding group and a tree reduce) and how it fills the per-group part of
+// a snapshot.
 package rootcore
 
 import (
@@ -132,12 +133,10 @@ type Progress struct {
 	RootGen int
 }
 
-// Core is one open training root: listener, lease, store and training
-// state.
+// Core is one open training root: lease, store and training state.
 type Core struct {
 	cfg   Config
 	hooks Hooks
-	lis   *transport.Listener
 	codec grad.Codec
 
 	// store is nil without a CheckpointDir; lease is nil and gen 0 without a
@@ -158,28 +157,19 @@ type Core struct {
 	clock     float64
 }
 
-// Open listens on addr and brings the root up from a config that passed
-// Validate. The listener is the caller's once Open returns; Close leaves it
-// alone.
+// Open brings the root up from a config that passed Validate. Its lease
+// token publishes addr, the root's address for operators and standbys.
 func Open(cfg Config, addr string, hooks Hooks) (*Core, error) {
-	// The listener comes first: the lease token publishes the dial address,
-	// so a standby that promotes discovers the live root from the token.
-	lis, err := transport.Listen(addr)
+	c, err := open(cfg, addr, hooks)
 	if err != nil {
 		return nil, err
 	}
-	c, err := open(cfg, lis.Addr(), hooks)
-	if err != nil {
-		_ = lis.Close()
-		return nil, err
-	}
-	c.lis = lis
 	cfg.Obs.BindWire(transport.Wire)
 	cfg.Obs.BindWireCodecs(grad.CodecNames(), transport.WireCodec)
 	return c, nil
 }
 
-// open is the bring-up behind the listener, in the one safe order: acquire
+// open is the bring-up, in the one safe order: acquire
 // the lease (fencing the previous root) before reading what that root
 // wrote, then recover, reopen, guard, and anchor the resumed state.
 func open(cfg Config, addr string, hooks Hooks) (_ *Core, err error) {
@@ -293,9 +283,6 @@ func (c *Core) renewLoop(stop <-chan struct{}, done chan<- struct{}) {
 // its members' uploads are rejected and the run fails wrapping
 // ha.ErrFenced. No-op without a lease.
 func (c *Core) SuspendLeaseRenewal() { c.renewSuspended.Store(true) }
-
-// Listener returns the root's listener.
-func (c *Core) Listener() *transport.Listener { return c.lis }
 
 // Codec returns the run's gradient codec.
 func (c *Core) Codec() grad.Codec { return c.codec }

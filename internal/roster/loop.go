@@ -12,9 +12,9 @@ import (
 // Loop is the group BSP iteration over one Engine — the paper's master loop,
 // once: replan at the iteration boundary when the controller asks, broadcast,
 // collect until the code decodes, migrate and retry when the epoch cannot
-// complete, combine. The flat master runs it as its whole collect; every
-// group master of the sharded runtime runs it per root broadcast. It belongs
-// to the single run-loop goroutine that drives the engine.
+// complete, combine. The flat master runs it as its whole collect; the
+// sharded root runs it once per group every iteration. It belongs to the
+// single run-loop goroutine that drives the engine.
 type Loop struct {
 	Eng *Engine
 	// IterTimeout bounds one collect attempt; MaxRetries bounds the forced
@@ -26,8 +26,8 @@ type Loop struct {
 	Fail error
 
 	// Plan is the current plan. Nil forces a migration before the next
-	// broadcast: a session that starts without one — a runner re-adopting
-	// after an uplink loss — must land above any epoch floor raised since.
+	// broadcast: a group master retrying an iteration it failed migrates to
+	// its live membership first.
 	Plan *elastic.Plan
 	// Stats accumulates the fencing decisions of every collect.
 	Stats Stats
@@ -60,7 +60,7 @@ func (l *Loop) Iteration(sc *obs.IterScope, iter int, params []float64, sum grad
 	eng, tel := l.Eng, l.Eng.cfg.Obs
 	if replan, reason := eng.ShouldReplan(iter); replan || l.Plan == nil {
 		if !replan {
-			reason = "adopt"
+			reason = obs.ReasonChurn // a retry after a failed attempt
 		}
 		if err := l.migrate(iter, reason); err != nil {
 			return err
@@ -82,7 +82,7 @@ func (l *Loop) Iteration(sc *obs.IterScope, iter int, params []float64, sum grad
 			if retries++; retries > l.MaxRetries {
 				return fmt.Errorf("%w: iteration %d undecodable after %d migrations", l.Fail, iter, retries-1)
 			}
-			if err := l.migrate(iter, "churn"); err != nil {
+			if err := l.migrate(iter, obs.ReasonChurn); err != nil {
 				return err
 			}
 			continue

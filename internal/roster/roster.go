@@ -1,6 +1,6 @@
 // Package roster is the shared membership engine behind every elastic
 // master in the system. The flat runtime (runtime.ElasticMaster) and the
-// sharded per-group masters (shard.GroupRunner) run the same
+// sharded root's per-group masters (shard.Root) run the same
 // estimate → allocate → re-code loop over live TCP workers, and before this
 // package existed each carried its own copy of the accept loop, the
 // join/rejoin handshake, connection-generation fencing, the epoch-tagged
@@ -34,7 +34,6 @@ package roster
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
@@ -574,41 +573,6 @@ func (e *Engine) Epoch() int {
 	return e.cfg.Controller.Epoch()
 }
 
-// SetRootGen replaces the lease generation stamped on broadcasts and checked
-// by Collect. An adopted group master calls it when a new root (a higher
-// generation) adopts it mid-run. It must be called only from the goroutine
-// that drives Migrate/BroadcastParams/Collect — the engine does not lock the
-// generation against its own run loop.
-func (e *Engine) SetRootGen(gen int) {
-	if gen > e.cfg.RootGen {
-		e.cfg.RootGen = gen
-	}
-}
-
-// RaiseEpochBase raises the controller's epoch floor (no-op when base is not
-// above the current floor) — the membership-reconciliation half of an
-// adoption handshake: a re-adopting root hands the group the highest epoch it
-// ever recorded for it, so plans built after adoption can never collide with
-// uploads encoded before.
-func (e *Engine) RaiseEpochBase(base int) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.cfg.Controller.SetEpochBase(base)
-}
-
-// MemberIDs returns every member ID the engine has admitted or reserved,
-// ascending — what a group master reports in its adoption handshake.
-func (e *Engine) MemberIDs() []int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	ids := make([]int, 0, len(e.members))
-	for id := range e.members {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	return ids
-}
-
 // ControllerState captures the control plane for a checkpoint snapshot,
 // serialised against the engine's own controller access (handshakes and
 // collects mutate the controller under the same lock).
@@ -756,8 +720,8 @@ func (e *Engine) BroadcastParams(plan *elastic.Plan, iter int, params []float64)
 	}
 }
 
-// ObsSpans copies wire phase spans into trace spans.
-func ObsSpans(ws []transport.PhaseSpan) []obs.Span {
+// obsSpans copies wire phase spans into trace spans.
+func obsSpans(ws []transport.PhaseSpan) []obs.Span {
 	if len(ws) == 0 {
 		return nil
 	}
@@ -786,7 +750,7 @@ func (e *Engine) noteContribution(id int, spans []transport.PhaseSpan) {
 		Member:  id,
 		Group:   e.cfg.ObsGroup,
 		Arrival: e.arrival(),
-		Spans:   ObsSpans(spans),
+		Spans:   obsSpans(spans),
 	})
 }
 
@@ -799,7 +763,7 @@ func (e *Engine) noteErased(id int, reason string, spans []transport.PhaseSpan) 
 		Member:  id,
 		Group:   e.cfg.ObsGroup,
 		Arrival: e.arrival(),
-		Spans:   ObsSpans(spans),
+		Spans:   obsSpans(spans),
 		Partial: true,
 		Reason:  reason,
 	})

@@ -41,6 +41,7 @@ import (
 	"github.com/hetgc/hetgc/internal/obs"
 	"github.com/hetgc/hetgc/internal/rootcore"
 	"github.com/hetgc/hetgc/internal/roster"
+	"github.com/hetgc/hetgc/internal/transport"
 )
 
 // Errors returned by the runtime.
@@ -223,9 +224,16 @@ func NewElasticMaster(cfg ElasticConfig, addr string) (*ElasticMaster, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadConfig, err)
 	}
-	ma := &ElasticMaster{cfg: cfg, ctrl: ctrl, fence: -1}
-	ma.core, err = rootcore.Open(cc, addr, rootcore.Hooks{Restore: ma.restoreFrom, Groups: ma.groupState})
+	// The listener comes first: the lease token publishes the dial address,
+	// so a standby that promotes discovers the live root from the token.
+	lis, err := transport.Listen(addr)
 	if err != nil {
+		return nil, err
+	}
+	ma := &ElasticMaster{cfg: cfg, ctrl: ctrl, fence: -1}
+	ma.core, err = rootcore.Open(cc, lis.Addr(), rootcore.Hooks{Restore: ma.restoreFrom, Groups: ma.groupState})
+	if err != nil {
+		_ = lis.Close()
 		return nil, err
 	}
 	rcfg := roster.Config{
@@ -245,9 +253,9 @@ func NewElasticMaster(cfg ElasticConfig, addr string) (*ElasticMaster, error) {
 		// (first-frame routing in the roster engine keeps the two apart).
 		rcfg.PartitionBlob = dataplane.NewSource(cfg.PartitionSource, cfg.K).Blob
 	}
-	ma.eng, err = roster.New(rcfg, ma.core.Listener())
+	ma.eng, err = roster.New(rcfg, lis)
 	if err != nil {
-		_ = ma.core.Listener().Close()
+		_ = lis.Close()
 		ma.core.Close()
 		return nil, fmt.Errorf("%w: %v", ErrBadConfig, err)
 	}

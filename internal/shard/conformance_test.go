@@ -38,7 +38,6 @@ func TestConformanceSharded(t *testing.T) {
 			Iterations:      sc.Iters,
 			SampleCount:     fx.Data.N(),
 			IterTimeout:     sc.IterTimeout,
-			ChunkLen:        4, // force real chunked batched uplinks
 			Alpha:           sc.Alpha,
 			DriftThreshold:  sc.DriftThreshold,
 			MinObservations: sc.MinObservations,

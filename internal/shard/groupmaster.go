@@ -1,21 +1,16 @@
 // The group side of the hierarchy: one coding group's master, an elastic
-// BSP master scoped to that group. It admits the group's workers over TCP
-// with the elastic worker protocol, keeps a group-local control plane (its
-// own elastic.Controller, its own epoch counter), migrates only its own
-// workers on drift or churn, decodes the group's gradient sum with the shared
-// decode-plan cache and kernels, and streams that sum to the root as one
-// coalesced chunked batch per iteration.
+// BSP master scoped to that group and hosted in the root's process. It
+// admits the group's workers over TCP with the elastic worker protocol,
+// keeps a group-local control plane (its own elastic.Controller, its own
+// epoch counter), migrates only its own workers on drift or churn, and
+// decodes the group's gradient sum with the shared decode-plan cache and
+// kernels.
 //
 // Membership, generation fencing, migration delivery and the epoch-fenced
 // collect are delegated to internal/roster — the same engine behind the
-// flat runtime.ElasticMaster — so a fencing fix lands once and is verified
+// flat runtime.ElasticMaster — and one group iteration is roster.Loop, the
+// flat master's whole collect, so a fencing fix lands once and is verified
 // against both runtimes by the shared conformance suite.
-//
-// Every group master is a GroupRunner (runner.go): NewRoot starts one for
-// each group it hosts, recording into the root's journal, and StartGroup
-// runs one out of process with its own. This file holds the runner's
-// per-group pieces: the adoption handshake, the upload of a decoded sum, the
-// durable group summary, and the controller and engine builders.
 package shard
 
 import (
@@ -36,85 +31,103 @@ import (
 	"github.com/hetgc/hetgc/internal/transport"
 )
 
-// errUplinkEncode marks an upload that failed before it reached the wire (the
-// codec refused the sum): unlike a dead uplink, re-adopting cannot help.
-var errUplinkEncode = errors.New("shard: uplink encode failed")
-
-// upload sends one decoded sum to the root: chunk and quantize it under the
-// codec the root named at adoption, one batched write stamped with tmpl (the
-// adopted root generation, the echoed trace context and phase spans), then
-// release.
-func (r *GroupRunner) upload(up *transport.Conn, tmpl transport.Envelope, sum []float64) error {
-	defer grad.PutBuffer(sum)
-	frames, err := transport.ChunkGradientQuant(tmpl, sum, r.cfg.ChunkLen, r.codec)
-	if err != nil {
-		return fmt.Errorf("%w: %v", errUplinkEncode, err)
-	}
-	sendStart := time.Now()
-	err = up.SendBatch(frames)
-	transport.ReleaseQuant(frames)
-	if err == nil {
-		// A sender cannot time its own in-flight upload: the duration rides
-		// the next iteration's upload span.
-		r.lastUpSec = time.Since(sendStart).Seconds()
-	}
-	return err
+// group is one coding group's master: its roster engine on its own worker
+// listener, the group iteration over it, and the plan epoch each completed
+// iteration decoded under. Between NewRoot and Close only the root's
+// iteration touches it, one goroutine per group.
+type group struct {
+	id       int
+	workers  int // the group's planned worker count
+	loop     roster.Loop
+	epochs   []int
+	failures int // failed attempts in a row, across iterations
 }
 
-// uplinkSpans assembles the phase spans echoed on the group's uplink: the
-// gather (the group's workers computing and uploading) reads as compute, the
-// combine as encode — the same span family workers report, so one trace view
-// renders both tiers — plus the PREVIOUS upload's send duration.
-func (r *GroupRunner) uplinkSpans() []transport.PhaseSpan {
-	spans := []transport.PhaseSpan{
-		{Phase: obs.PhaseCompute, Seconds: r.loop.Gather},
-		{Phase: obs.PhaseEncode, Seconds: r.loop.Combine},
+// newGroup builds group g: its controller (restored from st on a resumed
+// root) and its engine listening on workerAddr, fenced by the root's lease
+// generation and recording into the root's journal.
+func newGroup(cfg *Config, grp *Group, g int, st *checkpoint.State, root *rootcore.Core, workerAddr string) (*group, error) {
+	ctrl, recovered, err := buildGroupController(cfg, grp, g, st)
+	if err != nil {
+		return nil, err
 	}
-	if r.lastUpSec > 0 {
-		spans = append(spans, transport.PhaseSpan{Phase: obs.PhaseUpload, Seconds: r.lastUpSec})
+	lis, err := transport.Listen(workerAddr)
+	if err != nil {
+		return nil, err
 	}
-	return spans
+	eng, err := newGroupEngine(cfg, grp, g, ctrl, recovered, root, lis)
+	if err != nil {
+		return nil, err
+	}
+	return &group{id: g, workers: len(grp.Workers), loop: roster.Loop{
+		Eng: eng, IterTimeout: cfg.IterTimeout, MaxRetries: cfg.MaxRetries,
+		Fail: fmt.Errorf("%w: group %d", ErrGroupFailed, g),
+	}}, nil
 }
 
-// adopt performs the group side of the adoption handshake on a freshly
-// dialed root connection: it announces the group's live epoch and members,
-// and applies the root's reply — the epoch floor the root recorded for this
-// group (reconciled into the controller so post-adoption plans fence every
-// pre-adoption upload) and the root's lease generation, which it returns. An
-// ack for another group is ErrBadConfig.
-func (r *GroupRunner) adopt(conn *transport.Conn, timeout time.Duration) (gen int, err error) {
-	g, eng := r.cfg.Group, r.loop.Eng
-	epoch := eng.Epoch()
-	if epoch < -1 {
-		epoch = -1
+// iterate runs one root iteration on the group, combining its decoded sum
+// into sum. Each attempt first waits up to IterTimeout for a plannable
+// quorum (S+1, the controller's floor) — a group serving with a partial
+// roster beyond that is fine, the controller plans around it. A failed
+// attempt forces a migration before the next one. The group gives up after
+// MaxRetries+2 failures in a row or once the deadline has passed, and
+// refuses a non-finite sum: training itself blew up. It returns the group's
+// root-tier child span, anchored at start.
+func (gr *group) iterate(cfg *Config, iter int, params, sum []float64, start, deadline time.Time) (obs.MemberSpan, error) {
+	eng := gr.loop.Eng
+	for {
+		if need := cfg.S + 1; eng.AliveCount() < need {
+			_ = eng.WaitForMembers(need, min(cfg.IterTimeout, time.Until(deadline)))
+		}
+		// No collect attempt outlasts the deadline by more than its retries.
+		gr.loop.IterTimeout = min(cfg.IterTimeout, max(time.Until(deadline), time.Millisecond))
+		err := gr.loop.Iteration(nil, iter, params, sum)
+		if err == nil {
+			break
+		}
+		gr.loop.Plan = nil
+		if gr.failures++; gr.failures > cfg.MaxRetries+2 || time.Now().After(deadline) {
+			return obs.MemberSpan{}, errors.Join(fmt.Errorf("%w: group %d gave up on iteration %d after %d failed attempts in a row", ErrGroupFailed, gr.id, iter, gr.failures), err)
+		}
 	}
-	_ = conn.SetDeadline(time.Now().Add(timeout))
-	defer conn.SetDeadline(time.Time{})
-	err = conn.Send(&transport.Envelope{
-		Type:  transport.MsgAdopt,
-		Adopt: &transport.Adoption{Group: g, Epoch: epoch, Members: eng.MemberIDs()},
-	})
-	if err != nil {
-		return 0, fmt.Errorf("group %d adoption: %w", g, err)
+	gr.failures = 0
+	if grad.InfOrNaN(sum) {
+		return obs.MemberSpan{}, fmt.Errorf("%w: group %d decoded a non-finite sum at iteration %d", ErrGroupFailed, gr.id, iter)
 	}
-	ack, err := conn.Recv()
-	if err != nil {
-		return 0, fmt.Errorf("group %d adoption ack: %w", g, err)
+	gr.epochs = append(gr.epochs, gr.loop.Plan.Epoch)
+	return obs.MemberSpan{Member: gr.id, Group: -1, Arrival: time.Since(start).Seconds(), Spans: gr.spans()}, nil
+}
+
+// spans are the group's phase spans in its root-tier child span: the gather
+// (the group's workers computing and uploading) reads as compute, the
+// combine as encode — the span family workers report, so one trace view
+// renders both tiers.
+func (gr *group) spans() []obs.Span {
+	return []obs.Span{
+		{Phase: obs.PhaseCompute, Seconds: gr.loop.Gather},
+		{Phase: obs.PhaseEncode, Seconds: gr.loop.Combine},
 	}
-	if ack.Type != transport.MsgAdopt || ack.Adopt == nil || ack.Adopt.Group != g {
-		return 0, fmt.Errorf("%w: group %d: bad adoption ack %v", ErrBadConfig, g, ack.Type)
+}
+
+// stats snapshots the group's counters once its iterations are over.
+func (gr *group) stats() GroupStats {
+	eng := gr.loop.Eng
+	return GroupStats{
+		Group:   gr.id,
+		Workers: gr.workers,
+		Epochs:  gr.epochs,
+		Replans: eng.Events(),
+		Stats:   gr.loop.Stats,
+		Joins:   eng.Joins(),
+		Deaths:  eng.Deaths(),
 	}
-	r.codec = grad.Codec(ack.Codec) // the root's codec; Recv refused an undefined byte
-	eng.RaiseEpochBase(ack.Adopt.Epoch + 1)
-	eng.SetRootGen(ack.RootGen)
-	return ack.RootGen, nil
 }
 
 // coreState summarises the group's durable state: its highest plan epoch,
 // every member ID it admitted, and the live control-plane state (throughput
 // estimates), so a resumed or promoted root re-plans from real history.
-func (r *GroupRunner) coreState() checkpoint.GroupState {
-	gs := checkpoint.GroupState{Group: r.cfg.Group, Epoch: r.loop.Eng.Epoch(), Ctrl: r.loop.Eng.ControllerState()}
+func (gr *group) coreState() checkpoint.GroupState {
+	gs := checkpoint.GroupState{Group: gr.id, Epoch: gr.loop.Eng.Epoch(), Ctrl: gr.loop.Eng.ControllerState()}
 	for _, ms := range gs.Ctrl.Members {
 		gs.Members = append(gs.Members, ms.ID)
 	}
@@ -123,7 +136,7 @@ func (r *GroupRunner) coreState() checkpoint.GroupState {
 }
 
 // buildGroupController constructs one group's control plane and, when st is
-// a recovered checkpoint (the root's, or a runner's own journal), restores
+// the root's recovered checkpoint, restores
 // it. Recovery precedence: a snapshot-carried controller state — real
 // throughput history — wins over the planned-throughput priors derived from
 // member IDs alone. Every restored member starts dead (its connection died
@@ -179,22 +192,23 @@ func buildGroupController(cfg *Config, grp *Group, g int, st *checkpoint.State) 
 	return ctrl, recovered, nil
 }
 
-// newGroupEngine builds the roster engine for one group on lis. Partition
-// indices in assignments are global (the worker fetches data by global
-// partition ID), so the engine translates through the group's partition
-// slice and advertises the global K.
-func newGroupEngine(cfg *Config, grp *Group, g int, ctrl *elastic.Controller, recovered []int, rec roster.Recorder, lis *transport.Listener) (*roster.Engine, error) {
-	codec, _ := rootcore.ParseCodec(cfg.Wire, ErrBadConfig) // validated with the rest of the config
+// newGroupEngine builds the roster engine for one group on lis, in the
+// root's codec, fenced by its lease generation and recording into its
+// journal. Partition indices in assignments are global (the worker fetches
+// data by global partition ID), so the engine translates through the group's
+// partition slice and advertises the global K.
+func newGroupEngine(cfg *Config, grp *Group, g int, ctrl *elastic.Controller, recovered []int, root *rootcore.Core, lis *transport.Listener) (*roster.Engine, error) {
 	rcfg := roster.Config{
 		Controller:   ctrl,
 		WriteTimeout: cfg.IterTimeout,
 		InboxSize:    2*len(grp.Workers) + 8,
 		K:            cfg.K, // global K: partition IDs are global
 		S:            cfg.S,
-		Codec:        byte(codec),
+		Codec:        byte(root.Codec()),
+		RootGen:      root.Gen(),
 		PartitionMap: grp.Parts,
 		Recovered:    recovered,
-		Recorder:     rec,
+		Recorder:     root.Recorder(g),
 		Obs:          cfg.Obs,
 		ObsGroup:     g,
 		Prior: func(joinSeq int) float64 {

@@ -1,15 +1,10 @@
-// HA conformance for the sharded hierarchy: the root holds the lease, group
-// 0 is served by an out-of-process GroupRunner that outlives every root,
-// and the shared failover scenarios (testkit.RunHAConformance) kill, wedge
-// and depose roots around it — the same table the flat runtime is held to
-// in internal/testkit/ha_conformance_test.go. This is the only runtime with
-// independently restartable group masters, so it also runs the
-// group-master-restart-and-readoption scenario.
+// HA conformance for the sharded hierarchy: the root holds the lease and
+// hosts both coding groups, and the shared failover scenarios
+// (testkit.RunHAConformance) kill, wedge and depose roots — the same table
+// the flat runtime is held to in internal/testkit/ha_conformance_test.go.
 package shard_test
 
 import (
-	"fmt"
-	"sync"
 	"testing"
 	"time"
 
@@ -19,66 +14,13 @@ import (
 	"github.com/hetgc/hetgc/internal/testkit"
 )
 
-// haShardEnv owns the external group master. Runners deliberately outlive
-// the clusters that started them — surviving a root's death is the property
-// under test — so they live here, not in the cluster adapter.
-type haShardEnv struct {
-	mu     sync.Mutex
-	cfg    shard.GroupRunnerConfig
-	runner *shard.GroupRunner
-}
-
-func (e *haShardEnv) set(cfg shard.GroupRunnerConfig, rn *shard.GroupRunner) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.cfg, e.runner = cfg, rn
-}
-
-func (e *haShardEnv) addr() string {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.runner.Addr()
-}
-
-func (e *haShardEnv) stopRunner() {
-	e.mu.Lock()
-	rn := e.runner
-	e.runner = nil
-	e.mu.Unlock()
-	if rn != nil {
-		rn.Stop()
-	}
-}
-
-// restart kills the runner cold and rebuilds it from its own journal at a
-// fresh address.
-func (e *haShardEnv) restart() error {
-	e.mu.Lock()
-	rn, cfg := e.runner, e.cfg
-	e.mu.Unlock()
-	if rn == nil {
-		return fmt.Errorf("no runner to restart")
-	}
-	rn.Stop()
-	cfg.ResumeJournal = true
-	next, err := shard.StartGroup(cfg)
-	if err != nil {
-		return err
-	}
-	e.set(cfg, next)
-	return nil
-}
-
 type haShard struct {
 	sc   *testkit.HAScenario
 	root *shard.Root
-	env  *haShardEnv
 }
 
 func TestHAConformanceSharded(t *testing.T) {
-	env := &haShardEnv{}
-	t.Cleanup(env.stopRunner)
-	testkit.RunHAConformance(t, true, func(sc *testkit.HAScenario, fx *testkit.Fixture, dir string, resume bool, holder string) (testkit.HACluster, error) {
+	testkit.RunHAConformance(t, func(sc *testkit.HAScenario, fx *testkit.Fixture, dir string, resume bool, holder string) (testkit.HACluster, error) {
 		thr := make([]float64, sc.Workers)
 		for i := range thr {
 			thr[i] = sc.InitialRate
@@ -94,7 +36,6 @@ func TestHAConformanceSharded(t *testing.T) {
 			Iterations:    sc.Iters,
 			SampleCount:   fx.Data.N(),
 			IterTimeout:   sc.IterTimeout,
-			ChunkLen:      4,
 			// Churn-only control plane, as in the recovery conformance run.
 			DriftThreshold:   2.0,
 			CooldownIters:    1 << 20,
@@ -102,30 +43,12 @@ func TestHAConformanceSharded(t *testing.T) {
 			Seed:             1,
 			DurabilityConfig: clustercfg.DurabilityConfig{CheckpointDir: dir, SnapshotEvery: sc.SnapshotEvery, Resume: resume},
 			HAConfig:         clustercfg.HAConfig{LeaseTTL: sc.LeaseTTL, Holder: holder},
-			ExternalGroups:   []int{0},
 		}
 		root, err := shard.NewRoot(cfg, "127.0.0.1:0")
 		if err != nil {
 			return nil, err
 		}
-		if !resume {
-			// A fresh scenario: retire any runner left over from the
-			// previous one, then start group 0's master with its own
-			// journal, discovering this root (and every successor) through
-			// the lease token in dir.
-			env.stopRunner()
-			rcfg := shard.GroupRunnerConfig{
-				Config: cfg, Group: 0, WorkerAddr: "127.0.0.1:0",
-				RootDir: dir, JournalDir: dir + "-g0",
-			}
-			rn, err := shard.StartGroup(rcfg)
-			if err != nil {
-				root.Close()
-				return nil, err
-			}
-			env.set(rcfg, rn)
-		}
-		return &haShard{sc: sc, root: root, env: env}, nil
+		return &haShard{sc: sc, root: root}, nil
 	})
 }
 
@@ -133,12 +56,8 @@ func (c *haShard) Addrs() []string {
 	groupAddrs := c.root.GroupAddrs()
 	var addrs []string
 	for g, grp := range c.root.Plan().Groups {
-		addr := groupAddrs[g]
-		if addr == "" { // external group: workers dial the runner
-			addr = c.env.addr()
-		}
 		for i := 0; i < len(grp.Workers); i++ {
-			addrs = append(addrs, addr)
+			addrs = append(addrs, groupAddrs[g])
 		}
 	}
 	return addrs
@@ -153,10 +72,8 @@ func (c *haShard) Run() (*testkit.Outcome, error) {
 		return nil, err
 	}
 	out := &testkit.Outcome{
-		Iters:         len(res.IterTimes),
-		Params:        res.Params,
-		FencedUploads: res.FencedSums,
-		Readoptions:   res.Readoptions,
+		Iters:  len(res.IterTimes),
+		Params: res.Params,
 	}
 	for _, gs := range res.Groups {
 		out.FencedUploads += gs.FencedRejected
@@ -167,9 +84,3 @@ func (c *haShard) Run() (*testkit.Outcome, error) {
 func (c *haShard) RootGen() int         { return c.root.RootGen() }
 func (c *haShard) SuspendLeaseRenewal() { c.root.SuspendLeaseRenewal() }
 func (c *haShard) Close()               { c.root.Close() }
-func (c *haShard) RestartGroup(g int) error {
-	if g != 0 {
-		return fmt.Errorf("group %d is not external", g)
-	}
-	return c.env.restart()
-}

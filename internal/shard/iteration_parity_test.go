@@ -20,8 +20,8 @@ import (
 // loopback engine and checks what each caller reads off it: the flat
 // master's iteration trace — broadcast/collect/decode phases, stitched
 // member spans including the partial ones, the completed epoch in the trace
-// ID — and the group master's uplink echo, gather as compute and combine as
-// encode.
+// ID — and the group master's root-tier child span, gather as compute and
+// combine as encode.
 func TestSharedIterationTraceParity(t *testing.T) {
 	const k, s, workers, iters, killAt = 4, 1, 4, 4, 2
 	fx, err := testkit.NewFixture(k, 300)
@@ -41,7 +41,7 @@ func TestSharedIterationTraceParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gc := &GroupRunner{loop: roster.Loop{Eng: eng, IterTimeout: 5 * time.Second, MaxRetries: 2}}
+	gc := &group{loop: roster.Loop{Eng: eng, IterTimeout: 5 * time.Second, MaxRetries: 2}}
 
 	// Workers join one at a time, so dial order is plan-slot order. Slots 0
 	// and 2 vanish between iteration killAt's broadcast and their uploads;
@@ -75,14 +75,14 @@ func TestSharedIterationTraceParity(t *testing.T) {
 			t.Fatal("slots 1 and 3 decode alone: the layout this scenario relies on changed")
 		}
 		epochs = append(epochs, gc.loop.Plan.Epoch)
-		// The group caller's view: the uplink echo reads the gather as
+		// The group caller's view: its child span reads the gather as
 		// compute and the combine as encode.
-		spans := gc.uplinkSpans()
+		spans := gc.spans()
 		if len(spans) != 2 || spans[0].Phase != obs.PhaseCompute || spans[1].Phase != obs.PhaseEncode {
-			t.Fatalf("iteration %d: uplink spans %+v, want compute + encode", iter, spans)
+			t.Fatalf("iteration %d: group spans %+v, want compute + encode", iter, spans)
 		}
 		if spans[0].Seconds != gc.loop.Gather || gc.loop.Gather <= 0 || spans[1].Seconds != gc.loop.Combine {
-			t.Fatalf("iteration %d: uplink spans %+v do not carry gather %v / combine %v", iter, spans, gc.loop.Gather, gc.loop.Combine)
+			t.Fatalf("iteration %d: group spans %+v do not carry gather %v / combine %v", iter, spans, gc.loop.Gather, gc.loop.Combine)
 		}
 	}
 	eng.Shutdown(true)

@@ -36,7 +36,6 @@ func TestRecoveryConformanceSharded(t *testing.T) {
 			Iterations:    sc.Iters,
 			SampleCount:   fx.Data.N(),
 			IterTimeout:   sc.IterTimeout,
-			ChunkLen:      4,
 			// Churn-only control plane, as in the flat recovery run.
 			DriftThreshold:   2.0,
 			CooldownIters:    1 << 20,

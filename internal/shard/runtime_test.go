@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"net"
 	"slices"
 	"sort"
 	"strings"
@@ -54,7 +55,6 @@ func (f *liveFixture) config(k, s, iters int, m int) Config {
 		Iterations:    iters,
 		SampleCount:   f.data.N(),
 		IterTimeout:   5 * time.Second,
-		ChunkLen:      4, // force multi-chunk batched uploads even at dim 15
 		Seed:          1,
 	}
 }
@@ -90,10 +90,48 @@ func spawnWorkers(t *testing.T, r *Root, wg *sync.WaitGroup, delay func(g, idx, 
 	}
 }
 
+// serialSGD trains the fixture serially with the same partition split and
+// step rule — the exactness reference.
+func serialSGD(t *testing.T, fx *liveFixture, iters int) []float64 {
+	t.Helper()
+	params := fx.model.InitParams(nil)
+	for iter := 0; iter < iters; iter++ {
+		sum := make(grad.Gradient, fx.model.Dim())
+		for _, part := range fx.parts {
+			g, err := fx.model.Gradient(params, part)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range sum {
+				sum[i] += g[i]
+			}
+		}
+		sum.Scale(1 / float64(fx.data.N()))
+		if err := (&ml.SGD{LR: 0.5}).Step(params, sum); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return params
+}
+
+// waitLastIter polls the checkpoint directory until the journal records a
+// completed iteration >= iter.
+func waitLastIter(t *testing.T, dir string, iter int, timeout time.Duration) {
+	t.Helper()
+	deadline := time.Now().Add(timeout)
+	for time.Now().Before(deadline) {
+		if st, err := checkpoint.Recover(dir); err == nil && st.LastIter >= iter {
+			return
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	t.Fatalf("iteration %d never became durable in %s", iter, dir)
+}
+
 // TestShardedRefusesFixedShape: a group holds k_g partitions by capacity (6
 // for 3 equal workers at K = 12 and GroupSize 3), while a fixed-shape code
-// needs one alive member per partition, so the root and a group runner refuse
-// the scheme at construction instead of failing at the first replan.
+// needs one alive member per partition, so the root refuses the scheme at
+// construction instead of failing at the first replan.
 func TestShardedRefusesFixedShape(t *testing.T) {
 	cfg := newLiveFixture(t, 12).config(12, 1, 3, 6)
 	for _, kind := range []core.Kind{core.Naive, core.Cyclic, core.FractionalRepetition} {
@@ -104,15 +142,32 @@ func TestShardedRefusesFixedShape(t *testing.T) {
 			}
 			t.Fatalf("%v: NewRoot err = %v, want ErrBadConfig", kind, err)
 		}
-		runner := GroupRunnerConfig{Config: cfg, RootAddr: "127.0.0.1:1"}
-		if err := runner.validate(); !errors.Is(err, ErrBadConfig) {
-			t.Fatalf("%v: group runner err = %v, want ErrBadConfig", kind, err)
+	}
+}
+
+// TestShardedGroupsListenOnRootHost: every group listens on the host of the
+// root's address, so a root bound to a reachable interface hands its workers
+// group addresses on that interface, not loopback ones.
+func TestShardedGroupsListenOnRootHost(t *testing.T) {
+	if lis, err := net.Listen("tcp", "127.0.0.2:0"); err != nil {
+		t.Skipf("127.0.0.2 cannot be bound here: %v", err)
+	} else {
+		lis.Close()
+	}
+	r, err := NewRoot(newLiveFixture(t, 8).config(8, 1, 3, 6), "127.0.0.2:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	for g, addr := range r.GroupAddrs() {
+		if host, _, err := net.SplitHostPort(addr); err != nil || host != "127.0.0.2" {
+			t.Fatalf("group %d listens on %q, want host 127.0.0.2 (err %v)", g, addr, err)
 		}
 	}
 }
 
 // TestShardedEndToEndExactTraining runs the full hierarchy live on loopback
-// — 2 coding groups x 3 workers, chunked batched uplinks — and checks the
+// — 2 coding groups x 3 workers — and checks the
 // result against serial full-batch SGD: the sharded decomposition must be
 // exact, not approximate.
 func TestShardedEndToEndExactTraining(t *testing.T) {
@@ -134,14 +189,6 @@ func TestShardedEndToEndExactTraining(t *testing.T) {
 
 	if len(res.IterTimes) != iters {
 		t.Fatalf("got %d iterations, want %d", len(res.IterTimes), iters)
-	}
-	// One upload per group per iteration, and — with ChunkLen 4 forcing
-	// multi-chunk uploads at dim 15 — every one a real coalesced batch.
-	if want := 2 * iters; res.GroupUploads != want {
-		t.Fatalf("root accepted %d group uploads, want %d", res.GroupUploads, want)
-	}
-	if res.BatchedFrames != res.GroupUploads {
-		t.Fatalf("only %d of %d uploads arrived batched despite ChunkLen 4", res.BatchedFrames, res.GroupUploads)
 	}
 
 	// Serial full-batch SGD with the same partition split and step rule.
@@ -178,9 +225,10 @@ func TestShardedEndToEndExactTraining(t *testing.T) {
 	}
 }
 
-// TestShardedInt8Uplink runs the root-hosted hierarchy under an int8 root: the
-// groups' sums reach the root quantized, so the run must complete with finite
-// params and int8 gradient frames must arrive.
+// TestShardedInt8Uplink runs the hierarchy under an int8 root: every group
+// names int8 in its workers' hello acks and the workers upload quantized
+// (group sums stay in the root's process, unquantized), so the run must
+// complete with finite params and int8 gradient frames must arrive.
 func TestShardedInt8Uplink(t *testing.T) {
 	const k, s, iters, m = 8, 1, 6, 6
 	fx := newLiveFixture(t, k)
@@ -332,8 +380,7 @@ func TestShardedRunFailsWhenGroupLosesQuorum(t *testing.T) {
 // TestShardedDurableGroupStates runs a durable hierarchy whose groups are all
 // hosted by the root and recovers its directory: every group's snapshot
 // entry must carry the group's member IDs and the live controller state over
-// exactly those members (a promoted root re-plans from it), and a crash-free
-// run re-adopts nothing and loses no uplink.
+// exactly those members (a promoted root re-plans from it).
 func TestShardedDurableGroupStates(t *testing.T) {
 	const k, s, iters, m = 8, 1, 9, 6
 	fx := newLiveFixture(t, k)
@@ -344,7 +391,7 @@ func TestShardedDurableGroupStates(t *testing.T) {
 
 	var wg sync.WaitGroup
 	var plan *Plan
-	res, err := RunSharded(cfg, "127.0.0.1:0", 5*time.Second, func(r *Root) {
+	_, err := RunSharded(cfg, "127.0.0.1:0", 5*time.Second, func(r *Root) {
 		plan = r.Plan()
 		spawnWorkers(t, r, &wg, nil, fx)
 	})
@@ -352,9 +399,6 @@ func TestShardedDurableGroupStates(t *testing.T) {
 		t.Fatal(err)
 	}
 	wg.Wait()
-	if res.Readoptions != 0 || len(res.Failovers) != 0 {
-		t.Fatalf("crash-free run: %d re-adoptions, failovers %v", res.Readoptions, res.Failovers)
-	}
 
 	st, err := checkpoint.Recover(dir)
 	if err != nil {

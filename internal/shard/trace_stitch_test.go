@@ -49,7 +49,6 @@ func TestTraceStitchingUnderChurnSharded(t *testing.T) {
 		Iterations:      sc.Iters,
 		SampleCount:     fx.Data.N(),
 		IterTimeout:     sc.IterTimeout,
-		ChunkLen:        4, // chunked uplinks: trace context must ride the final chunk
 		Alpha:           sc.Alpha,
 		DriftThreshold:  sc.DriftThreshold,
 		MinObservations: sc.MinObservations,

@@ -1,7 +1,7 @@
 // HA conformance: the failover class the recovery table cannot express —
-// the ROOT holds a lease, and its death, deposition or a group master's
-// restart must be survived live, not merely recovered from. Three scenarios,
-// one table, every lease-holding runtime:
+// the ROOT holds a lease, and its death or deposition must be survived live,
+// not merely recovered from. Two scenarios, one table, every lease-holding
+// runtime:
 //
 //   - standby-takeover-mid-iteration: the root is killed cold mid-training;
 //     a warm standby tailing the directory promotes on lease expiry, and a
@@ -11,11 +11,6 @@
 //     training; once a successor claims the next generation the zombie's
 //     run must fail typed with ha.ErrFenced — naming the usurping
 //     generation — while training completes under the new root.
-//   - group-master-restart-and-readoption: one external group master is
-//     killed and restarted from its own journal mid-run; the root must
-//     re-adopt it (epoch base and membership reconciled) and finish all
-//     iterations. Runtimes without independently restartable group masters
-//     skip this scenario.
 //
 // Workers are the reconnecting protocol loops of the recovery harness: they
 // survive whichever control-plane process dies and follow the retargeted
@@ -48,8 +43,8 @@ type HAScenario struct {
 	// waits on a real expiry, long enough that a healthy root never lapses
 	// between renewals.
 	LeaseTTL time.Duration
-	// DisruptAfterIter fires the scenario's disruption (kill, renewal
-	// suspension, group-master restart) once this iteration is durable.
+	// DisruptAfterIter fires the scenario's disruption (kill or renewal
+	// suspension) once this iteration is durable.
 	DisruptAfterIter int
 	// IterTimeout bounds one collection attempt; InitialRate seeds the
 	// control-plane priors.
@@ -67,13 +62,6 @@ type HACluster interface {
 	SuspendLeaseRenewal()
 }
 
-// GroupRestarter is the optional capability behind the group-master-restart
-// scenario: kill group g's master cold and restart it from its own journal.
-// After it returns, Addrs must reflect the restarted master's new address.
-type GroupRestarter interface {
-	RestartGroup(g int) error
-}
-
 // StartHA builds a listening, lease-holding cluster over fx that checkpoints
 // into dir under the given holder name, resuming from the directory when
 // resume is set.
@@ -88,20 +76,12 @@ func haBase(name string) HAScenario {
 }
 
 // RunHAConformance executes the failover scenarios against one runtime.
-// groupMasters declares whether the runtime has independently restartable
-// group masters (the third scenario is skipped without them).
-func RunHAConformance(t *testing.T, groupMasters bool, start StartHA) {
+func RunHAConformance(t *testing.T, start StartHA) {
 	t.Run("standby-takeover-mid-iteration", func(t *testing.T) {
-		runStandbyTakeover(t, groupMasters, start)
+		runStandbyTakeover(t, start)
 	})
 	t.Run("zombie-root-fenced-after-takeover", func(t *testing.T) {
 		runZombieFenced(t, start)
-	})
-	t.Run("group-master-restart-and-readoption", func(t *testing.T) {
-		if !groupMasters {
-			t.Skip("runtime has no independently restartable group masters")
-		}
-		runGroupRestart(t, start)
 	})
 }
 
@@ -119,7 +99,7 @@ func checkFiniteParams(t *testing.T, params []float64) {
 	}
 }
 
-func runStandbyTakeover(t *testing.T, groupMasters bool, start StartHA) {
+func runStandbyTakeover(t *testing.T, start StartHA) {
 	sc := haBase("standby-takeover-mid-iteration")
 	fx, err := NewFixture(sc.K, 300)
 	if err != nil {
@@ -205,9 +185,6 @@ func runStandbyTakeover(t *testing.T, groupMasters bool, start StartHA) {
 		t.Errorf("promoted run executed %d iterations, want %d (takeover at iter %d of %d)",
 			out.Iters, sc.Iters-expectStart, expectStart, sc.Iters)
 	}
-	if groupMasters && out.Readoptions == 0 {
-		t.Error("promoted root re-adopted no surviving group masters")
-	}
 	checkFiniteParams(t, out.Params)
 }
 
@@ -292,61 +269,6 @@ func runZombieFenced(t *testing.T, start StartHA) {
 	pool.stopAll()
 	if err != nil {
 		t.Fatalf("successor run: %v", err)
-	}
-	checkFiniteParams(t, out.Params)
-}
-
-func runGroupRestart(t *testing.T, start StartHA) {
-	sc := haBase("group-master-restart-and-readoption")
-	fx, err := NewFixture(sc.K, 300)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := filepath.Join(t.TempDir(), "ckpt")
-
-	cl, err := start(&sc, fx, dir, false, "ha-root")
-	if err != nil {
-		t.Fatalf("cluster: %v", err)
-	}
-	defer cl.Close()
-	gr, ok := cl.(GroupRestarter)
-	if !ok {
-		t.Fatal("cluster does not implement GroupRestarter despite declaring group masters")
-	}
-	pool := startRecoveryWorkers(sc.Workers, fx, cl.Addrs())
-	defer pool.stopAll()
-
-	runDone := make(chan *Outcome, 1)
-	runErr := make(chan error, 1)
-	go func() {
-		out, err := cl.Run()
-		runDone <- out
-		runErr <- err
-	}()
-	if !waitDurableIter(dir, sc.DisruptAfterIter, 60*time.Second) {
-		cl.Close()
-		<-runErr
-		t.Fatalf("iteration %d never became durable", sc.DisruptAfterIter)
-	}
-	if err := gr.RestartGroup(0); err != nil {
-		t.Fatalf("group restart: %v", err)
-	}
-	pool.retarget(cl.Addrs()) // the restarted master listens at a new address
-
-	var out *Outcome
-	select {
-	case out = <-runDone:
-		if err := <-runErr; err != nil {
-			t.Fatalf("run failed after the group restart: %v", err)
-		}
-	case <-time.After(120 * time.Second):
-		t.Fatal("run never completed after the group restart")
-	}
-	if out.Iters != sc.Iters {
-		t.Errorf("run executed %d iterations, want %d — the restart lost progress", out.Iters, sc.Iters)
-	}
-	if out.Readoptions == 0 {
-		t.Error("the restarted group master was never re-adopted")
 	}
 	checkFiniteParams(t, out.Params)
 }

@@ -21,7 +21,7 @@ type haFlat struct {
 }
 
 func TestHAConformanceFlat(t *testing.T) {
-	testkit.RunHAConformance(t, false, func(sc *testkit.HAScenario, fx *testkit.Fixture, dir string, resume bool, holder string) (testkit.HACluster, error) {
+	testkit.RunHAConformance(t, func(sc *testkit.HAScenario, fx *testkit.Fixture, dir string, resume bool, holder string) (testkit.HACluster, error) {
 		cfg := runtime.ElasticConfig{
 			K: sc.K, S: sc.S,
 			Model:         fx.Model,

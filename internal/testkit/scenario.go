@@ -78,9 +78,6 @@ type Outcome struct {
 	// FencedUploads counts uploads rejected by the root-generation fence
 	// (HA runs only).
 	FencedUploads int
-	// Readoptions counts group masters a root adopted that arrived with
-	// live prior state (runtimes without external group masters report 0).
-	Readoptions int
 }
 
 // Cluster adapts one runtime to the conformance suite.

@@ -94,7 +94,7 @@ func vectorFrameLen(e *Envelope) (int, error) {
 	if e.Type != MsgParams && e.Type != MsgGradient {
 		return 0, fmt.Errorf("%w: %v is not a vector message", ErrMalformed, e.Type)
 	}
-	if e.Assign != nil || e.Telemetry != nil || e.Adopt != nil || e.Blob != nil || e.Part != 0 {
+	if e.Assign != nil || e.Telemetry != nil || e.Blob != nil || e.Part != 0 {
 		return 0, fmt.Errorf("%w: %v carries a payload the vector frame has no field for", ErrMalformed, e.Type)
 	}
 	if len(e.Spans) > MaxSpans {

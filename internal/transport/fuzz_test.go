@@ -8,6 +8,8 @@ import (
 	"net"
 	"testing"
 	"time"
+
+	"github.com/hetgc/hetgc/internal/grad"
 )
 
 // memConn adapts a reader to net.Conn so Recv can be driven from fuzz data
@@ -46,24 +48,39 @@ func encodeFrames(t testing.TB, envs ...*Envelope) []byte {
 	return buf.Bytes()
 }
 
-// FuzzAdoption feeds arbitrary bytes into Recv where an adoption-handshake
-// frame is expected: every outcome must be a structurally valid envelope or
-// an error (malformed frames typed ErrMalformed; truncated gob streams
-// surface as transport errors) — never a panic, never an invalid adoption
+// FuzzControlEnvelope feeds arbitrary bytes into Recv where a gob control
+// envelope is expected: every outcome must be a structurally valid envelope
+// or an error (malformed frames typed ErrMalformed; truncated gob streams
+// surface as transport errors) — never a panic, never an invalid envelope
 // reaching the caller.
-func FuzzAdoption(f *testing.F) {
+func FuzzControlEnvelope(f *testing.F) {
 	valid := encodeFrames(f,
-		&Envelope{Type: MsgAdopt, RootGen: 2, Adopt: &Adoption{Group: 1, Epoch: 4, Members: []int{1, 2, 5}}},
-		&Envelope{Type: MsgAdopt, Iter: 17, RootGen: 3, Adopt: &Adoption{Group: 1, Epoch: -1}})
+		&Envelope{Type: MsgHello, WorkerID: HelloNewWorker},
+		&Envelope{Type: MsgHello, WorkerID: 3, Codec: byte(grad.CodecInt8)},
+		&Envelope{Type: MsgReassign, Epoch: 2, Assign: &Assignment{WorkerID: 1, Partitions: []int{0, 3}, RowCoeffs: []float64{1, -0.5}, K: 4, S: 1}},
+		&Envelope{Type: MsgTelemetry, Iter: 7, Epoch: 2, WorkerID: 3, Telemetry: &Telemetry{Partitions: 2, ComputeSeconds: 0.01},
+			Spans: []PhaseSpan{{Phase: "compute", Seconds: 0.01}}},
+		&Envelope{Type: MsgPartitionReq, Part: 5},
+		&Envelope{Type: MsgShutdown})
 	f.Add(valid)
 	f.Add(valid[:len(valid)/2])
-	f.Add(encodeFrames(f, &Envelope{Type: MsgAdopt}))
-	f.Add(encodeFrames(f, &Envelope{Type: MsgAdopt, RootGen: -2, Adopt: &Adoption{}}))
-	f.Add(encodeFrames(f, &Envelope{Type: MsgAdopt, Adopt: &Adoption{Group: 0, Epoch: 0, Members: []int{9, 1}}}))
-	f.Add(encodeFrames(f, &Envelope{Type: MsgParams, Adopt: &Adoption{Group: 0, Epoch: 0}}))
+	// The retired adoption number must come back malformed, and the stream
+	// stays in sync behind it.
+	retired := encodeFrames(f, &Envelope{Type: MsgType(9)}, &Envelope{Type: MsgShutdown})
+	c := NewConn(&memConn{r: bytes.NewReader(retired)})
+	if _, err := c.Recv(); !errors.Is(err, ErrMalformed) {
+		f.Fatalf("retired adopt number: Recv err = %v, want ErrMalformed", err)
+	}
+	if env, err := c.Recv(); err != nil || env.Type != MsgShutdown {
+		f.Fatalf("frame after the retired adopt number = %+v, err %v", env, err)
+	}
+	f.Add(retired)
+	f.Add(encodeFrames(f, &Envelope{Type: MsgReassign}))
+	f.Add(encodeFrames(f, &Envelope{Type: MsgHello, RootGen: -2, Codec: 99}))
+	f.Add(encodeFrames(f, &Envelope{Type: MsgTelemetry, Telemetry: &Telemetry{Partitions: -1}}))
 	f.Add([]byte("not gob at all"))
 	f.Add(encodeFrames(f, &Envelope{Type: MsgGradient, WorkerID: 1, Vector: []float64{1, 2}},
-		&Envelope{Type: MsgAdopt, RootGen: 2, Adopt: &Adoption{Group: 1, Epoch: 4, Members: []int{1, 2}}}))
+		&Envelope{Type: MsgHello, WorkerID: 2}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		c := NewConn(&memConn{r: bytes.NewReader(data)})
 		for {
@@ -83,12 +100,6 @@ func FuzzAdoption(f *testing.F) {
 			}
 			if err := env.validate(); err != nil {
 				t.Fatalf("Recv returned an invalid envelope: %v", err)
-			}
-			if env.Type == MsgAdopt {
-				a := env.Adopt
-				if a == nil || a.Group < 0 || a.Epoch < -1 || len(a.Members) > MaxAdoptMembers {
-					t.Fatalf("Recv returned an invalid adoption: %+v", a)
-				}
 			}
 		}
 	})

@@ -11,7 +11,7 @@
 // on every connection: headers are encoded, a raw payload is not — it is
 // written to the socket from the vector's memory and read from the socket
 // into a pooled vector's. The cold control frames (hello, reassign,
-// telemetry, adopt, partition-req, partition, shutdown) are gob-encoded
+// telemetry, partition-req, partition, shutdown) are gob-encoded
 // envelopes: they are small, rare and carry nested optional structures gob
 // handles for free. Recv tells the two apart by the first byte: a gob
 // message opens with its non-zero length, so 0x00 marks a vector frame. A
@@ -56,13 +56,9 @@ const (
 	MsgReassign
 	// Number 8 is retired (a gob-carried batch): refused as unknown.
 	_
-	// MsgAdopt is the group-master adoption handshake. A restartable group
-	// master opens its uplink with MsgAdopt carrying its Adoption (group
-	// index, current epoch base, admitted members); the root replies with
-	// MsgAdopt carrying its RootGen and the iteration to serve next, so a
-	// surviving group master attaches to a restarted or promoted root
-	// without being respawned.
-	MsgAdopt
+	// Number 9 is retired (a group-master adoption handshake): refused as
+	// unknown.
+	_
 	// MsgPartitionReq opens (or continues) a data-plane session: a worker
 	// requests the training-data shard with global index Part. A connection
 	// whose FIRST frame is MsgPartitionReq is a data-plane session for its
@@ -86,7 +82,6 @@ var msgNames = [...]string{
 	MsgShutdown:     "shutdown",
 	MsgTelemetry:    "telemetry",
 	MsgReassign:     "reassign",
-	MsgAdopt:        "adopt",
 	MsgPartitionReq: "partition-req",
 	MsgPartition:    "partition",
 }
@@ -115,20 +110,6 @@ type Assignment struct {
 	K int
 	// S is the straggler budget (informational).
 	S int
-}
-
-// Adoption is the MsgAdopt payload: the group master's side of the
-// handshake describes the group it brings (its epoch base and admitted
-// members, for membership reconciliation against the root's durable state);
-// the root's ack reuses the struct with just the group index, its authority
-// carried by the envelope's RootGen and Iter.
-type Adoption struct {
-	// Group is the coding-group index.
-	Group int
-	// Epoch is the group's current plan epoch base (-1 before any plan).
-	Epoch int
-	// Members are the member IDs the group has admitted, ascending.
-	Members []int
 }
 
 // PhaseSpan is one compact member-local phase timing record (fetch,
@@ -176,16 +157,14 @@ type Envelope struct {
 	Assign        *Assignment
 	Vector        []float64 // parameters (MsgParams) or coded gradient (MsgGradient)
 	Telemetry     *Telemetry
-	// Adopt is the MsgAdopt payload.
-	Adopt *Adoption
 	// Part is the global partition index of a data-plane frame
 	// (MsgPartitionReq / MsgPartition); 0 otherwise.
 	Part int
 	// Blob is the MsgPartition payload: one piece of the CRC-framed encoded
 	// dataset (see internal/dataplane).
 	Blob []byte
-	// Codec is the gradient codec byte (grad.Codec): on a handshake ack
-	// (MsgHello / MsgAdopt) it is the root's codec, which the peer uploads
+	// Codec is the gradient codec byte (grad.Codec): on a hello ack it is
+	// the root's codec, which the worker uploads
 	// in; on a MsgGradient it tags the Quant payload's encoding. 0
 	// (CodecRaw) everywhere else.
 	Codec byte
@@ -223,9 +202,6 @@ var (
 // only as the payload arrives.
 const MaxVectorLen = 1 << 30
 
-// MaxAdoptMembers bounds the member list of an adoption handshake.
-const MaxAdoptMembers = 1 << 20
-
 // MaxBlobLen bounds the byte length of any data-plane Blob piece accepted by
 // Recv (the same application-layer sanity check as MaxVectorLen).
 const MaxBlobLen = 1 << 30
@@ -262,7 +238,7 @@ func (e *Envelope) validate() error {
 	if !grad.Codec(e.Codec).Valid() {
 		return fmt.Errorf("%w: %v unknown gradient codec %d", ErrMalformed, e.Type, e.Codec)
 	}
-	if e.Codec != 0 && e.Type != MsgHello && e.Type != MsgAdopt && e.Type != MsgGradient {
+	if e.Codec != 0 && e.Type != MsgHello && e.Type != MsgGradient {
 		return fmt.Errorf("%w: %v carries gradient codec %s", ErrMalformed, e.Type, grad.Codec(e.Codec))
 	}
 	if (len(e.Vector) > 0 || len(e.Quant) > 0 || e.QuantLen != 0) && e.Type != MsgParams && e.Type != MsgGradient {
@@ -329,30 +305,6 @@ func (e *Envelope) validate() error {
 	}
 	if e.Type == MsgReassign && e.Assign == nil {
 		return fmt.Errorf("%w: %v without assignment payload", ErrMalformed, e.Type)
-	}
-	if e.Type == MsgAdopt && e.Adopt == nil {
-		return fmt.Errorf("%w: adopt without adoption payload", ErrMalformed)
-	}
-	if e.Type != MsgAdopt && e.Adopt != nil {
-		return fmt.Errorf("%w: %v carries an adoption payload", ErrMalformed, e.Type)
-	}
-	if a := e.Adopt; a != nil {
-		if a.Group < 0 {
-			return fmt.Errorf("%w: adoption group %d", ErrMalformed, a.Group)
-		}
-		if a.Epoch < -1 {
-			return fmt.Errorf("%w: adoption epoch %d", ErrMalformed, a.Epoch)
-		}
-		if len(a.Members) > MaxAdoptMembers {
-			return fmt.Errorf("%w: adoption with %d members exceeds cap %d", ErrMalformed, len(a.Members), MaxAdoptMembers)
-		}
-		prev := 0
-		for _, m := range a.Members {
-			if m <= prev {
-				return fmt.Errorf("%w: adoption members not ascending positive IDs (%d after %d)", ErrMalformed, m, prev)
-			}
-			prev = m
-		}
 	}
 	if t := e.Telemetry; t != nil {
 		if t.Partitions < 0 || t.ComputeSeconds < 0 || t.UploadSeconds < 0 {

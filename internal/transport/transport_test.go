@@ -22,7 +22,7 @@ func TestMsgTypeString(t *testing.T) {
 		MsgTelemetry:    "telemetry",
 		MsgReassign:     "reassign",
 		MsgType(8):      "MsgType(8)",
-		MsgAdopt:        "adopt",
+		MsgType(9):      "MsgType(9)",
 		MsgPartitionReq: "partition-req",
 		MsgPartition:    "partition",
 		MsgType(0):      "MsgType(0)",
@@ -91,12 +91,7 @@ func TestRecvRejectsMalformed(t *testing.T) {
 		{"vector on a control frame", &Envelope{Type: MsgTelemetry, Vector: []float64{1}}},
 		{"quantized payload on a control frame", &Envelope{Type: MsgHello, WorkerID: 1, Quant: []byte{1}, QuantLen: 1}},
 		{"negative root generation", &Envelope{Type: MsgShutdown, RootGen: -1}},
-		{"adopt without payload", &Envelope{Type: MsgAdopt}},
-		{"adopt on non-adopt frame", &Envelope{Type: MsgTelemetry, Adopt: &Adoption{Group: 0, Epoch: -1}}},
-		{"adopt negative group", &Envelope{Type: MsgAdopt, Adopt: &Adoption{Group: -1, Epoch: -1}}},
-		{"adopt impossible epoch", &Envelope{Type: MsgAdopt, Adopt: &Adoption{Group: 0, Epoch: -2}}},
-		{"adopt unsorted members", &Envelope{Type: MsgAdopt, Adopt: &Adoption{Group: 0, Epoch: 0, Members: []int{3, 2}}}},
-		{"adopt zero member id", &Envelope{Type: MsgAdopt, Adopt: &Adoption{Group: 0, Epoch: 0, Members: []int{0, 1}}}},
+		{"retired adopt type", &Envelope{Type: MsgType(9)}},
 	}
 	for _, tc := range bad {
 		t.Run(tc.name, func(t *testing.T) {
