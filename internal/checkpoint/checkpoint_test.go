@@ -648,6 +648,53 @@ func TestStoreGuardRefusesWrites(t *testing.T) {
 	}
 }
 
+// TestStoreSnapshotFencedAtCommit: a deposed root can be mid-snapshot when
+// its successor takes over and commits the same generation. The guard is
+// consulted again at the commit, so the deposed root's snapshot never lands
+// over the successor's, and it leaves no temp file behind.
+func TestStoreSnapshotFencedAtCommit(t *testing.T) {
+	dir := t.TempDir()
+	old, err := Create(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer old.Close()
+	if err := old.WriteSnapshot(&Snapshot{Iter: 1}); err != nil {
+		t.Fatal(err)
+	}
+	successor, err := Reopen(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer successor.Close()
+	fence := errors.New("fenced by generation 2")
+	calls := 0
+	old.SetGuard(func() error {
+		if calls++; calls == 1 {
+			return nil // the lease still stands when the snapshot starts
+		}
+		// The successor took over while the snapshot was being written.
+		if err := successor.WriteSnapshot(&Snapshot{Iter: 7}); err != nil {
+			t.Errorf("successor snapshot: %v", err)
+		}
+		return fence
+	})
+	if err := old.WriteSnapshot(&Snapshot{Iter: 3}); !errors.Is(err, fence) {
+		t.Fatalf("snapshot fenced mid-write = %v, want %v", err, fence)
+	}
+	st, err := Recover(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Snap == nil || st.Snap.Iter != 7 {
+		t.Fatalf("recovered snapshot %+v, want the successor's at iteration 7", st.Snap)
+	}
+	tmps, err := filepath.Glob(filepath.Join(dir, "*.tmp"))
+	if err != nil || len(tmps) != 0 {
+		t.Fatalf("temp files left behind: %v (err %v)", tmps, err)
+	}
+}
+
 // restoreStub matches the statefulOptimizer surface structurally, like
 // ml.StatefulOptimizer does.
 type restoreStub struct {

@@ -43,10 +43,10 @@ type Store struct {
 	// snapBuf holds the last snapshot's file contents; the next snapshot is
 	// encoded over it, so a steady-state commit allocates nothing dim-sized.
 	snapBuf []byte
-	// guard, when set, is consulted before every journal append and
-	// snapshot commit. The HA control plane installs the root lease's fence
-	// check here, so a deposed root's writes fail typed (ha.ErrFenced)
-	// instead of reaching the directory the new root now owns.
+	// guard, when set, is consulted before every journal append, and before
+	// and at every snapshot commit. The HA control plane installs the root
+	// lease's fence check here, so a deposed root's writes fail typed
+	// (ha.ErrFenced) instead of reaching the directory the new root now owns.
 	guard func() error
 	// obs, when set, receives append/fsync latencies, journal lag and
 	// fenced-write counts.
@@ -208,18 +208,22 @@ func (s *Store) WriteSnapshot(snap *Snapshot) error {
 	if s.closed {
 		return ErrClosed
 	}
-	if s.guard != nil {
-		if err := s.guard(); err != nil {
-			s.obs.OnFencedWrite(snap.Iter, "snapshot")
-			return fmt.Errorf("checkpoint snapshot refused: %w", err)
-		}
+	if err := s.snapshotGuard(snap.Iter); err != nil {
+		return err
 	}
 	start := time.Now()
 	gen := s.gen + 1
 	s.snapBuf = appendSnapshot(s.snapBuf[:0], snap)
 	final := filepath.Join(s.dir, fmt.Sprintf(snapPattern, gen))
-	tmp := final + ".tmp"
+	// A deposed root can still be writing this generation when its successor
+	// writes the same one: each store writes its own temp file, and the guard
+	// is consulted again at the commit, after the slow write and fsync.
+	tmp := fmt.Sprintf("%s.%d-%p.tmp", final, os.Getpid(), s)
 	if err := writeFileSync(tmp, s.snapBuf); err != nil {
+		return err
+	}
+	if err := s.snapshotGuard(snap.Iter); err != nil {
+		_ = os.Remove(tmp)
 		return err
 	}
 	if err := os.Rename(tmp, final); err != nil {
@@ -256,6 +260,18 @@ func (s *Store) WriteSnapshot(snap *Snapshot) error {
 	}
 	s.sinceSnap = 0
 	s.obs.OnSnapshot(time.Since(start).Seconds(), snap.Iter)
+	return nil
+}
+
+// snapshotGuard consults the guard for a snapshot of iteration iter.
+func (s *Store) snapshotGuard(iter int) error {
+	if s.guard == nil {
+		return nil
+	}
+	if err := s.guard(); err != nil {
+		s.obs.OnFencedWrite(iter, "snapshot")
+		return fmt.Errorf("checkpoint snapshot refused: %w", err)
+	}
 	return nil
 }
 

@@ -169,9 +169,9 @@ func Open(cfg Config, addr string, hooks Hooks) (*Core, error) {
 	return c, nil
 }
 
-// open is the bring-up, in the one safe order: acquire
-// the lease (fencing the previous root) before reading what that root
-// wrote, then recover, reopen, guard, and anchor the resumed state.
+// open is the bring-up, in the one safe order: acquire the lease (fencing
+// the previous root) before reading what that root wrote, then recover,
+// reopen, guard, and anchor the resumed state.
 func open(cfg Config, addr string, hooks Hooks) (_ *Core, err error) {
 	if cfg.CheckpointDir != "" && cfg.SnapshotEvery <= 0 {
 		cfg.SnapshotEvery = DefaultSnapshotEvery

@@ -164,9 +164,8 @@ type Envelope struct {
 	// dataset (see internal/dataplane).
 	Blob []byte
 	// Codec is the gradient codec byte (grad.Codec): on a hello ack it is
-	// the root's codec, which the worker uploads
-	// in; on a MsgGradient it tags the Quant payload's encoding. 0
-	// (CodecRaw) everywhere else.
+	// the root's codec, which the worker uploads in; on a MsgGradient it
+	// tags the Quant payload's encoding. 0 (CodecRaw) everywhere else.
 	Codec byte
 	// Quant is a quantized gradient payload of QuantLen elements, encoded
 	// with Codec; mutually exclusive with Vector. Recv dequantizes it
