@@ -64,10 +64,29 @@ func pipePair(t testing.TB) (*Conn, *Conn) {
 	return client, server
 }
 
+// legacyAdoption and legacyAdoptEnvelope mirror the wire shape of the
+// retired group-master adoption handshake (message number 9), as a peer of an
+// older build still sends it: gob matches struct fields by name, so the
+// receiver sees the retired number and skips the payload it no longer has.
+type legacyAdoption struct {
+	Group   int
+	Epoch   int
+	Members []int
+}
+
+type legacyAdoptEnvelope struct {
+	Type  MsgType
+	Adopt *legacyAdoption
+}
+
 func TestRecvRejectsMalformed(t *testing.T) {
+	adopt := func(a legacyAdoption) *legacyAdoptEnvelope {
+		return &legacyAdoptEnvelope{Type: MsgType(9), Adopt: &a}
+	}
 	bad := []struct {
 		name string
-		env  *Envelope
+		// env is an *Envelope, or a *legacyAdoptEnvelope gob-encoded as is.
+		env any
 	}{
 		{"unknown type", &Envelope{Type: MsgType(99)}},
 		{"retired assign number", &Envelope{Type: MsgType(2), Assign: &Assignment{
@@ -91,12 +110,22 @@ func TestRecvRejectsMalformed(t *testing.T) {
 		{"vector on a control frame", &Envelope{Type: MsgTelemetry, Vector: []float64{1}}},
 		{"quantized payload on a control frame", &Envelope{Type: MsgHello, WorkerID: 1, Quant: []byte{1}, QuantLen: 1}},
 		{"negative root generation", &Envelope{Type: MsgShutdown, RootGen: -1}},
-		{"retired adopt type", &Envelope{Type: MsgType(9)}},
+		{"adopt without payload", &Envelope{Type: MsgType(9)}},
+		{"adopt negative group", adopt(legacyAdoption{Group: -1, Epoch: -1})},
+		{"adopt impossible epoch", adopt(legacyAdoption{Group: 0, Epoch: -2})},
+		{"adopt unsorted members", adopt(legacyAdoption{Group: 0, Epoch: 0, Members: []int{3, 2}})},
+		{"adopt zero member id", adopt(legacyAdoption{Group: 0, Epoch: 0, Members: []int{0, 1}})},
 	}
 	for _, tc := range bad {
 		t.Run(tc.name, func(t *testing.T) {
 			client, server := pipePair(t)
-			if err := client.Send(tc.env); err != nil {
+			var err error
+			if env, ok := tc.env.(*Envelope); ok {
+				err = client.Send(env)
+			} else {
+				err = client.enc.Encode(tc.env)
+			}
+			if err != nil {
 				t.Fatal(err)
 			}
 			if _, err := server.Recv(); !errors.Is(err, ErrMalformed) {
