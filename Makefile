@@ -25,8 +25,8 @@ vet:
 # that branches on the host's byte order and the one import of unsafe: no
 # runner is big-endian to take that branch, so the tree is at least built, and
 # the package vetted (unsafeptr), for a target that would. The last grep keeps
-# encoding/gob to the one file that encodes the cold control envelopes:
-# params and gradients ride the binary vector frame only.
+# encoding/gob out of the module, tests included: every message rides the one
+# binary frame.
 lint:
 	@unformatted=$$(gofmt -l .); \
 	if [ -n "$$unformatted" ]; then \
@@ -47,13 +47,12 @@ lint:
 		echo "$$bad"; exit 1; \
 	fi
 	@echo "metric names: single-sourced in internal/obs/names.go"
-	@bad=$$(grep -rl '"encoding/gob"' --include='*.go' --exclude='*_test.go' \
-		--exclude-dir=.bench_build . | grep -v '^\./internal/transport/transport\.go$$'); \
+	@bad=$$(grep -rl '"encoding/gob"' --include='*.go' --exclude-dir=.bench_build .); \
 	if [ -n "$$bad" ]; then \
-		echo "encoding/gob imported outside internal/transport/transport.go:"; \
+		echo "encoding/gob imported (every message rides the binary frame):"; \
 		echo "$$bad"; exit 1; \
 	fi
-	@echo "encoding/gob: imported by internal/transport/transport.go only"
+	@echo "encoding/gob: imported nowhere"
 
 race:
 	$(GO) test -race ./...
@@ -83,12 +82,11 @@ cover-check: cover cover-gate
 # (truncated, bit-flipped or garbage bytes must yield typed
 # checkpoint.ErrCorrupt — never a panic, never a silent mis-decode), the
 # lease-token codec (arbitrary LEASE file bytes must yield an error wrapping
-# checkpoint.ErrCorrupt), the gob control envelopes (hello and its ack,
-# reassign, telemetry, partition-req, shutdown, and the retired adoption
-# number) and the vector frame (arbitrary headers, codec bytes, span
-# sections and truncated or quantized payloads, as a binary wire frame or as
-# a gob-encoded vector envelope, must yield transport.ErrMalformed — never a
-# panic, never a dim-sized allocation). Two
+# checkpoint.ErrCorrupt), and the frame every message rides (control
+# messages and their payloads, the retired numbers, arbitrary headers, codec
+# bytes, span sections, batches and truncated or quantized payloads must
+# yield transport.ErrMalformed, or fail a stream that does not open a frame —
+# never a panic, never a dim-sized allocation). Two
 # targets are not decoders: the load allocator, whose output every plan is
 # built on (valid loads that no single-copy move improves), and the int8
 # encoder, whose payload must equal the reference encoder's byte for byte. A
@@ -100,8 +98,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzSnapshot$$' -fuzztime $(FUZZTIME) ./internal/checkpoint
 	$(GO) test -run '^$$' -fuzz '^FuzzJournal$$' -fuzztime $(FUZZTIME) ./internal/checkpoint
 	$(GO) test -run '^$$' -fuzz '^FuzzLease$$' -fuzztime $(FUZZTIME) ./internal/ha
-	$(GO) test -run '^$$' -fuzz '^FuzzControlEnvelope$$' -fuzztime $(FUZZTIME) ./internal/transport
-	$(GO) test -run '^$$' -fuzz '^FuzzVectorFrame$$' -fuzztime $(FUZZTIME) ./internal/transport
+	$(GO) test -run '^$$' -fuzz '^FuzzFrame$$' -fuzztime $(FUZZTIME) ./internal/transport
 	$(GO) test -run '^$$' -fuzz '^FuzzRoster$$' -fuzztime $(FUZZTIME) ./internal/node
 	$(GO) test -run '^$$' -fuzz '^FuzzProportionalLoads$$' -fuzztime $(FUZZTIME) ./internal/partition
 	$(GO) test -run '^$$' -fuzz '^FuzzInt8MatchesReference$$' -fuzztime $(FUZZTIME) ./internal/grad

@@ -11,7 +11,6 @@ package roster_test
 
 import (
 	"bytes"
-	"encoding/gob"
 	"errors"
 	"net"
 	"testing"
@@ -21,13 +20,21 @@ import (
 	"github.com/hetgc/hetgc/internal/transport"
 )
 
-// memConn is a read-only net.Conn over a byte slice: the fuzzer's stand-in
-// for a peer that wrote data and went away. Writes vanish, deadlines are
-// no-ops.
-type memConn struct{ r *bytes.Reader }
+// memConn is a net.Conn over a byte slice: the fuzzer's stand-in for a peer
+// that wrote data and went away. Writes are captured in w, or vanish without
+// one; deadlines are no-ops.
+type memConn struct {
+	r *bytes.Reader
+	w *bytes.Buffer
+}
 
-func (c memConn) Read(p []byte) (int, error)       { return c.r.Read(p) }
-func (c memConn) Write(p []byte) (int, error)      { return len(p), nil }
+func (c memConn) Read(p []byte) (int, error) { return c.r.Read(p) }
+func (c memConn) Write(p []byte) (int, error) {
+	if c.w != nil {
+		return c.w.Write(p)
+	}
+	return len(p), nil
+}
 func (c memConn) Close() error                     { return nil }
 func (c memConn) LocalAddr() net.Addr              { return memAddr{} }
 func (c memConn) RemoteAddr() net.Addr             { return memAddr{} }
@@ -40,13 +47,13 @@ type memAddr struct{}
 func (memAddr) Network() string { return "mem" }
 func (memAddr) String() string  { return "mem" }
 
-// encodeFrames gob-encodes envelopes back to back on one stream, exactly as
-// a transport.Conn sender would.
+// encodeFrames sends envelopes back to back on one stream with
+// transport.Conn.Send and returns the bytes it wrote.
 func encodeFrames(envs ...*transport.Envelope) []byte {
 	var buf bytes.Buffer
-	enc := gob.NewEncoder(&buf)
+	conn := transport.NewConn(memConn{r: bytes.NewReader(nil), w: &buf})
 	for _, env := range envs {
-		if err := enc.Encode(env); err != nil {
+		if err := conn.Send(env); err != nil {
 			panic(err)
 		}
 	}
@@ -61,8 +68,7 @@ func FuzzReadHello(f *testing.F) {
 	// Truncated frame: the sender died mid-write.
 	f.Add(valid[:len(valid)/2])
 	f.Add(valid[:1])
-	// Duplicated frame bytes: the stream replays its own prefix, including
-	// the gob type definitions a second time.
+	// Duplicated frame: the stream replays its own prefix.
 	f.Add(append(append([]byte{}, valid...), valid...))
 	// Two well-formed hellos on one stream (a legitimate double hello).
 	f.Add(encodeFrames(
@@ -102,4 +108,27 @@ func FuzzReadHello(f *testing.F) {
 			}
 		}
 	})
+}
+
+// olderBuildHello is the start of the hello an older build opened its
+// connection with: a gob stream, whose first message is the Envelope type
+// definition, length-prefixed.
+var olderBuildHello = []byte{
+	0xff, 0xce, 0x7f, 0x03, 0x01, 0x01, 0x08, 'E', 'n', 'v', 'e', 'l', 'o', 'p', 'e',
+	0x01, 0xff, 0x80, 0x00, 0x01, 0x11, 0x01, 0x04, 'T',
+}
+
+// TestOlderBuildHelloRefused: a peer that does not open with a frame has lost
+// the stream for good. Recv fails it with an error that does not promise a
+// stream in sync (not ErrMalformed), and the handshake reports it as a
+// malformed hello, so the engine drops the connection.
+func TestOlderBuildHelloRefused(t *testing.T) {
+	_, err := transport.NewConn(memConn{r: bytes.NewReader(olderBuildHello)}).Recv()
+	if err == nil || errors.Is(err, transport.ErrMalformed) {
+		t.Fatalf("Recv of an older build's hello: %v, want an error that is not ErrMalformed", err)
+	}
+	_, err = roster.ReadHello(transport.NewConn(memConn{r: bytes.NewReader(olderBuildHello)}))
+	if !errors.Is(err, transport.ErrMalformed) {
+		t.Fatalf("ReadHello of an older build's hello: %v, want ErrMalformed", err)
+	}
 }

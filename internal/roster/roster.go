@@ -281,11 +281,11 @@ func New(cfg Config, lis *transport.Listener) (*Engine, error) {
 func (e *Engine) Addr() string { return e.lis.Addr() }
 
 // ReadHello reads and validates the join handshake frame. Every failure —
-// a broken or truncated gob stream, a duplicated type definition, a frame
-// of the wrong type, or a hello carrying payloads a hello must not carry —
-// is reported as an error wrapping transport.ErrMalformed, so handshake
-// code (and its fuzzers) can assert on one typed error for the whole
-// decode path.
+// a stream that does not open a frame (an older build's peer), a truncated
+// or malformed frame, a frame of the wrong type, or a hello carrying payloads
+// a hello must not carry — is reported as an error wrapping
+// transport.ErrMalformed, so handshake code (and its fuzzers) can assert on
+// one typed error for the whole decode path.
 func ReadHello(conn *transport.Conn) (*transport.Envelope, error) {
 	env, err := conn.Recv()
 	if err != nil {
@@ -313,9 +313,6 @@ func validateHello(env *transport.Envelope) error {
 	}
 	if env.Iter != 0 || env.Epoch != 0 || env.Chunks != 0 {
 		return fmt.Errorf("%w: hello with iter=%d epoch=%d chunks=%d", transport.ErrMalformed, env.Iter, env.Epoch, env.Chunks)
-	}
-	if env.Assign != nil || env.Telemetry != nil || len(env.Vector) != 0 {
-		return fmt.Errorf("%w: hello carries payload", transport.ErrMalformed)
 	}
 	return nil
 }

@@ -3,6 +3,7 @@ package roster
 import (
 	"errors"
 	"math/rand"
+	"net"
 	"sync"
 	"testing"
 	"time"
@@ -411,12 +412,23 @@ func TestHandshakeRejectsMalformedHello(t *testing.T) {
 		{Type: transport.MsgHello, WorkerID: transport.HelloNewWorker, Vector: []float64{1}},
 		{Type: transport.MsgHello, WorkerID: 3, Epoch: 2},
 	}
+	// Send refuses a vector on a hello, so that case is written as the frame
+	// bytes a peer would have to send: a hello sub-frame holding one float.
+	helloWithVector := []byte{0, 0, 0, 0, 45, 0, 0, 0, 41, 3, byte(transport.MsgHello), 0, 0, 0,
+		0, 0, 0, 0, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0,
+		0, 0, 0, 0, 0, 0, 0xf0, 0x3f}
 	for i, env := range bad {
-		conn, err := transport.Dial(eng.Addr(), 2*time.Second)
+		raw, err := net.DialTimeout("tcp", eng.Addr(), 2*time.Second)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := conn.Send(env); err != nil {
+		conn := transport.NewConn(raw)
+		if len(env.Vector) > 0 && env.Type == transport.MsgHello {
+			_, err = raw.Write(helloWithVector)
+		} else {
+			err = conn.Send(env)
+		}
+		if err != nil {
 			t.Fatal(err)
 		}
 		if _, err := conn.Recv(); err == nil {

@@ -248,11 +248,12 @@ func TestElasticCodecRootDecides(t *testing.T) {
 // TestVectorsNeverRideGob is the wire-size acceptance test: on a loopback
 // cluster at dim 1e4 the bytes written per iteration stay within 2 % of the
 // bare payload — 8 B per float, one params frame down and one gradient up per
-// worker. Gob spends about 9 B per float, so the bound proves no dim-sized
-// vector reached encoding/gob. It holds for ElasticWorkers and for scripted
-// workers (dialScriptedWorker) whose hello is bare alike —
-// the vector frame is not negotiated, it is the encoding — and at s=0 both
-// clusters end on bit-identical parameters.
+// worker — so framing, the control messages and the hello cost next to
+// nothing beside the vectors. (The name recalls the gob envelopes the frame
+// replaced, which spent about 9 B per float.) It holds for ElasticWorkers and
+// for scripted workers (dialScriptedWorker) whose hello is bare alike — the
+// frame is not negotiated, it is the encoding — and at s=0 both clusters end
+// on bit-identical parameters.
 func TestVectorsNeverRideGob(t *testing.T) {
 	const k, workers, iters = 4, 4, 8
 	model := &ml.Softmax{InputDim: 999, NumClasses: 10} // dim 1e4

@@ -1,28 +1,27 @@
-// Frame batching: coalesce several vector envelopes into one wire frame so
-// that high-fan-in senders (a group master streaming its aggregated gradient
-// chunks up the reduction tree every iteration) pay one write per iteration
-// instead of one per message. A batch is one binary wire frame holding one
-// vector sub-frame per envelope (see frame.go), assembled in a pooled buffer,
-// so steady-state batching does not allocate. Control envelopes are never
-// batched: each is its own gob frame.
+// Frame batching: coalesce several params or gradient envelopes into one
+// wire frame so that a high-fan-in sender (a chunked gradient upload) pays
+// one write per iteration instead of one per message. A batch is one wire
+// frame holding one sub-frame per envelope (see frame.go), assembled in a
+// pooled buffer, so steady-state batching does not allocate. Control
+// envelopes are never batched: each is a frame of its own.
 package transport
 
-import (
-	"fmt"
-
-	"github.com/hetgc/hetgc/internal/grad"
-)
+import "fmt"
 
 // SendBatch coalesces the given params or gradient envelopes into a single
 // wire frame and writes it with one write. Receivers observe the identical
 // sub-frame sequence from consecutive Recv calls — batching is invisible above
 // the transport, and a one-envelope batch is exactly a Send. An empty slice is
-// a no-op. An envelope the vector frame cannot carry — a control message
-// included — refuses the whole batch with an error wrapping ErrMalformed, and
-// nothing is written.
+// a no-op. A control message, or an envelope the frame cannot carry, refuses
+// the whole batch with an error wrapping ErrMalformed, and nothing is written.
 func (c *Conn) SendBatch(envs []*Envelope) error {
 	if len(envs) == 0 {
 		return nil
+	}
+	for _, e := range envs {
+		if e.Type != MsgParams && e.Type != MsgGradient {
+			return fmt.Errorf("%w: %v in a batch (params and gradients only)", ErrMalformed, e.Type)
+		}
 	}
 	return c.sendFrame(envs...)
 }
@@ -32,81 +31,20 @@ func (c *Conn) SendBatch(envs []*Envelope) error {
 // receiver reassembles them with JoinChunks. Every chunk shares the
 // template's Iter/Epoch/WorkerID. A template's trace context and phase
 // spans ride only the FINAL chunk: spans there is the protocol rule, and the
-// receiver stitches one echo per upload, not one per chunk. The traced chunk
-// is a vector sub-frame like the rest: the trace context and the spans have
-// their own optional sections in its header. chunkLen <= 0, or a vector that
-// fits in a single chunk, yields one unchunked frame.
+// receiver stitches one echo per upload, not one per chunk. chunkLen <= 0,
+// or a vector that fits in a single chunk, yields one unchunked frame.
 func ChunkGradient(tmpl Envelope, vec []float64, chunkLen int) []*Envelope {
 	tmpl.Type = MsgGradient
 	tmpl.Assign, tmpl.Telemetry = nil, nil
 	trace, spans := tmpl.Trace, tmpl.Spans
 	tmpl.Trace, tmpl.Spans = 0, nil
-	if chunkLen <= 0 || len(vec) <= chunkLen {
-		e := tmpl
-		e.Vector = vec
-		e.Chunk, e.Chunks = 0, 0
-		e.Trace, e.Spans = trace, spans
-		return []*Envelope{&e}
-	}
-	chunks := (len(vec) + chunkLen - 1) / chunkLen
-	out := make([]*Envelope, 0, chunks)
-	for i := 0; i < chunks; i++ {
-		lo := i * chunkLen
-		hi := lo + chunkLen
-		if hi > len(vec) {
-			hi = len(vec)
-		}
-		e := tmpl
-		e.Vector = vec[lo:hi]
-		e.Chunk, e.Chunks = i, chunks
-		if i == chunks-1 {
-			e.Trace, e.Spans = trace, spans
-		}
-		out = append(out, &e)
+	out := chunk(tmpl, len(vec), chunkLen, func(e *Envelope, lo, hi int) { e.Vector = vec[lo:hi] })
+	last := out[len(out)-1]
+	last.Trace, last.Spans = trace, spans
+	if len(out) == 1 {
+		last.Chunks = 0 // one piece is an unchunked upload
 	}
 	return out
-}
-
-// ChunkGradientQuant splits one gradient upload into chunked MsgGradient
-// sub-frames like ChunkGradient and encodes each chunk's payload with the
-// run's codec into pooled buffers (ready for SendBatch; the receiver's
-// transport dequantizes transparently, so it reassembles with JoinChunks as
-// usual). Call ReleaseQuant on the frames once sent to recycle the payload
-// buffers. CodecRaw yields plain ChunkGradient frames; an invalid codec is
-// an error.
-func ChunkGradientQuant(tmpl Envelope, vec []float64, chunkLen int, codec grad.Codec) ([]*Envelope, error) {
-	if !codec.Valid() {
-		return nil, fmt.Errorf("transport: unknown gradient codec %d", byte(codec))
-	}
-	frames := ChunkGradient(tmpl, vec, chunkLen)
-	if codec == grad.CodecRaw {
-		return frames, nil
-	}
-	for _, e := range frames {
-		if len(e.Vector) == 0 {
-			continue // empty uploads stay raw: QuantLen 0 is not framable
-		}
-		q, err := grad.AppendQuantized(grad.GetBytes(8*len(e.Vector)), codec, e.Vector)
-		if err != nil {
-			ReleaseQuant(frames)
-			return nil, err
-		}
-		e.Codec, e.Quant, e.QuantLen = byte(codec), q, len(e.Vector)
-		e.Vector = nil
-	}
-	return frames, nil
-}
-
-// ReleaseQuant returns the pooled quantized payload buffers of sent frames
-// (as built by ChunkGradientQuant) to the codec byte pool. The frames must
-// not be used afterwards.
-func ReleaseQuant(envs []*Envelope) {
-	for _, e := range envs {
-		if e.Quant != nil {
-			grad.PutBytes(e.Quant)
-			e.Quant = nil
-		}
-	}
 }
 
 // ChunkBlob splits one data-plane payload into chunked MsgPartition frames
@@ -118,24 +56,22 @@ func ReleaseQuant(envs []*Envelope) {
 func ChunkBlob(tmpl Envelope, blob []byte, chunkLen int) []*Envelope {
 	tmpl.Type = MsgPartition
 	tmpl.Assign, tmpl.Telemetry, tmpl.Vector = nil, nil, nil
-	if chunkLen <= 0 || len(blob) <= chunkLen {
-		e := tmpl
-		e.Blob = blob
-		e.Chunk, e.Chunks = 0, 1
-		return []*Envelope{&e}
+	return chunk(tmpl, len(blob), chunkLen, func(e *Envelope, lo, hi int) { e.Blob = blob[lo:hi] })
+}
+
+// chunk returns copies of tmpl numbered Chunk of Chunks, one per piece
+// [lo, hi) of n elements at most chunkLen long — a single piece when chunkLen
+// <= 0 or n fits — each with its piece set.
+func chunk(tmpl Envelope, n, chunkLen int, set func(e *Envelope, lo, hi int)) []*Envelope {
+	if chunkLen <= 0 || n <= chunkLen {
+		chunkLen = max(n, 1)
 	}
-	chunks := (len(blob) + chunkLen - 1) / chunkLen
-	out := make([]*Envelope, 0, chunks)
-	for i := 0; i < chunks; i++ {
-		lo := i * chunkLen
-		hi := lo + chunkLen
-		if hi > len(blob) {
-			hi = len(blob)
-		}
+	out := make([]*Envelope, max((n+chunkLen-1)/chunkLen, 1))
+	for i := range out {
 		e := tmpl
-		e.Blob = blob[lo:hi]
-		e.Chunk, e.Chunks = i, chunks
-		out = append(out, &e)
+		e.Chunk, e.Chunks = i, len(out)
+		set(&e, i*chunkLen, min((i+1)*chunkLen, n))
+		out[i] = &e
 	}
 	return out
 }

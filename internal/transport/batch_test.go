@@ -248,44 +248,6 @@ func TestJoinChunksRejectsBrokenSequences(t *testing.T) {
 	}
 }
 
-// FuzzDecodeBatch feeds arbitrary bytes to the frame-body decoder: it must
-// never panic, and anything it accepts must be a valid sub-frame sequence
-// whose re-encoding decodes and re-encodes to the same bytes.
-func FuzzDecodeBatch(f *testing.F) {
-	rng := rand.New(rand.NewSource(19))
-	seed := encodeBatch(randomEnvelope(rng), randomEnvelope(rng))
-	f.Add(seed)
-	f.Add([]byte{})
-	f.Add([]byte{0, 0, 0, 200, 1, 2, 3})
-	f.Add(seed[:len(seed)/2])
-	f.Fuzz(func(t *testing.T, data []byte) {
-		subs, err := decodeBatch(data)
-		if err != nil {
-			if !errors.Is(err, ErrMalformed) {
-				t.Fatalf("non-ErrMalformed rejection: %v", err)
-			}
-			return
-		}
-		if len(subs) == 0 {
-			t.Fatal("accepted batch with zero sub-frames")
-		}
-		for i, e := range subs {
-			if err := e.validate(); err != nil {
-				t.Fatalf("accepted invalid sub-frame %d: %v", i, err)
-			}
-			e.Codec = 0 // a quantized payload arrives decoded: it re-encodes raw
-		}
-		re := encodeBatch(subs...)
-		again, err := decodeBatch(re)
-		if err != nil {
-			t.Fatalf("re-decode failed: %v", err)
-		}
-		if !bytes.Equal(encodeBatch(again...), re) {
-			t.Fatal("decode/encode/decode not a fixed point")
-		}
-	})
-}
-
 // FuzzBatchRoundTrip drives the encode→decode pair with generated envelope
 // sequences: the decoded sub-frames must equal the inputs exactly.
 func FuzzBatchRoundTrip(f *testing.F) {
@@ -343,10 +305,7 @@ func benchUplink(b *testing.B, batched bool, codec grad.Codec) {
 	for i := range vec {
 		vec[i] = float64(i)
 	}
-	frames, err := ChunkGradientQuant(Envelope{WorkerID: 1}, vec, 4*1024, codec)
-	if err != nil {
-		b.Fatal(err)
-	}
+	frames := quantChunks(b, Envelope{WorkerID: 1}, vec, 4*1024, codec)
 	recvErr := make(chan error, 1)
 	go func() {
 		joined := make([]float64, 0, len(vec))
@@ -444,10 +403,7 @@ func BenchmarkBatchedUplinkTraced(b *testing.B) {
 			{Phase: "upload", Seconds: 0.003},
 		},
 	}
-	frames, err := ChunkGradientQuant(tmpl, vec, 4*1024, grad.CodecRaw)
-	if err != nil {
-		b.Fatal(err)
-	}
+	frames := ChunkGradient(tmpl, vec, 4*1024)
 	recvErr := make(chan error, 1)
 	go func() {
 		joined := make([]float64, 0, len(vec))

@@ -1,34 +1,37 @@
-// The vector frame: the one binary layout for every dim-sized payload —
-// MsgParams broadcasts and MsgGradient uploads, raw or quantized, chunked or
-// not, traced or not. A fixed header, fixed optional sections for the trace
-// context and the phase spans, then the payload:
+// The frame: the one binary layout for every message. A fixed header, fixed
+// optional sections, then the payload its message type decides:
 //
 //	offset  size  field
-//	0       1     subFrameVector
-//	1       1     message type (MsgParams or MsgGradient)
-//	2       1     payload codec (grad.Codec; 0 is raw float64)
-//	3       1     flags (bit 0: the trace section is present)
+//	0       1     subFrameVector (the one sub-frame kind)
+//	1       1     message type
+//	2       1     codec (grad.Codec: a gradient payload's, or a hello ack's)
+//	3       1     flags (bit 0: the trace is present; bit 1: Part is)
 //	4       1     phase-span count (at most MaxSpans)
 //	5       28    Iter, Epoch, WorkerID, Chunk, Chunks, RootGen and the
-//	              element count, uint32 little-endian each
-//	33      8     trace context, uint64 little-endian (only when flagged)
+//	              payload's element count
+//	33      8     trace context (only when flagged)
+//	…       4     Part (only when flagged)
 //	…             one record per span: name length (1 byte), name, seconds
-//	              as little-endian IEEE-754 bits
-//	…             payload: 8 bytes per element, little-endian IEEE-754, for
-//	              the raw codec; otherwise the codec's byte string, running to
-//	              the end of the sub-frame
+//	…             payload — params, gradient: 8 bytes per element for the
+//	              raw codec, else the codec's bytes to the sub-frame's end;
+//	              reassign: the assignment's WorkerID, K and S, then one
+//	              partition per element, then as many coefficients;
+//	              telemetry: ComputeSeconds, UploadSeconds, Partitions (no
+//	              elements); partition: one blob byte per element; hello,
+//	              partition-req, shutdown: nothing (no elements)
 //
-// Sub-frames travel length-prefixed (uint32 big-endian). A wire frame is the
-// marker byte 0x00, the body length (uint32 big-endian) and a body of one or
-// more sub-frames — one for a Send, several for a SendBatch. Only the headers
-// are encoded: a raw payload is the vector's own memory (hostorder.go), so the
-// frame goes out as one gathered write of header, vector, header, vector…,
-// and comes in with the payload read off the socket straight into a pooled
-// vector — the connection's read buffer holds only what a header-sized read
-// happened to bring with it. There is no other encoding of a params or
-// gradient envelope: one the header cannot carry (a field outside uint32
-// range, an auxiliary payload, a body over maxFrameBody) is refused at the
-// sender with ErrMalformed, and a gob-encoded one is refused at the receiver.
+// Integers are int32, the trace a uint64 and floats IEEE-754 float64, all
+// little-endian. Sub-frames travel length-prefixed (uint32 big-endian). A
+// wire frame is the marker byte 0x00, the body length (uint32 big-endian) and
+// a body of one or more sub-frames — one for a Send, several for a SendBatch.
+// A raw vector payload is not encoded: it is the vector's own memory
+// (hostorder.go), so the frame goes out as one gathered write of header,
+// vector, header, vector…, and comes in with the payload read off the socket
+// straight into a pooled vector — the connection's read buffer holds only
+// what a header-sized read happened to bring with it. An envelope the frame
+// cannot carry (one validate refuses, a field outside its int32, a body over
+// maxFrameBody) is refused at the sender with ErrMalformed, and nothing is
+// written.
 package transport
 
 import (
@@ -45,8 +48,7 @@ import (
 )
 
 const (
-	// frameMarker opens a binary wire frame. A gob message opens with its
-	// length as a non-zero uvarint, so the byte is free.
+	// frameMarker opens a wire frame.
 	frameMarker = 0x00
 	// wireHeaderLen is the marker plus the body length.
 	wireHeaderLen = 5
@@ -57,9 +59,17 @@ const (
 
 	vectorHeaderLen = 5 + 4*7
 	flagTrace       = 1 << 0
+	flagPart        = 1 << 1
 	// maxVectorHeadLen bounds the header plus its optional sections: the
-	// trace context and MaxSpans records with the longest encodable name.
-	maxVectorHeadLen = vectorHeaderLen + 8 + MaxSpans*(1+math.MaxUint8+8)
+	// trace context, the partition index and MaxSpans records with the
+	// longest encodable name.
+	maxVectorHeadLen = vectorHeaderLen + 8 + 4 + MaxSpans*(1+math.MaxUint8+8)
+
+	// Control payloads: a reassign's before its elements (WorkerID, K, S) and
+	// per element (a partition and its coefficient), and a telemetry's.
+	assignHeadLen  = 3 * 4
+	assignEntryLen = 4 + 8
+	telemetryLen   = 8 + 8 + 4
 
 	// allocStep is the largest payload buffer, in bytes, the decoder takes on
 	// a header's word alone. A longer payload's buffer doubles as the bytes
@@ -84,48 +94,87 @@ const maxBatchFrames = 1 << 20
 // 64-element chunk, at most 5 B per element.
 const maxQuantBytesPerElem = 5
 
+// fitInt32 reports whether every v fits the int32 it is laid out in.
+func fitInt32(vs ...int) bool {
+	for _, v := range vs {
+		if v < math.MinInt32 || v > math.MaxInt32 {
+			return false
+		}
+	}
+	return true
+}
+
 // vectorFrameLen returns the encoded length of e's sub-frame, or an error
-// wrapping ErrMalformed when the vector frame cannot carry e: not a params or
-// gradient envelope, an auxiliary payload, a header value outside uint32
-// range (the encoder would silently truncate it, and it would decode as a
-// different frame), more spans than the header counts, or an inconsistent
-// quantized payload. The body cap (encodeWireFrame) bounds the payload.
+// wrapping ErrMalformed when the frame cannot carry e: e fails validate, a
+// value is outside the int32 it is laid out in (the encoder would silently
+// truncate it, and it would decode as a different frame), or a quantized
+// payload is inconsistent. The body cap (encodeWireFrame) bounds the payload.
 func vectorFrameLen(e *Envelope) (int, error) {
-	if e.Type != MsgParams && e.Type != MsgGradient {
-		return 0, fmt.Errorf("%w: %v is not a vector message", ErrMalformed, e.Type)
+	if err := e.validate(); err != nil {
+		return 0, err
 	}
-	if e.Assign != nil || e.Telemetry != nil || e.Blob != nil || e.Part != 0 {
-		return 0, fmt.Errorf("%w: %v carries a payload the vector frame has no field for", ErrMalformed, e.Type)
+	if a, t := e.Assign, e.Telemetry; !fitInt32(e.Iter, e.Epoch, e.WorkerID, e.Chunk, e.Chunks, e.RootGen, e.Part) ||
+		a != nil && !fitInt32(a.WorkerID, a.K, a.S) || t != nil && !fitInt32(t.Partitions) {
+		return 0, fmt.Errorf("%w: %v field outside the frame's int32 range", ErrMalformed, e.Type)
 	}
-	if len(e.Spans) > MaxSpans {
-		return 0, fmt.Errorf("%w: %v carries %d phase spans (cap %d)", ErrMalformed, e.Type, len(e.Spans), MaxSpans)
-	}
-	for _, v := range [...]int{e.Iter, e.Epoch, e.WorkerID, e.Chunk, e.Chunks, e.RootGen} {
-		if v < 0 || v > math.MaxInt32 {
-			return 0, fmt.Errorf("%w: %v header field %d outside the frame's range", ErrMalformed, e.Type, v)
-		}
-	}
-	n := vectorHeaderLen
-	if e.Trace != 0 {
-		n += 8
-	}
-	for _, sp := range e.Spans {
-		if len(sp.Phase) > math.MaxUint8 {
-			return 0, fmt.Errorf("%w: phase span name of %d bytes", ErrMalformed, len(sp.Phase))
-		}
-		n += 1 + len(sp.Phase) + 8
-	}
-	if e.Codec != 0 || len(e.Quant) > 0 || e.QuantLen != 0 {
-		if !grad.Codec(e.Codec).Valid() || e.Codec == 0 || len(e.Quant) == 0 || len(e.Vector) != 0 ||
-			e.QuantLen < 1 || e.QuantLen > MaxVectorLen {
+	n := vectorHeaderLen + payloadLen(e.Type, elements(e))
+	if e.Type == MsgGradient && e.Codec != 0 || len(e.Quant) > 0 || e.QuantLen != 0 {
+		if e.Codec == 0 || len(e.Quant) == 0 || len(e.Vector) != 0 || e.QuantLen < 1 || e.QuantLen > MaxVectorLen {
 			return 0, fmt.Errorf("%w: %v codec %d with a %d-byte payload of %d elements and %d raw ones",
 				ErrMalformed, e.Type, e.Codec, len(e.Quant), e.QuantLen, len(e.Vector))
 		}
-		n += len(e.Quant)
-	} else {
-		n += 8 * len(e.Vector)
+		n = vectorHeaderLen + len(e.Quant)
 	}
-	return n, nil
+	_, opt := sections(e)
+	return n + opt, nil
+}
+
+// sections returns e's header flags and the length of its optional sections.
+func sections(e *Envelope) (flags byte, n int) {
+	if e.Trace != 0 {
+		flags, n = flagTrace, 8
+	}
+	if e.Part != 0 {
+		flags, n = flags|flagPart, n+4
+	}
+	for _, sp := range e.Spans {
+		n += 1 + len(sp.Phase) + 8
+	}
+	return flags, n
+}
+
+// elements is the element count e's header declares for its payload.
+func elements(e *Envelope) int {
+	switch {
+	case len(e.Quant) > 0:
+		return e.QuantLen
+	case e.Assign != nil:
+		return len(e.Assign.Partitions)
+	}
+	return len(e.Vector) + len(e.Blob)
+}
+
+// payloadLen is the payload of a sub-frame of type t declaring count
+// elements — unless quantized, which runs to the end of the sub-frame — or
+// -1 where t's layout has no elements to count.
+func payloadLen(t MsgType, count int) int {
+	switch t {
+	case MsgParams, MsgGradient:
+		return 8 * count
+	case MsgReassign:
+		return assignHeadLen + assignEntryLen*count
+	case MsgPartition:
+		return count
+	case MsgTelemetry:
+		if count == 0 {
+			return telemetryLen
+		}
+	default:
+		if count == 0 {
+			return 0
+		}
+	}
+	return -1
 }
 
 // appendSubFrame appends e, which vectorFrameLen accepted, as one
@@ -133,30 +182,43 @@ func vectorFrameLen(e *Envelope) (int, error) {
 // the length prefix counts it all the same — for the writer to send right
 // behind these bytes.
 func appendSubFrame(dst []byte, e *Envelope) []byte {
-	at := len(dst)
-	count, owed := len(e.Vector), 0
-	if len(e.Quant) > 0 {
-		count = e.QuantLen
-	}
-	var flags byte
-	if e.Trace != 0 {
-		flags |= flagTrace
-	}
+	le := binary.LittleEndian
+	at, owed := len(dst), 0
+	flags, _ := sections(e)
 	dst = append(dst, 0, 0, 0, 0, subFrameVector, byte(e.Type), e.Codec, flags, byte(len(e.Spans)))
-	for _, v := range [...]int{e.Iter, e.Epoch, e.WorkerID, e.Chunk, e.Chunks, e.RootGen, count} {
-		dst = binary.LittleEndian.AppendUint32(dst, uint32(v))
+	for _, v := range [...]int{e.Iter, e.Epoch, e.WorkerID, e.Chunk, e.Chunks, e.RootGen, elements(e)} {
+		dst = le.AppendUint32(dst, uint32(v))
 	}
 	if e.Trace != 0 {
-		dst = binary.LittleEndian.AppendUint64(dst, e.Trace)
+		dst = le.AppendUint64(dst, e.Trace)
+	}
+	if e.Part != 0 {
+		dst = le.AppendUint32(dst, uint32(e.Part))
 	}
 	for _, sp := range e.Spans {
 		dst = append(dst, byte(len(sp.Phase)))
 		dst = append(dst, sp.Phase...)
-		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(sp.Seconds))
+		dst = le.AppendUint64(dst, math.Float64bits(sp.Seconds))
 	}
 	switch {
+	case e.Type == MsgReassign:
+		a := e.Assign
+		for _, v := range append([]int{a.WorkerID, a.K, a.S}, a.Partitions...) {
+			dst = le.AppendUint32(dst, uint32(v))
+		}
+		dst = AppendFloat64s(dst, a.RowCoeffs)
+	case e.Type == MsgTelemetry:
+		var t Telemetry // a nil Telemetry is sent as zeros
+		if e.Telemetry != nil {
+			t = *e.Telemetry
+		}
+		dst = le.AppendUint64(dst, math.Float64bits(t.ComputeSeconds))
+		dst = le.AppendUint64(dst, math.Float64bits(t.UploadSeconds))
+		dst = le.AppendUint32(dst, uint32(t.Partitions))
 	case len(e.Quant) > 0:
 		dst = append(dst, e.Quant...)
+	case len(e.Blob) > 0:
+		dst = append(dst, e.Blob...)
 	case scattered(e) != nil:
 		owed = len(scattered(e))
 	default:
@@ -179,8 +241,8 @@ func scattered(e *Envelope) []byte {
 
 // encodeWireFrame encodes envs as one binary wire frame, less what scattered
 // returns of each, in a pooled buffer (return it with grad.PutBytes). An
-// envelope the vector frame cannot carry, or a body over maxFrameBody, is an
-// error wrapping ErrMalformed, and nothing is encoded.
+// envelope the frame cannot carry, or a body over maxFrameBody, is an error
+// wrapping ErrMalformed, and nothing is encoded.
 func encodeWireFrame(envs ...*Envelope) ([]byte, error) {
 	body, owed := 0, 0
 	for i, e := range envs {
@@ -203,7 +265,7 @@ func encodeWireFrame(envs ...*Envelope) ([]byte, error) {
 }
 
 // Broadcast sends e, a params envelope, to every connection in conns (nil
-// entries are skipped). The vector frame's header is encoded once, and every
+// entries are skipped). The frame's header is encoded once, and every
 // connection is written that header and e's vector, from the one copy of
 // each. The writes fan out concurrently, each under a write deadline of
 // timeout, so a peer whose socket is full delays no other, and are joined
@@ -318,44 +380,49 @@ func (fr *frameReader) next(i int) (*Envelope, error) {
 	if kind != subFrameVector {
 		return nil, fmt.Errorf("%w: batch sub-frame %d has unknown kind %#x", ErrMalformed, i, kind)
 	}
-	e, err := fr.vector(n)
+	e, err := fr.envelope(n)
 	if err != nil && errors.Is(err, ErrMalformed) {
 		err = fmt.Errorf("batch sub-frame %d: %w", i, err)
 	}
 	return e, err
 }
 
-// vector decodes one sub-frame of n bytes. Every declared size — the span
+// envelope decodes one sub-frame of n bytes. Every declared size — the span
 // count, the element count, the payload length the sub-frame leaves room for
 // — is checked against its cap and against n before a buffer is taken, so a
 // hostile header costs no allocation.
-func (fr *frameReader) vector(n int) (*Envelope, error) {
+func (fr *frameReader) envelope(n int) (*Envelope, error) {
 	// The header and its optional sections fit one peek; the payload follows.
 	head, err := fr.peek(min(n, maxVectorHeadLen))
 	if err != nil {
 		return nil, err
 	}
 	if len(head) < vectorHeaderLen {
-		return nil, fmt.Errorf("%w: vector sub-frame header truncated (%d bytes)", ErrMalformed, n)
+		return nil, fmt.Errorf("%w: sub-frame header truncated (%d bytes)", ErrMalformed, n)
 	}
 	e := &Envelope{Type: MsgType(head[1]), Codec: head[2]}
 	flags, spans := head[3], int(head[4])
-	u32 := func(i int) int { return int(binary.LittleEndian.Uint32(head[5+4*i:])) }
-	e.Iter, e.Epoch, e.WorkerID, e.Chunk, e.Chunks, e.RootGen = u32(0), u32(1), u32(2), u32(3), u32(4), u32(5)
-	count := u32(6)
+	field := func(i int) int { return int32At(head[5+4*i:]) }
+	e.Iter, e.Epoch, e.WorkerID, e.Chunk, e.Chunks, e.RootGen = field(0), field(1), field(2), field(3), field(4), field(5)
+	count := field(6)
 	at := vectorHeaderLen
-	if (e.Type != MsgParams && e.Type != MsgGradient) || flags&^flagTrace != 0 || spans > MaxSpans || count > MaxVectorLen {
-		return nil, fmt.Errorf("%w: vector sub-frame type %d flags %#x with %d spans, %d elements", ErrMalformed, int(e.Type), flags, spans, count)
+	if !e.Type.known() || flags&^(flagTrace|flagPart) != 0 || spans > MaxSpans || count < 0 || count > MaxVectorLen {
+		return nil, fmt.Errorf("%w: sub-frame type %d flags %#x with %d spans, %d elements", ErrMalformed, int(e.Type), flags, spans, count)
 	}
 	truncated := func() (*Envelope, error) {
-		return nil, fmt.Errorf("%w: vector sub-frame trace or span section truncated", ErrMalformed)
+		return nil, fmt.Errorf("%w: sub-frame trace, partition or span section truncated", ErrMalformed)
 	}
 	if flags&flagTrace != 0 {
 		if at+8 > len(head) {
 			return truncated()
 		}
-		e.Trace = binary.LittleEndian.Uint64(head[at:])
-		at += 8
+		e.Trace, at = binary.LittleEndian.Uint64(head[at:]), at+8
+	}
+	if flags&flagPart != 0 {
+		if at+4 > len(head) {
+			return truncated()
+		}
+		e.Part, at = int32At(head[at:]), at+4
 	}
 	for i := 0; i < spans; i++ {
 		if at >= len(head) || at+1+int(head[at])+8 > len(head) {
@@ -364,19 +431,28 @@ func (fr *frameReader) vector(n int) (*Envelope, error) {
 		end := at + 1 + int(head[at]) + 8
 		e.Spans = append(e.Spans, PhaseSpan{
 			Phase:   string(head[at+1 : end-8]),
-			Seconds: math.Float64frombits(binary.LittleEndian.Uint64(head[end-8:])),
+			Seconds: float64At(head[end-8:]),
 		})
 		at = end
 	}
 	fr.discard(at)
 	rest := n - at
+	if e.Type != MsgParams && e.Type != MsgGradient {
+		if err := fr.control(e, count, rest); err != nil {
+			return nil, err
+		}
+		if err := e.validate(); err != nil {
+			return nil, err
+		}
+		return e, nil
+	}
 	// Everything validate can judge without the payload, before taking a
 	// buffer for it.
 	if err := e.validate(); err != nil {
 		return nil, err
 	}
 	if e.Codec == byte(grad.CodecRaw) {
-		if rest != 8*count {
+		if rest != payloadLen(e.Type, count) {
 			return nil, fmt.Errorf("%w: vector sub-frame holds %d bytes for %d elements", ErrMalformed, rest, count)
 		}
 		if count > 0 {
@@ -398,6 +474,44 @@ func (fr *frameReader) vector(n int) (*Envelope, error) {
 	}
 	return e, nil
 }
+
+// control decodes the payload of control message e: rest bytes, which the
+// layout of e's type must account for exactly with count elements. The sizes
+// are judged before anything is read, and the payload is read into a buffer
+// that grows as its bytes arrive.
+func (fr *frameReader) control(e *Envelope, count, rest int) error {
+	if rest != payloadLen(e.Type, count) {
+		return fmt.Errorf("%w: %v sub-frame holds %d bytes for %d elements", ErrMalformed, e.Type, rest, count)
+	}
+	if rest == 0 {
+		return nil
+	}
+	b, err := fr.readBytes(rest)
+	if err != nil {
+		return err
+	}
+	defer grad.PutBytes(b)
+	switch e.Type {
+	case MsgTelemetry:
+		e.Telemetry = &Telemetry{ComputeSeconds: float64At(b), UploadSeconds: float64At(b[8:]), Partitions: int32At(b[16:])}
+	case MsgPartition:
+		e.Blob = append([]byte(nil), b...)
+	case MsgReassign:
+		a := &Assignment{WorkerID: int32At(b), K: int32At(b[4:]), S: int32At(b[8:]),
+			Partitions: make([]int, count), RowCoeffs: make([]float64, count)}
+		coeffs := b[assignHeadLen+4*count:]
+		for i := range a.Partitions {
+			a.Partitions[i] = int32At(b[assignHeadLen+4*i:])
+			a.RowCoeffs[i] = float64At(coeffs[8*i:])
+		}
+		e.Assign = a
+	}
+	return nil
+}
+
+func int32At(b []byte) int { return int(int32(binary.LittleEndian.Uint32(b))) }
+
+func float64At(b []byte) float64 { return math.Float64frombits(binary.LittleEndian.Uint64(b)) }
 
 // floats reads count raw elements — the caller checked that the sub-frame
 // holds them — off the source into the memory of a pooled vector (see
@@ -424,13 +538,29 @@ func (fr *frameReader) floats(count int) ([]float64, error) {
 	return vec, nil
 }
 
-// quantized reads a codec payload of n bytes (see allocStep) and dequantizes
+// quantized reads a codec payload of n bytes (see readBytes) and dequantizes
 // its count elements into a pooled vector, taken once the payload is in —
 // int8 spends a byte per element, so that too is bounded by the bytes
 // received. A payload the codec rejects is a protocol violation.
 func (fr *frameReader) quantized(count int, c grad.Codec, n int) ([]float64, error) {
+	q, err := fr.readBytes(n)
+	if err != nil {
+		return nil, err
+	}
+	defer grad.PutBytes(q)
+	vec := grad.GetBuffer(count)
+	if err := grad.DequantizeInto(vec, c, q); err != nil {
+		grad.PutBuffer(vec)
+		return nil, fmt.Errorf("%w: %s gradient payload: %v", ErrMalformed, c, err)
+	}
+	return vec, nil
+}
+
+// readBytes reads the next n bytes of the sub-frame into a pooled buffer
+// (return it with grad.PutBytes). The buffer is taken at most allocStep long
+// and doubles as the bytes arrive (see allocStep).
+func (fr *frameReader) readBytes(n int) ([]byte, error) {
 	q := grad.GetBytes(min(n, allocStep))
-	defer func() { grad.PutBytes(q) }()
 	for len(q) < n {
 		if len(q) == cap(q) {
 			grown := append(grad.GetBytes(min(n, 2*cap(q))), q...)
@@ -442,13 +572,9 @@ func (fr *frameReader) quantized(count int, c grad.Codec, n int) ([]float64, err
 		fr.left -= m
 		q = q[:len(q)+m]
 		if err != nil {
+			grad.PutBytes(q)
 			return nil, err
 		}
 	}
-	vec := grad.GetBuffer(count)
-	if err := grad.DequantizeInto(vec, c, q); err != nil {
-		grad.PutBuffer(vec)
-		return nil, fmt.Errorf("%w: %s gradient payload: %v", ErrMalformed, c, err)
-	}
-	return vec, nil
+	return q, nil
 }

@@ -14,7 +14,10 @@ func TestPipelineStickyError(t *testing.T) {
 	first, second := errors.New("first"), errors.New("second")
 	var p Pipeline
 	var ran atomic.Int32
-	if err := p.Submit(func() error { ran.Add(1); return first }); err != nil {
+	// The first job fails only once the second is queued: a Submit that saw
+	// its error first would drop the second job.
+	release := make(chan struct{})
+	if err := p.Submit(func() error { <-release; ran.Add(1); return first }); err != nil {
 		t.Fatal(err)
 	}
 	// The writer runs jobs in order: once the second one ran, the first
@@ -23,6 +26,7 @@ func TestPipelineStickyError(t *testing.T) {
 	if err := p.Submit(func() error { ran.Add(1); close(secondRan); return second }); err != nil {
 		t.Fatal(err)
 	}
+	close(release)
 	<-secondRan
 	for i := 0; i < 2; i++ {
 		if err := p.Submit(func() error { ran.Add(1); return nil }); !errors.Is(err, first) {

@@ -56,10 +56,7 @@ func TestQuantRoundTripOverWire(t *testing.T) {
 	for _, codec := range []grad.Codec{grad.CodecRaw, grad.CodecInt8} {
 		for _, chunkLen := range []int{0, 64} { // 0: one frame; 64: batched sub-frames
 			a, b := pipePair(t)
-			frames, err := ChunkGradientQuant(Envelope{WorkerID: 3, Iter: 7}, vec, chunkLen, codec)
-			if err != nil {
-				t.Fatal(err)
-			}
+			frames := quantChunks(t, Envelope{WorkerID: 3, Iter: 7}, vec, chunkLen, codec)
 			if codec != grad.CodecRaw {
 				for _, f := range frames {
 					if len(f.Quant) == 0 || f.Codec != byte(codec) || f.Vector != nil {
@@ -89,11 +86,28 @@ func TestQuantRoundTripOverWire(t *testing.T) {
 				t.Fatalf("%s: joined %d elements, want %d", codec, len(joined), len(vec))
 			}
 			checkCodecError(t, codec, vec, joined, chunkLen)
-			ReleaseQuant(frames)
 			a.Close()
 			b.Close()
 		}
 	}
+}
+
+// quantChunks chunks vec like ChunkGradient and, under a quantizing codec,
+// encodes each chunk's payload with grad.AppendQuantized.
+func quantChunks(t testing.TB, tmpl Envelope, vec []float64, chunkLen int, codec grad.Codec) []*Envelope {
+	t.Helper()
+	frames := ChunkGradient(tmpl, vec, chunkLen)
+	if codec == grad.CodecRaw {
+		return frames
+	}
+	for _, e := range frames {
+		q, err := grad.AppendQuantized(nil, codec, e.Vector)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.Codec, e.Quant, e.QuantLen, e.Vector = byte(codec), q, len(e.Vector), nil
+	}
+	return frames
 }
 
 // checkCodecError asserts the decoded vector against the codec's error
@@ -167,7 +181,7 @@ func TestQuantCorruptionRejected(t *testing.T) {
 
 	// Batch-framed corruption: a quantized sub-frame with an unknown gradient
 	// codec byte, and one whose payload fails to dequantize.
-	valid, _ := ChunkGradientQuant(Envelope{WorkerID: 1}, []float64{1, 2, 3, 4}, 2, grad.CodecInt8)
+	valid := quantChunks(t, Envelope{WorkerID: 1}, []float64{1, 2, 3, 4}, 2, grad.CodecInt8)
 	raw := encodeBatch(valid...)
 	flip := func(mutate func(b []byte)) error {
 		cp := append([]byte(nil), raw...)
@@ -203,10 +217,7 @@ func TestWireCodecCounters(t *testing.T) {
 	_, rawOutBefore, _, rawBytesOutBefore := WireCodec(byte(grad.CodecRaw))
 	int8InBefore, _, int8BytesInBefore, _ := WireCodec(byte(grad.CodecInt8))
 
-	frames, err := ChunkGradientQuant(Envelope{WorkerID: 1}, vec, 64, grad.CodecInt8)
-	if err != nil {
-		t.Fatal(err)
-	}
+	frames := quantChunks(t, Envelope{WorkerID: 1}, vec, 64, grad.CodecInt8)
 	if err := a.SendBatch(frames); err != nil {
 		t.Fatal(err)
 	}

@@ -72,10 +72,7 @@ func TestScatterWriteBytes(t *testing.T) {
 	vec := awkwardFloats(5000)
 	spans := []PhaseSpan{{Phase: "fetch", Seconds: 0.001}, {Phase: "compute", Seconds: 0.042}, {Phase: "encode", Seconds: 0.002}, {Phase: "upload", Seconds: 0.003}}
 	traced := Envelope{Iter: 7, Epoch: 2, WorkerID: 5, RootGen: 3, Trace: 0x8003_0002_0000_0007, Spans: spans}
-	quant, err := ChunkGradientQuant(Envelope{Iter: 8, WorkerID: 5}, vec, 2000, grad.CodecInt8)
-	if err != nil {
-		t.Fatal(err)
-	}
+	quant := quantChunks(t, Envelope{Iter: 8, WorkerID: 5}, vec, 2000, grad.CodecInt8)
 	cases := map[string][]*Envelope{
 		"two chunks":                    ChunkGradient(Envelope{Iter: 7, WorkerID: 5}, vec, 2500),
 		"five chunks, the last traced":  ChunkGradient(traced, vec, 1000),

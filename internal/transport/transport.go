@@ -5,23 +5,18 @@
 // control-plane extensions: per-iteration telemetry uploads and
 // epoch-versioned reassignment for mid-training strategy migration.
 //
-// Each message type has one encoding. The iteration path — every dim-sized
-// payload: MsgParams broadcasts and MsgGradient uploads, raw or quantized,
-// chunked or not, traced or not — rides the binary vector frame (frame.go)
-// on every connection: headers are encoded, a raw payload is not — it is
-// written to the socket from the vector's memory and read from the socket
-// into a pooled vector's. The cold control frames (hello, reassign,
-// telemetry, partition-req, partition, shutdown) are gob-encoded
-// envelopes: they are small, rare and carry nested optional structures gob
-// handles for free. Recv tells the two apart by the first byte: a gob
-// message opens with its non-zero length, so 0x00 marks a vector frame. A
-// params or gradient envelope never rides gob: Send refuses one the frame
-// cannot carry, and Recv refuses one that arrives gob-encoded.
+// Every message rides one binary frame (frame.go), and its type decides
+// what the payload is: raw floats or int8 bytes for params and gradients,
+// the assignment for a reassign, the three telemetry numbers, a partition's
+// blob, nothing for hello, partition-req and shutdown. Headers are encoded;
+// a raw vector payload is not — it is written to the socket from the
+// vector's memory and read from the socket into a pooled vector's. Send
+// refuses an envelope the frame cannot carry, and Recv fails a stream that
+// does not open a frame.
 package transport
 
 import (
 	"bufio"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"math"
@@ -54,7 +49,7 @@ const (
 	// MsgReassign migrates a worker to a new coding strategy: it carries
 	// (Epoch, Assignment) and atomically supersedes every earlier epoch.
 	MsgReassign
-	// Number 8 is retired (a gob-carried batch): refused as unknown.
+	// Number 8 is retired (a batch envelope): refused as unknown.
 	_
 	// Number 9 is retired (a group-master adoption handshake): refused as
 	// unknown.
@@ -144,9 +139,9 @@ type Envelope struct {
 	// rejected before decode.
 	Epoch int
 	// RootGen is the root's lease generation — the HA fencing token. The
-	// root stamps it on every downlink frame and group masters echo it on
-	// every group-sum upload, so frames from (or encoded under) a deposed
-	// root are rejected typed instead of silently applied. 0 means the run
+	// root stamps it on every downlink frame and members echo it on their
+	// uploads, so frames from (or encoded under) a deposed root are
+	// rejected typed instead of silently applied. 0 means the run
 	// is not lease-fenced (legacy single-root operation).
 	RootGen int
 	// Chunk/Chunks split one large Vector across several sub-frames of a
@@ -186,24 +181,21 @@ type Envelope struct {
 
 // Errors returned by the transport layer.
 var (
-	// ErrClosed is returned on use of a closed connection.
-	ErrClosed = errors.New("transport: connection closed")
 	// ErrMalformed is returned by Recv for frames that violate protocol
 	// invariants (mismatched assignment arrays, negative K/S, absurd vector
 	// lengths); such frames never reach decode.
 	ErrMalformed = errors.New("transport: malformed envelope")
+	// errStreamLost is Recv's error for a stream it cannot resynchronise;
+	// unlike ErrMalformed it promises nothing about the next byte.
+	errStreamLost = errors.New("stream lost")
 )
 
-// MaxVectorLen bounds the length of any Vector accepted by Recv, far above
-// any real model dimension. The vector-frame decoder checks a frame's
-// declared element count against it — and against the bytes the frame
-// declares — before taking a buffer, and lets a buffer above allocStep grow
-// only as the payload arrives.
+// MaxVectorLen bounds the element count of any payload accepted by Recv — a
+// Vector's length, an assignment's partitions, a blob's bytes — far above any
+// real model dimension. The decoder checks a frame's declared element count
+// against it — and against the bytes the frame declares — before taking a
+// buffer, and lets a buffer above allocStep grow only as the payload arrives.
 const MaxVectorLen = 1 << 30
-
-// MaxBlobLen bounds the byte length of any data-plane Blob piece accepted by
-// Recv (the same application-layer sanity check as MaxVectorLen).
-const MaxBlobLen = 1 << 30
 
 // MaxPartIndex bounds the partition index of a data-plane frame, far above
 // any real partition count.
@@ -269,14 +261,8 @@ func (e *Envelope) validate() error {
 	if e.Chunks > 0 && e.Type != MsgGradient && e.Type != MsgPartition {
 		return fmt.Errorf("%w: %v cannot be chunked", ErrMalformed, e.Type)
 	}
-	if len(e.Blob) > MaxBlobLen {
-		return fmt.Errorf("%w: %v blob length %d exceeds cap %d", ErrMalformed, e.Type, len(e.Blob), MaxBlobLen)
-	}
 	if len(e.Blob) > 0 && e.Type != MsgPartition {
 		return fmt.Errorf("%w: %v carries a blob payload", ErrMalformed, e.Type)
-	}
-	if e.Type == MsgPartitionReq && (e.Assign != nil || e.Vector != nil || e.Telemetry != nil || e.Chunks != 0) {
-		return fmt.Errorf("%w: partition-req with payload", ErrMalformed)
 	}
 	if e.Type == MsgPartition {
 		if e.Chunks > 0 && len(e.Blob) == 0 {
@@ -285,6 +271,12 @@ func (e *Envelope) validate() error {
 		if e.Chunks == 0 && len(e.Blob) > 0 {
 			return fmt.Errorf("%w: partition data without chunk framing", ErrMalformed)
 		}
+	}
+	if e.Assign != nil && e.Type != MsgReassign {
+		return fmt.Errorf("%w: %v carries an assignment", ErrMalformed, e.Type)
+	}
+	if e.Telemetry != nil && e.Type != MsgTelemetry {
+		return fmt.Errorf("%w: %v carries telemetry", ErrMalformed, e.Type)
 	}
 	if a := e.Assign; a != nil {
 		if len(a.Partitions) != len(a.RowCoeffs) {
@@ -313,19 +305,14 @@ func (e *Envelope) validate() error {
 	return nil
 }
 
-// Conn is a bidirectional message stream carrying binary vector frames and
-// gob control envelopes. Send and Recv are each safe for one concurrent user (one
-// reader, one writer).
+// Conn is a bidirectional message stream of binary frames. Send and Recv are
+// each safe for one concurrent user (one reader, one writer).
 type Conn struct {
 	// w is the underlying connection behind the byte-counting shim; frames
 	// are written to it directly and deadlines, Close and addresses forward.
 	w countingConn
-	// br buffers the read side. gob reads through it without private
-	// read-ahead (it is an io.ByteReader), so Recv can peek the next frame's
-	// first byte and hand the stream to whichever decoder owns it.
-	br  *bufio.Reader
-	enc *gob.Encoder
-	dec *gob.Decoder
+	// br buffers the read side: frame headers are peeked off it.
+	br *bufio.Reader
 	// pending holds sub-frames of the last received frame still owed to Recv
 	// callers (only the reader touches it).
 	pending []*Envelope
@@ -338,8 +325,8 @@ type Conn struct {
 }
 
 // readBufSize is the connection read buffer. Payloads bypass it (a read at
-// least this long goes to the socket directly), so it serves gob frames,
-// vector-frame headers and payload tails: large enough to hold the vector
+// least this long goes to the socket directly), so it serves frame headers,
+// control payloads and payload tails: large enough to hold the vector
 // frames of a small model whole, small enough to stay a size-class allocation
 // (a larger one goes to the page heap, which showed up in cluster bring-up
 // time at one buffer per connection).
@@ -349,8 +336,7 @@ const readBufSize = 32 << 10
 // shim feeding the process-wide Wire counters.
 func NewConn(raw net.Conn) *Conn {
 	counted := countingConn{Conn: raw}
-	br := bufio.NewReaderSize(counted, readBufSize)
-	return &Conn{w: counted, br: br, enc: gob.NewEncoder(counted), dec: gob.NewDecoder(br)}
+	return &Conn{w: counted, br: bufio.NewReaderSize(counted, readBufSize)}
 }
 
 // Dial connects to a master at addr.
@@ -362,19 +348,9 @@ func Dial(addr string, timeout time.Duration) (*Conn, error) {
 	return NewConn(raw), nil
 }
 
-// Send writes one envelope: a params or gradient envelope as a vector frame,
-// any other gob-encoded. A vector envelope the frame cannot carry is refused
-// with an error wrapping ErrMalformed, and nothing is written.
-func (c *Conn) Send(e *Envelope) error {
-	if e.Type == MsgParams || e.Type == MsgGradient {
-		return c.sendFrame(e)
-	}
-	if err := c.enc.Encode(e); err != nil {
-		return fmt.Errorf("transport send %v: %w", e.Type, err)
-	}
-	wire.framesOut.Add(1)
-	return nil
-}
+// Send writes one envelope as one frame. An envelope the frame cannot carry
+// is refused with an error wrapping ErrMalformed, and nothing is written.
+func (c *Conn) Send(e *Envelope) error { return c.sendFrame(e) }
 
 // sendFrame sends envs as one binary wire frame, or nothing when one of them
 // does not fit it (see encodeWireFrame).
@@ -388,7 +364,7 @@ func (c *Conn) sendFrame(envs ...*Envelope) error {
 	return err
 }
 
-// writeFrame writes one wire frame holding envs' vector sub-frames — head is
+// writeFrame writes one wire frame holding envs' sub-frames — head is
 // encodeWireFrame's, which may be shared and is only read — as a single
 // gathered write, and counts it like the Send (or SendBatch) it stands for.
 func (c *Conn) writeFrame(head []byte, envs ...*Envelope) error {
@@ -425,11 +401,12 @@ func (c *Conn) writeFrame(head []byte, envs ...*Envelope) error {
 
 // Recv reads one envelope and validates its protocol invariants; frames that
 // fail validation are rejected with an error wrapping ErrMalformed so they
-// never reach the decode path, and so is a params or gradient envelope that
-// arrives gob-encoded. Batches (SendBatch) are unpacked transparently: their
-// sub-frames are returned one per Recv call, in send order, and a batch with
-// any malformed or truncated sub-frame is rejected whole — the outer frame was
-// fully consumed, so the stream stays in sync.
+// never reach the decode path. Batches (SendBatch) are unpacked
+// transparently: their sub-frames are returned one per Recv call, in send
+// order, and a batch with any malformed or truncated sub-frame is rejected
+// whole — consumed to its declared end, so the stream stays in sync. A stream
+// that does not open a frame here (an older build's peer), or declares a body
+// no sender frames, is lost: that error does not wrap ErrMalformed.
 //
 // The Vector of a received envelope comes from the gradient pool
 // (grad.GetBuffer). A receiver on the iteration path hands it back with
@@ -441,38 +418,11 @@ func (c *Conn) Recv() (*Envelope, error) {
 		c.pending = c.pending[1:]
 		return e, nil
 	}
-	first, err := c.br.Peek(1)
-	if err != nil {
-		return nil, fmt.Errorf("transport recv: %w", err)
-	}
-	if first[0] == frameMarker {
-		return c.recvFrame()
-	}
-	var e Envelope
-	if err := c.dec.Decode(&e); err != nil {
-		return nil, fmt.Errorf("transport recv: %w", err)
-	}
-	wire.framesIn.Add(1)
-	err = e.validate()
-	if err == nil && (e.Type == MsgParams || e.Type == MsgGradient) {
-		err = fmt.Errorf("%w: %v as a gob envelope (vectors ride the vector frame only)", ErrMalformed, e.Type)
-	}
-	if err != nil {
-		wire.malformed.Add(1)
-		return nil, err
-	}
-	return &e, nil
-}
-
-// recvFrame reads one binary wire frame: the marker, the body length, then
-// the body's vector sub-frames, headers off the read buffer and raw payloads
-// into their vectors. A protocol violation anywhere in the body rejects the
-// whole frame with ErrMalformed after skipping to its declared end, so the
-// stream stays in sync wherever the length prefix was honest. A declared
-// length above maxFrameBody fails the connection before anything is sized
-// from it.
-func (c *Conn) recvFrame() (*Envelope, error) {
 	hdr, err := c.br.Peek(wireHeaderLen)
+	if len(hdr) > 0 && hdr[0] != frameMarker {
+		wire.malformed.Add(1)
+		return nil, fmt.Errorf("transport recv: %w: opens with %#x, not the frame marker", errStreamLost, hdr[0])
+	}
 	if err != nil {
 		return nil, fmt.Errorf("transport recv: %w", err)
 	}
@@ -481,10 +431,9 @@ func (c *Conn) recvFrame() (*Envelope, error) {
 	wire.framesIn.Add(1)
 	if n > maxFrameBody {
 		// No sender frames a body this long, and nothing is skipped on its
-		// word. Not ErrMalformed, which promises a stream still in sync: this
-		// one is lost, and the reader drops the connection.
+		// word.
 		wire.malformed.Add(1)
-		return nil, fmt.Errorf("transport recv: frame body of %d bytes exceeds cap %d", n, maxFrameBody)
+		return nil, fmt.Errorf("transport recv: %w: frame body of %d bytes exceeds cap %d", errStreamLost, n, maxFrameBody)
 	}
 	subs, err := decodeFrames(c.br, int(n))
 	if err != nil {
@@ -508,9 +457,6 @@ func (c *Conn) SetWriteDeadline(t time.Time) error { return c.w.SetWriteDeadline
 
 // Close closes the underlying connection.
 func (c *Conn) Close() error { return c.w.Close() }
-
-// RemoteAddr exposes the peer address (for logs).
-func (c *Conn) RemoteAddr() net.Addr { return c.w.RemoteAddr() }
 
 // Listener accepts worker connections for a master.
 type Listener struct {

@@ -64,68 +64,41 @@ func pipePair(t testing.TB) (*Conn, *Conn) {
 	return client, server
 }
 
-// legacyAdoption and legacyAdoptEnvelope mirror the wire shape of the
-// retired group-master adoption handshake (message number 9), as a peer of an
-// older build still sends it: gob matches struct fields by name, so the
-// receiver sees the retired number and skips the payload it no longer has.
-type legacyAdoption struct {
-	Group   int
-	Epoch   int
-	Members []int
-}
-
-type legacyAdoptEnvelope struct {
-	Type  MsgType
-	Adopt *legacyAdoption
-}
-
 func TestRecvRejectsMalformed(t *testing.T) {
-	adopt := func(a legacyAdoption) *legacyAdoptEnvelope {
-		return &legacyAdoptEnvelope{Type: MsgType(9), Adopt: &a}
-	}
+	// Send refuses every one of these, so each is written as the bytes of
+	// its frame.
 	bad := []struct {
-		name string
-		// env is an *Envelope, or a *legacyAdoptEnvelope gob-encoded as is.
-		env any
+		name  string
+		frame []byte
 	}{
-		{"unknown type", &Envelope{Type: MsgType(99)}},
-		{"retired assign number", &Envelope{Type: MsgType(2), Assign: &Assignment{
-			Partitions: []int{0}, RowCoeffs: []float64{1}, K: 4, S: 1}}},
-		{"retired batch number", &Envelope{Type: MsgType(8)}},
-		{"negative iter", &Envelope{Type: MsgTelemetry, Iter: -1}},
-		{"negative epoch", &Envelope{Type: MsgTelemetry, Epoch: -3}},
-		{"assign array mismatch", &Envelope{Type: MsgReassign, Assign: &Assignment{
-			Partitions: []int{0, 1}, RowCoeffs: []float64{1}, K: 4, S: 1}}},
-		{"assign bad k", &Envelope{Type: MsgReassign, Assign: &Assignment{
-			Partitions: []int{0}, RowCoeffs: []float64{1}, K: 0, S: 1}}},
-		{"assign negative s", &Envelope{Type: MsgReassign, Assign: &Assignment{
-			Partitions: []int{0}, RowCoeffs: []float64{1}, K: 4, S: -1}}},
-		{"assign partition out of range", &Envelope{Type: MsgReassign, Assign: &Assignment{
-			Partitions: []int{7}, RowCoeffs: []float64{1}, K: 4, S: 1}}},
-		{"assign overfull", &Envelope{Type: MsgReassign, Assign: &Assignment{
-			Partitions: []int{0, 1, 0}, RowCoeffs: []float64{1, 1, 1}, K: 2, S: 0}}},
-		{"reassign without payload", &Envelope{Type: MsgReassign}},
-		{"assign without payload", &Envelope{Type: MsgReassign, Epoch: 1}},
-		{"negative telemetry", &Envelope{Type: MsgTelemetry, Telemetry: &Telemetry{Partitions: -1}}},
-		{"vector on a control frame", &Envelope{Type: MsgTelemetry, Vector: []float64{1}}},
-		{"quantized payload on a control frame", &Envelope{Type: MsgHello, WorkerID: 1, Quant: []byte{1}, QuantLen: 1}},
-		{"negative root generation", &Envelope{Type: MsgShutdown, RootGen: -1}},
-		{"adopt without payload", &Envelope{Type: MsgType(9)}},
-		{"adopt negative group", adopt(legacyAdoption{Group: -1, Epoch: -1})},
-		{"adopt impossible epoch", adopt(legacyAdoption{Group: 0, Epoch: -2})},
-		{"adopt unsorted members", adopt(legacyAdoption{Group: 0, Epoch: 0, Members: []int{3, 2}})},
-		{"adopt zero member id", adopt(legacyAdoption{Group: 0, Epoch: 0, Members: []int{0, 1}})},
+		{"unknown type", referenceFrame(&Envelope{Type: MsgType(99)})},
+		{"retired assign number", referenceFrame(&Envelope{Type: MsgType(2), Assign: &Assignment{
+			Partitions: []int{0}, RowCoeffs: []float64{1}, K: 4, S: 1}})},
+		{"retired batch number", referenceFrame(&Envelope{Type: MsgType(8)})},
+		{"negative iter", referenceFrame(&Envelope{Type: MsgTelemetry, Iter: -1})},
+		{"negative epoch", referenceFrame(&Envelope{Type: MsgTelemetry, Epoch: -3})},
+		{"assign array mismatch", referenceFrame(&Envelope{Type: MsgReassign, Assign: &Assignment{
+			Partitions: []int{0, 1}, RowCoeffs: []float64{1}, K: 4, S: 1}})},
+		{"assign bad k", referenceFrame(&Envelope{Type: MsgReassign, Assign: &Assignment{
+			Partitions: []int{0}, RowCoeffs: []float64{1}, K: 0, S: 1}})},
+		{"assign negative s", referenceFrame(&Envelope{Type: MsgReassign, Assign: &Assignment{
+			Partitions: []int{0}, RowCoeffs: []float64{1}, K: 4, S: -1}})},
+		{"assign partition out of range", referenceFrame(&Envelope{Type: MsgReassign, Assign: &Assignment{
+			Partitions: []int{7}, RowCoeffs: []float64{1}, K: 4, S: 1}})},
+		{"assign overfull", referenceFrame(&Envelope{Type: MsgReassign, Assign: &Assignment{
+			Partitions: []int{0, 1, 0}, RowCoeffs: []float64{1, 1, 1}, K: 2, S: 0}})},
+		{"reassign without payload", referenceFrame(&Envelope{Type: MsgReassign})},
+		{"assign without payload", referenceFrame(&Envelope{Type: MsgReassign, Epoch: 1})},
+		{"negative telemetry", referenceFrame(&Envelope{Type: MsgTelemetry, Telemetry: &Telemetry{Partitions: -1}})},
+		{"vector on a control frame", referenceFrame(&Envelope{Type: MsgTelemetry, Vector: []float64{1}})},
+		{"quantized payload on a control frame", referenceFrame(&Envelope{Type: MsgHello, WorkerID: 1, Quant: []byte{1}, QuantLen: 1})},
+		{"negative root generation", referenceFrame(&Envelope{Type: MsgShutdown, RootGen: -1})},
+		{"adopt without payload", referenceFrame(&Envelope{Type: MsgType(9)})},
 	}
 	for _, tc := range bad {
 		t.Run(tc.name, func(t *testing.T) {
 			client, server := pipePair(t)
-			var err error
-			if env, ok := tc.env.(*Envelope); ok {
-				err = client.Send(env)
-			} else {
-				err = client.enc.Encode(tc.env)
-			}
-			if err != nil {
+			if _, err := client.w.Write(tc.frame); err != nil {
 				t.Fatal(err)
 			}
 			if _, err := server.Recv(); !errors.Is(err, ErrMalformed) {
@@ -195,39 +168,6 @@ func TestSendRefusesUnframable(t *testing.T) {
 	}
 }
 
-// TestRecvRefusesGobVectors: no silent fallback on the way in. A params or
-// gradient envelope that arrives gob-encoded — raw or quantized, chunked or
-// traced — is refused with ErrMalformed, and the stream stays in sync: the
-// gob control frame and the vector frame behind it still decode.
-func TestRecvRefusesGobVectors(t *testing.T) {
-	q, err := grad.AppendQuantized(nil, grad.CodecInt8, []float64{1, 2, 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cases := map[string]*Envelope{
-		"params":             {Type: MsgParams, Iter: 1, Vector: []float64{1, 2}},
-		"empty params":       {Type: MsgParams, Iter: 1},
-		"gradient":           {Type: MsgGradient, Iter: 1, WorkerID: 2, Vector: []float64{1}},
-		"chunked gradient":   {Type: MsgGradient, WorkerID: 2, Chunk: 1, Chunks: 2, Vector: []float64{1}},
-		"quantized gradient": {Type: MsgGradient, WorkerID: 2, Codec: byte(grad.CodecInt8), Quant: q, QuantLen: 3},
-		"traced gradient":    {Type: MsgGradient, WorkerID: 2, Trace: 7, Spans: []PhaseSpan{{Phase: "compute", Seconds: 1}}, Vector: []float64{1}},
-	}
-	control := &Envelope{Type: MsgTelemetry, Iter: 4, WorkerID: 2, Telemetry: &Telemetry{Partitions: 1}}
-	next := referenceFrame(&Envelope{Type: MsgParams, Iter: 9, Vector: []float64{4}})
-	for name, e := range cases {
-		c := NewConn(&memConn{r: bytes.NewReader(append(encodeFrames(t, e, control), next...))})
-		if _, err := c.Recv(); !errors.Is(err, ErrMalformed) {
-			t.Fatalf("gob %s: Recv = %v, want ErrMalformed", name, err)
-		}
-		if got, err := c.Recv(); err != nil || got.Type != MsgTelemetry || got.Iter != 4 {
-			t.Fatalf("gob %s: the control frame behind it: %+v, %v", name, got, err)
-		}
-		if got, err := c.Recv(); err != nil || got.Type != MsgParams || got.Iter != 9 {
-			t.Fatalf("gob %s: the vector frame behind it: %+v, %v", name, got, err)
-		}
-	}
-}
-
 func TestTelemetryReassignRoundTrip(t *testing.T) {
 	client, server := pipePair(t)
 	tel := &Telemetry{ComputeSeconds: 0.125, UploadSeconds: 0.001, Partitions: 3}
@@ -252,6 +192,24 @@ func TestTelemetryReassignRoundTrip(t *testing.T) {
 	}
 	if env.Type != MsgReassign || env.Epoch != 3 || env.Assign == nil || env.Assign.K != 5 {
 		t.Fatalf("reassign = %+v", env)
+	}
+}
+
+// TestTelemetryNilIsZero pins the one decoding of a telemetry frame: its
+// layout always holds the three numbers, so a nil Telemetry goes out as zeros
+// and a received telemetry frame always has a non-nil Telemetry, all zero for
+// a nil or an all-zero one sent. Readers cannot tell the two apart: the
+// roster observes only Partitions > 0.
+func TestTelemetryNilIsZero(t *testing.T) {
+	client, server := pipePair(t)
+	for _, tel := range []*Telemetry{nil, {}} {
+		if err := client.Send(&Envelope{Type: MsgTelemetry, Iter: 3, Telemetry: tel}); err != nil {
+			t.Fatal(err)
+		}
+		env, err := server.Recv()
+		if err != nil || env.Type != MsgTelemetry || env.Iter != 3 || env.Telemetry == nil || *env.Telemetry != (Telemetry{}) {
+			t.Fatalf("sent telemetry %+v, received %+v (%v)", tel, env, err)
+		}
 	}
 }
 

@@ -24,8 +24,8 @@ var wire struct {
 
 // Wire snapshots the process-wide transport counters: frames received and
 // sent, raw bytes read and written (counted at the net.Conn boundary, so
-// frame headers and gob overhead are included), batch frames sent, and frames
-// rejected as malformed. Counters are cumulative for the process lifetime.
+// frame headers are included), batch frames sent, and frames rejected as
+// malformed. Counters are cumulative for the process lifetime.
 func Wire() (framesIn, framesOut, bytesIn, bytesOut, batches, malformed uint64) {
 	return wire.framesIn.Load(), wire.framesOut.Load(),
 		wire.bytesIn.Load(), wire.bytesOut.Load(),
@@ -40,15 +40,6 @@ var wireCodec [grad.NumCodecs]struct {
 	framesIn, framesOut, bytesIn, bytesOut atomic.Uint64
 }
 
-// codecPayload classifies a gradient envelope's payload for the per-codec
-// counters.
-func codecPayload(e *Envelope) (codec byte, bytes uint64) {
-	if len(e.Quant) > 0 {
-		return e.Codec, uint64(len(e.Quant))
-	}
-	return byte(grad.CodecRaw), uint64(8 * len(e.Vector))
-}
-
 func countCodecIn(c byte, n uint64) {
 	if int(c) >= len(wireCodec) {
 		return
@@ -57,8 +48,12 @@ func countCodecIn(c byte, n uint64) {
 	wireCodec[c].bytesIn.Add(n)
 }
 
+// countCodecOut counts a sent gradient envelope's payload.
 func countCodecOut(e *Envelope) {
-	c, n := codecPayload(e)
+	c, n := byte(grad.CodecRaw), uint64(8*len(e.Vector))
+	if len(e.Quant) > 0 {
+		c, n = e.Codec, uint64(len(e.Quant))
+	}
 	if int(c) >= len(wireCodec) {
 		return
 	}
