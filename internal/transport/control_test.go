@@ -2,6 +2,10 @@ package transport
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"io"
+	"runtime"
 	"testing"
 
 	"github.com/hetgc/hetgc/internal/grad"
@@ -115,6 +119,39 @@ func sameControl(t *testing.T, i int, got, want *Envelope) {
 			if a.Partitions[j] != w.Partitions[j] || a.RowCoeffs[j] != w.RowCoeffs[j] {
 				t.Fatalf("message %d assignment entry %d: %+v, want %+v", i, j, a, w)
 			}
+		}
+	}
+}
+
+// TestControlPayloadGrowsAsItArrives: a partition or reassign sub-frame whose
+// header, sub-frame and frame lengths consistently declare a payload of about
+// 1 GiB, of which 64 KiB arrive, ends in the stream's EOF, and the decoder's
+// buffer follows the bytes received (one allocStep), not the declaration.
+func TestControlPayloadGrowsAsItArrives(t *testing.T) {
+	cases := []struct {
+		e        *Envelope
+		declared int // elements
+	}{
+		{&Envelope{Type: MsgPartition, Part: 1, Chunks: 1, Blob: make([]byte, 64<<10)}, 1 << 30},
+		{&Envelope{Type: MsgReassign, Assign: &Assignment{Partitions: make([]int, 4<<10), RowCoeffs: make([]float64, 4<<10), K: 1}}, 1 << 26},
+	}
+	for _, tc := range cases {
+		frame := referenceFrame(tc.e)
+		sub := len(frame) - wireHeaderLen - 4
+		head := sub - payloadLen(tc.e.Type, elements(tc.e))
+		declared := head + payloadLen(tc.e.Type, tc.declared)
+		binary.LittleEndian.PutUint32(frame[wireHeaderLen+4+vectorHeaderLen-4:], uint32(tc.declared))
+		wireOrder.PutUint32(frame[wireHeaderLen:], uint32(declared))
+		wireOrder.PutUint32(frame[1:], uint32(4+declared))
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := NewConn(&memConn{r: bytes.NewReader(frame)}).Recv()
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, io.ErrUnexpectedEOF) {
+			t.Fatalf("%v declaring %d elements over %d bytes: %v, want io.ErrUnexpectedEOF", tc.e.Type, tc.declared, len(frame), err)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > allocStep+1<<20 {
+			t.Fatalf("%v declaring %d elements over %d bytes made the decoder allocate %d MiB", tc.e.Type, tc.declared, len(frame), grew>>20)
 		}
 	}
 }
