@@ -89,27 +89,55 @@ func TestHeterAwarePaperExample(t *testing.T) {
 	}
 }
 
+// Every straggler pattern of size ≤ s decodes to a row a with aᵀB = 1ᵀ and
+// a zero on every straggler: the Example 1 heter-aware code, an s = 2
+// heter-aware code and the Example 1 group-based code.
 func TestHeterAwareDecodeEveryPattern(t *testing.T) {
-	st, err := NewHeterAware([]float64{1, 2, 3, 4, 4}, 7, 1, newRng(2))
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name  string
+		build func() (*Strategy, error)
+	}{
+		{"heter-aware-s1", func() (*Strategy, error) { return NewHeterAware([]float64{1, 2, 3, 4, 4}, 7, 1, newRng(2)) }},
+		{"heter-aware-s2", func() (*Strategy, error) { return NewHeterAware([]float64{1, 1, 2, 2, 3, 3}, 8, 2, newRng(42)) }},
+		{"group-based-s1", func() (*Strategy, error) { return NewGroupBased([]float64{1, 2, 3, 4, 4}, 7, 1, newRng(46)) }},
 	}
-	ones := linalg.OnesVec(7)
-	for dead := 0; dead < 5; dead++ {
-		coeffs, err := st.Decode(AliveFromStragglers(5, []int{dead}))
-		if err != nil {
-			t.Fatalf("straggler %d: %v", dead, err)
-		}
-		if coeffs[dead] != 0 {
-			t.Fatalf("straggler %d got non-zero coefficient %v", dead, coeffs[dead])
-		}
-		row, err := st.B().VecMul(coeffs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !linalg.VecEqual(row, ones, 1e-7) {
-			t.Fatalf("aᵀB = %v, want all-ones", row)
-		}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			st, err := tc.build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			ones := linalg.OnesVec(st.K())
+			var stragglers []int
+			var walk func(start int)
+			walk = func(start int) {
+				coeffs, err := st.Decode(AliveFromStragglers(st.M(), stragglers))
+				if err != nil {
+					t.Fatalf("stragglers %v: %v", stragglers, err)
+				}
+				for _, w := range stragglers {
+					if coeffs[w] != 0 {
+						t.Fatalf("stragglers %v: worker %d got non-zero coefficient %v", stragglers, w, coeffs[w])
+					}
+				}
+				row, err := st.B().VecMul(coeffs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !linalg.VecEqual(row, ones, 1e-7) {
+					t.Fatalf("stragglers %v: aᵀB = %v, want all-ones", stragglers, row)
+				}
+				if len(stragglers) == st.S() {
+					return
+				}
+				for w := start; w < st.M(); w++ {
+					stragglers = append(stragglers, w)
+					walk(w + 1)
+					stragglers = stragglers[:len(stragglers)-1]
+				}
+			}
+			walk(0)
+		})
 	}
 }
 

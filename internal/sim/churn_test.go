@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"github.com/hetgc/hetgc/internal/core"
+	"github.com/hetgc/hetgc/internal/straggler"
 )
 
 // churnScenario mirrors the live end-to-end churn test: two of four workers
@@ -82,6 +83,43 @@ func TestRunElasticChurnScenario(t *testing.T) {
 	if at, bt := tail(res.Times), tail(base.Times); at >= bt {
 		t.Fatalf("adaptive tail %.5fs not better than frozen tail %.5fs", at, bt)
 	}
+
+	// No churn at all: an 18x speed spread planned from a uniform prior
+	// (no Estimates), one random 10 s straggler per iteration. The meters
+	// must see the imbalance, re-code for drift, and the re-coded
+	// iterations must run faster on average than the ones before.
+	t.Run("uniform-prior-drift", func(t *testing.T) {
+		res, err := RunElastic(ElasticSimConfig{
+			K: 21, S: 1,
+			InitialRates: []float64{0.5, 1, 2, 4, 4.5, 9},
+			Injector:     straggler.Fixed{Count: 1, Delay: 10},
+			Iterations:   30,
+			Seed:         11,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		at := -1
+		for _, ev := range res.Replans {
+			if ev.Reason == "drift" {
+				at = ev.Iter
+				break
+			}
+		}
+		if at <= 0 || at >= len(res.Times) {
+			t.Fatalf("no drift replan inside the run: %+v", res.Replans)
+		}
+		mean := func(xs []float64) float64 {
+			sum := 0.0
+			for _, x := range xs {
+				sum += x
+			}
+			return sum / float64(len(xs))
+		}
+		if before, after := mean(res.Times[:at]), mean(res.Times[at:]); after >= before {
+			t.Fatalf("mean iteration %.3fs after the drift replan at %d, want below %.3fs before", after, at, before)
+		}
+	})
 }
 
 func TestRunElasticDeterministic(t *testing.T) {
