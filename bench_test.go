@@ -3,12 +3,15 @@ package hetgc
 import (
 	"math"
 	"testing"
+
+	"github.com/hetgc/hetgc/internal/experiments"
+	"github.com/hetgc/hetgc/internal/sim"
 )
 
-// Benchmarks regenerating the paper's tables and figures (see DESIGN.md's
-// experiment index and EXPERIMENTS.md for paper-vs-measured shapes). Each
-// b.N loop runs the full experiment at a reduced iteration count; run
-// `cmd/gcsim` for the full-size tables.
+// Benchmarks regenerating the paper's tables and figures: each one is a
+// `gcsim -exp` table (table2, fig2a, fig2b, fig3, fig4, fig5,
+// ablation-misest, ablation-s) whose b.N loop runs the full experiment at a
+// reduced iteration count; run `cmd/gcsim` for the full-size tables.
 
 // BenchmarkTable2Clusters builds all four Table II clusters and their
 // strategies.
@@ -16,7 +19,7 @@ func BenchmarkTable2Clusters(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for _, cl := range []*Cluster{ClusterA(), ClusterB(), ClusterC(), ClusterD()} {
 			rng := NewRand(int64(i))
-			k := ChooseK(cl, 1)
+			k := experiments.ChooseK(cl, 1)
 			if _, err := BuildStrategy(HeterAware, cl.Throughputs(), k, 1, rng); err != nil {
 				b.Fatal(err)
 			}
@@ -163,7 +166,7 @@ func BenchmarkReplicationSweep(b *testing.B) {
 func BenchmarkConstructHeterAware(b *testing.B) {
 	cl := ClusterD()
 	ths := cl.Throughputs()
-	k := ChooseK(cl, 1)
+	k := experiments.ChooseK(cl, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := NewHeterAware(ths, k, 1, NewRand(int64(i+1))); err != nil {
@@ -177,7 +180,7 @@ func BenchmarkConstructHeterAware(b *testing.B) {
 func BenchmarkConstructGroupBased(b *testing.B) {
 	cl := ClusterB()
 	ths := cl.Throughputs()
-	k := ChooseK(cl, 1)
+	k := experiments.ChooseK(cl, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := NewGroupBased(ths, k, 1, NewRand(int64(i+1))); err != nil {
@@ -190,7 +193,7 @@ func BenchmarkConstructGroupBased(b *testing.B) {
 // by heter-aware codes.
 func BenchmarkDecodeFastPath(b *testing.B) {
 	cl := ClusterB()
-	st, err := NewHeterAware(cl.Throughputs(), ChooseK(cl, 2), 2, NewRand(1))
+	st, err := NewHeterAware(cl.Throughputs(), experiments.ChooseK(cl, 2), 2, NewRand(1))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -218,7 +221,7 @@ func BenchmarkDecodeGroupBroken(b *testing.B) {
 search:
 	for _, cl := range []*Cluster{ClusterA(), ClusterB(), ClusterC(), ClusterD()} {
 		for _, s := range []int{1, 2, 3} {
-			cand, err := BuildStrategy(GroupBased, cl.Throughputs(), ChooseK(cl, s), s, NewRand(1))
+			cand, err := BuildStrategy(GroupBased, cl.Throughputs(), experiments.ChooseK(cl, s), s, NewRand(1))
 			if err != nil {
 				continue
 			}
@@ -282,7 +285,7 @@ func BenchmarkSSP(b *testing.B) {
 	ths := ClusterA().Throughputs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := RunSSP(SSPConfig{
+		if _, err := sim.RunSSP(sim.SSPConfig{
 			Throughputs:         ths,
 			Staleness:           3,
 			Model:               &Softmax{InputDim: 4, NumClasses: 3},

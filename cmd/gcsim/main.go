@@ -1,6 +1,5 @@
 // Command gcsim regenerates the paper's evaluation tables and figures on the
-// simulated clusters. Each -exp value corresponds to one table/figure (see
-// DESIGN.md's experiment index):
+// simulated clusters. Each -exp value corresponds to one table or figure:
 //
 //	gcsim -exp table2                 # Table II cluster configurations
 //	gcsim -exp fig2a                  # Fig. 2a delay sweep, Cluster-A, s=1

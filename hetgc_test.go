@@ -3,9 +3,18 @@ package hetgc
 import (
 	"errors"
 	"math"
-	"strings"
 	"testing"
 	"time"
+
+	"github.com/hetgc/hetgc/internal/core"
+	"github.com/hetgc/hetgc/internal/elastic"
+	"github.com/hetgc/hetgc/internal/estimate"
+	"github.com/hetgc/hetgc/internal/experiments"
+	"github.com/hetgc/hetgc/internal/grad"
+	"github.com/hetgc/hetgc/internal/ml"
+	"github.com/hetgc/hetgc/internal/planner"
+	"github.com/hetgc/hetgc/internal/sim"
+	"github.com/hetgc/hetgc/internal/straggler"
 )
 
 // TestPublicAPIQuickstart walks the documented core loop end to end through
@@ -61,10 +70,10 @@ func TestPublicAPIQuickstart(t *testing.T) {
 	}
 }
 
-// frozenSim is a facade-only timing simulation of one scheme at fixed true
-// speeds (datasets/second): no churn, and the plan frozen at its initial
-// build from the true speeds, the way the paper's figures run.
-func frozenSim(kind Kind, speeds []float64, k, s int, inj StragglerInjector, iters int, seed int64) ElasticSimConfig {
+// frozenSim is a timing simulation of one scheme at fixed true speeds
+// (datasets/second): no churn, and the plan frozen at its initial build from
+// the true speeds, the way the paper's figures run.
+func frozenSim(kind Kind, speeds []float64, k, s int, inj straggler.Injector, iters int, seed int64) ElasticSimConfig {
 	rates := make([]float64, len(speeds))
 	for i, v := range speeds {
 		rates[i] = v * float64(k)
@@ -81,8 +90,8 @@ func frozenSim(kind Kind, speeds []float64, k, s int, inj StragglerInjector, ite
 
 func TestPublicAPISimulation(t *testing.T) {
 	cl := ClusterA()
-	res, err := SimulateElastic(frozenSim(HeterAware, cl.Throughputs(), ChooseK(cl, 1), 1,
-		FixedStragglers{Count: 1, Delay: 5}, 10, 2))
+	res, err := SimulateElastic(frozenSim(HeterAware, cl.Throughputs(), experiments.ChooseK(cl, 1), 1,
+		straggler.Fixed{Count: 1, Delay: 5}, 10, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,72 +126,35 @@ func TestPublicAPITableRunners(t *testing.T) {
 	}
 }
 
-func TestNewClusterFacade(t *testing.T) {
-	cl, err := NewCluster("tiny", map[int]int{4: 3}, 0.01)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cl.M() != 3 {
-		t.Fatalf("m = %d", cl.M())
-	}
-}
-
-func TestSeedFromTimeMoves(t *testing.T) {
-	if SeedFromTime() == 0 {
-		t.Fatal("zero seed")
-	}
-}
-
+// TestPublicAPIPlannerAndDecodingMatrix builds a code through the planner
+// and reads a row of its decoding matrix A twice: the first decode of a
+// straggler pattern solves online, the second is answered from the
+// decode-plan cache (§III.B's partially stored A) with the same row.
 func TestPublicAPIPlannerAndDecodingMatrix(t *testing.T) {
 	rng := NewRand(9)
 	st, err := BuildStrategy(HeterAware, []float64{1, 2, 3, 4, 4}, 7, 1, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Pre-store decoding rows for the chronically slow workers 0 and 1.
-	dm, err := st.PrecomputePatterns(RegularPatterns([]int{0, 1}, 1))
+	alive := AliveFromStragglers(st.M(), []int{0})
+	live, err := st.Decode(alive)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dm.Size() != 3 { // {}, {0}, {1}
-		t.Fatalf("size = %d", dm.Size())
-	}
-	row, ok := dm.Lookup([]int{0})
-	if !ok || row[0] != 0 {
-		t.Fatalf("lookup = %v %v", row, ok)
-	}
-	// The stored row must agree with a live decode.
-	live, err := st.Decode(AliveFromStragglers(st.M(), []int{0}))
+	stored, err := st.Decode(alive)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range row {
-		if math.Abs(row[i]-live[i]) > 1e-12 {
-			t.Fatalf("stored row diverges from live decode at %d: %v vs %v", i, row[i], live[i])
+	if stats := st.DecodeCacheStats(); stats.Misses != 1 || stats.Hits != 1 {
+		t.Fatalf("cache stats = %+v, want one miss then one hit", stats)
+	}
+	if stored[0] != 0 {
+		t.Fatalf("straggler 0 coefficient = %v, want 0", stored[0])
+	}
+	for i := range stored {
+		if stored[i] != live[i] {
+			t.Fatalf("stored row diverges from live decode at %d: %v vs %v", i, stored[i], live[i])
 		}
-	}
-}
-
-func TestPublicAPICSVExports(t *testing.T) {
-	var sb strings.Builder
-	if err := Table2().WriteCSV(&sb); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.HasPrefix(sb.String(), "vCPUs,Cluster-A") {
-		t.Fatalf("csv = %q", sb.String())
-	}
-	// A simulated training run's loss curve exports as CSV too.
-	res, err := SimulateElastic(trainingSim(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res.Loss.Name = "group-based"
-	sb.Reset()
-	if err := MergeSeriesCSV(&sb, []LossSeries{res.Loss}); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(sb.String(), "group-based") || strings.Count(sb.String(), "\n") != 1+len(res.Loss.Points) {
-		t.Fatalf("loss csv = %q", sb.String())
 	}
 }
 
@@ -195,7 +167,7 @@ func TestFractionalRepetitionComparableToCyclic(t *testing.T) {
 		ths[i] = 0.08 // homogeneous
 	}
 	run := func(kind Kind) float64 {
-		res, err := SimulateElastic(frozenSim(kind, ths, m, s, FixedStragglers{Count: 1, Delay: 10}, 30, 12))
+		res, err := sim.RunElastic(frozenSim(kind, ths, m, s, straggler.Fixed{Count: 1, Delay: 10}, 30, 12))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -233,59 +205,43 @@ func TestPublicAPITrainingSimulations(t *testing.T) {
 	if pts := res.Loss.Points; len(pts) != 11 || pts[10].Y >= pts[0].Y {
 		t.Fatalf("loss did not drop over 10 recorded iterations: %v", pts)
 	}
-	data := cfg.Data
-	ssp, err := RunSSP(SSPConfig{
-		Throughputs:         []float64{0.1, 0.4},
-		Staleness:           1,
-		Model:               &Softmax{InputDim: 4, NumClasses: 2},
-		Data:                data,
-		Optimizer:           &SGD{LR: 0.2},
-		IterationsPerWorker: 10,
-		Name:                "ssp",
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ssp.TotalTime <= 0 {
-		t.Fatal("ssp did not advance time")
-	}
 }
 
 func TestPublicAPIMiscWrappers(t *testing.T) {
 	rng := NewRand(21)
-	reg, err := LinearData(20, 3, 0.1, rng)
+	reg, err := ml.LinearData(20, 3, 0.1, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := &LinearRegression{InputDim: 3}
+	m := &ml.LinearRegression{InputDim: 3}
 	if _, err := MeanLoss(m, m.InitParams(nil), reg); err != nil {
 		t.Fatal(err)
 	}
-	sum, err := SumGradients([]Gradient{{1, 2}, {3, 4}})
+	sum, err := grad.Sum([]Gradient{{1, 2}, {3, 4}})
 	if err != nil || sum[1] != 6 {
 		t.Fatalf("sum = %v err = %v", sum, err)
 	}
-	noisy := MisestimateThroughputs([]float64{1, 2}, 0.2, rng)
+	noisy := estimate.Misestimate([]float64{1, 2}, 0.2, rng)
 	if len(noisy) != 2 {
 		t.Fatalf("noisy = %v", noisy)
 	}
-	meter := NewThroughputMeter(0.5, 1)
+	meter := estimate.NewMeter(0.5, 1)
 	if err := meter.Observe(2, 1); err != nil {
 		t.Fatal(err)
 	}
 	if v := meter.Rate(1); v != 2 {
 		t.Fatalf("meter = %v", v)
 	}
-	if _, err := NewFractionalRepetition(6, 1); err != nil {
+	if _, err := core.NewFractionalRepetition(6, 1); err != nil {
 		t.Fatal(err)
 	}
-	if st, err := NewNaive(3); err != nil || st.Kind() != Naive {
+	if st, err := core.NewNaive(3); err != nil || st.Kind() != Naive {
 		t.Fatalf("naive: %v %v", st, err)
 	}
 }
 
-// TestElasticFacade exercises the public elastic control-plane surface: the
-// deterministic churn simulation, the controller, the throughput meter and
+// TestElasticFacade exercises the public churn simulation, then the pieces
+// of the control plane behind it: the controller, the throughput meter and
 // the imbalance predictor.
 func TestElasticFacade(t *testing.T) {
 	cfg := ElasticSimConfig{
@@ -317,7 +273,7 @@ func TestElasticFacade(t *testing.T) {
 		}
 	}
 
-	ctrl, err := NewElasticController(ElasticControllerConfig{K: 6, S: 1}, NewRand(4))
+	ctrl, err := elastic.NewController(elastic.Config{K: 6, S: 1}, NewRand(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,7 +284,7 @@ func TestElasticFacade(t *testing.T) {
 		t.Fatalf("plan = %+v err = %v", plan, err)
 	}
 
-	meter := NewThroughputMeter(0.5, 2)
+	meter := estimate.NewMeter(0.5, 2)
 	if meter.Rate(1) != 2 {
 		t.Fatalf("cold meter rate = %v, want prior 2", meter.Rate(1))
 	}
@@ -342,7 +298,7 @@ func TestElasticFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if im := PredictedImbalance(st, []float64{1, 2, 3}); im < 1-1e-9 || im > 2 {
+	if im := planner.PredictedImbalance(st, []float64{1, 2, 3}); im < 1-1e-9 || im > 2 {
 		t.Fatalf("imbalance = %v", im)
 	}
 }

@@ -8,7 +8,6 @@ package cluster
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 )
 
 // ErrBadSpec is returned for invalid cluster definitions.
@@ -45,15 +44,6 @@ func (c *Cluster) Throughputs() []float64 {
 	return out
 }
 
-// TotalThroughput returns Σ c_i.
-func (c *Cluster) TotalThroughput() float64 {
-	var sum float64
-	for _, w := range c.Workers {
-		sum += w.Throughput()
-	}
-	return sum
-}
-
 // Validate checks that the cluster is non-empty with positive throughputs.
 func (c *Cluster) Validate() error {
 	if len(c.Workers) == 0 {
@@ -65,24 +55,6 @@ func (c *Cluster) Validate() error {
 		}
 	}
 	return nil
-}
-
-// NoisyThroughputs returns the throughput vector perturbed multiplicatively
-// by Uniform(1−eps, 1+eps) noise — the imperfect estimation setting that
-// motivates the group-based scheme (§V).
-func (c *Cluster) NoisyThroughputs(eps float64, rng *rand.Rand) []float64 {
-	out := c.Throughputs()
-	if eps <= 0 || rng == nil {
-		return out
-	}
-	for i := range out {
-		factor := 1 + eps*(2*rng.Float64()-1)
-		if factor < 0.05 {
-			factor = 0.05
-		}
-		out[i] *= factor
-	}
-	return out
 }
 
 // FromHistogram builds a cluster from a map of vCPU size → machine count,
@@ -160,8 +132,3 @@ func ClusterC() *Cluster { return table2("Cluster-C", 1, 4, 10, 12, 5) }
 
 // ClusterD returns Table II Cluster-D: 58 workers (4×4, 20×8, 18×12, 16×16).
 func ClusterD() *Cluster { return table2("Cluster-D", 0, 4, 20, 18, 16) }
-
-// Homogeneous returns a uniform cluster of m workers with the given vCPUs.
-func Homogeneous(name string, m, vcpus int) (*Cluster, error) {
-	return FromHistogram(name, map[int]int{vcpus: m}, defaultBase)
-}

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"errors"
-	"math/rand"
 	"testing"
 )
 
@@ -47,13 +46,6 @@ func TestThroughputProportionalToVCPUs(t *testing.T) {
 			t.Fatalf("throughput[%d] = %v", i, ths[i])
 		}
 	}
-	var sum float64
-	for _, v := range ths {
-		sum += v
-	}
-	if c.TotalThroughput() != sum {
-		t.Fatal("TotalThroughput mismatch")
-	}
 }
 
 func TestFromHistogramErrors(t *testing.T) {
@@ -77,41 +69,6 @@ func TestFromHistogramDeterministicOrder(t *testing.T) {
 	for i, w := range a.Workers {
 		if w.VCPUs != want[i] {
 			t.Fatalf("order = %v", a.Workers)
-		}
-	}
-}
-
-func TestHomogeneous(t *testing.T) {
-	c, err := Homogeneous("h", 5, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.M() != 5 {
-		t.Fatalf("m = %d", c.M())
-	}
-	for _, w := range c.Workers {
-		if w.VCPUs != 8 {
-			t.Fatalf("vcpus = %d", w.VCPUs)
-		}
-	}
-}
-
-func TestNoisyThroughputsBounds(t *testing.T) {
-	c := ClusterB()
-	rng := rand.New(rand.NewSource(1))
-	noisy := c.NoisyThroughputs(0.3, rng)
-	exact := c.Throughputs()
-	for i := range noisy {
-		lo, hi := exact[i]*0.7, exact[i]*1.3
-		if noisy[i] < lo-1e-9 || noisy[i] > hi+1e-9 {
-			t.Fatalf("noisy[%d] = %v outside [%v,%v]", i, noisy[i], lo, hi)
-		}
-	}
-	// eps=0 or nil rng: exact copy.
-	same := c.NoisyThroughputs(0, rng)
-	for i := range same {
-		if same[i] != exact[i] {
-			t.Fatal("eps=0 must be exact")
 		}
 	}
 }

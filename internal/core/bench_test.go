@@ -5,8 +5,9 @@ import (
 	"testing"
 )
 
-// Decode-path ablation (DESIGN.md): the paper's O(s³) null-space decoding
-// versus the generic Gaussian fallback on the same strategy and patterns.
+// Decode-path ablation, gated by `make bench-compare` (README "Performance"):
+// the paper's O(s³) null-space decoding versus the generic Gaussian fallback
+// on the same strategy and patterns.
 
 func benchStrategy(b *testing.B, m, s int) *Strategy {
 	b.Helper()

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"sync/atomic"
 
 	"github.com/hetgc/hetgc/internal/metrics"
@@ -327,50 +326,4 @@ func (st *Strategy) DecodeCacheStats() metrics.CacheStats {
 	size := st.cacheSizeLocked()
 	st.planMu.RUnlock()
 	return st.planCounters.Snapshot(size, st.planCapacity())
-}
-
-// InstallDecodingMatrix seeds the decode-plan cache with the precomputed rows
-// of dm (the paper's partially-stored decoding matrix A), so those patterns
-// hit on their very first Decode. Rows are installed without copying: the
-// cache and dm share storage, which is safe because both treat rows as
-// immutable.
-func (st *Strategy) InstallDecodingMatrix(dm *DecodingMatrix) error {
-	if dm == nil {
-		return fmt.Errorf("%w: nil decoding matrix", ErrBadInput)
-	}
-	m := st.M()
-	for i, p := range dm.Patterns {
-		row, ok := dm.lookupRef(p)
-		if !ok || len(row) != m {
-			return fmt.Errorf("%w: decoding matrix row %d does not match m=%d", ErrBadInput, i, m)
-		}
-		if err := st.verifyCoeffs(row); err != nil {
-			return fmt.Errorf("pattern %v: %w", p, err)
-		}
-		alive := AliveFromStragglers(m, p)
-		st.planMu.Lock()
-		if _, ok := st.plansLocked(alive); ok {
-			// The pattern is already cached with identical semantics (both
-			// sides are verified rows for the same B); keep the prior entry
-			// so existing references stay canonical.
-			st.planMu.Unlock()
-			continue
-		}
-		st.storePlan(alive, &decodeResult{coeffs: row})
-		st.planMu.Unlock()
-	}
-	return nil
-}
-
-// WarmCache decodes every given straggler pattern once so subsequent decodes
-// hit the plan cache. It is a convenience wrapper equivalent to
-// PrecomputePatterns + InstallDecodingMatrix without materialising A.
-func (st *Strategy) WarmCache(patterns []Pattern) error {
-	m := st.M()
-	for _, p := range patterns {
-		if _, err := st.Decode(AliveFromStragglers(m, p)); err != nil {
-			return fmt.Errorf("pattern %v: %w", p, err)
-		}
-	}
-	return nil
 }

@@ -171,59 +171,6 @@ func TestDecodeCacheConcurrentHammer(t *testing.T) {
 	}
 }
 
-func TestInstallDecodingMatrix(t *testing.T) {
-	st := cacheTestStrategy(t, 6)
-	m := st.M()
-	patterns := RegularPatterns([]int{1, 4, 6}, 2)
-	dm, err := st.PrecomputePatterns(patterns)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Install into a freshly built identical strategy so its cache is cold.
-	st2 := cacheTestStrategy(t, 6)
-	if err := st2.InstallDecodingMatrix(dm); err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range patterns {
-		coeffs, err := st2.Decode(AliveFromStragglers(m, p))
-		if err != nil {
-			t.Fatalf("pattern %v: %v", p, err)
-		}
-		want, ok := dm.Lookup(p)
-		if !ok {
-			t.Fatalf("pattern %v missing from dm", p)
-		}
-		if !linalg.VecEqual(coeffs, want, 0) {
-			t.Fatalf("pattern %v: installed row differs", p)
-		}
-	}
-	stats := st2.DecodeCacheStats()
-	if stats.Misses != 0 {
-		t.Fatalf("installed patterns should all hit: %+v", stats)
-	}
-	if err := st2.InstallDecodingMatrix(nil); err == nil {
-		t.Fatal("nil matrix accepted")
-	}
-}
-
-func TestWarmCache(t *testing.T) {
-	st := cacheTestStrategy(t, 7)
-	patterns := RegularPatterns([]int{0, 2}, 2)
-	if err := st.WarmCache(patterns); err != nil {
-		t.Fatal(err)
-	}
-	warm := st.DecodeCacheStats()
-	for _, p := range patterns {
-		if _, err := st.Decode(AliveFromStragglers(st.M(), p)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	after := st.DecodeCacheStats()
-	if after.Misses != warm.Misses {
-		t.Fatalf("warmed patterns missed: %+v -> %+v", warm, after)
-	}
-}
-
 func TestMakePlanKeyWideMasks(t *testing.T) {
 	// 100 workers exercises the packed key's hi word.
 	a := make([]bool, 100)

@@ -2,8 +2,8 @@
 // evaluation (§VI): Table II cluster configurations, Fig. 2 delay sweeps on
 // Cluster-A, Fig. 3 per-cluster iteration times, Fig. 4 loss-versus-time
 // curves including the SSP baseline, Fig. 5 computing-resource usage, plus
-// the ablations called out in DESIGN.md (throughput mis-estimation and
-// replication-factor sweeps).
+// the two ablations, throughput mis-estimation (`gcsim -exp ablation-misest`)
+// and the replication-factor sweep (`gcsim -exp ablation-s`).
 //
 // Each runner returns structured rows and can render the same table the
 // paper reports. Everything is deterministic given the config seed.

@@ -40,9 +40,6 @@ func (c *CacheCounters) Hit() { c.hits.Add(1) }
 // Miss records a cache miss.
 func (c *CacheCounters) Miss() { c.misses.Add(1) }
 
-// Evict records an eviction.
-func (c *CacheCounters) Evict() { c.evictions.Add(1) }
-
 // AddEvictions records n evictions at once (batch eviction).
 func (c *CacheCounters) AddEvictions(n int) {
 	if n > 0 {

@@ -759,8 +759,11 @@ func TestWorkerDiesMidTrainingConverges(t *testing.T) {
 		t.Fatal(err)
 	}
 	var wg sync.WaitGroup
+	// The honest workers take a declared 5 ms per partition, so twelve
+	// iterations outlast the dying member's fourth broadcast and its
+	// hang-up lands mid-run.
 	for i := 0; i < k-1; i++ {
-		f.spawnElasticWorker(t, master.Addr(), &wg, nil)
+		f.spawnElasticWorker(t, master.Addr(), &wg, func(int) time.Duration { return 5 * time.Millisecond })
 	}
 	// The dying member uploads honestly for three iterations and hangs up on
 	// the fourth broadcast.
