@@ -13,7 +13,6 @@ import (
 	"github.com/hetgc/hetgc/internal/grad"
 	"github.com/hetgc/hetgc/internal/ml"
 	"github.com/hetgc/hetgc/internal/planner"
-	"github.com/hetgc/hetgc/internal/sim"
 	"github.com/hetgc/hetgc/internal/straggler"
 )
 
@@ -167,7 +166,7 @@ func TestFractionalRepetitionComparableToCyclic(t *testing.T) {
 		ths[i] = 0.08 // homogeneous
 	}
 	run := func(kind Kind) float64 {
-		res, err := sim.RunElastic(frozenSim(kind, ths, m, s, straggler.Fixed{Count: 1, Delay: 10}, 30, 12))
+		res, err := SimulateElastic(frozenSim(kind, ths, m, s, straggler.Fixed{Count: 1, Delay: 10}, 30, 12))
 		if err != nil {
 			t.Fatal(err)
 		}
