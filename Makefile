@@ -26,7 +26,10 @@ vet:
 # runner is big-endian to take that branch, so the tree is at least built, and
 # the package vetted (unsafeptr), for a target that would. The last grep keeps
 # encoding/gob out of the module, tests included: every message rides the one
-# binary frame.
+# binary frame. The import check keeps the simulator and the experiments off
+# the durable-state packages (checkpoint, ha, rootcore): the durable root
+# lives in rootcore alone, so a crash, lease or snapshot fix has one place to
+# land.
 lint:
 	@unformatted=$$(gofmt -l .); \
 	if [ -n "$$unformatted" ]; then \
@@ -53,6 +56,13 @@ lint:
 		echo "$$bad"; exit 1; \
 	fi
 	@echo "encoding/gob: imported nowhere"
+	@bad=$$($(GO) list -f '{{.ImportPath}}: {{join .Imports " "}}' ./internal/sim ./internal/experiments | \
+		grep -E 'internal/(checkpoint|ha|rootcore)( |$$)'); \
+	if [ -n "$$bad" ]; then \
+		echo "sim/experiments import durable-state packages (the durable root is rootcore's alone):"; \
+		echo "$$bad"; exit 1; \
+	fi
+	@echo "durable state: not imported by sim or experiments"
 
 race:
 	$(GO) test -race ./...

@@ -1,8 +1,7 @@
 // Package checkpoint is the durable-state subsystem: an epoch-granular
-// write-ahead journal plus periodic atomic model snapshots, giving every
-// master in the system — the flat runtime.ElasticMaster, the sharded
-// shard.Root and the deterministic simulator — crash-recovery with
-// deterministic resume.
+// write-ahead journal plus periodic atomic model snapshots, giving both
+// roots in the system — the flat runtime.ElasticMaster and the sharded
+// shard.Root — crash-recovery with deterministic resume.
 //
 // A checkpoint directory holds numbered generations. Generation g is
 // anchored by a snapshot file snap-<g>.ckpt (the full model and
@@ -32,7 +31,6 @@ package checkpoint
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 
 	"github.com/hetgc/hetgc/internal/elastic"
 )
@@ -78,7 +76,7 @@ type Snapshot struct {
 	Step int
 	// Clock is the cumulative training clock in seconds.
 	Clock float64
-	// Params is the model parameter vector (nil for timing-only simulations).
+	// Params is the model parameter vector.
 	Params []float64
 	// OptVecs are the optimizer's state vectors (e.g. SGD momentum velocity,
 	// Adam first/second moments), OptStep its internal step counter.
@@ -86,15 +84,15 @@ type Snapshot struct {
 	// OptStep is the optimizer's internal step counter (Adam's t).
 	OptStep int
 	// Draws is the control-plane RNG source's draw count at capture time
-	// (counting sources only; 0 otherwise).
+	// (0 from both roots, which count no draws).
 	Draws uint64
 	// Groups carries each roster group's durable summary — the highest plan
 	// epoch it ever created and every member ID it ever admitted — so epoch
 	// fencing and ResumeID reservation survive journal compaction (older
 	// journals are deleted once a snapshot folds them in).
 	Groups []GroupState
-	// Ctrl is the control-plane state (membership, estimates, and — in
-	// simulator checkpoints — the current plan's construction provenance).
+	// Ctrl is the control-plane state (membership, estimates, and — with a
+	// draw counter — the current plan's construction provenance).
 	// Nil in sharded root snapshots, which carry per-group controller
 	// states inside Groups instead.
 	Ctrl *elastic.ControllerState
@@ -249,55 +247,4 @@ func (st *State) RestoreTraining(dim int, optimizer any) (TrainingStart, error) 
 		}
 	}
 	return ts, nil
-}
-
-// CountingSource is a seeded rand.Source64 that counts its draws, making an
-// RNG position serialisable: a checkpoint records Draws(), and resume
-// reconstructs the exact source state with NewCountingSource(seed) +
-// FastForward. It is what lets the simulator rebuild a mid-run coding
-// strategy bit-for-bit.
-type CountingSource struct {
-	src   rand.Source64
-	seed  int64
-	draws uint64
-}
-
-// NewCountingSource seeds a counting source.
-func NewCountingSource(seed int64) *CountingSource {
-	return &CountingSource{src: rand.NewSource(seed).(rand.Source64), seed: seed}
-}
-
-// Int63 implements rand.Source.
-func (s *CountingSource) Int63() int64 {
-	s.draws++
-	return s.src.Int63()
-}
-
-// Uint64 implements rand.Source64.
-func (s *CountingSource) Uint64() uint64 {
-	s.draws++
-	return s.src.Uint64()
-}
-
-// Seed reseeds the source and resets the draw counter.
-func (s *CountingSource) Seed(seed int64) {
-	s.src.Seed(seed)
-	s.seed = seed
-	s.draws = 0
-}
-
-// Draws returns the number of values drawn since seeding.
-func (s *CountingSource) Draws() uint64 { return s.draws }
-
-// FastForward advances the source until Draws() == n. It cannot rewind: n
-// below the current position is an error (reseed first).
-func (s *CountingSource) FastForward(n uint64) error {
-	if n < s.draws {
-		return fmt.Errorf("%w: cannot rewind RNG from %d to %d draws (seed %d)", ErrCorrupt, s.draws, n, s.seed)
-	}
-	for s.draws < n {
-		s.draws++
-		_ = s.src.Uint64()
-	}
-	return nil
 }

@@ -426,34 +426,6 @@ func TestStoreTornWALTailRecovers(t *testing.T) {
 	}
 }
 
-func TestCountingSource(t *testing.T) {
-	a := NewCountingSource(42)
-	rngA := rand.New(a)
-	var seq []float64
-	for i := 0; i < 50; i++ {
-		seq = append(seq, rngA.Float64())
-	}
-	mark := a.Draws()
-	var tail []float64
-	for i := 0; i < 20; i++ {
-		tail = append(tail, rngA.Float64())
-	}
-	b := NewCountingSource(42)
-	if err := b.FastForward(mark); err != nil {
-		t.Fatal(err)
-	}
-	rngB := rand.New(b)
-	for i, want := range tail {
-		if got := rngB.Float64(); got != want {
-			t.Fatalf("fast-forwarded draw %d = %v, want %v", i, got, want)
-		}
-	}
-	if err := b.FastForward(0); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("rewind: %v, want ErrCorrupt", err)
-	}
-	_ = seq
-}
-
 func corruptFile(t *testing.T, path string) {
 	t.Helper()
 	data, err := os.ReadFile(path)
@@ -746,23 +718,5 @@ func TestRestoreTraining(t *testing.T) {
 	st.Snap.OptVecs = [][]float64{{4, 5}}
 	if _, err := st.RestoreTraining(2, &restoreStub{err: errors.New("boom")}); err == nil {
 		t.Fatal("optimizer restore failure swallowed")
-	}
-}
-
-func TestCountingSourceReseed(t *testing.T) {
-	s := NewCountingSource(7)
-	if v1, v2 := s.Uint64(), s.Uint64(); v1 == v2 {
-		t.Fatalf("consecutive draws equal: %d", v1)
-	}
-	if s.Draws() != 2 {
-		t.Fatalf("draws = %d, want 2", s.Draws())
-	}
-	first := NewCountingSource(7).Uint64()
-	s.Seed(7)
-	if s.Draws() != 0 {
-		t.Fatalf("reseed kept draw count %d", s.Draws())
-	}
-	if got := s.Uint64(); got != first {
-		t.Fatalf("reseeded draw = %d, want %d", got, first)
 	}
 }

@@ -373,7 +373,7 @@ func TestControllerFixedShape(t *testing.T) {
 	}
 	for _, kind := range []core.Kind{core.Naive, core.Cyclic, core.FractionalRepetition} {
 		t.Run(kind.String(), func(t *testing.T) {
-			src := newCountingSource(11)
+			src := newCountedSource(11)
 			ct, err := NewController(cfg(kind), rand.New(src))
 			if err != nil {
 				t.Fatal(err)
@@ -411,7 +411,7 @@ func TestControllerFixedShape(t *testing.T) {
 
 			// State/Restore rebuilds the same code from the recorded draw position.
 			st := ct.State()
-			src2 := newCountingSource(11)
+			src2 := newCountedSource(11)
 			ct2, err := NewController(cfg(kind), rand.New(src2))
 			if err != nil {
 				t.Fatal(err)

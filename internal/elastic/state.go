@@ -8,13 +8,13 @@
 //     old ResumeID) and raises the epoch base above every epoch the journal
 //     ever recorded, so gradient uploads encoded before the crash are fenced
 //     by the ordinary stale-epoch check.
-//   - The deterministic simulator additionally snapshots the current plan's
-//     provenance — the estimates it was built from and the RNG draw count
-//     consumed before it was built. Because strategy construction is the
-//     control plane's only randomness, replaying the seeded source to
-//     DrawsBefore and rebuilding from the recorded estimates reproduces the
-//     plan bit-for-bit, which is what makes crash-at-k + resume
-//     indistinguishable from an uninterrupted run.
+//   - A controller with a draw counter (SetDrawCounter) additionally
+//     snapshots the current plan's provenance — the estimates it was built
+//     from and the RNG draw count consumed before it was built. Because
+//     strategy construction is the control plane's only randomness,
+//     replaying the seeded source to DrawsBefore and rebuilding from the
+//     recorded estimates reproduces the plan bit-for-bit. No production
+//     caller sets a draw counter: only this package's tests use this level.
 package elastic
 
 import (
@@ -62,17 +62,17 @@ type ControllerState struct {
 	Members []MemberState
 	// LastReplan is the iteration of the most recent replan (-1 before any).
 	LastReplan int
-	// Plan, when set, allows bit-identical plan reconstruction (simulator
-	// checkpoints only; nil in live snapshots).
+	// Plan, when set, allows bit-identical plan reconstruction (only with a
+	// draw counter; nil in live snapshots).
 	Plan *PlanState
 	// Events is the replan history up to the capture.
 	Events []ReplanEvent
 }
 
-// SetDrawCounter hands the controller a view of its RNG source's draw count
-// (checkpoint.CountingSource.Draws). With a counter set, Replan records the
-// draw position before each strategy construction and State includes the
-// PlanState needed for exact reconstruction.
+// SetDrawCounter hands the controller a view of its RNG source's draw
+// count. With a counter set, Replan records the draw position before each
+// strategy construction and State includes the PlanState needed for exact
+// reconstruction.
 func (ct *Controller) SetDrawCounter(draws func() uint64) { ct.draws = draws }
 
 // SetEpochBase raises the floor for the next plan's epoch. A resumed master

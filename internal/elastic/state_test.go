@@ -6,24 +6,23 @@ import (
 	"testing"
 )
 
-// countingSource is a minimal draw-counting rand source for state tests
-// (the production one lives in internal/checkpoint, which this package must
-// not import).
-type countingSource struct {
+// countedSource is a minimal draw-counting rand source for the
+// plan-provenance state tests.
+type countedSource struct {
 	src   rand.Source64
 	draws uint64
 }
 
-func newCountingSource(seed int64) *countingSource {
-	return &countingSource{src: rand.NewSource(seed).(rand.Source64)}
+func newCountedSource(seed int64) *countedSource {
+	return &countedSource{src: rand.NewSource(seed).(rand.Source64)}
 }
-func (s *countingSource) Int63() int64 { s.draws++; return s.src.Int63() }
-func (s *countingSource) Uint64() uint64 {
+func (s *countedSource) Int63() int64 { s.draws++; return s.src.Int63() }
+func (s *countedSource) Uint64() uint64 {
 	s.draws++
 	return s.src.Uint64()
 }
-func (s *countingSource) Seed(seed int64) { s.src.Seed(seed); s.draws = 0 }
-func (s *countingSource) fastForward(n uint64) {
+func (s *countedSource) Seed(seed int64) { s.src.Seed(seed); s.draws = 0 }
+func (s *countedSource) fastForward(n uint64) {
 	for s.draws < n {
 		_ = s.Uint64()
 	}
@@ -63,9 +62,8 @@ func driveController(t *testing.T, src rand.Source) *Controller {
 // rebuilt plan must match the original slot for slot, coefficient for
 // coefficient.
 func TestStateRestoreRebuildsPlanExactly(t *testing.T) {
-	// Drive a controller with the counter attached from the start, as the
-	// simulator does.
-	src := newCountingSource(7)
+	// Drive a controller with the counter attached from the start.
+	src := newCountedSource(7)
 	ct, err := NewController(Config{K: 8, S: 1, Alpha: 0.5, MinObservations: 2, CooldownIters: 2}, rand.New(src))
 	if err != nil {
 		t.Fatal(err)
@@ -95,7 +93,7 @@ func TestStateRestoreRebuildsPlanExactly(t *testing.T) {
 	if st.Plan == nil {
 		t.Fatal("state carries no plan despite the draw counter")
 	}
-	src2 := newCountingSource(7)
+	src2 := newCountedSource(7)
 	ct2, err := NewController(Config{K: 8, S: 1, Alpha: 0.5, MinObservations: 2, CooldownIters: 2}, rand.New(src2))
 	if err != nil {
 		t.Fatal(err)

@@ -175,9 +175,9 @@ func (m nanModel) Gradient(params []float64, d *ml.Dataset) (grad.Gradient, erro
 // TestElasticCodecInt8PoisonIsMalformed: an int8 worker whose gradients hold
 // a NaN uploads a chunk with a NaN scale. The master refuses it at decode
 // and counts it as malformed, as it counts a raw NaN, and the other two
-// workers (s = 1) carry the run to the end with finite parameters. A worker
-// that is last in an iteration abandons it when the next broadcast lands, so
-// the run is long enough that the poisoned one cannot be last every time.
+// workers (s = 1) carry the run to the end with finite parameters. The two
+// honest workers declare 5 ms per partition: undelayed, they could finish all
+// 30 iterations before one poisoned upload reached the master.
 func TestElasticCodecInt8PoisonIsMalformed(t *testing.T) {
 	f := newElasticFixture(t, 4)
 	const k, s, iters, workers = 4, 1, 30, 3
@@ -195,12 +195,14 @@ func TestElasticCodecInt8PoisonIsMalformed(t *testing.T) {
 	var wg sync.WaitGroup
 	for i := 0; i < workers; i++ {
 		model := ml.Model(f.model)
+		perPart := func(int) time.Duration { return 5 * time.Millisecond }
 		if i == 0 {
-			model = nanModel{f.model}
+			model, perPart = nanModel{f.model}, nil
 		}
 		w, err := DialElasticWorker(master.Addr(), ElasticWorkerConfig{
-			Model:         model,
-			PartitionData: func(p int) (*ml.Dataset, error) { return f.parts[p], nil },
+			Model:             model,
+			PartitionData:     func(p int) (*ml.Dataset, error) { return f.parts[p], nil },
+			DelayPerPartition: perPart,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -21,16 +21,16 @@
 // arrives. Each group replays its arrivals in time order and decodes at the
 // first prefix that can; the iteration ends when the slowest group's sum
 // reaches the root, plus a fixed communication overhead, and an iteration
-// some group cannot decode fails. The run's counting stream from Seed draws
-// each iteration's straggler delays, then one jitter per plan member, group
-// by group in slot order. With one group it builds the plans too, first;
-// with several, group g plans on its own stream seeded Seed+g+1.
+// some group cannot decode fails. The run's stream from Seed draws each
+// iteration's straggler delays, then one jitter per plan member, group by
+// group in slot order. With one group it builds the plans too, first; with
+// several, group g plans on its own stream seeded Seed+g+1.
 //
 // A seeded churn schedule (speed steps, kills, joins) exercises the whole
 // telemetry → drift/churn detection → replan → epoch migration loop
-// bit-identically, with durable checkpoints and lease failover in a flat run
-// — the fixture the live system's behaviour is validated against. RunSSP is
-// Fig. 4's stale-synchronous baseline.
+// bit-identically. The simulator keeps no durable state: checkpoints, leases
+// and crash recovery belong to the live roots alone (internal/rootcore).
+// RunSSP is Fig. 4's stale-synchronous baseline.
 package sim
 
 import (
@@ -42,12 +42,10 @@ import (
 	"slices"
 	"time"
 
-	"github.com/hetgc/hetgc/internal/checkpoint"
 	"github.com/hetgc/hetgc/internal/clustercfg"
 	"github.com/hetgc/hetgc/internal/core"
 	"github.com/hetgc/hetgc/internal/elastic"
 	"github.com/hetgc/hetgc/internal/grad"
-	"github.com/hetgc/hetgc/internal/ha"
 	"github.com/hetgc/hetgc/internal/metrics"
 	"github.com/hetgc/hetgc/internal/ml"
 	"github.com/hetgc/hetgc/internal/obs"
@@ -166,25 +164,18 @@ type ElasticSimConfig struct {
 	IngestSeconds float64
 	// CommOverhead is a fixed per-iteration communication cost in seconds.
 	CommOverhead float64
-	// Seed starts the run's counting stream: each iteration's straggler
-	// delays, then its jitter. With one group the stream builds the plans
-	// too, first; with several, group g plans on its own stream seeded
-	// Seed+g+1. A fixed seed makes runs bit-identical.
+	// Seed starts the run's stream: each iteration's straggler delays, then
+	// its jitter. With one group the stream builds the plans too, first; with
+	// several, group g plans on its own stream seeded Seed+g+1. A fixed seed
+	// makes runs bit-identical.
 	Seed int64
 	// Rng, when set, is the one-group stream in place of a fresh one from
-	// Seed, for a caller that chains several runs on one stream. Such a run
-	// cannot checkpoint: resume needs the stream's draw count.
+	// Seed, for a caller that chains several runs on one stream.
 	Rng *rand.Rand
-	// CrashAtIter, when > 0, is the crash injector: the run stops cold
-	// before that iteration (no final snapshot, exactly as a killed process
-	// would), returning the partial result with Crashed set.
-	CrashAtIter int
 	// Model, Data and Optimizer — all set or all nil — couple the timing
 	// simulation with real optimisation: every iteration decodes the true
 	// coded gradient under the live plan (the exact arithmetic the runtime
-	// master performs) and applies one optimizer step. Params and optimizer
-	// state ride snapshots, so a crash/takeover/resume sequence neither
-	// loses nor duplicates a step.
+	// master performs) and applies one optimizer step.
 	Model     ml.Model
 	Data      *ml.Dataset
 	Optimizer ml.Optimizer
@@ -193,22 +184,10 @@ type ElasticSimConfig struct {
 	// 0 records none.
 	RecordEvery int
 
-	// The composable cluster blocks (see internal/clustercfg). Durability:
-	// a non-empty CheckpointDir writes the simulation's control-plane state
-	// through a checkpoint.Store — a journal record per iteration and
-	// migration plus a snapshot every SnapshotEvery iterations (default 5)
-	// carrying the full controller state and the RNG draw count; Resume
-	// continues a crashed run bit-identically (the plan is rebuilt by
-	// replaying the seeded RNG to its recorded draw position). HA: with
-	// CheckpointDir set, a positive LeaseTTL makes the run hold the
-	// directory's lease — acquired before any durable write, renewed at
-	// every iteration boundary, released on success, and deliberately left
-	// to expire on an injected crash (Holder defaults to "sim-root").
-	// Telemetry: a non-nil Obs receives the simulation's telemetry through
-	// the same helpers (and the same metric families and group labels) the
-	// live runtimes use, so a sim scrape and a live scrape are diffable.
-	clustercfg.DurabilityConfig
-	clustercfg.HAConfig
+	// Telemetry (see internal/clustercfg): a non-nil Obs receives the
+	// simulation's telemetry through the same helpers (and the same metric
+	// families and group labels) the live runtimes use, so a sim scrape and
+	// a live scrape are diffable.
 	clustercfg.TelemetryConfig
 	// Wire, when naming int8, routes every simulated coded upload through
 	// the same quantize→dequantize round trip the live transport performs —
@@ -226,9 +205,6 @@ type GroupReplanEvent struct {
 
 // ElasticSimResult aggregates an elastic simulation run.
 type ElasticSimResult struct {
-	// StartIter is the first simulated iteration (non-zero on a resumed
-	// run); the per-iteration series cover StartIter onward.
-	StartIter int
 	// Times are per-iteration wall times in seconds: the slowest group plus
 	// the reduction-tree hops and CommOverhead, +Inf for an iteration some
 	// group could not decode.
@@ -246,9 +222,6 @@ type ElasticSimResult struct {
 	// Groups is the number of coding groups, Depth the reduction-tree depth
 	// (0 for one group).
 	Groups, Depth int
-	// Crashed reports that the crash injector stopped the run at
-	// CrashAtIter.
-	Crashed bool
 	// Failed counts the iterations that could not decode.
 	Failed int
 	// Usage is the Fig. 5 computing-resource usage over the decoded
@@ -256,11 +229,9 @@ type ElasticSimResult struct {
 	Usage float64
 	// Params are the final model parameters (training simulations only).
 	Params []float64
-	// Loss is the training loss against simulated seconds since StartIter
-	// (training simulations with RecordEvery only).
+	// Loss is the training loss against simulated seconds since the run
+	// began (training simulations with RecordEvery only).
 	Loss metrics.Series
-	// RootGen is the lease generation the run held (0 without a lease).
-	RootGen int
 	// Summary summarises the finite Times.
 	Summary metrics.Summary
 }
@@ -319,15 +290,6 @@ func RunElastic(cfg ElasticSimConfig) (*ElasticSimResult, error) {
 		return nil, fmt.Errorf("%w: comm=%v fluctuation=%v record-every=%d hop=%v ingest=%v",
 			ErrBadChurn, cfg.CommOverhead, cfg.FluctuationStd, cfg.RecordEvery, cfg.HopSeconds, cfg.IngestSeconds)
 	}
-	if cfg.Resume && cfg.CheckpointDir == "" {
-		return nil, fmt.Errorf("%w: resume requires a checkpoint dir", ErrBadChurn)
-	}
-	if cfg.Rng != nil && cfg.CheckpointDir != "" {
-		return nil, fmt.Errorf("%w: a run on a caller's rng cannot checkpoint", ErrBadChurn)
-	}
-	if cfg.CheckpointDir != "" && cfg.SnapshotEvery <= 0 {
-		cfg.SnapshotEvery = 5
-	}
 	training := cfg.Model != nil || cfg.Data != nil || cfg.Optimizer != nil
 	if training && (cfg.Model == nil || cfg.Data == nil || cfg.Optimizer == nil) {
 		return nil, fmt.Errorf("%w: training needs model, data and optimizer together", ErrBadChurn)
@@ -338,12 +300,6 @@ func RunElastic(cfg ElasticSimConfig) (*ElasticSimResult, error) {
 		if codec, err = grad.ParseCodec(cfg.Wire.Codec); err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrBadChurn, err)
 		}
-	}
-	if cfg.LeaseTTL < 0 {
-		return nil, fmt.Errorf("%w: lease ttl %v", ErrBadChurn, cfg.LeaseTTL)
-	}
-	if cfg.LeaseTTL > 0 && cfg.CheckpointDir == "" {
-		return nil, fmt.Errorf("%w: a lease needs a checkpoint dir to live in", ErrBadChurn)
 	}
 
 	// The group layout over the initial priors. Strategies are built by each
@@ -360,8 +316,8 @@ func RunElastic(cfg ElasticSimConfig) (*ElasticSimResult, error) {
 		if cfg.Scheme.FixedShape() {
 			return nil, fmt.Errorf("%w: %v cannot run in capacity-split groups", ErrBadChurn, cfg.Scheme)
 		}
-		if cfg.CheckpointDir != "" || cfg.CrashAtIter > 0 || training || cfg.Rng != nil || cfg.Wire.Codec != "" {
-			return nil, fmt.Errorf("%w: %d coding groups simulate timing only: no durability, crash, training, rng or wire codec", ErrBadChurn, n)
+		if training || cfg.Rng != nil || cfg.Wire.Codec != "" {
+			return nil, fmt.Errorf("%w: %d coding groups simulate timing only: no training, rng or wire codec", ErrBadChurn, n)
 		}
 	}
 
@@ -373,14 +329,9 @@ func RunElastic(cfg ElasticSimConfig) (*ElasticSimResult, error) {
 		}
 		params = cfg.Model.InitParams(nil)
 	}
-	// The stream runs over a counting source so its position is
-	// serialisable: a snapshot records it, and resume fast-forwards to it.
-	// The wrapped source yields the identical draw sequence.
-	var src *checkpoint.CountingSource
 	rng := cfg.Rng
 	if rng == nil {
-		src = checkpoint.NewCountingSource(cfg.Seed)
-		rng = rand.New(src)
+		rng = rand.New(rand.NewSource(cfg.Seed))
 	}
 	groups := make([]*simGroup, layout.NumGroups())
 	for g, grp := range layout.Groups {
@@ -399,91 +350,6 @@ func RunElastic(cfg ElasticSimConfig) (*ElasticSimResult, error) {
 		}
 		groups[g] = &simGroup{ctrl: ctrl}
 	}
-	// Durable state is one-group only, so it is group 0's controller.
-	ctrl := groups[0].ctrl
-	if src != nil && len(groups) == 1 {
-		ctrl.SetDrawCounter(src.Draws)
-	}
-
-	startIter := 0
-	var lease *ha.Lease
-	leaveLease := false // an injected crash leaves the lease to expire
-	if cfg.LeaseTTL > 0 {
-		holder := cfg.Holder
-		if holder == "" {
-			holder = "sim-root"
-		}
-		l, err := ha.Acquire(cfg.CheckpointDir, holder, "sim", cfg.LeaseTTL)
-		if err != nil {
-			return nil, err
-		}
-		lease = l
-		cfg.Obs.OnLease(uint64(l.Gen()))
-		defer func() {
-			if !leaveLease {
-				_ = lease.Release()
-			}
-		}()
-	}
-	var store *checkpoint.Store
-	var resumedSnap *checkpoint.Snapshot
-	if cfg.Resume {
-		state, err := checkpoint.Recover(cfg.CheckpointDir)
-		if err != nil {
-			return nil, err
-		}
-		if snap := state.Snap; snap != nil {
-			if snap.Ctrl == nil {
-				return nil, fmt.Errorf("%w: snapshot at iter %d carries no controller state", checkpoint.ErrCorrupt, snap.Iter)
-			}
-			// Reposition the seeded source exactly where it stood before the
-			// current plan was built; Restore's strategy reconstruction then
-			// consumes the identical draws the original construction did.
-			if pl := snap.Ctrl.Plan; pl != nil {
-				if err := src.FastForward(pl.DrawsBefore); err != nil {
-					return nil, err
-				}
-			}
-			if err := ctrl.Restore(snap.Ctrl); err != nil {
-				return nil, fmt.Errorf("%w: %v", ErrBadChurn, err)
-			}
-			// The plan rebuild must land exactly on the snapshot's recorded
-			// draw position; having consumed more draws than the snapshot
-			// saw means the state is inconsistent, and FastForward reports
-			// it as an un-rewindable position.
-			if err := src.FastForward(snap.Draws); err != nil {
-				return nil, err
-			}
-			startIter = snap.Iter
-			resumedSnap = snap
-			if training {
-				if snap.Params == nil {
-					return nil, fmt.Errorf("%w: snapshot at iter %d carries no params", checkpoint.ErrCorrupt, snap.Iter)
-				}
-				params = append(params[:0], snap.Params...)
-				if so, ok := cfg.Optimizer.(ml.StatefulOptimizer); ok && snap.OptVecs != nil {
-					if err := so.RestoreOptimizerState(snap.OptVecs, snap.OptStep); err != nil {
-						return nil, fmt.Errorf("%w: %v", checkpoint.ErrCorrupt, err)
-					}
-				}
-			}
-		}
-		if store, err = checkpoint.Reopen(cfg.CheckpointDir); err != nil {
-			return nil, err
-		}
-	} else if cfg.CheckpointDir != "" {
-		if store, err = checkpoint.Create(cfg.CheckpointDir); err != nil {
-			return nil, err
-		}
-	}
-	if store != nil {
-		defer store.Close()
-		if lease != nil {
-			store.SetGuard(lease.Check)
-		}
-		store.SetMetrics(cfg.Obs)
-	}
-
 	// True member state, keyed by stable member ID, and each member's group.
 	trueRate := make(map[int]float64)
 	alive := make(map[int]bool)
@@ -493,22 +359,16 @@ func RunElastic(cfg ElasticSimConfig) (*ElasticSimResult, error) {
 			id := w + 1
 			trueRate[id], alive[id], groupOf[id] = cfg.InitialRates[w], true, g
 			groups[g].alive++
-			if startIter == 0 {
-				prior := 0.0 // the controller's InitialRate
-				if cfg.Estimates != nil {
-					prior = cfg.Estimates[w]
-				}
-				groups[g].ctrl.AddMember(id, prior)
+			prior := 0.0 // the controller's InitialRate
+			if cfg.Estimates != nil {
+				prior = cfg.Estimates[w]
 			}
+			groups[g].ctrl.AddMember(id, prior)
 		}
 	}
 	nextID := m + 1
-	// applyChurn routes one event to its member's group. A replayed event —
-	// a resumed run re-deriving the schedule prefix before startIter — moves
-	// the true state only: the restored controller already holds its effect,
-	// and the speeds are deterministic functions of the config, so they need
-	// no snapshot.
-	applyChurn := func(ev ChurnEvent, live bool) error {
+	// applyChurn routes one event to its member's group.
+	applyChurn := func(ev ChurnEvent) error {
 		switch ev.Kind {
 		case SpeedStep:
 			if !alive[ev.Member] {
@@ -525,10 +385,8 @@ func RunElastic(cfg ElasticSimConfig) (*ElasticSimResult, error) {
 			sg := groups[groupOf[ev.Member]]
 			alive[ev.Member] = false
 			sg.alive--
-			if live {
-				sg.ctrl.RemoveMember(ev.Member)
-				cfg.Obs.OnDeath(groupOf[ev.Member], ev.Member, sg.alive, ev.Iter)
-			}
+			sg.ctrl.RemoveMember(ev.Member)
+			cfg.Obs.OnDeath(groupOf[ev.Member], ev.Member, sg.alive, ev.Iter)
 		case Join:
 			if ev.Rate <= 0 {
 				return fmt.Errorf("%w: join rate %v", ErrBadChurn, ev.Rate)
@@ -545,10 +403,8 @@ func RunElastic(cfg ElasticSimConfig) (*ElasticSimResult, error) {
 			nextID++
 			trueRate[id], alive[id], groupOf[id] = ev.Rate, true, g
 			groups[g].alive++
-			if live {
-				groups[g].ctrl.AddMember(id, 0)
-				cfg.Obs.OnJoin(g, id, false, groups[g].alive, ev.Iter)
-			}
+			groups[g].ctrl.AddMember(id, 0)
+			cfg.Obs.OnJoin(g, id, false, groups[g].alive, ev.Iter)
 		case Rejoin:
 			g, known := groupOf[ev.Member]
 			if !known || alive[ev.Member] {
@@ -559,58 +415,21 @@ func RunElastic(cfg ElasticSimConfig) (*ElasticSimResult, error) {
 			if ev.Rate > 0 {
 				trueRate[ev.Member] = ev.Rate
 			}
-			if live {
-				groups[g].ctrl.AddMember(ev.Member, 0)
-				cfg.Obs.OnJoin(g, ev.Member, true, groups[g].alive, ev.Iter)
-			}
+			groups[g].ctrl.AddMember(ev.Member, 0)
+			cfg.Obs.OnJoin(g, ev.Member, true, groups[g].alive, ev.Iter)
 		default:
 			return fmt.Errorf("%w: unknown event kind %v", ErrBadChurn, ev.Kind)
 		}
 		return nil
 	}
-	for _, ev := range cfg.Events {
-		if ev.Iter < startIter {
-			if err := applyChurn(ev, false); err != nil {
-				return nil, err
-			}
-		}
-	}
-	if cfg.Resume {
-		// Anchor a fresh generation with the resumed state before any
-		// appends; a crash during resume re-recovers this exact state. (A
-		// run that crashed before its first snapshot anchors the initial
-		// state: startIter 0, fresh controller.)
-		anchor := &checkpoint.Snapshot{Iter: startIter, Epoch: -1}
-		if resumedSnap != nil {
-			anchor.Epoch = resumedSnap.Epoch
-			anchor.Step = resumedSnap.Step
-			anchor.Groups = resumedSnap.Groups
-		}
-		anchor.Ctrl = ctrl.State()
-		anchor.Draws = src.Draws()
-		if training {
-			anchor.Params = append([]float64(nil), params...)
-			if so, ok := cfg.Optimizer.(ml.StatefulOptimizer); ok {
-				anchor.OptVecs, anchor.OptStep = so.OptimizerState()
-			}
-		}
-		if err := store.WriteSnapshot(anchor); err != nil {
-			return nil, err
-		}
-	}
-
-	iters := cfg.Iterations - startIter
+	iters := cfg.Iterations
 	res := &ElasticSimResult{
-		StartIter:    startIter,
 		Times:        make([]float64, 0, iters),
 		GroupTimes:   make([][]float64, 0, iters),
 		Epochs:       make([][]int, 0, iters),
 		MemberCounts: make([]int, 0, iters),
 		Groups:       len(groups),
 		Depth:        layout.Tree.Depth(),
-	}
-	if lease != nil {
-		res.RootGen = lease.Gen()
 	}
 	// The per-group rows of every iteration, carved from one allocation.
 	groupTimes := make([]float64, iters*len(groups))
@@ -621,7 +440,7 @@ func RunElastic(cfg ElasticSimConfig) (*ElasticSimResult, error) {
 	hops := float64(res.Depth) * (cfg.HopSeconds + float64(layout.Tree.FanIn)*cfg.IngestSeconds)
 	finite := make([]float64, 0, iters)
 	var usage metrics.UsageTally
-	clock := 0.0 // simulated seconds since StartIter
+	clock := 0.0 // simulated seconds since the run began
 	recordLoss := func(at float64) error {
 		l, err := ml.MeanLoss(cfg.Model, params, cfg.Data)
 		if err != nil {
@@ -635,29 +454,11 @@ func RunElastic(cfg ElasticSimConfig) (*ElasticSimResult, error) {
 			return nil, err
 		}
 	}
-	if startIter > 0 {
-		if groups[0].plan = ctrl.Plan(); groups[0].plan == nil {
-			return nil, fmt.Errorf("%w: resumed at iter %d without a plan", ErrBadChurn, startIter)
-		}
-	}
-	for iter := startIter; iter < cfg.Iterations; iter++ {
-		if cfg.CrashAtIter > 0 && iter == cfg.CrashAtIter {
-			// Crash injector: stop cold, mid-generation, like a killed
-			// process — no goodbye snapshot, a possibly mid-written journal.
-			res.Crashed = true
-			leaveLease = true
-			break
-		}
-		if lease != nil {
-			if err := lease.Renew(); err != nil {
-				return nil, fmt.Errorf("iter %d: %w", iter, err)
-			}
-			cfg.Obs.OnRenewal()
-		}
+	for iter := 0; iter < cfg.Iterations; iter++ {
 		// Apply the boundary's churn events in schedule order.
 		for _, ev := range cfg.Events {
 			if ev.Iter == iter {
-				if err := applyChurn(ev, true); err != nil {
+				if err := applyChurn(ev); err != nil {
 					return nil, err
 				}
 			}
@@ -680,13 +481,6 @@ func RunElastic(cfg ElasticSimConfig) (*ElasticSimResult, error) {
 			}
 			sg.plan = p
 			cfg.Obs.OnReplan(reason, iter, p.Epoch, len(p.Members))
-			if store != nil {
-				rec := &checkpoint.Record{Kind: checkpoint.KindPlan, Iter: iter, Epoch: p.Epoch,
-					Members: append([]int(nil), p.Members...)}
-				if err := store.Append(rec); err != nil {
-					return nil, err
-				}
-			}
 		}
 
 		// One BSP iteration per group under its current plan. The stream
@@ -808,7 +602,7 @@ func RunElastic(cfg ElasticSimConfig) (*ElasticSimResult, error) {
 			}
 		}
 		if cfg.Obs != nil && ok {
-			cfg.Obs.OnTrace(iterTrace(groups, iter, res.RootGen, iterTime, slowest, hops, cfg.CommOverhead, rowTimes))
+			cfg.Obs.OnTrace(iterTrace(groups, iter, iterTime, slowest, hops, cfg.CommOverhead, rowTimes))
 			epoch := -1 // like the live root: plan epochs are group-local
 			if len(groups) == 1 {
 				epoch = groups[0].plan.Epoch
@@ -829,33 +623,6 @@ func RunElastic(cfg ElasticSimConfig) (*ElasticSimResult, error) {
 			}
 		}
 		res.MemberCounts = append(res.MemberCounts, count)
-
-		if store != nil {
-			epoch := groups[0].plan.Epoch
-			if err := store.AppendIter(iter, epoch, iter+1); err != nil {
-				return nil, err
-			}
-			if (iter+1)%cfg.SnapshotEvery == 0 {
-				cs := ctrl.State()
-				gs := checkpoint.GroupState{Group: 0, Epoch: epoch}
-				for _, ms := range cs.Members {
-					gs.Members = append(gs.Members, ms.ID)
-				}
-				snap := &checkpoint.Snapshot{
-					Iter: iter + 1, Epoch: epoch, Step: iter + 1,
-					Draws: src.Draws(), Groups: []checkpoint.GroupState{gs}, Ctrl: cs,
-				}
-				if training {
-					snap.Params = append([]float64(nil), params...)
-					if so, ok := cfg.Optimizer.(ml.StatefulOptimizer); ok {
-						snap.OptVecs, snap.OptStep = so.OptimizerState()
-					}
-				}
-				if err := store.WriteSnapshot(snap); err != nil {
-					return nil, err
-				}
-			}
-		}
 	}
 	// Appended group by group, so a stable sort by iteration keeps group
 	// order within an iteration.
@@ -882,7 +649,7 @@ func RunElastic(cfg ElasticSimConfig) (*ElasticSimResult, error) {
 // sharded root's trace: its children are the group masters (Group -1, Member
 // = group index), each with a compute span (its decode and ingest time) and
 // an upload span (the tree hops its sum paid to reach the root).
-func iterTrace(groups []*simGroup, iter, gen int, seconds, slowest, hops, comm float64, groupTimes []float64) obs.IterTrace {
+func iterTrace(groups []*simGroup, iter int, seconds, slowest, hops, comm float64, groupTimes []float64) obs.IterTrace {
 	if len(groups) > 1 {
 		tr := obs.IterTrace{
 			Iter: iter, Epoch: -1,
@@ -909,7 +676,7 @@ func iterTrace(groups []*simGroup, iter, gen int, seconds, slowest, hops, comm f
 	sg := groups[0]
 	tr := obs.IterTrace{
 		Iter: iter, Epoch: sg.plan.Epoch,
-		TraceID: obs.TraceID(uint64(gen), sg.plan.Epoch, iter),
+		TraceID: obs.TraceID(0, sg.plan.Epoch, iter),
 		Start:   time.Now(),
 		Seconds: seconds,
 		Spans: []obs.Span{

@@ -2,10 +2,49 @@ package sim
 
 import (
 	"errors"
+	"math/rand"
 	"testing"
 
 	"github.com/hetgc/hetgc/internal/ml"
 )
+
+// crashBase is a churn-heavy schedule: speed drift, a kill, a join and a
+// rejoin all land mid-run.
+func crashBase() ElasticSimConfig {
+	return ElasticSimConfig{
+		K: 8, S: 1,
+		InitialRates: []float64{500, 400, 300, 500},
+		Events: []ChurnEvent{
+			{Iter: 6, Kind: SpeedStep, Member: 2, Factor: 0.1},
+			{Iter: 10, Kind: Join, Rate: 450},
+			{Iter: 14, Kind: Kill, Member: 3},
+			{Iter: 22, Kind: Rejoin, Member: 3, Rate: 350},
+			{Iter: 26, Kind: SpeedStep, Member: 1, Factor: 2.0},
+		},
+		Iterations:      36,
+		Alpha:           0.5,
+		DriftThreshold:  0.4,
+		MinObservations: 2,
+		CooldownIters:   3,
+		Seed:            11,
+	}
+}
+
+// trainingBase couples crashBase's schedule with a real model and a momentum
+// optimizer: kills, joins and replans land while real optimizer steps are
+// being taken.
+func trainingBase(t *testing.T) ElasticSimConfig {
+	t.Helper()
+	cfg := crashBase()
+	data, err := ml.GaussianMixture(cfg.K*12, 4, 3, 3, rand.New(rand.NewSource(100)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Model = &ml.Softmax{InputDim: 4, NumClasses: 3}
+	cfg.Data = data
+	cfg.Optimizer = &ml.SGD{LR: 0.5, Momentum: 0.9}
+	return cfg
+}
 
 // TestChurnSimLossyCodecsTrain proves int8's quantization error is benign
 // for optimisation: an int8 run over the same churn schedule must still

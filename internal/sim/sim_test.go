@@ -53,7 +53,6 @@ func TestConfigValidation(t *testing.T) {
 		func(c *ElasticSimConfig) { c.Estimates = []float64{1, 2, 3, 4, 0} },
 		func(c *ElasticSimConfig) { c.FluctuationStd = -0.1 },
 		func(c *ElasticSimConfig) { c.RecordEvery = -1 },
-		func(c *ElasticSimConfig) { c.Rng, c.CheckpointDir = rng(1), t.TempDir() },
 		func(c *ElasticSimConfig) { c.Scheme = core.Kind(99) },
 	}
 	for i, mutate := range bad {

@@ -140,6 +140,8 @@ func runStandbyTakeover(t *testing.T, start StartHA) {
 		t.Fatalf("iteration %d never became durable", sc.DisruptAfterIter)
 	}
 	a.Close() // cold: no goodbye frames, the lease is left to expire
+	// The dead root's ports are free for anyone to bind: stop dialing them.
+	pool.retarget(nil)
 	if err := <-runDone; err == nil {
 		t.Fatal("first run completed despite the kill")
 	}

@@ -127,6 +127,8 @@ func runRecoveryScenario(t *testing.T, sc *RecoveryScenario, start StartRecovery
 		t.Fatalf("iteration %d never became durable", sc.KillAfterIter)
 	}
 	cl.Close()
+	// The dead master's ports are free for anyone to bind: stop dialing them.
+	pool.retarget(nil)
 	if err := <-runDone; err == nil {
 		t.Fatalf("first run completed despite the kill — KillAfterIter %d too close to Iters %d", sc.KillAfterIter, sc.Iters)
 	}
@@ -273,7 +275,8 @@ func startRecoveryWorkers(workers int, fx *Fixture, addrs []string) *recoveryPoo
 	return pool
 }
 
-// retarget points every slot at a new cluster's addresses.
+// retarget points every slot at a new cluster's addresses; nil leaves the
+// workers waiting for one.
 func (p *recoveryPool) retarget(addrs []string) {
 	p.addrs.Store(append([]string(nil), addrs...))
 }
@@ -319,12 +322,16 @@ func (p *recoveryPool) checkIdentities(t *testing.T, state *checkpoint.State) {
 
 // runWorker is the reconnect loop: dial the slot's current address, run an
 // honest elastic worker session, and on connection loss retry with the old
-// member ID until stopped or cleanly shut down.
+// member ID until stopped or cleanly shut down. With no address it waits.
 func (p *recoveryPool) runWorker(w *recoveryWorker, fx *Fixture) {
 	resumeID := 0
 	sessions := 0
 	for !p.stop.Load() {
 		addrs := p.addrs.Load().([]string)
+		if len(addrs) == 0 {
+			time.Sleep(20 * time.Millisecond)
+			continue
+		}
 		conn, err := transport.Dial(addrs[w.slot], 2*time.Second)
 		if err != nil {
 			time.Sleep(20 * time.Millisecond)
