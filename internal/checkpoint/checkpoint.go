@@ -83,19 +83,13 @@ type Snapshot struct {
 	OptVecs [][]float64
 	// OptStep is the optimizer's internal step counter (Adam's t).
 	OptStep int
-	// Draws is the control-plane RNG source's draw count at capture time
-	// (0 from both roots, which count no draws).
-	Draws uint64
 	// Groups carries each roster group's durable summary — the highest plan
-	// epoch it ever created and every member ID it ever admitted — so epoch
-	// fencing and ResumeID reservation survive journal compaction (older
-	// journals are deleted once a snapshot folds them in).
+	// epoch it ever created, every member ID it ever admitted and its
+	// controller state — so epoch fencing, ResumeID reservation and the
+	// learned throughput estimates survive journal compaction (older
+	// journals are deleted once a snapshot folds them in). The flat root
+	// writes one entry, group 0.
 	Groups []GroupState
-	// Ctrl is the control-plane state (membership, estimates, and — with a
-	// draw counter — the current plan's construction provenance).
-	// Nil in sharded root snapshots, which carry per-group controller
-	// states inside Groups instead.
-	Ctrl *elastic.ControllerState
 }
 
 // GroupState is one roster group's durable summary inside a snapshot.
@@ -106,10 +100,11 @@ type GroupState struct {
 	Epoch int
 	// Members are the member IDs the group ever admitted, ascending.
 	Members []int
-	// Ctrl is the group's control-plane state — membership with live
-	// throughput estimates — captured so a resumed or promoted root
-	// re-plans from real history instead of re-warming its estimators from
-	// scratch. Nil in snapshots written before the group ever planned.
+	// Ctrl is the group's control-plane state — membership in join order
+	// with each member's throughput estimate — captured so a resumed or
+	// promoted root re-plans from real history instead of re-warming its
+	// estimators from scratch. It is the snapshot's only controller state.
+	// Nil when the group had no members to record.
 	Ctrl *elastic.ControllerState
 }
 

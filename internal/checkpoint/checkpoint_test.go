@@ -21,30 +21,20 @@ func fullSnapshot() *Snapshot {
 		Params:  []float64{0.5, -1.25, math.Pi, 0},
 		OptVecs: [][]float64{{1, 2, 3, 4}, {0.1, 0.2, 0.3, 0.4}},
 		OptStep: 12,
-		Draws:   991,
 		Groups: []GroupState{
-			{Group: 0, Epoch: 3, Members: []int{1, 2, 3},
+			{Group: 0, Epoch: 3, Members: []int{1, 2},
 				Ctrl: &elastic.ControllerState{
 					Members: []elastic.MemberState{
-						{ID: 1, Alive: true, Meter: estimate.MeterState{Prior: 500, Value: 505, Init: true, Count: 4}},
+						{ID: 1, Alive: true, Meter: estimate.MeterState{Prior: 500, Value: 480.5, Init: true, Count: 9}},
+						{ID: 2, Alive: false, Meter: estimate.MeterState{Prior: 250}},
 					},
-					LastReplan: 3,
+					LastReplan: 7,
+					Events: []elastic.ReplanEvent{
+						{Iter: 0, Epoch: 0, Reason: "initial", Members: 2},
+						{Iter: 7, Epoch: 3, Reason: "drift", Members: 2, Imbalance: 1.8},
+					},
 				}},
 			{Group: 1, Epoch: -1, Members: nil},
-		},
-		Ctrl: &elastic.ControllerState{
-			Members: []elastic.MemberState{
-				{ID: 1, Alive: true, Meter: estimate.MeterState{Prior: 500, Value: 480.5, Init: true, Count: 9}},
-				{ID: 2, Alive: false, Meter: estimate.MeterState{Prior: 250}},
-			},
-			LastReplan: 7,
-			Plan: &elastic.PlanState{
-				Iter: 7, Epoch: 3, Members: []int{1, 2}, Est: []float64{480.5, 250}, DrawsBefore: 700,
-			},
-			Events: []elastic.ReplanEvent{
-				{Iter: 0, Epoch: 0, Reason: "initial", Members: 2},
-				{Iter: 7, Epoch: 3, Reason: "drift", Members: 2, Imbalance: 1.8},
-			},
 		},
 	}
 }
@@ -89,14 +79,15 @@ func bigSnapshot() *Snapshot {
 }
 
 // TestEncodeSnapshotGolden pins the snapshot file bytes: a file outlives
-// the build that wrote it, so an encoder change must not move a byte.
+// the build that wrote it, so an encoder change must not move a byte
+// without a new format version in snapMagic.
 func TestEncodeSnapshotGolden(t *testing.T) {
 	for name, c := range map[string]struct {
 		snap *Snapshot
 		sum  string
 	}{
-		"full": {fullSnapshot(), "497ffcc86c02fda38a7fae4b37bb2f8543ac67536ae87474900af531322d842b"},
-		"big":  {bigSnapshot(), "cad7ebcfbc7465728d4bf894f504485f73bb1c21eab5889b91f29aabd84f3447"},
+		"full": {fullSnapshot(), "473c07d0a8226c04482fb4e6b36ad7cf5d6af0573d92fb56f8495a1a769800f4"},
+		"big":  {bigSnapshot(), "f2fcf88eccb70e5e645d6538aa08d651b63e0f7114561683467b7e0ec8305760"},
 	} {
 		if got := fmt.Sprintf("%x", sha256.Sum256(EncodeSnapshot(c.snap))); got != c.sum {
 			t.Errorf("%s snapshot: sha256 %s, want %s", name, got, c.sum)
@@ -335,13 +326,23 @@ func TestCreateWithoutAppendsLeavesNoState(t *testing.T) {
 // worker ever joined) is normalised to absent, because the decoder rejects
 // a present-but-empty one.
 func TestSnapshotEmptyControllerOmitted(t *testing.T) {
-	snap := &Snapshot{Iter: 0, Epoch: -1, Ctrl: &elastic.ControllerState{LastReplan: -1}}
+	snap := &Snapshot{Iter: 0, Epoch: -1, Groups: []GroupState{{Epoch: -1, Ctrl: &elastic.ControllerState{LastReplan: -1}}}}
 	got, err := DecodeSnapshot(EncodeSnapshot(snap))
 	if err != nil {
 		t.Fatalf("anchor with empty controller state does not decode: %v", err)
 	}
-	if got.Ctrl != nil {
-		t.Fatalf("empty controller state survived encoding: %+v", got.Ctrl)
+	if got.Groups[0].Ctrl != nil {
+		t.Fatalf("empty controller state survived encoding: %+v", got.Groups[0].Ctrl)
+	}
+}
+
+// TestDecodeRefusesOtherVersion: a snapshot whose magic names another format
+// version (here 1) is refused as corrupt, not mis-read as the current one.
+func TestDecodeRefusesOtherVersion(t *testing.T) {
+	data := EncodeSnapshot(fullSnapshot())
+	data[len(snapMagic)-1] = 1
+	if _, err := DecodeSnapshot(data); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("version 1 snapshot: %v, want ErrCorrupt", err)
 	}
 }
 

@@ -21,8 +21,8 @@ import (
 
 const (
 	// snapMagic opens every snapshot file; the trailing byte is the format
-	// version.
-	snapMagic = "HGCSNAP\x01"
+	// version. A file of any other version fails decode as corrupt.
+	snapMagic = "HGCSNAP\x02"
 	// recVersion is the journal record format version.
 	recVersion = 1
 	// maxFrameLen bounds a single journal frame's payload — far above any
@@ -321,7 +321,6 @@ func appendSnapshot(dst []byte, snap *Snapshot) []byte {
 	p = binary.AppendVarint(p, int64(snap.Epoch))
 	p = binary.AppendUvarint(p, uint64(snap.Step))
 	p = binary.LittleEndian.AppendUint64(p, math.Float64bits(snap.Clock))
-	p = binary.AppendUvarint(p, snap.Draws)
 	p = binary.AppendUvarint(p, uint64(len(snap.Params)))
 	p = transport.AppendFloat64s(p, snap.Params)
 	p = binary.AppendUvarint(p, uint64(len(snap.OptVecs)))
@@ -338,21 +337,13 @@ func appendSnapshot(dst []byte, snap *Snapshot) []byte {
 		for _, m := range gs.Members {
 			p = binary.AppendUvarint(p, uint64(m))
 		}
-		// Same normalisation as the top-level controller state below: a
-		// memberless state is useless to recovery and rejected on decode.
+		// A memberless controller state (an anchor written before any worker
+		// joined) is useless to recovery and rejected on decode: omit it.
 		hasGC := gs.Ctrl != nil && len(gs.Ctrl.Members) > 0
 		p = appendBool(p, hasGC)
 		if hasGC {
 			p = appendControllerState(p, gs.Ctrl)
 		}
-	}
-	// A controller state without members carries nothing recovery can use
-	// (a resume anchor written before any worker ever joined); normalise it
-	// to absent so the encoder never emits what the decoder rejects.
-	hasCtrl := snap.Ctrl != nil && len(snap.Ctrl.Members) > 0
-	p = appendBool(p, hasCtrl)
-	if hasCtrl {
-		p = appendControllerState(p, snap.Ctrl)
 	}
 	payload := p[hdr+8:]
 	binary.LittleEndian.PutUint32(p[hdr:], uint32(len(payload)))
@@ -371,17 +362,6 @@ func appendControllerState(p []byte, cs *elastic.ControllerState) []byte {
 		p = binary.AppendUvarint(p, uint64(ms.Meter.Count))
 	}
 	p = binary.AppendVarint(p, int64(cs.LastReplan))
-	p = appendBool(p, cs.Plan != nil)
-	if pl := cs.Plan; pl != nil {
-		p = binary.AppendUvarint(p, uint64(pl.Iter))
-		p = binary.AppendUvarint(p, uint64(pl.Epoch))
-		p = binary.AppendUvarint(p, uint64(len(pl.Members)))
-		for _, m := range pl.Members {
-			p = binary.AppendUvarint(p, uint64(m))
-		}
-		p = transport.AppendFloat64s(p, pl.Est)
-		p = binary.AppendUvarint(p, pl.DrawsBefore)
-	}
 	p = binary.AppendUvarint(p, uint64(len(cs.Events)))
 	for _, ev := range cs.Events {
 		p = binary.AppendUvarint(p, uint64(ev.Iter))
@@ -432,9 +412,6 @@ func DecodeSnapshot(data []byte) (*Snapshot, error) {
 		return nil, err
 	}
 	if snap.Clock, err = r.f64("clock"); err != nil {
-		return nil, err
-	}
-	if snap.Draws, err = r.uvarint("draws"); err != nil {
 		return nil, err
 	}
 	nParams, err := r.count("params", transport.MaxVectorLen)
@@ -505,15 +482,6 @@ func DecodeSnapshot(data []byte) (*Snapshot, error) {
 			}
 		}
 	}
-	hasCtrl, err := r.bool()
-	if err != nil {
-		return nil, err
-	}
-	if hasCtrl {
-		if snap.Ctrl, err = readControllerState(r); err != nil {
-			return nil, err
-		}
-	}
 	if len(r.b) != 0 {
 		return nil, fmt.Errorf("%w: %d trailing bytes after snapshot", ErrCorrupt, len(r.b))
 	}
@@ -567,44 +535,6 @@ func readControllerState(r *reader) (*elastic.ControllerState, error) {
 		return nil, fmt.Errorf("%w: last replan %d", ErrCorrupt, lastReplan)
 	}
 	cs.LastReplan = int(lastReplan)
-	hasPlan, err := r.bool()
-	if err != nil {
-		return nil, err
-	}
-	if hasPlan {
-		pl := &elastic.PlanState{}
-		if pl.Iter, err = r.count("plan iter", maxID); err != nil {
-			return nil, err
-		}
-		if pl.Epoch, err = r.count("plan epoch", maxID); err != nil {
-			return nil, err
-		}
-		nm, err := r.count("plan members", maxCount)
-		if err != nil {
-			return nil, err
-		}
-		if nm == 0 {
-			return nil, fmt.Errorf("%w: plan state without members", ErrCorrupt)
-		}
-		pl.Members = make([]int, nm)
-		for i := range pl.Members {
-			if pl.Members[i], err = r.count("plan member", maxID); err != nil {
-				return nil, err
-			}
-		}
-		if pl.Est, err = r.floats("plan estimates", nm); err != nil {
-			return nil, err
-		}
-		for _, e := range pl.Est {
-			if math.IsNaN(e) || math.IsInf(e, 0) {
-				return nil, fmt.Errorf("%w: non-finite plan estimate", ErrCorrupt)
-			}
-		}
-		if pl.DrawsBefore, err = r.uvarint("plan draws"); err != nil {
-			return nil, err
-		}
-		cs.Plan = pl
-	}
 	nEvents, err := r.count("events", maxCount)
 	if err != nil {
 		return nil, err

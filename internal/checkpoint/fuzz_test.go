@@ -15,6 +15,7 @@ func FuzzSnapshot(f *testing.F) {
 	f.Add(EncodeSnapshot(&Snapshot{Iter: 0, Epoch: -1}))
 	f.Add([]byte(snapMagic))
 	f.Add([]byte("HGCSNAP\x02junk"))
+	f.Add([]byte("HGCSNAP\x01junk"))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		snap, err := DecodeSnapshot(data)

@@ -160,11 +160,6 @@ type Controller struct {
 	// epochBase floors the next plan's epoch (SetEpochBase): a resumed
 	// master fences every pre-crash epoch by starting above them.
 	epochBase int
-	// draws reads the RNG source's draw counter when set (SetDrawCounter);
-	// planState then records each plan's construction provenance for
-	// bit-identical restore.
-	draws     func() uint64
-	planState *PlanState
 	// gain memoises DriftGain between observations and replans while the
 	// membership stands (churned unset); 0 marks it stale, a gain is positive.
 	gain float64
@@ -453,10 +448,6 @@ func (ct *Controller) Replan(iter int, reason string) (*Plan, error) {
 	if ct.plan != nil {
 		imbalance = ct.Imbalance()
 	}
-	var drawsBefore uint64
-	if ct.draws != nil {
-		drawsBefore = ct.draws()
-	}
 	st, err := planner.BuildStrategy(ct.cfg.Scheme, est, ct.cfg.K, ct.cfg.S, ct.rng)
 	if err != nil {
 		return nil, fmt.Errorf("elastic replan at iter %d: %w", iter, err)
@@ -475,12 +466,6 @@ func (ct *Controller) Replan(iter int, reason string) (*Plan, error) {
 		plan.slotOf[id] = slot
 	}
 	ct.plan = plan
-	ct.planState = &PlanState{
-		Iter: iter, Epoch: epoch,
-		Members:     append([]int(nil), alive...),
-		Est:         append([]float64(nil), est...),
-		DrawsBefore: drawsBefore,
-	}
 	ct.churned = false
 	ct.rejoined = false
 	ct.gain = 0

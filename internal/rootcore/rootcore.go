@@ -111,8 +111,7 @@ type Hooks struct {
 	// membership and epoch fences from it.
 	Restore func(*checkpoint.State) error
 	// Groups completes a snapshot whose training state and Epoch the core
-	// has filled: it sets Groups (and Ctrl, where the runtime has one
-	// root-level controller).
+	// has filled: it sets Groups, each with its controller state.
 	Groups func(*checkpoint.Snapshot)
 }
 

@@ -268,8 +268,8 @@ func NewElasticMaster(cfg ElasticConfig, addr string) (*ElasticMaster, error) {
 // training state).
 func (ma *ElasticMaster) restoreFrom(state *checkpoint.State) (err error) {
 	var snap *elastic.ControllerState
-	if state.Snap != nil {
-		snap = state.Snap.Ctrl
+	if state.Snap != nil && len(state.Snap.Groups) > 0 {
+		snap = state.Snap.Groups[0].Ctrl
 	}
 	if ma.recovered, err = ma.ctrl.RestoreDead(snap, state.GroupMembers[0]); err != nil {
 		return fmt.Errorf("%w: %v", ErrBadConfig, err)
@@ -279,19 +279,19 @@ func (ma *ElasticMaster) restoreFrom(state *checkpoint.State) (err error) {
 	return nil
 }
 
-// groupState completes a snapshot with the flat runtime's one group: the
-// controller state and group 0's epoch and members.
+// groupState completes a snapshot with the flat runtime's one group: group
+// 0's epoch, members and controller state.
 func (ma *ElasticMaster) groupState(snap *checkpoint.Snapshot) {
-	if ma.eng != nil {
-		snap.Ctrl = ma.eng.ControllerState()
-	} else {
-		snap.Ctrl = ma.ctrl.State() // the resume anchor: no engine yet
-	}
 	// The group epoch is the fencing base the NEXT recovery derives: it must
 	// never fall below what this master itself recovered, even before the
 	// resumed run's first plan exists (the anchor snapshot).
 	gs := checkpoint.GroupState{Group: 0, Epoch: max(snap.Epoch, ma.fence)}
-	for _, ms := range snap.Ctrl.Members {
+	if ma.eng != nil {
+		gs.Ctrl = ma.eng.ControllerState()
+	} else {
+		gs.Ctrl = ma.ctrl.State() // the resume anchor: no engine yet
+	}
+	for _, ms := range gs.Ctrl.Members {
 		gs.Members = append(gs.Members, ms.ID)
 	}
 	sort.Ints(gs.Members)
