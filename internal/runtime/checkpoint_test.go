@@ -179,62 +179,77 @@ func recoverMaxEpoch(t *testing.T, dir string) int {
 // TestResumeRestoresEstimates: the learned throughput estimates are what a
 // snapshot keeps for the next plan. A durable run whose first worker is 5×
 // slower than the others must resume with a controller that already rates
-// that worker below them, not one back at the uniform prior.
+// that worker below them, not one back at the uniform prior — also after an
+// incarnation that resumed and crashed before its first snapshot, leaving
+// only its resume anchor.
 func TestResumeRestoresEstimates(t *testing.T) {
-	fx := newElasticFixture(t, 6)
-	dir := filepath.Join(t.TempDir(), "ckpt")
-	cfg := fx.masterConfig(6, 1, 8)
-	cfg.MinObservations = 1
-	cfg.CheckpointDir = dir
-	cfg.SnapshotEvery = 4
-	ma, err := NewElasticMaster(cfg, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	for i := 0; i < 3; i++ {
-		delay := time.Millisecond
-		if i == 0 {
-			delay *= 5
-		}
-		// Dial in order: worker i joins as member i+1.
-		w, err := DialElasticWorker(ma.Addr(), ElasticWorkerConfig{
-			Model:             fx.model,
-			PartitionData:     func(p int) (*ml.Dataset, error) { return fx.parts[p], nil },
-			DelayPerPartition: func(int) time.Duration { return delay },
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			_ = w.Run()
-		}()
-	}
-	if err := ma.WaitForWorkers(10 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	_, err = ma.Run()
-	ma.Close()
-	wg.Wait()
-	if err != nil {
-		t.Fatal(err)
-	}
+	for _, tc := range []struct {
+		name       string
+		anchorOnly int // incarnations that resume and close at once
+	}{{"resume", 0}, {"anchor-only-crash", 1}} {
+		t.Run(tc.name, func(t *testing.T) {
+			fx := newElasticFixture(t, 6)
+			cfg := fx.masterConfig(6, 1, 8)
+			cfg.MinObservations = 1
+			cfg.CheckpointDir = filepath.Join(t.TempDir(), "ckpt")
+			cfg.SnapshotEvery = 4
+			ma, err := NewElasticMaster(cfg, "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			var wg sync.WaitGroup
+			for i := 0; i < 3; i++ {
+				delay := time.Millisecond
+				if i == 0 {
+					delay *= 5
+				}
+				// Dial in order: worker i joins as member i+1.
+				w, err := DialElasticWorker(ma.Addr(), ElasticWorkerConfig{
+					Model:             fx.model,
+					PartitionData:     func(p int) (*ml.Dataset, error) { return fx.parts[p], nil },
+					DelayPerPartition: func(int) time.Duration { return delay },
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					_ = w.Run()
+				}()
+			}
+			if err := ma.WaitForWorkers(10 * time.Second); err != nil {
+				t.Fatal(err)
+			}
+			_, err = ma.Run()
+			ma.Close()
+			wg.Wait()
+			if err != nil {
+				t.Fatal(err)
+			}
 
-	cfg.Resume = true
-	ma2, err := NewElasticMaster(cfg, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ma2.Close()
-	rates := make([]float64, 3)
-	for i := range rates {
-		if rates[i], err = ma2.ctrl.Rate(i + 1); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if rates[0] >= rates[1] || rates[0] >= rates[2] {
-		t.Fatalf("resumed estimates %v: the slow member 1 is not rated below the others", rates)
+			cfg.Resume = true
+			for i := 0; i < tc.anchorOnly; i++ {
+				crashed, err := NewElasticMaster(cfg, "127.0.0.1:0")
+				if err != nil {
+					t.Fatal(err)
+				}
+				crashed.Close()
+			}
+			ma2, err := NewElasticMaster(cfg, "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ma2.Close()
+			rates := make([]float64, 3)
+			for i := range rates {
+				if rates[i], err = ma2.ctrl.Rate(i + 1); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if rates[0] >= rates[1] || rates[0] >= rates[2] {
+				t.Fatalf("resumed estimates %v: the slow member 1 is not rated below the others", rates)
+			}
+		})
 	}
 }

@@ -156,14 +156,7 @@ func buildGroupController(cfg *Config, grp *Group, g int, st *checkpoint.State) 
 		return ctrl, nil, nil
 	}
 	memberIDs := st.GroupMembers[g]
-	var ctrlState *elastic.ControllerState
-	if st.Snap != nil {
-		for i := range st.Snap.Groups {
-			if st.Snap.Groups[i].Group == g {
-				ctrlState = st.Snap.Groups[i].Ctrl
-			}
-		}
-	}
+	ctrlState := recoveredCtrl(st, g)
 	var recovered []int
 	switch {
 	case ctrlState != nil && len(ctrlState.Members) > 0:
@@ -190,6 +183,20 @@ func buildGroupController(cfg *Config, grp *Group, g int, st *checkpoint.State) 
 		ctrl.SetEpochBase(e + 1)
 	}
 	return ctrl, recovered, nil
+}
+
+// recoveredCtrl returns group g's controller state in the recovered
+// checkpoint's snapshot, nil when there is none.
+func recoveredCtrl(st *checkpoint.State, g int) *elastic.ControllerState {
+	if st.Snap == nil {
+		return nil
+	}
+	for _, gs := range st.Snap.Groups {
+		if gs.Group == g {
+			return gs.Ctrl
+		}
+	}
+	return nil
 }
 
 // newGroupEngine builds the roster engine for one group on lis, in the

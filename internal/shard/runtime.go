@@ -245,14 +245,16 @@ func (r *Root) restoreFrom(state *checkpoint.State) error {
 // groupStates completes a snapshot with the per-group summaries: epoch,
 // members and the controller's throughput estimates of each live group. The
 // resume anchor is written before the groups exist; it carries the recovered
-// epoch floors and member sets, so the fencing base is never narrowed.
+// epoch floors, member sets and controller states, so neither the fencing
+// base nor the learned estimates are lost to a crash before the next
+// snapshot.
 func (r *Root) groupStates(snap *checkpoint.Snapshot) {
 	for g := 0; g < r.plan.NumGroups(); g++ {
 		if r.groups != nil {
 			snap.Groups = append(snap.Groups, r.groups[g].coreState())
 			continue
 		}
-		gs := checkpoint.GroupState{Group: g, Epoch: -1, Members: append([]int(nil), r.resume.GroupMembers[g]...)}
+		gs := checkpoint.GroupState{Group: g, Epoch: -1, Members: append([]int(nil), r.resume.GroupMembers[g]...), Ctrl: recoveredCtrl(r.resume, g)}
 		if e, ok := r.resume.GroupEpochs[g]; ok {
 			gs.Epoch = e
 		}

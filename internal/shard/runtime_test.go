@@ -438,39 +438,55 @@ func TestShardedDurableGroupStates(t *testing.T) {
 // TestShardedResumeRestoresEstimates: a resumed root plans every group from
 // the throughput estimates its snapshot kept. Group 0's first worker runs 5×
 // slower than everyone else; the resumed group 0 controller must already
-// rate it below its group mates, not back at the planned priors.
+// rate it below its group mates, not back at the planned priors — also after
+// an incarnation that resumed and crashed before its first snapshot, leaving
+// only its resume anchor.
 func TestShardedResumeRestoresEstimates(t *testing.T) {
 	const k, s, iters, m = 8, 1, 8, 6
-	fx := newLiveFixture(t, k)
-	cfg := fx.config(k, s, iters, m)
-	cfg.MinObservations = 1
-	cfg.CheckpointDir = t.TempDir()
-	cfg.SnapshotEvery = 4
+	for _, tc := range []struct {
+		name       string
+		anchorOnly int // incarnations that resume and close at once
+	}{{"resume", 0}, {"anchor-only-crash", 1}} {
+		t.Run(tc.name, func(t *testing.T) {
+			fx := newLiveFixture(t, k)
+			cfg := fx.config(k, s, iters, m)
+			cfg.MinObservations = 1
+			cfg.CheckpointDir = t.TempDir()
+			cfg.SnapshotEvery = 4
 
-	var wg sync.WaitGroup
-	delay := func(g, idx, iter int) time.Duration {
-		if g == 0 && idx == 0 {
-			return 5 * time.Millisecond
-		}
-		return time.Millisecond
-	}
-	_, err := RunSharded(cfg, "127.0.0.1:0", 5*time.Second, func(r *Root) { spawnWorkers(t, r, &wg, delay, fx) })
-	wg.Wait()
-	if err != nil {
-		t.Fatal(err)
-	}
+			var wg sync.WaitGroup
+			delay := func(g, idx, iter int) time.Duration {
+				if g == 0 && idx == 0 {
+					return 5 * time.Millisecond
+				}
+				return time.Millisecond
+			}
+			_, err := RunSharded(cfg, "127.0.0.1:0", 5*time.Second, func(r *Root) { spawnWorkers(t, r, &wg, delay, fx) })
+			wg.Wait()
+			if err != nil {
+				t.Fatal(err)
+			}
 
-	cfg.Resume = true
-	r, err := NewRoot(cfg, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	rates := map[int]float64{}
-	for _, ms := range r.groups[0].loop.Eng.ControllerState().Members {
-		rates[ms.ID] = estimate.NewMeterFromState(1, ms.Meter).Rate(cfg.MinObservations)
-	}
-	if len(rates) != 3 || rates[1] >= rates[2] || rates[1] >= rates[3] {
-		t.Fatalf("resumed group 0 estimates %v: the slow member 1 is not rated below the others", rates)
+			cfg.Resume = true
+			for i := 0; i < tc.anchorOnly; i++ {
+				crashed, err := NewRoot(cfg, "127.0.0.1:0")
+				if err != nil {
+					t.Fatal(err)
+				}
+				crashed.Close()
+			}
+			r, err := NewRoot(cfg, "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer r.Close()
+			rates := map[int]float64{}
+			for _, ms := range r.groups[0].loop.Eng.ControllerState().Members {
+				rates[ms.ID] = estimate.NewMeterFromState(1, ms.Meter).Rate(cfg.MinObservations)
+			}
+			if len(rates) != 3 || rates[1] >= rates[2] || rates[1] >= rates[3] {
+				t.Fatalf("resumed group 0 estimates %v: the slow member 1 is not rated below the others", rates)
+			}
+		})
 	}
 }
