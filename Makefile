@@ -29,7 +29,9 @@ vet:
 # binary frame. The import check keeps the simulator and the experiments off
 # the durable-state packages (checkpoint, ha, rootcore): the durable root
 # lives in rootcore alone, so a crash, lease or snapshot fix has one place to
-# land.
+# land. The caller count keeps one root: shard.Root is the only code outside
+# tests and bench/ that builds a roster engine or opens a root core, so a flat
+# cluster stays its one-group case instead of a second master.
 lint:
 	@unformatted=$$(gofmt -l .); \
 	if [ -n "$$unformatted" ]; then \
@@ -63,6 +65,15 @@ lint:
 		echo "$$bad"; exit 1; \
 	fi
 	@echo "durable state: not imported by sim or experiments"
+	@for fn in 'roster\.New(' 'rootcore\.Open('; do \
+		n=$$(grep -rn --include='*.go' --exclude='*_test.go' --exclude-dir=bench \
+			--exclude-dir=.bench_build "$$fn" . | wc -l); \
+		if [ "$$n" -ne 1 ]; then \
+			echo "$$fn has $$n callers outside tests and bench/, want 1 (shard.Root is the one root)"; \
+			exit 1; \
+		fi; \
+	done
+	@echo "roster.New, rootcore.Open: one caller each (shard.Root)"
 
 race:
 	$(GO) test -race ./...

@@ -32,7 +32,7 @@ import (
 	"github.com/hetgc/hetgc/internal/cliflags"
 	"github.com/hetgc/hetgc/internal/clustercfg"
 	"github.com/hetgc/hetgc/internal/node"
-	"github.com/hetgc/hetgc/internal/runtime"
+	"github.com/hetgc/hetgc/internal/shard"
 )
 
 func main() {
@@ -179,8 +179,8 @@ func runStandby(cfg node.ClusterConfig, iters int) error {
 
 // report prints the completion line both humans and the process e2e read; the
 // params digest is what two runs compare for bit-identity.
-func report(res *runtime.ElasticResult, iters int) {
+func report(res *shard.Result, iters int) {
 	fmt.Printf("done: iterations %d..%d  root generation %d  fenced uploads %d\n",
-		res.StartIter, iters, res.RootGen, res.FencedRejected)
+		res.StartIter, iters, res.RootGen, res.Groups[0].FencedRejected)
 	fmt.Printf("params digest: %s\n", node.ParamsDigest(res.Params))
 }

@@ -1,5 +1,5 @@
 // Command gctrain runs a real distributed training job over TCP loopback:
-// one elastic master plus m in-process workers, gradient coding end to end —
+// one root plus m in-process workers, gradient coding end to end —
 // broadcast, compute, encode, upload, decode, step. Every scheme trains on
 // the same elastic runtime: heter and group re-code to the speeds the
 // workers report, cyclic and naive keep one code over k = m partitions. A
@@ -153,7 +153,7 @@ func train(kind hetgc.Kind, iters, s, stragglerMs int, seed int64, shared clifla
 	ecfg.LossFn = func(p []float64) (float64, error) {
 		return hetgc.MeanLoss(model, p, data)
 	}
-	master, err := hetgc.NewElasticMaster(ecfg, "127.0.0.1:0")
+	master, err := hetgc.NewRoot(ecfg, "127.0.0.1:0")
 	if err != nil {
 		return remediate(err, dir)
 	}
@@ -164,10 +164,10 @@ func train(kind hetgc.Kind, iters, s, stragglerMs int, seed int64, shared clifla
 		fmt.Printf("holding root lease: generation %d, ttl %s\n", gen, shared.LeaseTTL)
 	}
 	if dir != "" {
-		fmt.Printf("elastic master on %s; scheme=%v k=%d s=%d checkpoint-dir=%s snapshot-every=%d\n",
+		fmt.Printf("root on %s; scheme=%v k=%d s=%d checkpoint-dir=%s snapshot-every=%d\n",
 			master.Addr(), kind, k, s, dir, shared.SnapshotEvery)
 	} else {
-		fmt.Printf("elastic master on %s; scheme=%v k=%d s=%d\n", master.Addr(), kind, k, s)
+		fmt.Printf("root on %s; scheme=%v k=%d s=%d\n", master.Addr(), kind, k, s)
 	}
 
 	var wg sync.WaitGroup
@@ -201,15 +201,16 @@ func train(kind hetgc.Kind, iters, s, stragglerMs int, seed int64, shared clifla
 	if err != nil {
 		return remediate(err, dir)
 	}
-	if len(res.Epochs) == 0 {
+	grp := res.Groups[0] // the one group: this cluster is flat
+	if len(grp.Epochs) == 0 {
 		fmt.Printf("\nnothing to do: the checkpoint already covers all %d iterations (raise -iters to continue training)\n", iters)
 		return nil
 	}
 	fmt.Printf("\niterations %d..%d done  mean %.1fms  final epoch %d  stale-epoch fenced: %d\n",
-		res.StartIter, iters, res.Summary.Mean*1e3, res.Epochs[len(res.Epochs)-1], res.StaleEpochRejected)
+		res.StartIter, iters, res.Summary.Mean*1e3, grp.Epochs[len(grp.Epochs)-1], grp.StaleEpochRejected)
 	if res.RootGen > 0 {
 		fmt.Printf("high availability: root generation %d  stale-generation uploads fenced: %d\n",
-			res.RootGen, res.FencedRejected)
+			res.RootGen, grp.FencedRejected)
 		if res.RootGen > 1 {
 			fmt.Printf("  this run took over from a deposed root (generation %d) and kept its progress\n", res.RootGen-1)
 		}

@@ -11,10 +11,10 @@
 //     loop (SimulateElastic) that runs every scheme through the live
 //     runtimes' control plane, flat or in coding groups, timing-only or with
 //     real gradients, on the Table II clusters (ClusterA…ClusterD).
-//   - A real TCP master/worker runtime that hosts every scheme and re-codes
-//     on drift and churn (NewElasticMaster, DialElasticWorker), and a
-//     hierarchical group-sharded runtime that scales the scheme to hundreds
-//     of workers (RunSharded).
+//   - A real TCP root/worker runtime that hosts every scheme and re-codes
+//     on drift and churn (NewRoot, DialElasticWorker). One root hosts G ≥ 1
+//     coding groups: a flat cluster is one group, and splitting the fleet
+//     into groups scales the scheme to hundreds of workers.
 //   - Experiment runners behind `gcsim -exp` (RunFig2Sweep, RunFig3Clusters,
 //     RunFig4LossCurves, RunMisestimation, RunReplicationSweep, Table2).
 //
@@ -146,11 +146,11 @@ func MeanLoss(m Model, params []float64, d *Dataset) (float64, error) {
 }
 
 // Durable training state: the checkpoint + journal subsystem behind
-// ElasticConfig.CheckpointDir / ShardedConfig.CheckpointDir. A master with a
-// checkpoint directory journals every migration, iteration and membership
-// event and snapshots the model atomically; Resume reconstructs it after a
-// crash with pre-crash uploads fenced by epoch. CheckpointState is the
-// recovered view of a checkpoint directory.
+// RootConfig.CheckpointDir. A root with a checkpoint directory journals
+// every migration, iteration and membership event and snapshots the model
+// atomically; Resume reconstructs it after a crash with pre-crash uploads
+// fenced by epoch. CheckpointState is the recovered view of a checkpoint
+// directory.
 type CheckpointState = checkpoint.State
 
 // Checkpoint recovery errors.
@@ -169,15 +169,22 @@ var (
 // writing — inspection and tooling.
 func RecoverCheckpoint(dir string) (*CheckpointState, error) { return checkpoint.Recover(dir) }
 
-// Elastic control plane: live telemetry, online re-planning and
-// epoch-versioned mid-training strategy migration.
+// The training root and its workers: live telemetry, online re-planning and
+// epoch-versioned mid-training strategy migration. A root hosts G ≥ 1
+// independently-coded groups, each with its own group master (local decode,
+// group-local elastic control plane, per-group epochs) and its own slice of
+// the global partitions. With no Throughputs it is one group over every
+// partition, the flat cluster; with Throughputs the fleet is laid out in
+// groups whose decoded sums the root reduces along a fan-in tree.
 type (
-	// ElasticMaster drives elastic BSP training over workers that may join,
-	// die and rejoin mid-run, migrating the coding strategy on drift/churn.
-	ElasticMaster = runtime.ElasticMaster
-	// ElasticConfig configures an elastic master (coding parameters plus the
+	// Root drives elastic BSP training over workers that may join, die and
+	// rejoin mid-run, migrating each group's coding strategy on drift/churn.
+	Root = shard.Root
+	// RootConfig configures a root (coding parameters, group layout and the
 	// control plane's drift/cooldown knobs).
-	ElasticConfig = runtime.ElasticConfig
+	RootConfig = shard.Config
+	// RootResult summarises a run (per-group stats included).
+	RootResult = shard.Result
 	// ElasticWorker is a migration-aware, telemetry-reporting worker.
 	ElasticWorker = runtime.ElasticWorker
 	// ElasticWorkerConfig configures an elastic worker (set ResumeID to
@@ -185,23 +192,24 @@ type (
 	ElasticWorkerConfig = runtime.ElasticWorkerConfig
 )
 
-// NewElasticMaster starts an elastic master accepting workers on addr.
-func NewElasticMaster(cfg ElasticConfig, addr string) (*ElasticMaster, error) {
-	return runtime.NewElasticMaster(cfg, addr)
+// NewRoot starts a root accepting workers on addr (a one-group root) or on
+// the group addresses it exposes (GroupAddrs/Plan).
+func NewRoot(cfg RootConfig, addr string) (*Root, error) {
+	return shard.NewRoot(cfg, addr)
 }
 
-// DialElasticWorker connects an elastic worker to a master; it receives its
+// DialElasticWorker connects an elastic worker to a root; it receives its
 // assignments via epoch-versioned reassignment messages.
 func DialElasticWorker(addr string, cfg ElasticWorkerConfig) (*ElasticWorker, error) {
 	return runtime.DialElasticWorker(addr, cfg)
 }
 
-// High availability: a root with ElasticConfig.LeaseTTL (or
-// ShardedConfig.LeaseTTL) set holds a monotonic lease over its checkpoint
-// directory. Every broadcast carries the lease generation, every upload
-// echoes it, and every journal write verifies it — so when a standby takes
-// over the directory at the next generation, the deposed root's writes are
-// rejected typed (ErrFenced) instead of corrupting the successor's run.
+// High availability: a root with RootConfig.LeaseTTL set holds a monotonic
+// lease over its checkpoint directory. Every broadcast carries the lease
+// generation, every upload echoes it, and every journal write verifies it —
+// so when a standby takes over the directory at the next generation, the
+// deposed root's writes are rejected typed (ErrFenced) instead of corrupting
+// the successor's run.
 type (
 	// HALease is an acquired root lease: a monotonic generation over a
 	// checkpoint directory, renewed while the holder is healthy.
@@ -273,28 +281,6 @@ func SimulateElastic(cfg ElasticSimConfig) (*ElasticSimResult, error) {
 	return sim.RunElastic(cfg)
 }
 
-// Hierarchical group-sharded runtime: the worker fleet is partitioned into
-// independently-coded groups, each with its own group master (local decode,
-// group-local elastic control plane, per-group epochs) and its own slice of
-// the global partitions; the root master hosts every group master in its own
-// process and reduces their decoded sums along a configurable fan-in tree.
-type (
-	// ShardedConfig configures a sharded training run.
-	ShardedConfig = shard.Config
-	// ShardedResult summarises a sharded run (per-group stats included).
-	ShardedResult = shard.Result
-	// ShardedRoot is the hierarchy's root master; workers dial the group
-	// addresses it exposes (GroupAddrs/Plan).
-	ShardedRoot = shard.Root
-)
-
-// RunSharded is the one-call sharded entry point: it builds the hierarchy on
-// addr, invokes onListen (dial workers at root.GroupAddrs() there), waits
-// for every group's worker quorum and trains to completion.
-func RunSharded(cfg ShardedConfig, addr string, waitTimeout time.Duration, onListen func(*ShardedRoot)) (*ShardedResult, error) {
-	return shard.RunSharded(cfg, addr, waitTimeout, onListen)
-}
-
 // BuildStrategy builds a strategy of any scheme over m = len(estimates)
 // workers from throughput estimates: the one step from estimates to a code,
 // shared by the experiments and the elastic control plane.
@@ -342,9 +328,9 @@ var AsciiPlot = metrics.AsciiPlot
 // Live telemetry plane: a dependency-free metrics registry with Prometheus
 // text exposition, an HTTP server (/metrics, /healthz, /debug/events,
 // /debug/trace, /debug/pprof), per-iteration phase tracing and a structured
-// control-plane event journal. Set ElasticConfig.Obs / ShardedConfig.Obs /
-// ElasticSimConfig.Obs to the same *Telemetry to instrument a run; nil (the
-// default) disables everything. The sim and live runtimes emit the same
+// control-plane event journal. Set RootConfig.Obs / ElasticSimConfig.Obs to
+// the same *Telemetry to instrument a run; nil (the default) disables
+// everything. The sim and live runtimes emit the same
 // metric families, so their scrapes are diffable.
 type (
 	// Telemetry is the canonical hetgc metric bundle plus the event journal
@@ -373,7 +359,7 @@ func ServeTelemetry(m *Telemetry, addr string) (*TelemetryServer, error) {
 // roster file and the cluster's (seed, k) pair.
 type (
 	// DurabilityConfig selects checkpointing (journal + snapshots); embedded
-	// by ElasticConfig, ShardedConfig, StandbyConfig and ClusterConfig.
+	// by RootConfig, StandbyConfig and ClusterConfig.
 	DurabilityConfig = clustercfg.DurabilityConfig
 	// HAConfig selects lease-fenced high availability.
 	HAConfig = clustercfg.HAConfig

@@ -1,7 +1,6 @@
 // Package checkpoint is the durable-state subsystem: an epoch-granular
-// write-ahead journal plus periodic atomic model snapshots, giving both
-// roots in the system — the flat runtime.ElasticMaster and the sharded
-// shard.Root — crash-recovery with deterministic resume.
+// write-ahead journal plus periodic atomic model snapshots, giving the
+// training root, shard.Root, crash-recovery with deterministic resume.
 //
 // A checkpoint directory holds numbered generations. Generation g is
 // anchored by a snapshot file snap-<g>.ckpt (the full model and
@@ -94,7 +93,7 @@ type Snapshot struct {
 
 // GroupState is one roster group's durable summary inside a snapshot.
 type GroupState struct {
-	// Group is the coding-group index (0 in the flat runtime).
+	// Group is the coding-group index (0 in a root of one group).
 	Group int
 	// Epoch is the highest plan epoch the group had created (-1 for none).
 	Epoch int
@@ -142,7 +141,7 @@ func (k Kind) String() string {
 }
 
 // Record is one journal entry. Group scopes membership and plan records to
-// one coding group (always 0 in the flat runtime); iteration records are
+// one coding group (always 0 in a root of one group); iteration records are
 // written by the root and carry group 0.
 type Record struct {
 	Kind   Kind

@@ -1,6 +1,6 @@
 // The on-disk store: generation-numbered snapshot/journal pairs with atomic
 // snapshot commits (temp-file + rename), journal rotation on every snapshot
-// and bounded retention. Concurrency-safe: the sharded runtime's group
+// and bounded retention. Concurrency-safe: the root's group
 // masters journal membership and plan events from their own goroutines while
 // the root appends iteration records and snapshots.
 package checkpoint

@@ -2,8 +2,8 @@
 // every runtime entry point: durability (checkpoint + journal), high
 // availability (lease fencing) and telemetry (the obs registry). Before this
 // package the same six fields were duplicated — with slowly drifting doc
-// comments — across ElasticConfig, the sharded Config, StandbyConfig and both
-// simulator configs. Each run config now embeds these structs.
+// comments — across the run configs. shard.Config, node.ClusterConfig,
+// ha.StandbyConfig and the simulator's config now embed these structs.
 //
 // The package is a leaf: it may import internal/obs and the standard library
 // only, so every runtime, simulator and binary can depend on it without
@@ -38,8 +38,8 @@ type HAConfig struct {
 	// renews a fencing token under the checkpoint directory, a warm standby
 	// takes over when the token lapses. Requires a checkpoint directory.
 	LeaseTTL time.Duration
-	// Holder names this node in the lease token (default is runtime-specific,
-	// e.g. "master" or "shard-root").
+	// Holder names this node in the lease token (default
+	// rootcore.DefaultHolder).
 	Holder string
 }
 

@@ -253,6 +253,16 @@ func (ct *Controller) RemoveMember(id int) {
 	ct.churned = true
 }
 
+// AliveCount returns the number of alive members, without allocating.
+func (ct *Controller) AliveCount() (n int) {
+	for _, ms := range ct.members {
+		if ms.alive {
+			n++
+		}
+	}
+	return n
+}
+
 // AliveMembers returns the alive member IDs in join order.
 func (ct *Controller) AliveMembers() []int {
 	out := make([]int, 0, len(ct.order))

@@ -14,6 +14,7 @@ import (
 	"github.com/hetgc/hetgc/internal/ml"
 	"github.com/hetgc/hetgc/internal/obs"
 	"github.com/hetgc/hetgc/internal/runtime"
+	"github.com/hetgc/hetgc/internal/shard"
 	"github.com/hetgc/hetgc/internal/transport"
 )
 
@@ -86,7 +87,7 @@ type ClusterConfig struct {
 	Workload *Workload
 
 	// Durability, HA and telemetry (see internal/clustercfg and the matching
-	// blocks on ElasticConfig). A cluster root requires CheckpointDir and
+	// blocks on shard.Config). A cluster root requires CheckpointDir and
 	// LeaseTTL: failover without a shared durable directory is not possible.
 	clustercfg.DurabilityConfig
 	clustercfg.HAConfig
@@ -121,9 +122,9 @@ func (c ClusterConfig) withDefaults() (ClusterConfig, error) {
 }
 
 // elasticConfig assembles the runtime config for a (possibly resuming) root.
-func (c ClusterConfig) elasticConfig(resume bool) runtime.ElasticConfig {
+func (c ClusterConfig) elasticConfig(resume bool) shard.Config {
 	w := c.Workload
-	ec := runtime.ElasticConfig{
+	ec := shard.Config{
 		K: c.K, S: c.S, Scheme: c.Scheme,
 		Model:           w.Model,
 		Optimizer:       w.Optimizer,
@@ -155,20 +156,20 @@ func (c ClusterConfig) elasticConfig(resume bool) runtime.ElasticConfig {
 // in-process runners (gctrain) route their flag surface through ClusterConfig
 // instead of duplicating the wiring. Job-reporting extras (LossFn,
 // LossEvery) may be patched onto the returned value.
-func (c ClusterConfig) ElasticConfig(resume bool) (runtime.ElasticConfig, error) {
+func (c ClusterConfig) ElasticConfig(resume bool) (shard.Config, error) {
 	c, err := c.withDefaults()
 	if err != nil {
-		return runtime.ElasticConfig{}, err
+		return shard.Config{}, err
 	}
 	return c.elasticConfig(resume), nil
 }
 
-// Root is a standalone training root: an elastic master listening on the
+// Root is a standalone training root: a one-group shard.Root listening on the
 // roster's address, serving training-data shards over its data plane,
 // checkpointing under the HA lease.
 type Root struct {
 	cfg    ClusterConfig
-	master *runtime.ElasticMaster
+	master *shard.Root
 }
 
 // StartRoot builds the root and starts accepting workers on cfg.Listen.
@@ -181,7 +182,7 @@ func StartRoot(cfg ClusterConfig, resume bool) (*Root, error) {
 	if cfg.CheckpointDir == "" || cfg.LeaseTTL <= 0 {
 		return nil, fmt.Errorf("%w: a cluster root requires CheckpointDir and LeaseTTL (failover needs a durable directory and a lease)", ErrBadNode)
 	}
-	master, err := runtime.NewElasticMaster(cfg.elasticConfig(resume), cfg.Listen)
+	master, err := shard.NewRoot(cfg.elasticConfig(resume), cfg.Listen)
 	if err != nil {
 		return nil, err
 	}
@@ -197,7 +198,7 @@ func (r *Root) StartIter() int { return r.master.StartIter() }
 
 // Run waits for the roster's worker quorum, trains to completion and
 // returns the result.
-func (r *Root) Run(waitTimeout time.Duration) (*runtime.ElasticResult, error) {
+func (r *Root) Run(waitTimeout time.Duration) (*shard.Result, error) {
 	if err := r.master.WaitForWorkers(waitTimeout); err != nil {
 		r.master.Close()
 		return nil, err
@@ -212,7 +213,7 @@ func (r *Root) Close() { r.master.Close() }
 // lapses, then promotes: it constructs a resumed root on cfg.Listen (the
 // standby's own roster address) and trains the remaining iterations. A nil
 // promotion (stop closed) returns (nil, nil).
-func RunStandby(cfg ClusterConfig, stop <-chan struct{}) (*runtime.ElasticResult, error) {
+func RunStandby(cfg ClusterConfig, stop <-chan struct{}) (*shard.Result, error) {
 	cfg, err := cfg.withDefaults()
 	if err != nil {
 		return nil, err

@@ -2,7 +2,7 @@
 // warm standby, a worker — from one declarative configuration. It is the
 // layer the gcroot/gcworker binaries are built on: static discovery comes
 // from a roster file, durability/HA/telemetry from the composable blocks in
-// internal/clustercfg, and the runtime pieces (elastic master, checkpoint
+// internal/clustercfg, and the runtime pieces (training root, checkpoint
 // store, lease, standby, data plane) are wired together here instead of in
 // every main().
 package node

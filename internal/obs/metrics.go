@@ -41,8 +41,8 @@ type Metrics struct {
 
 	// Decode cache. The gauges show process-wide totals; cacheHits and
 	// cacheMisses accumulate them across strategy instances (every replan
-	// builds a fresh strategy with zeroed counters, and the sharded runtime
-	// has one per group) — see OnCacheDelta and CacheTracker.
+	// builds a fresh strategy with zeroed counters, and a root of several
+	// groups has one per group) — see OnCacheDelta and CacheTracker.
 	CacheHits     *Gauge
 	CacheMisses   *Gauge
 	CacheHitRatio *Gauge
@@ -86,7 +86,7 @@ func NewWith(reg *Registry, journal *Journal, tracer *Tracer) *Metrics {
 	m.Throughput = reg.GaugeVec(MThroughputEstimate, "EWMA per-worker throughput estimate (work units per second).", LGroup, LMember)
 	m.Telemetry = reg.Counter(MTelemetrySamplesTot, "Per-iteration telemetry samples folded into throughput estimates.")
 
-	m.Members = reg.GaugeVec(MRosterMembers, "Live roster members per group (group 0 is the flat runtime or the shard root).", LGroup)
+	m.Members = reg.GaugeVec(MRosterMembers, "Live roster members per group (group 0 is a flat root's one group).", LGroup)
 	m.Joins = reg.CounterVec(MJoinsTotal, "Accepted worker handshakes by kind (join or rejoin).", LKind)
 	m.Deaths = reg.Counter(MDeathsTotal, "Workers declared dead (connection loss or read error).")
 	m.Rejected = reg.CounterVec(MRejectedTotal, "Uploads rejected during collect, by reason.", LReason)
@@ -263,8 +263,8 @@ func (m *Metrics) OnErasure(group, member int, reason string) {
 // OnMemberSpan feeds the attribution families from one stitched member
 // child span: the erasure counter for a partial one, the contribution
 // histogram plus echoed phase spans for a full one. Every stitch site — the
-// flat master's IterScope, the sharded group masters, the simulators — goes
-// through here so the families can never diverge.
+// one-group root's IterScope, the group masters of a larger root, the
+// simulators — goes through here so the families can never diverge.
 func (m *Metrics) OnMemberSpan(ms MemberSpan) {
 	if m == nil {
 		return

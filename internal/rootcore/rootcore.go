@@ -1,17 +1,16 @@
-// Package rootcore is what every training root does around its collect,
-// once: the flat runtime.ElasticMaster and the sharded shard.Root both sit on
-// it the way both sit on internal/roster. It owns validation of the shared
-// config, the bring-up sequence (acquire the lease, recover, reopen or
-// create the store, guard and metrics, resume anchor), the lease renewal
-// loop and its fault hook, the fencing verdict on run errors, the post-decode
-// tail of an iteration (scale, optimizer step, step/clock/loss bookkeeping,
-// journal append and snapshot cadence) and the two ways a root ends: Release
-// on success, Close — which never releases the lease — on everything else.
+// Package rootcore is what the training root, shard.Root, does around its
+// collect: validation of the config, the bring-up sequence (acquire the
+// lease, recover, reopen or create the store, guard and metrics, resume
+// anchor), the lease renewal loop and its fault hook, the fencing verdict on
+// run errors, the post-decode tail of an iteration (scale, optimizer step,
+// step/clock/loss bookkeeping, journal append and snapshot cadence) and the
+// two ways a root ends: Release on success, Close — which never releases the
+// lease — on everything else.
 //
-// A runtime keeps only what is truly its own: where its workers connect,
-// how it collects one iteration's gradient sum (one roster engine, or one
-// per coding group and a tree reduce) and how it fills the per-group part of
-// a snapshot.
+// The root keeps only what is its own: where its workers connect, how it
+// collects one iteration's gradient sum (one roster engine per coding group,
+// and a tree reduce over more than one) and how it fills the per-group part
+// of a snapshot.
 package rootcore
 
 import (
@@ -36,12 +35,22 @@ import (
 // configured none.
 const DefaultSnapshotEvery = 10
 
-// Config is the part of a root's configuration both runtimes share. Each
-// runtime fills it from its own config struct.
+// DefaultHolder names the root in the lease token when HAConfig.Holder is
+// empty. The holder name decides whether ha.Acquire lets a restarted root
+// take back its own live lease: the same holder always may, a different one
+// must wait for the lease to expire.
+const DefaultHolder = "root"
+
+// ErrBadConfig marks invalid root configurations; every validation failure
+// wraps it.
+var ErrBadConfig = errors.New("root: invalid config")
+
+// Config is the lifecycle part of the root's configuration, filled from
+// shard.Config.
 type Config struct {
 	// K, S, Model, Optimizer, InitialParams, Iterations, SampleCount,
-	// IterTimeout, LossEvery and LossFn are the runtime config's fields of
-	// the same names.
+	// IterTimeout, LossEvery and LossFn are the root config's fields of the
+	// same names.
 	K, S          int
 	Model         ml.Model
 	Optimizer     ml.Optimizer
@@ -56,19 +65,12 @@ type Config struct {
 	clustercfg.HAConfig
 	clustercfg.TelemetryConfig
 	Wire clustercfg.WireConfig
-
-	// Name labels the loss curve; DefaultHolder names the root in the lease
-	// token when HAConfig.Holder is empty; BadConfig is the runtime's own
-	// invalid-config sentinel, wrapped by every validation failure.
-	Name          string
-	DefaultHolder string
-	BadConfig     error
 }
 
-// Validate checks the shared config; every failure wraps BadConfig.
+// Validate checks the config; every failure wraps ErrBadConfig.
 func (c *Config) Validate() error {
 	bad := func(format string, a ...any) error {
-		return fmt.Errorf("%w: %s", c.BadConfig, fmt.Sprintf(format, a...))
+		return fmt.Errorf("%w: %s", ErrBadConfig, fmt.Sprintf(format, a...))
 	}
 	switch {
 	case c.Model == nil || c.Optimizer == nil:
@@ -86,20 +88,10 @@ func (c *Config) Validate() error {
 	case c.LeaseTTL > 0 && c.CheckpointDir == "":
 		return bad("lease requires a checkpoint directory")
 	}
-	if _, err := ParseCodec(c.Wire, c.BadConfig); err != nil {
-		return err
+	if _, err := grad.ParseCodec(c.Wire.Codec); err != nil {
+		return bad("%v", err)
 	}
 	return nil
-}
-
-// ParseCodec parses the run's gradient codec (empty means raw); an unknown
-// name fails wrapping badConfig.
-func ParseCodec(w clustercfg.WireConfig, badConfig error) (grad.Codec, error) {
-	codec, err := grad.ParseCodec(w.Codec)
-	if err != nil {
-		return grad.CodecRaw, fmt.Errorf("%w: %v", badConfig, err)
-	}
-	return codec, nil
 }
 
 // Hooks are the two places a runtime's own state enters the shared
@@ -179,7 +171,7 @@ func open(cfg Config, addr string, hooks Hooks) (_ *Core, err error) {
 		cfg: cfg, hooks: hooks, epoch: -1, stopRenew: func() {},
 		params: append([]float64(nil), cfg.InitialParams...),
 	}
-	c.codec, _ = ParseCodec(cfg.Wire, cfg.BadConfig) // validated
+	c.codec, _ = grad.ParseCodec(cfg.Wire.Codec) // validated
 	defer func() {
 		if err != nil {
 			c.Close()
@@ -188,7 +180,7 @@ func open(cfg Config, addr string, hooks Hooks) (_ *Core, err error) {
 	if cfg.LeaseTTL > 0 {
 		holder := cfg.Holder
 		if holder == "" {
-			holder = cfg.DefaultHolder
+			holder = DefaultHolder
 		}
 		if c.lease, err = ha.Acquire(cfg.CheckpointDir, holder, addr, cfg.LeaseTTL); err != nil {
 			return nil, err
@@ -241,7 +233,7 @@ func (c *Core) restore() error {
 	}
 	ts, err := state.RestoreTraining(c.cfg.Model.Dim(), c.cfg.Optimizer)
 	if err != nil {
-		return fmt.Errorf("%w: %v", c.cfg.BadConfig, err)
+		return fmt.Errorf("%w: %v", ErrBadConfig, err)
 	}
 	if ts.Params != nil {
 		c.params = ts.Params
@@ -325,7 +317,7 @@ func (c *Core) Fenced(err error) error {
 // Any failure is passed through Fenced.
 func (c *Core) Train(collect func(iter int, params []float64, sc *obs.IterScope) (grad.Gradient, int, error)) (*Progress, error) {
 	cfg := &c.cfg
-	prog := &Progress{Curve: metrics.Series{Name: cfg.Name}, StartIter: c.startIter, RootGen: c.gen}
+	prog := &Progress{Curve: metrics.Series{Name: "loss"}, StartIter: c.startIter, RootGen: c.gen}
 	loss := func() {
 		if l, err := cfg.LossFn(c.params); err == nil {
 			prog.Curve.Append(c.clock, l)

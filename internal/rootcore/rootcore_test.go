@@ -20,14 +20,12 @@ import (
 // These tests run the core with no sockets: open is the bring-up behind the
 // listener, and collect is a stub.
 
-var errBadTestConfig = errors.New("test: bad config")
-
 func testConfig(iters int) Config {
 	model := &ml.Softmax{InputDim: 2, NumClasses: 2}
 	return Config{
 		K: 4, S: 1, Model: model, Optimizer: &ml.SGD{LR: 0.1},
 		InitialParams: model.InitParams(nil), Iterations: iters, SampleCount: 1,
-		IterTimeout: time.Second, Name: "test", DefaultHolder: "test-root", BadConfig: errBadTestConfig,
+		IterTimeout: time.Second,
 	}
 }
 
@@ -72,8 +70,8 @@ func TestValidateWrapsTheRuntimesSentinel(t *testing.T) {
 	for name, mutate := range bad {
 		cfg := testConfig(1)
 		mutate(&cfg)
-		if err := cfg.Validate(); !errors.Is(err, errBadTestConfig) {
-			t.Errorf("%s: err = %v, want the runtime's bad-config sentinel", name, err)
+		if err := cfg.Validate(); !errors.Is(err, ErrBadConfig) {
+			t.Errorf("%s: err = %v, want ErrBadConfig", name, err)
 		}
 	}
 	cfg := testConfig(1)
@@ -115,7 +113,7 @@ func TestOpenTypedFailures(t *testing.T) {
 // ErrNoCheckpoint and still leaves the token one generation higher.
 func TestResumeFencesBeforeItReads(t *testing.T) {
 	dir := t.TempDir()
-	old, err := ha.Acquire(dir, "test-root", "old:0", time.Minute)
+	old, err := ha.Acquire(dir, DefaultHolder, "old:0", time.Minute)
 	if err != nil {
 		t.Fatal(err)
 	}

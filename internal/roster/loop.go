@@ -12,8 +12,8 @@ import (
 // Loop is the group BSP iteration over one Engine — the paper's master loop,
 // once: replan at the iteration boundary when the controller asks, broadcast,
 // collect until the code decodes, migrate and retry when the epoch cannot
-// complete, combine. The flat master runs it as its whole collect; the
-// sharded root runs it once per group every iteration. It belongs to the
+// complete, combine. A root of one group runs it as its whole collect; a
+// root of more groups runs it once per group every iteration. It belongs to the
 // single run-loop goroutine that drives the engine.
 type Loop struct {
 	Eng *Engine

@@ -1,11 +1,7 @@
-// Package roster is the shared membership engine behind every elastic
-// master in the system. The flat runtime (runtime.ElasticMaster) and the
-// sharded root's per-group masters (shard.Root) run the same
-// estimate → allocate → re-code loop over live TCP workers, and before this
-// package existed each carried its own copy of the accept loop, the
-// join/rejoin handshake, connection-generation fencing, the epoch-tagged
-// migration broadcast and the death/timeout bookkeeping — so every fencing
-// fix had to land twice. The Engine owns that skeleton once:
+// Package roster is the membership engine behind every group master of the
+// training root (shard.Root): each group runs the estimate → allocate →
+// re-code loop over live TCP workers on its own Engine, and the Engine owns
+// that loop's skeleton once:
 //
 //   - Accept loop: workers may connect for the whole lifetime of a run.
 //   - Join/rejoin handshake: a hello with WorkerID -1 gets a fresh stable
@@ -28,7 +24,7 @@
 //
 // The engine is deliberately policy-free: what to do when an epoch stalls
 // (retry budgets, error sentinels, result bookkeeping) stays with the
-// runtime that embeds it.
+// root that embeds it.
 package roster
 
 import (
@@ -121,7 +117,7 @@ type Config struct {
 	// Nil disables instrumentation at the cost of one branch per event.
 	Obs *obs.Metrics
 	// ObsGroup is the group label stamped on this engine's metrics and
-	// events (0 for the flat runtime; the coding-group index under a
+	// events (the coding-group index; 0 in a root of one group, under a
 	// sharded root).
 	ObsGroup int
 }
@@ -182,7 +178,7 @@ type Stats struct {
 	TelemetrySamples int
 }
 
-// Engine owns membership, fencing and migration for one elastic master.
+// Engine owns membership, fencing and migration for one group master.
 type Engine struct {
 	cfg Config
 	lis *transport.Listener
@@ -398,7 +394,7 @@ func (e *Engine) handshake(conn *transport.Conn) {
 	e.joinSeq++
 	e.cfg.Controller.AddMember(id, prior)
 	e.joins++
-	alive := len(e.cfg.Controller.AliveMembers())
+	alive := e.cfg.Controller.AliveCount()
 	e.mu.Unlock()
 	e.cfg.Obs.OnJoin(e.cfg.ObsGroup, id, rejoin, alive, 0)
 	if e.cfg.Recorder != nil {
@@ -519,7 +515,7 @@ func (e *Engine) noteDeath(id, gen int) {
 		m.alive = false
 		e.deaths++
 		e.cfg.Controller.RemoveMember(id)
-		alive = len(e.cfg.Controller.AliveMembers())
+		alive = e.cfg.Controller.AliveCount()
 		died = true
 	}
 	e.mu.Unlock()
@@ -537,7 +533,7 @@ func (e *Engine) noteDeath(id, gen int) {
 func (e *Engine) AliveCount() int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return len(e.cfg.Controller.AliveMembers())
+	return e.cfg.Controller.AliveCount()
 }
 
 // Joins returns the number of successful joins (rejoins included).

@@ -86,8 +86,8 @@ func TestElasticCheckpointResume(t *testing.T) {
 	if res2.StartIter != 6 || len(res2.IterTimes) != 4 {
 		t.Fatalf("resumed run: start %d with %d iterations, want 6 with 4", res2.StartIter, len(res2.IterTimes))
 	}
-	if res2.Epochs[0] <= preMax {
-		t.Fatalf("resumed epoch %d not above pre-resume max %d", res2.Epochs[0], preMax)
+	if res2.Groups[0].Epochs[0] <= preMax {
+		t.Fatalf("resumed epoch %d not above pre-resume max %d", res2.Groups[0].Epochs[0], preMax)
 	}
 	final, err := checkpoint.Recover(dir)
 	if err != nil {
@@ -162,8 +162,9 @@ func TestResumeAnchorPreservesEpochFence(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ma3.Close()
-	if ma3.fence != preMax {
-		t.Fatalf("third incarnation recovered fence %d, want %d", ma3.fence, preMax)
+	// Its own resume anchor records the fence it recovered.
+	if fence := recoverMaxEpoch(t, dir); fence != preMax {
+		t.Fatalf("third incarnation recovered fence %d, want %d", fence, preMax)
 	}
 }
 
@@ -243,9 +244,7 @@ func TestResumeRestoresEstimates(t *testing.T) {
 			defer ma2.Close()
 			rates := make([]float64, 3)
 			for i := range rates {
-				if rates[i], err = ma2.ctrl.Rate(i + 1); err != nil {
-					t.Fatal(err)
-				}
+				rates[i] = restoredRate(t, ma2, 0, i+1, cfg.MinObservations)
 			}
 			if rates[0] >= rates[1] || rates[0] >= rates[2] {
 				t.Fatalf("resumed estimates %v: the slow member 1 is not rated below the others", rates)

@@ -224,7 +224,7 @@ func TestElasticCodecInt8PoisonIsMalformed(t *testing.T) {
 	if _, _, _, after := transport.WireCodec(byte(grad.CodecInt8)); after <= before {
 		t.Fatalf("no int8 gradient bytes on the wire (out: %d -> %d)", before, after)
 	}
-	if res.MalformedSkipped == 0 {
+	if res.Groups[0].MalformedSkipped == 0 {
 		t.Fatal("the poisoned int8 uploads were not counted as malformed")
 	}
 	if len(res.Params) != f.model.Dim() || grad.InfOrNaN(res.Params) {

@@ -214,36 +214,36 @@ func TestElasticEndToEndChurn(t *testing.T) {
 	adaptive := run(true)
 	baseline := run(false)
 
-	if len(adaptive.IterTimes) != iters || len(adaptive.Epochs) != iters {
-		t.Fatalf("adaptive completed %d iters, %d epochs", len(adaptive.IterTimes), len(adaptive.Epochs))
+	if len(adaptive.IterTimes) != iters || len(adaptive.Groups[0].Epochs) != iters {
+		t.Fatalf("adaptive completed %d iters, %d epochs", len(adaptive.IterTimes), len(adaptive.Groups[0].Epochs))
 	}
 	// The control plane must have migrated: initial plan plus at least one
 	// churn (join) replan, and epochs must be monotonically non-decreasing.
-	if len(adaptive.Replans) < 2 {
-		t.Fatalf("replans = %+v, want initial + at least one migration", adaptive.Replans)
+	if len(adaptive.Groups[0].Replans) < 2 {
+		t.Fatalf("replans = %+v, want initial + at least one migration", adaptive.Groups[0].Replans)
 	}
 	sawChurn := false
-	for _, ev := range adaptive.Replans[1:] {
+	for _, ev := range adaptive.Groups[0].Replans[1:] {
 		if ev.Reason == "churn" || ev.Reason == "drift" {
 			sawChurn = true
 		}
 	}
 	if !sawChurn {
-		t.Fatalf("no churn/drift migration in %+v", adaptive.Replans)
+		t.Fatalf("no churn/drift migration in %+v", adaptive.Groups[0].Replans)
 	}
-	last := adaptive.Epochs[len(adaptive.Epochs)-1]
+	last := adaptive.Groups[0].Epochs[len(adaptive.Groups[0].Epochs)-1]
 	if last < 1 {
 		t.Fatalf("final epoch = %d, want ≥ 1", last)
 	}
-	for i := 1; i < len(adaptive.Epochs); i++ {
-		if adaptive.Epochs[i] < adaptive.Epochs[i-1] {
-			t.Fatalf("epochs regressed: %v", adaptive.Epochs)
+	for i := 1; i < len(adaptive.Groups[0].Epochs); i++ {
+		if adaptive.Groups[0].Epochs[i] < adaptive.Groups[0].Epochs[i-1] {
+			t.Fatalf("epochs regressed: %v", adaptive.Groups[0].Epochs)
 		}
 	}
-	if adaptive.Joins < 5 {
-		t.Fatalf("joins = %d, want ≥ 5 (4 initial + joiner)", adaptive.Joins)
+	if adaptive.Groups[0].Joins < 5 {
+		t.Fatalf("joins = %d, want ≥ 5 (4 initial + joiner)", adaptive.Groups[0].Joins)
 	}
-	if adaptive.TelemetrySamples == 0 {
+	if adaptive.Groups[0].TelemetrySamples == 0 {
 		t.Fatal("no telemetry ingested")
 	}
 	// Convergence: loss must drop.
@@ -384,10 +384,10 @@ func TestElasticStaleEpochFenced(t *testing.T) {
 	if runErr != nil {
 		t.Fatal(runErr)
 	}
-	if res.StaleEpochRejected == 0 {
+	if res.Groups[0].StaleEpochRejected == 0 {
 		t.Fatal("no stale-epoch uploads were rejected — the fence never engaged")
 	}
-	finalEpoch := res.Epochs[len(res.Epochs)-1]
+	finalEpoch := res.Groups[0].Epochs[len(res.Groups[0].Epochs)-1]
 	if finalEpoch < 1 {
 		t.Fatalf("final epoch %d — the migration this test depends on never happened", finalEpoch)
 	}
@@ -527,11 +527,11 @@ func TestElasticSurvivesDeathsAndRejoin(t *testing.T) {
 	if len(res.IterTimes) != iters {
 		t.Fatalf("completed %d iterations, want %d", len(res.IterTimes), iters)
 	}
-	if res.Deaths < 2 {
-		t.Fatalf("deaths = %d, want ≥ 2", res.Deaths)
+	if res.Groups[0].Deaths < 2 {
+		t.Fatalf("deaths = %d, want ≥ 2", res.Groups[0].Deaths)
 	}
-	if res.Epochs[len(res.Epochs)-1] < 1 {
-		t.Fatalf("epochs = %v — no migration after deaths", res.Epochs)
+	if res.Groups[0].Epochs[len(res.Groups[0].Epochs)-1] < 1 {
+		t.Fatalf("epochs = %v — no migration after deaths", res.Groups[0].Epochs)
 	}
 	if got := rejoinedID.Load(); got == 0 {
 		t.Fatal("rejoin never happened")
@@ -678,8 +678,8 @@ func TestEndToEndToleratesStraggler(t *testing.T) {
 			t.Fatalf("iteration %d took %.3fs: it waited for the straggler", i, sec)
 		}
 	}
-	if len(res.Replans) != 1 {
-		t.Fatalf("replans = %+v, want the initial plan only", res.Replans)
+	if len(res.Groups[0].Replans) != 1 {
+		t.Fatalf("replans = %+v, want the initial plan only", res.Groups[0].Replans)
 	}
 }
 
@@ -815,8 +815,8 @@ func TestWorkerDiesMidTrainingConverges(t *testing.T) {
 	if len(res.IterTimes) != iters {
 		t.Fatalf("completed %d iterations, want %d", len(res.IterTimes), iters)
 	}
-	if res.Deaths != 1 || len(res.Replans) != 1 || res.Replans[0].Reason != "initial" {
-		t.Fatalf("deaths = %d, replans = %+v: want one death and the initial plan only", res.Deaths, res.Replans)
+	if res.Groups[0].Deaths != 1 || len(res.Groups[0].Replans) != 1 || res.Groups[0].Replans[0].Reason != "initial" {
+		t.Fatalf("deaths = %d, replans = %+v: want one death and the initial plan only", res.Groups[0].Deaths, res.Groups[0].Replans)
 	}
 	if !lossDropped(res, 0.8) {
 		t.Fatalf("loss did not drop after mid-training death: %v", res.Curve.Points)

@@ -122,7 +122,7 @@ type ElasticWorker struct {
 	lastUpload atomic.Uint64
 }
 
-// DialElasticWorker connects to an elastic master and performs the
+// DialElasticWorker connects to a root's group master and performs the
 // hello/ack handshake, retrying per cfg.Reconnect when the master is not
 // reachable. The worker has no assignment until the master's first
 // MsgReassign arrives (in Run). With a nil PartitionData the worker fetches

@@ -49,8 +49,8 @@ func TestElasticLeaseLifecycle(t *testing.T) {
 	if res.RootGen != 1 {
 		t.Fatalf("result reports generation %d, want 1", res.RootGen)
 	}
-	if res.FencedRejected != 0 {
-		t.Fatalf("crash-free run fenced %d uploads", res.FencedRejected)
+	if res.Groups[0].FencedRejected != 0 {
+		t.Fatalf("crash-free run fenced %d uploads", res.Groups[0].FencedRejected)
 	}
 	tok, err := ha.ReadToken(cfg.CheckpointDir)
 	if err != nil {

@@ -135,8 +135,8 @@ func TestElasticStallAbsorbedLive(t *testing.T) {
 			unused++
 		}
 	}
-	if res.StaleEpochRejected+unused > 2 {
-		t.Errorf("%d iterations the stalled member started went unused (%d stale-epoch rejections run-wide), want at most 2 in all", unused, res.StaleEpochRejected)
+	if res.Groups[0].StaleEpochRejected+unused > 2 {
+		t.Errorf("%d iterations the stalled member started went unused (%d stale-epoch rejections run-wide), want at most 2 in all", unused, res.Groups[0].StaleEpochRejected)
 	}
 	if !erased[stallAt] || len(erased) > 2 {
 		t.Errorf("straggler erasures on the stalled member at iterations %v, want one at %d and not a run of them", erased, stallAt)
@@ -216,14 +216,14 @@ func TestElasticPersistentSlowdownReplansLive(t *testing.T) {
 		t.Fatal(err)
 	}
 	drift := false
-	for _, ev := range res.Replans {
+	for _, ev := range res.Groups[0].Replans {
 		drift = drift || ev.Reason == obs.ReasonDrift
 	}
 	if !drift {
-		t.Fatalf("no drift replan despite a 12x slowdown: %+v", res.Replans)
+		t.Fatalf("no drift replan despite a 12x slowdown: %+v", res.Groups[0].Replans)
 	}
 	declared := 1 / slowDelay.Seconds()
-	for _, ms := range master.eng.ControllerState().Members {
+	for _, ms := range master.ControllerState(0).Members {
 		if ms.ID != slowID {
 			continue
 		}
@@ -267,6 +267,7 @@ func TestElasticStallsKeepThePlanLive(t *testing.T) {
 	defer master.Close()
 	var wg sync.WaitGroup
 	declared := map[int]float64{} // member ID → partitions/second
+	var fleet []*ElasticWorker
 	for i := 0; i < workers; i++ {
 		i := i
 		w, err := DialElasticWorker(master.Addr(), ElasticWorkerConfig{
@@ -284,6 +285,7 @@ func TestElasticStallsKeepThePlanLive(t *testing.T) {
 			t.Fatal(err)
 		}
 		declared[w.ID()] = 1 / perPart[i].Seconds()
+		fleet = append(fleet, w)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -298,14 +300,14 @@ func TestElasticStallsKeepThePlanLive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Replans) > 3 {
-		t.Errorf("%d plans for a fleet whose speeds never changed, want at most 3: %+v", len(res.Replans), res.Replans)
+	if len(res.Groups[0].Replans) > 3 {
+		t.Errorf("%d plans for a fleet whose speeds never changed, want at most 3: %+v", len(res.Groups[0].Replans), res.Groups[0].Replans)
 	}
-	plan := master.ctrl.Plan()
-	loads := plan.Strategy.Allocation().Loads
-	rates := make([]float64, len(plan.Members))
-	for slot, id := range plan.Members {
-		rates[slot] = declared[id]
+	// Every worker holds its assignment in the final plan: its load.
+	loads := make([]int, len(fleet))
+	rates := make([]float64, len(fleet))
+	for i, w := range fleet {
+		loads[i], rates[i] = len(w.parts), declared[w.ID()]
 	}
 	best, err := partition.ProportionalLoads(rates, k, s)
 	if err != nil {
@@ -319,6 +321,6 @@ func TestElasticStallsKeepThePlanLive(t *testing.T) {
 	}
 	if got, want := span(loads), span(best); got != want {
 		t.Errorf("final loads %v take %.0f ms at the declared speeds %v, the optimum %v takes %.0f ms (plans: %+v)",
-			loads, 1e3*got, rates, best, 1e3*want, res.Replans)
+			loads, 1e3*got, rates, best, 1e3*want, res.Groups[0].Replans)
 	}
 }

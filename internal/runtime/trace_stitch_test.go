@@ -76,8 +76,8 @@ func TestTraceStitchingUnderChurnFlat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Epochs[len(res.Epochs)-1] < 1 {
-		t.Fatalf("no migration happened (final epoch %d) — the scenario lost its teeth", res.Epochs[len(res.Epochs)-1])
+	if res.Groups[0].Epochs[len(res.Groups[0].Epochs)-1] < 1 {
+		t.Fatalf("no migration happened (final epoch %d) — the scenario lost its teeth", res.Groups[0].Epochs[len(res.Groups[0].Epochs)-1])
 	}
 
 	traces := tel.Tracer().Recent(0)

@@ -1,4 +1,4 @@
-package shard
+package shard_test
 
 import (
 	"errors"
@@ -13,6 +13,7 @@ import (
 	"github.com/hetgc/hetgc/internal/ml"
 	"github.com/hetgc/hetgc/internal/obs"
 	"github.com/hetgc/hetgc/internal/runtime"
+	"github.com/hetgc/hetgc/internal/shard"
 )
 
 // followers runs one reconnecting elastic worker per planned worker slot.
@@ -26,7 +27,7 @@ type followers struct {
 	once  sync.Once
 }
 
-func startFollowers(t *testing.T, r *Root, fx *liveFixture, delay time.Duration) *followers {
+func startFollowers(t *testing.T, r *shard.Root, fx *liveFixture, delay time.Duration) *followers {
 	t.Helper()
 	f := &followers{stop: make(chan struct{})}
 	f.retarget(r)
@@ -41,7 +42,7 @@ func startFollowers(t *testing.T, r *Root, fx *liveFixture, delay time.Duration)
 }
 
 // retarget points every worker at r's group addresses.
-func (f *followers) retarget(r *Root) { f.addrs.Store(r.GroupAddrs()) }
+func (f *followers) retarget(r *shard.Root) { f.addrs.Store(r.GroupAddrs()) }
 
 // halt stops redialing and waits for every worker to exit. The roots must be
 // closed first: a worker in a live session exits when its connection dies.
@@ -91,7 +92,7 @@ func TestShardedHostedRootRestart(t *testing.T) {
 	cfg.SnapshotEvery = 3
 	cfg.LeaseTTL = 30 * time.Second
 
-	root1, err := NewRoot(cfg, "127.0.0.1:0")
+	root1, err := shard.NewRoot(cfg, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +114,7 @@ func TestShardedHostedRootRestart(t *testing.T) {
 	cfg2.Resume = true
 	tel := obs.New()
 	cfg2.Obs = tel
-	root2, err := NewRoot(cfg2, "127.0.0.1:0")
+	root2, err := shard.NewRoot(cfg2, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +165,7 @@ func TestShardedHostedZombieRoot(t *testing.T) {
 	cfg.LeaseTTL = 300 * time.Millisecond
 	cfg.IterTimeout = 1 * time.Second
 
-	root1, err := NewRoot(cfg, "127.0.0.1:0")
+	root1, err := shard.NewRoot(cfg, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +190,7 @@ func TestShardedHostedZombieRoot(t *testing.T) {
 	cfg2.Resume = true
 	cfg2.Holder = "shard-root-b"
 	cfg2.LeaseTTL = 30 * time.Second
-	root2, err := NewRoot(cfg2, "127.0.0.1:0")
+	root2, err := shard.NewRoot(cfg2, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}

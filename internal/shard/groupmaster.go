@@ -1,16 +1,14 @@
-// The group side of the hierarchy: one coding group's master, an elastic
-// BSP master scoped to that group and hosted in the root's process. It
-// admits the group's workers over TCP with the elastic worker protocol,
-// keeps a group-local control plane (its own elastic.Controller, its own
-// epoch counter), migrates only its own workers on drift or churn, and
-// decodes the group's gradient sum with the shared decode-plan cache and
-// kernels.
+// The group side of the root: one coding group's master, an elastic BSP
+// master scoped to that group and hosted in the root's process. It admits
+// the group's workers over TCP with the elastic worker protocol, keeps a
+// group-local control plane (its own elastic.Controller, its own epoch
+// counter), migrates only its own workers on drift or churn, and decodes the
+// group's gradient sum with the shared decode-plan cache and kernels.
 //
 // Membership, generation fencing, migration delivery and the epoch-fenced
-// collect are delegated to internal/roster — the same engine behind the
-// flat runtime.ElasticMaster — and one group iteration is roster.Loop, the
-// flat master's whole collect, so a fencing fix lands once and is verified
-// against both runtimes by the shared conformance suite.
+// collect are delegated to internal/roster, and one group iteration is a
+// roster.Loop, so a fencing fix lands once and the conformance suite
+// verifies it for roots of one group and of many.
 package shard
 
 import (
@@ -37,22 +35,26 @@ import (
 // iteration touches it, one goroutine per group.
 type group struct {
 	id       int
-	workers  int // the group's planned worker count
+	workers  int // the group's planned worker count (0 without Throughputs)
 	loop     roster.Loop
 	epochs   []int
 	failures int // failed attempts in a row, across iterations
 }
 
-// newGroup builds group g: its controller (restored from st on a resumed
-// root) and its engine listening on workerAddr, fenced by the root's lease
-// generation and recording into the root's journal.
-func newGroup(cfg *Config, grp *Group, g int, st *checkpoint.State, root *rootcore.Core, workerAddr string) (*group, error) {
-	ctrl, recovered, err := buildGroupController(cfg, grp, g, st)
-	if err != nil {
-		return nil, err
+// newGroup builds group g of plan: its controller (restored from st on a
+// resumed root) and its engine on lis, fenced by the root's lease
+// generation and recording into the root's journal. It closes lis on
+// failure.
+func newGroup(cfg *Config, plan *Plan, g int, st *checkpoint.State, root *rootcore.Core, lis *transport.Listener) (*group, error) {
+	grp := plan.Groups[g]
+	// The one group of a one-group root plans on the root's seed.
+	seed := cfg.Seed
+	if plan.NumGroups() > 1 {
+		seed += int64(g) + 1
 	}
-	lis, err := transport.Listen(workerAddr)
+	ctrl, recovered, err := buildGroupController(cfg, grp, g, seed, st)
 	if err != nil {
+		_ = lis.Close()
 		return nil, err
 	}
 	eng, err := newGroupEngine(cfg, grp, g, ctrl, recovered, root, lis)
@@ -66,14 +68,14 @@ func newGroup(cfg *Config, grp *Group, g int, st *checkpoint.State, root *rootco
 }
 
 // iterate runs one root iteration on the group, combining its decoded sum
-// into sum. Each attempt first waits up to IterTimeout for a plannable
-// quorum (S+1, the controller's floor) — a group serving with a partial
-// roster beyond that is fine, the controller plans around it. A failed
-// attempt forces a migration before the next one. The group gives up after
-// MaxRetries+2 failures in a row or once the deadline has passed, and
-// refuses a non-finite sum: training itself blew up. It returns the group's
-// root-tier child span, anchored at start.
-func (gr *group) iterate(cfg *Config, iter int, params, sum []float64, start, deadline time.Time) (obs.MemberSpan, error) {
+// into sum and timing its phases on sc (nil under a root of many groups,
+// whose trace children are the groups). Each attempt first waits up to
+// IterTimeout for a plannable quorum (S+1, the controller's floor) — a group
+// serving with a partial roster beyond that is fine, the controller plans
+// around it. A failed attempt forces a migration before the next one. The
+// group gives up after MaxRetries+2 failures in a row or once the deadline
+// has passed, and refuses a non-finite sum: training itself blew up.
+func (gr *group) iterate(cfg *Config, sc *obs.IterScope, iter int, params, sum []float64, deadline time.Time) error {
 	eng := gr.loop.Eng
 	for {
 		if need := cfg.S + 1; eng.AliveCount() < need {
@@ -81,32 +83,32 @@ func (gr *group) iterate(cfg *Config, iter int, params, sum []float64, start, de
 		}
 		// No collect attempt outlasts the deadline by more than its retries.
 		gr.loop.IterTimeout = min(cfg.IterTimeout, max(time.Until(deadline), time.Millisecond))
-		err := gr.loop.Iteration(nil, iter, params, sum)
+		err := gr.loop.Iteration(sc, iter, params, sum)
 		if err == nil {
 			break
 		}
 		gr.loop.Plan = nil
 		if gr.failures++; gr.failures > cfg.MaxRetries+2 || time.Now().After(deadline) {
-			return obs.MemberSpan{}, errors.Join(fmt.Errorf("%w: group %d gave up on iteration %d after %d failed attempts in a row", ErrGroupFailed, gr.id, iter, gr.failures), err)
+			return errors.Join(fmt.Errorf("%w: group %d gave up on iteration %d after %d failed attempts in a row", ErrGroupFailed, gr.id, iter, gr.failures), err)
 		}
 	}
 	gr.failures = 0
 	if grad.InfOrNaN(sum) {
-		return obs.MemberSpan{}, fmt.Errorf("%w: group %d decoded a non-finite sum at iteration %d", ErrGroupFailed, gr.id, iter)
+		return fmt.Errorf("%w: group %d decoded a non-finite sum at iteration %d", ErrGroupFailed, gr.id, iter)
 	}
 	gr.epochs = append(gr.epochs, gr.loop.Plan.Epoch)
-	return obs.MemberSpan{Member: gr.id, Group: -1, Arrival: time.Since(start).Seconds(), Spans: gr.spans()}, nil
+	return nil
 }
 
-// spans are the group's phase spans in its root-tier child span: the gather
-// (the group's workers computing and uploading) reads as compute, the
-// combine as encode — the span family workers report, so one trace view
-// renders both tiers.
-func (gr *group) spans() []obs.Span {
-	return []obs.Span{
+// span is the group's root-tier child span for the iteration it just
+// completed, anchored at start: the gather (the group's workers computing
+// and uploading) reads as compute, the combine as encode — the span family
+// workers report, so one trace view renders both tiers.
+func (gr *group) span(start time.Time) obs.MemberSpan {
+	return obs.MemberSpan{Member: gr.id, Group: -1, Arrival: time.Since(start).Seconds(), Spans: []obs.Span{
 		{Phase: obs.PhaseCompute, Seconds: gr.loop.Gather},
 		{Phase: obs.PhaseEncode, Seconds: gr.loop.Combine},
-	}
+	}}
 }
 
 // stats snapshots the group's counters once its iterations are over.
@@ -135,20 +137,21 @@ func (gr *group) coreState() checkpoint.GroupState {
 	return gs
 }
 
-// buildGroupController constructs one group's control plane and, when st is
-// the root's recovered checkpoint, restores
-// it. Recovery precedence: a snapshot-carried controller state — real
-// throughput history — wins over the planned-throughput priors derived from
-// member IDs alone. Every restored member starts dead (its connection died
-// with the previous incarnation) and the epoch base is raised above
-// everything the journal recorded. It returns the member IDs to reserve.
-func buildGroupController(cfg *Config, grp *Group, g int, st *checkpoint.State) (*elastic.Controller, []int, error) {
+// buildGroupController constructs one group's control plane on seed and,
+// when st is the root's recovered checkpoint, restores it. Recovery
+// precedence: a snapshot-carried controller state — real throughput history
+// — wins over the planned-throughput priors derived from member IDs alone;
+// a member with neither is planned at InitialRate. Every restored member
+// starts dead (its connection died with the previous incarnation) and the
+// epoch base is raised above everything the journal recorded. It returns
+// the member IDs to reserve.
+func buildGroupController(cfg *Config, grp *Group, g int, seed int64, st *checkpoint.State) (*elastic.Controller, []int, error) {
 	ctrl, err := elastic.NewController(elastic.Config{
 		K: len(grp.Parts), S: cfg.S, Scheme: cfg.Scheme,
 		Alpha: cfg.Alpha, DriftThreshold: cfg.DriftThreshold,
 		MinObservations: cfg.MinObservations, CooldownIters: cfg.CooldownIters,
 		InitialRate: cfg.InitialRate,
-	}, rand.New(rand.NewSource(cfg.Seed+int64(g)+1)))
+	}, rand.New(rand.NewSource(seed)))
 	if err != nil {
 		return nil, nil, fmt.Errorf("%w: group %d: %v", ErrBadConfig, g, err)
 	}
@@ -208,7 +211,6 @@ func newGroupEngine(cfg *Config, grp *Group, g int, ctrl *elastic.Controller, re
 	rcfg := roster.Config{
 		Controller:   ctrl,
 		WriteTimeout: cfg.IterTimeout,
-		InboxSize:    2*len(grp.Workers) + 8,
 		K:            cfg.K, // global K: partition IDs are global
 		S:            cfg.S,
 		Codec:        byte(root.Codec()),
@@ -218,12 +220,18 @@ func newGroupEngine(cfg *Config, grp *Group, g int, ctrl *elastic.Controller, re
 		Recorder:     root.Recorder(g),
 		Obs:          cfg.Obs,
 		ObsGroup:     g,
-		Prior: func(joinSeq int) float64 {
-			if joinSeq < len(grp.Workers) {
+	}
+	if n := len(grp.Workers); n > 0 {
+		// Planned workers size the inbox and price the joins in order;
+		// without them the roster's default inbox and the controller's own
+		// prior stand.
+		rcfg.InboxSize = 2*n + 8
+		rcfg.Prior = func(joinSeq int) float64 {
+			if joinSeq < n {
 				return cfg.Throughputs[grp.Workers[joinSeq]]
 			}
 			return 0
-		},
+		}
 	}
 	if cfg.PartitionSource != nil {
 		// The group master doubles as its workers' data plane. Partition

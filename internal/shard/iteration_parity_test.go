@@ -77,7 +77,7 @@ func TestSharedIterationTraceParity(t *testing.T) {
 		epochs = append(epochs, gc.loop.Plan.Epoch)
 		// The group caller's view: its child span reads the gather as
 		// compute and the combine as encode.
-		spans := gc.spans()
+		spans := gc.span(time.Now()).Spans
 		if len(spans) != 2 || spans[0].Phase != obs.PhaseCompute || spans[1].Phase != obs.PhaseEncode {
 			t.Fatalf("iteration %d: group spans %+v, want compute + encode", iter, spans)
 		}

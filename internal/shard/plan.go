@@ -1,9 +1,9 @@
-// Package shard is the hierarchical group-sharded runtime: it partitions a
-// large worker fleet into independently-coded groups, each running the
-// paper's gradient-coding scheme over its own slice of the data partitions,
-// and aggregates the per-group decoded sums up a configurable reduction tree
-// into a root master. A flat deployment decodes one code over all m workers
-// and can drop at most s stragglers cluster-wide; sharding multiplies the
+// Package shard is the training root: it runs the paper's gradient-coding
+// scheme in G ≥ 1 independently-coded groups, each over its own slice of the
+// data partitions, and aggregates the per-group decoded sums up a
+// configurable reduction tree. A flat deployment is the one-group root: it
+// decodes one code over all m workers and can drop at most s stragglers
+// cluster-wide; splitting the fleet into groups multiplies the
 // tolerable straggler count to one budget *per group* while keeping each
 // group's decode at small-cluster cost, which is what lets the scheme scale
 // from tens to hundreds of workers.
@@ -11,7 +11,7 @@
 // The decomposition is exact, not approximate: group g owns a disjoint set
 // of global partitions, its local decode recovers Σ_{p∈parts(g)} g_p, and
 // the reduction tree sums the group results, so the root obtains the same
-// aggregated gradient a flat master would have decoded.
+// aggregated gradient a one-group root would have decoded.
 package shard
 
 import (

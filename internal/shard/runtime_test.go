@@ -1,4 +1,4 @@
-package shard
+package shard_test
 
 import (
 	"errors"
@@ -20,6 +20,7 @@ import (
 	"github.com/hetgc/hetgc/internal/grad"
 	"github.com/hetgc/hetgc/internal/ml"
 	"github.com/hetgc/hetgc/internal/runtime"
+	"github.com/hetgc/hetgc/internal/shard"
 	"github.com/hetgc/hetgc/internal/transport"
 )
 
@@ -42,12 +43,12 @@ func newLiveFixture(t *testing.T, k int) *liveFixture {
 	return &liveFixture{model: &ml.Softmax{InputDim: 4, NumClasses: 3}, data: data, parts: parts}
 }
 
-func (f *liveFixture) config(k, s, iters int, m int) Config {
+func (f *liveFixture) config(k, s, iters int, m int) shard.Config {
 	thr := make([]float64, m)
 	for i := range thr {
 		thr[i] = 1
 	}
-	return Config{
+	return shard.Config{
 		K: k, S: s, GroupSize: 3, FanIn: 2,
 		Throughputs:   thr,
 		Model:         f.model,
@@ -63,7 +64,7 @@ func (f *liveFixture) config(k, s, iters int, m int) Config {
 // spawnWorkers dials the planned number of elastic workers at every group
 // address. delay(group, idx, iter) gives worker idx of a group its
 // per-partition delay.
-func spawnWorkers(t *testing.T, r *Root, wg *sync.WaitGroup, delay func(g, idx, iter int) time.Duration, fx *liveFixture) {
+func spawnWorkers(t *testing.T, r *shard.Root, wg *sync.WaitGroup, delay func(g, idx, iter int) time.Duration, fx *liveFixture) {
 	t.Helper()
 	addrs := r.GroupAddrs()
 	for g, grp := range r.Plan().Groups {
@@ -89,6 +90,21 @@ func spawnWorkers(t *testing.T, r *Root, wg *sync.WaitGroup, delay func(g, idx, 
 			}()
 		}
 	}
+}
+
+// runRoot builds a root on addr, hands it to onListen (which dials the
+// workers), waits for every group's workers and trains to completion.
+func runRoot(cfg shard.Config, addr string, waitTimeout time.Duration, onListen func(*shard.Root)) (*shard.Result, error) {
+	r, err := shard.NewRoot(cfg, addr)
+	if err != nil {
+		return nil, err
+	}
+	onListen(r)
+	if err := r.WaitForWorkers(waitTimeout); err != nil {
+		r.Close()
+		return nil, err
+	}
+	return r.Run()
 }
 
 // serialSGD trains the fixture serially with the same partition split and
@@ -137,7 +153,7 @@ func TestShardedRefusesFixedShape(t *testing.T) {
 	cfg := newLiveFixture(t, 12).config(12, 1, 3, 6)
 	for _, kind := range []core.Kind{core.Naive, core.Cyclic, core.FractionalRepetition} {
 		cfg.Scheme = kind
-		if r, err := NewRoot(cfg, "127.0.0.1:0"); !errors.Is(err, ErrBadConfig) {
+		if r, err := shard.NewRoot(cfg, "127.0.0.1:0"); !errors.Is(err, shard.ErrBadConfig) {
 			if r != nil {
 				r.Close()
 			}
@@ -155,7 +171,7 @@ func TestShardedGroupsListenOnRootHost(t *testing.T) {
 	} else {
 		lis.Close()
 	}
-	r, err := NewRoot(newLiveFixture(t, 8).config(8, 1, 3, 6), "127.0.0.2:0")
+	r, err := shard.NewRoot(newLiveFixture(t, 8).config(8, 1, 3, 6), "127.0.0.2:0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +193,7 @@ func TestShardedEndToEndExactTraining(t *testing.T) {
 	cfg := fx.config(k, s, iters, m)
 
 	var wg sync.WaitGroup
-	res, err := RunSharded(cfg, "127.0.0.1:0", 5*time.Second, func(r *Root) {
+	res, err := runRoot(cfg, "127.0.0.1:0", 5*time.Second, func(r *shard.Root) {
 		if r.Plan().NumGroups() != 2 {
 			t.Errorf("plan has %d groups, want 2", r.Plan().NumGroups())
 		}
@@ -238,7 +254,7 @@ func TestShardedInt8Uplink(t *testing.T) {
 
 	int8In, _, _, _ := transport.WireCodec(byte(grad.CodecInt8))
 	var wg sync.WaitGroup
-	res, err := RunSharded(cfg, "127.0.0.1:0", 5*time.Second, func(r *Root) {
+	res, err := runRoot(cfg, "127.0.0.1:0", 5*time.Second, func(r *shard.Root) {
 		spawnWorkers(t, r, &wg, nil, fx)
 	})
 	if err != nil {
@@ -282,7 +298,7 @@ func TestShardedGroupLocalMigrationLive(t *testing.T) {
 		slowAt    = 6
 	)
 	var wg sync.WaitGroup
-	res, err := RunSharded(cfg, "127.0.0.1:0", 5*time.Second, func(r *Root) {
+	res, err := runRoot(cfg, "127.0.0.1:0", 5*time.Second, func(r *shard.Root) {
 		spawnWorkers(t, r, &wg, func(g, idx, iter int) time.Duration {
 			if g == 0 && idx == 0 && iter >= slowAt {
 				return slowDelay
@@ -332,7 +348,7 @@ func TestShardedRunFailsWhenGroupLosesQuorum(t *testing.T) {
 	var wg sync.WaitGroup
 	var mu sync.Mutex
 	var group0 []*runtime.ElasticWorker
-	_, err := RunSharded(cfg, "127.0.0.1:0", 5*time.Second, func(r *Root) {
+	_, err := runRoot(cfg, "127.0.0.1:0", 5*time.Second, func(r *shard.Root) {
 		addrs := r.GroupAddrs()
 		for g, grp := range r.Plan().Groups {
 			for idx := 0; idx < len(grp.Workers); idx++ {
@@ -368,7 +384,7 @@ func TestShardedRunFailsWhenGroupLosesQuorum(t *testing.T) {
 			mu.Unlock()
 		}()
 	})
-	if !errors.Is(err, ErrGroupFailed) {
+	if !errors.Is(err, shard.ErrGroupFailed) {
 		t.Fatalf("run after group 0 lost its quorum: err = %v, want ErrGroupFailed", err)
 	}
 	// The group's own reason reaches the caller, not just the missing sum.
@@ -391,8 +407,8 @@ func TestShardedDurableGroupStates(t *testing.T) {
 	cfg.SnapshotEvery = 3
 
 	var wg sync.WaitGroup
-	var plan *Plan
-	_, err := RunSharded(cfg, "127.0.0.1:0", 5*time.Second, func(r *Root) {
+	var plan *shard.Plan
+	_, err := runRoot(cfg, "127.0.0.1:0", 5*time.Second, func(r *shard.Root) {
 		plan = r.Plan()
 		spawnWorkers(t, r, &wg, nil, fx)
 	})
@@ -461,7 +477,7 @@ func TestShardedResumeRestoresEstimates(t *testing.T) {
 				}
 				return time.Millisecond
 			}
-			_, err := RunSharded(cfg, "127.0.0.1:0", 5*time.Second, func(r *Root) { spawnWorkers(t, r, &wg, delay, fx) })
+			_, err := runRoot(cfg, "127.0.0.1:0", 5*time.Second, func(r *shard.Root) { spawnWorkers(t, r, &wg, delay, fx) })
 			wg.Wait()
 			if err != nil {
 				t.Fatal(err)
@@ -469,19 +485,19 @@ func TestShardedResumeRestoresEstimates(t *testing.T) {
 
 			cfg.Resume = true
 			for i := 0; i < tc.anchorOnly; i++ {
-				crashed, err := NewRoot(cfg, "127.0.0.1:0")
+				crashed, err := shard.NewRoot(cfg, "127.0.0.1:0")
 				if err != nil {
 					t.Fatal(err)
 				}
 				crashed.Close()
 			}
-			r, err := NewRoot(cfg, "127.0.0.1:0")
+			r, err := shard.NewRoot(cfg, "127.0.0.1:0")
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer r.Close()
 			rates := map[int]float64{}
-			for _, ms := range r.groups[0].loop.Eng.ControllerState().Members {
+			for _, ms := range r.ControllerState(0).Members {
 				rates[ms.ID] = estimate.NewMeterFromState(1, ms.Meter).Rate(cfg.MinObservations)
 			}
 			if len(rates) != 3 || rates[1] >= rates[2] || rates[1] >= rates[3] {

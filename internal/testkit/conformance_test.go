@@ -66,17 +66,17 @@ func (c *flatCluster) Run() (*testkit.Outcome, error) {
 	}
 	out := &testkit.Outcome{
 		Iters:              len(res.IterTimes),
-		StaleEpochRejected: res.StaleEpochRejected,
-		StaleConnRejected:  res.StaleConnRejected,
-		StragglersSkipped:  res.StragglersSkipped,
-		MalformedSkipped:   res.MalformedSkipped,
-		TelemetrySamples:   res.TelemetrySamples,
-		Joins:              res.Joins,
-		Deaths:             res.Deaths,
+		StaleEpochRejected: res.Groups[0].StaleEpochRejected,
+		StaleConnRejected:  res.Groups[0].StaleConnRejected,
+		StragglersSkipped:  res.Groups[0].StragglersSkipped,
+		MalformedSkipped:   res.Groups[0].MalformedSkipped,
+		TelemetrySamples:   res.Groups[0].TelemetrySamples,
+		Joins:              res.Groups[0].Joins,
+		Deaths:             res.Groups[0].Deaths,
 		Params:             res.Params,
 	}
-	if len(res.Epochs) > 0 {
-		out.FinalEpoch = res.Epochs[len(res.Epochs)-1]
+	if len(res.Groups[0].Epochs) > 0 {
+		out.FinalEpoch = res.Groups[0].Epochs[len(res.Groups[0].Epochs)-1]
 	}
 	return out, nil
 }

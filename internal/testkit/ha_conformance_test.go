@@ -67,7 +67,7 @@ func (c *haFlat) Run() (*testkit.Outcome, error) {
 	return &testkit.Outcome{
 		Iters:         len(res.IterTimes),
 		Params:        res.Params,
-		FencedUploads: res.FencedRejected,
+		FencedUploads: res.Groups[0].FencedRejected,
 	}, nil
 }
 

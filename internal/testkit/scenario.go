@@ -9,9 +9,9 @@ import (
 )
 
 // Scenario is one adversarial churn script plus the invariants every
-// conformant runtime must uphold under it. The same table drives the flat
-// elastic master and the sharded per-group masters; a runtime adapts itself
-// through the Cluster interface.
+// conformant root must uphold under it. The same table drives the flat root
+// (one group) and a root of several groups; each adapts itself through the
+// Cluster interface.
 type Scenario struct {
 	// Name labels the subtest.
 	Name string
@@ -19,7 +19,7 @@ type Scenario struct {
 	// worker count, Iters the training length.
 	K, S, Workers, Iters int
 	// GroupSize shards Workers into coding groups in grouped runtimes
-	// (flat runtimes ignore it). Conformance addresses are ordered so that
+	// (a flat root ignores it). Conformance addresses are ordered so that
 	// consecutive worker slots share a group.
 	GroupSize int
 	// Behaviors scripts individual worker slots; missing slots run honest

@@ -11,9 +11,9 @@
 //     scenario instead of hand-rolled per test.
 //   - A runtime-agnostic conformance suite (Scenarios + RunConformance):
 //     one table of churn scenarios executed identically against every
-//     runtime that can present itself as a Cluster, so the flat
-//     runtime.ElasticMaster and the sharded per-group masters are held to
-//     the same survival guarantees by the same code.
+//     root shape that can present itself as a Cluster, so the flat root (one
+//     group) and a root of several groups are held to the same survival
+//     guarantees by the same code.
 //
 // Everything is deterministic given the scenario seed: a failing run is
 // reproduced by re-running the same scenario (go test -run

@@ -9,7 +9,6 @@ package hetgc_test
 // generation. `make metrics-smoke` runs exactly these tests.
 
 import (
-	"fmt"
 	"io"
 	"net/http"
 	"strconv"
@@ -144,7 +143,7 @@ func TestMetricsSmokeElastic(t *testing.T) {
 	}
 	defer srv.Close()
 
-	master, err := hetgc.NewElasticMaster(hetgc.ElasticConfig{
+	master, err := hetgc.NewRoot(hetgc.RootConfig{
 		K: k, S: 1,
 		Model:            model,
 		Optimizer:        &hetgc.SGD{LR: 0.5},
@@ -224,7 +223,7 @@ func TestMetricsSmokeSharded(t *testing.T) {
 	}
 	defer srv.Close()
 
-	cfg := hetgc.ShardedConfig{
+	cfg := hetgc.RootConfig{
 		K: k, S: 1, GroupSize: 2, FanIn: 2,
 		Throughputs:      throughputs,
 		Model:            model,
@@ -246,26 +245,33 @@ func TestMetricsSmokeSharded(t *testing.T) {
 	done := make(chan struct{})
 	sawLive := watchDuringRun(srv.URL()+"/metrics", done)
 	var wg sync.WaitGroup
-	res, err := hetgc.RunSharded(cfg, "127.0.0.1:0", 5*time.Second, func(root *hetgc.ShardedRoot) {
-		addrs := root.GroupAddrs()
-		for g, grp := range root.Plan().Groups {
-			for range grp.Workers {
-				w, err := hetgc.DialElasticWorker(addrs[g], hetgc.ElasticWorkerConfig{
-					Model:             model,
-					PartitionData:     func(p int) (*hetgc.Dataset, error) { return parts[p], nil },
-					DelayPerPartition: func(int) time.Duration { return 2 * time.Millisecond },
-				})
-				if err != nil {
-					panic(fmt.Sprintf("dial group %d: %v", g, err))
-				}
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					_ = w.Run()
-				}()
+	root, err := hetgc.NewRoot(cfg, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer root.Close()
+	addrs := root.GroupAddrs()
+	for g, grp := range root.Plan().Groups {
+		for range grp.Workers {
+			w, err := hetgc.DialElasticWorker(addrs[g], hetgc.ElasticWorkerConfig{
+				Model:             model,
+				PartitionData:     func(p int) (*hetgc.Dataset, error) { return parts[p], nil },
+				DelayPerPartition: func(int) time.Duration { return 2 * time.Millisecond },
+			})
+			if err != nil {
+				t.Fatalf("dial group %d: %v", g, err)
 			}
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				_ = w.Run()
+			}()
 		}
-	})
+	}
+	if err := root.WaitForWorkers(5 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	res, err := root.Run()
 	close(done)
 	wg.Wait()
 	if err != nil {
