@@ -65,8 +65,8 @@ lint:
 		echo "$$bad"; exit 1; \
 	fi
 	@echo "durable state: not imported by sim or experiments"
-	@for fn in 'roster\.New(' 'rootcore\.Open('; do \
-		n=$$(grep -rn --include='*.go' --exclude='*_test.go' --exclude-dir=bench \
+	@for fn in 'roster.New(' 'rootcore.Open('; do \
+		n=$$(grep -rnF --include='*.go' --exclude='*_test.go' --exclude-dir=bench \
 			--exclude-dir=.bench_build "$$fn" . | wc -l); \
 		if [ "$$n" -ne 1 ]; then \
 			echo "$$fn has $$n callers outside tests and bench/, want 1 (shard.Root is the one root)"; \
