@@ -107,10 +107,12 @@ cover-check: cover cover-gate
 # messages and their payloads, the retired numbers, arbitrary headers, codec
 # bytes, span sections, batches and truncated or quantized payloads must
 # yield transport.ErrMalformed, or fail a stream that does not open a frame —
-# never a panic, never a dim-sized allocation). Two
+# never a panic, never a dim-sized allocation). Three
 # targets are not decoders: the load allocator, whose output every plan is
-# built on (valid loads that no single-copy move improves), and the int8
-# encoder, whose payload must equal the reference encoder's byte for byte. A
+# built on (valid loads that no single-copy move improves), the int8
+# encoder, whose payload must equal the reference encoder's byte for byte,
+# and the one-pass coded gradient, which must equal grad.EncodeInto over the
+# per-partition gradients bit for bit. A
 # failing input is written to the package's testdata/fuzz; rerun it with
 # `go test -run 'Fuzz<Target>/<name>' ./internal/<pkg>`.
 FUZZTIME ?= 10s
@@ -123,6 +125,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzRoster$$' -fuzztime $(FUZZTIME) ./internal/node
 	$(GO) test -run '^$$' -fuzz '^FuzzProportionalLoads$$' -fuzztime $(FUZZTIME) ./internal/partition
 	$(GO) test -run '^$$' -fuzz '^FuzzInt8MatchesReference$$' -fuzztime $(FUZZTIME) ./internal/grad
+	$(GO) test -run '^$$' -fuzz '^FuzzCodedGradient$$' -fuzztime $(FUZZTIME) ./internal/ml
 
 # Build every example and smoke-run the quickstart: a panic in its main path
 # must fail the build pipeline, not linger unnoticed (5s budget where
@@ -203,7 +206,8 @@ bench-baseline:
 # quantized batched-uplink wire benches (gating their wire-B/iter extras),
 # the wire layer's own benches (the float codec kernels, one vector frame end
 # to end, the roster's parameter broadcast), the worker's compute step (one
-# softmax gradient; four of them encoded) and the fleet-scale IterRate
+# softmax gradient; four of them encoded, and the same four in one pass) and
+# the fleet-scale IterRate
 # throughput benches (gating iter/s) — and fail when any regressed beyond
 # BENCH_TOLERANCE versus the committed
 # baseline. Override the tolerance when the hardware differs from the
@@ -226,6 +230,6 @@ bench-json:
 # encode) at the end-to-end benchmark's shape: where a kernel change starts.
 # Read it with `$(GO) tool pprof -top ml.test kernels.prof`.
 profile-kernels:
-	$(GO) test -run '^$$' -bench 'SoftmaxGradient|WorkerComputeEncode' -benchtime 3s \
+	$(GO) test -run '^$$' -bench '^Benchmark(SoftmaxGradient|WorkerComputeEncode|WorkerComputeEncodeFused)$$' -benchtime 3s \
 		-cpuprofile kernels.prof -o ml.test ./internal/ml
 	@echo "wrote kernels.prof (binary: ml.test)"

@@ -53,3 +53,24 @@ func BenchmarkWorkerComputeEncode(b *testing.B) {
 		grad.PutBuffer(coded)
 	}
 }
+
+// BenchmarkWorkerComputeEncodeFused is BenchmarkWorkerComputeEncode through
+// Softmax's one-pass CodedGradient: the same shape and coefficients, no
+// partials and no separate encode pass.
+func BenchmarkWorkerComputeEncodeFused(b *testing.B) {
+	m, params, d := softmaxCase(10, 10_000, 8, 2)
+	parts, err := d.Split(4)
+	if err != nil {
+		b.Fatal(err)
+	}
+	coeffs := []float64{0.5, -1.25, 2, 0.75}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		coded := grad.GetBuffer(m.Dim())
+		if err := m.CodedGradient(coded, params, parts, coeffs); err != nil {
+			b.Fatal(err)
+		}
+		grad.PutBuffer(coded)
+	}
+}

@@ -25,6 +25,45 @@ type Model interface {
 	Gradient(params []float64, d *Dataset) (grad.Gradient, error)
 }
 
+// Coder is a Model that forms a worker's coded gradient in one pass. Its
+// CodedGradient writes Σⱼ coeffs[j]·∇(parts[j]) into dst, overwriting it, and
+// must match, bit for bit, what grad.EncodeInto makes of the Gradient
+// partials; with no partitions it clears dst. It returns the errors the
+// per-partition path would: ErrBadData for a partition or parameter vector
+// the model refuses, grad.ErrDimension for a mis-sized dst or coefficient
+// list.
+type Coder interface {
+	CodedGradient(dst grad.Gradient, params []float64, parts []*Dataset, coeffs []float64) error
+}
+
+// CodedGradient writes a worker's coded gradient Σⱼ coeffs[j]·∇(parts[j])
+// into dst: in one pass when m is a Coder, otherwise one Gradient per
+// partition, combined by grad.EncodeInto, with the partials returned to the
+// pool. With no partitions dst is cleared: a zero-load row's honest upload.
+func CodedGradient(m Model, dst grad.Gradient, params []float64, parts []*Dataset, coeffs []float64) error {
+	if c, ok := m.(Coder); ok {
+		return c.CodedGradient(dst, params, parts, coeffs)
+	}
+	partials := make([]grad.Gradient, 0, len(parts))
+	defer func() {
+		for _, g := range partials {
+			grad.PutBuffer(g)
+		}
+	}()
+	for _, d := range parts {
+		g, err := m.Gradient(params, d)
+		if err != nil {
+			return err
+		}
+		partials = append(partials, g)
+	}
+	if len(parts) == 0 && len(coeffs) == 0 {
+		clear(dst)
+		return nil
+	}
+	return grad.EncodeInto(dst, coeffs, partials)
+}
+
 // MeanLoss evaluates Loss divided by the sample count — the value plotted in
 // learning curves.
 func MeanLoss(m Model, params []float64, d *Dataset) (float64, error) {

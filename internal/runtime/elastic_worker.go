@@ -56,7 +56,8 @@ func (p ReconnectPolicy) wait(n int) time.Duration {
 
 // ElasticWorkerConfig configures one elastic worker process.
 type ElasticWorkerConfig struct {
-	// Model computes partial gradients.
+	// Model computes the coded gradient: in one pass when it is an
+	// ml.Coder, otherwise one partial gradient per partition.
 	Model ml.Model
 	// PartitionData returns the dataset shard for a global partition index.
 	// Shards are cached across migrations, so a reassignment only fetches
@@ -320,17 +321,26 @@ func (b *iterBufs) releasePartials() {
 // telemetry — unless a newer broadcast arrives first. The master has then
 // closed this iteration, and the gradient would be rejected at its iteration
 // or epoch fence: the iteration is abandoned, its buffers go back to the
-// pools and only the telemetry is uploaded. The mailbox is consulted between
-// partitions (never before the first one finishes, so an abandoned iteration
-// still measures something), throughout the injected delay and once before
-// the upload is built. What the abandoned iteration reports is a rate sample
-// the controller can use as it uses any other: compute cut short reports the
-// partitions finished and the time they took (plus their share of
-// DelayPerPartition); an injected delay cut short reports every partition and
-// the declared time — the time up to the sleep plus the whole of what the
-// hooks returned — not the time until the master moved on, which would make
-// every superseded worker look exactly as fast as the cluster; a finished
-// iteration reports what it would have.
+// pools and only the telemetry is uploaded.
+//
+// A model that is an ml.Coder forms the coded gradient in one pass, with no
+// per-partition partials and no separate encode; any other model computes one
+// Gradient per partition and grad.EncodeInto combines them. The mailbox is
+// consulted between partitions on the per-partition path (never before the
+// first one finishes, so an abandoned iteration still measures something),
+// throughout the injected delay and once before the upload is built. The
+// one-pass path has nothing to look between: an iteration closed while the
+// pass runs is found after it and reports every partition and the pass's
+// time, like one closed after the last partition.
+//
+// What the abandoned iteration reports is a rate sample the controller can
+// use as it uses any other: compute cut short reports the partitions finished
+// and the time they took (plus their share of DelayPerPartition); an injected
+// delay cut short reports every partition and the declared time — the time
+// up to the sleep plus the whole of what the hooks returned — not the time
+// until the master moved on, which would make every superseded worker look
+// exactly as fast as the cluster; a finished iteration reports what it would
+// have.
 func (w *ElasticWorker) iterate(env *transport.Envelope) error {
 	bufs := &iterBufs{partials: make([]grad.Gradient, 0, len(w.parts))}
 	uploading := false
@@ -362,31 +372,37 @@ func (w *ElasticWorker) iterate(env *transport.Envelope) error {
 	}
 
 	computeStart := time.Now()
-	for i, d := range w.parts {
-		if i > 0 && w.box.superseded() {
-			return abandon(i, (time.Since(computeStart) + time.Duration(i)*perPart).Seconds())
-		}
-		g, err := w.cfg.Model.Gradient(env.Vector, d)
-		if err != nil {
+	var encodeSec float64
+	if coder, ok := w.cfg.Model.(ml.Coder); ok {
+		bufs.coded = grad.GetBuffer(len(env.Vector))
+		if err := coder.CodedGradient(bufs.coded, env.Vector, w.parts, w.assign.RowCoeffs); err != nil {
 			return fmt.Errorf("worker %d iter %d: %w", w.id, env.Iter, err)
 		}
-		bufs.partials = append(bufs.partials, g)
-	}
-	gradSec := time.Since(computeStart).Seconds()
-	encodeStart := time.Now()
-	bufs.coded = grad.GetBuffer(len(env.Vector))
-	if len(bufs.partials) == 0 {
-		// Zero-load assignment (the planner starved this slot): the coding
-		// row is empty, so the honest upload is the zero vector — decode may
-		// still hand the slot a free coefficient.
-		for i := range bufs.coded {
-			bufs.coded[i] = 0
+	} else {
+		for i, d := range w.parts {
+			if i > 0 && w.box.superseded() {
+				return abandon(i, (time.Since(computeStart) + time.Duration(i)*perPart).Seconds())
+			}
+			g, err := w.cfg.Model.Gradient(env.Vector, d)
+			if err != nil {
+				return fmt.Errorf("worker %d iter %d: %w", w.id, env.Iter, err)
+			}
+			bufs.partials = append(bufs.partials, g)
 		}
-	} else if err := grad.EncodeInto(bufs.coded, w.assign.RowCoeffs, bufs.partials); err != nil {
-		return fmt.Errorf("worker %d iter %d: %w", w.id, env.Iter, err)
+		encodeStart := time.Now()
+		bufs.coded = grad.GetBuffer(len(env.Vector))
+		if len(bufs.partials) == 0 {
+			// Zero-load assignment (the planner starved this slot): the
+			// coding row is empty, so the honest upload is the zero vector —
+			// decode may still hand the slot a free coefficient.
+			clear(bufs.coded)
+		} else if err := grad.EncodeInto(bufs.coded, w.assign.RowCoeffs, bufs.partials); err != nil {
+			return fmt.Errorf("worker %d iter %d: %w", w.id, env.Iter, err)
+		}
+		bufs.releasePartials()
+		encodeSec = time.Since(encodeStart).Seconds()
 	}
-	bufs.releasePartials()
-	encodeSec := time.Since(encodeStart).Seconds()
+	gradSec := time.Since(computeStart).Seconds() - encodeSec
 	extra := delay + time.Duration(len(w.parts))*perPart
 	if extra > 0 {
 		declared := (time.Since(computeStart) + extra).Seconds()

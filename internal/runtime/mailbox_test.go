@@ -3,6 +3,7 @@ package runtime
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	goruntime "runtime"
 	"strings"
@@ -248,6 +249,23 @@ func (s *scriptModel) Gradient(params []float64, _ *ml.Dataset) (grad.Gradient, 
 	return g, nil
 }
 
+// scriptCoder is scriptModel with the one-pass method: each pass is one call,
+// counted and hooked as a Gradient call is, and writes ones.
+type scriptCoder struct{ *scriptModel }
+
+func (s scriptCoder) CodedGradient(dst grad.Gradient, _ []float64, _ []*ml.Dataset, _ []float64) error {
+	call := int(s.calls.Add(1))
+	if s.hook != nil {
+		if err := s.hook(call); err != nil {
+			return err
+		}
+	}
+	for i := range dst {
+		dst[i] = 1
+	}
+	return nil
+}
+
 // scriptedMaster is the master's end of one worker connection, driven frame
 // by frame by the test.
 type scriptedMaster struct {
@@ -289,7 +307,9 @@ func startScripted(t *testing.T, cfg ElasticWorkerConfig) *scriptedMaster {
 		}
 		accepted <- conn
 	}()
-	cfg.PartitionData = func(int) (*ml.Dataset, error) { return &ml.Dataset{}, nil }
+	if cfg.PartitionData == nil {
+		cfg.PartitionData = func(int) (*ml.Dataset, error) { return &ml.Dataset{}, nil }
+	}
 	w, err := DialElasticWorker(lis.Addr(), cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -374,7 +394,10 @@ func TestElasticWorkerReceiveRule(t *testing.T) {
 		name   string
 		cfg    func(m *scriptModel) ElasticWorkerConfig
 		script func(t *testing.T, sm *scriptedMaster, m *scriptModel)
-		// calls is the number of Gradient calls the worker must have made.
+		// onePass gives the worker the model as a scriptCoder.
+		onePass bool
+		// calls is the number of Gradient calls (one-pass: passes) the
+		// worker must have made.
 		calls   int
 		wantErr string
 	}{
@@ -541,6 +564,51 @@ func TestElasticWorkerReceiveRule(t *testing.T) {
 			calls:   parts,
 			wantErr: "scripted gradient failure",
 		},
+		{
+			name:    "a one-pass computation closed while it runs reports every partition and the pass's time",
+			onePass: true,
+			script: func(t *testing.T, sm *scriptedMaster, m *scriptModel) {
+				started, release := make(chan struct{}), make(chan struct{})
+				m.hook = func(call int) error {
+					if call == 1 {
+						close(started)
+						<-release
+					}
+					return nil
+				}
+				const held = 20 * time.Millisecond
+				sm.reassign(0, parts)
+				start := time.Now()
+				sm.params(0, 0)
+				<-started
+				sm.params(1, 0)
+				sm.awaitSuperseded()
+				time.Sleep(held)
+				close(release)
+				// No gradient: the one pass has no point between partitions
+				// to look at the mailbox, so the closed iteration is found
+				// after it, and reports as a completed one.
+				u := sm.expect(transport.MsgTelemetry, 0)
+				if wall := time.Since(start).Seconds(); u.tel.Partitions != parts || u.tel.ComputeSeconds < held.Seconds() || u.tel.ComputeSeconds > wall {
+					t.Errorf("closed one-pass iteration reported %d partitions in %v s, want %d in at least the %v s held and at most the %v s it could have taken", u.tel.Partitions, u.tel.ComputeSeconds, parts, held.Seconds(), wall)
+				}
+				sm.expect(transport.MsgGradient, 1)
+				sm.expect(transport.MsgTelemetry, 1)
+				sm.send(&transport.Envelope{Type: transport.MsgShutdown})
+			},
+			calls: 2,
+		},
+		{
+			name:    "a one-pass error returns the coded buffer",
+			onePass: true,
+			script: func(t *testing.T, sm *scriptedMaster, m *scriptModel) {
+				m.hook = func(int) error { return errors.New("scripted pass failure") }
+				sm.reassign(0, parts)
+				sm.params(0, 0)
+			},
+			calls:   1,
+			wantErr: "scripted pass failure",
+		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			base := goruntime.NumGoroutine()
@@ -551,6 +619,9 @@ func TestElasticWorkerReceiveRule(t *testing.T) {
 				cfg = tc.cfg(model)
 			}
 			cfg.Model = model
+			if tc.onePass {
+				cfg.Model = scriptCoder{model}
+			}
 			sm := startScripted(t, cfg)
 			tc.script(t, sm, model)
 			err := <-sm.done
@@ -571,5 +642,61 @@ func TestElasticWorkerReceiveRule(t *testing.T) {
 				t.Fatalf("%d goroutines after Run returned, %d before the worker dialed", goruntime.NumGoroutine(), base)
 			}
 		})
+	}
+}
+
+// gradientOnly hides a model's one-pass method, so the worker computes one
+// Gradient per partition and encodes them.
+type gradientOnly struct{ ml.Model }
+
+// TestElasticWorkerOnePassUpload holds a Softmax worker's raw upload, formed
+// in one pass, to the upload of the same model through the per-partition
+// path, bit for bit: partitions of one and two samples, and a zero
+// coefficient.
+func TestElasticWorkerOnePassUpload(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	m := &ml.Softmax{InputDim: 7, NumClasses: 3}
+	data, err := ml.GaussianMixture(9, 7, 3, 2, r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	parts, err := data.Split(6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	params := make([]float64, m.Dim())
+	for i := range params {
+		params[i] = r.NormFloat64()
+	}
+	a := &transport.Assignment{K: 6, Partitions: []int{0, 1, 2, 3, 4, 5}, RowCoeffs: []float64{0.5, -1.25, 0, 2, 0.75, -3}}
+	upload := func(model ml.Model) grad.Gradient {
+		sm := startScripted(t, ElasticWorkerConfig{
+			Model:         model,
+			PartitionData: func(p int) (*ml.Dataset, error) { return parts[p], nil },
+		})
+		sm.send(&transport.Envelope{Type: transport.MsgReassign, Epoch: 0, Assign: a})
+		sm.send(&transport.Envelope{Type: transport.MsgParams, Iter: 0, Epoch: 0, Vector: params})
+		env, err := sm.conn.Recv()
+		if err != nil || env.Type != transport.MsgGradient {
+			t.Fatalf("%T worker: got %v (err %v), want its gradient", model, env, err)
+		}
+		got := grad.Gradient(env.Vector).Clone()
+		grad.PutBuffer(env.Vector)
+		sm.expect(transport.MsgTelemetry, 0)
+		sm.send(&transport.Envelope{Type: transport.MsgShutdown})
+		if err := <-sm.done; err != nil {
+			t.Fatalf("%T worker: Run: %v", model, err)
+		}
+		_ = sm.conn.Close()
+		return got
+	}
+	onePass, perPartition := upload(m), upload(gradientOnly{m})
+	if len(onePass) != m.Dim() || len(perPartition) != m.Dim() {
+		t.Fatalf("uploads of %d and %d floats, want %d", len(onePass), len(perPartition), m.Dim())
+	}
+	for i := range onePass {
+		if math.Float64bits(onePass[i]) != math.Float64bits(perPartition[i]) {
+			t.Fatalf("upload[%d]: one pass %v, per partition %v", i, onePass[i], perPartition[i])
+		}
 	}
 }

@@ -34,7 +34,6 @@ import (
 	"time"
 
 	"github.com/hetgc/hetgc/internal/checkpoint"
-	"github.com/hetgc/hetgc/internal/grad"
 	"github.com/hetgc/hetgc/internal/transport"
 )
 
@@ -413,19 +412,9 @@ func (p *recoveryPool) runSession(w *recoveryWorker, fx *Fixture, conn *transpor
 // honestIterate computes, encodes and uploads one iteration plus telemetry.
 func honestIterate(conn *transport.Conn, fx *Fixture, assign *transport.Assignment, epoch int, env *transport.Envelope, id int) error {
 	start := time.Now()
-	partials := make([]grad.Gradient, len(assign.Partitions))
-	for i, part := range assign.Partitions {
-		g, err := fx.Model.Gradient(env.Vector, fx.Parts[part])
-		if err != nil {
-			return err
-		}
-		partials[i] = g
-	}
-	coded := make([]float64, len(env.Vector))
-	if len(partials) > 0 {
-		if err := grad.EncodeInto(coded, assign.RowCoeffs, partials); err != nil {
-			return err
-		}
+	coded, err := fx.coded(assign, env.Vector)
+	if err != nil {
+		return err
 	}
 	time.Sleep(time.Duration(len(assign.Partitions)) * 2 * time.Millisecond)
 	if err := conn.Send(&transport.Envelope{

@@ -24,7 +24,9 @@ import (
 	"fmt"
 	"math/rand"
 
+	"github.com/hetgc/hetgc/internal/grad"
 	"github.com/hetgc/hetgc/internal/ml"
+	"github.com/hetgc/hetgc/internal/transport"
 )
 
 // Fixture is the shared training workload for conformance scenarios: a
@@ -49,4 +51,15 @@ func NewFixture(k int, seed int64) (*Fixture, error) {
 		return nil, fmt.Errorf("testkit fixture: %w", err)
 	}
 	return &Fixture{Model: &ml.Softmax{InputDim: 4, NumClasses: 3}, Data: data, Parts: parts}, nil
+}
+
+// coded is an honest worker's coded gradient for assign at params, formed as
+// the runtime's worker forms it.
+func (fx *Fixture) coded(assign *transport.Assignment, params []float64) (grad.Gradient, error) {
+	parts := make([]*ml.Dataset, len(assign.Partitions))
+	for i, p := range assign.Partitions {
+		parts[i] = fx.Parts[p]
+	}
+	coded := make(grad.Gradient, len(params))
+	return coded, ml.CodedGradient(fx.Model, coded, params, parts, assign.RowCoeffs)
 }

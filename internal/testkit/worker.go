@@ -5,7 +5,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"github.com/hetgc/hetgc/internal/grad"
 	"github.com/hetgc/hetgc/internal/transport"
 )
 
@@ -177,19 +176,9 @@ func scriptedSession(addr string, b Behavior, fx *Fixture, progress *atomic.Int6
 // configured) and its honest telemetry.
 func scriptedIterate(send func(*transport.Envelope) error, conn *transport.Conn, b Behavior, fx *Fixture, assign *transport.Assignment, epoch int, env *transport.Envelope, id int) error {
 	start := time.Now()
-	partials := make([]grad.Gradient, len(assign.Partitions))
-	for i, p := range assign.Partitions {
-		g, err := fx.Model.Gradient(env.Vector, fx.Parts[p])
-		if err != nil {
-			return err
-		}
-		partials[i] = g
-	}
-	coded := make([]float64, len(env.Vector))
-	if len(partials) > 0 {
-		if err := grad.EncodeInto(coded, assign.RowCoeffs, partials); err != nil {
-			return err
-		}
+	coded, err := fx.coded(assign, env.Vector)
+	if err != nil {
+		return err
 	}
 	perPart := b.PerPart
 	if perPart <= 0 {
