@@ -342,7 +342,7 @@ func (b *iterBufs) releasePartials() {
 // exactly as fast as the cluster; a finished iteration reports what it would
 // have.
 func (w *ElasticWorker) iterate(env *transport.Envelope) error {
-	bufs := &iterBufs{partials: make([]grad.Gradient, 0, len(w.parts))}
+	bufs := &iterBufs{}
 	uploading := false
 	defer func() {
 		if !uploading {
@@ -379,6 +379,7 @@ func (w *ElasticWorker) iterate(env *transport.Envelope) error {
 			return fmt.Errorf("worker %d iter %d: %w", w.id, env.Iter, err)
 		}
 	} else {
+		bufs.partials = make([]grad.Gradient, 0, len(w.parts))
 		for i, d := range w.parts {
 			if i > 0 && w.box.superseded() {
 				return abandon(i, (time.Since(computeStart) + time.Duration(i)*perPart).Seconds())
