@@ -74,6 +74,13 @@ lint:
 		fi; \
 	done
 	@echo "roster.New, rootcore.Open: one caller each (shard.Root)"
+	@bad=$$(grep -rnF --include='*.go' --exclude='*_test.go' \
+		-e '.(ml.Coder)' -e 'Model.Gradient(' internal/runtime); \
+	if [ -n "$$bad" ]; then \
+		echo "internal/runtime calls a model outside ml.CodedGradient (the one coded-gradient path):"; \
+		echo "$$bad"; exit 1; \
+	fi
+	@echo "runtime: models called through ml.CodedGradient only"
 
 race:
 	$(GO) test -race ./...

@@ -11,7 +11,6 @@ import (
 	"github.com/hetgc/hetgc/internal/estimate"
 	"github.com/hetgc/hetgc/internal/experiments"
 	"github.com/hetgc/hetgc/internal/grad"
-	"github.com/hetgc/hetgc/internal/ml"
 	"github.com/hetgc/hetgc/internal/planner"
 	"github.com/hetgc/hetgc/internal/straggler"
 )
@@ -208,12 +207,12 @@ func TestPublicAPITrainingSimulations(t *testing.T) {
 
 func TestPublicAPIMiscWrappers(t *testing.T) {
 	rng := NewRand(21)
-	reg, err := ml.LinearData(20, 3, 0.1, rng)
+	data, err := GaussianMixture(20, 3, 2, 2, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := &ml.LinearRegression{InputDim: 3}
-	if _, err := MeanLoss(m, m.InitParams(nil), reg); err != nil {
+	m := &Softmax{InputDim: 3, NumClasses: 2}
+	if _, err := MeanLoss(m, m.InitParams(nil), data); err != nil {
 		t.Fatal(err)
 	}
 	sum, err := grad.Sum([]Gradient{{1, 2}, {3, 4}})

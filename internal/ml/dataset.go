@@ -1,7 +1,8 @@
 // Package ml is the machine-learning substrate standing in for the paper's
-// PyTorch workloads: synthetic datasets, differentiable models with analytic
-// gradients (linear/logistic/softmax regression and a one-hidden-layer MLP
-// standing in for AlexNet/ResNet), and first-order optimizers.
+// PyTorch workloads: a synthetic classification dataset, the Model interface
+// with its one coded-gradient helper (CodedGradient), softmax regression —
+// the model every live path trains, forming its coded gradient in one pass —
+// and first-order optimizers.
 //
 // Losses and gradients are *sums* over samples, so the partial gradients of
 // a partitioned dataset add up exactly to the full-data gradient — the
@@ -134,30 +135,5 @@ func GaussianMixture(n, dim, classes int, sep float64, rng *rand.Rand) (*Dataset
 		d.Features[i], d.Features[j] = d.Features[j], d.Features[i]
 		d.Labels[i], d.Labels[j] = d.Labels[j], d.Labels[i]
 	})
-	return d, nil
-}
-
-// LinearData generates a regression dataset y = w*·x + b* + noise·ε with a
-// hidden random ground-truth (w*, b*).
-func LinearData(n, dim int, noise float64, rng *rand.Rand) (*Dataset, error) {
-	if n <= 0 || dim <= 0 || rng == nil {
-		return nil, fmt.Errorf("%w: n=%d dim=%d rng=%v", ErrBadData, n, dim, rng != nil)
-	}
-	w := make([]float64, dim)
-	for j := range w {
-		w[j] = rng.NormFloat64()
-	}
-	b := rng.NormFloat64()
-	d := &Dataset{Features: make([][]float64, n), Labels: make([]float64, n)}
-	for i := 0; i < n; i++ {
-		row := make([]float64, dim)
-		y := b
-		for j := range row {
-			row[j] = rng.NormFloat64()
-			y += w[j] * row[j]
-		}
-		d.Features[i] = row
-		d.Labels[i] = y + noise*rng.NormFloat64()
-	}
 	return d, nil
 }

@@ -47,19 +47,6 @@ func TestGaussianMixtureErrors(t *testing.T) {
 	}
 }
 
-func TestLinearData(t *testing.T) {
-	d, err := LinearData(50, 4, 0.1, rng(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if d.Classes != 0 {
-		t.Fatal("regression dataset must have Classes = 0")
-	}
-}
-
 func TestSplitSizesAndCoverage(t *testing.T) {
 	d, _ := GaussianMixture(103, 3, 2, 2, rng(3))
 	parts, err := d.Split(10)
@@ -149,67 +136,40 @@ func checkGradient(t *testing.T, m Model, d *Dataset, seed int64) {
 	}
 }
 
-func TestLinearRegressionGradientCheck(t *testing.T) {
-	d, _ := LinearData(20, 4, 0.1, rng(5))
-	checkGradient(t, &LinearRegression{InputDim: 4}, d, 6)
-}
-
-func TestLogisticRegressionGradientCheck(t *testing.T) {
-	d, _ := GaussianMixture(20, 4, 2, 2, rng(7))
-	checkGradient(t, &LogisticRegression{InputDim: 4}, d, 8)
-}
-
 func TestSoftmaxGradientCheck(t *testing.T) {
 	d, _ := GaussianMixture(20, 4, 3, 2, rng(9))
 	checkGradient(t, &Softmax{InputDim: 4, NumClasses: 3}, d, 10)
 }
 
-func TestMLPGradientCheck(t *testing.T) {
-	d, _ := GaussianMixture(15, 4, 3, 2, rng(11))
-	checkGradient(t, &MLP{InputDim: 4, Hidden: 6, NumClasses: 3}, d, 12)
-}
-
 // The coding layer depends on exact gradient additivity across partitions.
 func TestGradientAdditivityAcrossPartitions(t *testing.T) {
-	models := []Model{
-		&LinearRegression{InputDim: 3},
-		&Softmax{InputDim: 3, NumClasses: 3},
-		&MLP{InputDim: 3, Hidden: 5, NumClasses: 3},
+	m := &Softmax{InputDim: 3, NumClasses: 3}
+	d, _ := GaussianMixture(60, 3, 3, 2, rng(13))
+	params := m.InitParams(rng(14))
+	full, err := m.Gradient(params, d)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, m := range models {
-		var d *Dataset
-		if _, ok := m.(*LinearRegression); ok {
-			d, _ = LinearData(60, 3, 0.1, rng(13))
-		} else {
-			d, _ = GaussianMixture(60, 3, 3, 2, rng(13))
-		}
-		params := m.InitParams(rng(14))
-		full, err := m.Gradient(params, d)
+	parts, _ := d.Split(7)
+	partials := make([]grad.Gradient, len(parts))
+	for i, p := range parts {
+		partials[i], err = m.Gradient(params, p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		parts, _ := d.Split(7)
-		partials := make([]grad.Gradient, len(parts))
-		for i, p := range parts {
-			partials[i], err = m.Gradient(params, p)
-			if err != nil {
-				t.Fatal(err)
-			}
-		}
-		sum, err := grad.Sum(partials)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if diff := full.MaxAbsDiff(sum); diff > 1e-9 {
-			t.Fatalf("%T: partition gradients not additive, diff %v", m, diff)
-		}
+	}
+	sum, err := grad.Sum(partials)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if diff := full.MaxAbsDiff(sum); diff > 1e-9 {
+		t.Fatalf("partition gradients not additive, diff %v", diff)
 	}
 }
 
 func TestDimMismatchErrors(t *testing.T) {
 	d, _ := GaussianMixture(5, 3, 2, 2, rng(15))
-	lr := &LogisticRegression{InputDim: 3}
-	if _, err := lr.Loss([]float64{1}, d); !errors.Is(err, ErrBadData) {
+	if _, err := (&Softmax{InputDim: 3, NumClasses: 2}).Loss([]float64{1}, d); !errors.Is(err, ErrBadData) {
 		t.Fatalf("err = %v", err)
 	}
 	sm := &Softmax{InputDim: 3, NumClasses: 5}
@@ -219,8 +179,8 @@ func TestDimMismatchErrors(t *testing.T) {
 }
 
 func TestSGDReducesLossOnConvexProblem(t *testing.T) {
-	d, _ := LinearData(200, 5, 0.01, rng(16))
-	m := &LinearRegression{InputDim: 5}
+	d, _ := GaussianMixture(200, 5, 3, 6, rng(16))
+	m := &Softmax{InputDim: 5, NumClasses: 3}
 	params := m.InitParams(nil)
 	opt := &SGD{LR: 0.1}
 	start, _ := MeanLoss(m, params, d)
@@ -240,21 +200,28 @@ func TestSGDReducesLossOnConvexProblem(t *testing.T) {
 	}
 }
 
+// Momentum at a small step converges, and further than the same steps
+// without it.
 func TestSGDMomentumConverges(t *testing.T) {
-	d, _ := LinearData(100, 3, 0.01, rng(17))
-	m := &LinearRegression{InputDim: 3}
-	params := m.InitParams(nil)
-	opt := &SGD{LR: 0.02, Momentum: 0.9}
-	for it := 0; it < 150; it++ {
-		g, _ := m.Gradient(params, d)
-		g.Scale(1 / float64(d.N()))
-		if err := opt.Step(params, g); err != nil {
-			t.Fatal(err)
+	d, _ := GaussianMixture(100, 3, 3, 6, rng(17))
+	m := &Softmax{InputDim: 3, NumClasses: 3}
+	train := func(momentum float64) float64 {
+		params := m.InitParams(nil)
+		opt := &SGD{LR: 0.02, Momentum: momentum}
+		for it := 0; it < 150; it++ {
+			g, _ := m.Gradient(params, d)
+			g.Scale(1 / float64(d.N()))
+			if err := opt.Step(params, g); err != nil {
+				t.Fatal(err)
+			}
 		}
+		end, _ := MeanLoss(m, params, d)
+		return end
 	}
-	end, _ := MeanLoss(m, params, d)
-	if end > 0.05 {
-		t.Fatalf("momentum SGD loss %v too high", end)
+	start, _ := MeanLoss(m, m.InitParams(nil), d)
+	end, plain := train(0.9), train(0)
+	if end > start/5 || end >= plain {
+		t.Fatalf("momentum SGD loss %v -> %v, plain SGD %v", start, end, plain)
 	}
 }
 
@@ -279,25 +246,6 @@ func TestAdamConvergesOnSoftmax(t *testing.T) {
 	}
 }
 
-func TestMLPTrainsOnMixture(t *testing.T) {
-	d, _ := GaussianMixture(200, 4, 3, 3, rng(19))
-	m := &MLP{InputDim: 4, Hidden: 12, NumClasses: 3}
-	params := m.InitParams(rng(20))
-	opt := &SGD{LR: 0.05, Momentum: 0.9}
-	start, _ := MeanLoss(m, params, d)
-	for it := 0; it < 150; it++ {
-		g, _ := m.Gradient(params, d)
-		g.Scale(1 / float64(d.N()))
-		if err := opt.Step(params, g); err != nil {
-			t.Fatal(err)
-		}
-	}
-	end, _ := MeanLoss(m, params, d)
-	if end > start*0.5 {
-		t.Fatalf("MLP did not train: %v -> %v", start, end)
-	}
-}
-
 func TestOptimizerValidation(t *testing.T) {
 	if err := (&SGD{LR: 0}).Step([]float64{1}, grad.Gradient{1}); err == nil {
 		t.Fatal("zero LR must error")
@@ -317,21 +265,9 @@ func TestOptimizerValidation(t *testing.T) {
 }
 
 func TestMeanLossEmptyDataset(t *testing.T) {
-	m := &LinearRegression{InputDim: 1}
+	m := &Softmax{InputDim: 1, NumClasses: 2}
 	if _, err := MeanLoss(m, m.InitParams(nil), &Dataset{}); !errors.Is(err, ErrBadData) {
 		t.Fatalf("err = %v", err)
-	}
-}
-
-func TestSigmoidStable(t *testing.T) {
-	if s := sigmoid(1000); s != 1 {
-		t.Fatalf("sigmoid(1000) = %v", s)
-	}
-	if s := sigmoid(-1000); s != 0 {
-		t.Fatalf("sigmoid(-1000) = %v", s)
-	}
-	if math.Abs(sigmoid(0)-0.5) > 1e-12 {
-		t.Fatal("sigmoid(0) != 0.5")
 	}
 }
 
@@ -700,35 +636,24 @@ func TestSoftmaxGradientSteadyStateAllocs(t *testing.T) {
 // dataset has no rows to be wrong.
 func TestFeatureDimMismatch(t *testing.T) {
 	const dim = 4
-	models := map[string]struct {
-		m       Model
-		classes int
-	}{
-		"softmax":  {&Softmax{InputDim: dim, NumClasses: 3}, 3},
-		"linear":   {&LinearRegression{InputDim: dim}, 0},
-		"logistic": {&LogisticRegression{InputDim: dim}, 2},
-		"mlp":      {&MLP{InputDim: dim, Hidden: 5, NumClasses: 3}, 3},
-	}
-	for name, tc := range models {
-		params := tc.m.InitParams(rng(70))
-		for _, width := range []int{dim - 1, dim + 1, dim, 0} {
-			d := &Dataset{Classes: tc.classes}
-			if width > 0 {
-				d.Features = [][]float64{make([]float64, width), make([]float64, width)}
-				d.Labels = []float64{0, 1}
-			}
-			_, gErr := tc.m.Gradient(params, d)
-			_, lErr := tc.m.Loss(params, d)
-			wantErr := width > 0 && width != dim
-			if errors.Is(gErr, ErrBadData) != wantErr || errors.Is(lErr, ErrBadData) != wantErr {
-				t.Fatalf("%s, data dim %d (model %d): Gradient err %v, Loss err %v, want ErrBadData: %v",
-					name, width, dim, gErr, lErr, wantErr)
-			}
+	sm := &Softmax{InputDim: dim, NumClasses: 3}
+	params := sm.InitParams(rng(70))
+	for _, width := range []int{dim - 1, dim + 1, dim, 0} {
+		d := &Dataset{Classes: 3}
+		if width > 0 {
+			d.Features = [][]float64{make([]float64, width), make([]float64, width)}
+			d.Labels = []float64{0, 1}
+		}
+		_, gErr := sm.Gradient(params, d)
+		_, lErr := sm.Loss(params, d)
+		wantErr := width > 0 && width != dim
+		if errors.Is(gErr, ErrBadData) != wantErr || errors.Is(lErr, ErrBadData) != wantErr {
+			t.Fatalf("data dim %d (model %d): Gradient err %v, Loss err %v, want ErrBadData: %v",
+				width, dim, gErr, lErr, wantErr)
 		}
 	}
-	sm := &Softmax{InputDim: dim, NumClasses: 3}
 	short := &Dataset{Features: [][]float64{make([]float64, dim-1)}, Labels: []float64{0}, Classes: 3}
-	if _, err := sm.Accuracy(sm.InitParams(nil), short); !errors.Is(err, ErrBadData) {
+	if _, err := sm.Accuracy(params, short); !errors.Is(err, ErrBadData) {
 		t.Fatalf("Accuracy on a short row: err = %v", err)
 	}
 }

@@ -2,7 +2,6 @@ package ml
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 
 	"github.com/hetgc/hetgc/internal/grad"
@@ -91,123 +90,4 @@ func checkDims(m Model, params []float64, d *Dataset, inputDim, wantClasses int)
 		return fmt.Errorf("%w: dataset has dim %d, model wants %d", ErrBadData, d.Dim(), inputDim)
 	}
 	return nil
-}
-
-// LinearRegression is least-squares regression: loss ½(w·x+b − y)² summed
-// over samples. Parameters: [w (dim), b].
-type LinearRegression struct {
-	// InputDim is the feature dimension.
-	InputDim int
-}
-
-// Dim implements Model.
-func (m *LinearRegression) Dim() int { return m.InputDim + 1 }
-
-// InitParams implements Model (zeros: the problem is convex).
-func (m *LinearRegression) InitParams(*rand.Rand) []float64 { return make([]float64, m.Dim()) }
-
-// Loss implements Model.
-func (m *LinearRegression) Loss(params []float64, d *Dataset) (float64, error) {
-	if err := checkDims(m, params, d, m.InputDim, 0); err != nil {
-		return 0, err
-	}
-	var sum float64
-	for i, x := range d.Features {
-		r := m.predict(params, x) - d.Labels[i]
-		sum += 0.5 * r * r
-	}
-	return sum, nil
-}
-
-// Gradient implements Model.
-func (m *LinearRegression) Gradient(params []float64, d *Dataset) (grad.Gradient, error) {
-	if err := checkDims(m, params, d, m.InputDim, 0); err != nil {
-		return nil, err
-	}
-	g := make(grad.Gradient, m.Dim())
-	for i, x := range d.Features {
-		r := m.predict(params, x) - d.Labels[i]
-		for j, xj := range x {
-			g[j] += r * xj
-		}
-		g[m.InputDim] += r
-	}
-	return g, nil
-}
-
-func (m *LinearRegression) predict(params []float64, x []float64) float64 {
-	s := params[m.InputDim]
-	for j, xj := range x {
-		s += params[j] * xj
-	}
-	return s
-}
-
-// LogisticRegression is binary classification (labels 0/1 with Classes == 2)
-// with log loss. Parameters: [w (dim), b].
-type LogisticRegression struct {
-	// InputDim is the feature dimension.
-	InputDim int
-}
-
-// Dim implements Model.
-func (m *LogisticRegression) Dim() int { return m.InputDim + 1 }
-
-// InitParams implements Model.
-func (m *LogisticRegression) InitParams(*rand.Rand) []float64 { return make([]float64, m.Dim()) }
-
-// Loss implements Model.
-func (m *LogisticRegression) Loss(params []float64, d *Dataset) (float64, error) {
-	if err := checkDims(m, params, d, m.InputDim, 2); err != nil {
-		return 0, err
-	}
-	var sum float64
-	for i, x := range d.Features {
-		z := m.logit(params, x)
-		y := d.Labels[i]
-		// log(1+e^z) − y·z, computed stably.
-		sum += logSumExp0(z) - y*z
-	}
-	return sum, nil
-}
-
-// Gradient implements Model.
-func (m *LogisticRegression) Gradient(params []float64, d *Dataset) (grad.Gradient, error) {
-	if err := checkDims(m, params, d, m.InputDim, 2); err != nil {
-		return nil, err
-	}
-	g := make(grad.Gradient, m.Dim())
-	for i, x := range d.Features {
-		p := sigmoid(m.logit(params, x))
-		r := p - d.Labels[i]
-		for j, xj := range x {
-			g[j] += r * xj
-		}
-		g[m.InputDim] += r
-	}
-	return g, nil
-}
-
-func (m *LogisticRegression) logit(params []float64, x []float64) float64 {
-	s := params[m.InputDim]
-	for j, xj := range x {
-		s += params[j] * xj
-	}
-	return s
-}
-
-func sigmoid(z float64) float64 {
-	if z >= 0 {
-		return 1 / (1 + math.Exp(-z))
-	}
-	e := math.Exp(z)
-	return e / (1 + e)
-}
-
-// logSumExp0 computes log(1 + e^z) stably.
-func logSumExp0(z float64) float64 {
-	if z > 0 {
-		return z + math.Log1p(math.Exp(-z))
-	}
-	return math.Log1p(math.Exp(z))
 }

@@ -56,8 +56,8 @@ func (p ReconnectPolicy) wait(n int) time.Duration {
 
 // ElasticWorkerConfig configures one elastic worker process.
 type ElasticWorkerConfig struct {
-	// Model computes the coded gradient: in one pass when it is an
-	// ml.Coder, otherwise one partial gradient per partition.
+	// Model computes the coded gradient through ml.CodedGradient: in one
+	// pass when it is an ml.Coder, otherwise one Gradient per partition.
 	Model ml.Model
 	// PartitionData returns the dataset shard for a global partition index.
 	// Shards are cached across migrations, so a reassignment only fetches
@@ -70,14 +70,16 @@ type ElasticWorkerConfig struct {
 	// Delay, when non-nil, injects an artificial extra delay per iteration —
 	// the fault-simulation hook. Both hooks are called once at the start of
 	// every iteration the worker begins, and their sum is slept in one piece
-	// after the encode. The sleep is interruptible: it ends the moment a
-	// newer parameter broadcast arrives, because the master has then closed
-	// the iteration and the worker abandons it (see ElasticWorker.iterate).
+	// once the coded gradient is formed. The sleep is interruptible: it ends
+	// the moment a newer parameter broadcast arrives, because the master has
+	// then closed the iteration and the worker abandons it (see
+	// ElasticWorker.iterate).
 	Delay func(iter int) time.Duration
 	// DelayPerPartition, when non-nil, injects an artificial delay per
 	// assigned partition per iteration — it emulates a slow machine whose
 	// compute time scales with its load, so migrations that shed load
-	// visibly speed the worker up. Both delays count as compute time in the
+	// visibly speed the worker up. It is slept with Delay, for all the
+	// assigned partitions at once. Both delays count as compute time in the
 	// telemetry the worker reports, and they count in full — the declared
 	// time, what the hooks returned — even when the sleep was cut short:
 	// the emulated machine is as slow as it was declared to be, however
@@ -293,28 +295,15 @@ func (w *ElasticWorker) applyAssignment(env *transport.Envelope) error {
 // whichever it still holds, so every way out of an iteration — uploaded,
 // abandoned, failed — returns them through the one path.
 type iterBufs struct {
-	partials []grad.Gradient
-	coded    grad.Gradient
-	quant    []byte
+	coded grad.Gradient
+	quant []byte
 }
 
 func (b *iterBufs) release() {
-	b.releasePartials()
 	grad.PutBuffer(b.coded)
 	b.coded = nil
 	grad.PutBytes(b.quant)
 	b.quant = nil
-}
-
-// releasePartials returns the partition gradients as soon as they are folded
-// into coded: they are this worker's (ml.Model.Gradient's contract), and the
-// next iteration's compute overlaps this one's upload.
-func (b *iterBufs) releasePartials() {
-	for i, p := range b.partials {
-		grad.PutBuffer(p)
-		b.partials[i] = nil
-	}
-	b.partials = b.partials[:0]
 }
 
 // iterate computes, encodes and uploads one iteration's coded gradient and
@@ -323,24 +312,19 @@ func (b *iterBufs) releasePartials() {
 // or epoch fence: the iteration is abandoned, its buffers go back to the
 // pools and only the telemetry is uploaded.
 //
-// A model that is an ml.Coder forms the coded gradient in one pass, with no
-// per-partition partials and no separate encode; any other model computes one
-// Gradient per partition and grad.EncodeInto combines them. The mailbox is
-// consulted between partitions on the per-partition path (never before the
-// first one finishes, so an abandoned iteration still measures something),
-// throughout the injected delay and once before the upload is built. The
-// one-pass path has nothing to look between: an iteration closed while the
-// pass runs is found after it and reports every partition and the pass's
-// time, like one closed after the last partition.
+// The coded gradient is one ml.CodedGradient call, for every model: one pass
+// for an ml.Coder, one Gradient per partition combined by grad.EncodeInto
+// for any other. The mailbox is consulted after that call, throughout the
+// injected delay and once before the upload is built — never during the
+// call, so an iteration closed while it runs is found after it and reports
+// every partition and the call's time, like one closed after it.
 //
 // What the abandoned iteration reports is a rate sample the controller can
-// use as it uses any other: compute cut short reports the partitions finished
-// and the time they took (plus their share of DelayPerPartition); an injected
-// delay cut short reports every partition and the declared time — the time
-// up to the sleep plus the whole of what the hooks returned — not the time
-// until the master moved on, which would make every superseded worker look
-// exactly as fast as the cluster; a finished iteration reports what it would
-// have.
+// use as it uses any other: an injected delay cut short reports every
+// partition and the declared time — the time up to the sleep plus the whole
+// of what the hooks returned — not the time until the master moved on, which
+// would make every superseded worker look exactly as fast as the cluster; a
+// finished computation reports what it would have.
 func (w *ElasticWorker) iterate(env *transport.Envelope) error {
 	bufs := &iterBufs{}
 	uploading := false
@@ -357,8 +341,8 @@ func (w *ElasticWorker) iterate(env *transport.Envelope) error {
 		RootGen:   env.RootGen,
 		Telemetry: &transport.Telemetry{},
 	}
-	abandon := func(partitions int, seconds float64) error {
-		tel.Telemetry.Partitions, tel.Telemetry.ComputeSeconds = partitions, seconds
+	abandon := func(seconds float64) error {
+		tel.Telemetry.Partitions, tel.Telemetry.ComputeSeconds = len(w.parts), seconds
 		return w.up.Submit(func() error { return w.conn.Send(tel) })
 	}
 	// Artificial slowness counts as compute, and as declared, so telemetry
@@ -372,48 +356,21 @@ func (w *ElasticWorker) iterate(env *transport.Envelope) error {
 	}
 
 	computeStart := time.Now()
-	var encodeSec float64
-	if coder, ok := w.cfg.Model.(ml.Coder); ok {
-		bufs.coded = grad.GetBuffer(len(env.Vector))
-		if err := coder.CodedGradient(bufs.coded, env.Vector, w.parts, w.assign.RowCoeffs); err != nil {
-			return fmt.Errorf("worker %d iter %d: %w", w.id, env.Iter, err)
-		}
-	} else {
-		bufs.partials = make([]grad.Gradient, 0, len(w.parts))
-		for i, d := range w.parts {
-			if i > 0 && w.box.superseded() {
-				return abandon(i, (time.Since(computeStart) + time.Duration(i)*perPart).Seconds())
-			}
-			g, err := w.cfg.Model.Gradient(env.Vector, d)
-			if err != nil {
-				return fmt.Errorf("worker %d iter %d: %w", w.id, env.Iter, err)
-			}
-			bufs.partials = append(bufs.partials, g)
-		}
-		encodeStart := time.Now()
-		bufs.coded = grad.GetBuffer(len(env.Vector))
-		if len(bufs.partials) == 0 {
-			// Zero-load assignment (the planner starved this slot): the
-			// coding row is empty, so the honest upload is the zero vector —
-			// decode may still hand the slot a free coefficient.
-			clear(bufs.coded)
-		} else if err := grad.EncodeInto(bufs.coded, w.assign.RowCoeffs, bufs.partials); err != nil {
-			return fmt.Errorf("worker %d iter %d: %w", w.id, env.Iter, err)
-		}
-		bufs.releasePartials()
-		encodeSec = time.Since(encodeStart).Seconds()
+	bufs.coded = grad.GetBuffer(len(env.Vector))
+	if err := ml.CodedGradient(w.cfg.Model, bufs.coded, env.Vector, w.parts, w.assign.RowCoeffs); err != nil {
+		return fmt.Errorf("worker %d iter %d: %w", w.id, env.Iter, err)
 	}
-	gradSec := time.Since(computeStart).Seconds() - encodeSec
+	gradSec := time.Since(computeStart).Seconds()
 	extra := delay + time.Duration(len(w.parts))*perPart
 	if extra > 0 {
 		declared := (time.Since(computeStart) + extra).Seconds()
 		if !w.box.sleep(extra) {
-			return abandon(len(w.parts), declared)
+			return abandon(declared)
 		}
 	}
 	compute := time.Since(computeStart).Seconds()
 	if len(w.parts) > 0 && w.box.superseded() {
-		return abandon(len(w.parts), compute)
+		return abandon(compute)
 	}
 
 	out := &transport.Envelope{
@@ -426,6 +383,7 @@ func (w *ElasticWorker) iterate(env *transport.Envelope) error {
 		// can fence uploads computed under its deposed predecessor.
 		RootGen: env.RootGen,
 	}
+	var encodeSec float64
 	if w.codec != grad.CodecRaw {
 		quantStart := time.Now()
 		bufs.quant = grad.GetBytes(8 * len(bufs.coded))
@@ -434,7 +392,7 @@ func (w *ElasticWorker) iterate(env *transport.Envelope) error {
 			return fmt.Errorf("worker %d iter %d: %w", w.id, env.Iter, err)
 		}
 		bufs.quant = q
-		encodeSec += time.Since(quantStart).Seconds()
+		encodeSec = time.Since(quantStart).Seconds()
 		out.Codec, out.Quant, out.QuantLen = byte(w.codec), q, len(bufs.coded)
 		grad.PutBuffer(bufs.coded) // the payload is the quantized bytes now
 		bufs.coded = nil

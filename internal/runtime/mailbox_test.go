@@ -394,8 +394,11 @@ func TestElasticWorkerReceiveRule(t *testing.T) {
 		name   string
 		cfg    func(m *scriptModel) ElasticWorkerConfig
 		script func(t *testing.T, sm *scriptedMaster, m *scriptModel)
-		// onePass gives the worker the model as a scriptCoder.
-		onePass bool
+		// onePass gives the worker the model as a scriptCoder; plainToo
+		// runs the row again, in the same subtest, on the plain scriptModel,
+		// whose worker makes parts Gradient calls for each of the coder's
+		// passes.
+		onePass, plainToo bool
 		// calls is the number of Gradient calls (one-pass: passes) the
 		// worker must have made.
 		calls   int
@@ -464,63 +467,6 @@ func TestElasticWorkerReceiveRule(t *testing.T) {
 			calls: 2 * parts,
 		},
 		{
-			name: "compute cut short reports the partitions finished and the time they took",
-			script: func(t *testing.T, sm *scriptedMaster, m *scriptModel) {
-				first, release := make(chan struct{}), make(chan struct{})
-				m.hook = func(call int) error {
-					if call == 1 {
-						close(first)
-						<-release
-					}
-					return nil
-				}
-				sm.reassign(0, parts)
-				start := time.Now()
-				sm.params(0, 0)
-				<-first
-				sm.params(1, 0)
-				sm.awaitSuperseded()
-				close(release)
-				u := sm.expect(transport.MsgTelemetry, 0)
-				if wall := time.Since(start).Seconds(); u.tel.Partitions != 1 || u.tel.ComputeSeconds <= 0 || u.tel.ComputeSeconds > wall {
-					t.Errorf("abandoned compute reported %d partitions in %v s, want 1 in at most the %v s it could have taken", u.tel.Partitions, u.tel.ComputeSeconds, wall)
-				}
-				sm.expect(transport.MsgGradient, 1)
-				sm.expect(transport.MsgTelemetry, 1)
-				sm.send(&transport.Envelope{Type: transport.MsgShutdown})
-			},
-			calls: 1 + parts,
-		},
-		{
-			name: "compute cut short counts the finished partitions' share of DelayPerPartition",
-			cfg: func(m *scriptModel) ElasticWorkerConfig {
-				return ElasticWorkerConfig{DelayPerPartition: onlyIter0}
-			},
-			script: func(t *testing.T, sm *scriptedMaster, m *scriptModel) {
-				second, release := make(chan struct{}), make(chan struct{})
-				m.hook = func(call int) error {
-					if call == 2 {
-						close(second)
-						<-release
-					}
-					return nil
-				}
-				sm.reassign(0, parts)
-				sm.params(0, 0)
-				<-second
-				sm.params(1, 0)
-				sm.awaitSuperseded()
-				close(release)
-				u := sm.expect(transport.MsgTelemetry, 0)
-				if u.tel.Partitions != 2 || u.tel.ComputeSeconds < 2*hour.Seconds() || u.tel.ComputeSeconds > 3*hour.Seconds() {
-					t.Errorf("abandoned compute reported %d partitions in %.0f s, want 2 in their declared %.0f s", u.tel.Partitions, u.tel.ComputeSeconds, 2*hour.Seconds())
-				}
-				sm.expect(transport.MsgGradient, 1)
-				sm.send(&transport.Envelope{Type: transport.MsgShutdown})
-			},
-			calls: 2 + parts,
-		},
-		{
 			name: "a gradient finished for a closed iteration is not uploaded",
 			script: func(t *testing.T, sm *scriptedMaster, m *scriptModel) {
 				last, release := make(chan struct{}), make(chan struct{})
@@ -565,8 +511,9 @@ func TestElasticWorkerReceiveRule(t *testing.T) {
 			wantErr: "scripted gradient failure",
 		},
 		{
-			name:    "a one-pass computation closed while it runs reports every partition and the pass's time",
-			onePass: true,
+			name:     "a one-pass computation closed while it runs reports every partition and the pass's time",
+			onePass:  true,
+			plainToo: true,
 			script: func(t *testing.T, sm *scriptedMaster, m *scriptModel) {
 				started, release := make(chan struct{}), make(chan struct{})
 				m.hook = func(call int) error {
@@ -585,9 +532,9 @@ func TestElasticWorkerReceiveRule(t *testing.T) {
 				sm.awaitSuperseded()
 				time.Sleep(held)
 				close(release)
-				// No gradient: the one pass has no point between partitions
-				// to look at the mailbox, so the closed iteration is found
-				// after it, and reports as a completed one.
+				// No gradient: the worker does not look at the mailbox during
+				// the computation, so the closed iteration is found after it,
+				// and reports as a completed one.
 				u := sm.expect(transport.MsgTelemetry, 0)
 				if wall := time.Since(start).Seconds(); u.tel.Partitions != parts || u.tel.ComputeSeconds < held.Seconds() || u.tel.ComputeSeconds > wall {
 					t.Errorf("closed one-pass iteration reported %d partitions in %v s, want %d in at least the %v s held and at most the %v s it could have taken", u.tel.Partitions, u.tel.ComputeSeconds, parts, held.Seconds(), wall)
@@ -611,35 +558,41 @@ func TestElasticWorkerReceiveRule(t *testing.T) {
 		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			base := goruntime.NumGoroutine()
-			ledger := seedPool(16)
-			model := &scriptModel{}
-			var cfg ElasticWorkerConfig
-			if tc.cfg != nil {
-				cfg = tc.cfg(model)
+			run := func(onePass bool, calls int) {
+				base := goruntime.NumGoroutine()
+				ledger := seedPool(16)
+				model := &scriptModel{}
+				var cfg ElasticWorkerConfig
+				if tc.cfg != nil {
+					cfg = tc.cfg(model)
+				}
+				cfg.Model = model
+				if onePass {
+					cfg.Model = scriptCoder{model}
+				}
+				sm := startScripted(t, cfg)
+				tc.script(t, sm, model)
+				err := <-sm.done
+				_ = sm.conn.Close()
+				switch {
+				case tc.wantErr == "" && err != nil:
+					t.Fatalf("Run: %v", err)
+				case tc.wantErr != "" && (err == nil || !strings.Contains(err.Error(), tc.wantErr)):
+					t.Fatalf("Run: %v, want an error holding %q", err, tc.wantErr)
+				}
+				if got := int(model.calls.Load()); got != calls {
+					t.Errorf("one pass %v: %d Gradient calls, want %d", onePass, got, calls)
+				}
+				if n := ledger.missing(); n != 0 {
+					t.Errorf("%d of the pool's %d vectors did not come back", n, len(ledger))
+				}
+				if !waitUntil(2*time.Second, func() bool { return goruntime.NumGoroutine() <= base }) {
+					t.Fatalf("%d goroutines after Run returned, %d before the worker dialed", goruntime.NumGoroutine(), base)
+				}
 			}
-			cfg.Model = model
-			if tc.onePass {
-				cfg.Model = scriptCoder{model}
-			}
-			sm := startScripted(t, cfg)
-			tc.script(t, sm, model)
-			err := <-sm.done
-			_ = sm.conn.Close()
-			switch {
-			case tc.wantErr == "" && err != nil:
-				t.Fatalf("Run: %v", err)
-			case tc.wantErr != "" && (err == nil || !strings.Contains(err.Error(), tc.wantErr)):
-				t.Fatalf("Run: %v, want an error holding %q", err, tc.wantErr)
-			}
-			if got := int(model.calls.Load()); got != tc.calls {
-				t.Errorf("%d Gradient calls, want %d", got, tc.calls)
-			}
-			if n := ledger.missing(); n != 0 {
-				t.Errorf("%d of the pool's %d vectors did not come back", n, len(ledger))
-			}
-			if !waitUntil(2*time.Second, func() bool { return goruntime.NumGoroutine() <= base }) {
-				t.Fatalf("%d goroutines after Run returned, %d before the worker dialed", goruntime.NumGoroutine(), base)
+			run(tc.onePass, tc.calls)
+			if tc.plainToo {
+				run(false, tc.calls*parts)
 			}
 		})
 	}

@@ -83,9 +83,6 @@ type Plan struct {
 // NumGroups returns the number of coding groups.
 func (p *Plan) NumGroups() int { return len(p.Groups) }
 
-// NumWorkers returns the total worker count across groups.
-func (p *Plan) NumWorkers() int { return len(p.groupOf) }
-
 // GroupOf returns the group index owning a global worker, or -1 when the
 // worker is outside the plan.
 func (p *Plan) GroupOf(worker int) int {
