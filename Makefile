@@ -31,7 +31,10 @@ vet:
 # lives in rootcore alone, so a crash, lease or snapshot fix has one place to
 # land. The caller count keeps one root: shard.Root is the only code outside
 # tests and bench/ that builds a roster engine or opens a root core, so a flat
-# cluster stays its one-group case instead of a second master.
+# cluster stays its one-group case instead of a second master. The test check
+# keeps one fixture: no test under internal/ builds a root itself, so every
+# live root a test stands up comes from testkit's builder (testkit.Open), and
+# its address and workers change in one place.
 lint:
 	@unformatted=$$(gofmt -l .); \
 	if [ -n "$$unformatted" ]; then \
@@ -74,6 +77,14 @@ lint:
 		fi; \
 	done
 	@echo "roster.New, rootcore.Open: one caller each (shard.Root)"
+	@for fn in 'NewRoot(' 'NewElasticMaster('; do \
+		bad=$$(grep -rnF --include='*_test.go' "$$fn" internal); \
+		if [ -n "$$bad" ]; then \
+			echo "$$fn in a test under internal/ (bring the root up with testkit.Open or testkit.Start, the one fixture):"; \
+			echo "$$bad"; exit 1; \
+		fi; \
+	done
+	@echo "NewRoot, NewElasticMaster: no caller in internal/ tests (testkit builds every live root)"
 	@bad=$$(grep -rnF --include='*.go' --exclude='*_test.go' \
 		-e '.(ml.Coder)' -e 'Model.Gradient(' internal/runtime); \
 	if [ -n "$$bad" ]; then \

@@ -1,44 +1,33 @@
-package runtime
+package runtime_test
 
 import (
 	"path/filepath"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
 	"github.com/hetgc/hetgc/internal/checkpoint"
 	"github.com/hetgc/hetgc/internal/ml"
 	"github.com/hetgc/hetgc/internal/obs"
+	"github.com/hetgc/hetgc/internal/runtime"
+	"github.com/hetgc/hetgc/internal/testkit"
 )
 
 // TestElasticCheckpointResume runs a checkpointed training to completion,
 // then constructs a second master from the directory and continues for more
-// iterations — the in-package exercise of the durable-state wiring
-// (the adversarial master-kill variants live in the cross-runtime
-// conformance suite, internal/testkit).
+// iterations — the plain exercise of the durable-state wiring (the
+// adversarial master-kill variants live in the recovery conformance table,
+// internal/testkit).
 func TestElasticCheckpointResume(t *testing.T) {
-	fx := newElasticFixture(t, 8)
+	fx := newFixture(t, 8)
 	dir := filepath.Join(t.TempDir(), "ckpt")
 
-	cfg := fx.masterConfig(8, 1, 6)
+	cfg := elasticConfig(fx, 1, 6)
 	cfg.Optimizer = &ml.SGD{LR: 0.5, Momentum: 0.5}
 	cfg.MinWorkers = 3
 	cfg.CheckpointDir = dir
 	cfg.SnapshotEvery = 2
-	ma, err := NewElasticMaster(cfg, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	for i := 0; i < 3; i++ {
-		fx.spawnElasticWorker(t, ma.Addr(), &wg, nil)
-	}
-	if err := ma.WaitForWorkers(10 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	res, err := ma.Run()
-	wg.Wait()
+	res, err := testkit.Start(t, fx, cfg, 3, nil).Run(10 * time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,28 +47,18 @@ func TestElasticCheckpointResume(t *testing.T) {
 	}
 	preMax := state.MaxEpoch()
 
-	cfg2 := fx.masterConfig(8, 1, 10)
+	cfg2 := elasticConfig(fx, 1, 10)
 	cfg2.Optimizer = &ml.SGD{LR: 0.5, Momentum: 0.5}
 	cfg2.MinWorkers = 3
 	cfg2.CheckpointDir = dir
 	cfg2.SnapshotEvery = 2
 	cfg2.Resume = true
-	ma2, err := NewElasticMaster(cfg2, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
+	ma2 := testkit.Start(t, fx, cfg2, 0, nil)
+	if ma2.Root.StartIter() != 6 {
+		t.Fatalf("resumed StartIter = %d, want 6", ma2.Root.StartIter())
 	}
-	if ma2.StartIter() != 6 {
-		t.Fatalf("resumed StartIter = %d, want 6", ma2.StartIter())
-	}
-	var wg2 sync.WaitGroup
-	for i := 0; i < 3; i++ {
-		fx.spawnElasticWorker(t, ma2.Addr(), &wg2, nil)
-	}
-	if err := ma2.WaitForWorkers(10 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	res2, err := ma2.Run()
-	wg2.Wait()
+	ma2.Dial(t, 3, nil)
+	res2, err := ma2.Run(10 * time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,28 +82,16 @@ func TestElasticCheckpointResume(t *testing.T) {
 // checkpoint whose epoch fence still covers the first incarnation's epochs
 // (the resume anchor snapshot is the only durable state in between).
 func TestResumeAnchorPreservesEpochFence(t *testing.T) {
-	fx := newElasticFixture(t, 8)
+	fx := newFixture(t, 8)
 	dir := filepath.Join(t.TempDir(), "ckpt")
 
-	cfg := fx.masterConfig(8, 1, 4)
+	cfg := elasticConfig(fx, 1, 4)
 	cfg.MinWorkers = 3
 	cfg.CheckpointDir = dir
 	cfg.SnapshotEvery = 2
-	ma, err := NewElasticMaster(cfg, "127.0.0.1:0")
-	if err != nil {
+	if _, err := testkit.Start(t, fx, cfg, 3, nil).Run(10 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	var wg sync.WaitGroup
-	for i := 0; i < 3; i++ {
-		fx.spawnElasticWorker(t, ma.Addr(), &wg, nil)
-	}
-	if err := ma.WaitForWorkers(10 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ma.Run(); err != nil {
-		t.Fatal(err)
-	}
-	wg.Wait()
 	preMax := recoverMaxEpoch(t, dir)
 	if preMax < 0 {
 		t.Fatalf("first run recorded max epoch %d", preMax)
@@ -136,11 +103,7 @@ func TestResumeAnchorPreservesEpochFence(t *testing.T) {
 	cfg2.Resume = true
 	tel := obs.New()
 	cfg2.Obs = tel
-	ma2, err := NewElasticMaster(cfg2, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ma2.Close()
+	testkit.Start(t, fx, cfg2, 0, nil).Close()
 	// The anchor is counted by the snapshot histogram, as in the sharded
 	// runtime.
 	var sb strings.Builder
@@ -157,11 +120,7 @@ func TestResumeAnchorPreservesEpochFence(t *testing.T) {
 	// And a third incarnation still fences above it.
 	cfg3 := cfg
 	cfg3.Resume = true
-	ma3, err := NewElasticMaster(cfg3, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ma3.Close()
+	testkit.Start(t, fx, cfg3, 0, nil)
 	// Its own resume anchor records the fence it recovered.
 	if fence := recoverMaxEpoch(t, dir); fence != preMax {
 		t.Fatalf("third incarnation recovered fence %d, want %d", fence, preMax)
@@ -189,59 +148,28 @@ func TestResumeRestoresEstimates(t *testing.T) {
 		anchorOnly int // incarnations that resume and close at once
 	}{{"resume", 0}, {"anchor-only-crash", 1}} {
 		t.Run(tc.name, func(t *testing.T) {
-			fx := newElasticFixture(t, 6)
-			cfg := fx.masterConfig(6, 1, 8)
+			fx := newFixture(t, 6)
+			cfg := elasticConfig(fx, 1, 8)
 			cfg.MinObservations = 1
 			cfg.CheckpointDir = filepath.Join(t.TempDir(), "ckpt")
 			cfg.SnapshotEvery = 4
-			ma, err := NewElasticMaster(cfg, "127.0.0.1:0")
-			if err != nil {
-				t.Fatal(err)
-			}
-			var wg sync.WaitGroup
-			for i := 0; i < 3; i++ {
+			// The builder dials in order: worker i joins as member i+1.
+			_, err := testkit.Start(t, fx, cfg, 3, func(i int, wc *runtime.ElasticWorkerConfig) {
 				delay := time.Millisecond
 				if i == 0 {
 					delay *= 5
 				}
-				// Dial in order: worker i joins as member i+1.
-				w, err := DialElasticWorker(ma.Addr(), ElasticWorkerConfig{
-					Model:             fx.model,
-					PartitionData:     func(p int) (*ml.Dataset, error) { return fx.parts[p], nil },
-					DelayPerPartition: func(int) time.Duration { return delay },
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					_ = w.Run()
-				}()
-			}
-			if err := ma.WaitForWorkers(10 * time.Second); err != nil {
-				t.Fatal(err)
-			}
-			_, err = ma.Run()
-			ma.Close()
-			wg.Wait()
+				wc.DelayPerPartition = func(int) time.Duration { return delay }
+			}).Run(10 * time.Second)
 			if err != nil {
 				t.Fatal(err)
 			}
 
 			cfg.Resume = true
 			for i := 0; i < tc.anchorOnly; i++ {
-				crashed, err := NewElasticMaster(cfg, "127.0.0.1:0")
-				if err != nil {
-					t.Fatal(err)
-				}
-				crashed.Close()
+				testkit.Start(t, fx, cfg, 0, nil).Close()
 			}
-			ma2, err := NewElasticMaster(cfg, "127.0.0.1:0")
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer ma2.Close()
+			ma2 := testkit.Start(t, fx, cfg, 0, nil).Root
 			rates := make([]float64, 3)
 			for i := range rates {
 				rates[i] = restoredRate(t, ma2, 0, i+1, cfg.MinObservations)

@@ -7,7 +7,7 @@
 // reports per-iteration telemetry that the root's control plane plans from.
 //
 // The root is shard.Root: a flat cluster is its one-group case. The names
-// below keep the flat master's spelling for the callers that still use it.
+// below keep the flat master's spelling for bench/; tests use internal/testkit.
 package runtime
 
 import (

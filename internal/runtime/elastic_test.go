@@ -1,102 +1,58 @@
-package runtime
+// The root tests of this directory: each stands a live root up through
+// testkit's builder and drives it with real ElasticWorkers (or testkit's
+// scripted ones), so they test the worker against the root it trains under.
+package runtime_test
 
 import (
 	"errors"
-	"math/rand"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"github.com/hetgc/hetgc/internal/core"
-	"github.com/hetgc/hetgc/internal/grad"
 	"github.com/hetgc/hetgc/internal/ml"
-	"github.com/hetgc/hetgc/internal/transport"
+	"github.com/hetgc/hetgc/internal/runtime"
+	"github.com/hetgc/hetgc/internal/shard"
+	"github.com/hetgc/hetgc/internal/testkit"
 )
 
-func rng(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
+// newFixture is the workload these tests train: k partitions of 20 samples.
+func newFixture(t *testing.T, k int) *testkit.Fixture { return testkit.NewFixture(t, k, 20, 300) }
 
-// elasticFixture is shared scaffolding for elastic end-to-end tests: a
-// dataset split into k partitions and a softmax model.
-type elasticFixture struct {
-	model *ml.Softmax
-	data  *ml.Dataset
-	parts []*ml.Dataset
-}
-
-func newElasticFixture(t *testing.T, k int) *elasticFixture {
-	t.Helper()
-	data, err := ml.GaussianMixture(k*20, 4, 3, 3, rng(300))
-	if err != nil {
-		t.Fatal(err)
-	}
-	parts, err := data.Split(k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return &elasticFixture{model: &ml.Softmax{InputDim: 4, NumClasses: 3}, data: data, parts: parts}
-}
-
-func (f *elasticFixture) masterConfig(k, s, iters int) ElasticConfig {
-	return ElasticConfig{
-		K: k, S: s,
-		Model:           f.model,
-		Optimizer:       &ml.SGD{LR: 0.5},
-		InitialParams:   f.model.InitParams(nil),
-		Iterations:      iters,
-		SampleCount:     f.data.N(),
-		IterTimeout:     10 * time.Second,
-		Alpha:           0.5,
-		MinObservations: 2,
-		CooldownIters:   3,
-		Seed:            1,
-		LossEvery:       1,
-		LossFn: func(p []float64) (float64, error) {
-			return ml.MeanLoss(f.model, p, f.data)
-		},
-	}
-}
-
-// spawnElasticWorker runs one elastic worker in a goroutine. perPart returns
-// the artificial per-partition compute delay for an iteration — the knob
-// that emulates machine speed.
-func (f *elasticFixture) spawnElasticWorker(t *testing.T, addr string, wg *sync.WaitGroup, perPart func(iter int) time.Duration) {
-	t.Helper()
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		w, err := DialElasticWorker(addr, ElasticWorkerConfig{
-			Model:             f.model,
-			PartitionData:     func(p int) (*ml.Dataset, error) { return f.parts[p], nil },
-			DelayPerPartition: perPart,
-		})
-		if err != nil {
-			return // master may be gone after a test failure
-		}
-		_ = w.Run()
-	}()
+// elasticConfig is the root these tests train fx under: a 10 s collect bound,
+// a quick control plane and the loss recorded every iteration.
+func elasticConfig(fx *testkit.Fixture, s, iters int) shard.Config {
+	cfg := fx.Config(s, iters)
+	cfg.IterTimeout = 10 * time.Second
+	cfg.Alpha = 0.5
+	cfg.MinObservations = 2
+	cfg.CooldownIters = 3
+	cfg.LossEvery = 1
+	cfg.LossFn = func(p []float64) (float64, error) { return ml.MeanLoss(fx.Model, p, fx.Data) }
+	return cfg
 }
 
 func TestElasticConfigValidation(t *testing.T) {
 	model := &ml.Softmax{InputDim: 2, NumClasses: 2}
-	good := ElasticConfig{
+	good := shard.Config{
 		K: 4, S: 1, Model: model, Optimizer: &ml.SGD{LR: 1},
 		InitialParams: model.InitParams(nil), Iterations: 1, SampleCount: 1,
 		IterTimeout: time.Second,
 	}
-	bad := []func(c *ElasticConfig){
-		func(c *ElasticConfig) { c.Model = nil },
-		func(c *ElasticConfig) { c.K = 0 },
-		func(c *ElasticConfig) { c.S = -1 },
-		func(c *ElasticConfig) { c.Iterations = 0 },
-		func(c *ElasticConfig) { c.IterTimeout = 0 },
-		func(c *ElasticConfig) { c.InitialParams = []float64{1} },
-		func(c *ElasticConfig) { c.MinWorkers = 1; c.S = 2 },
+	bad := []func(c *shard.Config){
+		func(c *shard.Config) { c.Model = nil },
+		func(c *shard.Config) { c.K = 0 },
+		func(c *shard.Config) { c.S = -1 },
+		func(c *shard.Config) { c.Iterations = 0 },
+		func(c *shard.Config) { c.IterTimeout = 0 },
+		func(c *shard.Config) { c.InitialParams = []float64{1} },
+		func(c *shard.Config) { c.MinWorkers = 1; c.S = 2 },
 	}
 	for i, mutate := range bad {
 		cfg := good
 		mutate(&cfg)
-		if _, err := NewElasticMaster(cfg, "127.0.0.1:0"); !errors.Is(err, ErrBadConfig) {
+		if _, err := testkit.Open(nil, cfg); !errors.Is(err, runtime.ErrBadConfig) {
 			t.Fatalf("case %d: err = %v, want ErrBadConfig", i, err)
 		}
 	}
@@ -122,13 +78,13 @@ func TestElasticEndToEndChurn(t *testing.T) {
 		fastDelay = 2 * time.Millisecond
 		slowDelay = 20 * time.Millisecond
 	)
-	f := newElasticFixture(t, k)
+	f := newFixture(t, k)
 
 	// run executes one elastic training with 4 initial workers; when
 	// adaptive is false the control plane is lobotomised (no drift replans,
 	// no joiner), forming the baseline.
-	run := func(adaptive bool) *ElasticResult {
-		cfg := f.masterConfig(k, s, iters)
+	run := func(adaptive bool) *testkit.Outcome {
+		cfg := elasticConfig(f, s, iters)
 		cfg.MinWorkers = 4
 		if adaptive {
 			cfg.DriftThreshold = 0.5
@@ -136,19 +92,14 @@ func TestElasticEndToEndChurn(t *testing.T) {
 			cfg.DriftThreshold = 1e9
 			cfg.CooldownIters = 1 << 30
 		}
-		master, err := NewElasticMaster(cfg, "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		var wg sync.WaitGroup
 		var iterCount atomic.Int64
-		// Dial sequentially so member IDs — and therefore epoch-0 slots —
-		// are deterministic: workers 0 and 2 are the ones that slow down.
-		for i := 0; i < 4; i++ {
-			var perPart func(iter int) time.Duration
+		// The builder dials sequentially, so member IDs — and therefore
+		// epoch-0 slots — are deterministic: workers 0 and 2 are the ones
+		// that slow down.
+		l := testkit.Start(t, f, cfg, 4, func(i int, wc *runtime.ElasticWorkerConfig) {
 			switch {
 			case i == 0:
-				perPart = func(iter int) time.Duration {
+				wc.DelayPerPartition = func(iter int) time.Duration {
 					if int64(iter) > iterCount.Load() {
 						iterCount.Store(int64(iter))
 					}
@@ -158,52 +109,33 @@ func TestElasticEndToEndChurn(t *testing.T) {
 					return fastDelay
 				}
 			case i == 2:
-				perPart = func(iter int) time.Duration {
+				wc.DelayPerPartition = func(iter int) time.Duration {
 					if iter >= slowAt {
 						return slowDelay
 					}
 					return fastDelay
 				}
 			default:
-				perPart = func(int) time.Duration { return fastDelay }
+				testkit.PerPart(fastDelay)(i, wc)
 			}
-			w, err := DialElasticWorker(master.Addr(), ElasticWorkerConfig{
-				Model:             f.model,
-				PartitionData:     func(p int) (*ml.Dataset, error) { return f.parts[p], nil },
-				DelayPerPartition: perPart,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				_ = w.Run()
-			}()
-		}
+		})
+		var wg sync.WaitGroup
 		if adaptive {
 			// A fifth worker joins once training is under way.
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				if !waitUntil(10*time.Second, func() bool { return iterCount.Load() >= joinAfter }) {
+				if !testkit.WaitUntil(10*time.Second, func() bool { return iterCount.Load() >= joinAfter }) {
 					return
 				}
-				w, err := DialElasticWorker(master.Addr(), ElasticWorkerConfig{
-					Model:             f.model,
-					PartitionData:     func(p int) (*ml.Dataset, error) { return f.parts[p], nil },
-					DelayPerPartition: func(int) time.Duration { return fastDelay },
-				})
+				w, err := l.Worker(4, testkit.PerPart(fastDelay))
 				if err != nil {
 					return
 				}
 				_ = w.Run()
 			}()
 		}
-		if err := master.WaitForWorkers(5 * time.Second); err != nil {
-			t.Fatal(err)
-		}
-		res, runErr := master.Run()
+		res, runErr := l.Run(5 * time.Second)
 		wg.Wait()
 		if runErr != nil {
 			t.Fatal(runErr)
@@ -280,86 +212,20 @@ func TestElasticStaleEpochFenced(t *testing.T) {
 		k, s  = 4, 1
 		iters = 14
 	)
-	f := newElasticFixture(t, k)
-	cfg := f.masterConfig(k, s, iters)
+	f := newFixture(t, k)
+	cfg := elasticConfig(f, s, iters)
 	cfg.MinWorkers = 3
-	master, err := NewElasticMaster(cfg, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
 	// The honest workers — any two of the three uploads decode, so they pace
 	// the run — take a few milliseconds per partition: the fourth worker
 	// below joins by polling, and an undelayed 14-iteration run can be over
 	// before it dials in (no migration, nothing stale to fence).
-	for i := 0; i < 2; i++ {
-		f.spawnElasticWorker(t, master.Addr(), &wg, func(int) time.Duration { return 3 * time.Millisecond })
-	}
+	l := testkit.Start(t, f, cfg, 2, testkit.PerPart(3*time.Millisecond))
 	// The stale worker behaves honestly during epoch 0, then — after any
 	// migration — tags every upload with epoch 0 and a poisoned payload.
+	var wg sync.WaitGroup
 	var iterSeen atomic.Int64
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		conn, err := transport.Dial(master.Addr(), 5*time.Second)
-		if err != nil {
-			return
-		}
-		defer conn.Close()
-		if err := conn.Send(&transport.Envelope{Type: transport.MsgHello, WorkerID: transport.HelloNewWorker}); err != nil {
-			return
-		}
-		ack, err := conn.Recv()
-		if err != nil || ack.Type != transport.MsgHello {
-			return
-		}
-		var assign *transport.Assignment
-		for {
-			env, err := conn.Recv()
-			if err != nil || env.Type == transport.MsgShutdown {
-				return
-			}
-			switch env.Type {
-			case transport.MsgReassign:
-				assign = env.Assign
-			case transport.MsgParams:
-				if assign == nil {
-					continue
-				}
-				iterSeen.Store(int64(env.Iter))
-				out := &transport.Envelope{Type: transport.MsgGradient, Iter: env.Iter, WorkerID: ack.WorkerID}
-				if env.Epoch == 0 {
-					// Honest epoch-0 participation (compute the real coded
-					// gradient so early iterations train correctly).
-					vec, gerr := codedGradient(f.model, f.parts, assign, env.Vector)
-					if gerr != nil {
-						return
-					}
-					out.Epoch = 0
-					out.Vector = vec
-				} else {
-					// Stale epoch + poison: 1e12 in every coordinate would
-					// blow up the parameters if it ever reached combine.
-					poison := make([]float64, len(env.Vector))
-					for i := range poison {
-						poison[i] = 1e12
-					}
-					out.Epoch = 0 // deliberately stale
-					out.Vector = poison
-				}
-				if err := conn.Send(out); err != nil {
-					return
-				}
-				tel := &transport.Envelope{
-					Type: transport.MsgTelemetry, Iter: env.Iter, Epoch: env.Epoch,
-					Telemetry: &transport.Telemetry{ComputeSeconds: 0.001, Partitions: len(assign.Partitions)},
-				}
-				if err := conn.Send(tel); err != nil {
-					return
-				}
-			}
-		}
-	}()
+	stale := &testkit.Scenario{Behaviors: map[int]testkit.Behavior{0: {PoisonAfterMigration: true}}}
+	testkit.DriveWorkers(stale, l.Addrs(3)[2:], f, &wg, &iterSeen)
 	// A fourth worker joins mid-run to force a churn migration to epoch 1.
 	wg.Add(1)
 	go func() {
@@ -367,19 +233,13 @@ func TestElasticStaleEpochFenced(t *testing.T) {
 		for iterSeen.Load() < 4 {
 			time.Sleep(5 * time.Millisecond)
 		}
-		w, err := DialElasticWorker(master.Addr(), ElasticWorkerConfig{
-			Model:         f.model,
-			PartitionData: func(p int) (*ml.Dataset, error) { return f.parts[p], nil },
-		})
+		w, err := l.Worker(3, nil)
 		if err != nil {
 			return
 		}
 		_ = w.Run()
 	}()
-	if err := master.WaitForWorkers(5 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	res, runErr := master.Run()
+	res, runErr := l.Run(5 * time.Second)
 	wg.Wait()
 	if runErr != nil {
 		t.Fatal(runErr)
@@ -405,38 +265,6 @@ func TestElasticStaleEpochFenced(t *testing.T) {
 	}
 }
 
-// codedGradient computes the honest coded gradient for an assignment, with
-// the same kernel real workers use.
-func codedGradient(model ml.Model, parts []*ml.Dataset, assign *transport.Assignment, params []float64) ([]float64, error) {
-	partials := make([]grad.Gradient, len(assign.Partitions))
-	for i, p := range assign.Partitions {
-		g, err := model.Gradient(params, parts[p])
-		if err != nil {
-			return nil, err
-		}
-		partials[i] = g
-	}
-	coded := make([]float64, len(params))
-	if err := grad.EncodeInto(coded, assign.RowCoeffs, partials); err != nil {
-		return nil, err
-	}
-	return coded, nil
-}
-
-// waitUntil polls cond every 5ms until it holds or the timeout expires;
-// returns whether it held. Keeps churn-scripting goroutines from spinning
-// forever when the master exits early.
-func waitUntil(timeout time.Duration, cond func() bool) bool {
-	deadline := time.Now().Add(timeout)
-	for time.Now().Before(deadline) {
-		if cond() {
-			return true
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	return cond()
-}
-
 // TestElasticSurvivesDeathsAndRejoin kills two of four workers mid-training
 // (potentially making the running epoch undecodable mid-iteration), watches
 // the master migrate to the survivors, then rejoins one dead worker under
@@ -448,69 +276,42 @@ func TestElasticSurvivesDeathsAndRejoin(t *testing.T) {
 		iters   = 40
 		perPart = 2 * time.Millisecond
 	)
-	f := newElasticFixture(t, k)
-	cfg := f.masterConfig(k, s, iters)
+	f := newFixture(t, k)
+	cfg := elasticConfig(f, s, iters)
 	cfg.MinWorkers = 4
 	cfg.DriftThreshold = 2.0 // this test is about churn, not drift
-	master, err := NewElasticMaster(cfg, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
 	var iterCount atomic.Int64
-	// Two stable workers; the first also tracks training progress.
-	f.spawnElasticWorker(t, master.Addr(), &wg, func(iter int) time.Duration {
-		if int64(iter) > iterCount.Load() {
-			iterCount.Store(int64(iter))
-		}
-		return perPart
-	})
-	f.spawnElasticWorker(t, master.Addr(), &wg, func(int) time.Duration { return perPart })
-
-	// Two workers that die abruptly once training is under way.
-	victims := make(chan *ElasticWorker, 2)
-	for i := 0; i < 2; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			w, err := DialElasticWorker(master.Addr(), ElasticWorkerConfig{
-				Model:             f.model,
-				PartitionData:     func(p int) (*ml.Dataset, error) { return f.parts[p], nil },
-				DelayPerPartition: func(int) time.Duration { return perPart },
-			})
-			if err != nil {
-				return
+	// Two stable workers, the first of which also tracks training progress,
+	// and two (slots 2 and 3) that die abruptly once training is under way.
+	l := testkit.Start(t, f, cfg, 4, func(i int, wc *runtime.ElasticWorkerConfig) {
+		wc.DelayPerPartition = func(iter int) time.Duration {
+			if i == 0 && int64(iter) > iterCount.Load() {
+				iterCount.Store(int64(iter))
 			}
-			victims <- w
-			_ = w.Run() // returns when the test closes the conn
-		}()
-	}
-	if err := master.WaitForWorkers(5 * time.Second); err != nil {
-		t.Fatal(err)
-	}
+			return perPart
+		}
+	})
+	v1, v2 := l.Workers[2], l.Workers[3]
 
+	var wg sync.WaitGroup
 	var rejoinedID, wantRejoinID atomic.Int64
+	wantRejoinID.Store(int64(v1.ID()))
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		v1 := <-victims
-		v2 := <-victims
-		wantRejoinID.Store(int64(v1.ID()))
-		if !waitUntil(10*time.Second, func() bool { return iterCount.Load() >= 6 }) {
+		if !testkit.WaitUntil(10*time.Second, func() bool { return iterCount.Load() >= 6 }) {
 			return
 		}
 		_ = v1.Close()
 		_ = v2.Close()
 		// Give the master time to notice and migrate, then rejoin v1 under
 		// its old identity.
-		if !waitUntil(10*time.Second, func() bool { return iterCount.Load() >= 14 }) {
+		if !testkit.WaitUntil(10*time.Second, func() bool { return iterCount.Load() >= 14 }) {
 			return
 		}
-		w, err := DialElasticWorker(master.Addr(), ElasticWorkerConfig{
-			Model:             f.model,
-			PartitionData:     func(p int) (*ml.Dataset, error) { return f.parts[p], nil },
-			DelayPerPartition: func(int) time.Duration { return perPart },
-			ResumeID:          int(wantRejoinID.Load()),
+		w, err := l.Worker(4, func(_ int, wc *runtime.ElasticWorkerConfig) {
+			wc.DelayPerPartition = func(int) time.Duration { return perPart }
+			wc.ResumeID = int(wantRejoinID.Load())
 		})
 		if err != nil {
 			return
@@ -519,7 +320,7 @@ func TestElasticSurvivesDeathsAndRejoin(t *testing.T) {
 		_ = w.Run()
 	}()
 
-	res, runErr := master.Run()
+	res, runErr := l.Run(5 * time.Second)
 	wg.Wait()
 	if runErr != nil {
 		t.Fatal(runErr)
@@ -548,85 +349,55 @@ func TestElasticSurvivesDeathsAndRejoin(t *testing.T) {
 // trainFleet runs cfg on a loopback cluster of n elastic workers, dialled in
 // order so worker i is the i-th member to join; delay (nil for none) is
 // worker i's injected delay per iteration.
-func (f *elasticFixture) trainFleet(t *testing.T, cfg ElasticConfig, n int, delay func(worker, iter int) time.Duration) (*ElasticResult, error) {
+func trainFleet(t *testing.T, fx *testkit.Fixture, cfg shard.Config, n int, delay func(worker, iter int) time.Duration) (*testkit.Outcome, error) {
 	t.Helper()
-	master, err := NewElasticMaster(cfg, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer master.Close()
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wc := ElasticWorkerConfig{
-			Model:         f.model,
-			PartitionData: func(p int) (*ml.Dataset, error) { return f.parts[p], nil },
-		}
-		if delay != nil {
-			i := i
+	var worker func(int, *runtime.ElasticWorkerConfig)
+	if delay != nil {
+		worker = func(i int, wc *runtime.ElasticWorkerConfig) {
 			wc.Delay = func(iter int) time.Duration { return delay(i, iter) }
 		}
-		w, err := DialElasticWorker(master.Addr(), wc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			_ = w.Run()
-		}()
 	}
-	if err := master.WaitForWorkers(5 * time.Second); err != nil {
+	l := testkit.Start(t, fx, cfg, n, worker)
+	if err := l.Root.WaitForWorkers(5 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	res, err := master.Run()
-	wg.Wait()
-	return res, err
+	return l.Run(0)
 }
 
 // lossDropped reports whether the run's last recorded loss is below frac of
 // its first.
-func lossDropped(res *ElasticResult, frac float64) bool {
+func lossDropped(res *testkit.Outcome, frac float64) bool {
 	pts := res.Curve.Points
 	return len(pts) > 1 && pts[len(pts)-1].Y < frac*pts[0].Y
 }
 
 func TestMasterConfigValidation(t *testing.T) {
 	model := &ml.Softmax{InputDim: 2, NumClasses: 2}
-	good := ElasticConfig{
+	good := shard.Config{
 		K: 4, S: 1, Scheme: core.Cyclic, Model: model, Optimizer: &ml.SGD{LR: 1},
 		InitialParams: model.InitParams(nil), Iterations: 1, SampleCount: 1,
 		IterTimeout: time.Second,
 	}
-	master, err := NewElasticMaster(good, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	master.Close()
+	testkit.Start(t, nil, good, 0, nil).Close()
 	// A fixed-shape scheme's quorum is K; frac-rep needs s+1 to divide K.
-	bad := []func(c *ElasticConfig){
-		func(c *ElasticConfig) { c.MinWorkers = 3 },
-		func(c *ElasticConfig) { c.Scheme = core.FractionalRepetition; c.S = 2 },
-		func(c *ElasticConfig) { c.Scheme = core.Kind(99) },
+	bad := []func(c *shard.Config){
+		func(c *shard.Config) { c.MinWorkers = 3 },
+		func(c *shard.Config) { c.Scheme = core.FractionalRepetition; c.S = 2 },
+		func(c *shard.Config) { c.Scheme = core.Kind(99) },
 	}
 	for i, mutate := range bad {
 		cfg := good
 		mutate(&cfg)
-		if _, err := NewElasticMaster(cfg, "127.0.0.1:0"); !errors.Is(err, ErrBadConfig) {
+		if _, err := testkit.Open(nil, cfg); !errors.Is(err, runtime.ErrBadConfig) {
 			t.Fatalf("case %d: err = %v, want ErrBadConfig", i, err)
 		}
 	}
 }
 
-func TestDialWorkerValidation(t *testing.T) {
-	if _, err := DialElasticWorker("127.0.0.1:1", ElasticWorkerConfig{}); !errors.Is(err, ErrBadConfig) {
-		t.Fatalf("err = %v", err)
-	}
-}
-
 func TestEndToEndHeterAwareTraining(t *testing.T) {
 	const k, s, iters = 7, 1, 15
-	f := newElasticFixture(t, k)
-	res, err := f.trainFleet(t, f.masterConfig(k, s, iters), 5, nil)
+	f := newFixture(t, k)
+	res, err := trainFleet(t, f, elasticConfig(f, s, iters), 5, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -640,10 +411,10 @@ func TestEndToEndHeterAwareTraining(t *testing.T) {
 
 func TestEndToEndGroupBased(t *testing.T) {
 	const k, s, iters = 7, 1, 10
-	f := newElasticFixture(t, k)
-	cfg := f.masterConfig(k, s, iters)
+	f := newFixture(t, k)
+	cfg := elasticConfig(f, s, iters)
 	cfg.Scheme = core.GroupBased
-	res, err := f.trainFleet(t, cfg, 5, nil)
+	res, err := trainFleet(t, f, cfg, 5, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -658,10 +429,10 @@ func TestEndToEndGroupBased(t *testing.T) {
 func TestEndToEndToleratesStraggler(t *testing.T) {
 	const k, s, iters = 5, 1, 8
 	const late = 300 * time.Millisecond
-	f := newElasticFixture(t, k)
-	cfg := f.masterConfig(k, s, iters)
+	f := newFixture(t, k)
+	cfg := elasticConfig(f, s, iters)
 	cfg.Scheme = core.Cyclic
-	res, err := f.trainFleet(t, cfg, k, func(worker, _ int) time.Duration {
+	res, err := trainFleet(t, f, cfg, k, func(worker, _ int) time.Duration {
 		if worker == 0 {
 			return late
 		}
@@ -689,17 +460,17 @@ func TestEndToEndToleratesStraggler(t *testing.T) {
 // the run with ErrIterationTimeout.
 func TestEndToEndNaiveTimesOutOnDeadWorker(t *testing.T) {
 	const k = 3
-	f := newElasticFixture(t, k)
-	cfg := f.masterConfig(k, 0, 3)
+	f := newFixture(t, k)
+	cfg := elasticConfig(f, 0, 3)
 	cfg.Scheme = core.Naive
 	cfg.IterTimeout = 400 * time.Millisecond
-	_, err := f.trainFleet(t, cfg, k, func(worker, _ int) time.Duration {
+	_, err := trainFleet(t, f, cfg, k, func(worker, _ int) time.Duration {
 		if worker == k-1 {
 			return time.Second
 		}
 		return 0
 	})
-	if !errors.Is(err, ErrIterationTimeout) || errors.Is(err, ErrMigrationFailed) {
+	if !errors.Is(err, runtime.ErrIterationTimeout) || errors.Is(err, runtime.ErrMigrationFailed) {
 		t.Fatalf("err = %v, want ErrIterationTimeout with every member alive", err)
 	}
 }
@@ -709,35 +480,20 @@ func TestEndToEndNaiveTimesOutOnDeadWorker(t *testing.T) {
 // forced migration fails at once instead of burning the 30 s IterTimeout.
 func TestFailFastWhenDecodeImpossible(t *testing.T) {
 	const k = 3
-	f := newElasticFixture(t, k)
-	cfg := f.masterConfig(k, 0, 5)
+	f := newFixture(t, k)
+	cfg := elasticConfig(f, 0, 5)
 	cfg.Scheme = core.Naive
 	cfg.IterTimeout = 30 * time.Second
-	master, err := NewElasticMaster(cfg, "127.0.0.1:0")
-	if err != nil {
+	l := testkit.Start(t, f, cfg, k, nil)
+	if err := l.Root.WaitForWorkers(5 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	var wg sync.WaitGroup
-	for i := 0; i < k-1; i++ {
-		f.spawnElasticWorker(t, master.Addr(), &wg, nil)
-	}
-	dying, err := DialElasticWorker(master.Addr(), ElasticWorkerConfig{
-		Model:         f.model,
-		PartitionData: func(p int) (*ml.Dataset, error) { return f.parts[p], nil },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := master.WaitForWorkers(5 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	_ = dying.Close()
+	_ = l.Workers[k-1].Close()
 
 	start := time.Now()
-	_, runErr := master.Run()
+	_, runErr := l.Run(0)
 	elapsed := time.Since(start)
-	wg.Wait()
-	if !errors.Is(runErr, ErrMigrationFailed) {
+	if !errors.Is(runErr, runtime.ErrMigrationFailed) {
 		t.Fatalf("err = %v, want ErrMigrationFailed", runErr)
 	}
 	if elapsed > 5*time.Second {
@@ -751,63 +507,20 @@ func TestFailFastWhenDecodeImpossible(t *testing.T) {
 // iteration completes and the loss still drops.
 func TestWorkerDiesMidTrainingConverges(t *testing.T) {
 	const k, s, iters = 4, 1, 12
-	f := newElasticFixture(t, k)
-	cfg := f.masterConfig(k, s, iters)
+	f := newFixture(t, k)
+	cfg := elasticConfig(f, s, iters)
 	cfg.Scheme = core.Cyclic
-	master, err := NewElasticMaster(cfg, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
 	// The honest workers take a declared 5 ms per partition, so twelve
 	// iterations outlast the dying member's fourth broadcast and its
 	// hang-up lands mid-run.
-	for i := 0; i < k-1; i++ {
-		f.spawnElasticWorker(t, master.Addr(), &wg, func(int) time.Duration { return 5 * time.Millisecond })
-	}
+	l := testkit.Start(t, f, cfg, k-1, testkit.PerPart(5*time.Millisecond))
 	// The dying member uploads honestly for three iterations and hangs up on
 	// the fourth broadcast.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		conn, err := transport.Dial(master.Addr(), 5*time.Second)
-		if err != nil {
-			return
-		}
-		defer conn.Close()
-		if err := conn.Send(&transport.Envelope{Type: transport.MsgHello, WorkerID: transport.HelloNewWorker}); err != nil {
-			return
-		}
-		if ack, err := conn.Recv(); err != nil || ack.Type != transport.MsgHello {
-			return
-		}
-		var assign *transport.Assignment
-		for n := 0; ; {
-			env, err := conn.Recv()
-			if err != nil || env.Type == transport.MsgShutdown {
-				return
-			}
-			switch env.Type {
-			case transport.MsgReassign:
-				assign = env.Assign
-			case transport.MsgParams:
-				if n++; n > 3 {
-					return
-				}
-				vec, err := codedGradient(f.model, f.parts, assign, env.Vector)
-				if err != nil {
-					return
-				}
-				if conn.Send(&transport.Envelope{Type: transport.MsgGradient, Iter: env.Iter, Epoch: env.Epoch, Vector: vec}) != nil {
-					return
-				}
-			}
-		}
-	}()
-	if err := master.WaitForWorkers(5 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	res, runErr := master.Run()
+	var wg sync.WaitGroup
+	var progress atomic.Int64
+	dying := &testkit.Scenario{Behaviors: map[int]testkit.Behavior{0: {KillAtIter: 3}}}
+	testkit.DriveWorkers(dying, l.Addrs(k)[k-1:], f, &wg, &progress)
+	res, runErr := l.Run(5 * time.Second)
 	wg.Wait()
 	if runErr != nil {
 		t.Fatal(runErr)

@@ -1,13 +1,13 @@
-package runtime
+package runtime_test
 
 import (
 	"errors"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
 	"github.com/hetgc/hetgc/internal/ha"
+	"github.com/hetgc/hetgc/internal/testkit"
 )
 
 // TestElasticLeaseLifecycle runs a leased master to completion: it must hold
@@ -16,35 +16,24 @@ import (
 // waiting a full TTL for a root that is already gone.
 func TestElasticLeaseLifecycle(t *testing.T) {
 	const k, s, iters = 4, 1, 6
-	fx := newElasticFixture(t, k)
-	cfg := fx.masterConfig(k, s, iters)
+	fx := newFixture(t, k)
+	cfg := elasticConfig(fx, s, iters)
 	cfg.CheckpointDir = t.TempDir()
 	cfg.SnapshotEvery = 2
 	cfg.LeaseTTL = 200 * time.Millisecond
 
-	ma, err := NewElasticMaster(cfg, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ma.Close()
-	if got := ma.RootGen(); got != 1 {
+	ma := testkit.Start(t, fx, cfg, 0, nil)
+	if got := ma.Root.RootGen(); got != 1 {
 		t.Fatalf("fresh leased master holds generation %d, want 1", got)
 	}
 
-	var wg sync.WaitGroup
-	for i := 0; i < 2; i++ {
-		// Slow iterations past the renew cadence (TTL/3) so the run exercises
-		// background renewal, not just the initial acquisition.
-		fx.spawnElasticWorker(t, ma.Addr(), &wg, func(int) time.Duration { return 15 * time.Millisecond })
-	}
-	if err := ma.WaitForWorkers(10 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	res, err := ma.Run()
+	// Slow iterations past the renew cadence (TTL/3) so the run exercises
+	// background renewal, not just the initial acquisition.
+	ma.Dial(t, 2, testkit.PerPart(15*time.Millisecond))
+	res, err := ma.Run(10 * time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wg.Wait()
 
 	if res.RootGen != 1 {
 		t.Fatalf("result reports generation %d, want 1", res.RootGen)
@@ -70,19 +59,15 @@ func TestElasticLeaseLifecycle(t *testing.T) {
 // generation that superseded it, without touching the usurper's claim.
 func TestElasticDeposedMasterFenced(t *testing.T) {
 	const k, s, iters = 4, 1, 6
-	fx := newElasticFixture(t, k)
-	cfg := fx.masterConfig(k, s, iters)
+	fx := newFixture(t, k)
+	cfg := elasticConfig(fx, s, iters)
 	dir := t.TempDir()
 	cfg.CheckpointDir = dir
 	cfg.SnapshotEvery = 2
 	cfg.LeaseTTL = 150 * time.Millisecond
 
-	ma, err := NewElasticMaster(cfg, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ma.Close()
-	ma.SuspendLeaseRenewal()
+	ma := testkit.Start(t, fx, cfg, 0, nil)
+	ma.Root.SuspendLeaseRenewal()
 
 	deadline := time.Now().Add(10 * time.Second)
 	for {
@@ -104,14 +89,11 @@ func TestElasticDeposedMasterFenced(t *testing.T) {
 	}
 	defer usurper.Release()
 
-	var wg sync.WaitGroup
-	for i := 0; i < 2; i++ {
-		fx.spawnElasticWorker(t, ma.Addr(), &wg, nil)
-	}
-	if err := ma.WaitForWorkers(10 * time.Second); err != nil {
+	ma.Dial(t, 2, nil)
+	if err := ma.Root.WaitForWorkers(10 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	_, err = ma.Run()
+	_, err = ma.Run(0)
 	if !errors.Is(err, ha.ErrFenced) {
 		t.Fatalf("deposed master failed with %v, want ha.ErrFenced", err)
 	}
@@ -119,7 +101,6 @@ func TestElasticDeposedMasterFenced(t *testing.T) {
 		t.Fatalf("fenced error does not name the usurping generation: %v", err)
 	}
 	ma.Close()
-	wg.Wait()
 
 	if got := usurper.Gen(); got != 2 {
 		t.Fatalf("usurper holds generation %d after fencing, want 2", got)

@@ -480,7 +480,7 @@ func TestElasticWorkerReceiveRule(t *testing.T) {
 				sm.reassign(0, parts)
 				start := time.Now()
 				sm.params(0, 0)
-				<-last // past the last look at the mailbox between partitions
+				<-last // inside the one ml.CodedGradient call, before the worker's look at the mailbox after it
 				sm.params(1, 0)
 				sm.awaitSuperseded()
 				close(release)

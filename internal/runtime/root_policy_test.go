@@ -1,8 +1,7 @@
-package runtime
+package runtime_test
 
 import (
 	"errors"
-	"sync"
 	"testing"
 	"time"
 
@@ -13,6 +12,9 @@ import (
 	"github.com/hetgc/hetgc/internal/grad"
 	"github.com/hetgc/hetgc/internal/ha"
 	"github.com/hetgc/hetgc/internal/ml"
+	"github.com/hetgc/hetgc/internal/runtime"
+	"github.com/hetgc/hetgc/internal/shard"
+	"github.com/hetgc/hetgc/internal/testkit"
 )
 
 // These tests pin the root's policy points: what a failed run tells its
@@ -49,24 +51,9 @@ var shapes = []struct {
 }
 
 // shaped lays cfg out as shape: planned workers in groups of three.
-func shaped(cfg ElasticConfig, throughputs []float64) ElasticConfig {
+func shaped(cfg shard.Config, throughputs []float64) shard.Config {
 	cfg.Throughputs, cfg.GroupSize, cfg.FanIn = throughputs, 3, 2
 	return cfg
-}
-
-// dialAddrs is the address each of n workers dials: a root with planned
-// workers hands out its group addresses, a flat one its own.
-func dialAddrs(ma *ElasticMaster, n int) []string {
-	var addrs []string
-	for g, grp := range ma.Plan().Groups {
-		for range grp.Workers {
-			addrs = append(addrs, ma.GroupAddrs()[g])
-		}
-	}
-	for len(addrs) < n {
-		addrs = append(addrs, ma.Addr())
-	}
-	return addrs
 }
 
 // TestFailedRunShutsWorkersDown: a run that fails without being fenced
@@ -74,43 +61,22 @@ func dialAddrs(ma *ElasticMaster, n int) []string {
 // instead of leaving them on a dead connection.
 func TestFailedRunShutsWorkersDown(t *testing.T) {
 	const k, s, workers = 4, 1, 6
-	f := newElasticFixture(t, k)
+	f := newFixture(t, k)
 	for _, sh := range shapes {
 		t.Run(sh.name, func(t *testing.T) {
-			cfg := shaped(f.masterConfig(k, s, 20), sh.throughputs)
+			cfg := shaped(elasticConfig(f, s, 20), sh.throughputs)
 			if sh.throughputs == nil {
 				cfg.MinWorkers = workers
 			}
 			cfg.Optimizer = &failingOptimizer{SGD: ml.SGD{LR: 0.5}, failAt: 3}
-			master, err := NewElasticMaster(cfg, "127.0.0.1:0")
-			if err != nil {
+			master := testkit.Start(t, f, cfg, workers, nil)
+			if err := master.Root.WaitForWorkers(5 * time.Second); err != nil {
 				t.Fatal(err)
 			}
-			defer master.Close()
-			runErrs := make([]error, workers)
-			var wg sync.WaitGroup
-			for i, addr := range dialAddrs(master, workers) {
-				w, err := DialElasticWorker(addr, ElasticWorkerConfig{
-					Model:         f.model,
-					PartitionData: func(p int) (*ml.Dataset, error) { return f.parts[p], nil },
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				wg.Add(1)
-				go func(i int) {
-					defer wg.Done()
-					runErrs[i] = w.Run()
-				}(i)
-			}
-			if err := master.WaitForWorkers(5 * time.Second); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := master.Run(); !errors.Is(err, errStepFailed) {
+			if _, err := master.Run(0); !errors.Is(err, errStepFailed) {
 				t.Fatalf("run err = %v, want the optimizer's failure", err)
 			}
-			wg.Wait()
-			for i, err := range runErrs {
+			for i, err := range master.Errs() {
 				if err != nil {
 					t.Errorf("worker %d: Run = %v, want nil (a MsgShutdown from the failed root)", i, err)
 				}
@@ -124,7 +90,7 @@ func TestFailedRunShutsWorkersDown(t *testing.T) {
 // more groups refuses them: a capacity-split group does not hold one member
 // per partition.
 func TestFixedShapeSchemeAccepted(t *testing.T) {
-	f := newElasticFixture(t, 4)
+	f := newFixture(t, 4)
 	for _, tc := range []struct {
 		name        string
 		throughputs []float64
@@ -135,14 +101,14 @@ func TestFixedShapeSchemeAccepted(t *testing.T) {
 		{"groups=2", []float64{1, 1, 1, 1, 1, 1}, true},
 	} {
 		for _, kind := range []core.Kind{core.Naive, core.Cyclic, core.FractionalRepetition} {
-			cfg := f.masterConfig(4, 1, 1)
+			cfg := elasticConfig(f, 1, 1)
 			if tc.throughputs != nil {
 				cfg = shaped(cfg, tc.throughputs)
 			}
 			cfg.Scheme = kind
-			master, err := NewElasticMaster(cfg, "127.0.0.1:0")
+			master, err := testkit.Open(f, cfg)
 			switch {
-			case tc.refused && !errors.Is(err, ErrBadConfig):
+			case tc.refused && !errors.Is(err, runtime.ErrBadConfig):
 				t.Errorf("%s %v: err = %v, want ErrBadConfig", tc.name, kind, err)
 			case !tc.refused && err != nil:
 				t.Errorf("%s %v: %v", tc.name, kind, err)
@@ -161,31 +127,27 @@ func TestFixedShapeSchemeAccepted(t *testing.T) {
 // worker that joined the group in their place.
 func TestResumePlansJournalOnlyMembersAtInitialRate(t *testing.T) {
 	const k, s, workers, initialRate = 4, 1, 6, 123.0
-	f := newElasticFixture(t, k)
+	f := newFixture(t, k)
 	for _, sh := range shapes {
 		t.Run(sh.name, func(t *testing.T) {
 			var planned []float64
 			for i := range sh.throughputs {
 				planned = append(planned, float64(10*(i+1))) // distinct speeds
 			}
-			cfg := shaped(f.masterConfig(k, s, 1000), planned)
+			cfg := shaped(elasticConfig(f, s, 1000), planned)
 			if planned == nil {
 				cfg.MinWorkers = workers
 			}
 			cfg.DurabilityConfig = clustercfg.DurabilityConfig{CheckpointDir: t.TempDir(), SnapshotEvery: 1000}
-			first, err := NewElasticMaster(cfg, "127.0.0.1:0")
-			if err != nil {
+			first := testkit.Start(t, f, cfg, workers, nil)
+			// Once the root could start, every join is journaled.
+			if err := first.Root.WaitForWorkers(5 * time.Second); err != nil {
 				t.Fatal(err)
 			}
-			f.admit(t, first, workers)
 			first.Close() // a crash before the first snapshot: the joins live in the journal only
 
 			cfg.Resume, cfg.InitialRate = true, initialRate
-			resumed, err := NewElasticMaster(cfg, "127.0.0.1:0")
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer resumed.Close()
+			resumed := testkit.Start(t, f, cfg, 0, nil).Root
 			if len(resumed.ControllerState(0).Members) == 0 {
 				t.Fatal("the resumed root restored no members")
 			}
@@ -204,28 +166,9 @@ func TestResumePlansJournalOnlyMembersAtInitialRate(t *testing.T) {
 	}
 }
 
-// admit dials n idle workers into ma and waits until it could start: every
-// join is journaled on a durable root.
-func (f *elasticFixture) admit(t *testing.T, ma *ElasticMaster, n int) {
-	t.Helper()
-	for _, addr := range dialAddrs(ma, n) {
-		w, err := DialElasticWorker(addr, ElasticWorkerConfig{
-			Model:         f.model,
-			PartitionData: func(p int) (*ml.Dataset, error) { return f.parts[p], nil },
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { _ = w.Close() })
-	}
-	if err := ma.WaitForWorkers(5 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // restoredRate is the rate group g's controller plans member id at, given
 // the controller's MinObservations.
-func restoredRate(t *testing.T, ma *ElasticMaster, g, id, minObs int) float64 {
+func restoredRate(t *testing.T, ma *shard.Root, g, id, minObs int) float64 {
 	t.Helper()
 	for _, ms := range ma.ControllerState(g).Members {
 		if ms.ID == id {
@@ -239,30 +182,30 @@ func restoredRate(t *testing.T, ma *ElasticMaster, g, id, minObs int) float64 {
 // TestRootSentinels: every sentinel a command or test matches on a root
 // failure still matches through errors.Is.
 func TestRootSentinels(t *testing.T) {
-	f := newElasticFixture(t, 4)
+	f := newFixture(t, 4)
 	for _, sh := range shapes {
-		open := func(mut func(*ElasticConfig)) (*ElasticMaster, error) {
-			cfg := shaped(f.masterConfig(4, 1, 1), sh.throughputs)
+		open := func(mut func(*shard.Config)) (*testkit.Live, error) {
+			cfg := shaped(elasticConfig(f, 1, 1), sh.throughputs)
 			mut(&cfg)
-			return NewElasticMaster(cfg, "127.0.0.1:0")
+			return testkit.Open(f, cfg)
 		}
 		t.Run(sh.name+"/bad config", func(t *testing.T) {
-			if _, err := open(func(c *ElasticConfig) { c.K = 0 }); !errors.Is(err, ErrBadConfig) {
+			if _, err := open(func(c *shard.Config) { c.K = 0 }); !errors.Is(err, runtime.ErrBadConfig) {
 				t.Fatalf("err = %v, want ErrBadConfig", err)
 			}
 		})
 		t.Run(sh.name+"/too few workers", func(t *testing.T) {
-			ma, err := open(func(*ElasticConfig) {})
+			ma, err := open(func(*shard.Config) {})
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer ma.Close()
-			if err := ma.WaitForWorkers(20 * time.Millisecond); !errors.Is(err, ErrTooFewWorkers) {
+			if err := ma.Root.WaitForWorkers(20 * time.Millisecond); !errors.Is(err, runtime.ErrTooFewWorkers) {
 				t.Fatalf("err = %v, want ErrTooFewWorkers", err)
 			}
 		})
 		t.Run(sh.name+"/no checkpoint", func(t *testing.T) {
-			_, err := open(func(c *ElasticConfig) {
+			_, err := open(func(c *shard.Config) {
 				c.DurabilityConfig = clustercfg.DurabilityConfig{CheckpointDir: t.TempDir(), Resume: true}
 			})
 			if !errors.Is(err, checkpoint.ErrNoCheckpoint) {
@@ -271,12 +214,15 @@ func TestRootSentinels(t *testing.T) {
 		})
 		t.Run(sh.name+"/checkpoint exists", func(t *testing.T) {
 			dir := t.TempDir()
-			durable := func(c *ElasticConfig) { c.DurabilityConfig = clustercfg.DurabilityConfig{CheckpointDir: dir} }
+			durable := func(c *shard.Config) { c.DurabilityConfig = clustercfg.DurabilityConfig{CheckpointDir: dir} }
 			ma, err := open(durable)
 			if err != nil {
 				t.Fatal(err)
 			}
-			f.admit(t, ma, max(len(sh.throughputs), 2))
+			ma.Dial(t, max(len(sh.throughputs), 2), nil)
+			if err := ma.Root.WaitForWorkers(5 * time.Second); err != nil {
+				t.Fatal(err)
+			}
 			ma.Close()
 			if _, err := open(durable); !errors.Is(err, checkpoint.ErrExists) {
 				t.Fatalf("err = %v, want checkpoint.ErrExists", err)
@@ -287,7 +233,7 @@ func TestRootSentinels(t *testing.T) {
 			if _, err := ha.Acquire(dir, "another-root", "other:0", time.Minute); err != nil {
 				t.Fatal(err)
 			}
-			_, err := open(func(c *ElasticConfig) {
+			_, err := open(func(c *shard.Config) {
 				c.DurabilityConfig = clustercfg.DurabilityConfig{CheckpointDir: dir}
 				c.HAConfig = clustercfg.HAConfig{LeaseTTL: time.Minute}
 			})

@@ -1,8 +1,7 @@
-package runtime
+package runtime_test
 
 import (
 	"math"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -12,6 +11,8 @@ import (
 	"github.com/hetgc/hetgc/internal/ml"
 	"github.com/hetgc/hetgc/internal/obs"
 	"github.com/hetgc/hetgc/internal/partition"
+	"github.com/hetgc/hetgc/internal/runtime"
+	"github.com/hetgc/hetgc/internal/testkit"
 )
 
 // closedCountingModel counts the Gradient calls one worker makes for an
@@ -28,6 +29,18 @@ func (c *closedCountingModel) Gradient(params []float64, d *ml.Dataset) (grad.Gr
 		c.stale.Add(1)
 	}
 	return c.Model.Gradient(params, d)
+}
+
+// loadModel is a Softmax that records how many partitions its last one-pass
+// call covered: the worker's load in the plan it last computed under.
+type loadModel struct {
+	*ml.Softmax
+	load atomic.Int64
+}
+
+func (m *loadModel) CodedGradient(dst grad.Gradient, params []float64, parts []*ml.Dataset, coeffs []float64) error {
+	m.load.Store(int64(len(parts)))
+	return m.Softmax.CodedGradient(dst, params, parts, coeffs)
 }
 
 // TestElasticStallAbsorbedLive is the paper's straggler model on the live
@@ -47,8 +60,8 @@ func TestElasticStallAbsorbedLive(t *testing.T) {
 		slowDelay     = 4 * time.Millisecond // everyone else
 		stall         = 20 * load * slowDelay
 	)
-	f := newElasticFixture(t, k)
-	cfg := f.masterConfig(k, s, iters)
+	f := newFixture(t, k)
+	cfg := elasticConfig(f, s, iters)
 	cfg.MinWorkers = workers
 	cfg.DriftThreshold = 1e9 // the uniform initial plan stays
 	tel := obs.New()
@@ -59,22 +72,11 @@ func TestElasticStallAbsorbedLive(t *testing.T) {
 		closed.Add(1)
 		return 0, nil
 	}
-	master, err := NewElasticMaster(cfg, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer master.Close()
 
-	model := &closedCountingModel{Model: f.model, iter: &cur, closed: &closed}
+	model := &closedCountingModel{Model: f.Model, iter: &cur, closed: &closed}
 	var started []int // iterations the stalling member began, in order (its goroutine only)
-	var wg sync.WaitGroup
-	stalledID := 0
-	for i := 0; i < workers; i++ {
-		wc := ElasticWorkerConfig{
-			Model:             f.model,
-			PartitionData:     func(p int) (*ml.Dataset, error) { return f.parts[p], nil },
-			DelayPerPartition: func(int) time.Duration { return slowDelay },
-		}
+	l := testkit.Start(t, f, cfg, workers, func(i int, wc *runtime.ElasticWorkerConfig) {
+		wc.DelayPerPartition = func(int) time.Duration { return slowDelay }
 		if i == 0 {
 			wc.Model = model
 			wc.DelayPerPartition = func(int) time.Duration { return fastDelay }
@@ -87,24 +89,9 @@ func TestElasticStallAbsorbedLive(t *testing.T) {
 				return 0
 			}
 		}
-		w, err := DialElasticWorker(master.Addr(), wc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if i == 0 {
-			stalledID = w.ID()
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			_ = w.Run()
-		}()
-	}
-	if err := master.WaitForWorkers(5 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	res, err := master.Run()
-	wg.Wait()
+	})
+	stalledID := l.Workers[0].ID()
+	res, err := l.Run(5 * time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +140,7 @@ func TestElasticStallAbsorbedLive(t *testing.T) {
 	}
 }
 
-// TestElasticPersistentSlowdownReplansLive is the flat runtime's twin of
+// TestElasticPersistentSlowdownReplansLive is the one-group root's twin of
 // shard's TestShardedGroupLocalMigrationLive: a worker turns 12x slower for
 // good. It is superseded every iteration from then on — the other three
 // decode without it — so everything the controller learns about it comes
@@ -168,50 +155,25 @@ func TestElasticPersistentSlowdownReplansLive(t *testing.T) {
 		fastDelay     = 2 * time.Millisecond
 		slowDelay     = 25 * time.Millisecond
 	)
-	f := newElasticFixture(t, k)
-	cfg := f.masterConfig(k, s, iters)
+	f := newFixture(t, k)
+	cfg := elasticConfig(f, s, iters)
 	cfg.MinWorkers = workers
 	cfg.Alpha = 0.7
 	cfg.DriftThreshold = 0.5
 	cfg.MinObservations = 2
 	cfg.CooldownIters = 2
 	cfg.InitialRate = 1 / fastDelay.Seconds() // accurate priors: no warm-up drift
-	master, err := NewElasticMaster(cfg, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer master.Close()
-	var wg sync.WaitGroup
-	slowID := 0
-	for i := 0; i < workers; i++ {
+	l := testkit.Start(t, f, cfg, workers, func(i int, wc *runtime.ElasticWorkerConfig) {
 		slow := i == 0
-		w, err := DialElasticWorker(master.Addr(), ElasticWorkerConfig{
-			Model:         f.model,
-			PartitionData: func(p int) (*ml.Dataset, error) { return f.parts[p], nil },
-			DelayPerPartition: func(iter int) time.Duration {
-				if slow && iter >= slowAt {
-					return slowDelay
-				}
-				return fastDelay
-			},
-		})
-		if err != nil {
-			t.Fatal(err)
+		wc.DelayPerPartition = func(iter int) time.Duration {
+			if slow && iter >= slowAt {
+				return slowDelay
+			}
+			return fastDelay
 		}
-		if slow {
-			slowID = w.ID()
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			_ = w.Run()
-		}()
-	}
-	if err := master.WaitForWorkers(5 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	res, err := master.Run()
-	wg.Wait()
+	})
+	slowID := l.Workers[0].ID()
+	res, err := l.Run(5 * time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +185,7 @@ func TestElasticPersistentSlowdownReplansLive(t *testing.T) {
 		t.Fatalf("no drift replan despite a 12x slowdown: %+v", res.Groups[0].Replans)
 	}
 	declared := 1 / slowDelay.Seconds()
-	for _, ms := range master.ControllerState(0).Members {
+	for _, ms := range l.Root.ControllerState(0).Members {
 		if ms.ID != slowID {
 			continue
 		}
@@ -256,58 +218,40 @@ func TestElasticStallsKeepThePlanLive(t *testing.T) {
 		stall         = time.Second
 	)
 	perPart := [workers]time.Duration{unit, unit, 2 * unit, 2 * unit, 4 * unit, 4 * unit, 8 * unit, 8 * unit}
-	f := newElasticFixture(t, k)
-	cfg := f.masterConfig(k, s, iters)
+	f := newFixture(t, k)
+	cfg := elasticConfig(f, s, iters)
 	cfg.MinWorkers = workers
 	cfg.Alpha, cfg.MinObservations, cfg.CooldownIters = 0, 0, 0 // elastic.Config's defaults
-	master, err := NewElasticMaster(cfg, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer master.Close()
-	var wg sync.WaitGroup
-	declared := map[int]float64{} // member ID → partitions/second
-	var fleet []*ElasticWorker
-	for i := 0; i < workers; i++ {
-		i := i
-		w, err := DialElasticWorker(master.Addr(), ElasticWorkerConfig{
-			Model:             f.model,
-			PartitionData:     func(p int) (*ml.Dataset, error) { return f.parts[p], nil },
-			DelayPerPartition: func(int) time.Duration { return perPart[i] },
-			Delay: func(iter int) time.Duration {
-				if iter > 0 && iter%every == 0 && (iter/every-1)%workers == i {
-					return stall
-				}
-				return 0
-			},
-		})
-		if err != nil {
-			t.Fatal(err)
+	models := make([]*loadModel, workers)
+	l := testkit.Start(t, f, cfg, workers, func(i int, wc *runtime.ElasticWorkerConfig) {
+		models[i] = &loadModel{Softmax: f.Model}
+		wc.Model = models[i]
+		wc.DelayPerPartition = func(int) time.Duration { return perPart[i] }
+		wc.Delay = func(iter int) time.Duration {
+			if iter > 0 && iter%every == 0 && (iter/every-1)%workers == i {
+				return stall
+			}
+			return 0
 		}
+	})
+	declared := map[int]float64{} // member ID → partitions/second
+	for i, w := range l.Workers {
 		declared[w.ID()] = 1 / perPart[i].Seconds()
-		fleet = append(fleet, w)
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			_ = w.Run()
-		}()
 	}
-	if err := master.WaitForWorkers(5 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	res, err := master.Run()
-	wg.Wait()
+	fleet := l.Workers
+	res, err := l.Run(5 * time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Groups[0].Replans) > 3 {
 		t.Errorf("%d plans for a fleet whose speeds never changed, want at most 3: %+v", len(res.Groups[0].Replans), res.Groups[0].Replans)
 	}
-	// Every worker holds its assignment in the final plan: its load.
+	// Every worker's last pass covers its assignment in the final plan: its
+	// load.
 	loads := make([]int, len(fleet))
 	rates := make([]float64, len(fleet))
 	for i, w := range fleet {
-		loads[i], rates[i] = len(w.parts), declared[w.ID()]
+		loads[i], rates[i] = int(models[i].load.Load()), declared[w.ID()]
 	}
 	best, err := partition.ProportionalLoads(rates, k, s)
 	if err != nil {

@@ -14,17 +14,12 @@ import (
 	"time"
 
 	"github.com/hetgc/hetgc/internal/clustercfg"
-	"github.com/hetgc/hetgc/internal/ml"
 	"github.com/hetgc/hetgc/internal/obs"
-	"github.com/hetgc/hetgc/internal/runtime"
 	"github.com/hetgc/hetgc/internal/testkit"
 )
 
 func TestTraceStitchingUnderChurnFlat(t *testing.T) {
-	fx, err := testkit.NewFixture(8, 300)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fx := testkit.NewFixture(t, 8, 12, 300)
 	sc := &testkit.Scenario{
 		Name: "trace-stitch", K: 8, S: 1, Workers: 8, GroupSize: 4, Iters: 20,
 		IterTimeout: 5 * time.Second, InitialRate: 500,
@@ -38,40 +33,14 @@ func TestTraceStitchingUnderChurnFlat(t *testing.T) {
 		},
 	}
 	tel := obs.New()
-	ma, err := runtime.NewElasticMaster(runtime.ElasticConfig{
-		K: sc.K, S: sc.S,
-		Model:           fx.Model,
-		Optimizer:       &ml.SGD{LR: 0.5},
-		InitialParams:   fx.Model.InitParams(nil),
-		Iterations:      sc.Iters,
-		SampleCount:     fx.Data.N(),
-		IterTimeout:     sc.IterTimeout,
-		MinWorkers:      sc.Workers,
-		Alpha:           sc.Alpha,
-		DriftThreshold:  sc.DriftThreshold,
-		MinObservations: sc.MinObservations,
-		CooldownIters:   sc.CooldownIters,
-		InitialRate:     sc.InitialRate,
-		Seed:            1,
-		TelemetryConfig: clustercfg.TelemetryConfig{Obs: tel},
-	}, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ma.Close()
-
-	addrs := make([]string, sc.Workers)
-	for i := range addrs {
-		addrs[i] = ma.Addr()
-	}
+	cfg := sc.Config(fx, testkit.OneGroup)
+	cfg.TelemetryConfig = clustercfg.TelemetryConfig{Obs: tel}
+	l := testkit.Start(t, fx, cfg, 0, nil)
 	var wg sync.WaitGroup
 	var progress atomic.Int64
-	testkit.DriveWorkers(sc, addrs, fx, &wg, &progress)
-	if err := ma.WaitForWorkers(10 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	res, err := ma.Run()
-	ma.Close()
+	testkit.DriveWorkers(sc, l.Addrs(sc.Workers), fx, &wg, &progress)
+	res, err := l.Run(10 * time.Second)
+	l.Close()
 	wg.Wait()
 	if err != nil {
 		t.Fatal(err)

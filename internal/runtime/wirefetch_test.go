@@ -1,11 +1,12 @@
-package runtime
+package runtime_test
 
 import (
-	"sync"
 	"testing"
 	"time"
 
 	"github.com/hetgc/hetgc/internal/ml"
+	"github.com/hetgc/hetgc/internal/runtime"
+	"github.com/hetgc/hetgc/internal/testkit"
 )
 
 // TestElasticWireFetchedShards runs a full elastic training where no worker
@@ -18,41 +19,21 @@ import (
 // order.
 func TestElasticWireFetchedShards(t *testing.T) {
 	const k, s, iters, workers = 8, 0, 10, 4
-	f := newElasticFixture(t, k)
+	f := newFixture(t, k)
 
 	run := func(wire bool) []float64 {
-		cfg := f.masterConfig(k, s, iters)
+		cfg := elasticConfig(f, s, iters)
 		cfg.MinObservations = 1 << 30
 		cfg.DriftThreshold = 1e18
 		cfg.MinWorkers = workers
 		if wire {
-			cfg.PartitionSource = func(p int) (*ml.Dataset, error) { return f.parts[p], nil }
+			cfg.PartitionSource = func(p int) (*ml.Dataset, error) { return f.Parts[p], nil }
 		}
-		master, err := NewElasticMaster(cfg, "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		var wg sync.WaitGroup
-		for i := 0; i < workers; i++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				wcfg := ElasticWorkerConfig{Model: f.model}
-				if !wire {
-					wcfg.PartitionData = func(p int) (*ml.Dataset, error) { return f.parts[p], nil }
-				}
-				w, err := DialElasticWorker(master.Addr(), wcfg)
-				if err != nil {
-					return
-				}
-				_ = w.Run()
-			}()
-		}
-		if err := master.WaitForWorkers(10 * time.Second); err != nil {
-			t.Fatal(err)
-		}
-		res, err := master.Run()
-		wg.Wait()
+		res, err := testkit.Start(t, f, cfg, workers, func(_ int, wc *runtime.ElasticWorkerConfig) {
+			if wire {
+				wc.PartitionData = nil
+			}
+		}).Run(10 * time.Second)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -76,15 +57,12 @@ func TestElasticWireFetchedShards(t *testing.T) {
 // assignment (not hang) — the not-served marker surfaces as a run error.
 func TestWorkerWithoutDataNeedsServingMaster(t *testing.T) {
 	const k, s = 4, 0
-	f := newElasticFixture(t, k)
-	master, err := NewElasticMaster(f.masterConfig(k, s, 2), "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer master.Close()
+	f := newFixture(t, k)
+	l := testkit.Start(t, f, elasticConfig(f, s, 2), 0, nil)
+	master := l.Root
 	errCh := make(chan error, 1)
 	go func() {
-		w, err := DialElasticWorker(master.Addr(), ElasticWorkerConfig{Model: f.model})
+		w, err := l.Worker(0, func(_ int, wc *runtime.ElasticWorkerConfig) { wc.PartitionData = nil })
 		if err != nil {
 			errCh <- err
 			return
@@ -106,16 +84,16 @@ func TestWorkerWithoutDataNeedsServingMaster(t *testing.T) {
 }
 
 func TestReconnectPolicyRetriesDial(t *testing.T) {
-	f := newElasticFixture(t, 4)
-	data := func(p int) (*ml.Dataset, error) { return f.parts[p], nil }
+	f := newFixture(t, 4)
+	data := func(p int) (*ml.Dataset, error) { return f.Parts[p], nil }
 
 	// Against a dead port, the policy burns every attempt (with backoff
 	// between them) before failing.
 	start := time.Now()
-	_, err := DialElasticWorker("127.0.0.1:1", ElasticWorkerConfig{
-		Model: f.model, PartitionData: data,
+	_, err := runtime.DialElasticWorker("127.0.0.1:1", runtime.ElasticWorkerConfig{
+		Model: f.Model, PartitionData: data,
 		DialTimeout: 200 * time.Millisecond,
-		Reconnect:   ReconnectPolicy{MaxAttempts: 3, Backoff: 30 * time.Millisecond},
+		Reconnect:   runtime.ReconnectPolicy{MaxAttempts: 3, Backoff: 30 * time.Millisecond},
 	})
 	if err == nil {
 		t.Fatal("dial against dead port succeeded")
@@ -127,39 +105,20 @@ func TestReconnectPolicyRetriesDial(t *testing.T) {
 	// Zero value: a single attempt against the same dead port fails without
 	// any backoff sleeps.
 	start = time.Now()
-	if _, err := DialElasticWorker("127.0.0.1:1", ElasticWorkerConfig{
-		Model: f.model, PartitionData: data,
+	if _, err := runtime.DialElasticWorker("127.0.0.1:1", runtime.ElasticWorkerConfig{
+		Model: f.Model, PartitionData: data,
 		DialTimeout: 200 * time.Millisecond,
 	}); err == nil {
 		t.Fatal("zero-value policy should fail fast on a dead port")
 	}
 
 	// With a live master, a retrying dial still succeeds on the first try.
-	master, err := NewElasticMaster(f.masterConfig(4, 0, 1), "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer master.Close()
-	w, err := DialElasticWorker(master.Addr(), ElasticWorkerConfig{
-		Model: f.model, PartitionData: data,
-		Reconnect: ReconnectPolicy{MaxAttempts: 5, Backoff: 20 * time.Millisecond},
+	master := testkit.Start(t, f, elasticConfig(f, 0, 1), 0, nil)
+	w, err := master.Worker(0, func(_ int, wc *runtime.ElasticWorkerConfig) {
+		wc.Reconnect = runtime.ReconnectPolicy{MaxAttempts: 5, Backoff: 20 * time.Millisecond}
 	})
 	if err != nil {
 		t.Fatalf("retrying dial against live master: %v", err)
 	}
 	w.Close()
-}
-
-func TestReconnectPolicyBackoffSchedule(t *testing.T) {
-	p := ReconnectPolicy{MaxAttempts: 6, Backoff: 10 * time.Millisecond, MaxBackoff: 35 * time.Millisecond}
-	want := []time.Duration{10, 20, 35, 35, 35}
-	for i, w := range want {
-		if got := p.wait(i + 1); got != w*time.Millisecond {
-			t.Fatalf("wait(%d) = %v, want %v", i+1, got, w*time.Millisecond)
-		}
-	}
-	var zero ReconnectPolicy
-	if zero.attempts() != 1 || zero.wait(1) != 0 {
-		t.Fatalf("zero policy: attempts=%d wait=%v, want 1 and 0", zero.attempts(), zero.wait(1))
-	}
 }

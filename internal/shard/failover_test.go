@@ -4,77 +4,22 @@ import (
 	"errors"
 	"math"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"github.com/hetgc/hetgc/internal/ha"
-	"github.com/hetgc/hetgc/internal/ml"
 	"github.com/hetgc/hetgc/internal/obs"
 	"github.com/hetgc/hetgc/internal/runtime"
-	"github.com/hetgc/hetgc/internal/shard"
+	"github.com/hetgc/hetgc/internal/testkit"
 )
 
-// followers runs one reconnecting elastic worker per planned worker slot.
-// A worker that loses its connection redials its group's current address
-// with its member ID as ResumeID, so it follows a successor root once
-// retarget names that root's GroupAddrs. A clean shutdown ends it.
-type followers struct {
-	wg    sync.WaitGroup
-	addrs atomic.Value // []string, indexed by group
-	stop  chan struct{}
-	once  sync.Once
-}
-
-func startFollowers(t *testing.T, r *shard.Root, fx *liveFixture, delay time.Duration) *followers {
-	t.Helper()
-	f := &followers{stop: make(chan struct{})}
-	f.retarget(r)
-	for g, grp := range r.Plan().Groups {
-		for range grp.Workers {
-			f.wg.Add(1)
-			go f.follow(g, fx, delay)
-		}
-	}
-	t.Cleanup(f.halt)
-	return f
-}
-
-// retarget points every worker at r's group addresses.
-func (f *followers) retarget(r *shard.Root) { f.addrs.Store(r.GroupAddrs()) }
-
-// halt stops redialing and waits for every worker to exit. The roots must be
-// closed first: a worker in a live session exits when its connection dies.
-func (f *followers) halt() {
-	f.once.Do(func() { close(f.stop) })
-	f.wg.Wait()
-}
-
-func (f *followers) follow(g int, fx *liveFixture, delay time.Duration) {
-	defer f.wg.Done()
-	resume := 0
-	for {
-		select {
-		case <-f.stop:
-			return
-		default:
-		}
-		w, err := runtime.DialElasticWorker(f.addrs.Load().([]string)[g], runtime.ElasticWorkerConfig{
-			Model:             fx.model,
-			PartitionData:     func(p int) (*ml.Dataset, error) { return fx.parts[p], nil },
-			DelayPerPartition: func(int) time.Duration { return delay },
-			DialTimeout:       time.Second,
-			ResumeID:          resume,
-		})
-		if err != nil {
-			time.Sleep(20 * time.Millisecond)
-			continue
-		}
-		resume = w.ID()
-		if w.Run() == nil {
-			return // the root shut the group down cleanly
-		}
+// resumeIDs makes every worker of a successor root rejoin as the member the
+// same slot of prev held, so the successor's groups admit them under the
+// identities their journal reserved.
+func resumeIDs(prev *testkit.Live, d time.Duration) func(int, *runtime.ElasticWorkerConfig) {
+	return func(i int, wc *runtime.ElasticWorkerConfig) {
+		testkit.PerPart(d)(i, wc)
+		wc.ResumeID = prev.Workers[i].ID()
 	}
 }
 
@@ -85,41 +30,39 @@ func (f *followers) follow(g int, fx *liveFixture, delay time.Duration) {
 // finishes with the serial SGD result.
 func TestShardedHostedRootRestart(t *testing.T) {
 	const k, s, iters, m = 8, 1, 24, 6
-	fx := newLiveFixture(t, k)
-	cfg := fx.config(k, s, iters, m)
+	fx := testkit.NewFixture(t, k, 12, 100)
+	cfg := grouped(fx, s, iters, m)
 	dir := t.TempDir()
 	cfg.CheckpointDir = dir
 	cfg.SnapshotEvery = 3
 	cfg.LeaseTTL = 30 * time.Second
 
-	root1, err := shard.NewRoot(cfg, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer root1.Close()
+	first := testkit.Start(t, fx, cfg, m, testkit.PerPart(2*time.Millisecond))
+	root1 := first.Root
 	if root1.RootGen() != 1 {
 		t.Fatalf("first root got generation %d, want 1", root1.RootGen())
 	}
-	workers := startFollowers(t, root1, fx, 2*time.Millisecond)
 	if err := root1.WaitForWorkers(10 * time.Second); err != nil {
 		t.Fatal(err)
 	}
 	go func() { _, _ = root1.Run() }()
 
 	// Kill the root cold once a few iterations are durable.
-	waitLastIter(t, dir, 4, 30*time.Second)
-	root1.Close()
+	if !testkit.WaitDurableIter(dir, 4, 30*time.Second) {
+		t.Fatalf("iteration %d never became durable in %s", 4, dir)
+	}
+	first.Close()
 
 	cfg2 := cfg
 	cfg2.Resume = true
 	tel := obs.New()
 	cfg2.Obs = tel
-	root2, err := shard.NewRoot(cfg2, "127.0.0.1:0")
+	second, err := testkit.Open(fx, cfg2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer root2.Close()
-	workers.retarget(root2)
+	defer second.Close()
+	root2 := second.Root
 	// The resume anchor is written with the metrics bound: the snapshot
 	// histogram counts it before the run starts.
 	var sb strings.Builder
@@ -135,10 +78,10 @@ func TestShardedHostedRootRestart(t *testing.T) {
 	if root2.StartIter() == 0 {
 		t.Fatal("restarted root did not resume from the journal")
 	}
-	if err := root2.WaitForWorkers(10 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	res, err := root2.Run()
+	// The groups died with the root; their workers redial the restarted
+	// root's groups with their member IDs.
+	second.Dial(t, m, resumeIDs(first, 2*time.Millisecond))
+	res, err := second.Run(10 * time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,20 +100,16 @@ func TestShardedHostedRootRestart(t *testing.T) {
 // successor, and training finishes there with the serial SGD result.
 func TestShardedHostedZombieRoot(t *testing.T) {
 	const k, s, iters, m = 8, 1, 300, 6
-	fx := newLiveFixture(t, k)
-	cfg := fx.config(k, s, iters, m)
+	fx := testkit.NewFixture(t, k, 12, 100)
+	cfg := grouped(fx, s, iters, m)
 	dir := t.TempDir()
 	cfg.CheckpointDir = dir
 	cfg.SnapshotEvery = 5
 	cfg.LeaseTTL = 300 * time.Millisecond
 	cfg.IterTimeout = 1 * time.Second
 
-	root1, err := shard.NewRoot(cfg, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer root1.Close()
-	workers := startFollowers(t, root1, fx, 5*time.Millisecond)
+	first := testkit.Start(t, fx, cfg, m, testkit.PerPart(5*time.Millisecond))
+	root1 := first.Root
 	if err := root1.WaitForWorkers(10 * time.Second); err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +121,9 @@ func TestShardedHostedZombieRoot(t *testing.T) {
 
 	// Wedge the root: it keeps training but stops renewing. Once the TTL
 	// lapses a successor may claim the next generation.
-	waitLastIter(t, dir, 3, 30*time.Second)
+	if !testkit.WaitDurableIter(dir, 3, 30*time.Second) {
+		t.Fatalf("iteration %d never became durable in %s", 3, dir)
+	}
 	root1.SuspendLeaseRenewal()
 	time.Sleep(2 * cfg.LeaseTTL)
 
@@ -190,12 +131,12 @@ func TestShardedHostedZombieRoot(t *testing.T) {
 	cfg2.Resume = true
 	cfg2.Holder = "shard-root-b"
 	cfg2.LeaseTTL = 30 * time.Second
-	root2, err := shard.NewRoot(cfg2, "127.0.0.1:0")
+	second, err := testkit.Open(fx, cfg2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer root2.Close()
-	workers.retarget(root2)
+	defer second.Close()
+	root2 := second.Root
 	if root2.RootGen() != 2 {
 		t.Fatalf("successor got generation %d, want 2", root2.RootGen())
 	}
@@ -216,10 +157,10 @@ func TestShardedHostedZombieRoot(t *testing.T) {
 		t.Fatal("deposed root never failed")
 	}
 
-	if err := root2.WaitForWorkers(10 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	res, err := root2.Run()
+	// The zombie closed its workers cold; they follow the successor.
+	first.Close()
+	second.Dial(t, m, resumeIDs(first, 5*time.Millisecond))
+	res, err := second.Run(10 * time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,4 +1,4 @@
-package shard
+package shard_test
 
 import (
 	"math/rand"
@@ -11,28 +11,26 @@ import (
 	"github.com/hetgc/hetgc/internal/grad"
 	"github.com/hetgc/hetgc/internal/obs"
 	"github.com/hetgc/hetgc/internal/roster"
+	"github.com/hetgc/hetgc/internal/shard"
 	"github.com/hetgc/hetgc/internal/testkit"
 	"github.com/hetgc/hetgc/internal/transport"
 )
 
-// TestSharedIterationTraceParity drives the one group iteration both
-// runtimes run (roster.Loop) through a forced mid-iteration death on a
-// loopback engine and checks what each caller reads off it: the flat
-// master's iteration trace — broadcast/collect/decode phases, stitched
+// TestSharedIterationTraceParity drives the one group iteration every root
+// runs (roster.Loop) through a forced mid-iteration death on a loopback
+// engine and checks what each caller reads off it: a one-group root's
+// iteration trace — broadcast/collect/decode phases, stitched
 // member spans including the partial ones, the completed epoch in the trace
 // ID — and the group master's root-tier child span, gather as compute and
 // combine as encode.
 func TestSharedIterationTraceParity(t *testing.T) {
 	const k, s, workers, iters, killAt = 4, 1, 4, 4, 2
-	fx, err := testkit.NewFixture(k, 300)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fx := testkit.NewFixture(t, k, 12, 300)
 	ctrl, err := elastic.NewController(elastic.Config{K: k, S: s, InitialRate: 500, DriftThreshold: 2, CooldownIters: 1 << 20}, rand.New(rand.NewSource(1)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	lis, err := transport.Listen("127.0.0.1:0")
+	lis, err := transport.Listen(testkit.Addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +39,7 @@ func TestSharedIterationTraceParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gc := &group{loop: roster.Loop{Eng: eng, IterTimeout: 5 * time.Second, MaxRetries: 2}}
+	loop, span := shard.GroupLoop(roster.Loop{Eng: eng, IterTimeout: 5 * time.Second, MaxRetries: 2})
 
 	// Workers join one at a time, so dial order is plan-slot order. Slots 0
 	// and 2 vanish between iteration killAt's broadcast and their uploads;
@@ -67,22 +65,22 @@ func TestSharedIterationTraceParity(t *testing.T) {
 	var epochs []int // the epoch each iteration decoded under
 	for iter := 0; iter < iters; iter++ {
 		scope := tel.StartIter(iter, -1)
-		if err := gc.loop.Iteration(scope, iter, params, sum); err != nil {
+		if err := loop.Iteration(scope, iter, params, sum); err != nil {
 			t.Fatalf("iteration %d: %v", iter, err)
 		}
 		scope.End()
-		if iter == 0 && gc.loop.Plan.Strategy.CanDecode([]bool{false, true, false, true}) {
+		if iter == 0 && loop.Plan.Strategy.CanDecode([]bool{false, true, false, true}) {
 			t.Fatal("slots 1 and 3 decode alone: the layout this scenario relies on changed")
 		}
-		epochs = append(epochs, gc.loop.Plan.Epoch)
+		epochs = append(epochs, loop.Plan.Epoch)
 		// The group caller's view: its child span reads the gather as
 		// compute and the combine as encode.
-		spans := gc.span(time.Now()).Spans
+		spans := span(time.Now()).Spans
 		if len(spans) != 2 || spans[0].Phase != obs.PhaseCompute || spans[1].Phase != obs.PhaseEncode {
 			t.Fatalf("iteration %d: group spans %+v, want compute + encode", iter, spans)
 		}
-		if spans[0].Seconds != gc.loop.Gather || gc.loop.Gather <= 0 || spans[1].Seconds != gc.loop.Combine {
-			t.Fatalf("iteration %d: group spans %+v do not carry gather %v / combine %v", iter, spans, gc.loop.Gather, gc.loop.Combine)
+		if spans[0].Seconds != loop.Gather || loop.Gather <= 0 || spans[1].Seconds != loop.Combine {
+			t.Fatalf("iteration %d: group spans %+v do not carry gather %v / combine %v", iter, spans, loop.Gather, loop.Combine)
 		}
 	}
 	eng.Shutdown(true)

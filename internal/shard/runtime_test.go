@@ -3,12 +3,10 @@ package shard_test
 import (
 	"errors"
 	"math"
-	"math/rand"
 	"net"
 	"slices"
 	"sort"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -21,101 +19,32 @@ import (
 	"github.com/hetgc/hetgc/internal/ml"
 	"github.com/hetgc/hetgc/internal/runtime"
 	"github.com/hetgc/hetgc/internal/shard"
+	"github.com/hetgc/hetgc/internal/testkit"
 	"github.com/hetgc/hetgc/internal/transport"
 )
 
-type liveFixture struct {
-	model *ml.Softmax
-	data  *ml.Dataset
-	parts []*ml.Dataset
-}
-
-func newLiveFixture(t *testing.T, k int) *liveFixture {
-	t.Helper()
-	data, err := ml.GaussianMixture(k*12, 4, 3, 3, rand.New(rand.NewSource(100)))
-	if err != nil {
-		t.Fatal(err)
+// grouped is a root over fx of m planned workers of equal speed in groups of
+// three, reduced along a fan-in-2 tree.
+func grouped(fx *testkit.Fixture, s, iters, m int) shard.Config {
+	cfg := fx.Config(s, iters)
+	cfg.GroupSize, cfg.FanIn = 3, 2
+	cfg.Throughputs = make([]float64, m)
+	for i := range cfg.Throughputs {
+		cfg.Throughputs[i] = 1
 	}
-	parts, err := data.Split(k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return &liveFixture{model: &ml.Softmax{InputDim: 4, NumClasses: 3}, data: data, parts: parts}
-}
-
-func (f *liveFixture) config(k, s, iters int, m int) shard.Config {
-	thr := make([]float64, m)
-	for i := range thr {
-		thr[i] = 1
-	}
-	return shard.Config{
-		K: k, S: s, GroupSize: 3, FanIn: 2,
-		Throughputs:   thr,
-		Model:         f.model,
-		Optimizer:     &ml.SGD{LR: 0.5},
-		InitialParams: f.model.InitParams(nil),
-		Iterations:    iters,
-		SampleCount:   f.data.N(),
-		IterTimeout:   5 * time.Second,
-		Seed:          1,
-	}
-}
-
-// spawnWorkers dials the planned number of elastic workers at every group
-// address. delay(group, idx, iter) gives worker idx of a group its
-// per-partition delay.
-func spawnWorkers(t *testing.T, r *shard.Root, wg *sync.WaitGroup, delay func(g, idx, iter int) time.Duration, fx *liveFixture) {
-	t.Helper()
-	addrs := r.GroupAddrs()
-	for g, grp := range r.Plan().Groups {
-		for idx := 0; idx < len(grp.Workers); idx++ {
-			cfg := runtime.ElasticWorkerConfig{
-				Model:         fx.model,
-				PartitionData: func(p int) (*ml.Dataset, error) { return fx.parts[p], nil },
-			}
-			if delay != nil {
-				g, idx := g, idx
-				cfg.DelayPerPartition = func(iter int) time.Duration { return delay(g, idx, iter) }
-			}
-			// Dial sequentially so member IDs within a group are
-			// deterministic (idx+1).
-			w, err := runtime.DialElasticWorker(addrs[g], cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				_ = w.Run()
-			}()
-		}
-	}
-}
-
-// runRoot builds a root on addr, hands it to onListen (which dials the
-// workers), waits for every group's workers and trains to completion.
-func runRoot(cfg shard.Config, addr string, waitTimeout time.Duration, onListen func(*shard.Root)) (*shard.Result, error) {
-	r, err := shard.NewRoot(cfg, addr)
-	if err != nil {
-		return nil, err
-	}
-	onListen(r)
-	if err := r.WaitForWorkers(waitTimeout); err != nil {
-		r.Close()
-		return nil, err
-	}
-	return r.Run()
+	cfg.IterTimeout = 5 * time.Second
+	return cfg
 }
 
 // serialSGD trains the fixture serially with the same partition split and
 // step rule — the exactness reference.
-func serialSGD(t *testing.T, fx *liveFixture, iters int) []float64 {
+func serialSGD(t *testing.T, fx *testkit.Fixture, iters int) []float64 {
 	t.Helper()
-	params := fx.model.InitParams(nil)
+	params := fx.Model.InitParams(nil)
 	for iter := 0; iter < iters; iter++ {
-		sum := make(grad.Gradient, fx.model.Dim())
-		for _, part := range fx.parts {
-			g, err := fx.model.Gradient(params, part)
+		sum := make(grad.Gradient, fx.Model.Dim())
+		for _, part := range fx.Parts {
+			g, err := fx.Model.Gradient(params, part)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -123,7 +52,7 @@ func serialSGD(t *testing.T, fx *liveFixture, iters int) []float64 {
 				sum[i] += g[i]
 			}
 		}
-		sum.Scale(1 / float64(fx.data.N()))
+		sum.Scale(1 / float64(fx.Data.N()))
 		if err := (&ml.SGD{LR: 0.5}).Step(params, sum); err != nil {
 			t.Fatal(err)
 		}
@@ -131,31 +60,18 @@ func serialSGD(t *testing.T, fx *liveFixture, iters int) []float64 {
 	return params
 }
 
-// waitLastIter polls the checkpoint directory until the journal records a
-// completed iteration >= iter.
-func waitLastIter(t *testing.T, dir string, iter int, timeout time.Duration) {
-	t.Helper()
-	deadline := time.Now().Add(timeout)
-	for time.Now().Before(deadline) {
-		if st, err := checkpoint.Recover(dir); err == nil && st.LastIter >= iter {
-			return
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	t.Fatalf("iteration %d never became durable in %s", iter, dir)
-}
-
 // TestShardedRefusesFixedShape: a group holds k_g partitions by capacity (6
 // for 3 equal workers at K = 12 and GroupSize 3), while a fixed-shape code
 // needs one alive member per partition, so the root refuses the scheme at
 // construction instead of failing at the first replan.
 func TestShardedRefusesFixedShape(t *testing.T) {
-	cfg := newLiveFixture(t, 12).config(12, 1, 3, 6)
+	fx := testkit.NewFixture(t, 12, 12, 100)
+	cfg := grouped(fx, 1, 3, 6)
 	for _, kind := range []core.Kind{core.Naive, core.Cyclic, core.FractionalRepetition} {
 		cfg.Scheme = kind
-		if r, err := shard.NewRoot(cfg, "127.0.0.1:0"); !errors.Is(err, shard.ErrBadConfig) {
-			if r != nil {
-				r.Close()
+		if l, err := testkit.Open(fx, cfg); !errors.Is(err, shard.ErrBadConfig) {
+			if l != nil {
+				l.Close()
 			}
 			t.Fatalf("%v: NewRoot err = %v, want ErrBadConfig", kind, err)
 		}
@@ -171,12 +87,13 @@ func TestShardedGroupsListenOnRootHost(t *testing.T) {
 	} else {
 		lis.Close()
 	}
-	r, err := shard.NewRoot(newLiveFixture(t, 8).config(8, 1, 3, 6), "127.0.0.2:0")
+	fx := testkit.NewFixture(t, 8, 12, 100)
+	l, err := testkit.OpenOn("127.0.0.2:0", fx, grouped(fx, 1, 3, 6))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer r.Close()
-	for g, addr := range r.GroupAddrs() {
+	defer l.Close()
+	for g, addr := range l.Root.GroupAddrs() {
 		if host, _, err := net.SplitHostPort(addr); err != nil || host != "127.0.0.2" {
 			t.Fatalf("group %d listens on %q, want host 127.0.0.2 (err %v)", g, addr, err)
 		}
@@ -189,31 +106,26 @@ func TestShardedGroupsListenOnRootHost(t *testing.T) {
 // exact, not approximate.
 func TestShardedEndToEndExactTraining(t *testing.T) {
 	const k, s, iters, m = 8, 1, 12, 6
-	fx := newLiveFixture(t, k)
-	cfg := fx.config(k, s, iters, m)
-
-	var wg sync.WaitGroup
-	res, err := runRoot(cfg, "127.0.0.1:0", 5*time.Second, func(r *shard.Root) {
-		if r.Plan().NumGroups() != 2 {
-			t.Errorf("plan has %d groups, want 2", r.Plan().NumGroups())
-		}
-		spawnWorkers(t, r, &wg, nil, fx)
-	})
+	fx := testkit.NewFixture(t, k, 12, 100)
+	l := testkit.Start(t, fx, grouped(fx, s, iters, m), m, nil)
+	if l.Root.Plan().NumGroups() != 2 {
+		t.Errorf("plan has %d groups, want 2", l.Root.Plan().NumGroups())
+	}
+	res, err := l.Run(5 * time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wg.Wait()
 
 	if len(res.IterTimes) != iters {
 		t.Fatalf("got %d iterations, want %d", len(res.IterTimes), iters)
 	}
 
 	// Serial full-batch SGD with the same partition split and step rule.
-	params := fx.model.InitParams(nil)
+	params := fx.Model.InitParams(nil)
 	for iter := 0; iter < iters; iter++ {
-		sum := make(grad.Gradient, fx.model.Dim())
-		for _, part := range fx.parts {
-			g, err := fx.model.Gradient(params, part)
+		sum := make(grad.Gradient, fx.Model.Dim())
+		for _, part := range fx.Parts {
+			g, err := fx.Model.Gradient(params, part)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -221,7 +133,7 @@ func TestShardedEndToEndExactTraining(t *testing.T) {
 				sum[i] += g[i]
 			}
 		}
-		sum.Scale(1 / float64(fx.data.N()))
+		sum.Scale(1 / float64(fx.Data.N()))
 		if err := (&ml.SGD{LR: 0.5}).Step(params, sum); err != nil {
 			t.Fatal(err)
 		}
@@ -248,19 +160,15 @@ func TestShardedEndToEndExactTraining(t *testing.T) {
 // complete with finite params and int8 gradient frames must arrive.
 func TestShardedInt8Uplink(t *testing.T) {
 	const k, s, iters, m = 8, 1, 6, 6
-	fx := newLiveFixture(t, k)
-	cfg := fx.config(k, s, iters, m)
+	fx := testkit.NewFixture(t, k, 12, 100)
+	cfg := grouped(fx, s, iters, m)
 	cfg.Wire = clustercfg.WireConfig{Codec: "int8"}
 
 	int8In, _, _, _ := transport.WireCodec(byte(grad.CodecInt8))
-	var wg sync.WaitGroup
-	res, err := runRoot(cfg, "127.0.0.1:0", 5*time.Second, func(r *shard.Root) {
-		spawnWorkers(t, r, &wg, nil, fx)
-	})
+	res, err := testkit.Start(t, fx, cfg, m, nil).Run(5 * time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wg.Wait()
 	if len(res.IterTimes) != iters {
 		t.Fatalf("got %d iterations, want %d", len(res.IterTimes), iters)
 	}
@@ -279,8 +187,8 @@ func TestShardedInt8Uplink(t *testing.T) {
 // group finishes the whole run on epoch 0.
 func TestShardedGroupLocalMigrationLive(t *testing.T) {
 	const k, s, iters, m = 8, 1, 30, 6
-	fx := newLiveFixture(t, k)
-	cfg := fx.config(k, s, iters, m)
+	fx := testkit.NewFixture(t, k, 12, 100)
+	cfg := grouped(fx, s, iters, m)
 	cfg.Alpha = 0.7
 	cfg.DriftThreshold = 0.5
 	cfg.MinObservations = 2
@@ -297,19 +205,18 @@ func TestShardedGroupLocalMigrationLive(t *testing.T) {
 		slowDelay = 25 * time.Millisecond
 		slowAt    = 6
 	)
-	var wg sync.WaitGroup
-	res, err := runRoot(cfg, "127.0.0.1:0", 5*time.Second, func(r *shard.Root) {
-		spawnWorkers(t, r, &wg, func(g, idx, iter int) time.Duration {
-			if g == 0 && idx == 0 && iter >= slowAt {
+	// Slot 0 is group 0's first worker.
+	res, err := testkit.Start(t, fx, cfg, m, func(i int, wc *runtime.ElasticWorkerConfig) {
+		wc.DelayPerPartition = func(iter int) time.Duration {
+			if i == 0 && iter >= slowAt {
 				return slowDelay
 			}
 			return fastDelay
-		}, fx)
-	})
+		}
+	}).Run(5 * time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wg.Wait()
 
 	g0 := res.Groups[0]
 	g1 := res.Groups[1]
@@ -341,49 +248,21 @@ func TestShardedGroupLocalMigrationLive(t *testing.T) {
 // the run must fail with ErrGroupFailed instead of hanging.
 func TestShardedRunFailsWhenGroupLosesQuorum(t *testing.T) {
 	const k, s, iters, m = 8, 1, 200, 6
-	fx := newLiveFixture(t, k)
-	cfg := fx.config(k, s, iters, m)
+	fx := testkit.NewFixture(t, k, 12, 100)
+	cfg := grouped(fx, s, iters, m)
 	cfg.IterTimeout = 500 * time.Millisecond
 
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	var group0 []*runtime.ElasticWorker
-	_, err := runRoot(cfg, "127.0.0.1:0", 5*time.Second, func(r *shard.Root) {
-		addrs := r.GroupAddrs()
-		for g, grp := range r.Plan().Groups {
-			for idx := 0; idx < len(grp.Workers); idx++ {
-				w, err := runtime.DialElasticWorker(addrs[g], runtime.ElasticWorkerConfig{
-					Model:         fx.model,
-					PartitionData: func(p int) (*ml.Dataset, error) { return fx.parts[p], nil },
-					DelayPerPartition: func(int) time.Duration {
-						return 2 * time.Millisecond
-					},
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if g == 0 {
-					mu.Lock()
-					group0 = append(group0, w)
-					mu.Unlock()
-				}
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					_ = w.Run()
-				}()
-			}
+	l := testkit.Start(t, fx, cfg, m, testkit.PerPart(2*time.Millisecond))
+	// Group 0's workers hold the first slots. Kill every one of them
+	// shortly after training starts.
+	group0 := l.Workers[:len(l.Root.Plan().Groups[0].Workers)]
+	go func() {
+		time.Sleep(300 * time.Millisecond)
+		for _, w := range group0 {
+			_ = w.Close()
 		}
-		// Kill every group-0 worker shortly after training starts.
-		go func() {
-			time.Sleep(300 * time.Millisecond)
-			mu.Lock()
-			for _, w := range group0 {
-				_ = w.Close()
-			}
-			mu.Unlock()
-		}()
-	})
+	}()
+	_, err := l.Run(5 * time.Second)
 	if !errors.Is(err, shard.ErrGroupFailed) {
 		t.Fatalf("run after group 0 lost its quorum: err = %v, want ErrGroupFailed", err)
 	}
@@ -391,7 +270,6 @@ func TestShardedRunFailsWhenGroupLosesQuorum(t *testing.T) {
 	if !strings.Contains(err.Error(), elastic.ErrNotEnoughMembers.Error()) {
 		t.Fatalf("run after group 0 lost its quorum: err = %v, want it to name the quorum loss (%v)", err, elastic.ErrNotEnoughMembers)
 	}
-	wg.Wait()
 }
 
 // TestShardedDurableGroupStates runs a durable hierarchy whose groups are all
@@ -400,22 +278,17 @@ func TestShardedRunFailsWhenGroupLosesQuorum(t *testing.T) {
 // exactly those members (a promoted root re-plans from it).
 func TestShardedDurableGroupStates(t *testing.T) {
 	const k, s, iters, m = 8, 1, 9, 6
-	fx := newLiveFixture(t, k)
-	cfg := fx.config(k, s, iters, m)
+	fx := testkit.NewFixture(t, k, 12, 100)
+	cfg := grouped(fx, s, iters, m)
 	dir := t.TempDir()
 	cfg.CheckpointDir = dir
 	cfg.SnapshotEvery = 3
 
-	var wg sync.WaitGroup
-	var plan *shard.Plan
-	_, err := runRoot(cfg, "127.0.0.1:0", 5*time.Second, func(r *shard.Root) {
-		plan = r.Plan()
-		spawnWorkers(t, r, &wg, nil, fx)
-	})
-	if err != nil {
+	l := testkit.Start(t, fx, cfg, m, nil)
+	plan := l.Root.Plan()
+	if _, err := l.Run(5 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	wg.Wait()
 
 	st, err := checkpoint.Recover(dir)
 	if err != nil {
@@ -464,38 +337,30 @@ func TestShardedResumeRestoresEstimates(t *testing.T) {
 		anchorOnly int // incarnations that resume and close at once
 	}{{"resume", 0}, {"anchor-only-crash", 1}} {
 		t.Run(tc.name, func(t *testing.T) {
-			fx := newLiveFixture(t, k)
-			cfg := fx.config(k, s, iters, m)
+			fx := testkit.NewFixture(t, k, 12, 100)
+			cfg := grouped(fx, s, iters, m)
 			cfg.MinObservations = 1
 			cfg.CheckpointDir = t.TempDir()
 			cfg.SnapshotEvery = 4
 
-			var wg sync.WaitGroup
-			delay := func(g, idx, iter int) time.Duration {
-				if g == 0 && idx == 0 {
-					return 5 * time.Millisecond
+			// Slot 0 is group 0's first worker.
+			_, err := testkit.Start(t, fx, cfg, m, func(i int, wc *runtime.ElasticWorkerConfig) {
+				wc.DelayPerPartition = func(int) time.Duration {
+					if i == 0 {
+						return 5 * time.Millisecond
+					}
+					return time.Millisecond
 				}
-				return time.Millisecond
-			}
-			_, err := runRoot(cfg, "127.0.0.1:0", 5*time.Second, func(r *shard.Root) { spawnWorkers(t, r, &wg, delay, fx) })
-			wg.Wait()
+			}).Run(5 * time.Second)
 			if err != nil {
 				t.Fatal(err)
 			}
 
 			cfg.Resume = true
 			for i := 0; i < tc.anchorOnly; i++ {
-				crashed, err := shard.NewRoot(cfg, "127.0.0.1:0")
-				if err != nil {
-					t.Fatal(err)
-				}
-				crashed.Close()
+				testkit.Start(t, fx, cfg, 0, nil).Close()
 			}
-			r, err := shard.NewRoot(cfg, "127.0.0.1:0")
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer r.Close()
+			r := testkit.Start(t, fx, cfg, 0, nil).Root
 			rates := map[int]float64{}
 			for _, ms := range r.ControllerState(0).Members {
 				rates[ms.ID] = estimate.NewMeterFromState(1, ms.Meter).Rate(cfg.MinObservations)

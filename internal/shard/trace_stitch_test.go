@@ -13,17 +13,12 @@ import (
 	"time"
 
 	"github.com/hetgc/hetgc/internal/clustercfg"
-	"github.com/hetgc/hetgc/internal/ml"
 	"github.com/hetgc/hetgc/internal/obs"
-	"github.com/hetgc/hetgc/internal/shard"
 	"github.com/hetgc/hetgc/internal/testkit"
 )
 
 func TestTraceStitchingUnderChurnSharded(t *testing.T) {
-	fx, err := testkit.NewFixture(8, 300)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fx := testkit.NewFixture(t, 8, 12, 300)
 	sc := &testkit.Scenario{
 		Name: "trace-stitch-sharded", K: 8, S: 1, Workers: 8, GroupSize: 4, Iters: 20,
 		IterTimeout: 5 * time.Second, InitialRate: 500,
@@ -33,50 +28,15 @@ func TestTraceStitchingUnderChurnSharded(t *testing.T) {
 			1: {KillAtIter: 6},
 		},
 	}
-	thr := make([]float64, sc.Workers)
-	for i := range thr {
-		thr[i] = sc.InitialRate
-	}
 	tel := obs.New()
-	root, err := shard.NewRoot(shard.Config{
-		K: sc.K, S: sc.S,
-		GroupSize:       sc.GroupSize,
-		FanIn:           2,
-		Throughputs:     thr,
-		Model:           fx.Model,
-		Optimizer:       &ml.SGD{LR: 0.5},
-		InitialParams:   fx.Model.InitParams(nil),
-		Iterations:      sc.Iters,
-		SampleCount:     fx.Data.N(),
-		IterTimeout:     sc.IterTimeout,
-		Alpha:           sc.Alpha,
-		DriftThreshold:  sc.DriftThreshold,
-		MinObservations: sc.MinObservations,
-		CooldownIters:   sc.CooldownIters,
-		InitialRate:     sc.InitialRate,
-		Seed:            1,
-		TelemetryConfig: clustercfg.TelemetryConfig{Obs: tel},
-	}, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer root.Close()
-
-	groupAddrs := root.GroupAddrs()
-	var addrs []string
-	for g, grp := range root.Plan().Groups {
-		for i := 0; i < len(grp.Workers); i++ {
-			addrs = append(addrs, groupAddrs[g])
-		}
-	}
+	cfg := sc.Config(fx, testkit.Grouped)
+	cfg.TelemetryConfig = clustercfg.TelemetryConfig{Obs: tel}
+	l := testkit.Start(t, fx, cfg, 0, nil)
 	var wg sync.WaitGroup
 	var progress atomic.Int64
-	testkit.DriveWorkers(sc, addrs, fx, &wg, &progress)
-	if err := root.WaitForWorkers(10 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	res, err := root.Run()
-	root.Close()
+	testkit.DriveWorkers(sc, l.Addrs(sc.Workers), fx, &wg, &progress)
+	res, err := l.Run(10 * time.Second)
+	l.Close()
 	wg.Wait()
 	if err != nil {
 		t.Fatal(err)

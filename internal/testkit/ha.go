@@ -1,7 +1,7 @@
 // HA conformance: the failover class the recovery table cannot express —
 // the ROOT holds a lease, and its death or deposition must be survived live,
-// not merely recovered from. Two scenarios, one table, every lease-holding
-// runtime:
+// not merely recovered from. Two scenarios, one table, a lease-holding root
+// at either layout:
 //
 //   - standby-takeover-mid-iteration: the root is killed cold mid-training;
 //     a warm standby tailing the directory promotes on lease expiry, and a
@@ -28,6 +28,7 @@ import (
 	"github.com/hetgc/hetgc/internal/checkpoint"
 	"github.com/hetgc/hetgc/internal/clustercfg"
 	"github.com/hetgc/hetgc/internal/ha"
+	"github.com/hetgc/hetgc/internal/shard"
 )
 
 // HAScenario parameterises one failover script.
@@ -52,20 +53,19 @@ type HAScenario struct {
 	InitialRate float64
 }
 
-// HACluster is a lease-holding cluster the HA suite can depose.
-type HACluster interface {
-	Cluster
-	// RootGen returns the lease generation the cluster's root holds.
-	RootGen() int
-	// SuspendLeaseRenewal wedges the root: it keeps training but stops
-	// extending its lease, so a successor can claim the next generation.
-	SuspendLeaseRenewal()
+// config is the root sc runs against at layout lay: the recovery table's
+// root (a churn-only control plane, so failover scenarios script their own
+// disruptions and do not race the drift trigger) under the lease in dir,
+// claimed in holder's name.
+func (sc *HAScenario) config(fx *Fixture, lay Layout, dir string, resume bool, holder string) shard.Config {
+	rs := RecoveryScenario{
+		K: sc.K, S: sc.S, Workers: sc.Workers, Iters: sc.Iters, GroupSize: sc.GroupSize,
+		SnapshotEvery: sc.SnapshotEvery, IterTimeout: sc.IterTimeout, InitialRate: sc.InitialRate,
+	}
+	cfg := rs.config(fx, lay, dir, resume)
+	cfg.HAConfig = clustercfg.HAConfig{LeaseTTL: sc.LeaseTTL, Holder: holder}
+	return cfg
 }
-
-// StartHA builds a listening, lease-holding cluster over fx that checkpoints
-// into dir under the given holder name, resuming from the directory when
-// resume is set.
-type StartHA func(sc *HAScenario, fx *Fixture, dir string, resume bool, holder string) (HACluster, error)
 
 func haBase(name string) HAScenario {
 	return HAScenario{
@@ -75,13 +75,14 @@ func haBase(name string) HAScenario {
 	}
 }
 
-// RunHAConformance executes the failover scenarios against one runtime.
-func RunHAConformance(t *testing.T, start StartHA) {
+// RunHAConformance executes the failover scenarios against a root at
+// layout lay.
+func RunHAConformance(t *testing.T, lay Layout) {
 	t.Run("standby-takeover-mid-iteration", func(t *testing.T) {
-		runStandbyTakeover(t, start)
+		runStandbyTakeover(t, lay)
 	})
 	t.Run("zombie-root-fenced-after-takeover", func(t *testing.T) {
-		runZombieFenced(t, start)
+		runZombieFenced(t, lay)
 	})
 }
 
@@ -99,23 +100,20 @@ func checkFiniteParams(t *testing.T, params []float64) {
 	}
 }
 
-func runStandbyTakeover(t *testing.T, start StartHA) {
+func runStandbyTakeover(t *testing.T, lay Layout) {
 	sc := haBase("standby-takeover-mid-iteration")
-	fx, err := NewFixture(sc.K, 300)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fx := NewFixture(t, sc.K, 12, 300)
 	dir := filepath.Join(t.TempDir(), "ckpt")
 
-	a, err := start(&sc, fx, dir, false, "ha-root-a")
+	a, err := Open(fx, sc.config(fx, lay, dir, false, "ha-root-a"))
 	if err != nil {
 		t.Fatalf("first root: %v", err)
 	}
 	defer a.Close()
-	if a.RootGen() != 1 {
-		t.Fatalf("first root holds generation %d, want 1", a.RootGen())
+	if a.Root.RootGen() != 1 {
+		t.Fatalf("first root holds generation %d, want 1", a.Root.RootGen())
 	}
-	pool := startRecoveryWorkers(sc.Workers, fx, a.Addrs())
+	pool := startRecoveryWorkers(sc.Workers, fx, a.Addrs(sc.Workers))
 	defer pool.stopAll()
 
 	// The standby tails the directory from before the crash: its promotion
@@ -131,10 +129,10 @@ func runStandbyTakeover(t *testing.T, start StartHA) {
 
 	runDone := make(chan error, 1)
 	go func() {
-		_, err := a.Run()
+		_, err := a.Run(20 * time.Second)
 		runDone <- err
 	}()
-	if !waitDurableIter(dir, sc.DisruptAfterIter, 60*time.Second) {
+	if !WaitDurableIter(dir, sc.DisruptAfterIter, 60*time.Second) {
 		a.Close()
 		<-runDone
 		t.Fatalf("iteration %d never became durable", sc.DisruptAfterIter)
@@ -168,16 +166,16 @@ func runStandbyTakeover(t *testing.T, start StartHA) {
 	}
 	expectStart := state.Snap.Iter
 
-	b, err := start(&sc, fx, dir, true, "ha-root-b")
+	b, err := Open(fx, sc.config(fx, lay, dir, true, "ha-root-b"))
 	if err != nil {
 		t.Fatalf("promoted root: %v", err)
 	}
 	defer b.Close()
-	if b.RootGen() != 2 {
-		t.Fatalf("promoted root holds generation %d, want 2", b.RootGen())
+	if b.Root.RootGen() != 2 {
+		t.Fatalf("promoted root holds generation %d, want 2", b.Root.RootGen())
 	}
-	pool.retarget(b.Addrs())
-	out, err := b.Run()
+	pool.retarget(b.Addrs(sc.Workers))
+	out, err := b.Run(20 * time.Second)
 	b.Close()
 	pool.stopAll()
 	if err != nil {
@@ -190,7 +188,7 @@ func runStandbyTakeover(t *testing.T, start StartHA) {
 	checkFiniteParams(t, out.Params)
 }
 
-func runZombieFenced(t *testing.T, start StartHA) {
+func runZombieFenced(t *testing.T, lay Layout) {
 	sc := haBase("zombie-root-fenced-after-takeover")
 	sc.LeaseTTL = 300 * time.Millisecond
 	sc.IterTimeout = 2 * time.Second // bounds the zombie's fenced-detection latency
@@ -198,33 +196,30 @@ func runZombieFenced(t *testing.T, start StartHA) {
 	// generation: give it enough iterations (a few ms each) to outlast the
 	// lease expiry wait by a wide margin.
 	sc.Iters = 240
-	fx, err := NewFixture(sc.K, 300)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fx := NewFixture(t, sc.K, 12, 300)
 	dir := filepath.Join(t.TempDir(), "ckpt")
 
-	a, err := start(&sc, fx, dir, false, "ha-root-a")
+	a, err := Open(fx, sc.config(fx, lay, dir, false, "ha-root-a"))
 	if err != nil {
 		t.Fatalf("first root: %v", err)
 	}
 	defer a.Close()
-	pool := startRecoveryWorkers(sc.Workers, fx, a.Addrs())
+	pool := startRecoveryWorkers(sc.Workers, fx, a.Addrs(sc.Workers))
 	defer pool.stopAll()
 
 	runDone := make(chan error, 1)
 	go func() {
-		_, err := a.Run()
+		_, err := a.Run(20 * time.Second)
 		runDone <- err
 	}()
-	if !waitDurableIter(dir, sc.DisruptAfterIter, 60*time.Second) {
+	if !WaitDurableIter(dir, sc.DisruptAfterIter, 60*time.Second) {
 		a.Close()
 		<-runDone
 		t.Fatalf("iteration %d never became durable", sc.DisruptAfterIter)
 	}
 
 	// Wedge the root: it keeps training but its claim silently lapses.
-	a.SuspendLeaseRenewal()
+	a.Root.SuspendLeaseRenewal()
 	expiry := time.Now().Add(60 * time.Second)
 	for {
 		tok, err := ha.ReadToken(dir)
@@ -237,15 +232,15 @@ func runZombieFenced(t *testing.T, start StartHA) {
 		time.Sleep(20 * time.Millisecond)
 	}
 
-	b, err := start(&sc, fx, dir, true, "ha-root-b")
+	b, err := Open(fx, sc.config(fx, lay, dir, true, "ha-root-b"))
 	if err != nil {
 		t.Fatalf("successor: %v", err)
 	}
 	defer b.Close()
-	if b.RootGen() != 2 {
-		t.Fatalf("successor holds generation %d, want 2", b.RootGen())
+	if b.Root.RootGen() != 2 {
+		t.Fatalf("successor holds generation %d, want 2", b.Root.RootGen())
 	}
-	pool.retarget(b.Addrs())
+	pool.retarget(b.Addrs(sc.Workers))
 
 	// The deposed root must fail typed — and name the usurping generation,
 	// the remediation an operator acts on — before the successor can finish.
@@ -266,7 +261,7 @@ func runZombieFenced(t *testing.T, start StartHA) {
 	}
 	a.Close() // frees any worker still attached to the zombie
 
-	out, err := b.Run()
+	out, err := b.Run(20 * time.Second)
 	b.Close()
 	pool.stopAll()
 	if err != nil {

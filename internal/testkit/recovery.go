@@ -2,8 +2,8 @@
 // express — the MASTER process dies and is reconstructed from its
 // checkpoint directory. The harness runs one cluster to a durably recorded
 // iteration, kills it cold, optionally corrupts snapshot files, resumes a
-// second cluster from the directory, and holds both runtimes to the same
-// guarantees:
+// second cluster from the directory, and holds a root of one group and a
+// root of several to the same guarantees:
 //
 //   - training completes exactly the iterations the recovered snapshot had
 //     not folded in;
@@ -34,6 +34,9 @@ import (
 	"time"
 
 	"github.com/hetgc/hetgc/internal/checkpoint"
+	"github.com/hetgc/hetgc/internal/clustercfg"
+	"github.com/hetgc/hetgc/internal/ml"
+	"github.com/hetgc/hetgc/internal/shard"
 	"github.com/hetgc/hetgc/internal/transport"
 )
 
@@ -43,9 +46,9 @@ type RecoveryScenario struct {
 	Name string
 	// K, S, Workers and Iters mirror Scenario.
 	K, S, Workers, Iters int
-	// GroupSize shards workers into coding groups in grouped runtimes.
+	// GroupSize shards workers into coding groups at the Grouped layout.
 	GroupSize int
-	// SnapshotEvery is the checkpoint cadence handed to the runtime.
+	// SnapshotEvery is the checkpoint cadence handed to the root.
 	SnapshotEvery int
 	// KillAfterIter kills the first cluster once the journal durably
 	// records this iteration as completed.
@@ -62,7 +65,7 @@ type RecoveryScenario struct {
 	InitialRate float64
 }
 
-// RecoveryScenarios is the table both runtimes are held to.
+// RecoveryScenarios is the table both layouts are held to.
 func RecoveryScenarios() []RecoveryScenario {
 	base := RecoveryScenario{
 		K: 8, S: 1, Workers: 6, GroupSize: 3, Iters: 30,
@@ -80,47 +83,54 @@ func RecoveryScenarios() []RecoveryScenario {
 	return []RecoveryScenario{kill, corruptNewest, corruptAll}
 }
 
-// StartRecovery builds a listening (not yet training) cluster over fx that
-// checkpoints into dir, resuming from it when resume is set. Construction
-// errors are returned, not fataled: the corrupt-all scenario asserts on
-// them.
-type StartRecovery func(sc *RecoveryScenario, fx *Fixture, dir string, resume bool) (Cluster, error)
+// config is the root sc runs against at layout lay: it checkpoints into
+// dir, resuming from it when resume is set. The control plane is churn-only,
+// so every post-resume epoch bump is the crash recovery's, not drift's, and
+// SGD carries momentum, so optimizer state must survive the crash.
+func (sc *RecoveryScenario) config(fx *Fixture, lay Layout, dir string, resume bool) shard.Config {
+	cfg := fx.Config(sc.S, sc.Iters)
+	cfg.Optimizer = &ml.SGD{LR: 0.5, Momentum: 0.5}
+	cfg.IterTimeout = sc.IterTimeout
+	cfg.DriftThreshold = 2.0
+	cfg.CooldownIters = 1 << 20
+	cfg.InitialRate = sc.InitialRate
+	cfg.DurabilityConfig = clustercfg.DurabilityConfig{CheckpointDir: dir, SnapshotEvery: sc.SnapshotEvery, Resume: resume}
+	lay.shape(&cfg, sc.Workers, sc.GroupSize, sc.InitialRate)
+	return cfg
+}
 
-// RunRecoveryConformance executes the recovery scenario table against one
-// runtime.
-func RunRecoveryConformance(t *testing.T, start StartRecovery) {
+// RunRecoveryConformance executes the recovery scenario table against a
+// root at layout lay.
+func RunRecoveryConformance(t *testing.T, lay Layout) {
 	for _, sc := range RecoveryScenarios() {
 		sc := sc
 		t.Run(sc.Name, func(t *testing.T) {
-			runRecoveryScenario(t, &sc, start)
+			runRecoveryScenario(t, &sc, lay)
 		})
 	}
 }
 
-func runRecoveryScenario(t *testing.T, sc *RecoveryScenario, start StartRecovery) {
-	fx, err := NewFixture(sc.K, 300)
-	if err != nil {
-		t.Fatal(err)
-	}
+func runRecoveryScenario(t *testing.T, sc *RecoveryScenario, lay Layout) {
+	fx := NewFixture(t, sc.K, 12, 300)
 	dir := filepath.Join(t.TempDir(), "ckpt")
 
-	cl, err := start(sc, fx, dir, false)
+	cl, err := Open(fx, sc.config(fx, lay, dir, false))
 	if err != nil {
 		t.Fatalf("fresh cluster: %v", err)
 	}
 	defer cl.Close()
 
-	pool := startRecoveryWorkers(sc.Workers, fx, cl.Addrs())
+	pool := startRecoveryWorkers(sc.Workers, fx, cl.Addrs(sc.Workers))
 	defer pool.stopAll()
 
 	// Phase A: train until KillAfterIter is durably journaled, then kill
 	// the master cold — no goodbye frames, no final snapshot.
 	runDone := make(chan error, 1)
 	go func() {
-		_, err := cl.Run()
+		_, err := cl.Run(20 * time.Second)
 		runDone <- err
 	}()
-	if !waitDurableIter(dir, sc.KillAfterIter, 60*time.Second) {
+	if !WaitDurableIter(dir, sc.KillAfterIter, 60*time.Second) {
 		cl.Close()
 		<-runDone
 		t.Fatalf("iteration %d never became durable", sc.KillAfterIter)
@@ -134,7 +144,7 @@ func runRecoveryScenario(t *testing.T, sc *RecoveryScenario, start StartRecovery
 
 	if sc.CorruptAll {
 		corruptSnapshots(t, dir, -1)
-		if _, err := start(sc, fx, dir, true); !errors.Is(err, checkpoint.ErrCorrupt) {
+		if _, err := Open(fx, sc.config(fx, lay, dir, true)); !errors.Is(err, checkpoint.ErrCorrupt) {
 			t.Fatalf("resume over all-corrupt snapshots: %v, want checkpoint.ErrCorrupt", err)
 		}
 		return
@@ -157,13 +167,13 @@ func runRecoveryScenario(t *testing.T, sc *RecoveryScenario, start StartRecovery
 
 	// Phase B: resume. The workers are still dialing; point them at the new
 	// addresses.
-	cl2, err := start(sc, fx, dir, true)
+	cl2, err := Open(fx, sc.config(fx, lay, dir, true))
 	if err != nil {
 		t.Fatalf("resume: %v", err)
 	}
 	defer cl2.Close()
-	pool.retarget(cl2.Addrs())
-	out, err := cl2.Run()
+	pool.retarget(cl2.Addrs(sc.Workers))
+	out, err := cl2.Run(20 * time.Second)
 	cl2.Close()
 	pool.stopAll()
 	if err != nil {
@@ -192,10 +202,11 @@ func runRecoveryScenario(t *testing.T, sc *RecoveryScenario, start StartRecovery
 	pool.checkIdentities(t, state)
 }
 
-// waitDurableIter polls the checkpoint directory until the journal records
-// iteration `iter` as completed. Reading concurrently with the writer is
-// safe: recovery observes a consistent prefix.
-func waitDurableIter(dir string, iter int, timeout time.Duration) bool {
+// WaitDurableIter polls the checkpoint directory until the journal records
+// iteration `iter` as completed and reports whether it did within timeout.
+// Reading concurrently with the writer is safe: recovery observes a
+// consistent prefix.
+func WaitDurableIter(dir string, iter int, timeout time.Duration) bool {
 	deadline := time.Now().Add(timeout)
 	for time.Now().Before(deadline) {
 		if st, err := checkpoint.Recover(dir); err == nil && st.LastIter >= iter {

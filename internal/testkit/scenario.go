@@ -6,21 +6,22 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"github.com/hetgc/hetgc/internal/shard"
 )
 
 // Scenario is one adversarial churn script plus the invariants every
-// conformant root must uphold under it. The same table drives the flat root
-// (one group) and a root of several groups; each adapts itself through the
-// Cluster interface.
+// conformant root must uphold under it. The same table drives a root of one
+// group and a root of several: Config lays the root out at either Layout.
 type Scenario struct {
 	// Name labels the subtest.
 	Name string
 	// K is the partition count, S the straggler budget, Workers the initial
 	// worker count, Iters the training length.
 	K, S, Workers, Iters int
-	// GroupSize shards Workers into coding groups in grouped runtimes
-	// (a flat root ignores it). Conformance addresses are ordered so that
-	// consecutive worker slots share a group.
+	// GroupSize shards Workers into coding groups at the Grouped layout
+	// (OneGroup ignores it). Worker slots are addressed in group order, so
+	// consecutive slots share a group.
 	GroupSize int
 	// Behaviors scripts individual worker slots; missing slots run honest
 	// and fast.
@@ -29,7 +30,7 @@ type Scenario struct {
 	IterTimeout time.Duration
 	// Alpha, DriftThreshold, MinObservations, CooldownIters and InitialRate
 	// parameterise the control plane (see elastic.Config). InitialRate also
-	// seeds grouped runtimes' planned throughputs, so both runtimes start
+	// seeds the Grouped layout's planned throughputs, so both layouts start
 	// from the same priors.
 	Alpha           float64
 	DriftThreshold  float64
@@ -63,9 +64,10 @@ type Expect struct {
 	RejoinSameID bool
 }
 
-// Outcome is the runtime-agnostic digest of one conformance run. Grouped
-// runtimes sum counters across groups and report the maximum final epoch.
+// Outcome is the digest of one live run: the root's Result, with its
+// groups' counters summed and the highest final epoch any group ended on.
 type Outcome struct {
+	*shard.Result
 	Iters              int
 	FinalEpoch         int
 	StaleEpochRejected int
@@ -74,22 +76,8 @@ type Outcome struct {
 	MalformedSkipped   int
 	TelemetrySamples   int
 	Joins, Deaths      int
-	Params             []float64
-	// FencedUploads counts uploads rejected by the root-generation fence
-	// (HA runs only).
+	// FencedUploads counts uploads rejected by the root-generation fence.
 	FencedUploads int
-}
-
-// Cluster adapts one runtime to the conformance suite.
-type Cluster interface {
-	// Addrs returns the dial address for each initial worker slot, ordered
-	// so that consecutive slots share a coding group in grouped runtimes.
-	Addrs() []string
-	// Run waits for the initial membership, trains to completion and
-	// digests the outcome.
-	Run() (*Outcome, error)
-	// Close tears the cluster down (idempotent; called even after Run).
-	Close()
 }
 
 // Scenarios is the conformance table: the churn modes the paper's elastic
@@ -238,31 +226,40 @@ func (sc *Scenario) Check(t *testing.T, out *Outcome, recs []*WorkerRecord) {
 	}
 }
 
-// RunConformance executes every scenario in the table against a runtime:
-// start builds a listening (not yet training) cluster for a scenario, the
-// harness dials the scripted workers, Run trains to completion and the
-// outcome is checked against the scenario's invariants. Failures name the
-// scenario; rerun one with -run '<test>/<scenario-name>'.
-func RunConformance(t *testing.T, start func(t *testing.T, sc *Scenario, fx *Fixture) Cluster) {
+// Config is the root sc runs against, over fx, at layout lay.
+func (sc *Scenario) Config(fx *Fixture, lay Layout) shard.Config {
+	cfg := fx.Config(sc.S, sc.Iters)
+	cfg.IterTimeout = sc.IterTimeout
+	cfg.Alpha = sc.Alpha
+	cfg.DriftThreshold = sc.DriftThreshold
+	cfg.MinObservations = sc.MinObservations
+	cfg.CooldownIters = sc.CooldownIters
+	cfg.InitialRate = sc.InitialRate
+	lay.shape(&cfg, sc.Workers, sc.GroupSize, sc.InitialRate)
+	return cfg
+}
+
+// RunConformance executes every scenario in the table against a root at
+// layout lay: the builder brings the root up, the harness dials the scripted
+// workers, Run trains to completion and the outcome is checked against the
+// scenario's invariants. Failures name the scenario; rerun one with
+// -run '<test>/<scenario-name>'.
+func RunConformance(t *testing.T, lay Layout) {
 	for _, sc := range Scenarios() {
 		sc := sc
 		t.Run(sc.Name, func(t *testing.T) {
-			fx, err := NewFixture(sc.K, 300)
-			if err != nil {
-				t.Fatal(err)
-			}
-			cl := start(t, &sc, fx)
-			defer cl.Close()
+			fx := NewFixture(t, sc.K, 12, 300)
+			l := Start(t, fx, sc.Config(fx, lay), 0, nil)
 			var wg sync.WaitGroup
 			var progress atomic.Int64
-			recs := DriveWorkers(&sc, cl.Addrs(), fx, &wg, &progress)
-			out, runErr := cl.Run()
+			recs := DriveWorkers(&sc, l.Addrs(sc.Workers), fx, &wg, &progress)
+			out, runErr := l.Run(10 * time.Second)
 			// Tear the cluster down before waiting on the workers: a run
 			// that failed early (quorum timeout, group failure) leaves the
 			// scripted workers blocked in Recv, and only the close unblocks
 			// them. Close is idempotent, so the success path — where the
 			// run already shut everything down — is unaffected.
-			cl.Close()
+			l.Close()
 			wg.Wait()
 			if runErr != nil {
 				t.Fatalf("%s: run failed: %v", sc.Name, runErr)

@@ -1,6 +1,11 @@
-// Package testkit is the shared adversarial test harness for the elastic
-// runtimes. It provides three things:
+// Package testkit is the shared test harness for the live root: every test
+// that trains a cluster over sockets brings it up here. It provides four
+// things:
 //
+//   - One cluster builder (Open/Start + Live): a shard.Root on Addr, the one
+//     address live tests listen on, and real runtime.ElasticWorkers dialled
+//     into its worker slots in group order, each with its own delays. A
+//     one-group root is the flat cluster; more groups come from Throughputs.
 //   - A fault-injecting transport wrapper (FaultConn + Schedule): drop,
 //     delay, duplicate, truncate and stale-epoch replay faults applied to
 //     gradient uploads on a seeded, fully reproducible schedule.
@@ -9,11 +14,11 @@
 //     slowdowns, mid-iteration deaths, rejoins under the old member
 //     identity, stale-epoch poisoning, transport faults — is declared per
 //     scenario instead of hand-rolled per test.
-//   - A runtime-agnostic conformance suite (Scenarios + RunConformance):
-//     one table of churn scenarios executed identically against every
-//     root shape that can present itself as a Cluster, so the flat root (one
-//     group) and a root of several groups are held to the same survival
-//     guarantees by the same code.
+//   - The conformance suites (RunConformance, RunRecoveryConformance,
+//     RunHAConformance): one table each of churn, crash and failover
+//     scenarios, run through the builder at either Layout, so a root of one
+//     group and a root of several are held to the same survival guarantees
+//     by the same code.
 //
 // Everything is deterministic given the scenario seed: a failing run is
 // reproduced by re-running the same scenario (go test -run
@@ -21,36 +26,52 @@
 package testkit
 
 import (
-	"fmt"
 	"math/rand"
+	"testing"
 
 	"github.com/hetgc/hetgc/internal/grad"
 	"github.com/hetgc/hetgc/internal/ml"
+	"github.com/hetgc/hetgc/internal/shard"
 	"github.com/hetgc/hetgc/internal/transport"
 )
 
-// Fixture is the shared training workload for conformance scenarios: a
-// Gaussian-mixture dataset split into k partitions and a softmax model,
-// mirroring the fixtures the runtime packages use in their own end-to-end
-// tests.
+// Fixture is the training workload of a live test: a Gaussian-mixture
+// dataset split into k partitions and a softmax model.
 type Fixture struct {
 	Model *ml.Softmax
 	Data  *ml.Dataset
 	Parts []*ml.Dataset
 }
 
-// NewFixture builds the workload for a k-partition scenario. Fixed seed:
-// identical data for every runtime under test.
-func NewFixture(k int, seed int64) (*Fixture, error) {
-	data, err := ml.GaussianMixture(k*12, 4, 3, 3, rand.New(rand.NewSource(seed)))
+// NewFixture builds a k-partition workload of rows samples per partition
+// from seed, failing t if it cannot: a fixed seed gives every root under
+// test identical data.
+func NewFixture(t testing.TB, k, rows int, seed int64) *Fixture {
+	t.Helper()
+	data, err := ml.GaussianMixture(k*rows, 4, 3, 3, rand.New(rand.NewSource(seed)))
 	if err != nil {
-		return nil, fmt.Errorf("testkit fixture: %w", err)
+		t.Fatalf("testkit fixture: %v", err)
 	}
 	parts, err := data.Split(k)
 	if err != nil {
-		return nil, fmt.Errorf("testkit fixture: %w", err)
+		t.Fatalf("testkit fixture: %v", err)
 	}
-	return &Fixture{Model: &ml.Softmax{InputDim: 4, NumClasses: 3}, Data: data, Parts: parts}, nil
+	return &Fixture{Model: &ml.Softmax{InputDim: 4, NumClasses: 3}, Data: data, Parts: parts}
+}
+
+// Config is a root that trains fx over its partitions with straggler budget
+// s for iters iterations: the model from its initial parameters, SGD at rate
+// 0.5, plans on seed 1. Callers set the rest.
+func (fx *Fixture) Config(s, iters int) shard.Config {
+	return shard.Config{
+		K: len(fx.Parts), S: s,
+		Model:         fx.Model,
+		Optimizer:     &ml.SGD{LR: 0.5},
+		InitialParams: fx.Model.InitParams(nil),
+		Iterations:    iters,
+		SampleCount:   fx.Data.N(),
+		Seed:          1,
+	}
 }
 
 // coded is an honest worker's coded gradient for assign at params, formed as

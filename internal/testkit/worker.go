@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"github.com/hetgc/hetgc/internal/grad"
 	"github.com/hetgc/hetgc/internal/transport"
 )
 
@@ -48,8 +49,8 @@ type WorkerRecord struct {
 }
 
 // DriveWorkers spawns one scripted worker per address slot (addrs[i] is the
-// dial address for slot i; grouped runtimes pass each group's address once
-// per planned group member, consecutively). Behaviors missing from the
+// dial address for slot i, as Live.Addrs gives them: each group's address
+// once per planned group member, consecutively). Behaviors missing from the
 // scenario default to honest fast workers. progress tracks the highest
 // iteration any worker has seen — the clock rejoin scripts wait on.
 func DriveWorkers(sc *Scenario, addrs []string, fx *Fixture, wg *sync.WaitGroup, progress *atomic.Int64) []*WorkerRecord {
@@ -81,20 +82,6 @@ func bumpProgress(progress *atomic.Int64, iter int) {
 	}
 }
 
-// waitProgress polls the shared clock until it reaches iter or the timeout
-// expires; reports whether it got there (a dead master stalls the clock, so
-// rejoin scripts must not wait forever).
-func waitProgress(progress *atomic.Int64, iter int, timeout time.Duration) bool {
-	deadline := time.Now().Add(timeout)
-	for time.Now().Before(deadline) {
-		if progress.Load() >= int64(iter) {
-			return true
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	return progress.Load() >= int64(iter)
-}
-
 // runScripted speaks the raw elastic worker protocol under the behavior
 // script, across an initial session and (optionally) one rejoin session.
 func runScripted(addr string, b Behavior, fx *Fixture, progress *atomic.Int64, rec *WorkerRecord) {
@@ -105,7 +92,8 @@ func runScripted(addr string, b Behavior, fx *Fixture, progress *atomic.Int64, r
 		if !rejoin {
 			return
 		}
-		if !waitProgress(progress, b.RejoinAtIter, 15*time.Second) {
+		// A dead master stalls the clock, so the wait is bounded.
+		if !WaitUntil(15*time.Second, func() bool { return progress.Load() >= int64(b.RejoinAtIter) }) {
 			return // the cluster died before the rejoin point
 		}
 	}
@@ -164,7 +152,7 @@ func scriptedSession(addr string, b Behavior, fx *Fixture, progress *atomic.Int6
 			if assign == nil || env.Epoch != epoch {
 				continue // raced migration; the master fences by epoch anyway
 			}
-			if err := scriptedIterate(send, conn, b, fx, assign, epoch, env, ack.WorkerID); err != nil {
+			if err := scriptedIterate(send, conn, b, fx, assign, epoch, env, ack); err != nil {
 				return false
 			}
 		}
@@ -172,9 +160,10 @@ func scriptedSession(addr string, b Behavior, fx *Fixture, progress *atomic.Int6
 }
 
 // scriptedIterate computes, encodes and uploads one iteration's coded
-// gradient (honest or poisoned, through the fault schedule when one is
-// configured) and its honest telemetry.
-func scriptedIterate(send func(*transport.Envelope) error, conn *transport.Conn, b Behavior, fx *Fixture, assign *transport.Assignment, epoch int, env *transport.Envelope, id int) error {
+// gradient (honest or poisoned, in the codec the hello ack named, through the
+// fault schedule when one is configured) and its honest telemetry.
+func scriptedIterate(send func(*transport.Envelope) error, conn *transport.Conn, b Behavior, fx *Fixture, assign *transport.Assignment, epoch int, env *transport.Envelope, ack *transport.Envelope) error {
+	id := ack.WorkerID
 	start := time.Now()
 	coded, err := fx.coded(assign, env.Vector)
 	if err != nil {
@@ -208,6 +197,13 @@ func scriptedIterate(send func(*transport.Envelope) error, conn *transport.Conn,
 		}
 		out.Epoch = 0 // deliberately stale
 		out.Vector = poison
+	}
+	if codec := grad.Codec(ack.Codec); codec != grad.CodecRaw {
+		q, err := grad.AppendQuantized(nil, codec, out.Vector)
+		if err != nil {
+			return err
+		}
+		out.Codec, out.Quant, out.QuantLen, out.Vector = byte(codec), q, len(out.Vector), nil
 	}
 	if err := send(out); err != nil {
 		return err
