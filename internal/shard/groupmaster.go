@@ -6,9 +6,10 @@
 // group's gradient sum with the shared decode-plan cache and kernels.
 //
 // Membership, generation fencing, migration delivery and the epoch-fenced
-// collect are delegated to internal/roster, and one group iteration is a
-// roster.Loop, so a fencing fix lands once and the conformance suite
-// verifies it for roots of one group and of many.
+// collect are delegated to internal/roster, so a fencing fix lands once and
+// the conformance suite verifies it for roots of one group and of many. The
+// iteration over the engine — the paper's master loop, and the one retry
+// rule — is the group's own (group.iterate).
 package shard
 
 import (
@@ -29,16 +30,31 @@ import (
 	"github.com/hetgc/hetgc/internal/transport"
 )
 
+// maxRetries is the number of retries an iteration's time budget covers:
+// (maxRetries+1)·IterTimeout + IterTimeout/2. A group gives up once more
+// than maxRetries+2 attempts in a row have failed, or the budget is spent.
+const maxRetries = 2
+
 // group is one coding group's master: its roster engine on its own worker
-// listener, the group iteration over it, and the plan epoch each completed
-// iteration decoded under. Between NewRoot and Close only the root's
-// iteration touches it, one goroutine per group.
+// listener, the plan it iterates under and what its iterations leave
+// behind. Between NewRoot and Close only the root's iteration touches it,
+// one goroutine per group.
 type group struct {
-	id       int
-	workers  int // the group's planned worker count (0 without Throughputs)
-	loop     roster.Loop
-	epochs   []int
-	failures int // failed attempts in a row, across iterations
+	id      int
+	workers int    // the group's planned worker count (0 without Throughputs)
+	rootGen uint64 // the root's lease generation, in every trace ID
+	eng     *roster.Engine
+	// plan is the current plan; nil forces a migration before the next
+	// broadcast.
+	plan *elastic.Plan
+	// fencing accumulates the fencing decisions of every collect.
+	fencing roster.Stats
+	// gather and combine are the wall seconds the last completed iteration
+	// spent between its first broadcast and the decodable collect, and in
+	// the combine.
+	gather, combine float64
+	epochs          []int // the plan epoch each completed iteration decoded under
+	cache           obs.CacheTracker
 }
 
 // newGroup builds group g of plan: its controller (restored from st on a
@@ -61,42 +77,91 @@ func newGroup(cfg *Config, plan *Plan, g int, st *checkpoint.State, root *rootco
 	if err != nil {
 		return nil, err
 	}
-	return &group{id: g, workers: len(grp.Workers), loop: roster.Loop{
-		Eng: eng, IterTimeout: cfg.IterTimeout, MaxRetries: cfg.MaxRetries,
-		Fail: fmt.Errorf("%w: group %d", ErrGroupFailed, g),
-	}}, nil
+	return &group{id: g, workers: len(grp.Workers), rootGen: uint64(root.Gen()), eng: eng}, nil
 }
 
-// iterate runs one root iteration on the group, combining its decoded sum
-// into sum and timing its phases on sc (nil under a root of many groups,
-// whose trace children are the groups). Each attempt first waits up to
+// iterate runs one root iteration on the group — replan at the iteration
+// boundary when the controller asks, broadcast, collect until the code
+// decodes, combine the decoded sum into sum (len(params) elements) — timing
+// its phases on sc with the completed epoch in the trace ID and attaching
+// the stitched member spans, partial ones included. With a nil sc (a root of
+// many groups, whose trace children are the groups) the member spans feed
+// the attribution families directly.
+//
+// One retry rule covers every failure. Each attempt first waits up to
 // IterTimeout for a plannable quorum (S+1, the controller's floor) — a group
 // serving with a partial roster beyond that is fine, the controller plans
-// around it. A failed attempt forces a migration before the next one. The
-// group gives up after MaxRetries+2 failures in a row or once the deadline
-// has passed, and refuses a non-finite sum: training itself blew up.
-func (gr *group) iterate(cfg *Config, sc *obs.IterScope, iter int, params, sum []float64, deadline time.Time) error {
-	eng := gr.loop.Eng
-	for {
+// around it. A failed attempt, a migration that cannot plan or a collect
+// that cannot decode, forces a churn migration before the next. The group
+// gives up after more than maxRetries+2 failures in a row or past its
+// budget, and refuses a non-finite sum: training itself blew up.
+func (gr *group) iterate(cfg *Config, sc *obs.IterScope, iter int, params, sum []float64) error {
+	eng := gr.eng
+	deadline := time.Now().Add(time.Duration(maxRetries+1)*cfg.IterTimeout + cfg.IterTimeout/2)
+	_, reason := eng.ShouldReplan(iter) // the replan's trigger, "" when the plan stands
+	var start time.Time
+	var coeffs []float64
+	var coded []grad.Gradient
+	var err error // the last failed attempt's cause
+	for failures := 0; ; failures++ {
+		if failures > 0 {
+			gr.plan, reason = nil, obs.ReasonChurn
+			if failures > maxRetries+2 || time.Now().After(deadline) {
+				return errors.Join(fmt.Errorf("%w: group %d gave up on iteration %d after %d failed attempts in a row", ErrGroupFailed, gr.id, iter, failures), err)
+			}
+		}
 		if need := cfg.S + 1; eng.AliveCount() < need {
 			_ = eng.WaitForMembers(need, min(cfg.IterTimeout, time.Until(deadline)))
 		}
-		// No collect attempt outlasts the deadline by more than its retries.
-		gr.loop.IterTimeout = min(cfg.IterTimeout, max(time.Until(deadline), time.Millisecond))
-		err := gr.loop.Iteration(sc, iter, params, sum)
-		if err == nil {
+		if reason != "" {
+			if gr.plan, err = eng.Migrate(iter, reason); err != nil {
+				continue
+			}
+			reason = ""
+		}
+		if start.IsZero() {
+			start = time.Now()
+		}
+		// The trace carries the epoch the iteration completes under, in its
+		// context identifier too: each attempt restamps both.
+		sc.SetEpoch(gr.plan.Epoch)
+		sc.SetTraceID(obs.TraceID(gr.rootGen, gr.plan.Epoch, iter))
+		sc.Phase(obs.PhaseBroadcast)
+		eng.BroadcastParams(gr.plan, iter, params)
+		sc.Phase(obs.PhaseCollect)
+		// No collect attempt outlasts the deadline.
+		timeout := min(cfg.IterTimeout, max(time.Until(deadline), time.Millisecond))
+		var ok bool
+		if coeffs, coded, ok = eng.Collect(gr.plan, iter, len(params), timeout, &gr.fencing); ok {
 			break
 		}
-		gr.loop.Plan = nil
-		if gr.failures++; gr.failures > cfg.MaxRetries+2 || time.Now().After(deadline) {
-			return errors.Join(fmt.Errorf("%w: group %d gave up on iteration %d after %d failed attempts in a row", ErrGroupFailed, gr.id, iter, gr.failures), err)
+		// Timeout or fatal deaths: this epoch cannot complete.
+		err = fmt.Errorf("iteration %d undecodable under epoch %d", iter, gr.plan.Epoch)
+	}
+	contribs := eng.TakeContribs(iter)
+	if sc != nil {
+		sc.AddMembers(contribs)
+	} else {
+		for _, ms := range contribs {
+			cfg.Obs.OnMemberSpan(ms)
 		}
 	}
-	gr.failures = 0
+	sc.Phase(obs.PhaseDecode)
+	combineStart := time.Now()
+	gr.gather = combineStart.Sub(start).Seconds()
+	if err = grad.CombineInto(sum, coeffs, coded); err != nil {
+		return fmt.Errorf("iteration %d combine: %w", iter, err)
+	}
+	eng.Release(coded)
+	gr.combine = time.Since(combineStart).Seconds()
+	if cfg.Obs != nil {
+		cs := gr.plan.Strategy.DecodeCacheStats()
+		gr.cache.Fold(cfg.Obs, gr.plan.Strategy, cs.Hits, cs.Misses)
+	}
 	if grad.InfOrNaN(sum) {
 		return fmt.Errorf("%w: group %d decoded a non-finite sum at iteration %d", ErrGroupFailed, gr.id, iter)
 	}
-	gr.epochs = append(gr.epochs, gr.loop.Plan.Epoch)
+	gr.epochs = append(gr.epochs, gr.plan.Epoch)
 	return nil
 }
 
@@ -106,20 +171,20 @@ func (gr *group) iterate(cfg *Config, sc *obs.IterScope, iter int, params, sum [
 // workers report, so one trace view renders both tiers.
 func (gr *group) span(start time.Time) obs.MemberSpan {
 	return obs.MemberSpan{Member: gr.id, Group: -1, Arrival: time.Since(start).Seconds(), Spans: []obs.Span{
-		{Phase: obs.PhaseCompute, Seconds: gr.loop.Gather},
-		{Phase: obs.PhaseEncode, Seconds: gr.loop.Combine},
+		{Phase: obs.PhaseCompute, Seconds: gr.gather},
+		{Phase: obs.PhaseEncode, Seconds: gr.combine},
 	}}
 }
 
 // stats snapshots the group's counters once its iterations are over.
 func (gr *group) stats() GroupStats {
-	eng := gr.loop.Eng
+	eng := gr.eng
 	return GroupStats{
 		Group:   gr.id,
 		Workers: gr.workers,
 		Epochs:  gr.epochs,
 		Replans: eng.Events(),
-		Stats:   gr.loop.Stats,
+		Stats:   gr.fencing,
 		Joins:   eng.Joins(),
 		Deaths:  eng.Deaths(),
 	}
@@ -129,7 +194,7 @@ func (gr *group) stats() GroupStats {
 // every member ID it admitted, and the live control-plane state (throughput
 // estimates), so a resumed or promoted root re-plans from real history.
 func (gr *group) coreState() checkpoint.GroupState {
-	gs := checkpoint.GroupState{Group: gr.id, Epoch: gr.loop.Eng.Epoch(), Ctrl: gr.loop.Eng.ControllerState()}
+	gs := checkpoint.GroupState{Group: gr.id, Epoch: gr.eng.Epoch(), Ctrl: gr.eng.ControllerState()}
 	for _, ms := range gs.Ctrl.Members {
 		gs.Members = append(gs.Members, ms.ID)
 	}

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/hetgc/hetgc/internal/clustercfg"
 	"github.com/hetgc/hetgc/internal/elastic"
 	"github.com/hetgc/hetgc/internal/grad"
 	"github.com/hetgc/hetgc/internal/obs"
@@ -17,8 +18,8 @@ import (
 )
 
 // TestSharedIterationTraceParity drives the one group iteration every root
-// runs (roster.Loop) through a forced mid-iteration death on a loopback
-// engine and checks what each caller reads off it: a one-group root's
+// runs (the group's iterate) through a forced mid-iteration death on a
+// loopback engine and checks what each caller reads off it: a one-group root's
 // iteration trace — broadcast/collect/decode phases, stitched
 // member spans including the partial ones, the completed epoch in the trace
 // ID — and the group master's root-tier child span, gather as compute and
@@ -39,7 +40,7 @@ func TestSharedIterationTraceParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	loop, span := shard.GroupLoop(roster.Loop{Eng: eng, IterTimeout: 5 * time.Second, MaxRetries: 2})
+	iterate := shard.HostGroup(shard.Config{S: s, IterTimeout: 5 * time.Second, TelemetryConfig: clustercfg.TelemetryConfig{Obs: tel}}, eng)
 
 	// Workers join one at a time, so dial order is plan-slot order. Slots 0
 	// and 2 vanish between iteration killAt's broadcast and their uploads;
@@ -65,22 +66,23 @@ func TestSharedIterationTraceParity(t *testing.T) {
 	var epochs []int // the epoch each iteration decoded under
 	for iter := 0; iter < iters; iter++ {
 		scope := tel.StartIter(iter, -1)
-		if err := loop.Iteration(scope, iter, params, sum); err != nil {
+		done, err := iterate(scope, iter, params, sum)
+		if err != nil {
 			t.Fatalf("iteration %d: %v", iter, err)
 		}
 		scope.End()
-		if iter == 0 && loop.Plan.Strategy.CanDecode([]bool{false, true, false, true}) {
+		if iter == 0 && done.Plan.Strategy.CanDecode([]bool{false, true, false, true}) {
 			t.Fatal("slots 1 and 3 decode alone: the layout this scenario relies on changed")
 		}
-		epochs = append(epochs, loop.Plan.Epoch)
+		epochs = append(epochs, done.Plan.Epoch)
 		// The group caller's view: its child span reads the gather as
 		// compute and the combine as encode.
-		spans := span(time.Now()).Spans
+		spans := done.Span(time.Now()).Spans
 		if len(spans) != 2 || spans[0].Phase != obs.PhaseCompute || spans[1].Phase != obs.PhaseEncode {
 			t.Fatalf("iteration %d: group spans %+v, want compute + encode", iter, spans)
 		}
-		if spans[0].Seconds != loop.Gather || loop.Gather <= 0 || spans[1].Seconds != loop.Combine {
-			t.Fatalf("iteration %d: group spans %+v do not carry gather %v / combine %v", iter, spans, loop.Gather, loop.Combine)
+		if spans[0].Seconds != done.Gather || done.Gather <= 0 || spans[1].Seconds != done.Combine {
+			t.Fatalf("iteration %d: group spans %+v do not carry gather %v / combine %v", iter, spans, done.Gather, done.Combine)
 		}
 	}
 	eng.Shutdown(true)

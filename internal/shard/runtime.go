@@ -97,9 +97,6 @@ type Config struct {
 	MinObservations int
 	CooldownIters   int
 	InitialRate     float64
-	// MaxRetries bounds per-group forced replan+retry attempts for a single
-	// iteration (default 2).
-	MaxRetries int
 	// Seed drives plan and strategy construction (fixed seed, reproducible
 	// plans): the one group of a one-group root plans on Seed, group g of a
 	// larger root on Seed+g+1.
@@ -205,7 +202,7 @@ type Result struct {
 // group per layout group in its own process, each with its own worker
 // listener, and drives the BSP loop over them. The root lifecycle (lease,
 // store, optimizer step, persistence) is the root core's, membership and
-// fencing each group's roster.Engine's, one group iteration a roster.Loop's.
+// fencing each group's roster.Engine's, one group iteration its group's.
 type Root struct {
 	cfg    Config
 	plan   *Plan
@@ -237,9 +234,6 @@ func NewRoot(cfg Config, addr string) (*Root, error) {
 	}
 	if q := cfg.quorum(); cfg.MinWorkers < 0 || (cfg.MinWorkers > 0 && cfg.MinWorkers < q) {
 		return nil, fmt.Errorf("%w: min workers %d below planning quorum %d", ErrBadConfig, cfg.MinWorkers, q)
-	}
-	if cfg.MaxRetries <= 0 {
-		cfg.MaxRetries = 2
 	}
 	// Layout only: every group's strategy is owned by its controller (the
 	// initial group-local replan builds it from the same estimates).
@@ -281,7 +275,7 @@ func NewRoot(cfg Config, addr string) (*Root, error) {
 		}
 		if err != nil {
 			for _, gr := range groups[:g] {
-				gr.loop.Eng.Shutdown(false)
+				gr.eng.Shutdown(false)
 			}
 			r.core.Close()
 			return nil, err
@@ -337,13 +331,13 @@ func (r *Root) StartIter() int { return r.core.StartIter() }
 // Addr returns the address the workers of a one-group root dial: its one
 // group's listener, on the root's own address. Workers of a larger root dial
 // their group's address (GroupAddrs).
-func (r *Root) Addr() string { return r.groups[0].loop.Eng.Addr() }
+func (r *Root) Addr() string { return r.groups[0].eng.Addr() }
 
 // GroupAddrs returns each group's worker listen address, indexed by group.
 func (r *Root) GroupAddrs() []string {
 	out := make([]string, len(r.groups))
 	for g, gr := range r.groups {
-		out[g] = gr.loop.Eng.Addr()
+		out[g] = gr.eng.Addr()
 	}
 	return out
 }
@@ -351,7 +345,7 @@ func (r *Root) GroupAddrs() []string {
 // ControllerState returns group g's live control-plane state: its members
 // and their throughput estimates, as a snapshot would record them.
 func (r *Root) ControllerState(g int) *elastic.ControllerState {
-	return r.groups[g].loop.Eng.ControllerState()
+	return r.groups[g].eng.ControllerState()
 }
 
 // WaitForWorkers blocks until every group has the membership it needs to
@@ -364,7 +358,7 @@ func (r *Root) WaitForWorkers(timeout time.Duration) error {
 		if need == 0 {
 			need = max(r.cfg.MinWorkers, r.cfg.quorum())
 		}
-		if err := gr.loop.Eng.WaitForMembers(need, time.Until(deadline)); err != nil {
+		if err := gr.eng.WaitForMembers(need, time.Until(deadline)); err != nil {
 			return fmt.Errorf("%w: group %d: %w", ErrGroupFailed, g, err)
 		}
 	}
@@ -386,7 +380,7 @@ func (r *Root) Run() (_ *Result, err error) {
 	// MsgShutdown would dismiss them for good.
 	defer func() {
 		for _, gr := range r.groups {
-			gr.loop.Eng.Shutdown(!errors.Is(err, ha.ErrFenced))
+			gr.eng.Shutdown(!errors.Is(err, ha.ErrFenced))
 		}
 	}()
 	n := len(r.groups)
@@ -394,19 +388,15 @@ func (r *Root) Run() (_ *Result, err error) {
 	for g := range sums {
 		sums[g] = make([]float64, len(r.cfg.InitialParams))
 	}
-	// A group waits IterTimeout per attempt and retries up to MaxRetries
-	// times after timeout-driven group-local migrations; its budget must
-	// cover them all.
-	budget := time.Duration(r.cfg.MaxRetries+1)*r.cfg.IterTimeout + r.cfg.IterTimeout/2
 	collect := func(iter int, params []float64, sc *obs.IterScope) (grad.Gradient, int, error) {
 		// One group: its iteration is the root's, run inline under the
 		// root's scope, so the member spans stay root children and the plan
 		// epoch is the root's.
 		gr := r.groups[0]
-		if err := gr.iterate(&r.cfg, sc, iter, params, sums[0], time.Now().Add(budget)); err != nil {
+		if err := gr.iterate(&r.cfg, sc, iter, params, sums[0]); err != nil {
 			return nil, 0, err
 		}
-		return sums[0], gr.loop.Plan.Epoch, nil
+		return sums[0], gr.plan.Epoch, nil
 	}
 	if n > 1 {
 		spans := make([]obs.MemberSpan, n)
@@ -420,7 +410,7 @@ func (r *Root) Run() (_ *Result, err error) {
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
-					if errs[g] = gr.iterate(&r.cfg, nil, iter, params, sums[g], start.Add(budget)); errs[g] == nil {
+					if errs[g] = gr.iterate(&r.cfg, nil, iter, params, sums[g]); errs[g] == nil {
 						spans[g] = gr.span(start)
 					}
 				}()
@@ -461,7 +451,7 @@ func (r *Root) Run() (_ *Result, err error) {
 func (r *Root) Close() {
 	r.closed.Do(func() {
 		for _, gr := range r.groups {
-			gr.loop.Eng.Shutdown(false)
+			gr.eng.Shutdown(false)
 		}
 		r.core.Close()
 	})
