@@ -255,6 +255,12 @@ func (w *ElasticWorker) Run() error {
 			}
 			grad.PutBuffer(env.Vector)
 			if err != nil {
+				// A failed upload means the root closed the connection, and
+				// a root that gives up dismisses its workers first: a
+				// shutdown in the rest of the stream wins over the error.
+				if w.up.Close() != nil && w.box.dismissed() {
+					return nil
+				}
 				return err
 			}
 		}

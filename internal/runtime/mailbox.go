@@ -147,6 +147,22 @@ func (m *mailbox) sleep(d time.Duration) bool {
 	}
 }
 
+// dismissed reads the stream to its end and reports whether it holds a
+// MsgShutdown, dropping every other frame on the way. It is for a run loop
+// whose connection is gone, so the end is near.
+func (m *mailbox) dismissed() bool {
+	for {
+		env, err := m.next()
+		if err != nil {
+			return false
+		}
+		if env.Type == transport.MsgShutdown {
+			return true
+		}
+		grad.PutBuffer(env.Vector)
+	}
+}
+
 // drain empties the queue once the receive goroutine has exited, handing the
 // vector of a broadcast nobody computed back to the pool.
 func (m *mailbox) drain() {

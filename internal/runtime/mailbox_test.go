@@ -377,6 +377,32 @@ func (sm *scriptedMaster) awaitSuperseded() {
 	}
 }
 
+// queued reports whether box holds a frame of type typ.
+func queued(box *mailbox, typ transport.MsgType) bool {
+	box.mu.Lock()
+	defer box.mu.Unlock()
+	for _, q := range box.queue {
+		if q.Type == typ {
+			return true
+		}
+	}
+	return false
+}
+
+// failUpload makes w's next upload find an earlier one failed, as a send on
+// a connection the root closed does. Call it from w's run loop (a model
+// hook): the upload pipeline belongs to that goroutine.
+func failUpload(w *ElasticWorker) {
+	_ = w.up.Submit(func() error { return errors.New("scripted upload failure") })
+	for {
+		ran := make(chan struct{})
+		if w.up.Submit(func() error { close(ran); return nil }) != nil {
+			return // the failure is latched
+		}
+		<-ran
+	}
+}
+
 // TestElasticWorkerReceiveRule drives one worker from a scripted master
 // through every way an iteration can end and pins, for each, what the worker
 // uploads, what its telemetry says, and that Run's exit leaves neither a
@@ -494,6 +520,28 @@ func TestElasticWorkerReceiveRule(t *testing.T) {
 				sm.send(&transport.Envelope{Type: transport.MsgShutdown})
 			},
 			calls: 2 * parts,
+		},
+		{
+			name: "a failed upload yields to a queued shutdown",
+			script: func(t *testing.T, sm *scriptedMaster, m *scriptModel) {
+				// A root that gave up: its shutdown is queued behind the
+				// broadcast the worker computes when the worker finds its
+				// previous upload failed on the connection the root closed.
+				m.hook = func(call int) error {
+					if call == 1 {
+						if !waitUntil(10*time.Second, func() bool { return queued(sm.w.box, transport.MsgShutdown) }) {
+							return errors.New("the shutdown never reached the mailbox")
+						}
+						failUpload(sm.w)
+					}
+					return nil
+				}
+				sm.reassign(0, parts)
+				sm.params(0, 0)
+				sm.send(&transport.Envelope{Type: transport.MsgShutdown})
+				_ = sm.conn.Close()
+			},
+			calls: parts,
 		},
 		{
 			name: "a gradient error returns the partials already computed",
