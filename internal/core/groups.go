@@ -257,9 +257,9 @@ func NewGroupBasedFromAllocation(alloc *partition.Allocation, rng *rand.Rand) (*
 	return st, nil
 }
 
-// buildSubCode runs the Alg. 1 construction restricted to the Ē workers and
-// embeds the resulting rows into b. The sub-allocation covers every
-// partition exactly subS+1 times.
+// buildSubCode runs the Alg. 1 solve restricted to the Ē workers and embeds
+// the resulting rows into b. The sub-allocation covers every partition
+// exactly subS+1 times.
 func buildSubCode(alloc *partition.Allocation, ebar []int, subS int, b *linalg.Matrix, rng *rand.Rand) (*linalg.Matrix, error) {
 	// Holders of each partition within Ē, by Ē position.
 	holders := make([][]int, alloc.K)
@@ -273,40 +273,12 @@ func buildSubCode(alloc *partition.Allocation, ebar []int, subS int, b *linalg.M
 			return nil, fmt.Errorf("%w: partition %d covered %d times in Ē, need ≥ %d", ErrConstruction, part, len(hs), subS+1)
 		}
 	}
-	var lastErr error
-	for attempt := 0; attempt < maxConstructionAttempts; attempt++ {
-		subC := randomC(subS+1, len(ebar), rng)
-		ok := true
-		rows := make([][]float64, len(ebar))
-		for pos := range ebar {
-			rows[pos] = make([]float64, alloc.K)
-		}
-		for part, hs := range holders {
-			ci := subC.SelectCols(hs)
-			ones := linalg.OnesVec(subS + 1)
-			var d []float64
-			var err error
-			if len(hs) == subS+1 {
-				d, err = linalg.Solve(ci, ones)
-			} else {
-				d, err = linalg.SolveLeastSquaresMinNorm(ci, ones)
-			}
-			if err != nil {
-				lastErr = fmt.Errorf("partition %d: %w", part, err)
-				ok = false
-				break
-			}
-			for i, pos := range hs {
-				rows[pos][part] = d[i]
-			}
-		}
-		if !ok {
-			continue
-		}
-		for pos, w := range ebar {
-			b.SetRow(w, rows[pos])
-		}
-		return subC, nil
+	subB, subC, err := solveCode(holders, len(ebar), subS, rng)
+	if err != nil {
+		return nil, err
 	}
-	return nil, fmt.Errorf("%w: %v", ErrConstruction, lastErr)
+	for pos, w := range ebar {
+		b.SetRow(w, subB.Row(pos))
+	}
+	return subC, nil
 }

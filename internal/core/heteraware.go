@@ -109,19 +109,27 @@ func buildCode(alloc *partition.Allocation, s int, rng *rand.Rand) (*linalg.Matr
 	if rng == nil {
 		return nil, nil, fmt.Errorf("%w: nil rng", ErrBadInput)
 	}
-	m := alloc.M()
 	holders := alloc.Holders()
 	for p, hs := range holders {
 		if len(hs) < s+1 {
 			return nil, nil, fmt.Errorf("%w: partition %d covered %d times, need ≥ %d", ErrBadInput, p, len(hs), s+1)
 		}
 	}
+	return solveCode(holders, alloc.M(), s, rng)
+}
 
+// solveCode is Alg. 1's solve over n coded rows: it draws C ((s+1)×n) and,
+// for each partition p, solves C restricted to the columns holders[p] for
+// d'_p with C_p·d'_p = 1 — the exact inverse at coverage s+1, the
+// minimum-norm solution above it — and places d'_p into column p of B
+// (n × len(holders)) at the rows holders[p]. A draw that leaves a solve
+// singular or CB ≠ 1 is redrawn, up to maxConstructionAttempts times.
+func solveCode(holders [][]int, n, s int, rng *rand.Rand) (*linalg.Matrix, *linalg.Matrix, error) {
 	var lastErr error
+attempts:
 	for attempt := 0; attempt < maxConstructionAttempts; attempt++ {
-		c := randomC(s+1, m, rng)
-		b := linalg.NewMatrix(m, alloc.K)
-		ok := true
+		c := randomC(s+1, n, rng)
+		b := linalg.NewMatrix(n, len(holders))
 		for p, hs := range holders {
 			ci := c.SelectCols(hs)
 			ones := linalg.OnesVec(s + 1)
@@ -134,15 +142,11 @@ func buildCode(alloc *partition.Allocation, s int, rng *rand.Rand) (*linalg.Matr
 			}
 			if err != nil {
 				lastErr = fmt.Errorf("partition %d: %w", p, err)
-				ok = false
-				break
+				continue attempts
 			}
-			for pos, w := range hs {
-				b.Set(w, p, d[pos])
+			for pos, row := range hs {
+				b.Set(row, p, d[pos])
 			}
-		}
-		if !ok {
-			continue
 		}
 		if err := verifyCB(c, b); err != nil {
 			lastErr = err
