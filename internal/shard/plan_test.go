@@ -236,6 +236,13 @@ func TestTreeAggregateMatchesFlatSum(t *testing.T) {
 					t.Fatalf("leaves=%d fanIn=%d: dim %d: %v != %v", leaves, fanIn, d, got[d], want[d])
 				}
 			}
+			// The sum is freshly allocated: writing it leaves the inputs be.
+			got[0] = math.NaN()
+			for i := range vecs {
+				if math.IsNaN(vecs[i][0]) {
+					t.Fatalf("leaves=%d fanIn=%d: the sum aliases input %d", leaves, fanIn, i)
+				}
+			}
 		}
 	}
 	if _, err := NewTree(3, 2).Aggregate(make([][]float64, 2)); err == nil {

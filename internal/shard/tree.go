@@ -3,12 +3,11 @@
 // sum is the fully aggregated gradient. Depth gives the number of
 // aggregation hops a group result traverses — the latency the co-simulation
 // charges per iteration — and Aggregate executes the same reduction over
-// real vectors, with the nodes of each level summed concurrently.
+// real vectors.
 package shard
 
 import (
 	"fmt"
-	"sync"
 
 	"github.com/hetgc/hetgc/internal/grad"
 )
@@ -48,49 +47,27 @@ func (t *Tree) Depth() int { return len(t.widths) - 1 }
 
 // Aggregate reduces one vector per leaf to the root sum, level by level:
 // node j of each level sums children j·FanIn … min((j+1)·FanIn, width)−1, so
-// the summation order is fixed and the result deterministic. Levels with
-// more than one node run their nodes concurrently. The returned slice is
-// freshly allocated; inputs are not modified.
+// the summation order is fixed and the result deterministic. Nodes are summed
+// in order on the calling goroutine (grad.SumInto fans a long vector out by
+// itself). The returned slice is freshly allocated; inputs are not modified.
 func (t *Tree) Aggregate(vectors [][]float64) ([]float64, error) {
 	if len(vectors) != t.Leaves() {
 		return nil, fmt.Errorf("shard tree: %d vectors for %d leaves", len(vectors), t.Leaves())
 	}
 	dim := len(vectors[0])
 	cur := vectors
+	gs := make([]grad.Gradient, 0, t.FanIn)
 	for level := 1; level < len(t.widths); level++ {
-		width := t.widths[level]
-		next := make([][]float64, width)
-		var wg sync.WaitGroup
-		var firstErr error
-		var mu sync.Mutex
-		for j := 0; j < width; j++ {
-			lo := j * t.FanIn
-			hi := lo + t.FanIn
-			if hi > len(cur) {
-				hi = len(cur)
+		next := make([][]float64, t.widths[level])
+		for j := range next {
+			gs = gs[:0]
+			for _, v := range cur[j*t.FanIn : min((j+1)*t.FanIn, len(cur))] {
+				gs = append(gs, v)
 			}
-			wg.Add(1)
-			go func(j, lo, hi int) {
-				defer wg.Done()
-				dst := make([]float64, dim)
-				gs := make([]grad.Gradient, hi-lo)
-				for i := lo; i < hi; i++ {
-					gs[i-lo] = cur[i]
-				}
-				if err := grad.SumInto(dst, gs); err != nil {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					mu.Unlock()
-					return
-				}
-				next[j] = dst
-			}(j, lo, hi)
-		}
-		wg.Wait()
-		if firstErr != nil {
-			return nil, fmt.Errorf("shard tree level %d: %w", level, firstErr)
+			next[j] = make([]float64, dim)
+			if err := grad.SumInto(next[j], gs); err != nil {
+				return nil, fmt.Errorf("shard tree level %d: %w", level, err)
+			}
 		}
 		cur = next
 	}
