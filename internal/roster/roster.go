@@ -24,7 +24,7 @@
 //
 // The engine is deliberately policy-free: what to do when an epoch stalls
 // (retry budgets, error sentinels, result bookkeeping) stays with the
-// root that embeds it.
+// root that embeds it — shard's group iteration, one per coding group.
 package roster
 
 import (
