@@ -382,6 +382,70 @@ func TestSGDStateRoundTrip(t *testing.T) {
 	}
 }
 
+// sgdTextbook is SGD's update as the textbook writes it, one element at a
+// time: v ← μ·v + g, then p ← p − η·v; without momentum p ← p − η·g.
+func sgdTextbook(params, velocity, g []float64, lr, momentum float64) {
+	for i := range g {
+		if momentum == 0 {
+			params[i] -= lr * g[i]
+			continue
+		}
+		velocity[i] = momentum*velocity[i] + g[i]
+		params[i] -= lr * velocity[i]
+	}
+}
+
+// SGD.Step is the textbook loop bit for bit, with and without momentum, over
+// five steps of changing gradients and five more on an optimizer restored
+// from the first one's state.
+func TestSGDStepMatchesTextbook(t *testing.T) {
+	const dim, steps = 37, 5
+	r := rng(80)
+	gs := make([]grad.Gradient, 2*steps)
+	for s := range gs {
+		gs[s] = make(grad.Gradient, dim)
+		for i := range gs[s] {
+			gs[s][i] = r.NormFloat64()
+		}
+	}
+	for _, momentum := range []float64{0, 0.9} {
+		params := make([]float64, dim)
+		for i := range params {
+			params[i] = r.NormFloat64()
+		}
+		want := append([]float64(nil), params...)
+		velocity := make([]float64, dim)
+		check := func(phase string, s int) {
+			t.Helper()
+			for i := range want {
+				if !sameFloat(params[i], want[i]) {
+					t.Fatalf("momentum %v, %s step %d: param %d = %x, textbook %x", momentum, phase, s, i, params[i], want[i])
+				}
+			}
+		}
+		o := &SGD{LR: 0.05, Momentum: momentum}
+		for s := 0; s < steps; s++ {
+			if err := o.Step(params, gs[s]); err != nil {
+				t.Fatal(err)
+			}
+			sgdTextbook(want, velocity, gs[s], o.LR, momentum)
+			check("first", s)
+		}
+		vecs, step := o.OptimizerState()
+		restored := &SGD{LR: o.LR, Momentum: momentum}
+		if err := restored.RestoreOptimizerState(vecs, step); err != nil {
+			t.Fatal(err)
+		}
+		for s := steps; s < 2*steps; s++ {
+			if err := restored.Step(params, gs[s]); err != nil {
+				t.Fatal(err)
+			}
+			sgdTextbook(want, velocity, gs[s], o.LR, momentum)
+			check("restored", s)
+		}
+	}
+}
+
 func TestAdamStateRoundTrip(t *testing.T) {
 	params := []float64{1, 2, 3}
 	twin := append([]float64(nil), params...)
@@ -544,6 +608,33 @@ func TestSoftmaxKernelZeroFeatures(t *testing.T) {
 		for i, want := range refSoftmaxGradient(m, params, d) {
 			if got[i] != want {
 				t.Fatalf("n=%d: gradient[%d] = %v, reference %v", n, i, got[i], want)
+			}
+		}
+	}
+}
+
+// logits against the one-row-at-a-time loop for every class count the
+// kernel's blocks can leave a remainder at, and dims around the loop's unroll:
+// each logit is b_c + Σⱼ w_cj·x_j added in j order, whichever pass computes
+// it, and nothing is written past the C logits.
+func TestLogitsMatchReference(t *testing.T) {
+	for classes := 2; classes <= 13; classes++ {
+		for _, dim := range []int{1, 3, 8, 33} {
+			m, params, d := softmaxCase(classes, dim, 3, int64(1000*classes+dim))
+			for i, x := range d.Features {
+				got := make([]float64, classes+1)
+				got[classes] = 42
+				want := make([]float64, classes)
+				m.logits(params, x, got)
+				refSoftmaxLogits(m, params, x, want)
+				for c := range want {
+					if !sameFloat(got[c], want[c]) {
+						t.Fatalf("C=%d D=%d sample %d: logit %d = %x, reference %x", classes, dim, i, c, got[c], want[c])
+					}
+				}
+				if got[classes] != 42 {
+					t.Fatalf("C=%d D=%d: logits wrote past the last class", classes, dim)
+				}
 			}
 		}
 	}
