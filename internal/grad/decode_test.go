@@ -7,16 +7,6 @@ import (
 	"testing"
 )
 
-// decodeMean is the root's decode pass under test: the mean gradient
-// α·Σᵢ coeffs[i]·coded[i] into dst, and whether every element of it is finite.
-func decodeMean(dst Gradient, alpha float64, coeffs []float64, coded []Gradient) (bool, error) {
-	if err := CombineInto(dst, coeffs, coded); err != nil {
-		return false, err
-	}
-	dst.Scale(alpha)
-	return !InfOrNaN(dst), nil
-}
-
 // decodeMeanRef is the decode pass one element at a time, in lincombChunk's
 // order: the live terms in blocks of four, each block's value
 // (c0·x0 + c1·x1) + (c2·x2 + c3·x3) added to the element, a short last block
@@ -67,7 +57,7 @@ func sameBits(a, b float64) bool {
 	return math.Float64bits(a) == math.Float64bits(b) || (math.IsNaN(a) && math.IsNaN(b))
 }
 
-// checkDecodeMean runs the pass under test on a dirty buffer and holds it to
+// checkDecodeMean runs DecodeMeanInto on a dirty buffer and holds it to
 // the element-wise reference and to the composition CombineInto → Scale →
 // InfOrNaN, bit for bit, finiteness included.
 func checkDecodeMean(t *testing.T, name string, alpha float64, coeffs []float64, coded []Gradient, dim int) {
@@ -85,7 +75,7 @@ func checkDecodeMean(t *testing.T, name string, alpha float64, coeffs []float64,
 	for i := range dst {
 		dst[i] = math.NaN()
 	}
-	finite, err := decodeMean(dst, alpha, coeffs, coded)
+	finite, err := DecodeMeanInto(dst, alpha, coeffs, coded)
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
@@ -143,6 +133,71 @@ func TestDecodeMeanMatchesComposition(t *testing.T) {
 func TestDecodeMeanScaleOverflow(t *testing.T) {
 	coded := []Gradient{{1e300, -1e300, 1}}
 	checkDecodeMean(t, "overflow", 1e10, []float64{1}, coded, 3)
+}
+
+// sumMeanRef is SumMeanInto one element at a time, in sumTile's order: the
+// first vector, then blocks of four added as (x0 + x1) + (x2 + x3), then the
+// rest one by one; then the product by α.
+func sumMeanRef(alpha float64, gs []Gradient) (Gradient, bool) {
+	out := make(Gradient, len(gs[0]))
+	finite := true
+	for j := range out {
+		acc, rest := gs[0][j], gs[1:]
+		for ; len(rest) >= 4; rest = rest[4:] {
+			acc += (rest[0][j] + rest[1][j]) + (rest[2][j] + rest[3][j])
+		}
+		for _, g := range rest {
+			acc += g[j]
+		}
+		out[j] = acc * alpha
+		if math.IsNaN(out[j]) || math.IsInf(out[j], 0) {
+			finite = false
+		}
+	}
+	return out, finite
+}
+
+// SumMeanInto for 1–9 inputs, across tiles and a fan-out, clean and with a
+// NaN or ±Inf planted at the first element, the last, and a tile boundary —
+// and two finite inputs whose sum overflows.
+func TestSumMeanMatchesReference(t *testing.T) {
+	forceParallel(t)
+	rng := rand.New(rand.NewSource(53))
+	check := func(name string, alpha float64, gs []Gradient) {
+		t.Helper()
+		want, wantFinite := sumMeanRef(alpha, gs)
+		dst := make(Gradient, len(want))
+		finite, err := SumMeanInto(dst, alpha, gs)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if finite != wantFinite {
+			t.Fatalf("%s: finite = %v, want %v", name, finite, wantFinite)
+		}
+		for i := range want {
+			if !sameBits(dst[i], want[i]) {
+				t.Fatalf("%s: element %d = %x, reference %x", name, i, dst[i], want[i])
+			}
+		}
+	}
+	for _, dim := range []int{1, 7, tileLen + 3, 2*parallelMinDim + 3} {
+		for n := 1; n <= 9; n++ {
+			gs := randomGradients(rng, n, dim)
+			check("clean", 1.0/48, gs)
+			for _, at := range []int{0, dim - 1, tileLen - 1, tileLen} {
+				if at >= dim {
+					continue
+				}
+				for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+					keep := gs[n-1][at]
+					gs[n-1][at] = bad
+					check("poisoned", 1.0/48, gs)
+					gs[n-1][at] = keep
+				}
+			}
+		}
+	}
+	check("overflow", 0.5, []Gradient{{math.MaxFloat64, 1}, {math.MaxFloat64, 1}})
 }
 
 // FuzzDecodeMean holds the pass to the reference and the composition on

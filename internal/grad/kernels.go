@@ -4,15 +4,17 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 )
 
 // This file holds the allocation-free kernel layer: in-place EncodeInto /
-// CombineInto / SumInto variants of the package's arithmetic, the fused
-// linear-combination kernels behind them, a sync.Pool of gradient buffers,
-// and chunked goroutine fan-out for large dimensions. The exported Encode /
-// Combine / Sum wrappers in grad.go delegate here, so every caller gets the
-// fused kernels; steady-state callers that manage their own buffers get
-// zero-alloc encode/combine.
+// CombineInto / SumInto variants of the package's arithmetic, the root's
+// one-pass DecodeMeanInto / SumMeanInto, the fused linear-combination kernels
+// behind them, a sync.Pool of gradient buffers, and chunked goroutine fan-out
+// for large dimensions. The exported Encode / Combine / Sum wrappers in
+// grad.go delegate here, so every caller gets the fused kernels;
+// steady-state callers that manage their own buffers get zero-alloc
+// encode/combine.
 
 // parallelMinDim is the vector length above which the kernels fan out across
 // goroutines (when GOMAXPROCS allows). Below it the spawn overhead dominates.
@@ -20,6 +22,11 @@ const parallelMinDim = 1 << 15
 
 // maxFan bounds the number of worker goroutines per kernel call.
 const maxFan = 16
+
+// tileLen is the run of elements SumMeanInto finishes at a time: every input,
+// then the scale and the finite check, while the tile of dst is still in L1
+// (1024 float64s are 8 KB).
+const tileLen = 1024
 
 // EncodeInto forms the coded gradient Σ_j coeff[j]·partials[j] in dst,
 // overwriting its contents. dst's length fixes the gradient dimension; every
@@ -45,40 +52,62 @@ func EncodeInto(dst Gradient, coeff []float64, partials []Gradient) error {
 // overwriting its contents: dst = Σ_i coeffs[i]·coded[i]. Entries with a zero
 // coefficient may be nil (stragglers whose results never arrived); a non-zero
 // coefficient with a nil or mis-sized gradient is an error. dst must not
-// alias any coded gradient. It never allocates on the serial path.
+// alias any coded gradient. It is DecodeMeanInto at α = 1, and never
+// allocates on the serial path.
 func CombineInto(dst Gradient, coeffs []float64, coded []Gradient) error {
+	_, err := DecodeMeanInto(dst, 1, coeffs, coded)
+	return err
+}
+
+// DecodeMeanInto is the root's decode pass: it writes the mean gradient
+// dst = alpha·Σ_i coeffs[i]·coded[i], overwriting its contents, and reports
+// whether every element of it is finite. The result is CombineInto, then
+// Scale(alpha), then !InfOrNaN, bit for bit, in one pass over memory: the
+// scale and the x − x check ride the last block of four inputs. The inputs
+// are CombineInto's. It never allocates on the serial path.
+func DecodeMeanInto(dst Gradient, alpha float64, coeffs []float64, coded []Gradient) (bool, error) {
 	if len(coeffs) != len(coded) {
-		return fmt.Errorf("%w: %d coefficients for %d coded gradients", ErrDimension, len(coeffs), len(coded))
+		return false, fmt.Errorf("%w: %d coefficients for %d coded gradients", ErrDimension, len(coeffs), len(coded))
 	}
 	for i, c := range coeffs {
 		if c == 0 {
 			continue
 		}
 		if coded[i] == nil {
-			return fmt.Errorf("%w: non-zero coefficient %g for missing gradient %d", ErrDimension, c, i)
+			return false, fmt.Errorf("%w: non-zero coefficient %g for missing gradient %d", ErrDimension, c, i)
 		}
 		if len(coded[i]) != len(dst) {
-			return fmt.Errorf("%w: coded %d has dim %d, want %d", ErrDimension, i, len(coded[i]), len(dst))
+			return false, fmt.Errorf("%w: coded %d has dim %d, want %d", ErrDimension, i, len(coded[i]), len(dst))
 		}
 	}
-	lincomb(dst, coeffs, coded)
-	return nil
+	return chunked(len(dst), func(lo, hi int) float64 {
+		return decodeChunk(dst[lo:hi], alpha, coeffs, coded, lo)
+	}), nil
 }
 
 // SumInto writes the plain sum of gradients into dst, overwriting its
 // contents. Every gradient must match dst's length. dst must not alias any
-// input gradient. It never allocates on the serial path.
+// input gradient. It is SumMeanInto at α = 1, and never allocates on the
+// serial path.
 func SumInto(dst Gradient, gs []Gradient) error {
+	_, err := SumMeanInto(dst, 1, gs)
+	return err
+}
+
+// SumMeanInto writes alpha times the plain sum of gradients into dst,
+// overwriting its contents, and reports whether every element of it is
+// finite: SumInto, then Scale(alpha), then !InfOrNaN, bit for bit, in one
+// pass over memory. The inputs are SumInto's.
+func SumMeanInto(dst Gradient, alpha float64, gs []Gradient) (bool, error) {
 	if len(gs) == 0 {
-		return fmt.Errorf("%w: empty sum", ErrDimension)
+		return false, fmt.Errorf("%w: empty sum", ErrDimension)
 	}
 	for i, g := range gs {
 		if len(g) != len(dst) {
-			return fmt.Errorf("%w: gradient %d has dim %d, want %d", ErrDimension, i, len(g), len(dst))
+			return false, fmt.Errorf("%w: gradient %d has dim %d, want %d", ErrDimension, i, len(g), len(dst))
 		}
 	}
-	sumKernel(dst, gs)
-	return nil
+	return sumKernel(dst, alpha, gs), nil
 }
 
 // lincomb writes Σ_j coeff[j]·vecs[j] into dst (skipping zero coefficients),
@@ -94,18 +123,26 @@ func lincomb(dst []float64, coeff []float64, vecs []Gradient) {
 	lincombChunk(dst, coeff, vecs, 0)
 }
 
-// lincombChunk computes one chunk of the fused linear combination. off is the
-// chunk's offset into the full vectors. The j-loop is blocked in groups of
-// four so each element of dst is written once and re-read at most once per
-// four inputs — the axpy-per-input formulation re-reads and re-writes dst for
-// every input, which is what made the scalar loops memory-bound.
-func lincombChunk(dst []float64, coeff []float64, vecs []Gradient, off int) {
-	n := len(dst)
-	// Gather the non-zero terms (bounded scratch on the stack for the common
-	// small fan-in; falls back to allocation only beyond 32 inputs).
-	var cbuf [32]float64
-	var vbuf [32][]float64
-	cs, vs := cbuf[:0], vbuf[:0]
+// chunked runs a kernel's chunk over [0,n), fanned out for large n, and
+// reports whether every chunk's finite-check sum is zero.
+func chunked(n int, chunk func(lo, hi int) float64) bool {
+	fan := fanout(n)
+	if fan == 1 {
+		return chunk(0, n) == 0
+	}
+	var poisoned atomic.Bool
+	parallelChunks(n, fan, func(lo, hi int) {
+		if chunk(lo, hi) != 0 {
+			poisoned.Store(true)
+		}
+	})
+	return !poisoned.Load()
+}
+
+// liveTerms appends the non-zero coefficients to cs and their vectors'
+// elements [off, off+n) to vs. Callers pass stack scratch for the common
+// small fan-in; beyond its capacity append allocates.
+func liveTerms(cs []float64, vs [][]float64, coeff []float64, vecs []Gradient, off, n int) ([]float64, [][]float64) {
 	for j, c := range coeff {
 		if c == 0 {
 			continue
@@ -113,6 +150,121 @@ func lincombChunk(dst []float64, coeff []float64, vecs []Gradient, off int) {
 		cs = append(cs, c)
 		vs = append(vs, vecs[j][off:off+n])
 	}
+	return cs, vs
+}
+
+// decodeChunk computes one chunk of the decode pass and returns its
+// finite-check sum: every block of four live terms but the last as
+// lincombChunk adds them, then the last block, the scale and the check in
+// one loop (meanBlock). off is the chunk's offset into the full vectors.
+func decodeChunk(dst []float64, alpha float64, coeff []float64, vecs []Gradient, off int) float64 {
+	n := len(dst)
+	var cbuf [32]float64
+	var vbuf [32][]float64
+	cs, vs := liveTerms(cbuf[:0], vbuf[:0], coeff, vecs, off, n)
+	last := 0 // the last block's first term
+	if len(cs) > 0 {
+		last = (len(cs) - 1) / 4 * 4
+	}
+	for b := 0; b < last; b += 4 {
+		fused4(dst, cs[b], cs[b+1], cs[b+2], cs[b+3], vs[b][:n], vs[b+1][:n], vs[b+2][:n], vs[b+3][:n], b == 0)
+	}
+	return meanBlock(dst, cs[last:], vs[last:], alpha, last == 0)
+}
+
+// meanBlock ends a decode chunk with its last block of at most four live
+// terms: dst = (dst +) the block's sum, in lincombChunk's order, times alpha,
+// each element written once. It returns the sum of x − x over the results,
+// InfOrNaN's test: zero exactly when every one is finite. With no terms dst
+// is 0·alpha.
+func meanBlock(dst []float64, cs []float64, vs [][]float64, alpha float64, overwrite bool) float64 {
+	n := len(dst)
+	var check float64
+	switch len(cs) {
+	case 4:
+		c0, c1, c2, c3 := cs[0], cs[1], cs[2], cs[3]
+		x0, x1, x2, x3 := vs[0][:n], vs[1][:n], vs[2][:n], vs[3][:n]
+		if overwrite {
+			for i := range dst {
+				v := ((c0*x0[i] + c1*x1[i]) + (c2*x2[i] + c3*x3[i])) * alpha
+				dst[i] = v
+				check += v - v
+			}
+		} else {
+			for i := range dst {
+				v := (dst[i] + ((c0*x0[i] + c1*x1[i]) + (c2*x2[i] + c3*x3[i]))) * alpha
+				dst[i] = v
+				check += v - v
+			}
+		}
+	case 3:
+		c0, c1, c2 := cs[0], cs[1], cs[2]
+		x0, x1, x2 := vs[0][:n], vs[1][:n], vs[2][:n]
+		if overwrite {
+			for i := range dst {
+				v := ((c0*x0[i] + c1*x1[i]) + c2*x2[i]) * alpha
+				dst[i] = v
+				check += v - v
+			}
+		} else {
+			for i := range dst {
+				v := (dst[i] + ((c0*x0[i] + c1*x1[i]) + c2*x2[i])) * alpha
+				dst[i] = v
+				check += v - v
+			}
+		}
+	case 2:
+		c0, c1 := cs[0], cs[1]
+		x0, x1 := vs[0][:n], vs[1][:n]
+		if overwrite {
+			for i := range dst {
+				v := (c0*x0[i] + c1*x1[i]) * alpha
+				dst[i] = v
+				check += v - v
+			}
+		} else {
+			for i := range dst {
+				v := (dst[i] + (c0*x0[i] + c1*x1[i])) * alpha
+				dst[i] = v
+				check += v - v
+			}
+		}
+	case 1:
+		c0, x0 := cs[0], vs[0][:n]
+		if overwrite {
+			for i := range dst {
+				v := c0 * x0[i] * alpha
+				dst[i] = v
+				check += v - v
+			}
+		} else {
+			for i := range dst {
+				v := (dst[i] + c0*x0[i]) * alpha
+				dst[i] = v
+				check += v - v
+			}
+		}
+	case 0:
+		var zero float64
+		v := zero * alpha
+		for i := range dst {
+			dst[i] = v
+		}
+		check = v - v
+	}
+	return check
+}
+
+// lincombChunk computes one chunk of the fused linear combination. off is the
+// chunk's offset into the full vectors. The j-loop is blocked in groups of
+// four so each element of dst is written once and re-read at most once per
+// four inputs — the axpy-per-input formulation re-reads and re-writes dst for
+// every input, which is what made the scalar loops memory-bound.
+func lincombChunk(dst []float64, coeff []float64, vecs []Gradient, off int) {
+	n := len(dst)
+	var cbuf [32]float64
+	var vbuf [32][]float64
+	cs, vs := liveTerms(cbuf[:0], vbuf[:0], coeff, vecs, off, n)
 	if len(cs) == 0 {
 		clear(dst)
 		return
@@ -160,11 +312,28 @@ func lincombChunk(dst []float64, coeff []float64, vecs []Gradient, off int) {
 				dst[i] += c0 * x0[i]
 			}
 		}
-	case 0:
-		if first {
-			clear(dst)
-		}
 	}
+}
+
+// scaleCheck multiplies v by alpha in place and returns the sum of x − x over
+// the products: zero exactly when every product is finite, NaN otherwise
+// (InfOrNaN's test, with the same four running sums).
+func scaleCheck(v []float64, alpha float64) float64 {
+	var a0, a1, a2, a3 float64
+	for ; len(v) >= 4; v = v[4:] {
+		x0, x1, x2, x3 := v[0]*alpha, v[1]*alpha, v[2]*alpha, v[3]*alpha
+		v[0], v[1], v[2], v[3] = x0, x1, x2, x3
+		a0 += x0 - x0
+		a1 += x1 - x1
+		a2 += x2 - x2
+		a3 += x3 - x3
+	}
+	for i, x := range v {
+		x *= alpha
+		v[i] = x
+		a0 += x - x
+	}
+	return a0 + a1 + a2 + a3
 }
 
 // fused4 computes one four-input block: dst = (or +=) c0·x0 + c1·x1 + c2·x2
@@ -212,19 +381,25 @@ func fused4(dst []float64, c0, c1, c2, c3 float64, x0, x1, x2, x3 []float64, ove
 	}
 }
 
-// sumKernel writes Σ vecs into dst with the same blocking as lincombChunk
-// but without the multiplies.
-func sumKernel(dst []float64, vecs []Gradient) {
-	if fan := fanout(len(dst)); fan > 1 {
-		parallelChunks(len(dst), fan, func(lo, hi int) {
-			sumChunk(dst[lo:hi], vecs, lo)
-		})
-		return
-	}
-	sumChunk(dst, vecs, 0)
+// sumKernel writes alpha·Σ vecs into dst with the same blocking as
+// lincombChunk but without the multiplies, and reports whether the result is
+// finite.
+func sumKernel(dst []float64, alpha float64, vecs []Gradient) bool {
+	return chunked(len(dst), func(lo, hi int) float64 {
+		var check float64
+		for ; lo < hi; lo += tileLen {
+			t := min(lo+tileLen, hi)
+			sumTile(dst[lo:t], vecs, lo)
+			check += scaleCheck(dst[lo:t], alpha)
+		}
+		return check
+	})
 }
 
-func sumChunk(dst []float64, vecs []Gradient, off int) {
+// sumTile writes Σ vecs into dst: the first vector copied, the next in blocks
+// of four added as (x0 + x1) + (x2 + x3), the rest one at a time. off is the
+// tile's offset into the full vectors.
+func sumTile(dst []float64, vecs []Gradient, off int) {
 	n := len(dst)
 	x0 := vecs[0][off : off+n]
 	copy(dst, x0)

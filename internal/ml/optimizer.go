@@ -66,23 +66,29 @@ func (o *SGD) RestoreOptimizerState(vecs [][]float64, step int) error {
 	}
 }
 
-// Step implements Optimizer.
+// Step implements Optimizer. The loops read the rate, the momentum and the
+// resliced vectors from locals: through o, every element would reload them,
+// since the stores to params and the velocity may alias the struct.
 func (o *SGD) Step(params []float64, g grad.Gradient) error {
 	if err := o.validate(params, g); err != nil {
 		return err
 	}
-	if o.Momentum == 0 {
+	lr, mu := o.LR, o.Momentum
+	params = params[:len(g)]
+	if mu == 0 {
 		for i, gi := range g {
-			params[i] -= o.LR * gi
+			params[i] -= lr * gi
 		}
 		return nil
 	}
 	if o.velocity == nil {
 		o.velocity = make([]float64, len(params))
 	}
+	v := o.velocity[:len(g)]
 	for i, gi := range g {
-		o.velocity[i] = o.Momentum*o.velocity[i] + gi
-		params[i] -= o.LR * o.velocity[i]
+		vi := mu*v[i] + gi
+		v[i] = vi
+		params[i] -= lr * vi
 	}
 	return nil
 }

@@ -271,27 +271,60 @@ func axpy(row []float64, r float64, x []float64, overwrite bool) {
 	}
 }
 
-// logits writes z_c = b_c + w_c·x for every class into out, four classes per
-// pass over x. A short last block repeats the last class's row in its spare
-// lanes.
+// logits writes z_c = b_c + w_c·x for every class into out, each class
+// computed once. A pass over x is bounded by the add latency of one row's
+// sum, not by the rows it carries, up to about four; so the classes are split
+// as evenly as they go into the fewest passes of at most five rows (C = 10 is
+// two passes of five, C = 7 a pass of four and one of three).
 func (m *Softmax) logits(params []float64, x []float64, out []float64) {
 	C, D := m.NumClasses, m.InputDim
 	x = x[:D]
 	bias := params[C*D:]
-	for c := 0; c < C; c += 4 {
-		c1, c2, c3 := min(c+1, C-1), min(c+2, C-1), min(c+3, C-1)
-		out[c], out[c1], out[c2], out[c3] = dot4(x,
-			params[c*D:], params[c1*D:], params[c2*D:], params[c3*D:],
-			bias[c], bias[c1], bias[c2], bias[c3])
+	w := func(c int) []float64 { return params[c*D:] }
+	for c, left := 0, (C+4)/5; left > 0; left-- {
+		rows := (C - c) / left
+		switch rows {
+		case 5:
+			out[c], out[c+1], out[c+2], out[c+3], out[c+4] = dot5(x, w(c), w(c+1), w(c+2), w(c+3), w(c+4),
+				bias[c], bias[c+1], bias[c+2], bias[c+3], bias[c+4])
+		case 4:
+			out[c], out[c+1], out[c+2], out[c+3] = dot4(x, w(c), w(c+1), w(c+2), w(c+3),
+				bias[c], bias[c+1], bias[c+2], bias[c+3])
+		case 3:
+			out[c], out[c+1], out[c+2] = dot3(x, w(c), w(c+1), w(c+2), bias[c], bias[c+1], bias[c+2])
+		case 2:
+			out[c], out[c+1] = dot2(x, w(c), w(c+1), bias[c], bias[c+1])
+		default:
+			s, row := bias[c], w(c)[:D]
+			for j, xj := range x {
+				s += row[j] * xj
+			}
+			out[c] = s
+		}
+		c += rows
 	}
 }
 
-// dot4 returns s_i + w_i·x for four rows at once, one accumulator each: a
+// dot5 returns s_i + w_i·x for five rows at once, one accumulator each: a
 // row's sum still adds j = 0…len(x)−1 in order, so its value is the
-// one-row-at-a-time loop's, but the four add chains overlap instead of each
-// waiting out the add latency. It stays out of line: inlined into logits the
-// row pointers no longer fit in registers and every iteration reloads two.
+// one-row-at-a-time loop's, but the add chains overlap instead of each
+// waiting out the add latency. dot4, dot3 and dot2 are the same over fewer
+// rows. They stay out of line: inlined into logits the row pointers no longer
+// fit in registers and every iteration reloads some.
 //
+//go:noinline
+func dot5(x, w0, w1, w2, w3, w4 []float64, s0, s1, s2, s3, s4 float64) (float64, float64, float64, float64, float64) {
+	w0, w1, w2, w3, w4 = w0[:len(x)], w1[:len(x)], w2[:len(x)], w3[:len(x)], w4[:len(x)]
+	for j, xj := range x {
+		s0 += w0[j] * xj
+		s1 += w1[j] * xj
+		s2 += w2[j] * xj
+		s3 += w3[j] * xj
+		s4 += w4[j] * xj
+	}
+	return s0, s1, s2, s3, s4
+}
+
 //go:noinline
 func dot4(x, w0, w1, w2, w3 []float64, s0, s1, s2, s3 float64) (float64, float64, float64, float64) {
 	w0, w1, w2, w3 = w0[:len(x)], w1[:len(x)], w2[:len(x)], w3[:len(x)]
@@ -302,6 +335,27 @@ func dot4(x, w0, w1, w2, w3 []float64, s0, s1, s2, s3 float64) (float64, float64
 		s3 += w3[j] * xj
 	}
 	return s0, s1, s2, s3
+}
+
+//go:noinline
+func dot3(x, w0, w1, w2 []float64, s0, s1, s2 float64) (float64, float64, float64) {
+	w0, w1, w2 = w0[:len(x)], w1[:len(x)], w2[:len(x)]
+	for j, xj := range x {
+		s0 += w0[j] * xj
+		s1 += w1[j] * xj
+		s2 += w2[j] * xj
+	}
+	return s0, s1, s2
+}
+
+//go:noinline
+func dot2(x, w0, w1 []float64, s0, s1 float64) (float64, float64) {
+	w0, w1 = w0[:len(x)], w1[:len(x)]
+	for j, xj := range x {
+		s0 += w0[j] * xj
+		s1 += w1[j] * xj
+	}
+	return s0, s1
 }
 
 // logSumExp computes log Σ e^{z_c} stably.

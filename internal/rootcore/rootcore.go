@@ -2,13 +2,13 @@
 // collect: validation of the config, the bring-up sequence (acquire the
 // lease, recover, reopen or create the store, guard and metrics, resume
 // anchor), the lease renewal loop and its fault hook, the fencing verdict on
-// run errors, the post-decode tail of an iteration (scale, optimizer step,
+// run errors, the post-decode tail of an iteration (optimizer step,
 // step/clock/loss bookkeeping, journal append and snapshot cadence) and the
 // two ways a root ends: Release on success, Close — which never releases the
 // lease — on everything else.
 //
 // The root keeps only what is its own: where its workers connect, how it
-// collects one iteration's gradient sum (one roster engine per coding group,
+// collects one iteration's mean gradient (one roster engine per coding group,
 // and a tree reduce over more than one) and how it fills the per-group part
 // of a snapshot.
 package rootcore
@@ -50,7 +50,8 @@ var ErrBadConfig = errors.New("root: invalid config")
 type Config struct {
 	// K, S, Model, Optimizer, InitialParams, Iterations, SampleCount,
 	// IterTimeout, LossEvery and LossFn are the root config's fields of the
-	// same names.
+	// same names. SampleCount is only validated here: the root's collect
+	// scales by it.
 	K, S          int
 	Model         ml.Model
 	Optimizer     ml.Optimizer
@@ -310,11 +311,12 @@ func (c *Core) Fenced(err error) error {
 }
 
 // Train runs the BSP loop from StartIter to the configured iteration count.
-// For each iteration collect returns the decoded gradient sum — which stays
-// the caller's buffer; the core only scales it in place — and the plan epoch
-// it decoded under (-1 where epochs are not root-level), timing its own
-// phases on sc; the core steps the optimizer, keeps the books and persists.
-// Any failure is passed through Fenced.
+// For each iteration collect returns the mean gradient — the decoded sum
+// already scaled by 1/SampleCount and checked finite, in the caller's buffer,
+// which the core only reads — and the plan epoch it decoded under (-1 where
+// epochs are not root-level), timing its own phases on sc; the core steps the
+// optimizer, keeps the books and persists. Any failure is passed through
+// Fenced.
 func (c *Core) Train(collect func(iter int, params []float64, sc *obs.IterScope) (grad.Gradient, int, error)) (*Progress, error) {
 	cfg := &c.cfg
 	prog := &Progress{Curve: metrics.Series{Name: "loss"}, StartIter: c.startIter, RootGen: c.gen}
@@ -336,7 +338,6 @@ func (c *Core) Train(collect func(iter int, params []float64, sc *obs.IterScope)
 		if err != nil {
 			return nil, c.Fenced(err)
 		}
-		g.Scale(1 / float64(cfg.SampleCount))
 		sc.Phase(obs.PhaseStep)
 		if err := cfg.Optimizer.Step(c.params, g); err != nil {
 			return nil, c.Fenced(fmt.Errorf("iteration %d step: %w", iter, err))

@@ -18,11 +18,12 @@ type GroupIter struct {
 }
 
 // HostGroup hosts eng as a coding group's master under cfg, as NewRoot does,
-// and returns the group's iteration: each call runs one.
+// and returns the group's iteration: each call runs one, decoding the
+// group's sum (α = 1) into sum.
 func HostGroup(cfg Config, eng *roster.Engine) func(sc *obs.IterScope, iter int, params, sum []float64) (GroupIter, error) {
 	gr := &group{eng: eng}
 	return func(sc *obs.IterScope, iter int, params, sum []float64) (GroupIter, error) {
-		err := gr.iterate(&cfg, sc, iter, params, sum)
+		err := gr.iterate(&cfg, sc, iter, 1, params, sum)
 		return GroupIter{Plan: gr.plan, Gather: gr.gather, Combine: gr.combine, Span: gr.span}, err
 	}
 }

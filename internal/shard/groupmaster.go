@@ -3,7 +3,10 @@
 // the group's workers over TCP with the elastic worker protocol, keeps a
 // group-local control plane (its own elastic.Controller, its own epoch
 // counter), migrates only its own workers on drift or churn, and decodes the
-// group's gradient sum with the shared decode-plan cache and kernels.
+// group's gradient with the shared decode-plan cache and kernels: one pass
+// that combines the uploads, scales the result and checks it finite — into
+// the root's mean gradient in a root of one group, into the group's sum for
+// the root's reduce in a root of more.
 //
 // Membership, generation fencing, migration delivery and the epoch-fenced
 // collect are delegated to internal/roster, so a fencing fix lands once and
@@ -82,7 +85,8 @@ func newGroup(cfg *Config, plan *Plan, g int, st *checkpoint.State, root *rootco
 
 // iterate runs one root iteration on the group — replan at the iteration
 // boundary when the controller asks, broadcast, collect until the code
-// decodes, combine the decoded sum into sum (len(params) elements) — timing
+// decodes, decode alpha times the group's gradient sum into sum
+// (len(params) elements) — timing
 // its phases on sc with the completed epoch in the trace ID and attaching
 // the stitched member spans, partial ones included. With a nil sc (a root of
 // many groups, whose trace children are the groups) the member spans feed
@@ -94,8 +98,8 @@ func newGroup(cfg *Config, plan *Plan, g int, st *checkpoint.State, root *rootco
 // around it. A failed attempt, a migration that cannot plan or a collect
 // that cannot decode, forces a churn migration before the next. The group
 // gives up after more than maxRetries+2 failures in a row or past its
-// budget, and refuses a non-finite sum: training itself blew up.
-func (gr *group) iterate(cfg *Config, sc *obs.IterScope, iter int, params, sum []float64) error {
+// budget, and refuses a non-finite result: training itself blew up.
+func (gr *group) iterate(cfg *Config, sc *obs.IterScope, iter int, alpha float64, params, sum []float64) error {
 	eng := gr.eng
 	deadline := time.Now().Add(time.Duration(maxRetries+1)*cfg.IterTimeout + cfg.IterTimeout/2)
 	_, reason := eng.ShouldReplan(iter) // the replan's trigger, "" when the plan stands
@@ -149,7 +153,8 @@ func (gr *group) iterate(cfg *Config, sc *obs.IterScope, iter int, params, sum [
 	sc.Phase(obs.PhaseDecode)
 	combineStart := time.Now()
 	gr.gather = combineStart.Sub(start).Seconds()
-	if err = grad.CombineInto(sum, coeffs, coded); err != nil {
+	finite, err := grad.DecodeMeanInto(sum, alpha, coeffs, coded)
+	if err != nil {
 		return fmt.Errorf("iteration %d combine: %w", iter, err)
 	}
 	eng.Release(coded)
@@ -158,8 +163,8 @@ func (gr *group) iterate(cfg *Config, sc *obs.IterScope, iter int, params, sum [
 		cs := gr.plan.Strategy.DecodeCacheStats()
 		gr.cache.Fold(cfg.Obs, gr.plan.Strategy, cs.Hits, cs.Misses)
 	}
-	if grad.InfOrNaN(sum) {
-		return fmt.Errorf("%w: group %d decoded a non-finite sum at iteration %d", ErrGroupFailed, gr.id, iter)
+	if !finite {
+		return fmt.Errorf("%w: group %d decoded a non-finite gradient at iteration %d", ErrGroupFailed, gr.id, iter)
 	}
 	gr.epochs = append(gr.epochs, gr.plan.Epoch)
 	return nil

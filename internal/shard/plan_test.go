@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"github.com/hetgc/hetgc/internal/core"
+	"github.com/hetgc/hetgc/internal/grad"
 	"github.com/hetgc/hetgc/internal/planner"
 )
 
@@ -246,6 +247,48 @@ func TestTreeAggregateMatchesFlatSum(t *testing.T) {
 		}
 	}
 	if _, err := NewTree(3, 2).Aggregate(make([][]float64, 2)); err == nil {
+		t.Fatal("wrong leaf count: expected error")
+	}
+}
+
+// ReduceInto is Aggregate, then the scale, then the finite check, bit for
+// bit, at every depth — and refuses an overflow no single leaf shows.
+func TestTreeReduceIntoMatchesAggregate(t *testing.T) {
+	rng := rand.New(rand.NewSource(10))
+	const alpha = 1.0 / 96
+	for _, leaves := range []int{1, 2, 3, 7, 16} {
+		for _, fanIn := range []int{2, 3, 8} {
+			const dim = 1500
+			vecs := make([][]float64, leaves)
+			for i := range vecs {
+				vecs[i] = make([]float64, dim)
+				for d := range vecs[i] {
+					vecs[i][d] = rng.NormFloat64()
+				}
+			}
+			tree := NewTree(leaves, fanIn)
+			want, err := tree.Aggregate(vecs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			grad.Gradient(want).Scale(alpha)
+			dst := make([]float64, dim)
+			finite, err := tree.ReduceInto(dst, alpha, vecs)
+			if err != nil || !finite {
+				t.Fatalf("leaves=%d fanIn=%d: finite %v, err %v", leaves, fanIn, finite, err)
+			}
+			for d := range want {
+				if math.Float64bits(dst[d]) != math.Float64bits(want[d]) {
+					t.Fatalf("leaves=%d fanIn=%d: dim %d: %x != %x", leaves, fanIn, d, dst[d], want[d])
+				}
+			}
+		}
+	}
+	big := [][]float64{{math.MaxFloat64 / 2, 1}, {math.MaxFloat64 / 2, 1}, {math.MaxFloat64 / 2, 1}}
+	if finite, err := NewTree(3, 2).ReduceInto(make([]float64, 2), 0.5, big); err != nil || finite {
+		t.Fatalf("overflowing reduce: finite %v, err %v; want a refusal", finite, err)
+	}
+	if _, err := NewTree(3, 2).ReduceInto(make([]float64, 2), 1, big[:2]); err == nil {
 		t.Fatal("wrong leaf count: expected error")
 	}
 }

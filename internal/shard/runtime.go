@@ -5,7 +5,9 @@
 // one group plans over all K partitions on the root's own address, and its
 // iteration is the root's. With more groups the root runs every group's
 // iteration on its parameters concurrently and reduces the decoded sums along
-// the configured fan-in tree; either way it then steps the optimizer.
+// the configured fan-in tree into a buffer it holds; either way one pass
+// writes the mean gradient and checks it finite, and the root then steps the
+// optimizer.
 //
 // With a positive LeaseTTL the root runs under the HA lease in
 // CheckpointDir: its generation fences every group's broadcasts and its
@@ -47,7 +49,8 @@ var (
 	ErrBadConfig = rootcore.ErrBadConfig
 	// ErrGroupFailed is returned when a coding group cannot make progress:
 	// it lost its planning quorum, timed out beyond its retry budget, could
-	// not migrate, or decoded a non-finite sum.
+	// not migrate, or decoded a non-finite gradient — or when the groups'
+	// reduced gradient is not finite.
 	ErrGroupFailed = errors.New("root: group failed")
 )
 
@@ -384,16 +387,18 @@ func (r *Root) Run() (_ *Result, err error) {
 		}
 	}()
 	n := len(r.groups)
+	dim := len(r.cfg.InitialParams)
+	alpha := 1 / float64(r.cfg.SampleCount)
 	sums := make([][]float64, n)
 	for g := range sums {
-		sums[g] = make([]float64, len(r.cfg.InitialParams))
+		sums[g] = make([]float64, dim)
 	}
 	collect := func(iter int, params []float64, sc *obs.IterScope) (grad.Gradient, int, error) {
 		// One group: its iteration is the root's, run inline under the
 		// root's scope, so the member spans stay root children and the plan
-		// epoch is the root's.
+		// epoch is the root's; its decode pass writes the mean.
 		gr := r.groups[0]
-		if err := gr.iterate(&r.cfg, sc, iter, params, sums[0]); err != nil {
+		if err := gr.iterate(&r.cfg, sc, iter, alpha, params, sums[0]); err != nil {
 			return nil, 0, err
 		}
 		return sums[0], gr.plan.Epoch, nil
@@ -401,6 +406,7 @@ func (r *Root) Run() (_ *Result, err error) {
 	if n > 1 {
 		spans := make([]obs.MemberSpan, n)
 		errs := make([]error, n)
+		mean := make([]float64, dim)
 		collect = func(iter int, params []float64, sc *obs.IterScope) (grad.Gradient, int, error) {
 			sc.Phase(obs.PhaseCollect)
 			start := time.Now()
@@ -410,7 +416,7 @@ func (r *Root) Run() (_ *Result, err error) {
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
-					if errs[g] = gr.iterate(&r.cfg, nil, iter, params, sums[g]); errs[g] == nil {
+					if errs[g] = gr.iterate(&r.cfg, nil, iter, 1, params, sums[g]); errs[g] == nil {
 						spans[g] = gr.span(start)
 					}
 				}()
@@ -422,13 +428,18 @@ func (r *Root) Run() (_ *Result, err error) {
 			// The root's trace children are the groups themselves.
 			sc.AddMembers(spans)
 			sc.Phase(obs.PhaseReduce)
-			total, err := r.plan.Tree.Aggregate(sums)
+			finite, err := r.plan.Tree.ReduceInto(mean, alpha, sums)
 			if err != nil {
 				return nil, 0, fmt.Errorf("iteration %d aggregate: %w", iter, err)
 			}
+			// Each group's sum is finite, but two of them can still overflow
+			// together.
+			if !finite {
+				return nil, 0, fmt.Errorf("%w: the groups' reduced gradient is not finite at iteration %d", ErrGroupFailed, iter)
+			}
 			// Epoch -1: plan epochs are group-local here; the epoch gauge is
 			// owned by the group replan events.
-			return total, -1, nil
+			return mean, -1, nil
 		}
 	}
 	prog, err := r.core.Train(collect)

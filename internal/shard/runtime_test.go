@@ -154,6 +154,70 @@ func TestShardedEndToEndExactTraining(t *testing.T) {
 	}
 }
 
+// bigCoder uploads a constant vector in place of its coded gradient, so a
+// group's decoded sum is as large as a finite sum can get without overflowing
+// first. At s = 0 every partition a worker holds carries the coefficient
+// b = 1/c, c its decoding coefficient (drawn from [0, 1)), and the group
+// decodes Σ c·y over its three members. Uploading y = min(0.9·MaxFloat64,
+// 0.99·MaxFloat64·b/3), each member adds min(0.9·MaxFloat64·c,
+// 0.33·MaxFloat64): the sum stays finite, and above MaxFloat64/2 unless two
+// members drew a small c.
+type bigCoder struct{ ml.Model }
+
+func (bigCoder) CodedGradient(dst grad.Gradient, _ []float64, _ []*ml.Dataset, coeffs []float64) error {
+	y := math.Min(0.9*math.MaxFloat64, 0.99*math.MaxFloat64/3*math.Abs(coeffs[0]))
+	for i := range dst {
+		dst[i] = y
+	}
+	return nil
+}
+
+// TestShardedRefusesOverflowingReduce: each of two groups decodes a finite
+// sum above MaxFloat64/2, which passes the group's own check, but the two add
+// up to +Inf at the root. The reduce refuses it before the optimizer steps,
+// so the run fails typed instead of training on into infinite parameters.
+func TestShardedRefusesOverflowingReduce(t *testing.T) {
+	const k, s, iters, m = 8, 0, 3, 6
+	fx := testkit.NewFixture(t, k, 12, 100)
+	l := testkit.Start(t, fx, grouped(fx, s, iters, m), m, func(_ int, wc *runtime.ElasticWorkerConfig) {
+		wc.Model = bigCoder{fx.Model}
+	})
+	res, err := l.Run(5 * time.Second)
+	if err == nil || !errors.Is(err, shard.ErrGroupFailed) || !strings.Contains(err.Error(), "reduced") {
+		t.Fatalf("run err = %v (result %v), want ErrGroupFailed for the reduced gradient", err, res)
+	}
+}
+
+// TestFlatRefusesOverflowingDecode: in a root of one group, four members
+// uploading MaxFloat64 decode to Σ c·MaxFloat64, past the finite range once
+// their c (drawn from [0, 1)) sum above one. The group's decode pass refuses
+// the mean before the optimizer steps.
+func TestFlatRefusesOverflowingDecode(t *testing.T) {
+	const k, s, iters, m = 8, 0, 3, 4
+	fx := testkit.NewFixture(t, k, 12, 100)
+	cfg := fx.Config(s, iters)
+	cfg.MinWorkers = m
+	cfg.IterTimeout = 5 * time.Second
+	l := testkit.Start(t, fx, cfg, m, func(_ int, wc *runtime.ElasticWorkerConfig) {
+		wc.Model = maxCoder{fx.Model}
+	})
+	res, err := l.Run(5 * time.Second)
+	if err == nil || !errors.Is(err, shard.ErrGroupFailed) || !strings.Contains(err.Error(), "non-finite") {
+		t.Fatalf("run err = %v (result %v), want ErrGroupFailed for a non-finite gradient", err, res)
+	}
+}
+
+// maxCoder uploads MaxFloat64 in every element in place of its coded
+// gradient.
+type maxCoder struct{ ml.Model }
+
+func (maxCoder) CodedGradient(dst grad.Gradient, _ []float64, _ []*ml.Dataset, _ []float64) error {
+	for i := range dst {
+		dst[i] = math.MaxFloat64
+	}
+	return nil
+}
+
 // TestShardedInt8Uplink runs the hierarchy under an int8 root: every group
 // names int8 in its workers' hello acks and the workers upload quantized
 // (group sums stay in the root's process, unquantized), so the run must

@@ -2,7 +2,7 @@
 // the leaves; each internal node sums up to FanIn child results; the root's
 // sum is the fully aggregated gradient. Depth gives the number of
 // aggregation hops a group result traverses — the latency the co-simulation
-// charges per iteration — and Aggregate executes the same reduction over
+// charges per iteration — and ReduceInto executes the same reduction over
 // real vectors.
 package shard
 
@@ -47,33 +47,54 @@ func (t *Tree) Depth() int { return len(t.widths) - 1 }
 
 // Aggregate reduces one vector per leaf to the root sum, level by level:
 // node j of each level sums children j·FanIn … min((j+1)·FanIn, width)−1, so
-// the summation order is fixed and the result deterministic. Nodes are summed
-// in order on the calling goroutine (grad.SumInto fans a long vector out by
-// itself). The returned slice is freshly allocated; inputs are not modified.
+// the summation order is fixed and the result deterministic. It is ReduceInto
+// at α = 1 into a freshly allocated vector; inputs are not modified.
 func (t *Tree) Aggregate(vectors [][]float64) ([]float64, error) {
 	if len(vectors) != t.Leaves() {
 		return nil, fmt.Errorf("shard tree: %d vectors for %d leaves", len(vectors), t.Leaves())
 	}
-	dim := len(vectors[0])
-	cur := vectors
-	gs := make([]grad.Gradient, 0, t.FanIn)
-	for level := 1; level < len(t.widths); level++ {
-		next := make([][]float64, t.widths[level])
+	out := make([]float64, len(vectors[0]))
+	if _, err := t.ReduceInto(out, 1, vectors); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// ReduceInto writes alpha times the root sum of one vector per leaf into
+// dst, overwriting it, and reports whether every element of it is finite:
+// Aggregate, then Scale(alpha), then !InfOrNaN, bit for bit. Nodes are summed
+// in Aggregate's order on the calling goroutine (the grad kernels fan a long
+// vector out by themselves); the levels below the root node sum into pooled
+// buffers, and the root node's sum, scale and check are one
+// grad.SumMeanInto pass into dst. Inputs are not modified.
+func (t *Tree) ReduceInto(dst []float64, alpha float64, vectors [][]float64) (bool, error) {
+	if len(vectors) != t.Leaves() {
+		return false, fmt.Errorf("shard tree: %d vectors for %d leaves", len(vectors), t.Leaves())
+	}
+	cur := make([]grad.Gradient, len(vectors))
+	for i, v := range vectors {
+		cur[i] = v
+	}
+	var pooled []grad.Gradient
+	defer func() {
+		for _, b := range pooled {
+			grad.PutBuffer(b)
+		}
+	}()
+	for level := 1; level < len(t.widths)-1; level++ {
+		next := make([]grad.Gradient, t.widths[level])
 		for j := range next {
-			gs = gs[:0]
-			for _, v := range cur[j*t.FanIn : min((j+1)*t.FanIn, len(cur))] {
-				gs = append(gs, v)
-			}
-			next[j] = make([]float64, dim)
-			if err := grad.SumInto(next[j], gs); err != nil {
-				return nil, fmt.Errorf("shard tree level %d: %w", level, err)
+			next[j] = grad.GetBuffer(len(dst))
+			pooled = append(pooled, next[j])
+			if err := grad.SumInto(next[j], cur[j*t.FanIn:min((j+1)*t.FanIn, len(cur))]); err != nil {
+				return false, fmt.Errorf("shard tree level %d: %w", level, err)
 			}
 		}
 		cur = next
 	}
-	if len(t.widths) == 1 {
-		// Single leaf: the "reduction" is a copy, keeping inputs unmodified.
-		return append([]float64(nil), cur[0]...), nil
+	finite, err := grad.SumMeanInto(dst, alpha, cur)
+	if err != nil {
+		return false, fmt.Errorf("shard tree root: %w", err)
 	}
-	return cur[0], nil
+	return finite, nil
 }
