@@ -125,12 +125,13 @@ cover-check: cover cover-gate
 # messages and their payloads, the retired numbers, arbitrary headers, codec
 # bytes, span sections, batches and truncated or quantized payloads must
 # yield transport.ErrMalformed, or fail a stream that does not open a frame —
-# never a panic, never a dim-sized allocation). Three
+# never a panic, never a dim-sized allocation). Four
 # targets are not decoders: the load allocator, whose output every plan is
 # built on (valid loads that no single-copy move improves), the int8
 # encoder, whose payload must equal the reference encoder's byte for byte,
-# and the one-pass coded gradient, which must equal grad.EncodeInto over the
-# per-partition gradients bit for bit. A
+# the one-pass coded gradient, which must equal grad.EncodeInto over the
+# per-partition gradients bit for bit, and the root's one-pass decode, which
+# must equal CombineInto, Scale and InfOrNaN bit for bit. A
 # failing input is written to the package's testdata/fuzz; rerun it with
 # `go test -run 'Fuzz<Target>/<name>' ./internal/<pkg>`.
 FUZZTIME ?= 10s
@@ -144,6 +145,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzProportionalLoads$$' -fuzztime $(FUZZTIME) ./internal/partition
 	$(GO) test -run '^$$' -fuzz '^FuzzInt8MatchesReference$$' -fuzztime $(FUZZTIME) ./internal/grad
 	$(GO) test -run '^$$' -fuzz '^FuzzCodedGradient$$' -fuzztime $(FUZZTIME) ./internal/ml
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeMean$$' -fuzztime $(FUZZTIME) ./internal/grad
 
 # Build every example and smoke-run the quickstart: a panic in its main path
 # must fail the build pipeline, not linger unnoticed (5s budget where
@@ -244,10 +246,15 @@ bench-json:
 	$(GO) run ./cmd/gcbench < /tmp/hetgc-bench-json.txt > BENCH_current.json
 	@echo wrote BENCH_current.json
 
-# CPU profile of the worker-side kernels (internal/ml's gradient, internal/grad's
-# encode) at the end-to-end benchmark's shape: where a kernel change starts.
-# Read it with `$(GO) tool pprof -top ml.test kernels.prof`.
+# CPU profiles of the per-iteration kernels at the end-to-end benchmark's
+# shape: where a kernel change starts. kernels.prof holds internal/ml's — the
+# worker's gradient and encode, and the root's optimizer step; decode.prof
+# internal/grad's root decode pass. Read them with
+# `$(GO) tool pprof -top ml.test kernels.prof` and
+# `$(GO) tool pprof -top grad.test decode.prof`.
 profile-kernels:
-	$(GO) test -run '^$$' -bench '^Benchmark(SoftmaxGradient|WorkerComputeEncode|WorkerComputeEncodeFused)$$' -benchtime 3s \
+	$(GO) test -run '^$$' -bench '^Benchmark(SoftmaxGradient|WorkerComputeEncode|WorkerComputeEncodeFused|SGDStep)$$' -benchtime 3s \
 		-cpuprofile kernels.prof -o ml.test ./internal/ml
-	@echo "wrote kernels.prof (binary: ml.test)"
+	$(GO) test -run '^$$' -bench '^BenchmarkDecodeMean$$' -benchtime 3s \
+		-cpuprofile decode.prof -o grad.test ./internal/grad
+	@echo "wrote kernels.prof (binary: ml.test) and decode.prof (binary: grad.test)"

@@ -51,6 +51,22 @@ func BenchmarkCombineInto(b *testing.B) {
 	}
 }
 
+// BenchmarkDecodeMean is the root's decode pass at the end-to-end
+// benchmark's shape: 3 of 4 uploads live at dim 100 010, combined, scaled to
+// the mean and checked finite in one pass.
+func BenchmarkDecodeMean(b *testing.B) {
+	cs, gs := benchInputs(b, 100_010, 4)
+	cs[2], gs[2] = 0, nil
+	dst := make(Gradient, 100_010)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if finite, err := DecodeMeanInto(dst, 1.0/48, cs, gs); err != nil || !finite {
+			b.Fatal(finite, err)
+		}
+	}
+}
+
 func BenchmarkSumInto(b *testing.B) {
 	_, gs := benchInputs(b, 100_000, 8)
 	dst := make(Gradient, 100_000)

@@ -74,3 +74,25 @@ func BenchmarkWorkerComputeEncodeFused(b *testing.B) {
 		grad.PutBuffer(coded)
 	}
 }
+
+// BenchmarkSGDStep is the root's optimizer step at the end-to-end
+// benchmark's shape: momentum 0.9 over dim 100 010, the velocity warm.
+func BenchmarkSGDStep(b *testing.B) {
+	const dim = 100_010
+	params := make([]float64, dim)
+	g := make(grad.Gradient, dim)
+	for i := range g {
+		g[i] = float64(i%7) - 3
+	}
+	o := &SGD{LR: 0.01, Momentum: 0.9}
+	if err := o.Step(params, g); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := o.Step(params, g); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
