@@ -243,3 +243,17 @@ func FuzzDecodeMean(f *testing.F) {
 		checkDecodeMean(t, "fuzz", alpha, coeffs, coded, dim)
 	})
 }
+
+// Below the fan-out the decode and reduce passes allocate nothing, as
+// CombineInto never has.
+func TestMeanPassesSerialAllocs(t *testing.T) {
+	gs := randomGradients(rand.New(rand.NewSource(54)), 3, 1000)
+	dst := make(Gradient, 1000)
+	coeffs := []float64{1, 0.5, -2}
+	if n := testing.AllocsPerRun(20, func() { _, _ = DecodeMeanInto(dst, 0.5, coeffs, gs) }); n != 0 {
+		t.Fatalf("DecodeMeanInto: %v allocs per call, want 0", n)
+	}
+	if n := testing.AllocsPerRun(20, func() { _, _ = SumMeanInto(dst, 0.5, gs) }); n != 0 {
+		t.Fatalf("SumMeanInto: %v allocs per call, want 0", n)
+	}
+}

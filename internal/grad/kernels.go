@@ -80,9 +80,12 @@ func DecodeMeanInto(dst Gradient, alpha float64, coeffs []float64, coded []Gradi
 			return false, fmt.Errorf("%w: coded %d has dim %d, want %d", ErrDimension, i, len(coded[i]), len(dst))
 		}
 	}
-	return chunked(len(dst), func(lo, hi int) float64 {
-		return decodeChunk(dst[lo:hi], alpha, coeffs, coded, lo)
-	}), nil
+	if fan := fanout(len(dst)); fan > 1 {
+		return parallelFinite(len(dst), fan, func(lo, hi int) float64 {
+			return decodeChunk(dst[lo:hi], alpha, coeffs, coded, lo)
+		}), nil
+	}
+	return decodeChunk(dst, alpha, coeffs, coded, 0) == 0, nil
 }
 
 // SumInto writes the plain sum of gradients into dst, overwriting its
@@ -123,13 +126,9 @@ func lincomb(dst []float64, coeff []float64, vecs []Gradient) {
 	lincombChunk(dst, coeff, vecs, 0)
 }
 
-// chunked runs a kernel's chunk over [0,n), fanned out for large n, and
-// reports whether every chunk's finite-check sum is zero.
-func chunked(n int, chunk func(lo, hi int) float64) bool {
-	fan := fanout(n)
-	if fan == 1 {
-		return chunk(0, n) == 0
-	}
+// parallelFinite is parallelChunks for a kernel whose chunks return their
+// finite-check sum: it reports whether every one is zero.
+func parallelFinite(n, fan int, chunk func(lo, hi int) float64) bool {
 	var poisoned atomic.Bool
 	parallelChunks(n, fan, func(lo, hi int) {
 		if chunk(lo, hi) != 0 {
@@ -385,15 +384,24 @@ func fused4(dst []float64, c0, c1, c2, c3 float64, x0, x1, x2, x3 []float64, ove
 // lincombChunk but without the multiplies, and reports whether the result is
 // finite.
 func sumKernel(dst []float64, alpha float64, vecs []Gradient) bool {
-	return chunked(len(dst), func(lo, hi int) float64 {
-		var check float64
-		for ; lo < hi; lo += tileLen {
-			t := min(lo+tileLen, hi)
-			sumTile(dst[lo:t], vecs, lo)
-			check += scaleCheck(dst[lo:t], alpha)
-		}
-		return check
-	})
+	if fan := fanout(len(dst)); fan > 1 {
+		return parallelFinite(len(dst), fan, func(lo, hi int) float64 {
+			return sumChunk(dst[lo:hi], alpha, vecs, lo)
+		})
+	}
+	return sumChunk(dst, alpha, vecs, 0) == 0
+}
+
+// sumChunk computes one chunk of sumKernel a tile at a time and returns its
+// finite-check sum. off is the chunk's offset into the full vectors.
+func sumChunk(dst []float64, alpha float64, vecs []Gradient, off int) float64 {
+	var check float64
+	for lo := 0; lo < len(dst); lo += tileLen {
+		t := dst[lo:min(lo+tileLen, len(dst))]
+		sumTile(t, vecs, off+lo)
+		check += scaleCheck(t, alpha)
+	}
+	return check
 }
 
 // sumTile writes Σ vecs into dst: the first vector copied, the next in blocks
