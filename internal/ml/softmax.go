@@ -275,7 +275,8 @@ func axpy(row []float64, r float64, x []float64, overwrite bool) {
 // computed once. A pass over x is bounded by the add latency of one row's
 // sum, not by the rows it carries, up to about four; so the classes are split
 // as evenly as they go into the fewest passes of at most five rows (C = 10 is
-// two passes of five, C = 7 a pass of four and one of three).
+// two passes of five, C = 7 a pass of four and one of three; a lone class
+// takes the plain loop).
 func (m *Softmax) logits(params []float64, x []float64, out []float64) {
 	C, D := m.NumClasses, m.InputDim
 	x = x[:D]
