@@ -9,12 +9,12 @@ import (
 
 // This file holds the allocation-free kernel layer: in-place EncodeInto /
 // CombineInto / SumInto variants of the package's arithmetic, the root's
-// one-pass DecodeMeanInto / SumMeanInto, the fused linear-combination kernels
-// behind them, a sync.Pool of gradient buffers, and chunked goroutine fan-out
-// for large dimensions. The exported Encode / Combine / Sum wrappers in
-// grad.go delegate here, so every caller gets the fused kernels;
-// steady-state callers that manage their own buffers get zero-alloc
-// encode/combine.
+// one-pass DecodeMeanInto / SumMeanInto, the two kernels behind them (one
+// linear combination, one plain sum), a freelist of gradient buffers, and
+// chunked goroutine fan-out for large dimensions. The exported Encode /
+// Combine / Sum wrappers in grad.go delegate here, so every caller gets the
+// fused kernels; steady-state callers that manage their own buffers get
+// zero-alloc encode/combine.
 
 // parallelMinDim is the vector length above which the kernels fan out across
 // goroutines (when GOMAXPROCS allows). Below it the spawn overhead dominates.
@@ -44,7 +44,9 @@ func EncodeInto(dst Gradient, coeff []float64, partials []Gradient) error {
 			return fmt.Errorf("%w: partial %d has dim %d, want %d", ErrDimension, j, len(p), len(dst))
 		}
 	}
-	lincomb(dst, coeff, partials)
+	// x·1 == x for every x, so the kernel at α = 1 is the plain combination;
+	// a coded gradient's finiteness is for the decode to check.
+	lincomb(dst, 1, coeff, partials)
 	return nil
 }
 
@@ -80,12 +82,7 @@ func DecodeMeanInto(dst Gradient, alpha float64, coeffs []float64, coded []Gradi
 			return false, fmt.Errorf("%w: coded %d has dim %d, want %d", ErrDimension, i, len(coded[i]), len(dst))
 		}
 	}
-	if fan := fanout(len(dst)); fan > 1 {
-		return parallelFinite(len(dst), fan, func(lo, hi int) float64 {
-			return decodeChunk(dst[lo:hi], alpha, coeffs, coded, lo)
-		}), nil
-	}
-	return decodeChunk(dst, alpha, coeffs, coded, 0) == 0, nil
+	return lincomb(dst, alpha, coeffs, coded), nil
 }
 
 // SumInto writes the plain sum of gradients into dst, overwriting its
@@ -113,29 +110,17 @@ func SumMeanInto(dst Gradient, alpha float64, gs []Gradient) (bool, error) {
 	return sumKernel(dst, alpha, gs), nil
 }
 
-// lincomb writes Σ_j coeff[j]·vecs[j] into dst (skipping zero coefficients),
-// fanning out across goroutines for large dimensions. Inputs are assumed
-// validated: len(vecs[j]) == len(dst) for all j.
-func lincomb(dst []float64, coeff []float64, vecs []Gradient) {
+// lincomb writes alpha·Σ_j coeff[j]·vecs[j] into dst (skipping zero
+// coefficients), fanning out across goroutines for large dimensions, and
+// reports whether every element of the result is finite. Inputs are assumed
+// validated: len(vecs[j]) == len(dst) for every live j.
+func lincomb(dst []float64, alpha float64, coeff []float64, vecs []Gradient) bool {
 	if fan := fanout(len(dst)); fan > 1 {
-		parallelChunks(len(dst), fan, func(lo, hi int) {
-			lincombChunk(dst[lo:hi], coeff, vecs, lo)
+		return parallelFinite(len(dst), fan, func(lo, hi int) float64 {
+			return lincombChunk(dst[lo:hi], alpha, coeff, vecs, lo)
 		})
-		return
 	}
-	lincombChunk(dst, coeff, vecs, 0)
-}
-
-// parallelFinite is parallelChunks for a kernel whose chunks return their
-// finite-check sum: it reports whether every one is zero.
-func parallelFinite(n, fan int, chunk func(lo, hi int) float64) bool {
-	var poisoned atomic.Bool
-	parallelChunks(n, fan, func(lo, hi int) {
-		if chunk(lo, hi) != 0 {
-			poisoned.Store(true)
-		}
-	})
-	return !poisoned.Load()
+	return lincombChunk(dst, alpha, coeff, vecs, 0) == 0
 }
 
 // liveTerms appends the non-zero coefficients to cs and their vectors'
@@ -152,11 +137,14 @@ func liveTerms(cs []float64, vs [][]float64, coeff []float64, vecs []Gradient, o
 	return cs, vs
 }
 
-// decodeChunk computes one chunk of the decode pass and returns its
-// finite-check sum: every block of four live terms but the last as
-// lincombChunk adds them, then the last block, the scale and the check in
-// one loop (meanBlock). off is the chunk's offset into the full vectors.
-func decodeChunk(dst []float64, alpha float64, coeff []float64, vecs []Gradient, off int) float64 {
+// lincombChunk computes one chunk of lincomb and returns its finite-check
+// sum. off is the chunk's offset into the full vectors. The live terms are
+// taken in blocks of four, so each element of dst is written once and
+// re-read at most once per four inputs — the axpy-per-input formulation
+// re-reads and re-writes dst for every input, which is what made the scalar
+// loops memory-bound. Every block but the last is a fused4; the last block,
+// the scale and the check share one loop (lastBlock).
+func lincombChunk(dst []float64, alpha float64, coeff []float64, vecs []Gradient, off int) float64 {
 	n := len(dst)
 	var cbuf [32]float64
 	var vbuf [32][]float64
@@ -168,15 +156,14 @@ func decodeChunk(dst []float64, alpha float64, coeff []float64, vecs []Gradient,
 	for b := 0; b < last; b += 4 {
 		fused4(dst, cs[b], cs[b+1], cs[b+2], cs[b+3], vs[b][:n], vs[b+1][:n], vs[b+2][:n], vs[b+3][:n], b == 0)
 	}
-	return meanBlock(dst, cs[last:], vs[last:], alpha, last == 0)
+	return lastBlock(dst, cs[last:], vs[last:], alpha, last == 0)
 }
 
-// meanBlock ends a decode chunk with its last block of at most four live
-// terms: dst = (dst +) the block's sum, in lincombChunk's order, times alpha,
-// each element written once. It returns the sum of x − x over the results,
-// InfOrNaN's test: zero exactly when every one is finite. With no terms dst
-// is 0·alpha.
-func meanBlock(dst []float64, cs []float64, vs [][]float64, alpha float64, overwrite bool) float64 {
+// lastBlock ends a chunk with its last block of at most four live terms:
+// dst = (dst +) the block's sum, in fused4's order, times alpha, each element
+// written once. It returns the sum of x − x over the results, InfOrNaN's
+// test: zero exactly when every one is finite. With no terms dst is 0·alpha.
+func lastBlock(dst []float64, cs []float64, vs [][]float64, alpha float64, overwrite bool) float64 {
 	n := len(dst)
 	var check float64
 	switch len(cs) {
@@ -252,66 +239,6 @@ func meanBlock(dst []float64, cs []float64, vs [][]float64, alpha float64, overw
 		check = v - v
 	}
 	return check
-}
-
-// lincombChunk computes one chunk of the fused linear combination. off is the
-// chunk's offset into the full vectors. The j-loop is blocked in groups of
-// four so each element of dst is written once and re-read at most once per
-// four inputs — the axpy-per-input formulation re-reads and re-writes dst for
-// every input, which is what made the scalar loops memory-bound.
-func lincombChunk(dst []float64, coeff []float64, vecs []Gradient, off int) {
-	n := len(dst)
-	var cbuf [32]float64
-	var vbuf [32][]float64
-	cs, vs := liveTerms(cbuf[:0], vbuf[:0], coeff, vecs, off, n)
-	if len(cs) == 0 {
-		clear(dst)
-		return
-	}
-	// First block overwrites dst, later blocks accumulate.
-	first := true
-	for len(cs) >= 4 {
-		fused4(dst, cs[0], cs[1], cs[2], cs[3], vs[0][:n], vs[1][:n], vs[2][:n], vs[3][:n], first)
-		first = false
-		cs, vs = cs[4:], vs[4:]
-	}
-	switch len(cs) {
-	case 3:
-		c0, c1, c2 := cs[0], cs[1], cs[2]
-		x0, x1, x2 := vs[0][:n], vs[1][:n], vs[2][:n]
-		if first {
-			for i := range dst {
-				dst[i] = (c0*x0[i] + c1*x1[i]) + c2*x2[i]
-			}
-		} else {
-			for i := range dst {
-				dst[i] += (c0*x0[i] + c1*x1[i]) + c2*x2[i]
-			}
-		}
-	case 2:
-		c0, c1 := cs[0], cs[1]
-		x0, x1 := vs[0][:n], vs[1][:n]
-		if first {
-			for i := range dst {
-				dst[i] = c0*x0[i] + c1*x1[i]
-			}
-		} else {
-			for i := range dst {
-				dst[i] += c0*x0[i] + c1*x1[i]
-			}
-		}
-	case 1:
-		c0, x0 := cs[0], vs[0][:n]
-		if first {
-			for i := range dst {
-				dst[i] = c0 * x0[i]
-			}
-		} else {
-			for i := range dst {
-				dst[i] += c0 * x0[i]
-			}
-		}
-	}
 }
 
 // scaleCheck multiplies v by alpha in place and returns the sum of x − x over
@@ -446,23 +373,28 @@ func fanout(dim int) int {
 	return fan
 }
 
-// parallelChunks splits [0,n) into fan contiguous chunks and runs body on
-// each from its own goroutine, returning when all complete.
-func parallelChunks(n, fan int, body func(lo, hi int)) {
-	var wg sync.WaitGroup
-	chunk := (n + fan - 1) / fan
-	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
+// parallelFinite splits [0,n) into fan contiguous chunks and runs chunk on
+// each from its own goroutine, returning when all complete. Each chunk
+// returns its finite-check sum; it reports whether every one is zero. The
+// wait group and the flag share one allocation.
+func parallelFinite(n, fan int, chunk func(lo, hi int) float64) bool {
+	var st struct {
+		wg       sync.WaitGroup
+		poisoned atomic.Bool
+	}
+	size := (n + fan - 1) / fan
+	for lo := 0; lo < n; lo += size {
+		hi := min(lo+size, n)
+		st.wg.Add(1)
 		go func(lo, hi int) {
-			defer wg.Done()
-			body(lo, hi)
+			defer st.wg.Done()
+			if chunk(lo, hi) != 0 {
+				st.poisoned.Store(true)
+			}
 		}(lo, hi)
 	}
-	wg.Wait()
+	st.wg.Wait()
+	return !st.poisoned.Load()
 }
 
 // bufPool recycles gradient buffers between iterations so steady-state
