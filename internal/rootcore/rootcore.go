@@ -48,16 +48,13 @@ var ErrBadConfig = errors.New("root: invalid config")
 // Config is the lifecycle part of the root's configuration, filled from
 // shard.Config.
 type Config struct {
-	// K, S, Model, Optimizer, InitialParams, Iterations, SampleCount,
-	// IterTimeout, LossEvery and LossFn are the root config's fields of the
-	// same names. SampleCount is only validated here: the root's collect
-	// scales by it.
+	// K, S, Model, Optimizer, InitialParams, Iterations, IterTimeout,
+	// LossEvery and LossFn are the root config's fields of the same names.
 	K, S          int
 	Model         ml.Model
 	Optimizer     ml.Optimizer
 	InitialParams []float64
 	Iterations    int
-	SampleCount   int
 	IterTimeout   time.Duration
 	LossEvery     int
 	LossFn        func(params []float64) (float64, error)
@@ -80,8 +77,8 @@ func (c *Config) Validate() error {
 		return bad("%d initial params, model wants %d", len(c.InitialParams), c.Model.Dim())
 	case c.K <= 0 || c.S < 0:
 		return bad("k=%d s=%d", c.K, c.S)
-	case c.Iterations <= 0 || c.SampleCount <= 0:
-		return bad("iterations=%d samples=%d", c.Iterations, c.SampleCount)
+	case c.Iterations <= 0:
+		return bad("iterations=%d", c.Iterations)
 	case c.IterTimeout <= 0:
 		return bad("iteration timeout required")
 	case c.Resume && c.CheckpointDir == "":
@@ -312,7 +309,7 @@ func (c *Core) Fenced(err error) error {
 
 // Train runs the BSP loop from StartIter to the configured iteration count.
 // For each iteration collect returns the mean gradient — the decoded sum
-// already scaled by 1/SampleCount and checked finite, in the caller's buffer,
+// already scaled to a mean and checked finite, in the caller's buffer,
 // which the core only reads — and the plan epoch it decoded under (-1 where
 // epochs are not root-level), timing its own phases on sc; the core steps the
 // optimizer, keeps the books and persists. Any failure is passed through

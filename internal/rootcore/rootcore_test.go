@@ -24,7 +24,7 @@ func testConfig(iters int) Config {
 	model := &ml.Softmax{InputDim: 2, NumClasses: 2}
 	return Config{
 		K: 4, S: 1, Model: model, Optimizer: &ml.SGD{LR: 0.1},
-		InitialParams: model.InitParams(nil), Iterations: iters, SampleCount: 1,
+		InitialParams: model.InitParams(nil), Iterations: iters,
 		IterTimeout: time.Second,
 	}
 }

@@ -45,6 +45,7 @@ func TestElasticConfigValidation(t *testing.T) {
 		func(c *shard.Config) { c.K = 0 },
 		func(c *shard.Config) { c.S = -1 },
 		func(c *shard.Config) { c.Iterations = 0 },
+		func(c *shard.Config) { c.SampleCount = 0 },
 		func(c *shard.Config) { c.IterTimeout = 0 },
 		func(c *shard.Config) { c.InitialParams = []float64{1} },
 		func(c *shard.Config) { c.MinWorkers = 1; c.S = 2 },

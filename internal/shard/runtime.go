@@ -153,7 +153,7 @@ func (c *Config) quorum() int {
 func (c *Config) core() rootcore.Config {
 	return rootcore.Config{
 		K: c.K, S: c.S, Model: c.Model, Optimizer: c.Optimizer, InitialParams: c.InitialParams,
-		Iterations: c.Iterations, SampleCount: c.SampleCount, IterTimeout: c.IterTimeout,
+		Iterations: c.Iterations, IterTimeout: c.IterTimeout,
 		LossEvery: c.LossEvery, LossFn: c.LossFn,
 		DurabilityConfig: c.DurabilityConfig, HAConfig: c.HAConfig, TelemetryConfig: c.TelemetryConfig, Wire: c.Wire,
 	}
@@ -234,6 +234,10 @@ func NewRoot(cfg Config, addr string) (*Root, error) {
 	cc := cfg.core()
 	if err := cc.Validate(); err != nil {
 		return nil, err
+	}
+	// Run scales every iteration's decoded sum by 1/SampleCount.
+	if cfg.SampleCount <= 0 {
+		return nil, fmt.Errorf("%w: samples=%d", ErrBadConfig, cfg.SampleCount)
 	}
 	if q := cfg.quorum(); cfg.MinWorkers < 0 || (cfg.MinWorkers > 0 && cfg.MinWorkers < q) {
 		return nil, fmt.Errorf("%w: min workers %d below planning quorum %d", ErrBadConfig, cfg.MinWorkers, q)
