@@ -34,7 +34,10 @@ vet:
 # cluster stays its one-group case instead of a second master. The test check
 # keeps one fixture: no test under internal/ builds a root itself, so every
 # live root a test stands up comes from testkit's builder (testkit.Open), and
-# its address and workers change in one place.
+# its address and workers change in one place. The hello check keeps one
+# honest worker: only the worker (runtime), the roster's ack and testkit's
+# scripted worker, which misbehaves on purpose, build a MsgHello envelope, so
+# a test cluster runs the follow loop that ships instead of a copy of it.
 lint:
 	@unformatted=$$(gofmt -l .); \
 	if [ -n "$$unformatted" ]; then \
@@ -92,6 +95,13 @@ lint:
 		echo "$$bad"; exit 1; \
 	fi
 	@echo "runtime: models called through ml.CodedGradient only"
+	@bad=$$(git grep -nE 'Type *[:=] *(transport\.)?MsgHello([^A-Za-z0-9_]|$$)' -- '*.go' ':!*_test.go' ':!bench/*' \
+		':!internal/runtime/elastic_worker.go' ':!internal/roster/roster.go' ':!internal/testkit/worker.go'); \
+	if [ -n "$$bad" ]; then \
+		echo "MsgHello built outside the worker, the roster and testkit's scripted worker (run runtime.Follow):"; \
+		echo "$$bad"; exit 1; \
+	fi
+	@echo "MsgHello: built by the worker, the roster and the scripted worker only"
 
 race:
 	$(GO) test -race ./...

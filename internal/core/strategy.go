@@ -150,10 +150,6 @@ func (st *Strategy) Groups() [][]int {
 	return out
 }
 
-// MinAlive returns the guaranteed-sufficient number of alive workers, m−s.
-// Group-based strategies may decode from fewer (a single alive group).
-func (st *Strategy) MinAlive() int { return st.M() - st.S() }
-
 // CanDecode reports whether the given alive set can recover the gradient.
 func (st *Strategy) CanDecode(alive []bool) bool {
 	_, err := st.Decode(alive)

@@ -50,9 +50,6 @@ func TestNaiveProperties(t *testing.T) {
 	if st.Kind() != Naive || st.M() != 3 || st.K() != 3 || st.S() != 0 {
 		t.Fatalf("unexpected shape: kind=%v m=%d k=%d s=%d", st.Kind(), st.M(), st.K(), st.S())
 	}
-	if st.MinAlive() != 3 {
-		t.Fatalf("MinAlive = %d", st.MinAlive())
-	}
 }
 
 func TestHeterAwarePaperExample(t *testing.T) {

@@ -21,17 +21,6 @@ type Gradient []float64
 // Clone returns a deep copy.
 func (g Gradient) Clone() Gradient { return append(Gradient(nil), g...) }
 
-// AddScaled adds alpha·other into g in place.
-func (g Gradient) AddScaled(alpha float64, other Gradient) error {
-	if len(g) != len(other) {
-		return fmt.Errorf("%w: %d vs %d", ErrDimension, len(g), len(other))
-	}
-	for i, v := range other {
-		g[i] += alpha * v
-	}
-	return nil
-}
-
 // Scale multiplies g by alpha in place.
 func (g Gradient) Scale(alpha float64) {
 	for i := range g {

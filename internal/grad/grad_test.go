@@ -17,19 +17,6 @@ func TestClone(t *testing.T) {
 	}
 }
 
-func TestAddScaled(t *testing.T) {
-	g := Gradient{1, 2}
-	if err := g.AddScaled(2, Gradient{3, 4}); err != nil {
-		t.Fatal(err)
-	}
-	if g[0] != 7 || g[1] != 10 {
-		t.Fatalf("g = %v", g)
-	}
-	if err := g.AddScaled(1, Gradient{1}); !errors.Is(err, ErrDimension) {
-		t.Fatalf("err = %v", err)
-	}
-}
-
 func TestScaleAndNorm(t *testing.T) {
 	g := Gradient{3, 4}
 	g.Scale(2)

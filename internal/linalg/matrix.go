@@ -114,18 +114,6 @@ func (m *Matrix) Row(i int) []float64 {
 	return out
 }
 
-// Col returns a copy of column j.
-func (m *Matrix) Col(j int) []float64 {
-	if j < 0 || j >= m.cols {
-		panic(fmt.Sprintf("linalg: col %d out of range for %dx%d matrix", j, m.rows, m.cols))
-	}
-	out := make([]float64, m.rows)
-	for i := 0; i < m.rows; i++ {
-		out[i] = m.data[i*m.cols+j]
-	}
-	return out
-}
-
 // SetRow copies v into row i.
 func (m *Matrix) SetRow(i int, v []float64) {
 	if len(v) != m.cols {
@@ -233,17 +221,6 @@ func (m *Matrix) SelectCols(idx []int) *Matrix {
 		}
 	}
 	return out
-}
-
-// MaxAbs returns the largest absolute entry of m (0 for an empty matrix).
-func (m *Matrix) MaxAbs() float64 {
-	var mx float64
-	for _, v := range m.data {
-		if a := math.Abs(v); a > mx {
-			mx = a
-		}
-	}
-	return mx
 }
 
 // Equal reports whether m and other have identical shape and entries within tol.

@@ -96,11 +96,6 @@ func TestRowColCopySemantics(t *testing.T) {
 	if m.At(0, 0) != 1 {
 		t.Fatal("Row must return a copy")
 	}
-	c := m.Col(1)
-	c[0] = 99
-	if m.At(0, 1) != 2 {
-		t.Fatal("Col must return a copy")
-	}
 }
 
 func TestSetRow(t *testing.T) {
@@ -183,16 +178,6 @@ func TestSelectRowsCols(t *testing.T) {
 	cs := m.SelectCols([]int{1})
 	if cs.Rows() != 3 || cs.Cols() != 1 || cs.At(2, 0) != 8 {
 		t.Fatalf("SelectCols wrong: %v", cs)
-	}
-}
-
-func TestMaxAbs(t *testing.T) {
-	m := mustMatrix(t, [][]float64{{-5, 2}, {3, 4}})
-	if m.MaxAbs() != 5 {
-		t.Fatalf("MaxAbs = %v, want 5", m.MaxAbs())
-	}
-	if NewMatrix(0, 0).MaxAbs() != 0 {
-		t.Fatal("empty MaxAbs should be 0")
 	}
 }
 
@@ -372,16 +357,6 @@ func TestNullSpaceVector(t *testing.T) {
 func TestNullSpaceVectorShapeError(t *testing.T) {
 	if _, err := NullSpaceVector(NewMatrix(2, 2)); err == nil {
 		t.Fatal("expected shape error for square input")
-	}
-}
-
-func TestInSpan(t *testing.T) {
-	basis := mustMatrix(t, [][]float64{{1, 0, 0}, {0, 1, 0}})
-	if !InSpan(basis, []float64{2, 3, 0}, 0) {
-		t.Fatal("[2 3 0] should be in span")
-	}
-	if InSpan(basis, []float64{0, 0, 1}, 0) {
-		t.Fatal("[0 0 1] should not be in span")
 	}
 }
 

@@ -360,13 +360,6 @@ func NullSpaceVector(a *Matrix) ([]float64, error) {
 	return v, nil
 }
 
-// InSpan reports whether target lies in the row span of basisRows, i.e.
-// whether some x satisfies xᵀ·basisRows = targetᵀ.
-func InSpan(basisRows *Matrix, target []float64, tol float64) bool {
-	_, err := SolveConsistent(basisRows.T(), target, tol)
-	return err == nil
-}
-
 // swapRowSlices swaps rows i and j of a row-major buffer with the given
 // stride.
 func swapRowSlices(data []float64, stride, i, j int) {

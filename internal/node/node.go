@@ -285,10 +285,12 @@ type WorkerConfig struct {
 	MaxCycles int
 }
 
-// RunWorker runs the worker loop: resolve the root, dial, train until the
-// connection drops, re-resolve and rejoin under the same member ID. It
-// returns nil on a clean shutdown (the root finished training), or the last
-// error once MaxCycles passes over the address list all failed.
+// RunWorker runs the worker process: it validates cfg, derives the default
+// workload when none is given, and runs runtime.Follow over resolveOrder —
+// resolve the root, dial, train until the connection drops, re-resolve and
+// rejoin under the same member ID. It returns nil on a clean shutdown (the
+// root finished training), or the last error once MaxCycles passes over the
+// address list all failed.
 func RunWorker(cfg WorkerConfig, stop <-chan struct{}) error {
 	if err := cfg.Roster.Validate(); err != nil {
 		return err
@@ -307,49 +309,13 @@ func RunWorker(cfg WorkerConfig, stop <-chan struct{}) error {
 	if dialTimeout <= 0 {
 		dialTimeout = 2 * time.Second
 	}
-	resumeID := 0
-	var lastErr error
-	for cycle := 0; cfg.MaxCycles <= 0 || cycle < cfg.MaxCycles; cycle++ {
-		for _, addr := range cfg.resolveOrder() {
-			select {
-			case <-stop:
-				return nil
-			default:
-			}
-			w, err := runtime.DialElasticWorker(addr, runtime.ElasticWorkerConfig{
-				Model:         cfg.Workload.Model,
-				PartitionData: cfg.PartitionData,
-				Delay:         cfg.Delay,
-				DialTimeout:   dialTimeout,
-				ResumeID:      resumeID,
-				Reconnect:     cfg.Reconnect,
-			})
-			if err != nil {
-				lastErr = err
-				continue
-			}
-			resumeID = w.ID()
-			if err := w.Run(); err == nil {
-				return nil // MsgShutdown: training finished
-			} else {
-				lastErr = err
-			}
-			// Connection lost mid-run: the root died or we were fenced.
-			// Restart the resolve cycle from the top — the lease token (or
-			// the roster order) names the successor.
-			break
-		}
-		// Brief pause between cycles so a dead cluster does not spin.
-		select {
-		case <-stop:
-			return nil
-		case <-time.After(100 * time.Millisecond):
-		}
-	}
-	if lastErr == nil {
-		lastErr = fmt.Errorf("%w: no address in the roster answered", ErrBadNode)
-	}
-	return lastErr
+	return runtime.Follow(runtime.ElasticWorkerConfig{
+		Model:         cfg.Workload.Model,
+		PartitionData: cfg.PartitionData,
+		Delay:         cfg.Delay,
+		DialTimeout:   dialTimeout,
+		Reconnect:     cfg.Reconnect,
+	}, cfg.resolveOrder, cfg.MaxCycles, nil, stop)
 }
 
 // resolveOrder returns the addresses to try this cycle: the lease token's

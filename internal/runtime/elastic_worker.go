@@ -193,6 +193,54 @@ func dialElasticOnce(addr string, cfg ElasticWorkerConfig) (*ElasticWorker, erro
 	return w, nil
 }
 
+// Follow is the loop a worker process runs: it follows its root across
+// crashes and failovers. Each cycle it dials the addresses addrs returns, in
+// order, until one admits it, and trains there until the connection drops;
+// the next cycle rejoins under the member ID that root gave it (cfg.ResumeID
+// seeds the first), so a restarted or promoted root resumes the worker's
+// slot. joined, when non-nil, sees the member ID of every admission. Cycles
+// are 100 ms apart, so a dead cluster, or an addrs that names no root yet,
+// does not spin. Follow returns nil once a root shuts the worker down
+// (training finished) or stop closes; after maxCycles cycles (0: no bound)
+// it returns the last error.
+func Follow(cfg ElasticWorkerConfig, addrs func() []string, maxCycles int, joined func(id int), stop <-chan struct{}) error {
+	var lastErr error
+	for cycle := 0; maxCycles <= 0 || cycle < maxCycles; cycle++ {
+		for _, addr := range addrs() {
+			select {
+			case <-stop:
+				return nil
+			default:
+			}
+			w, err := DialElasticWorker(addr, cfg)
+			if err != nil {
+				lastErr = err
+				continue
+			}
+			cfg.ResumeID = w.ID()
+			if joined != nil {
+				joined(w.ID())
+			}
+			if lastErr = w.Run(); lastErr == nil {
+				return nil // MsgShutdown: training finished
+			}
+			// Connection lost mid-run: the root died or fenced this worker.
+			// The next cycle starts from the top, where addrs names the
+			// successor.
+			break
+		}
+		select {
+		case <-stop:
+			return nil
+		case <-time.After(100 * time.Millisecond):
+		}
+	}
+	if lastErr == nil {
+		lastErr = fmt.Errorf("%w: no address to dial in %d cycles", ErrBadConfig, maxCycles)
+	}
+	return lastErr
+}
+
 // ID returns the stable member ID the master assigned — pass it as ResumeID
 // to resume this slot after a reconnect.
 func (w *ElasticWorker) ID() int { return w.id }

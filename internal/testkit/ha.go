@@ -12,9 +12,9 @@
 //     run must fail typed with ha.ErrFenced — naming the usurping
 //     generation — while training completes under the new root.
 //
-// Workers are the reconnecting protocol loops of the recovery harness: they
-// survive whichever control-plane process dies and follow the retargeted
-// addresses, the shape a real production worker has.
+// Workers are the recovery harness's: runtime.Follow, the loop a worker
+// process runs, in every slot but the scripted slot 0. They survive
+// whichever control-plane process dies and follow the retargeted addresses.
 package testkit
 
 import (

@@ -84,15 +84,20 @@ func (l *Live) Addrs(n int) []string {
 // after worker (when non-nil) has adjusted its config — its delays, most
 // often.
 func (l *Live) Worker(i int, worker func(i int, wc *runtime.ElasticWorkerConfig)) (*runtime.ElasticWorker, error) {
-	fx := l.fx
-	wc := runtime.ElasticWorkerConfig{
-		Model:         fx.Model,
-		PartitionData: func(p int) (*ml.Dataset, error) { return fx.Parts[p], nil },
-	}
+	wc := l.fx.workerConfig()
 	if worker != nil {
 		worker(i, &wc)
 	}
 	return runtime.DialElasticWorker(l.Addrs(i + 1)[i], wc)
+}
+
+// workerConfig is an honest worker that trains fx's partitions with fx's
+// model.
+func (fx *Fixture) workerConfig() runtime.ElasticWorkerConfig {
+	return runtime.ElasticWorkerConfig{
+		Model:         fx.Model,
+		PartitionData: func(p int) (*ml.Dataset, error) { return fx.Parts[p], nil },
+	}
 }
 
 // Dial dials n more ElasticWorkers into the next free slots, one after

@@ -16,10 +16,11 @@
 //     a directory with no decodable snapshot fails construction with a
 //     typed checkpoint error instead of silently restarting from scratch.
 //
-// Workers here are not the scripted churn workers: they are reconnecting
-// protocol loops that survive the master's death, re-dialing the (new)
-// address until the resumed cluster admits them — the shape a real
-// production worker has.
+// Every worker but one runs the loop a worker process runs, runtime.Follow
+// (what node.RunWorker runs): it survives the master's death and redials the
+// slot's current address until the resumed cluster admits it under its old
+// member ID. The one is slot 0, a scripted worker that follows the same way
+// and replays a pre-crash gradient after it rejoins.
 package testkit
 
 import (
@@ -36,8 +37,8 @@ import (
 	"github.com/hetgc/hetgc/internal/checkpoint"
 	"github.com/hetgc/hetgc/internal/clustercfg"
 	"github.com/hetgc/hetgc/internal/ml"
+	"github.com/hetgc/hetgc/internal/runtime"
 	"github.com/hetgc/hetgc/internal/shard"
-	"github.com/hetgc/hetgc/internal/transport"
 )
 
 // RecoveryScenario is one master-crash script.
@@ -243,43 +244,45 @@ func corruptSnapshots(t *testing.T, dir string, n int) {
 	}
 }
 
-// recoveryPool drives one reconnecting worker per slot.
+// recoveryPool runs one worker per slot, each following its slot's current
+// address across the crash.
 type recoveryPool struct {
-	wg      sync.WaitGroup
-	stop    atomic.Bool
-	addrs   atomic.Value // []string, slot-indexed
-	workers []*recoveryWorker
+	wg     sync.WaitGroup
+	stop   chan struct{}
+	halt   sync.Once
+	addrs  atomic.Value // []string, slot-indexed
+	ids    [][]int      // by slot: the member ID of each admission, in order
+	replay WorkerRecord // slot 0's
 }
 
-// recoveryWorker is one reconnecting protocol loop's record.
-type recoveryWorker struct {
-	slot   int
-	poison bool
-
-	mu  sync.Mutex
-	ids []int // member ID acked per successful session, in order
-}
-
-func (w *recoveryWorker) sessionIDs() []int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return append([]int(nil), w.ids...)
-}
-
-// startRecoveryWorkers launches the pool. Slot 0 is the adversary: after
-// any reconnect it replays a gradient tagged with epoch 0 — the epoch its
-// pre-crash uploads carried — alongside its honest work, so the harness can
-// assert the resume fence engaged.
+// startRecoveryWorkers launches the pool. Slot 0 is the adversary, a
+// scripted worker: after any reconnect it replays a gradient tagged with
+// epoch 0 — the epoch its pre-crash uploads carried — alongside its honest
+// work, so the harness can assert the resume fence engaged. Every other slot
+// runs the shipped follow loop (runtime.Follow, what node.RunWorker runs)
+// with the worker Live.Worker builds at 2 ms per partition.
 func startRecoveryWorkers(workers int, fx *Fixture, addrs []string) *recoveryPool {
-	pool := &recoveryPool{}
-	pool.addrs.Store(append([]string(nil), addrs...))
-	for slot := 0; slot < workers; slot++ {
-		w := &recoveryWorker{slot: slot, poison: slot == 0}
-		pool.workers = append(pool.workers, w)
-		pool.wg.Add(1)
+	pool := &recoveryPool{stop: make(chan struct{}), ids: make([][]int, workers)}
+	pool.retarget(addrs)
+	cfg := fx.workerConfig()
+	PerPart(2*time.Millisecond)(0, &cfg)
+	pool.wg.Add(workers)
+	go func() {
+		defer pool.wg.Done()
+		runScripted(func() string { return pool.addr(0) }, Behavior{ReplayAfterRejoin: true}, fx, new(atomic.Int64), &pool.replay, pool.stop)
+	}()
+	for slot := 1; slot < workers; slot++ {
+		slot := slot
 		go func() {
 			defer pool.wg.Done()
-			pool.runWorker(w, fx)
+			dial := func() []string {
+				if a := pool.addr(slot); a != "" {
+					return []string{a}
+				}
+				return nil
+			}
+			joined := func(id int) { pool.ids[slot] = append(pool.ids[slot], id) }
+			_ = runtime.Follow(cfg, dial, 0, joined, pool.stop) // nil: no cycle bound
 		}()
 	}
 	return pool
@@ -291,16 +294,24 @@ func (p *recoveryPool) retarget(addrs []string) {
 	p.addrs.Store(append([]string(nil), addrs...))
 }
 
+// addr is slot's current address, "" while the pool waits for a cluster.
+func (p *recoveryPool) addr(slot int) string {
+	if addrs := p.addrs.Load().([]string); len(addrs) > 0 {
+		return addrs[slot]
+	}
+	return ""
+}
+
 // stopAll ends the dial loops (workers blocked in Recv exit when the
 // cluster closes their connections). Idempotent.
 func (p *recoveryPool) stopAll() {
-	p.stop.Store(true)
+	p.halt.Do(func() { close(p.stop) })
 	p.wg.Wait()
 }
 
 // checkIdentities asserts that every worker that reconnected after the
 // crash resumed the member identity it held before it, and that the
-// identity was one the recovered roster had reserved.
+// identity was one the recovered roster had reserved. Call it after stopAll.
 func (p *recoveryPool) checkIdentities(t *testing.T, state *checkpoint.State) {
 	t.Helper()
 	reserved := make(map[int]bool)
@@ -309,135 +320,25 @@ func (p *recoveryPool) checkIdentities(t *testing.T, state *checkpoint.State) {
 			reserved[id] = true
 		}
 	}
+	if p.replay.RejoinID > 0 {
+		p.ids[0] = []int{p.replay.ID, p.replay.RejoinID}
+	}
 	resumed := 0
-	for _, w := range p.workers {
-		ids := w.sessionIDs()
+	for slot, ids := range p.ids {
 		if len(ids) < 2 {
 			continue // never reconnected (e.g. corrupt-all scenario path)
 		}
 		resumed++
 		for _, id := range ids[1:] {
 			if id != ids[0] {
-				t.Errorf("slot %d: reconnect resumed member %d, want its original identity %d", w.slot, id, ids[0])
+				t.Errorf("slot %d: reconnect resumed member %d, want its original identity %d", slot, id, ids[0])
 			}
 		}
 		if !reserved[ids[0]] {
-			t.Errorf("slot %d: identity %d was not reserved by the recovered roster %v", w.slot, ids[0], state.GroupMembers)
+			t.Errorf("slot %d: identity %d was not reserved by the recovered roster %v", slot, ids[0], state.GroupMembers)
 		}
 	}
 	if resumed == 0 {
 		t.Errorf("no worker ever rejoined after the crash")
 	}
-}
-
-// runWorker is the reconnect loop: dial the slot's current address, run an
-// honest elastic worker session, and on connection loss retry with the old
-// member ID until stopped or cleanly shut down. With no address it waits.
-func (p *recoveryPool) runWorker(w *recoveryWorker, fx *Fixture) {
-	resumeID := 0
-	sessions := 0
-	for !p.stop.Load() {
-		addrs := p.addrs.Load().([]string)
-		if len(addrs) == 0 {
-			time.Sleep(20 * time.Millisecond)
-			continue
-		}
-		conn, err := transport.Dial(addrs[w.slot], 2*time.Second)
-		if err != nil {
-			time.Sleep(20 * time.Millisecond)
-			continue
-		}
-		id, done := p.runSession(w, fx, conn, resumeID, sessions > 0)
-		if id > 0 {
-			resumeID = id
-			sessions++
-			w.mu.Lock()
-			w.ids = append(w.ids, id)
-			w.mu.Unlock()
-		}
-		if done {
-			return
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-}
-
-// runSession speaks one connection's protocol. It returns the acked member
-// ID (0 if the handshake failed) and whether the worker is done for good
-// (clean shutdown or pool stop).
-func (p *recoveryPool) runSession(w *recoveryWorker, fx *Fixture, conn *transport.Conn, resumeID int, reconnect bool) (int, bool) {
-	defer conn.Close()
-	helloID := transport.HelloNewWorker
-	if resumeID > 0 {
-		helloID = resumeID
-	}
-	if err := conn.Send(&transport.Envelope{Type: transport.MsgHello, WorkerID: helloID}); err != nil {
-		return 0, p.stop.Load()
-	}
-	ack, err := conn.Recv()
-	if err != nil || ack.Type != transport.MsgHello || ack.WorkerID <= 0 {
-		return 0, p.stop.Load()
-	}
-	id := ack.WorkerID
-	poisonPending := w.poison && reconnect
-
-	var assign *transport.Assignment
-	epoch := -1
-	for {
-		env, err := conn.Recv()
-		if err != nil {
-			return id, p.stop.Load()
-		}
-		switch env.Type {
-		case transport.MsgShutdown:
-			return id, true
-		case transport.MsgReassign:
-			assign, epoch = env.Assign, env.Epoch
-		case transport.MsgParams:
-			if assign == nil || env.Epoch != epoch {
-				continue
-			}
-			if poisonPending {
-				// Replay the pre-crash world: a gradient still tagged with
-				// the first epoch of the previous incarnation. The resumed
-				// master's epoch base must fence it before decode.
-				stale := &transport.Envelope{
-					Type: transport.MsgGradient, Iter: env.Iter, Epoch: 0,
-					WorkerID: id, Vector: make([]float64, len(env.Vector)),
-				}
-				for i := range stale.Vector {
-					stale.Vector[i] = 1e9
-				}
-				if err := conn.Send(stale); err != nil {
-					return id, p.stop.Load()
-				}
-				poisonPending = false
-			}
-			if err := honestIterate(conn, fx, assign, epoch, env, id); err != nil {
-				return id, p.stop.Load()
-			}
-		}
-	}
-}
-
-// honestIterate computes, encodes and uploads one iteration plus telemetry.
-func honestIterate(conn *transport.Conn, fx *Fixture, assign *transport.Assignment, epoch int, env *transport.Envelope, id int) error {
-	start := time.Now()
-	coded, err := fx.coded(assign, env.Vector)
-	if err != nil {
-		return err
-	}
-	time.Sleep(time.Duration(len(assign.Partitions)) * 2 * time.Millisecond)
-	if err := conn.Send(&transport.Envelope{
-		Type: transport.MsgGradient, Iter: env.Iter, Epoch: epoch, WorkerID: id, RootGen: env.RootGen, Vector: coded,
-	}); err != nil {
-		return err
-	}
-	return conn.Send(&transport.Envelope{
-		Type: transport.MsgTelemetry, Iter: env.Iter, Epoch: epoch, WorkerID: id, RootGen: env.RootGen,
-		Telemetry: &transport.Telemetry{
-			ComputeSeconds: time.Since(start).Seconds(),
-			Partitions:     len(assign.Partitions),
-		},
-	})
 }

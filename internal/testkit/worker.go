@@ -34,6 +34,12 @@ type Behavior struct {
 	// Faults, when non-nil, routes gradient uploads through a seeded
 	// fault-injecting FaultConn.
 	Faults *Rates
+	// ReplayAfterRejoin makes the worker follow its root across crashes, as
+	// the shipped follow loop does: it redials a lost connection under its
+	// old member ID until stopped. After every rejoin it uploads one
+	// gradient tagged with epoch 0 (1e9 per coordinate) before its honest
+	// one — the pre-crash world a resumed root's epoch base must fence.
+	ReplayAfterRejoin bool
 }
 
 // WorkerRecord is what a scripted worker observed, for scenario assertions.
@@ -65,7 +71,7 @@ func DriveWorkers(sc *Scenario, addrs []string, fx *Fixture, wg *sync.WaitGroup,
 		wg.Add(1)
 		go func(addr string, b Behavior, rec *WorkerRecord) {
 			defer wg.Done()
-			runScripted(addr, b, fx, progress, rec)
+			runScripted(func() string { return addr }, b, fx, progress, rec, nil)
 		}(addr, b, rec)
 	}
 	return recs
@@ -83,14 +89,20 @@ func bumpProgress(progress *atomic.Int64, iter int) {
 }
 
 // runScripted speaks the raw elastic worker protocol under the behavior
-// script, across an initial session and (optionally) one rejoin session.
-func runScripted(addr string, b Behavior, fx *Fixture, progress *atomic.Int64, rec *WorkerRecord) {
+// script, across an initial session and (optionally) one rejoin session —
+// or, with ReplayAfterRejoin, a rejoin after every lost connection until
+// stop closes. Each session dials the address addr returns as it starts.
+func runScripted(addr func() string, b Behavior, fx *Fixture, progress *atomic.Int64, rec *WorkerRecord, stop <-chan struct{}) {
 	killed := false
 	resumeID := 0
-	for {
-		rejoin := scriptedSession(addr, b, fx, progress, rec, &killed, &resumeID)
-		if !rejoin {
-			return
+	for scriptedSession(addr(), b, fx, progress, rec, &killed, &resumeID) {
+		if b.ReplayAfterRejoin {
+			select {
+			case <-stop:
+				return
+			case <-time.After(20 * time.Millisecond):
+			}
+			continue
 		}
 		// A dead master stalls the clock, so the wait is bounded.
 		if !WaitUntil(15*time.Second, func() bool { return progress.Load() >= int64(b.RejoinAtIter) }) {
@@ -102,9 +114,10 @@ func runScripted(addr string, b Behavior, fx *Fixture, progress *atomic.Int64, r
 // scriptedSession runs one connection's lifetime; it returns true when the
 // script wants to rejoin (resumeID carries the identity to resume).
 func scriptedSession(addr string, b Behavior, fx *Fixture, progress *atomic.Int64, rec *WorkerRecord, killed *bool, resumeID *int) bool {
+	follow := b.ReplayAfterRejoin
 	conn, err := transport.Dial(addr, 5*time.Second)
 	if err != nil {
-		return false
+		return follow
 	}
 	defer conn.Close()
 	helloID := transport.HelloNewWorker
@@ -112,17 +125,19 @@ func scriptedSession(addr string, b Behavior, fx *Fixture, progress *atomic.Int6
 		helloID = *resumeID
 	}
 	if err := conn.Send(&transport.Envelope{Type: transport.MsgHello, WorkerID: helloID}); err != nil {
-		return false
+		return follow
 	}
 	ack, err := conn.Recv()
 	if err != nil || ack.Type != transport.MsgHello || ack.WorkerID <= 0 {
-		return false
+		return follow
 	}
+	replay := follow && rec.ID != 0
 	if rec.ID == 0 {
 		rec.ID = ack.WorkerID
 	} else {
 		rec.RejoinID = ack.WorkerID
 	}
+	*resumeID = ack.WorkerID
 	send := conn.Send
 	if rec.Schedule != nil {
 		send = NewFaultConn(conn, rec.Schedule).Send
@@ -132,10 +147,12 @@ func scriptedSession(addr string, b Behavior, fx *Fixture, progress *atomic.Int6
 	epoch := -1
 	for {
 		env, err := conn.Recv()
-		if err != nil || env.Type == transport.MsgShutdown {
-			return false
+		if err != nil {
+			return follow
 		}
 		switch env.Type {
+		case transport.MsgShutdown:
+			return false
 		case transport.MsgReassign:
 			assign, epoch = env.Assign, env.Epoch
 		case transport.MsgParams:
@@ -145,15 +162,24 @@ func scriptedSession(addr string, b Behavior, fx *Fixture, progress *atomic.Int6
 				// Mid-iteration death: vanish between the broadcast and the
 				// upload.
 				*killed = true
-				*resumeID = ack.WorkerID
 				_ = conn.Close()
 				return b.RejoinAtIter > 0
 			}
 			if assign == nil || env.Epoch != epoch {
 				continue // raced migration; the master fences by epoch anyway
 			}
+			if replay {
+				replay = false
+				stale := &transport.Envelope{
+					Type: transport.MsgGradient, Iter: env.Iter, Epoch: 0,
+					WorkerID: ack.WorkerID, Vector: filled(len(env.Vector), 1e9),
+				}
+				if err := send(stale); err != nil {
+					return follow
+				}
+			}
 			if err := scriptedIterate(send, conn, b, fx, assign, epoch, env, ack); err != nil {
-				return false
+				return follow
 			}
 		}
 	}
@@ -186,17 +212,14 @@ func scriptedIterate(send func(*transport.Envelope) error, conn *transport.Conn,
 		Iter:     env.Iter,
 		Epoch:    epoch,
 		WorkerID: id,
+		RootGen:  env.RootGen,
 		Vector:   coded,
 	}
 	if b.PoisonAfterMigration && epoch > 0 {
 		// Stale epoch + poison: 1e12 in every coordinate would blow up the
 		// parameters if it ever reached combine.
-		poison := make([]float64, len(env.Vector))
-		for i := range poison {
-			poison[i] = 1e12
-		}
 		out.Epoch = 0 // deliberately stale
-		out.Vector = poison
+		out.Vector = filled(len(env.Vector), 1e12)
 	}
 	if codec := grad.Codec(ack.Codec); codec != grad.CodecRaw {
 		q, err := grad.AppendQuantized(nil, codec, out.Vector)
@@ -213,9 +236,19 @@ func scriptedIterate(send func(*transport.Envelope) error, conn *transport.Conn,
 		Iter:     env.Iter,
 		Epoch:    epoch,
 		WorkerID: id,
+		RootGen:  env.RootGen,
 		Telemetry: &transport.Telemetry{
 			ComputeSeconds: compute,
 			Partitions:     len(assign.Partitions),
 		},
 	})
+}
+
+// filled returns n copies of v: a poisoned payload.
+func filled(n int, v float64) []float64 {
+	out := make([]float64, n)
+	for i := range out {
+		out[i] = v
+	}
+	return out
 }
