@@ -2,6 +2,8 @@ package roster
 
 import (
 	"errors"
+	"fmt"
+	"math"
 	"math/rand"
 	"net"
 	"sync"
@@ -341,6 +343,78 @@ func TestCollectFencing(t *testing.T) {
 	}
 	if st.TelemetrySamples != 1 {
 		t.Errorf("telemetry = %d, want 1", st.TelemetrySamples)
+	}
+}
+
+// TestCollectFencesNonFinite pins where a non-finite upload lands in the
+// fence order, over real connections: a NaN encoded under a superseded epoch
+// is a stale-epoch rejection; a +Inf straggling in from an older iteration
+// and a NaN for the current one are both malformed, the straggler included;
+// and the collect decodes from the finite uploads without the poisoned slot.
+func TestCollectFencesNonFinite(t *testing.T) {
+	eng, _ := newTestEngine(t, 3, 1, nil)
+	conns, ids := make([]*transport.Conn, 3), make([]int, 3)
+	for i := range conns {
+		conns[i], ids[i] = dialJoin(t, eng.Addr(), 0)
+	}
+	plan, err := eng.Migrate(0, "initial")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, conn := range conns {
+		if env, err := conn.Recv(); err != nil || env.Type != transport.MsgReassign {
+			t.Fatalf("expected reassign, got %v (err %v)", env, err)
+		}
+	}
+	const dim, iter = 4, 3
+	send := func(conn *transport.Conn, iter, epoch int, vec []float64) {
+		t.Helper()
+		if err := conn.Send(&transport.Envelope{Type: transport.MsgGradient, Iter: iter, Epoch: epoch, Vector: vec}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	nan, inf := math.NaN(), math.Inf(1)
+	send(conns[0], iter, plan.Epoch+1, []float64{1, nan, 3, 4})
+	send(conns[0], iter-1, plan.Epoch, []float64{1, 2, 3, inf})
+	send(conns[0], iter, plan.Epoch, []float64{nan, 2, 3, 4})
+	// The poisoned frames queue ahead of the finite ones, so the collect
+	// meets all three before it can decode.
+	for deadline := time.Now().Add(5 * time.Second); len(eng.inbox) < 3; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of 3 poisoned uploads reached the inbox", len(eng.inbox))
+		}
+	}
+	send(conns[1], iter, plan.Epoch, []float64{1, 1, 1, 1})
+	send(conns[2], iter, plan.Epoch, []float64{2, 2, 2, 2})
+
+	var st Stats
+	_, coded, ok := eng.Collect(plan, iter, dim, 5*time.Second, &st)
+	if !ok {
+		t.Fatalf("collect failed to decode from the finite uploads; stats %+v", st)
+	}
+	if st.StaleEpochRejected != 1 || st.MalformedSkipped != 2 || st.StragglersSkipped != 0 {
+		t.Errorf("stale epoch %d, malformed %d, stragglers %d; want 1, 2, 0",
+			st.StaleEpochRejected, st.MalformedSkipped, st.StragglersSkipped)
+	}
+	if g := coded[plan.SlotOf(ids[0])]; g != nil {
+		t.Errorf("the poisoned member's slot holds %v", g)
+	}
+	for _, id := range ids[1:] {
+		if coded[plan.SlotOf(id)] == nil {
+			t.Errorf("member %d's finite upload is missing from the decode", id)
+		}
+	}
+	var reasons []string
+	for _, ms := range eng.TakeContribs(iter) {
+		if ms.Member == ids[0] {
+			reasons = append(reasons, ms.Reason)
+		}
+	}
+	// Its erasures, then the decode's: a live member that never landed a
+	// finite upload is absorbed as a straggler.
+	want := []string{obs.RStaleEpoch, obs.RMalformed, obs.RMalformed, obs.RStraggler}
+	if fmt.Sprint(reasons) != fmt.Sprint(want) {
+		t.Errorf("member %d stitched %v, want %v", ids[0], reasons, want)
 	}
 }
 
