@@ -2,7 +2,7 @@ GO ?= go
 
 .PHONY: all build test vet lint race cover cover-gate cover-check \
 	fuzz-smoke smoke-examples metrics-smoke e2e-procs bench bench-smoke \
-	bench-baseline bench-compare bench-json bench-check bench-pairs profile-kernels loc
+	bench-baseline bench-compare bench-json bench-check bench-pairs profile-kernels profile-live loc
 
 all: build test
 
@@ -268,3 +268,13 @@ profile-kernels:
 	$(GO) test -run '^$$' -bench '^BenchmarkDecodeMean$$' -benchtime 3s \
 		-cpuprofile decode.prof -o grad.test ./internal/grad
 	@echo "wrote kernels.prof (binary: ml.test) and decode.prof (binary: grad.test)"
+
+# CPU profile of live clusters at the end-to-end benchmark's model size: the
+# flat and two-group runs of TestAllocationCeiling, root, readers and workers
+# in one process on loopback. Where a root change starts: a kernel's verdict
+# on an idle box (profile-kernels) can flip once the readers, the workers and
+# the other group share the cores. Read it with
+# `$(GO) tool pprof -top shard.test live.prof`.
+profile-live:
+	$(GO) test -run '^TestAllocationCeiling$$' -count 3 -cpuprofile live.prof -o shard.test ./internal/shard
+	@echo "wrote live.prof (binary: shard.test)"

@@ -7,7 +7,7 @@ import (
 	"testing"
 )
 
-// decodeMeanRef is the decode pass one element at a time, in lincombChunk's
+// decodeMeanRef is the decode pass one element at a time, in lincomb's
 // order: the live terms in blocks of four, each block's value
 // (c0·x0 + c1·x1) + (c2·x2 + c3·x3) added to the element, a short last block
 // as (c0·x0 + c1·x1) + c2·x2, c0·x0 + c1·x1 or c0·x0; then the product by
@@ -90,14 +90,13 @@ func checkDecodeMean(t *testing.T, name string, alpha float64, coeffs []float64,
 }
 
 // The decode pass for 1–8 live coefficients (more than one block of four)
-// with nil uploads behind zero coefficients, on the serial path and across a
-// fan-out, and with a NaN or ±Inf planted at the first element, the last, and
-// either side of a fan-out chunk boundary.
+// with nil uploads behind zero coefficients, from one element to a
+// model-sized vector, and with a NaN or ±Inf planted at the first element,
+// the middle and the last.
 func TestDecodeMeanMatchesComposition(t *testing.T) {
-	forceParallel(t)
 	rng := rand.New(rand.NewSource(52))
 	const alpha = 1.0 / 48
-	for _, dim := range []int{1, 7, 1025, 2*parallelMinDim + 3} {
+	for _, dim := range []int{1, 7, 1025, 65539} {
 		for live := 1; live <= 8; live++ {
 			// Every third slot is a straggler: zero coefficient, no upload.
 			var coeffs []float64
@@ -111,11 +110,7 @@ func TestDecodeMeanMatchesComposition(t *testing.T) {
 				coded = append(coded, randomGradients(rng, 1, dim)[0])
 			}
 			checkDecodeMean(t, "clean", alpha, coeffs, coded, dim)
-			chunk := (dim + fanout(dim) - 1) / fanout(dim)
-			for _, at := range []int{0, dim - 1, chunk - 1, chunk} {
-				if at < 0 || at >= dim {
-					continue
-				}
+			for _, at := range []int{0, dim / 2, dim - 1} {
 				for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 					x := coded[0]
 					keep := x[at]
@@ -157,11 +152,10 @@ func sumMeanRef(alpha float64, gs []Gradient) (Gradient, bool) {
 	return out, finite
 }
 
-// SumMeanInto for 1–9 inputs, across tiles and a fan-out, clean and with a
-// NaN or ±Inf planted at the first element, the last, and a tile boundary —
-// and two finite inputs whose sum overflows.
+// SumMeanInto for 1–9 inputs, across tiles, clean and with a NaN or ±Inf
+// planted at the first element, the last, and a tile boundary — and two
+// finite inputs whose sum overflows.
 func TestSumMeanMatchesReference(t *testing.T) {
-	forceParallel(t)
 	rng := rand.New(rand.NewSource(53))
 	check := func(name string, alpha float64, gs []Gradient) {
 		t.Helper()
@@ -180,7 +174,7 @@ func TestSumMeanMatchesReference(t *testing.T) {
 			}
 		}
 	}
-	for _, dim := range []int{1, 7, tileLen + 3, 2*parallelMinDim + 3} {
+	for _, dim := range []int{1, 7, tileLen + 3, 65539} {
 		for n := 1; n <= 9; n++ {
 			gs := randomGradients(rng, n, dim)
 			check("clean", 1.0/48, gs)
@@ -244,16 +238,25 @@ func FuzzDecodeMean(f *testing.F) {
 	})
 }
 
-// Below the fan-out the decode and reduce passes allocate nothing, as
-// CombineInto never has.
+// The kernels run on the calling goroutine at every dimension, so none of
+// them allocates, at the end-to-end benchmark's model size included.
 func TestMeanPassesSerialAllocs(t *testing.T) {
-	gs := randomGradients(rand.New(rand.NewSource(54)), 3, 1000)
-	dst := make(Gradient, 1000)
+	const dim = 100_010
+	gs := randomGradients(rand.New(rand.NewSource(54)), 3, dim)
+	dst := make(Gradient, dim)
 	coeffs := []float64{1, 0.5, -2}
-	if n := testing.AllocsPerRun(20, func() { _, _ = DecodeMeanInto(dst, 0.5, coeffs, gs) }); n != 0 {
-		t.Fatalf("DecodeMeanInto: %v allocs per call, want 0", n)
-	}
-	if n := testing.AllocsPerRun(20, func() { _, _ = SumMeanInto(dst, 0.5, gs) }); n != 0 {
-		t.Fatalf("SumMeanInto: %v allocs per call, want 0", n)
+	for _, k := range []struct {
+		name string
+		call func()
+	}{
+		{"EncodeInto", func() { _ = EncodeInto(dst, coeffs, gs) }},
+		{"CombineInto", func() { _ = CombineInto(dst, coeffs, gs) }},
+		{"DecodeMeanInto", func() { _, _ = DecodeMeanInto(dst, 0.5, coeffs, gs) }},
+		{"SumInto", func() { _ = SumInto(dst, gs) }},
+		{"SumMeanInto", func() { _, _ = SumMeanInto(dst, 0.5, gs) }},
+	} {
+		if n := testing.AllocsPerRun(20, k.call); n != 0 {
+			t.Errorf("%s: %v allocs per call at dim %d, want 0", k.name, n, dim)
+		}
 	}
 }

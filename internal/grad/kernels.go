@@ -2,26 +2,19 @@ package grad
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
-	"sync/atomic"
 )
 
 // This file holds the allocation-free kernel layer: in-place EncodeInto /
 // CombineInto / SumInto variants of the package's arithmetic, the root's
 // one-pass DecodeMeanInto / SumMeanInto, the two kernels behind them (one
-// linear combination, one plain sum), a freelist of gradient buffers, and
-// chunked goroutine fan-out for large dimensions. The exported Encode /
-// Combine / Sum wrappers in grad.go delegate here, so every caller gets the
-// fused kernels; steady-state callers that manage their own buffers get
-// zero-alloc encode/combine.
-
-// parallelMinDim is the vector length above which the kernels fan out across
-// goroutines (when GOMAXPROCS allows). Below it the spawn overhead dominates.
-const parallelMinDim = 1 << 15
-
-// maxFan bounds the number of worker goroutines per kernel call.
-const maxFan = 16
+// linear combination, one plain sum) and a freelist of gradient buffers. The
+// kernels run once over the whole vector on the calling goroutine at every
+// dimension: on a small shared box, waking a helper goroutine costs as much
+// as the chunk it would take. The exported Encode / Combine / Sum wrappers in
+// grad.go delegate here, so every caller gets the fused kernels;
+// steady-state callers that manage their own buffers get zero-alloc
+// encode/combine.
 
 // tileLen is the run of elements SumMeanInto finishes at a time: every input,
 // then the scale and the finite check, while the tile of dst is still in L1
@@ -30,8 +23,8 @@ const tileLen = 1024
 
 // EncodeInto forms the coded gradient Σ_j coeff[j]·partials[j] in dst,
 // overwriting its contents. dst's length fixes the gradient dimension; every
-// partial must match it. dst must not alias any partial. It never allocates
-// on the serial path.
+// partial must match it. dst must not alias any partial. It allocates nothing
+// for up to 32 live coefficients.
 func EncodeInto(dst Gradient, coeff []float64, partials []Gradient) error {
 	if len(coeff) != len(partials) {
 		return fmt.Errorf("%w: %d coefficients for %d partials", ErrDimension, len(coeff), len(partials))
@@ -54,8 +47,8 @@ func EncodeInto(dst Gradient, coeff []float64, partials []Gradient) error {
 // overwriting its contents: dst = Σ_i coeffs[i]·coded[i]. Entries with a zero
 // coefficient may be nil (stragglers whose results never arrived); a non-zero
 // coefficient with a nil or mis-sized gradient is an error. dst must not
-// alias any coded gradient. It is DecodeMeanInto at α = 1, and never
-// allocates on the serial path.
+// alias any coded gradient. It is DecodeMeanInto at α = 1, and allocates
+// nothing for up to 32 live coefficients.
 func CombineInto(dst Gradient, coeffs []float64, coded []Gradient) error {
 	_, err := DecodeMeanInto(dst, 1, coeffs, coded)
 	return err
@@ -66,7 +59,7 @@ func CombineInto(dst Gradient, coeffs []float64, coded []Gradient) error {
 // whether every element of it is finite. The result is CombineInto, then
 // Scale(alpha), then !InfOrNaN, bit for bit, in one pass over memory: the
 // scale and the x − x check ride the last block of four inputs. The inputs
-// are CombineInto's. It never allocates on the serial path.
+// are CombineInto's, and so is its allocation bound.
 func DecodeMeanInto(dst Gradient, alpha float64, coeffs []float64, coded []Gradient) (bool, error) {
 	if len(coeffs) != len(coded) {
 		return false, fmt.Errorf("%w: %d coefficients for %d coded gradients", ErrDimension, len(coeffs), len(coded))
@@ -87,8 +80,7 @@ func DecodeMeanInto(dst Gradient, alpha float64, coeffs []float64, coded []Gradi
 
 // SumInto writes the plain sum of gradients into dst, overwriting its
 // contents. Every gradient must match dst's length. dst must not alias any
-// input gradient. It is SumMeanInto at α = 1, and never allocates on the
-// serial path.
+// input gradient. It is SumMeanInto at α = 1, and never allocates.
 func SumInto(dst Gradient, gs []Gradient) error {
 	_, err := SumMeanInto(dst, 1, gs)
 	return err
@@ -97,7 +89,7 @@ func SumInto(dst Gradient, gs []Gradient) error {
 // SumMeanInto writes alpha times the plain sum of gradients into dst,
 // overwriting its contents, and reports whether every element of it is
 // finite: SumInto, then Scale(alpha), then !InfOrNaN, bit for bit, in one
-// pass over memory. The inputs are SumInto's.
+// pass over memory. The inputs are SumInto's. It never allocates.
 func SumMeanInto(dst Gradient, alpha float64, gs []Gradient) (bool, error) {
 	if len(gs) == 0 {
 		return false, fmt.Errorf("%w: empty sum", ErrDimension)
@@ -111,44 +103,19 @@ func SumMeanInto(dst Gradient, alpha float64, gs []Gradient) (bool, error) {
 }
 
 // lincomb writes alpha·Σ_j coeff[j]·vecs[j] into dst (skipping zero
-// coefficients), fanning out across goroutines for large dimensions, and
-// reports whether every element of the result is finite. Inputs are assumed
-// validated: len(vecs[j]) == len(dst) for every live j.
+// coefficients) and reports whether every element of the result is finite.
+// Inputs are assumed validated: len(vecs[j]) == len(dst) for every live j.
+// The live terms are taken in blocks of four, so each element of dst is
+// written once and re-read at most once per four inputs — the
+// axpy-per-input formulation re-reads and re-writes dst for every input,
+// which is what made the scalar loops memory-bound. Every block but the last
+// is a fused4; the last block, the scale and the check share one loop
+// (lastBlock).
 func lincomb(dst []float64, alpha float64, coeff []float64, vecs []Gradient) bool {
-	if fan := fanout(len(dst)); fan > 1 {
-		return parallelFinite(len(dst), fan, func(lo, hi int) float64 {
-			return lincombChunk(dst[lo:hi], alpha, coeff, vecs, lo)
-		})
-	}
-	return lincombChunk(dst, alpha, coeff, vecs, 0) == 0
-}
-
-// liveTerms appends the non-zero coefficients to cs and their vectors'
-// elements [off, off+n) to vs. Callers pass stack scratch for the common
-// small fan-in; beyond its capacity append allocates.
-func liveTerms(cs []float64, vs [][]float64, coeff []float64, vecs []Gradient, off, n int) ([]float64, [][]float64) {
-	for j, c := range coeff {
-		if c == 0 {
-			continue
-		}
-		cs = append(cs, c)
-		vs = append(vs, vecs[j][off:off+n])
-	}
-	return cs, vs
-}
-
-// lincombChunk computes one chunk of lincomb and returns its finite-check
-// sum. off is the chunk's offset into the full vectors. The live terms are
-// taken in blocks of four, so each element of dst is written once and
-// re-read at most once per four inputs — the axpy-per-input formulation
-// re-reads and re-writes dst for every input, which is what made the scalar
-// loops memory-bound. Every block but the last is a fused4; the last block,
-// the scale and the check share one loop (lastBlock).
-func lincombChunk(dst []float64, alpha float64, coeff []float64, vecs []Gradient, off int) float64 {
 	n := len(dst)
 	var cbuf [32]float64
 	var vbuf [32][]float64
-	cs, vs := liveTerms(cbuf[:0], vbuf[:0], coeff, vecs, off, n)
+	cs, vs := liveTerms(cbuf[:0], vbuf[:0], coeff, vecs)
 	last := 0 // the last block's first term
 	if len(cs) > 0 {
 		last = (len(cs) - 1) / 4 * 4
@@ -156,10 +123,24 @@ func lincombChunk(dst []float64, alpha float64, coeff []float64, vecs []Gradient
 	for b := 0; b < last; b += 4 {
 		fused4(dst, cs[b], cs[b+1], cs[b+2], cs[b+3], vs[b][:n], vs[b+1][:n], vs[b+2][:n], vs[b+3][:n], b == 0)
 	}
-	return lastBlock(dst, cs[last:], vs[last:], alpha, last == 0)
+	return lastBlock(dst, cs[last:], vs[last:], alpha, last == 0) == 0
 }
 
-// lastBlock ends a chunk with its last block of at most four live terms:
+// liveTerms appends the non-zero coefficients to cs and their vectors to vs.
+// Callers pass stack scratch for the common small fan-in; beyond its
+// capacity append allocates.
+func liveTerms(cs []float64, vs [][]float64, coeff []float64, vecs []Gradient) ([]float64, [][]float64) {
+	for j, c := range coeff {
+		if c == 0 {
+			continue
+		}
+		cs = append(cs, c)
+		vs = append(vs, vecs[j])
+	}
+	return cs, vs
+}
+
+// lastBlock ends lincomb with its last block of at most four live terms:
 // dst = (dst +) the block's sum, in fused4's order, times alpha, each element
 // written once. It returns the sum of x − x over the results, InfOrNaN's
 // test: zero exactly when every one is finite. With no terms dst is 0·alpha.
@@ -307,28 +288,17 @@ func fused4(dst []float64, c0, c1, c2, c3 float64, x0, x1, x2, x3 []float64, ove
 	}
 }
 
-// sumKernel writes alpha·Σ vecs into dst with the same blocking as
-// lincombChunk but without the multiplies, and reports whether the result is
-// finite.
+// sumKernel writes alpha·Σ vecs into dst a tile at a time, with the same
+// blocking as lincomb but without the multiplies, and reports whether the
+// result is finite.
 func sumKernel(dst []float64, alpha float64, vecs []Gradient) bool {
-	if fan := fanout(len(dst)); fan > 1 {
-		return parallelFinite(len(dst), fan, func(lo, hi int) float64 {
-			return sumChunk(dst[lo:hi], alpha, vecs, lo)
-		})
-	}
-	return sumChunk(dst, alpha, vecs, 0) == 0
-}
-
-// sumChunk computes one chunk of sumKernel a tile at a time and returns its
-// finite-check sum. off is the chunk's offset into the full vectors.
-func sumChunk(dst []float64, alpha float64, vecs []Gradient, off int) float64 {
 	var check float64
 	for lo := 0; lo < len(dst); lo += tileLen {
 		t := dst[lo:min(lo+tileLen, len(dst))]
-		sumTile(t, vecs, off+lo)
+		sumTile(t, vecs, lo)
 		check += scaleCheck(t, alpha)
 	}
-	return check
+	return check == 0
 }
 
 // sumTile writes Σ vecs into dst: the first vector copied, the next in blocks
@@ -353,48 +323,6 @@ func sumTile(dst []float64, vecs []Gradient, off int) {
 			dst[i] += x[i]
 		}
 	}
-}
-
-// fanout picks the goroutine count for a kernel over dim elements.
-func fanout(dim int) int {
-	if dim < parallelMinDim {
-		return 1
-	}
-	fan := runtime.GOMAXPROCS(0)
-	if fan > maxFan {
-		fan = maxFan
-	}
-	if want := dim / (parallelMinDim / 2); want < fan {
-		fan = want
-	}
-	if fan < 1 {
-		fan = 1
-	}
-	return fan
-}
-
-// parallelFinite splits [0,n) into fan contiguous chunks and runs chunk on
-// each from its own goroutine, returning when all complete. Each chunk
-// returns its finite-check sum; it reports whether every one is zero. The
-// wait group and the flag share one allocation.
-func parallelFinite(n, fan int, chunk func(lo, hi int) float64) bool {
-	var st struct {
-		wg       sync.WaitGroup
-		poisoned atomic.Bool
-	}
-	size := (n + fan - 1) / fan
-	for lo := 0; lo < n; lo += size {
-		hi := min(lo+size, n)
-		st.wg.Add(1)
-		go func(lo, hi int) {
-			defer st.wg.Done()
-			if chunk(lo, hi) != 0 {
-				st.poisoned.Store(true)
-			}
-		}(lo, hi)
-	}
-	st.wg.Wait()
-	return !st.poisoned.Load()
 }
 
 // bufPool recycles gradient buffers between iterations so steady-state

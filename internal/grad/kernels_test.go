@@ -3,7 +3,6 @@ package grad
 import (
 	"math"
 	"math/rand"
-	"runtime"
 	"testing"
 )
 
@@ -69,22 +68,13 @@ func maxAbsDiff(a, b Gradient) float64 {
 	return mx
 }
 
-// forceParallel raises GOMAXPROCS so fanout() takes the chunked goroutine
-// path even on single-core CI machines; the cleanup restores it.
-func forceParallel(t *testing.T) {
-	t.Helper()
-	prev := runtime.GOMAXPROCS(4)
-	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
-}
-
 const propTol = 1e-12
 
 func TestEncodePropertyMatchesNaive(t *testing.T) {
-	forceParallel(t)
 	rng := rand.New(rand.NewSource(42))
-	// Dims straddle the parallel threshold; fan-ins straddle the 4-block and
-	// the 32-entry stack scratch.
-	dims := []int{1, 3, 17, 1000, parallelMinDim - 1, parallelMinDim + 3}
+	// Dims run from one element to a model-sized vector; fan-ins straddle
+	// the 4-block and the 32-entry stack scratch.
+	dims := []int{1, 3, 17, 1000, 32767, 32771}
 	for _, dim := range dims {
 		for _, n := range []int{1, 2, 3, 4, 5, 8, 9, 33} {
 			partials := randomGradients(rng, n, dim)
@@ -136,9 +126,8 @@ func TestEncodeAllZeroCoefficients(t *testing.T) {
 }
 
 func TestCombinePropertyMatchesNaive(t *testing.T) {
-	forceParallel(t)
 	rng := rand.New(rand.NewSource(43))
-	for _, dim := range []int{1, 5, 999, parallelMinDim + 1} {
+	for _, dim := range []int{1, 5, 999, 32769} {
 		for _, n := range []int{1, 4, 7, 12} {
 			coded := randomGradients(rng, n, dim)
 			coeffs := make([]float64, n)
@@ -186,9 +175,8 @@ func TestCombineNilWithNonZeroCoefficient(t *testing.T) {
 }
 
 func TestSumPropertyMatchesNaive(t *testing.T) {
-	forceParallel(t)
 	rng := rand.New(rand.NewSource(45))
-	for _, dim := range []int{1, 8, 1234, parallelMinDim + 5} {
+	for _, dim := range []int{1, 8, 1234, 32773} {
 		for _, n := range []int{1, 2, 4, 5, 9} {
 			gs := randomGradients(rng, n, dim)
 			want := sumRef(gs)

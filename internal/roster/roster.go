@@ -145,12 +145,15 @@ type member struct {
 
 // msg is one inbox entry: a frame, a transport-level malformed marker, or a
 // connection death, all tagged with the originating member and generation.
+// nonFinite is the reader's verdict on a gradient's vector: it holds a NaN or
+// an infinity.
 type msg struct {
 	memberID  int
 	gen       int
 	env       *transport.Envelope
 	err       error
 	malformed bool
+	nonFinite bool
 }
 
 // Stats counts the fencing decisions of Collect. Callers accumulate one
@@ -219,6 +222,15 @@ type Engine struct {
 	contribs     []obs.MemberSpan
 	contribIter  int
 	contribStart time.Time
+
+	// Per-iteration scratch, so a steady iteration allocates no masks or
+	// connection lists: the broadcast's connections and their generations,
+	// Collect's arrival mask and EpochViable's. Touched only by the run-loop
+	// goroutine, like collectBufs.
+	bcastConns []*transport.Conn
+	bcastGens  []int
+	arrived    []bool
+	viable     []bool
 }
 
 // New validates the config and starts the accept loop on lis. The engine
@@ -457,6 +469,9 @@ func (e *Engine) PartitionsServed() int {
 }
 
 // readLoop feeds one connection generation's frames into the shared inbox.
+// It checks a gradient for NaN and infinities here, where the read has just
+// left its bytes in this core's cache and the readers run side by side,
+// rather than on the one goroutine that collects every upload.
 func (e *Engine) readLoop(id, gen int, conn *transport.Conn) {
 	defer e.readers.Done()
 	for {
@@ -478,8 +493,10 @@ func (e *Engine) readLoop(id, gen int, conn *transport.Conn) {
 		}
 		switch env.Type {
 		case transport.MsgGradient, transport.MsgTelemetry:
+			in := msg{memberID: id, gen: gen, env: env}
+			in.nonFinite = env.Type == transport.MsgGradient && grad.InfOrNaN(env.Vector)
 			select {
-			case e.inbox <- msg{memberID: id, gen: gen, env: env}:
+			case e.inbox <- in:
 			case <-e.stop:
 				return
 			}
@@ -691,8 +708,8 @@ func (e *Engine) BroadcastParams(plan *elastic.Plan, iter int, params []float64)
 		e.contribs = e.contribs[:0]
 		e.contribStart = time.Now()
 	}
-	conns := make([]*transport.Conn, len(plan.Members))
-	gens := make([]int, len(plan.Members))
+	conns := resize(&e.bcastConns, len(plan.Members))
+	gens := resize(&e.bcastGens, len(plan.Members))
 	e.mu.Lock()
 	for slot, id := range plan.Members {
 		if m := e.members[id]; m.alive {
@@ -802,9 +819,10 @@ func (e *Engine) traceID(plan *elastic.Plan, iter int) uint64 {
 }
 
 // EpochViable reports whether the plan can still decode if every live plan
-// member eventually uploads (arrived marks slots already collected).
+// member eventually uploads (arrived marks slots already collected). Like
+// Collect, it is the run loop's to call.
 func (e *Engine) EpochViable(plan *elastic.Plan, arrived []bool) bool {
-	mask := make([]bool, len(plan.Members))
+	mask := resize(&e.viable, len(plan.Members))
 	e.mu.Lock()
 	for slot, id := range plan.Members {
 		m, ok := e.members[id]
@@ -825,7 +843,7 @@ func (e *Engine) EpochViable(plan *elastic.Plan, arrived []bool) bool {
 func (e *Engine) Collect(plan *elastic.Plan, iter, dim int, timeout time.Duration, st *Stats) (coeffs []float64, coded []grad.Gradient, ok bool) {
 	m := plan.Strategy.M()
 	coded = e.collectSlab(m)
-	arrived := make([]bool, m)
+	arrived := resize(&e.arrived, m)
 	if iter != e.contribIter {
 		// The caller skipped BroadcastParams (a test harness driving the
 		// inbox directly): anchor the stitch accumulator here instead.
@@ -889,7 +907,7 @@ func (e *Engine) Collect(plan *elastic.Plan, iter, dim int, timeout time.Duratio
 					}
 				}
 			case transport.MsgGradient:
-				slot, admitted := e.admit(plan, iter, dim, in.memberID, env, st)
+				slot, admitted := e.admit(plan, iter, dim, in, st)
 				if !admitted {
 					grad.PutBuffer(env.Vector)
 					continue
@@ -917,7 +935,8 @@ func (e *Engine) Collect(plan *elastic.Plan, iter, dim int, timeout time.Duratio
 // admit runs one gradient upload through Collect's fences, counting and
 // stitching every rejection, and returns the plan slot of an upload that
 // passed them all.
-func (e *Engine) admit(plan *elastic.Plan, iter, dim, memberID int, env *transport.Envelope, st *Stats) (slot int, ok bool) {
+func (e *Engine) admit(plan *elastic.Plan, iter, dim int, in msg, st *Stats) (slot int, ok bool) {
+	memberID, env := in.memberID, in.env
 	// Root-generation fence: an upload tagged with a deposed root's lease
 	// generation was encoded against parameters that are no longer this
 	// run's truth — reject it before any other consideration.
@@ -936,11 +955,11 @@ func (e *Engine) admit(plan *elastic.Plan, iter, dim, memberID int, env *transpo
 		return 0, false
 	}
 	// Shape fence before the iteration fence: a mis-sized or non-finite
-	// upload is malformed no matter which iteration it straggled in from.
-	// (The two pre-roster runtimes raced here — a truncated frame that
-	// arrived after its iteration had decoded was miscounted as a mere
-	// straggler.)
-	if len(env.Vector) != dim || grad.InfOrNaN(env.Vector) {
+	// upload (readLoop's verdict) is malformed no matter which iteration it
+	// straggled in from. (The two pre-roster runtimes raced here — a
+	// truncated frame that arrived after its iteration had decoded was
+	// miscounted as a mere straggler.)
+	if len(env.Vector) != dim || in.nonFinite {
 		st.MalformedSkipped++
 		e.cfg.Obs.OnReject(obs.RMalformed)
 		e.noteErased(memberID, obs.RMalformed, env.Spans)
@@ -973,6 +992,17 @@ func (e *Engine) Release(coded []grad.Gradient) {
 		grad.PutBuffer(coded[i])
 		coded[i] = nil
 	}
+}
+
+// resize returns *buf cut to n zeroed elements, growing it only when it is
+// too short.
+func resize[T any](buf *[]T, n int) []T {
+	if cap(*buf) < n {
+		*buf = make([]T, n)
+	}
+	*buf = (*buf)[:n]
+	clear(*buf)
+	return *buf
 }
 
 // collectSlab returns the next of the two alternating collect buffers,
