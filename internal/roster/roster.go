@@ -493,8 +493,8 @@ func (e *Engine) readLoop(id, gen int, conn *transport.Conn) {
 		}
 		switch env.Type {
 		case transport.MsgGradient, transport.MsgTelemetry:
-			in := msg{memberID: id, gen: gen, env: env}
-			in.nonFinite = env.Type == transport.MsgGradient && grad.InfOrNaN(env.Vector)
+			in := msg{memberID: id, gen: gen, env: env,
+				nonFinite: env.Type == transport.MsgGradient && grad.InfOrNaN(env.Vector)}
 			select {
 			case e.inbox <- in:
 			case <-e.stop:
@@ -1012,14 +1012,8 @@ func resize[T any](buf *[]T, n int) []T {
 // not Release) go back to the gradient pool the transport received them into.
 func (e *Engine) collectSlab(m int) []grad.Gradient {
 	e.collectFlip ^= 1
-	buf := e.collectBufs[e.collectFlip]
-	e.Release(buf)
-	if cap(buf) < m {
-		buf = make([]grad.Gradient, m)
-	}
-	buf = buf[:m]
-	e.collectBufs[e.collectFlip] = buf
-	return buf
+	e.Release(e.collectBufs[e.collectFlip])
+	return resize(&e.collectBufs[e.collectFlip], m)
 }
 
 // Shutdown stops the engine: the listener, every member connection and the
